@@ -8,10 +8,10 @@ GO ?= go
 COVER_BASELINE ?= 84.2
 
 .PHONY: ci fmt vet staticcheck build test race bench bench-analysis bench-analysis-short \
-	bench-check bench-check-short bench-baseline cover cover-check fuzz-smoke fuzz smoke-tad \
-	chaos-smoke chaos-cluster loadtest-smoke stream-smoke
+	bench-check bench-check-short bench-baseline bench-smoke bench-compare cover cover-check \
+	fuzz-smoke fuzz smoke-tad chaos-smoke chaos-cluster loadtest-smoke stream-smoke
 
-ci: fmt vet staticcheck build race bench cover-check bench-check-short fuzz-smoke chaos-smoke chaos-cluster loadtest-smoke stream-smoke smoke-tad
+ci: fmt vet staticcheck build race bench bench-smoke cover-check bench-check-short fuzz-smoke chaos-smoke chaos-cluster loadtest-smoke stream-smoke smoke-tad
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -41,14 +41,29 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pass over the trace-load benchmarks (BenchmarkLoadLargeTrace,
-# BenchmarkTraceLoad) to catch load-path regressions that only show up
-# under -bench; -short shrinks the synthetic trace.
+# One pass over the trace-load benchmarks the pattern matches
+# (BenchmarkLoadLargeTrace, BenchmarkLoadStream) to catch load-path
+# regressions that only show up under -bench; -short shrinks the
+# synthetic trace.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkLoad -benchtime 1x -short .
 
-# Analysis-kernel and service-cache benchmarks: parallel vs serial
-# Profile/ComputeCriticalPath and warm vs cold pdt-tad summary (the
+# bench/ is its own module that compiles against the analyzer packages,
+# and `go build ./... && go test ./...` does not reach it: an API rename
+# that breaks the benchmark is otherwise invisible until a benchmark run
+# fails. Vet and unit-test it (~15 s); this runs no workload.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+# Compare two benchmark results (or comma-separated lists of results,
+# compared by their medians): make bench-compare A=out/a.json B=out/b.json
+# Paths are relative to bench/. See bench/README.md.
+bench-compare:
+	$(GO) run -C bench . -compare $(A) $(B)
+
+# Analysis-kernel and service-cache benchmarks: the kernels (parallel vs
+# serial where both exist) and warm vs cold pdt-tad summary (the
 # warm/cold split is the cache speedup recorded in EXPERIMENTS.md).
 bench-analysis:
 	$(GO) test -run '^$$' -bench 'BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 10x .

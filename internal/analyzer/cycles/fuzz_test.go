@@ -3,13 +3,12 @@ package cycles_test
 // FuzzCycles drives mutated/salvaged trace images through cycle
 // detection: flip, insert, delete, or truncate a structurally valid
 // periodic trace (the FuzzSalvage operation set), salvage whatever is
-// recoverable, and assert detection never panics, the parallel and
-// serial detectors agree, and every structural invariant checkRun pins
-// (stats ordering, cycle containment, phase partition) still holds.
+// recoverable, and assert detection never panics and every structural
+// invariant checkRun pins (stats ordering, cycle containment, phase
+// partition) still holds.
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -100,10 +99,6 @@ func FuzzCycles(f *testing.F) {
 		tr := d.Trace
 
 		rep := cycles.Detect(tr, cycles.Options{})
-		ser := cycles.DetectSerial(tr, cycles.Options{})
-		if !reflect.DeepEqual(rep, ser) {
-			t.Error("Detect and DetectSerial disagree on salvaged input")
-		}
 		total := 0
 		for _, run := range rep.Runs {
 			checkRun(t, run)

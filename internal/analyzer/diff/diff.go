@@ -263,7 +263,8 @@ func Diff(a, b *analyzer.Trace, opt Options) (*Report, error) {
 	return diffTraces(a, b, opt, true)
 }
 
-// DiffSerial is the single-threaded reference implementation.
+// DiffSerial is the single-threaded reference implementation. (Cycle
+// detection, when a Mode asks for it, is cycles.Detect on both paths.)
 func DiffSerial(a, b *analyzer.Trace, opt Options) (*Report, error) {
 	return diffTraces(a, b, opt, false)
 }
@@ -291,15 +292,11 @@ func diffTraces(a, b *analyzer.Trace, opt Options, par bool) (*Report, error) {
 	rep := assemble(sides[0], sides[1], opt)
 	if opt.Mode != "" {
 		ca, cb := opt.CyclesA, opt.CyclesB
-		detect := cycles.DetectSerial
-		if par {
-			detect = cycles.Detect
-		}
 		if ca == nil {
-			ca = detect(a, cycles.Options{})
+			ca = cycles.Detect(a, cycles.Options{})
 		}
 		if cb == nil {
-			cb = detect(b, cycles.Options{})
+			cb = cycles.Detect(b, cycles.Options{})
 		}
 		rep.Cycles = cycleDiff(ca, cb, opt)
 	}
@@ -326,10 +323,11 @@ func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *sid
 	// cheap fold.
 	var ivs []analyzer.Interval
 	if par {
-		ivs = append(analyzer.Intervals(tr), analyzer.PPEIntervals(tr)...)
+		ivs = analyzer.Intervals(tr)
 	} else {
-		ivs = append(analyzer.IntervalsSerial(tr), analyzer.PPEIntervalsSerial(tr)...)
+		ivs = analyzer.IntervalsSerial(tr)
 	}
+	ivs = append(ivs, analyzer.PPEIntervals(tr)...)
 	type stateAgg struct{ busy, stall, flush uint64 }
 	states := map[uint8]*stateAgg{}
 	for _, iv := range ivs {

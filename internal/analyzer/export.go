@@ -222,12 +222,11 @@ func WriteCriticalPathJSON(cp *CriticalPath, w io.Writer) error {
 
 // Report renders the human-readable summary the pdt-ta CLI prints.
 func Report(tr *Trace, s *Summary, w io.Writer) {
-	reportTo(w, tr, s, SummarizePPE(tr), EffectiveConcurrency(tr))
+	reportTo(w, tr, s, SummarizePPE(tr), s.effectiveConcurrency())
 }
 
 // Report renders the same human-readable summary from a streaming
-// result: every figure comes from the incremental accumulators, so the
-// bytes match Report on the batch-loaded trace exactly.
+// result.
 func (r *StreamResult) Report(w io.Writer) {
 	reportTo(w, r.Trace, r.Summary, r.PPE, r.EffectiveConcurrency)
 }

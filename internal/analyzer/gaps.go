@@ -3,7 +3,10 @@ package analyzer
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+
+	"github.com/celltrace/pdt/internal/analyzer/colstore"
 )
 
 // Gap is one unusually long stretch of an SPE run with no trace events —
@@ -20,61 +23,65 @@ type Gap struct {
 // Dur returns the gap length in timebase ticks.
 func (g Gap) Dur() uint64 { return g.End - g.Start }
 
-// runGaps collects one run's gaps of at least minTicks by walking the
-// run's index block against the Global column.
-func runGaps(tr *Trace, run int, minTicks uint64) []Gap {
-	seqs := tr.runSeqsOrScan(run)
-	var out []Gap
-	s := tr.col
-	for i := 1; i < len(seqs); i++ {
-		prev, cur := s.Global[seqs[i-1]], s.Global[seqs[i]]
-		if cur-prev >= minTicks {
-			out = append(out, Gap{
-				Run: run, Core: s.Core[seqs[i]],
-				Start: prev, End: cur,
-			})
+// gapsAcc is the FindGaps kernel: per run, the distance from each event
+// to the previous one, folded one merged segment at a time.
+type gapsAcc struct {
+	minTicks uint64
+	runs     []gapRun
+}
+
+type gapRun struct {
+	seen bool
+	last uint64 // global time of the run's latest event
+	gaps []Gap
+}
+
+func (a *gapsAcc) fold(seg *colstore.Store) {
+	for i, run := range seg.Run {
+		if run < 0 {
+			continue
 		}
+		for int(run) >= len(a.runs) {
+			a.runs = append(a.runs, gapRun{})
+		}
+		r := &a.runs[run]
+		g := seg.Global[i]
+		if r.seen && g-r.last >= a.minTicks {
+			r.gaps = append(r.gaps, Gap{Run: int(run), Core: seg.Core[i], Start: r.last, End: g})
+		}
+		r.seen = true
+		r.last = g
 	}
+}
+
+// result lists the gaps of the first nRuns runs (the anchored ones),
+// longest first, ties in run order.
+func (a *gapsAcc) result(nRuns int) []Gap {
+	var out []Gap
+	for run := 0; run < nRuns && run < len(a.runs); run++ {
+		out = append(out, a.runs[run].gaps...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Dur() > out[j].Dur() })
 	return out
 }
 
 // FindGaps returns event-free stretches of at least minTicks inside SPE
-// runs, longest first. Past the adaptive-parallelism threshold the
-// independent per-run scans execute concurrently and are concatenated in
-// run order before the global sort, which produces exactly the output of
-// FindGapsSerial.
+// runs, longest first.
 func FindGaps(tr *Trace, minTicks uint64) []Gap {
-	n := len(tr.Meta.Anchors)
-	if n < 2 || !tr.parallelWorthwhile() {
-		return FindGapsSerial(tr, minTicks)
-	}
-	parts := make([][]Gap, n)
-	runParallel(0, n, func(run int) {
-		parts[run] = runGaps(tr, run, minTicks)
-	})
-	var out []Gap
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Dur() > out[j].Dur() })
-	return out
-}
-
-// FindGapsSerial is the sequential reference for FindGaps.
-func FindGapsSerial(tr *Trace, minTicks uint64) []Gap {
-	var out []Gap
-	for run := range tr.Meta.Anchors {
-		out = append(out, runGaps(tr, run, minTicks)...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Dur() > out[j].Dur() })
-	return out
+	a := gapsAcc{minTicks: minTicks}
+	a.fold(tr.segment())
+	return a.result(len(tr.Meta.Anchors))
 }
 
 // SuggestGapThreshold proposes a threshold from the run statistics:
 // twenty times the median inter-event distance (the median is robust to
 // the very gaps being hunted), floored at 10 ticks.
 func SuggestGapThreshold(tr *Trace) uint64 {
-	var dists []uint64
+	n := 0
+	for _, seqs := range tr.runSeq {
+		n += len(seqs)
+	}
+	dists := make([]uint64, 0, n)
 	s := tr.col
 	for run := range tr.Meta.Anchors {
 		seqs := tr.runSeqsOrScan(run)
@@ -85,12 +92,8 @@ func SuggestGapThreshold(tr *Trace) uint64 {
 	if len(dists) == 0 {
 		return 10
 	}
-	sort.Slice(dists, func(i, j int) bool { return dists[i] < dists[j] })
-	th := dists[len(dists)/2] * 20
-	if th < 10 {
-		th = 10
-	}
-	return th
+	slices.Sort(dists)
+	return max(dists[len(dists)/2]*20, 10)
 }
 
 // WriteGaps renders the gap report.

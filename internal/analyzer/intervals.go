@@ -3,6 +3,7 @@ package analyzer
 import (
 	"fmt"
 
+	"github.com/celltrace/pdt/internal/analyzer/colstore"
 	"github.com/celltrace/pdt/internal/core/event"
 )
 
@@ -91,79 +92,102 @@ func (tr *Trace) runSeqsOrScan(run int) []int32 {
 	return out
 }
 
-// RunIntervals reconstructs the state intervals of one SPE program run.
-// The run spans SPE_PROGRAM_START..SPE_PROGRAM_END; time not inside a
-// stall or flush is attributed to compute. The scan walks the run's
-// index block against the ID and Global columns, touching arguments only
-// at flush markers.
+// runMachine is the state machine that classifies one SPE program run
+// into compute, stall and flush time. It exists once: RunIntervals drives
+// it appending Intervals, the summary accumulator drives it adding to
+// per-state tick sums. Time not inside a stall or flush is compute.
+type runMachine struct {
+	cursor    uint64 // start of the stretch being classified
+	open      bool   // inside a stall
+	openState State
+	openStart uint64
+}
+
+// emitFunc receives one closed, non-empty interval.
+type emitFunc func(state State, start, end uint64)
+
+func emitSpan(emit emitFunc, state State, start, end uint64) {
+	if end > start {
+		emit(state, start, end)
+	}
+}
+
+// step advances the machine by row i of s, which must belong to the
+// machine's run. It reads the ID and Global columns, and the arguments
+// only at flush markers; cpt is the trace's cycles per timebase tick.
+func (m *runMachine) step(s *colstore.Store, i int, cpt uint64, emit emitFunc) {
+	id := s.ID[i]
+	if int(id) >= len(kindOf) || id == 0 {
+		return
+	}
+	global := s.Global[i]
+	switch {
+	case kindOf[id] == event.KindEnter:
+		if st, stalls := stallState[id]; stalls && !m.open {
+			emitSpan(emit, StateCompute, m.cursor, global)
+			m.open = true
+			m.openState = st
+			m.openStart = global
+		}
+	case kindOf[id] == event.KindExit:
+		if m.open && stallState[pairOf[id]] == m.openState {
+			emitSpan(emit, m.openState, m.openStart, global)
+			m.open = false
+			m.cursor = global
+		}
+	case id == event.SPETraceFlush:
+		// Point event stamped at flush completion; its duration in
+		// cycles is the second argument.
+		ticks := s.Args[s.ArgOff[i]+1] / cpt
+		start := global
+		if ticks < global {
+			start = global - ticks
+		}
+		if start < m.cursor {
+			start = m.cursor // never overlap the previous interval
+		}
+		if !m.open {
+			emitSpan(emit, StateCompute, m.cursor, start)
+			emitSpan(emit, StateFlush, start, global)
+			m.cursor = global
+		}
+	case id == event.SPEProgramEnd:
+		if !m.open {
+			emitSpan(emit, StateCompute, m.cursor, global)
+			m.cursor = global
+		}
+	}
+}
+
+// finish closes a stall left open (truncated trace) at the run's last
+// event time. The receiver is a copy, so finishing a run that is still
+// growing does not disturb it.
+func (m runMachine) finish(last uint64, emit emitFunc) {
+	if m.open {
+		emitSpan(emit, m.openState, m.openStart, last)
+	}
+}
+
+// RunIntervals reconstructs the state intervals of one SPE program run
+// (SPE_PROGRAM_START..SPE_PROGRAM_END) by walking the run's index block
+// through the run state machine.
 func RunIntervals(tr *Trace, run int) []Interval {
 	seqs := tr.runSeqsOrScan(run)
 	if len(seqs) == 0 {
 		return nil
 	}
 	s := tr.col
-	var out []Interval
 	core := s.Core[seqs[0]]
-	cursor := s.Global[seqs[0]] // start of the segment being classified
-	var openState State
-	var open bool
-	var openStart uint64
-	cpt := tr.CyclesPerTick()
-
+	var out []Interval
 	emit := func(state State, start, end uint64) {
-		if end > start {
-			out = append(out, Interval{Core: core, Run: run, State: state, Start: start, End: end})
-		}
+		out = append(out, Interval{Core: core, Run: run, State: state, Start: start, End: end})
 	}
-
+	m := runMachine{cursor: s.Global[seqs[0]]}
+	cpt := tr.CyclesPerTick()
 	for _, seq := range seqs {
-		id := s.ID[seq]
-		if int(id) >= len(kindOf) || id == 0 {
-			continue
-		}
-		global := s.Global[seq]
-		switch {
-		case kindOf[id] == event.KindEnter:
-			if st, stalls := stallState[id]; stalls && !open {
-				emit(StateCompute, cursor, global)
-				open = true
-				openState = st
-				openStart = global
-			}
-		case kindOf[id] == event.KindExit:
-			if open && stallState[pairOf[id]] == openState {
-				emit(openState, openStart, global)
-				open = false
-				cursor = global
-			}
-		case id == event.SPETraceFlush:
-			// Point event stamped at flush completion; its duration in
-			// cycles is the second argument.
-			ticks := s.Args[s.ArgOff[seq]+1] / cpt
-			start := global
-			if ticks < global {
-				start = global - ticks
-			}
-			if start < cursor {
-				start = cursor // never overlap the previous interval
-			}
-			if !open {
-				emit(StateCompute, cursor, start)
-				emit(StateFlush, start, global)
-				cursor = global
-			}
-		case id == event.SPEProgramEnd:
-			if !open {
-				emit(StateCompute, cursor, global)
-				cursor = global
-			}
-		}
+		m.step(s, int(seq), cpt, emit)
 	}
-	if open {
-		// Truncated trace: close the stall at the last event time.
-		last := s.Global[seqs[len(seqs)-1]]
-		emit(openState, openStart, last)
-	}
+	m.finish(s.Global[seqs[len(seqs)-1]], emit)
 	return out
 }
 
@@ -218,53 +242,30 @@ var ppeStallState = map[event.ID]State{
 // main thread records as CorePPE, spawned threads count down), classified
 // by the host's blocking calls. Returns nil when the trace has no PPE
 // events. The interval Run field is -1 for the main thread, -2 for the
-// first spawned thread, and so on.
-//
-// Each thread's lane depends only on that thread's stream-ordered events,
-// so the per-thread scans run concurrently over the per-core views and
-// are concatenated in thread order — the exact output of
-// PPEIntervalsSerial, which rescans the full stream once per possible
-// thread.
+// first spawned thread, and so on. Each lane walks only its own thread's
+// index block, which is microseconds of work, so the lanes run inline.
 func PPEIntervals(tr *Trace) []Interval {
-	n := int(event.CorePPE) - int(event.CorePPEBase) + 1
-	parts := make([][]Interval, n)
-	workers := 0
-	if !tr.parallelWorthwhile() {
-		workers = 1 // small trace: the lane scans are cheaper than the pool
-	}
-	runParallel(workers, n, func(i int) {
-		core := uint8(int(event.CorePPE) - i)
-		parts[i] = ppeLaneIntervals(tr, tr.CoreSeqs(core), core, -1-i)
-	})
-	var out []Interval
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// PPEIntervalsSerial is the sequential reference for PPEIntervals.
-func PPEIntervalsSerial(tr *Trace) []Interval {
 	var out []Interval
 	for core := int(event.CorePPE); core >= int(event.CorePPEBase); core-- {
-		out = append(out, ppeThreadIntervals(tr, uint8(core), -1-(int(event.CorePPE)-core))...)
+		out = append(out, ppeLaneIntervals(tr, uint8(core), -1-(int(event.CorePPE)-core))...)
 	}
 	return out
 }
 
 // ppeLaneIntervals builds the lane of one PPE thread from its own
 // stream-ordered index block of the columnar store.
-func ppeLaneIntervals(tr *Trace, seqs []int32, core uint8, run int) []Interval {
+func ppeLaneIntervals(tr *Trace, core uint8, run int) []Interval {
+	seqs := tr.coreSeq[core]
 	if len(seqs) == 0 {
 		return nil
 	}
 	s := tr.col
 	var out []Interval
-	var cursor, lastPPE uint64
-	var started bool
+	var lastPPE uint64
 	var open bool
 	var openState State
 	var openStart uint64
+	cursor := s.Global[seqs[0]]
 	emit := func(state State, start, end uint64) {
 		if end > start {
 			out = append(out, Interval{Core: core, Run: run, State: state, Start: start, End: end})
@@ -272,10 +273,6 @@ func ppeLaneIntervals(tr *Trace, seqs []int32, core uint8, run int) []Interval {
 	}
 	for _, seq := range seqs {
 		global := s.Global[seq]
-		if !started {
-			started = true
-			cursor = global
-		}
 		lastPPE = global
 		id := s.ID[seq]
 		if id == 0 || int(id) >= len(kindOf) {
@@ -296,68 +293,6 @@ func ppeLaneIntervals(tr *Trace, seqs []int32, core uint8, run int) []Interval {
 				cursor = global
 			}
 		}
-	}
-	if !started {
-		return nil
-	}
-	if open {
-		emit(openState, openStart, lastPPE) // truncated trace
-	} else {
-		emit(StateCompute, cursor, lastPPE)
-	}
-	return out
-}
-
-// ppeThreadIntervals builds the lane of one PPE thread by scanning the
-// merged stream's Core column (the serial reference path).
-func ppeThreadIntervals(tr *Trace, core uint8, run int) []Interval {
-	if tr.col == nil {
-		return nil
-	}
-	s := tr.col
-	var out []Interval
-	var cursor, lastPPE uint64
-	var started bool
-	var open bool
-	var openState State
-	var openStart uint64
-	emit := func(state State, start, end uint64) {
-		if end > start {
-			out = append(out, Interval{Core: core, Run: run, State: state, Start: start, End: end})
-		}
-	}
-	for i, c := range s.Core {
-		if c != core {
-			continue
-		}
-		global := s.Global[i]
-		if !started {
-			started = true
-			cursor = global
-		}
-		lastPPE = global
-		id := s.ID[i]
-		if id == 0 || int(id) >= len(kindOf) {
-			continue
-		}
-		switch kindOf[id] {
-		case event.KindEnter:
-			if st, stalls := ppeStallState[id]; stalls && !open {
-				emit(StateCompute, cursor, global)
-				open = true
-				openState = st
-				openStart = global
-			}
-		case event.KindExit:
-			if open && ppeStallState[pairOf[id]] == openState {
-				emit(openState, openStart, global)
-				open = false
-				cursor = global
-			}
-		}
-	}
-	if !started {
-		return nil
 	}
 	if open {
 		emit(openState, openStart, lastPPE) // truncated trace

@@ -1,10 +1,10 @@
 package analyzer_test
 
 // Equivalence suite for the parallel analysis kernels: for every
-// registered workload, the sharded Profile, ComputeCriticalPath,
-// Intervals, and PPEIntervals must return results deeply equal to their
-// serial references — same values, same order. Run under -race this also
-// proves the shards touch disjoint state.
+// registered workload, the sharded ComputeCriticalPath and Intervals
+// must return results deeply equal to their serial references — same
+// values, same order. Run under -race this also proves the shards touch
+// disjoint state.
 
 import (
 	"bytes"
@@ -44,21 +44,11 @@ func TestParallelKernelsMatchSerialAllWorkloads(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tr := loadWorkloadTrace(t, name)
 
-			if want, got := analyzer.ProfileSerial(tr), analyzer.Profile(tr); !reflect.DeepEqual(want, got) {
-				t.Errorf("Profile differs from serial:\nserial   %+v\nparallel %+v", want, got)
-			}
 			if want, got := analyzer.ComputeCriticalPathSerial(tr), analyzer.ComputeCriticalPath(tr); !reflect.DeepEqual(want, got) {
 				t.Errorf("ComputeCriticalPath differs from serial:\nserial   %+v\nparallel %+v", want, got)
 			}
 			if want, got := analyzer.IntervalsSerial(tr), analyzer.Intervals(tr); !reflect.DeepEqual(want, got) {
 				t.Errorf("Intervals differs from serial: %d vs %d intervals", len(want), len(got))
-			}
-			if want, got := analyzer.PPEIntervalsSerial(tr), analyzer.PPEIntervals(tr); !reflect.DeepEqual(want, got) {
-				t.Errorf("PPEIntervals differs from serial: %d vs %d intervals", len(want), len(got))
-			}
-			minTicks := analyzer.SuggestGapThreshold(tr)
-			if want, got := analyzer.FindGapsSerial(tr, minTicks), analyzer.FindGaps(tr, minTicks); !reflect.DeepEqual(want, got) {
-				t.Errorf("FindGaps differs from serial: %d vs %d gaps", len(want), len(got))
 			}
 		})
 	}

@@ -1,0 +1,195 @@
+package analyzer_test
+
+// Characterisation golden for the analysis kernels: absolute output, not
+// agreement between two implementations. Every workload (plus one
+// truncated, one lossy and one salvaged trace) is rendered through Report, the
+// profile table, the gap report, the tag breakdown and Validate, and the
+// SHA-256 of that text is compared with testdata/kernels.golden. A
+// change to how any kernel counts shows up here even when batch and
+// stream still agree with each other.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/celltrace/pdt/internal/analyzer"
+	"github.com/celltrace/pdt/internal/core"
+	"github.com/celltrace/pdt/internal/core/traceio"
+	"github.com/celltrace/pdt/internal/harness"
+	"github.com/celltrace/pdt/internal/workloads"
+)
+
+var updateKernelGolden = flag.Bool("update", false, "rewrite testdata/kernels.golden")
+
+const kernelGoldenPath = "testdata/kernels.golden"
+
+// renderKernels renders everything the summarising kernels say about tr.
+func renderKernels(tr *analyzer.Trace) []byte {
+	var w bytes.Buffer
+	// Report first: Validate appends to tr.Issues, and its end-of-scan
+	// findings come out in map order.
+	s := analyzer.Summarize(tr)
+	fmt.Fprintln(&w, "== report")
+	analyzer.Report(tr, s, &w)
+	fmt.Fprintln(&w, "== summary")
+	fmt.Fprintf(&w, "%+v\n", *s)
+	fmt.Fprintf(&w, "ppe %+v\n", analyzer.SummarizePPE(tr))
+	fmt.Fprintf(&w, "effective concurrency %v\n", analyzer.EffectiveConcurrency(tr))
+	fmt.Fprintf(&w, "confidence %+v\n", tr.Confidence)
+
+	fmt.Fprintln(&w, "== profile")
+	pairs := analyzer.Profile(tr)
+	analyzer.WriteProfilePairs(tr, pairs, &w)
+	for _, p := range pairs {
+		fmt.Fprintf(&w, "%+v\n", p)
+	}
+
+	fmt.Fprintln(&w, "== gaps")
+	minTicks := analyzer.SuggestGapThreshold(tr)
+	gaps := analyzer.FindGaps(tr, minTicks)
+	analyzer.WriteGapsFound(minTicks, gaps, len(gaps), &w)
+
+	fmt.Fprintln(&w, "== tags")
+	for _, ts := range analyzer.TagBreakdown(tr) {
+		fmt.Fprintf(&w, "%+v\n", ts)
+	}
+
+	fmt.Fprintln(&w, "== validate")
+	var findings []string
+	for _, is := range analyzer.Validate(tr) {
+		findings = append(findings, is.String())
+	}
+	slices.Sort(findings)
+	for _, f := range findings {
+		fmt.Fprintln(&w, f)
+	}
+	return w.Bytes()
+}
+
+// traceWorkloadWith is traceWorkload under a caller-chosen tracer
+// configuration.
+func traceWorkloadWith(t *testing.T, name string, cfg core.Config) []byte {
+	t.Helper()
+	res, err := harness.Run(harness.Spec{Workload: name, Params: streamEquivParams[name], Trace: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.TraceBytes
+}
+
+// kernelGoldenTraces loads the traces the golden covers, in file order.
+func kernelGoldenTraces(t *testing.T) (names []string, traces map[string]*analyzer.Trace) {
+	t.Helper()
+	traces = map[string]*analyzer.Trace{}
+	add := func(name string, tr *analyzer.Trace, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		names = append(names, name)
+		traces[name] = tr
+	}
+	for _, name := range workloads.Names() {
+		tr, err := analyzer.Load(bytes.NewReader(traceWorkload(t, name)))
+		add(name, tr, err)
+	}
+
+	// A tiny single SPE buffer makes every run flush synchronously many
+	// times, so the flush state is exercised and the cut lands among many
+	// chunks.
+	small := core.DefaultTraceConfig()
+	small.SPEBufferSize = 512
+	small.DoubleBuffered = false
+	data := traceWorkloadWith(t, "pipeline", small)
+	f, err := traceio.Parse(data[:len(data)*80/100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := analyzer.FromFile(f)
+	add("pipeline.truncated", tr, err)
+	if !tr.Truncated {
+		t.Fatal("80% cut did not load as truncated")
+	}
+
+	// A main-memory region too small for the run: the tracer drops records
+	// and says so in the metadata, which is the other source of degraded
+	// confidence.
+	lossy := core.DefaultTraceConfig()
+	lossy.SPEBufferSize = 1024
+	lossy.MainBufferPerSPE = 2048
+	tr, err = analyzer.Load(bytes.NewReader(traceWorkloadWith(t, "synthetic", lossy)))
+	add("synthetic.lossy", tr, err)
+	if len(tr.Meta.Drops) == 0 {
+		t.Fatal("lossy configuration dropped nothing")
+	}
+
+	// Stamp garbage over the middle of a chunk so the salvager has to trim
+	// it and confidence drops below 1.
+	damaged := append([]byte(nil), traceWorkload(t, "pipeline")...)
+	for i := len(damaged) / 2; i < len(damaged)/2+64; i++ {
+		damaged[i] = 0xA5
+	}
+	f, rep, err := traceio.Salvage(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err = analyzer.FromSalvaged(f, rep)
+	add("pipeline.salvaged", tr, err)
+	if !tr.Confidence.Degraded() {
+		t.Fatal("salvaged trace is not degraded; the golden would not cover the confidence columns")
+	}
+	return names, traces
+}
+
+func TestKernelCharacterisationGolden(t *testing.T) {
+	names, traces := kernelGoldenTraces(t)
+	rendered := map[string][]byte{}
+	var got bytes.Buffer
+	for _, name := range names {
+		rendered[name] = renderKernels(traces[name])
+		fmt.Fprintf(&got, "%s %x\n", name, sha256.Sum256(rendered[name]))
+	}
+	if *updateKernelGolden {
+		if err := os.WriteFile(kernelGoldenPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(kernelGoldenPath)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update to create): %v", err)
+	}
+	wantDigest := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(want)), "\n") {
+		name, digest, _ := strings.Cut(line, " ")
+		wantDigest[name] = digest
+	}
+	if len(wantDigest) != len(names) {
+		t.Errorf("golden lists %d traces, test renders %d", len(wantDigest), len(names))
+	}
+	// t.TempDir is removed when the test returns, so the text a reader
+	// needs for the diff goes to a directory that outlives it.
+	var dir string
+	for _, name := range names {
+		if fmt.Sprintf("%x", sha256.Sum256(rendered[name])) == wantDigest[name] {
+			continue
+		}
+		if dir == "" {
+			if dir, err = os.MkdirTemp("", "kernels-golden-"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(dir, name+".txt")
+		if err := os.WriteFile(path, rendered[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("%s: kernel output changed; rendered text written to %s "+
+			"(render the same file at the previous commit and diff; -update only for an intended change)", name, path)
+	}
+}

@@ -410,7 +410,7 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 func (tr *Trace) finish(b *colstore.Builder) {
 	tr.col = b.Done()
 	tr.buildIndexes()
-	tr.Confidence = computeConfidence(tr, nil)
+	tr.Confidence = tr.confidence(nil)
 }
 
 // decodeChunkEvents decodes one chunk into its event stream, resolving
@@ -726,6 +726,15 @@ func (tr *Trace) NumEvents() int {
 // must not mutate it.
 func (tr *Trace) Columns() *colstore.Store { return tr.col }
 
+// segment returns the whole store as the single segment the batch
+// kernels fold: empty, never nil, on a zero-value Trace.
+func (tr *Trace) segment() *colstore.Store {
+	if tr.col == nil {
+		return &colstore.Store{}
+	}
+	return tr.col
+}
+
 // Event materializes row i of the store as a self-contained value. The
 // Args slice views the shared arena (nil for zero-argument events) and
 // must not be mutated.
@@ -837,9 +846,11 @@ func (tr *Trace) Span() (start, end uint64) {
 }
 
 // CyclesPerTick converts timebase ticks to processor cycles.
-func (tr *Trace) CyclesPerTick() uint64 {
-	if tr.Header.TimebaseDiv == 0 {
+func (tr *Trace) CyclesPerTick() uint64 { return cyclesPerTick(&tr.Header) }
+
+func cyclesPerTick(h *traceio.Header) uint64 {
+	if h.TimebaseDiv == 0 {
 		return 1
 	}
-	return tr.Header.TimebaseDiv
+	return h.TimebaseDiv
 }

@@ -64,12 +64,12 @@ func runParallel(workers, n int, task func(i int)) {
 func RunParallel(workers, n int, task func(i int)) { runParallel(workers, n, task) }
 
 // parallelThreshold is the event count below which the sharded kernels
-// run their serial variants instead of fanning out: at the benchmark's
-// -short size (~16k events) pool startup and shard merging cost more
-// than the whole serial scan, while at ~10x that the parallel variants
-// win by integer factors. The crossover was measured with
-// BenchmarkProfileLargeTrace, the kernel with the cheapest per-event
-// work and therefore the worst parallel overhead ratio.
+// (Intervals, ComputeCriticalPath, diff.Diff) run their serial variants
+// instead of fanning out: at the benchmark's -short size (~16k events)
+// pool startup and shard merging cost more than the whole serial scan,
+// while at ~10x that the parallel variants win 1.8-3.9x.
+// BenchmarkCritPathLargeTrace and BenchmarkDiffLargeTrace keep a
+// /parallel and a /serial row on each side of the cutoff.
 const parallelThreshold = 1 << 15
 
 // ParallelThreshold exposes the adaptive-parallelism cutoff to sibling

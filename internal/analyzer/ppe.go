@@ -1,6 +1,9 @@
 package analyzer
 
-import "github.com/celltrace/pdt/internal/core/event"
+import (
+	"github.com/celltrace/pdt/internal/analyzer/colstore"
+	"github.com/celltrace/pdt/internal/core/event"
+)
 
 // PPEStats aggregates the host-side view of a trace: how long the PPE
 // thread(s) spent blocked waiting on SPEs and mailboxes, and how much
@@ -24,31 +27,42 @@ type PPEStats struct {
 	ProxyWaitTicks uint64
 }
 
-// SummarizePPE computes host-side statistics from the merged stream.
-func SummarizePPE(tr *Trace) PPEStats {
-	var st PPEStats
-	var enter = map[event.ID]uint64{} // open Enter timestamps by enter ID
-	for i, n := 0, tr.NumEvents(); i < n; i++ {
-		e := tr.Event(i)
-		if e.IsSPE() {
+// ppeAcc is the SummarizePPE kernel: the host-side scanner folded one
+// merged segment at a time. PPE records keep their merged relative order
+// across stream windows — each thread's chunks decode in file order — so
+// the shared enter table pairs exactly as a scan of the whole trace.
+type ppeAcc struct {
+	stats PPEStats
+	enter map[event.ID]uint64 // open Enter timestamps by enter ID
+}
+
+func (a *ppeAcc) fold(seg *colstore.Store) {
+	if a.enter == nil {
+		a.enter = map[event.ID]uint64{}
+	}
+	st := &a.stats
+	for i, core := range seg.Core {
+		if core < event.CorePPEBase {
 			continue
 		}
 		st.Records++
-		info, ok := event.Lookup(e.ID)
+		id := seg.ID[i]
+		info, ok := event.Lookup(id)
 		if !ok {
 			continue
 		}
+		g := seg.Global[i]
 		switch info.Kind {
 		case event.KindEnter:
-			enter[e.ID] = e.Global
+			a.enter[id] = g
 		case event.KindExit:
-			start, open := enter[info.Pair]
+			start, open := a.enter[info.Pair]
 			if !open {
 				break
 			}
-			delete(enter, info.Pair)
-			d := e.Global - start
-			switch e.ID {
+			delete(a.enter, info.Pair)
+			d := g - start
+			switch id {
 			case event.PPEWaitExit:
 				st.SPEWaits++
 				st.WaitTicks += d
@@ -63,16 +77,22 @@ func SummarizePPE(tr *Trace) PPEStats {
 				st.ProxyWaitTicks += d
 			}
 		}
-		switch e.ID {
+		switch id {
 		case event.PPEDMAGet:
 			st.ProxyGets++
-			st.ProxyBytes += e.Args[3]
+			st.ProxyBytes += seg.Args[seg.ArgOff[i]+3]
 		case event.PPEDMAPut:
 			st.ProxyPuts++
-			st.ProxyBytes += e.Args[3]
+			st.ProxyBytes += seg.Args[seg.ArgOff[i]+3]
 		}
 	}
-	return st
+}
+
+// SummarizePPE computes host-side statistics from the merged stream.
+func SummarizePPE(tr *Trace) PPEStats {
+	var a ppeAcc
+	a.fold(tr.segment())
+	return a.stats
 }
 
 // ParallelismPoint is one bucket of the parallelism profile.
@@ -132,15 +152,5 @@ func ParallelismSeries(tr *Trace, n int) []ParallelismPoint {
 
 // EffectiveConcurrency is the time-averaged number of computing SPEs.
 func EffectiveConcurrency(tr *Trace) float64 {
-	start, end := tr.Span()
-	if end <= start {
-		return 0
-	}
-	var busy uint64
-	for _, iv := range Intervals(tr) {
-		if iv.State == StateCompute {
-			busy += iv.Dur()
-		}
-	}
-	return float64(busy) / float64(end-start)
+	return Summarize(tr).effectiveConcurrency()
 }

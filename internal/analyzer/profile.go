@@ -1,10 +1,13 @@
 package analyzer
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
+	"github.com/celltrace/pdt/internal/analyzer/colstore"
 	"github.com/celltrace/pdt/internal/core/event"
 )
 
@@ -43,71 +46,44 @@ func init() {
 	}
 }
 
-// Profile computes per-pair interval statistics over the whole trace.
-// Pairs are matched per core in stream order; unmatched enters (truncated
-// traces) are dropped.
-//
-// Matching is independent per core, so past the adaptive-parallelism
-// threshold the per-core index blocks are profiled concurrently over the
-// columnar store and the per-core accumulators merged (count and
-// histogram sums are commutative, the confidence is a min), which
-// produces exactly the result of ProfileSerial's single scan. Smaller
-// traces take the serial scan, which beats pool startup at those sizes.
-func Profile(tr *Trace) []PairProfile {
-	cores := tr.Cores()
-	if !tr.parallelWorthwhile() || len(cores) < 2 {
-		return ProfileSerial(tr)
-	}
-	parts := make([]map[event.ID]*PairProfile, len(cores))
-	runParallel(0, len(cores), func(i int) {
-		parts[i] = profileCore(tr, cores[i])
-	})
-	acc := map[event.ID]*PairProfile{}
-	for _, part := range parts {
-		for id, p := range part {
-			q := acc[id]
-			if q == nil {
-				cp := *p
-				acc[id] = &cp
-				continue
-			}
-			q.Count += p.Count
-			q.Ticks.Merge(&p.Ticks)
-			if p.Confidence < q.Confidence {
-				q.Confidence = p.Confidence
-			}
-		}
-	}
-	return sortProfiles(acc)
+// pairAcc is one pair's running profile plus the set of cores that
+// contributed intervals; the pair's confidence is resolved against that
+// set when a result is taken.
+type pairAcc struct {
+	prof  PairProfile
+	cores [4]uint64 // 256-bit contributing-core set
 }
 
-// ProfileSerial is the single-scan reference implementation Profile's
-// sharded version is tested against. It walks the ID and Global columns
-// only; open enters live in per-core flat arrays indexed by event id
-// (start+1, so 0 means "not open") instead of nested maps.
-func ProfileSerial(tr *Trace) []PairProfile {
-	acc := map[event.ID]*PairProfile{}
-	if tr.col == nil {
-		return sortProfiles(acc)
+// profileAcc is the Profile kernel: Enter/Exit pair matching folded one
+// merged segment at a time. Matching is per core and the per-pair sums
+// commute, so folding a trace window by window gives exactly the result
+// of folding it whole. Open enters live in per-core flat arrays indexed
+// by event id (start+1, so 0 means "not open").
+type profileAcc struct {
+	open  [256][]uint64
+	pairs map[event.ID]*pairAcc
+}
+
+func (a *profileAcc) fold(seg *colstore.Store) {
+	if a.pairs == nil {
+		a.pairs = map[event.ID]*pairAcc{}
 	}
-	s := tr.col
-	var open [256][]uint64 // core -> enterID -> start+1
-	for i, id := range s.ID {
+	for i, id := range seg.ID {
 		if int(id) >= len(kindOf) {
 			continue
 		}
 		switch kindOf[id] {
 		case event.KindEnter:
-			core := s.Core[i]
-			m := open[core]
+			core := seg.Core[i]
+			m := a.open[core]
 			if m == nil {
 				m = make([]uint64, len(kindOf))
-				open[core] = m
+				a.open[core] = m
 			}
-			m[id] = s.Global[i] + 1
+			m[id] = seg.Global[i] + 1
 		case event.KindExit:
-			core := s.Core[i]
-			m := open[core]
+			core := seg.Core[i]
+			m := a.open[core]
 			if m == nil {
 				break
 			}
@@ -117,84 +93,51 @@ func ProfileSerial(tr *Trace) []PairProfile {
 				break
 			}
 			m[pair] = 0
-			p := acc[pair]
+			p := a.pairs[pair]
 			if p == nil {
-				p = &PairProfile{Enter: pair, Confidence: 1}
-				acc[pair] = p
+				p = &pairAcc{prof: PairProfile{Enter: pair, Confidence: 1}}
+				a.pairs[pair] = p
 			}
-			p.Count++
-			p.Ticks.Add(s.Global[i] - (start - 1))
-			if c := tr.Confidence.ForCore(core); c < p.Confidence {
-				p.Confidence = c
-			}
+			p.prof.Count++
+			p.prof.Ticks.Add(seg.Global[i] - (start - 1))
+			p.cores[core>>6] |= 1 << (core & 63)
 		}
 	}
-	return sortProfiles(acc)
 }
 
-// profileCore matches Enter/Exit pairs over one core's stream-ordered
-// index block of the columnar store. The core's record-survival fraction
-// is constant, so the per-pair confidence is simply the min across
-// contributing cores at merge time.
-func profileCore(tr *Trace, core uint8) map[event.ID]*PairProfile {
-	s := tr.col
-	seqs := tr.coreSeq[core]
-	open := make([]uint64, len(kindOf)) // enterID -> start+1; 0 = not open
-	acc := map[event.ID]*PairProfile{}
-	conf := tr.Confidence.ForCore(core)
-	for _, seq := range seqs {
-		id := s.ID[seq]
-		if int(id) >= len(kindOf) {
-			continue
-		}
-		switch kindOf[id] {
-		case event.KindEnter:
-			open[id] = s.Global[seq] + 1
-		case event.KindExit:
-			pair := pairOf[id]
-			start := open[pair]
-			if start == 0 {
-				break
-			}
-			open[pair] = 0
-			p := acc[pair]
-			if p == nil {
-				p = &PairProfile{Enter: pair, Confidence: 1}
-				acc[pair] = p
-			}
-			p.Count++
-			p.Ticks.Add(s.Global[seq] - (start - 1))
-			if conf < p.Confidence {
-				p.Confidence = conf
+// result lists the pairs matched so far in report order: most expensive
+// first, ties broken by enter id so the order is total. Each pair's
+// confidence is the lowest among the cores that contributed to it.
+func (a *profileAcc) result(conf Confidence) []PairProfile {
+	out := make([]PairProfile, 0, len(a.pairs))
+	for _, p := range a.pairs {
+		prof := p.prof
+		for w, word := range p.cores {
+			for ; word != 0; word &= word - 1 {
+				core := uint8(w*64 + bits.TrailingZeros64(word))
+				if c := conf.ForCore(core); c < prof.Confidence {
+					prof.Confidence = c
+				}
 			}
 		}
-	}
-	return acc
-}
-
-// sortProfiles flattens the accumulator into the report order: most
-// expensive pair first, ties broken by enter id so the order is total.
-func sortProfiles(acc map[event.ID]*PairProfile) []PairProfile {
-	out := make([]PairProfile, 0, len(acc))
-	for _, p := range acc {
-		out = append(out, *p)
+		out = append(out, prof)
 	}
 	slices.SortFunc(out, func(a, b PairProfile) int {
-		if a.Ticks.Sum != b.Ticks.Sum {
-			if a.Ticks.Sum > b.Ticks.Sum {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(b.Ticks.Sum, a.Ticks.Sum); c != 0 {
+			return c
 		}
-		if a.Enter != b.Enter {
-			if a.Enter < b.Enter {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.Enter, b.Enter)
 	})
 	return out
+}
+
+// Profile computes per-pair interval statistics over the whole trace.
+// Pairs are matched per core in stream order; unmatched enters (truncated
+// traces) are dropped.
+func Profile(tr *Trace) []PairProfile {
+	var a profileAcc
+	a.fold(tr.segment())
+	return a.result(tr.Confidence)
 }
 
 // WriteProfile renders the profile as a table, most expensive pair first.

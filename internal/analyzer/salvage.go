@@ -49,25 +49,18 @@ func (c Confidence) Degraded() bool {
 }
 
 // computeConfidence derives per-core and overall survival fractions from
-// what was decoded, the trace-time drop accounting in the metadata, and —
-// for salvaged loads — the salvage report's damage accounting. Damaged
-// and skipped bytes are converted to an estimated record count using the
-// mean size of the records that did survive.
-func computeConfidence(tr *Trace, rep *traceio.SalvageReport) Confidence {
-	// Per-core counts in a flat array: this scan runs on every load (it
-	// is part of Trace.finish), and a map increment per event is several
-	// times the cost of the whole column walk.
-	var got [256]int
-	if s := tr.col; s != nil {
-		for _, c := range s.Core {
-			got[c]++
-		}
+// the per-core counts of what was decoded, the trace-time drop accounting
+// of the metadata, and — for salvaged loads — the salvage report's damage
+// accounting. Damaged and skipped bytes are converted to an estimated
+// record count using the mean size of the records that did survive.
+func computeConfidence(got *[256]int, drops []traceio.Drop, rep *traceio.SalvageReport) Confidence {
+	var total float64
+	for _, n := range got {
+		total += float64(n)
 	}
-	total := float64(tr.NumEvents())
-
 	lost := map[uint8]float64{}
 	var lostTotal float64
-	for _, d := range tr.Meta.Drops {
+	for _, d := range drops {
 		lost[uint8(d.SPE)] += float64(d.Count)
 		lostTotal += float64(d.Count)
 	}
@@ -94,14 +87,13 @@ func computeConfidence(tr *Trace, rep *traceio.SalvageReport) Confidence {
 	if total+lostTotal > 0 {
 		c.Overall = total / (total + lostTotal)
 	}
-	for core := 0; core < 256; core++ {
-		n := float64(got[core])
+	for core, n := range got {
 		if n == 0 {
 			continue
 		}
 		c.PerCore[uint8(core)] = 1
 		if l := lost[uint8(core)]; l > 0 {
-			c.PerCore[uint8(core)] = n / (n + l)
+			c.PerCore[uint8(core)] = float64(n) / (float64(n) + l)
 		}
 	}
 	for core, l := range lost {
@@ -110,6 +102,16 @@ func computeConfidence(tr *Trace, rep *traceio.SalvageReport) Confidence {
 		}
 	}
 	return c
+}
+
+// confidence computes the loaded trace's Confidence; the per-core index
+// already holds the counts. rep is nil unless the load was a salvage.
+func (tr *Trace) confidence(rep *traceio.SalvageReport) Confidence {
+	var got [256]int
+	for core, seqs := range tr.coreSeq {
+		got[core] = len(seqs)
+	}
+	return computeConfidence(&got, tr.Meta.Drops, rep)
 }
 
 // FromSalvaged merges a salvaged trace file leniently: chunk decode
@@ -130,7 +132,7 @@ func FromSalvagedContext(ctx context.Context, f *traceio.File, rep *traceio.Salv
 	}
 	if rep != nil {
 		foldSalvageReport(tr, rep)
-		tr.Confidence = computeConfidence(tr, rep)
+		tr.Confidence = tr.confidence(rep)
 	}
 	return tr, nil
 }

@@ -4,7 +4,9 @@ import (
 	"math"
 	"sort"
 
+	"github.com/celltrace/pdt/internal/analyzer/colstore"
 	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio"
 )
 
 // Histogram is a power-of-two bucketed histogram (bucket i counts values
@@ -30,20 +32,6 @@ func (h *Histogram) Add(v uint64) {
 	h.Sum += v
 	if v > h.Max {
 		h.Max = v
-	}
-}
-
-// Merge folds another histogram into this one. All fields are sums (or a
-// max), so merging per-shard histograms yields exactly the histogram a
-// single sequential scan would have produced.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	if o.Max > h.Max {
-		h.Max = o.Max
 	}
 }
 
@@ -122,91 +110,170 @@ type Summary struct {
 	FlushTicks uint64
 }
 
-// Summarize computes the full-trace report.
-func Summarize(tr *Trace) *Summary {
-	s := &Summary{
-		Workload:   tr.Meta.Workload,
-		EventCount: map[event.ID]int{},
-		TotalRecs:  tr.NumEvents(),
-	}
-	start, end := tr.Span()
-	s.WallTicks = end - start
+// runAcc is one run's share of the summary: its bounds, the run state
+// machine summed into per-state ticks, and the DMA and mailbox scanners.
+type runAcc struct {
+	seen   bool
+	core   uint8
+	start  uint64
+	end    uint64
+	events int
 
-	if c := tr.Columns(); c != nil {
-		for _, id := range c.ID {
-			s.EventCount[id]++
-		}
-	}
+	machine runMachine
+	state   [int(numStates)]uint64
 
-	for run, anchor := range tr.Meta.Anchors {
-		evs := tr.RunEvents(run)
-		if len(evs) == 0 {
+	dma       DMASummary
+	inWait    bool
+	waitStart uint64
+
+	mbox      MboxSummary
+	mboxStart uint64
+	mboxKind  event.ID // the open mailbox Enter, 0 when none
+}
+
+// summaryAcc is the Summarize kernel: it folds merged segments one at a
+// time and can report, at any point, the Summary of the events folded so
+// far. Batch Summarize folds the whole store as one segment; StreamLoader
+// folds a segment per window. Folding segments in stream order is exact
+// because window cuts preserve the merged order within each run and every
+// figure is a per-run state machine or an order-insensitive sum.
+type summaryAcc struct {
+	cpt uint64 // cycles per timebase tick (flush durations are in cycles)
+
+	events     int
+	minG, maxG uint64
+	eventCount map[event.ID]int
+	perCore    [256]int // record counts, the input of the stream's confidence
+	runs       []runAcc
+}
+
+// run returns the accumulator of one run, growing the table on demand
+// (live streams discover runs as their anchors arrive).
+func (a *summaryAcc) run(run int) *runAcc {
+	for run >= len(a.runs) {
+		a.runs = append(a.runs, runAcc{})
+	}
+	return &a.runs[run]
+}
+
+func (a *summaryAcc) fold(seg *colstore.Store) {
+	n := seg.Len()
+	if n == 0 {
+		return
+	}
+	// Segments are internally ascending in Global but not ordered across
+	// windows, so the span folds as min/max of segment bounds.
+	first, last := seg.Global[0], seg.Global[n-1]
+	if a.events == 0 || first < a.minG {
+		a.minG = first
+	}
+	if a.events == 0 || last > a.maxG {
+		a.maxG = last
+	}
+	a.events += n
+	if a.eventCount == nil {
+		a.eventCount = map[event.ID]int{}
+	}
+	var ra *runAcc
+	addState := func(state State, start, end uint64) { ra.state[state] += end - start }
+	for i, id := range seg.ID {
+		a.eventCount[id]++
+		a.perCore[seg.Core[i]]++
+		run := seg.Run[i]
+		if run < 0 {
 			continue
 		}
-		rs := RunSummary{Run: run, Core: evs[0].Core, Program: anchor.Program,
-			Start: evs[0].Global, End: evs[len(evs)-1].Global, Events: len(evs),
-			Confidence: tr.Confidence.ForCore(evs[0].Core)}
-		for _, iv := range RunIntervals(tr, run) {
-			rs.StateTicks[iv.State] += iv.Dur()
-			if iv.State == StateFlush {
-				s.FlushTicks += iv.Dur()
-			}
+		g := seg.Global[i]
+		ra = a.run(int(run))
+		if !ra.seen {
+			ra.seen = true
+			ra.core = seg.Core[i]
+			ra.start = g
+			ra.machine.cursor = g
 		}
-		s.Runs = append(s.Runs, rs)
+		ra.end = g
+		ra.events++
+		ra.scan(seg, i, id, g)
+		ra.machine.step(seg, i, a.cpt, addState)
+	}
+}
 
-		ds := DMASummary{Run: run, Core: evs[0].Core}
-		ms := MboxSummary{Run: run, Core: evs[0].Core}
-		var waitStart uint64
-		var inWait bool
-		var mboxStart uint64
-		var mboxKind event.ID
-		for _, e := range evs {
-			switch e.ID {
-			case event.SPEMFCGet:
-				ds.Gets++
-				ds.BytesIn += e.Args[2]
-				ds.SizeBytes.Add(e.Args[2])
-			case event.SPEMFCPut:
-				ds.Puts++
-				ds.BytesOut += e.Args[2]
-				ds.SizeBytes.Add(e.Args[2])
-			case event.SPEMFCGetList:
-				ds.Lists++
-				ds.BytesIn += e.Args[2]
-				ds.SizeBytes.Add(e.Args[2])
-			case event.SPEMFCPutList:
-				ds.Lists++
-				ds.BytesOut += e.Args[2]
-				ds.SizeBytes.Add(e.Args[2])
-			case event.SPEWaitTagEnter:
-				inWait = true
-				waitStart = e.Global
-			case event.SPEWaitTagExit:
-				if inWait {
-					ds.Waits++
-					ds.WaitTicks.Add(e.Global - waitStart)
-					inWait = false
-				}
-			case event.SPEReadInMboxEnter:
-				mboxStart, mboxKind = e.Global, e.ID
-			case event.SPEReadInMboxExit:
-				if mboxKind == event.SPEReadInMboxEnter {
-					ms.Reads++
-					ms.ReadWaitTicks.Add(e.Global - mboxStart)
-					mboxKind = 0
-				}
-			case event.SPEWriteOutMboxEnter, event.SPEWriteIntrMboxEnter:
-				mboxStart, mboxKind = e.Global, e.ID
-			case event.SPEWriteOutMboxExit, event.SPEWriteIntrMboxExit:
-				if mboxKind != 0 && mboxKind != event.SPEReadInMboxEnter {
-					ms.Writes++
-					ms.WriteWaitTicks.Add(e.Global - mboxStart)
-					mboxKind = 0
-				}
-			}
+// scan advances the run's DMA and mailbox scanners by one event.
+func (ra *runAcc) scan(seg *colstore.Store, i int, id event.ID, g uint64) {
+	switch id {
+	case event.SPEMFCGet, event.SPEMFCPut, event.SPEMFCGetList, event.SPEMFCPutList:
+		size := seg.Args[seg.ArgOff[i]+2]
+		ra.dma.SizeBytes.Add(size)
+		switch id {
+		case event.SPEMFCGet:
+			ra.dma.Gets++
+			ra.dma.BytesIn += size
+		case event.SPEMFCPut:
+			ra.dma.Puts++
+			ra.dma.BytesOut += size
+		case event.SPEMFCGetList:
+			ra.dma.Lists++
+			ra.dma.BytesIn += size
+		case event.SPEMFCPutList:
+			ra.dma.Lists++
+			ra.dma.BytesOut += size
 		}
-		s.DMA = append(s.DMA, ds)
-		s.Mbox = append(s.Mbox, ms)
+	case event.SPEWaitTagEnter:
+		ra.inWait = true
+		ra.waitStart = g
+	case event.SPEWaitTagExit:
+		if ra.inWait {
+			ra.dma.Waits++
+			ra.dma.WaitTicks.Add(g - ra.waitStart)
+			ra.inWait = false
+		}
+	case event.SPEReadInMboxEnter, event.SPEWriteOutMboxEnter, event.SPEWriteIntrMboxEnter:
+		ra.mboxStart, ra.mboxKind = g, id
+	case event.SPEReadInMboxExit:
+		if ra.mboxKind == event.SPEReadInMboxEnter {
+			ra.mbox.Reads++
+			ra.mbox.ReadWaitTicks.Add(g - ra.mboxStart)
+			ra.mboxKind = 0
+		}
+	case event.SPEWriteOutMboxExit, event.SPEWriteIntrMboxExit:
+		if ra.mboxKind != 0 && ra.mboxKind != event.SPEReadInMboxEnter {
+			ra.mbox.Writes++
+			ra.mbox.WriteWaitTicks.Add(g - ra.mboxStart)
+			ra.mboxKind = 0
+		}
+	}
+}
+
+// result reports the Summary of everything folded so far. Only runs with
+// an anchor in meta are reported. Stalls still open are closed at the
+// run's last event on a copy, as at the end of a truncated trace, so the
+// live machines are not disturbed and folding can continue.
+func (a *summaryAcc) result(meta *traceio.Meta, conf Confidence) *Summary {
+	s := &Summary{
+		Workload:   meta.Workload,
+		EventCount: make(map[event.ID]int, len(a.eventCount)),
+		TotalRecs:  a.events,
+		WallTicks:  a.maxG - a.minG,
+	}
+	for id, n := range a.eventCount {
+		s.EventCount[id] = n
+	}
+	for run := 0; run < len(meta.Anchors) && run < len(a.runs); run++ {
+		ra := a.runs[run] // value copy
+		if !ra.seen {
+			continue
+		}
+		ra.machine.finish(ra.end, func(state State, start, end uint64) { ra.state[state] += end - start })
+		s.Runs = append(s.Runs, RunSummary{
+			Run: run, Core: ra.core, Program: meta.Anchors[run].Program,
+			Start: ra.start, End: ra.end, StateTicks: ra.state, Events: ra.events,
+			Confidence: conf.ForCore(ra.core),
+		})
+		s.FlushTicks += ra.state[StateFlush]
+		ra.dma.Run, ra.dma.Core = run, ra.core
+		s.DMA = append(s.DMA, ra.dma)
+		ra.mbox.Run, ra.mbox.Core = run, ra.core
+		s.Mbox = append(s.Mbox, ra.mbox)
 	}
 
 	// Load imbalance over runs (max busy / mean busy).
@@ -225,6 +292,22 @@ func Summarize(tr *Trace) *Summary {
 	return s
 }
 
+// Summarize computes the full-trace report.
+func Summarize(tr *Trace) *Summary {
+	a := summaryAcc{cpt: tr.CyclesPerTick()}
+	a.fold(tr.segment())
+	return a.result(&tr.Meta, tr.Confidence)
+}
+
+// effectiveConcurrency is the time-averaged number of computing SPEs:
+// total compute ticks over the trace span.
+func (s *Summary) effectiveConcurrency() float64 {
+	if s.WallTicks == 0 {
+		return 0
+	}
+	return float64(s.TotalState(StateCompute)) / float64(s.WallTicks)
+}
+
 // TagStats aggregates DMA activity per MFC tag group across the trace —
 // the view that shows how an application partitions its transfer streams
 // (operand prefetch vs writeback vs trace flush).
@@ -234,29 +317,39 @@ type TagStats struct {
 	Bytes uint64
 }
 
-// TagBreakdown computes per-tag DMA statistics over all SPE runs.
-func TagBreakdown(tr *Trace) []TagStats {
-	var agg [32]TagStats
-	if s := tr.col; s != nil {
-		for i, id := range s.ID {
-			switch id {
-			case event.SPEMFCGet, event.SPEMFCPut, event.SPEMFCGetList, event.SPEMFCPutList:
-				args := s.Args[s.ArgOff[i]:]
-				tag := int(args[3] % 32)
-				agg[tag].Tag = tag
-				agg[tag].Cmds++
-				agg[tag].Bytes += args[2]
-			}
+// tagsAcc is the TagBreakdown kernel: per-tag DMA sums.
+type tagsAcc [32]TagStats
+
+func (a *tagsAcc) fold(seg *colstore.Store) {
+	for i, id := range seg.ID {
+		switch id {
+		case event.SPEMFCGet, event.SPEMFCPut, event.SPEMFCGetList, event.SPEMFCPutList:
+			args := seg.Args[seg.ArgOff[i]:]
+			tag := int(args[3] % 32)
+			a[tag].Tag = tag
+			a[tag].Cmds++
+			a[tag].Bytes += args[2]
 		}
 	}
+}
+
+// result lists the tags that carried traffic, most bytes first.
+func (a *tagsAcc) result() []TagStats {
 	var out []TagStats
-	for _, t := range agg {
+	for _, t := range a {
 		if t.Cmds > 0 {
 			out = append(out, t)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Bytes > out[j].Bytes })
 	return out
+}
+
+// TagBreakdown computes per-tag DMA statistics over all SPE runs.
+func TagBreakdown(tr *Trace) []TagStats {
+	var a tagsAcc
+	a.fold(tr.segment())
+	return a.result()
 }
 
 // TopEvents returns the (id, count) pairs sorted by descending count.

@@ -33,10 +33,10 @@ type StreamOptions struct {
 	// (SuggestGapThreshold) needs every inter-event distance and is
 	// deliberately not replicated on the streaming path.
 	GapMinTicks uint64
-	// Validate enables the incremental structural validator. On clean
-	// traces it matches batch Validate (both find nothing); on damaged
-	// multi-window streams the findings match in substance but sequence
-	// numbers and ordering may differ from the batch scan.
+	// Validate folds the structural validator too. It is Validate's own
+	// accumulator, so the findings are the batch findings; on a damaged
+	// stream cut into several windows the "at seq" locators count rows in
+	// fold order, which is the merged row index only within one window.
 	Validate bool
 	// Ctx, when non-nil, cancels in-flight decode and merge work; Write
 	// and Finish return its error once it is done.
@@ -45,7 +45,7 @@ type StreamOptions struct {
 
 // StreamResult is a snapshot or final result of a streaming load: the
 // trace shell (header, metadata, interned strings, issues, confidence —
-// no event columns) plus the incrementally folded kernel outputs.
+// no event columns) plus the kernel results over the windows folded.
 type StreamResult struct {
 	Trace   *Trace
 	Summary *Summary
@@ -101,14 +101,15 @@ type streamChunk struct {
 
 // StreamLoader consumes a PDT trace incrementally — from a growing
 // file, an io.Reader, or an HTTP chunked upload — and folds it into the
-// incremental analysis kernels under a bounded memory window. It is an
-// io.Writer: feed it bytes in any slicing, then call Finish. The
-// byte-level parsing replicates traceio.ParseContext exactly (same
-// errors, same truncation tolerance, same footer CRC check), each
-// window is merged through the batch k-way heap merge, and every kernel
-// fold is order-insensitive beyond the per-core/per-run order the
-// window cuts preserve — so the final results are identical to loading
-// the whole trace and running the batch kernels.
+// analysis kernels under a bounded memory window. It is an io.Writer:
+// feed it bytes in any slicing, then call Finish. The byte-level parsing
+// replicates traceio.ParseContext exactly (same errors, same truncation
+// tolerance, same footer CRC check), each window is merged through the
+// batch k-way heap merge, and the kernels are the accumulators the batch
+// functions fold over the whole store as one segment; their folds are
+// order-insensitive beyond the per-core/per-run order the window cuts
+// preserve — so the final results are identical to loading the whole
+// trace and calling Summarize, Profile and the rest on it.
 //
 // Write and Finish must be called from one goroutine; Snapshot may be
 // called concurrently from others (the live-tail path).
@@ -692,7 +693,6 @@ func (l *StreamLoader) Finish() (*StreamResult, error) {
 		if err := l.flushWindow(); err != nil {
 			return nil, l.fail(err)
 		}
-		l.acc.finishStream(l.truncated)
 	}
 	return l.snapshotLocked(true), nil
 }

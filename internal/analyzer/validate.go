@@ -2,9 +2,135 @@ package analyzer
 
 import (
 	"fmt"
+	"slices"
 
+	"github.com/celltrace/pdt/internal/analyzer/colstore"
 	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio"
 )
+
+// validateAcc is the Validate kernel: the structural checker folded one
+// merged segment at a time. Its checks are listed on Validate.
+type validateAcc struct {
+	seq       int // rows folded so far: the row index when there is one segment
+	lastTime  [256]uint64
+	openPairs [256][]event.ID // stack of open Enter events per core
+	runsSeen  map[int]bool
+	runEnded  map[int]bool
+
+	spuOutWrites, ppeOutReads, ppeInWrites, spuInReads int
+
+	issues []Issue // scan-order findings
+}
+
+func issuef(sev, format string, args ...interface{}) Issue {
+	return Issue{sev, fmt.Sprintf(format, args...)}
+}
+
+func (v *validateAcc) report(sev, format string, args ...interface{}) {
+	v.issues = append(v.issues, issuef(sev, format, args...))
+}
+
+// fold checks one segment. strings is the interned string table, holding
+// every StringDef up to and including this segment.
+func (v *validateAcc) fold(seg *colstore.Store, strings map[uint64]string) {
+	if v.runsSeen == nil {
+		v.runsSeen = map[int]bool{}
+		v.runEnded = map[int]bool{}
+	}
+	for i, id := range seg.ID {
+		seq := v.seq
+		v.seq++
+		info, ok := event.Lookup(id)
+		if !ok {
+			v.report("error", "unknown event id %d at seq %d", id, seq)
+			continue
+		}
+		core, g := seg.Core[i], seg.Global[i]
+		if last := v.lastTime[core]; g < last {
+			v.report("error", "core %d time went backwards at seq %d (%d < %d)", core, seq, g, last)
+		}
+		v.lastTime[core] = g
+
+		switch info.Kind {
+		case event.KindEnter:
+			v.openPairs[core] = append(v.openPairs[core], id)
+		case event.KindExit:
+			stack := v.openPairs[core]
+			if len(stack) == 0 {
+				v.report("error", "core %d: %s without matching enter at seq %d", core, info.Name, seq)
+				break
+			}
+			top := stack[len(stack)-1]
+			if top != info.Pair {
+				v.report("error", "core %d: %s exits %s (crossed pair) at seq %d",
+					core, info.Name, top, seq)
+			}
+			v.openPairs[core] = stack[:len(stack)-1]
+		}
+
+		run := int(seg.Run[i])
+		switch id {
+		case event.SPEProgramStart:
+			if v.runsSeen[run] {
+				v.report("error", "run %d has duplicate SPE_PROGRAM_START", run)
+			}
+			v.runsSeen[run] = true
+			if ref := seg.Args[seg.ArgOff[i]]; strings[ref] == "" {
+				v.report("warn", "run %d program name ref %d unresolved", run, ref)
+			}
+		case event.SPEProgramEnd:
+			v.runEnded[run] = true
+		case event.SPEWriteOutMboxExit:
+			v.spuOutWrites++
+		case event.PPEReadOutMboxExit:
+			v.ppeOutReads++
+		case event.PPEWriteInMboxExit:
+			v.ppeInWrites++
+		case event.SPEReadInMboxExit:
+			v.spuInReads++
+		}
+	}
+}
+
+// result returns the scan-order findings followed by the end-of-input
+// checks, nil when there are none. It leaves the accumulator untouched.
+func (v *validateAcc) result(meta *traceio.Meta, conf Confidence, truncated bool) []Issue {
+	issues := slices.Clone(v.issues)
+	report := func(sev, format string, args ...interface{}) {
+		issues = append(issues, issuef(sev, format, args...))
+	}
+	for core, stack := range v.openPairs {
+		for _, id := range stack {
+			sev := "error"
+			if truncated {
+				sev = "warn"
+			}
+			report(sev, "core %d: %s never exited", core, id)
+		}
+	}
+	for run := range v.runsSeen {
+		if !v.runEnded[run] && !truncated {
+			report("error", "run %d has no SPE_PROGRAM_END", run)
+		}
+	}
+	// Conservation checks are only meaningful when both sides' event
+	// groups were recorded and neither side lost records (a crash or
+	// salvage can destroy one side of a handshake that did happen).
+	groups := groupMaskFromMeta(meta.Groups)
+	if groups&event.GroupMailbox != 0 && groups&event.GroupHost != 0 &&
+		!truncated && !conf.Degraded() {
+		if v.ppeOutReads > v.spuOutWrites {
+			report("error", "mailbox conservation violated: PPE read %d outbound values but SPUs wrote %d",
+				v.ppeOutReads, v.spuOutWrites)
+		}
+		if v.spuInReads > v.ppeInWrites {
+			report("error", "mailbox conservation violated: SPUs read %d inbound values but PPE wrote %d",
+				v.spuInReads, v.ppeInWrites)
+		}
+	}
+	return issues
+}
 
 // Validate checks structural invariants of the merged stream and appends
 // findings to tr.Issues, returning the new findings:
@@ -18,98 +144,9 @@ import (
 //   - mailbox conservation: SPU outbound writes >= PPE outbound reads,
 //     and likewise for the inbound direction.
 func Validate(tr *Trace) []Issue {
-	var issues []Issue
-	report := func(sev, format string, args ...interface{}) {
-		issues = append(issues, Issue{sev, fmt.Sprintf(format, args...)})
-	}
-
-	lastTime := map[uint8]uint64{}
-	openPairs := map[uint8][]event.ID{} // stack of open Enter events per core
-	runsSeen := map[int]bool{}
-	runEnded := map[int]bool{}
-	var spuOutWrites, ppeOutReads, ppeInWrites, spuInReads int
-
-	for i, n := 0, tr.NumEvents(); i < n; i++ {
-		e := tr.Event(i)
-		info, ok := event.Lookup(e.ID)
-		if !ok {
-			report("error", "unknown event id %d at seq %d", e.ID, e.Seq)
-			continue
-		}
-		if last, seen := lastTime[e.Core]; seen && e.Global < last {
-			report("error", "core %d time went backwards at seq %d (%d < %d)", e.Core, e.Seq, e.Global, last)
-		}
-		lastTime[e.Core] = e.Global
-
-		switch info.Kind {
-		case event.KindEnter:
-			openPairs[e.Core] = append(openPairs[e.Core], e.ID)
-		case event.KindExit:
-			stack := openPairs[e.Core]
-			if len(stack) == 0 {
-				report("error", "core %d: %s without matching enter at seq %d", e.Core, info.Name, e.Seq)
-				break
-			}
-			top := stack[len(stack)-1]
-			if top != info.Pair {
-				report("error", "core %d: %s exits %s (crossed pair) at seq %d",
-					e.Core, info.Name, top, e.Seq)
-			}
-			openPairs[e.Core] = stack[:len(stack)-1]
-		}
-
-		switch e.ID {
-		case event.SPEProgramStart:
-			if runsSeen[e.Run] {
-				report("error", "run %d has duplicate SPE_PROGRAM_START", e.Run)
-			}
-			runsSeen[e.Run] = true
-			if ref := e.Args[0]; tr.Strings[ref] == "" {
-				report("warn", "run %d program name ref %d unresolved", e.Run, ref)
-			}
-		case event.SPEProgramEnd:
-			runEnded[e.Run] = true
-		case event.SPEWriteOutMboxExit:
-			spuOutWrites++
-		case event.PPEReadOutMboxExit:
-			ppeOutReads++
-		case event.PPEWriteInMboxExit:
-			ppeInWrites++
-		case event.SPEReadInMboxExit:
-			spuInReads++
-		}
-	}
-
-	for core, stack := range openPairs {
-		for _, id := range stack {
-			sev := "error"
-			if tr.Truncated {
-				sev = "warn"
-			}
-			report(sev, "core %d: %s never exited", core, id)
-		}
-	}
-	for run := range runsSeen {
-		if !runEnded[run] && !tr.Truncated {
-			report("error", "run %d has no SPE_PROGRAM_END", run)
-		}
-	}
-	// Conservation checks are only meaningful when both sides' event
-	// groups were recorded and neither side lost records (a crash or
-	// salvage can destroy one side of a handshake that did happen).
-	groups := groupMaskFromMeta(tr.Meta.Groups)
-	if groups&event.GroupMailbox != 0 && groups&event.GroupHost != 0 &&
-		!tr.Truncated && !tr.Confidence.Degraded() {
-		if ppeOutReads > spuOutWrites {
-			report("error", "mailbox conservation violated: PPE read %d outbound values but SPUs wrote %d",
-				ppeOutReads, spuOutWrites)
-		}
-		if spuInReads > ppeInWrites {
-			report("error", "mailbox conservation violated: SPUs read %d inbound values but PPE wrote %d",
-				spuInReads, ppeInWrites)
-		}
-	}
-
+	var v validateAcc
+	v.fold(tr.segment(), tr.Strings)
+	issues := v.result(&tr.Meta, tr.Confidence, tr.Truncated)
 	tr.Issues = append(tr.Issues, issues...)
 	return issues
 }
