@@ -80,14 +80,16 @@ bench-analysis-short:
 # cycle detection, align-mode cycle diffing, end-to-end TAD summary)
 # with -benchmem and fail on any ns/op, B/op or
 # allocs/op result >25% worse than BENCH_baseline.json. The short
-# variant (10x smaller traces) is what ci runs; bench-baseline rewrites
-# the committed baseline — only after verifying the change is real.
+# variant (10x smaller traces) is what ci runs, and gates B/op and
+# allocs/op only; bench-baseline rewrites the committed baseline — only
+# after verifying the change is real.
 bench-check:
 	$(GO) run ./internal/tools/benchcheck -baseline BENCH_baseline.json
 
-# The short sizes finish in microseconds, so single-digit iteration
-# counts are all scheduler noise on a busy host; 40x matches the
-# iteration count the committed baseline was recorded at.
+# The short sizes finish in microseconds, so their timings are all
+# scheduler noise on a busy host: benchcheck -short prints ns/op without
+# gating on it. 40x matches the iteration count the committed baseline
+# was recorded at.
 bench-check-short:
 	$(GO) run ./internal/tools/benchcheck -short -benchtime 40x -baseline BENCH_baseline.json
 

@@ -145,10 +145,9 @@ func BenchmarkTraceLoad(b *testing.B) {
 
 // BenchmarkLoadLargeTrace measures the analyzer's load pipeline on a
 // synthetic multi-MiB, multi-chunk trace (one chunk per SPE run plus the
-// PPE chunk): the parallel decode + k-way merge + index path against the
-// serial decode + global-stable-sort reference it replaced. Both
-// sub-benchmarks start from the same parsed file, so the delta is purely
-// the pipeline.
+// PPE chunk): the parallel decode + k-way merge + index path, from an
+// already-parsed file. (The serial decode + global-stable-sort loader it
+// replaced is now a test-only reference and has no benchmark row.)
 func BenchmarkLoadLargeTrace(b *testing.B) {
 	events := 20000
 	if testing.Short() {
@@ -174,15 +173,6 @@ func BenchmarkLoadLargeTrace(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := analyzer.FromFile(f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(int64(len(res.TraceBytes)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := analyzer.FromFileSerial(f); err != nil {
 				b.Fatal(err)
 			}
 		}

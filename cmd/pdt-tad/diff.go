@@ -116,7 +116,7 @@ func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte, w
 // loadDiffSide is the cache-disabled load of one diff side, with the
 // same corrupt-side mapping as the cached path.
 func (s *server) loadDiffSide(ctx context.Context, side string, data []byte) (*analyzer.Trace, error) {
-	tr, err := analyzer.LoadContext(ctx, bytes.NewReader(data), s.cfg.limits)
+	tr, err := analyzer.LoadContext(ctx, data, s.cfg.limits)
 	if err != nil {
 		return nil, s.diffLoadError(ctx, &cache.SideError{Side: side, Err: err, Data: data})
 	}

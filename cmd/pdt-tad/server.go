@@ -334,7 +334,7 @@ func (s *server) loadShared(ctx context.Context, data []byte) (*analyzer.Trace, 
 		}
 		return h.Trace(), h, nil
 	}
-	tr, err := analyzer.LoadContext(ctx, bytes.NewReader(data), s.cfg.limits)
+	tr, err := analyzer.LoadContext(ctx, data, s.cfg.limits)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -352,15 +352,16 @@ func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Wr
 	if s.cache == nil {
 		return direct()
 	}
-	key := cache.KeyOf(data)
-	if b, ok := s.cache.Peek(key, kind); ok {
-		if s.cluster != nil {
-			s.noteCluster(ctx, "local")
-		}
-		_, err := w.Write(b)
-		return err
-	}
 	if s.cluster != nil {
+		// Only a cluster needs the key out here, to ask the owner before
+		// computing; Artifact hashes the body itself and starts with the
+		// same local tiers Peek reads.
+		key := cache.KeyOf(data)
+		if b, ok := s.cache.Peek(key, kind); ok {
+			s.noteCluster(ctx, "local")
+			_, err := w.Write(b)
+			return err
+		}
 		if b, ok := s.clusterFetch(ctx, key, kind); ok {
 			_, err := w.Write(b)
 			return err

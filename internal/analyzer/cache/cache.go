@@ -216,11 +216,15 @@ func (h *Handle) Cycles() *cycles.Report {
 // request is cancelled mid-load, a live waiter retries the load itself
 // rather than failing on the leader's context error.
 func (c *Cache) Load(ctx context.Context, data []byte, lim analyzer.Limits) (*Handle, error) {
-	key := KeyOf(data)
+	return c.load(ctx, KeyOf(data), data, lim)
+}
+
+// load is Load for a caller that has already hashed data into key.
+func (c *Cache) load(ctx context.Context, key Key, data []byte, lim analyzer.Limits) (*Handle, error) {
 	for {
 		f, lead := c.acquire(key, false)
 		if lead {
-			tr, err := analyzer.LoadContext(ctx, bytes.NewReader(data), lim)
+			tr, err := analyzer.LoadContext(ctx, data, lim)
 			if err == nil {
 				// Validate once while the flight is still exclusive; the
 				// shared trace is immutable from here on.
@@ -390,7 +394,7 @@ func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim anal
 		}
 		return c.adoptArtifact(key, kind, buf.Bytes()), nil
 	}
-	h, err := c.Load(ctx, data, lim)
+	h, err := c.load(ctx, key, data, lim)
 	if err != nil {
 		return nil, err
 	}

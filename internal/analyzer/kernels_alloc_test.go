@@ -1,9 +1,12 @@
 package analyzer_test
 
-// Host-independent allocation gate for the summarising kernels. They
-// fold the column store in place; a kernel that starts materialising an
-// Event per row again (6.5 MB per Summarize on this trace before the
-// accumulators became the kernels) fails here, on any machine.
+// Host-independent allocation gate for the summarising kernels and the
+// load layer under them. The kernels fold the column store in place; a
+// kernel that starts materialising an Event per row again (6.5 MB per
+// Summarize on this trace before the accumulators became the kernels)
+// fails here, on any machine. The batch load allocates per chunk, never
+// per record, and the streaming load — the same decode and placement
+// driven piece by piece — may cost less than twice its bytes.
 
 import (
 	"bytes"
@@ -12,8 +15,20 @@ import (
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/core"
+	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/harness"
 )
+
+// allocatedBytes reports what one call of run allocates, after a warm-up
+// call has paid the one-time runtime allocations.
+func allocatedBytes(run func()) uint64 {
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
 
 func TestKernelAllocationBudget(t *testing.T) {
 	cfg := core.DefaultTraceConfig()
@@ -33,12 +48,7 @@ func TestKernelAllocationBudget(t *testing.T) {
 		t.Fatalf("trace has %d events, the gate wants at least 32k", tr.NumEvents())
 	}
 
-	analyzer.Summarize(tr) // warm-up: one-time runtime allocations
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	analyzer.Summarize(tr)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+	if got := allocatedBytes(func() { analyzer.Summarize(tr) }); got >= 256<<10 {
 		t.Errorf("Summarize allocated %d bytes on %d events, budget is under 256 KiB", got, tr.NumEvents())
 	}
 
@@ -58,5 +68,40 @@ func TestKernelAllocationBudget(t *testing.T) {
 		if got := testing.AllocsPerRun(5, k.run); got > k.budget {
 			t.Errorf("%s: %.0f allocs per run, budget is %.0f", k.name, got, k.budget)
 		}
+	}
+
+	// The load layer, on the same image: the batch pipeline, then the
+	// stream as the benchmark drives it (64 KiB writes, 4 MiB window).
+	data := res.TraceBytes
+	f, err := traceio.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func() {
+		if _, err := analyzer.FromFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(5, load); got > 128 {
+		t.Errorf("FromFile: %.0f allocs per run over %d chunks, budget is 128", got, len(f.Chunks))
+	}
+	stream := func() {
+		l := analyzer.NewStreamLoader(analyzer.StreamOptions{
+			Limits:   analyzer.Limits{StreamWindowBytes: 4 << 20},
+			Validate: true,
+		})
+		for off := 0; off < len(data); off += 64 << 10 {
+			if _, err := l.Write(data[off:min(off+64<<10, len(data))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadBytes, streamBytes := allocatedBytes(load), allocatedBytes(stream)
+	if ratio := float64(streamBytes) / float64(loadBytes); ratio > 1.85 {
+		t.Errorf("streaming load allocated %d bytes, %.2fx the batch load's %d; budget is 1.85x",
+			streamBytes, ratio, loadBytes)
 	}
 }

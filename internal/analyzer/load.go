@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -125,29 +126,27 @@ func LoadFileContext(ctx context.Context, path string, lim Limits) (*Trace, erro
 		return nil, err
 	}
 	defer m.Close()
-	if lim.MaxFileBytes > 0 && int64(len(m.Data())) > lim.MaxFileBytes {
-		return nil, fmt.Errorf("%w: file size %d exceeds limit %d",
-			ErrLimitExceeded, len(m.Data()), lim.MaxFileBytes)
-	}
-	f, err := traceio.ParseContext(ctx, m.Data(), lim)
+	return LoadContext(ctx, m.Data(), lim)
+}
+
+// Load reads r to its end, then parses, decodes and merges the trace.
+func Load(r io.Reader) (*Trace, error) {
+	f, err := traceio.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	return FromFileContext(ctx, f, lim)
+	return FromFile(f)
 }
 
-// Load parses, decodes and merges a trace.
-func Load(r io.Reader) (*Trace, error) {
-	return LoadContext(context.Background(), r, Limits{})
-}
-
-// LoadContext parses, decodes and merges a trace under cancellation and
-// admission control: oversized inputs, metadata blobs, declared chunk
+// LoadContext parses, decodes and merges a trace image under cancellation
+// and admission control: oversized inputs, metadata blobs, declared chunk
 // lengths, record counts, and decode-memory budgets are all rejected with
 // ErrLimitExceeded, and a cancelled or expired ctx stops the pipeline
-// promptly with ctx.Err().
-func LoadContext(ctx context.Context, r io.Reader, lim Limits) (*Trace, error) {
-	f, err := traceio.ReadContext(ctx, r, lim)
+// promptly with ctx.Err(). The returned Trace holds no reference into
+// data — decoding copies every string and argument word — so the caller
+// may reuse or release the image as soon as the call returns.
+func LoadContext(ctx context.Context, data []byte, lim Limits) (*Trace, error) {
+	f, err := traceio.ParseContext(ctx, data, lim)
 	if err != nil {
 		return nil, err
 	}
@@ -159,9 +158,10 @@ func LoadContext(ctx context.Context, r io.Reader, lim Limits) (*Trace, error) {
 // bounded worker pool, the per-chunk streams (each time-ordered at the
 // source) are combined with a k-way heap merge directly into the columnar
 // store, and the per-core and per-run index arenas are built once. The
-// resulting event order is exactly the one FromFileSerial's global stable
-// sort produces: ascending Global time, ties broken by chunk position in
-// the file, then record position within the chunk.
+// resulting event order is exactly the one a global stable sort produces
+// (the tests' reference loader does just that): ascending Global time,
+// ties broken by chunk position in the file, then record position within
+// the chunk.
 func FromFile(f *traceio.File) (*Trace, error) {
 	return fromFile(context.Background(), f, runtime.GOMAXPROCS(0), false, Limits{})
 }
@@ -174,23 +174,29 @@ func FromFileContext(ctx context.Context, f *traceio.File, lim Limits) (*Trace, 
 	return fromFile(ctx, f, runtime.GOMAXPROCS(0), false, lim)
 }
 
-// newTrace builds the Trace shell shared by both load paths: header,
-// metadata, and the file-level issues (truncation, drop accounting).
+// newTrace builds the Trace shell: header, metadata, file-level issues.
 func newTrace(f *traceio.File) *Trace {
-	tr := &Trace{
+	return &Trace{
 		Header:    f.Header,
 		Meta:      f.Meta,
 		Strings:   map[uint64]string{},
 		Truncated: f.Truncated,
+		Issues:    fileIssues(f.Truncated, f.Meta.Drops),
 	}
-	if f.Truncated {
-		tr.Issues = append(tr.Issues, Issue{"warn", "trace is truncated (crashed or incomplete run)"})
+}
+
+// fileIssues is the preamble every load path's Issues start with:
+// truncation, then the tracer's own drop accounting.
+func fileIssues(truncated bool, drops []traceio.Drop) []Issue {
+	var issues []Issue
+	if truncated {
+		issues = append(issues, Issue{"warn", "trace is truncated (crashed or incomplete run)"})
 	}
-	for _, d := range f.Meta.Drops {
-		tr.Issues = append(tr.Issues,
+	for _, d := range drops {
+		issues = append(issues,
 			Issue{"warn", fmt.Sprintf("SPE %d dropped %d records (main trace region full)", d.SPE, d.Count)})
 	}
-	return tr
+	return issues
 }
 
 // resolveLiveAnchors rebuilds the anchor table of a live-streamed
@@ -222,16 +228,22 @@ func resolveLiveAnchors(f *traceio.File) {
 		if err != nil {
 			continue
 		}
-		for _, rec := range recs {
-			if rec.ID == event.LiveAnchor && len(rec.Args) == 3 {
-				f.Meta.Anchors = append(f.Meta.Anchors, traceio.Anchor{
-					SPE:      int(rec.Args[0]),
-					Timebase: rec.Args[1],
-					Loaded:   uint32(rec.Args[2]),
-					Program:  rec.Str,
-				})
-			}
+		for i := range recs {
+			appendLiveAnchor(&f.Meta.Anchors, &recs[i])
 		}
+	}
+}
+
+// appendLiveAnchor appends the clock anchor an in-band LiveAnchor record
+// carries; any other record is ignored.
+func appendLiveAnchor(anchors *[]traceio.Anchor, rec *event.Record) {
+	if rec.ID == event.LiveAnchor && len(rec.Args) == 3 {
+		*anchors = append(*anchors, traceio.Anchor{
+			SPE:      int(rec.Args[0]),
+			Timebase: rec.Args[1],
+			Loaded:   uint32(rec.Args[2]),
+			Program:  rec.Str,
+		})
 	}
 }
 
@@ -413,12 +425,8 @@ func (tr *Trace) finish(b *colstore.Builder) {
 	tr.Confidence = tr.confidence(nil)
 }
 
-// decodeChunkEvents decodes one chunk into its event stream, resolving
-// anchor times and collecting interned strings and per-chunk issues. The
-// returned stream is ascending in Global: chunks are time-ordered at the
-// source, and the rare unordered one (none of our writers produce them,
-// but foreign traces may) is stable-sorted here, which preserves exact
-// equivalence with a global stable sort.
+// decodeChunkEvents runs one whole chunk through the record loop and
+// placement, collecting its merge stream, interned strings and issues.
 //
 // A panic anywhere in the decode is recovered and converted into a
 // per-chunk errDecodePanic, so one poisoned chunk degrades into a trace
@@ -461,52 +469,104 @@ func decodeChunkEvents(ctx context.Context, f *traceio.File, i int, lenient bool
 		res.issues = append(res.issues,
 			Issue{"warn", fmt.Sprintf("chunk for core %d truncated mid-record", c.Core)})
 	}
-	run := -1
-	var anchorTB uint64
-	if c.Core != event.CorePPE {
-		if int(c.AnchorIdx) >= len(f.Meta.Anchors) {
-			if !lenient {
-				res.err = fmt.Errorf("analyzer: chunk for SPE %d references anchor %d of %d",
-					c.Core, c.AnchorIdx, len(f.Meta.Anchors))
-				return res
-			}
-			// No anchor to place this chunk on the timeline: drop it.
-			res.issues = append(res.issues,
-				Issue{"error", fmt.Sprintf("chunk for SPE %d dropped: anchor %d of %d unresolvable",
-					c.Core, c.AnchorIdx, len(f.Meta.Anchors))})
+	run, anchorTB, issue, err := resolveAnchor(&f.Meta, c.Core, c.AnchorIdx)
+	if err != nil {
+		if !lenient {
+			res.err = err
 			return res
 		}
-		a := f.Meta.Anchors[c.AnchorIdx]
-		if a.SPE != int(c.Core) {
-			res.issues = append(res.issues,
-				Issue{"error", fmt.Sprintf("anchor %d is for SPE %d but chunk is core %d", c.AnchorIdx, a.SPE, c.Core)})
-		}
-		run = int(c.AnchorIdx)
-		anchorTB = a.Timebase
+		// No anchor to place this chunk on the timeline: drop it.
+		res.issues = append(res.issues,
+			Issue{"error", fmt.Sprintf("chunk for SPE %d dropped: anchor %d of %d unresolvable",
+				c.Core, c.AnchorIdx, len(f.Meta.Anchors))})
+		return res
 	}
-	globals := make([]uint64, len(recs))
-	sorted := true
-	for j := range recs {
+	if issue != nil {
+		res.issues = append(res.issues, *issue)
+	}
+	// Live anchors were collected up front (resolveLiveAnchors): parallel
+	// workers need the whole table before any of them starts.
+	p := placement{run: run, anchorTB: anchorTB}
+	p.place(recs, nil)
+	res.stream, res.argWords, res.strings = p.stream(recs), p.argWords, p.strings
+	return res
+}
+
+// resolveAnchor finds a chunk's place on the global timeline: the run
+// its records belong to (-1 for PPE chunks, whose times already are
+// timebase ticks) and the timebase tick its decrementer times count
+// from. An anchor recorded for a different SPE is reported as an issue;
+// an index past the anchor table is an error, because the chunk cannot
+// be placed at all — whether that fails the load or only drops the chunk
+// is the caller's policy.
+func resolveAnchor(meta *traceio.Meta, core uint8, anchorIdx uint16) (run int32, anchorTB uint64, issue *Issue, err error) {
+	if core == event.CorePPE {
+		return -1, 0, nil, nil
+	}
+	if int(anchorIdx) >= len(meta.Anchors) {
+		return 0, 0, nil, fmt.Errorf("analyzer: chunk for SPE %d references anchor %d of %d",
+			core, anchorIdx, len(meta.Anchors))
+	}
+	a := meta.Anchors[anchorIdx]
+	if a.SPE != int(core) {
+		issue = &Issue{"error", fmt.Sprintf("anchor %d is for SPE %d but chunk is core %d", anchorIdx, a.SPE, core)}
+	}
+	return int32(anchorIdx), a.Timebase, issue, nil
+}
+
+// placement puts one chunk's records on the global timeline as they are
+// decoded: the whole chunk at once on the batch path, piece by piece on
+// the streaming path. The zero value plus run and anchorTB (from
+// resolveAnchor) is ready to use.
+type placement struct {
+	run      int32
+	anchorTB uint64
+	globals  []uint64 // Global time of every record placed so far
+	argWords int      // total argument words across them
+	unsorted bool     // some record is earlier than its predecessor
+	strings  []stringDef
+}
+
+// place resolves the records of recs not placed yet — recs is the
+// chunk's growing record slice, globals its parallel timeline column —
+// collecting interned strings on the way. With live non-nil, in-band
+// LiveAnchor records are appended to it: a live stream's anchor table
+// grows as it is read.
+func (p *placement) place(recs []event.Record, live *[]traceio.Anchor) {
+	from := len(p.globals)
+	p.globals = slices.Grow(p.globals, len(recs)-from)[:len(recs)]
+	for j := from; j < len(recs); j++ {
 		rec := &recs[j]
+		g := rec.Time
 		if rec.Flags&event.FlagDecrTime != 0 {
 			// SPU decrementer time: elapsed ticks since the anchor.
-			globals[j] = anchorTB + rec.Time
-		} else {
-			globals[j] = rec.Time
+			g += p.anchorTB
 		}
-		res.argWords += len(rec.Args)
+		p.globals[j] = g
+		p.argWords += len(rec.Args)
 		if rec.ID == event.StringDef && len(rec.Args) == 1 {
-			res.strings = append(res.strings, stringDef{rec.Args[0], rec.Str})
+			p.strings = append(p.strings, stringDef{rec.Args[0], rec.Str})
 		}
-		if j > 0 && globals[j-1] > globals[j] {
-			sorted = false
+		if live != nil {
+			appendLiveAnchor(live, rec)
+		}
+		if j > 0 && p.globals[j-1] > g {
+			p.unsorted = true
 		}
 	}
-	if !sorted {
-		sort.Stable(&streamSorter{recs, globals})
+}
+
+// stream hands the placed records to the k-way merge, ascending in
+// Global. Chunks are nearly time-ordered at the source — the tracer
+// writes each TRACE_FLUSH record ahead of the earlier-stamped record that
+// forced the flush, and foreign traces may do worse — so one that is not
+// is stable-sorted here, which preserves exact equivalence with a global
+// stable sort.
+func (p *placement) stream(recs []event.Record) chunkStream {
+	if p.unsorted {
+		sort.Stable(&streamSorter{recs, p.globals})
 	}
-	res.stream = chunkStream{recs, globals, int32(run)}
-	return res
+	return chunkStream{recs, p.globals, p.run}
 }
 
 // streamSorter stable-sorts a decoded chunk by Global, keeping the

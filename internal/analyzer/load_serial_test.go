@@ -14,10 +14,10 @@ import (
 // establish the global order with one stable sort, exactly as the
 // analyzer did before the parallel pipeline existed. It defines the
 // ordering contract FromFile must reproduce (ascending Global, ties in
-// file order), is what the equivalence tests compare against, and is the
-// baseline BenchmarkLoadLargeTrace measures the pipeline's speedup over.
-// Only after the order is fixed are the events transposed into the
-// columnar store.
+// file order) and is what the equivalence tests compare against, so it
+// deliberately shares no anchor lookup, time placement or sort with the
+// pipeline under test (resolveAnchor, placement). Only after the order
+// is fixed are the events transposed into the columnar store.
 func FromFileSerial(f *traceio.File) (*Trace, error) {
 	resolveLiveAnchors(f)
 	tr := newTrace(f)

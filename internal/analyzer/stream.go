@@ -2,14 +2,11 @@ package analyzer
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
@@ -65,36 +62,19 @@ type StreamResult struct {
 	Events int64
 }
 
-// Parse stages of the incremental trace parser.
-const (
-	stageHeader = iota
-	stageMetaLen
-	stageMeta
-	stageChunk
-	stageChunkData
-	stageFooter
-	stageDone
-)
-
 // streamChunk is the chunk currently being decoded.
 type streamChunk struct {
 	core      uint8
-	anchorIdx uint16
 	remaining int // data bytes not yet consumed
-	dropped   bool
-	run       int32 // resolved run (-1 for PPE chunks)
-	anchorTB  uint64
-	// recs/globals accumulate the records decoded since the last window
-	// cut; a chunk larger than the window contributes several pieces.
-	recs     []event.Record
-	globals  []uint64
-	argWords int
-	sorted   bool
-	count    int // records decoded across the whole chunk (MaxRecords cap)
+	count     int // records decoded across the whole chunk (MaxRecords cap)
+	// recs and place hold the records decoded and placed since the last
+	// window cut; a chunk larger than the window contributes several
+	// pieces.
+	recs  []event.Record
+	place placement
 	// Rollback marks: batch Parse drops a final chunk whose data was cut
-	// off, so if the stream ends inside this chunk every side effect
-	// after these high-water marks is undone (see Finish).
-	strMark    int
+	// off, so if the stream ends inside this chunk the issues and live
+	// anchors past these marks go the way of recs (see Finish).
 	issueMark  int
 	anchorMark int
 }
@@ -102,14 +82,17 @@ type streamChunk struct {
 // StreamLoader consumes a PDT trace incrementally — from a growing
 // file, an io.Reader, or an HTTP chunked upload — and folds it into the
 // analysis kernels under a bounded memory window. It is an io.Writer:
-// feed it bytes in any slicing, then call Finish. The byte-level parsing
-// replicates traceio.ParseContext exactly (same errors, same truncation
-// tolerance, same footer CRC check), each window is merged through the
-// batch k-way heap merge, and the kernels are the accumulators the batch
-// functions fold over the whole store as one segment; their folds are
-// order-insensitive beyond the per-core/per-run order the window cuts
-// preserve — so the final results are identical to loading the whole
-// trace and calling Summarize, Profile and the rest on it.
+// feed it bytes in any slicing, then call Finish. It drives the batch
+// loader's own stages in arrival order: the framing comes from the
+// traceio.Scanner that ParseContext walks (same errors, same truncation
+// tolerance, same footer CRC check), records from traceio.DecodeRecords,
+// timeline placement from resolveAnchor and placement, and each window is
+// merged through the batch k-way heap merge. The kernels are the
+// accumulators the batch functions fold over the whole store as one
+// segment; their folds are order-insensitive beyond the per-core/per-run
+// order the window cuts preserve — so the final results are identical to
+// loading the whole trace and calling Summarize, Profile and the rest on
+// it.
 //
 // Write and Finish must be called from one goroutine; Snapshot may be
 // called concurrently from others (the live-tail path).
@@ -119,18 +102,16 @@ type StreamLoader struct {
 	ctx    context.Context
 	window int64
 
-	// Incremental parser state. buf holds only unconsumed prefix bytes
-	// (never chunk data on the fast path); tail holds a record split
-	// across Write or window boundaries (at most 255 bytes).
-	stage   int
+	// Framing state. buf holds a framing element left incomplete by the
+	// last Write, empty on the fast path; tail holds a record split
+	// across chunk pieces (at most 255 bytes).
+	scan    traceio.Scanner
 	buf     []byte
 	tail    []byte
-	pos     int64  // absolute stream offset of the next unbuffered byte
+	pos     int64  // absolute stream offset of the next unconsumed byte
 	crc     uint32 // running CRC32 over all consumed bytes (footer check)
-	header  traceio.Header
-	meta    traceio.Meta
-	metaLen int
-	chdr    int // chunk header length for this version
+	inChunk bool   // the next cur.remaining bytes are cur's data
+	done    bool   // the footer, or a bad one, ended parsing for good
 	cur     streamChunk
 
 	// Pending decoded-but-unmerged chunk pieces for the current window.
@@ -139,7 +120,7 @@ type StreamLoader struct {
 	pendArgs int
 	pendStrs []stringDef
 
-	decoded int64 // cumulative record count against budget
+	decoded int64 // records decoded so far, checked against budget
 	budget  int64
 
 	acc *streamAccumulators
@@ -166,11 +147,11 @@ func NewStreamLoader(opts StreamOptions) *StreamLoader {
 		opts:    opts,
 		ctx:     ctx,
 		window:  window,
+		scan:    traceio.Scanner{Lim: opts.Limits},
 		budget:  recordBudget(opts.Limits),
 		strings: map[uint64]string{},
 	}
-	l.acc = newStreamAccumulators(opts)
-	l.acc.meta = &l.meta
+	l.acc = newStreamAccumulators(opts, &l.scan.Header, &l.scan.Meta)
 	return l
 }
 
@@ -182,12 +163,6 @@ func (l *StreamLoader) fail(err error) error {
 	return l.err
 }
 
-// streamLimitErr mirrors traceio's limitErr wording for the caps the
-// streaming path enforces itself.
-func streamLimitErr(what string, declared, max int64) error {
-	return fmt.Errorf("%w: %s %d exceeds limit %d", ErrLimitExceeded, what, declared, max)
-}
-
 // Write consumes the next bytes of the trace stream. p is always fully
 // consumed unless a terminal error (corrupt framing, admission cap,
 // cancelled context) latches, in which case the same error returns from
@@ -195,7 +170,6 @@ func streamLimitErr(what string, declared, max int64) error {
 func (l *StreamLoader) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(p)
 	if l.err != nil {
 		return 0, l.err
 	}
@@ -205,398 +179,207 @@ func (l *StreamLoader) Write(p []byte) (int, error) {
 	if err := l.ctx.Err(); err != nil {
 		return 0, l.fail(err)
 	}
-	if max := l.opts.Limits.MaxFileBytes; max > 0 && l.total()+int64(n) > max {
-		return 0, l.fail(streamLimitErr("file size", l.total()+int64(n), max))
+	if max, n := l.opts.Limits.MaxFileBytes, l.total()+int64(len(p)); max > 0 && n > max {
+		return 0, l.fail(fmt.Errorf("%w: file size %d exceeds limit %d", ErrLimitExceeded, n, max))
 	}
-	if l.stage == stageDone {
-		// Batch Parse stops at the footer and ignores trailing bytes;
-		// they still counted against MaxFileBytes above.
-		l.pos += int64(n)
-		return n, nil
-	}
-	// Chunk data with nothing buffered decodes straight out of p — the
-	// zero-copy fast path every full-speed upload takes.
-	if l.stage == stageChunkData && len(l.buf) == 0 && l.cur.remaining > 0 {
-		k := l.cur.remaining
-		if k > len(p) {
-			k = len(p)
-		}
-		if err := l.consumeChunkData(p[:k]); err != nil {
-			return 0, l.fail(err)
-		}
-		l.crc = crc32.Update(l.crc, crc32.IEEETable, p[:k])
-		l.pos += int64(k)
-		p = p[k:]
-	}
-	if len(p) > 0 {
+	// With nothing buffered everything parses and decodes straight out of
+	// p — the zero-copy fast path every full-speed upload takes.
+	in, buffered := p, len(l.buf) > 0
+	if buffered {
 		l.buf = append(l.buf, p...)
+		in = l.buf
 	}
-	if err := l.advance(); err != nil {
+	used, err := l.advance(in)
+	if err != nil {
 		return 0, l.fail(err)
 	}
-	return n, nil
+	switch rest := in[used:]; {
+	case len(rest) == 0:
+		l.buf = nil
+	case buffered:
+		l.buf = rest
+	default:
+		l.buf = append([]byte(nil), rest...)
+	}
+	return len(p), nil
 }
 
 // total returns the stream bytes received so far (consumed + buffered).
 func (l *StreamLoader) total() int64 { return l.pos + int64(len(l.buf)) }
 
-// consume drops n consumed bytes from the front of buf, folding them
-// into the running footer CRC.
-func (l *StreamLoader) consume(n int) {
-	l.crc = crc32.Update(l.crc, crc32.IEEETable, l.buf[:n])
-	l.pos += int64(n)
-	l.buf = l.buf[n:]
-	if len(l.buf) == 0 {
-		l.buf = nil
-	}
+// take accounts consumed bytes: the running footer CRC and the offset.
+func (l *StreamLoader) take(b []byte) int {
+	l.crc = crc32.Update(l.crc, crc32.IEEETable, b)
+	l.pos += int64(len(b))
+	return len(b)
 }
 
-// advance runs the parser state machine over whatever is buffered.
-func (l *StreamLoader) advance() error {
-	for {
-		switch l.stage {
-		case stageHeader:
-			if len(l.buf) < 23 {
-				return nil
+// advance walks the framing scanner over in — the stream bytes not yet
+// consumed — exactly as ParseContext walks it over a whole image, and
+// returns how many bytes it consumed. What is left is the front of an
+// element that has not fully arrived.
+func (l *StreamLoader) advance(in []byte) (used int, err error) {
+	for !l.done {
+		if l.inChunk {
+			data := in[used : used+min(l.cur.remaining, len(in)-used)]
+			if err := l.consumeChunkData(data); err != nil {
+				return used, err
 			}
-			if string(l.buf[:4]) != traceio.Magic {
-				return traceio.ErrBadMagic
+			used += l.take(data)
+			if l.cur.remaining > 0 {
+				return used, nil // wait for the rest of the chunk
 			}
-			l.header.Version = binary.LittleEndian.Uint16(l.buf[4:6])
-			if l.header.Version == 0 || l.header.Version > traceio.Version {
-				return fmt.Errorf("%w: unsupported version %d", traceio.ErrCorrupt, l.header.Version)
-			}
-			l.header.NumSPEs = l.buf[6]
-			l.header.TimebaseDiv = binary.LittleEndian.Uint64(l.buf[7:15])
-			l.header.ClockHz = binary.LittleEndian.Uint64(l.buf[15:23])
-			l.chdr = 8
-			if l.header.Version >= 2 {
-				l.chdr = 12
-			}
-			l.consume(23)
-			l.acc.header = l.header
-			l.stage = stageMetaLen
-		case stageMetaLen:
-			if len(l.buf) < 4 {
-				return nil
-			}
-			l.metaLen = int(binary.LittleEndian.Uint32(l.buf[:4]))
-			if max := l.opts.Limits.MaxMetaBytes; max > 0 && l.metaLen > max {
-				return streamLimitErr("metadata length", int64(l.metaLen), int64(max))
-			}
-			l.consume(4)
-			l.stage = stageMeta
-		case stageMeta:
-			if len(l.buf) < l.metaLen {
-				return nil
-			}
-			if err := xml.Unmarshal(l.buf[:l.metaLen], &l.meta); err != nil {
-				return fmt.Errorf("%w: metadata: %v", traceio.ErrCorrupt, err)
-			}
-			l.consume(l.metaLen)
-			l.stage = stageChunk
-		case stageChunk:
-			if len(l.buf) == 0 {
-				return nil
-			}
-			if l.buf[0] == traceio.FooterMagic[0] {
-				l.stage = stageFooter
-				continue
-			}
-			if l.buf[0] != traceio.ChunkMagic {
-				return fmt.Errorf("%w: bad chunk magic %#x at offset %d", traceio.ErrCorrupt, l.buf[0], l.pos)
-			}
-			if len(l.buf) < l.chdr {
-				return nil
-			}
-			clen := int(binary.LittleEndian.Uint32(l.buf[4:8]))
-			if max := l.opts.Limits.MaxChunkBytes; max > 0 && clen > max {
-				return streamLimitErr(fmt.Sprintf("chunk at offset %d declares", l.pos), int64(clen), int64(max))
+			l.cutPiece(false)
+			l.inChunk = false
+			continue
+		}
+		kind, c, dataLen, n, err := l.scan.Next(in[used:], l.pos)
+		if err != nil {
+			return used, err
+		}
+		switch kind {
+		case traceio.ElemNeedMore:
+			return used, nil
+		case traceio.ElemChunk:
+			// Strict, unlike the salvaging batch path: an unresolvable
+			// anchor fails the load. A well-formed live stream always
+			// delivers the anchor — a LiveAnchor record in an earlier PPE
+			// chunk — before any chunk referencing it.
+			run, anchorTB, issue, err := resolveAnchor(&l.scan.Meta, c.Core, c.AnchorIdx)
+			if err != nil {
+				return used, err
 			}
 			l.cur = streamChunk{
-				core:       l.buf[1],
-				anchorIdx:  binary.LittleEndian.Uint16(l.buf[2:4]),
-				remaining:  clen,
-				sorted:     true,
-				strMark:    len(l.pendStrs),
+				core:       c.Core,
+				remaining:  dataLen,
+				place:      placement{run: run, anchorTB: anchorTB},
 				issueMark:  len(l.issues),
-				anchorMark: len(l.meta.Anchors),
+				anchorMark: len(l.scan.Meta.Anchors),
 			}
-			l.consume(l.chdr)
-			if err := l.openChunk(); err != nil {
-				return err
+			if issue != nil {
+				l.issues = append(l.issues, *issue)
 			}
-			l.stage = stageChunkData
-		case stageChunkData:
-			if l.cur.remaining > 0 {
-				if len(l.buf) == 0 {
-					return nil
-				}
-				n := l.cur.remaining
-				if n > len(l.buf) {
-					n = len(l.buf)
-				}
-				if err := l.consumeChunkData(l.buf[:n]); err != nil {
-					return err
-				}
-				l.consume(n)
-				continue
+			l.inChunk = true
+		case traceio.ElemFooter:
+			if l.crc != c.CRC {
+				return used, fmt.Errorf("%w: got %#x want %#x", traceio.ErrCRC, l.crc, c.CRC)
 			}
-			l.closeChunk()
-			l.stage = stageChunk
-		case stageFooter:
-			if len(l.buf) < 8 {
-				return nil
-			}
-			if string(l.buf[:4]) != traceio.FooterMagic {
-				// Batch Parse treats a bad footer as truncation, not
-				// corruption; parsing stops here for good.
-				l.truncated = true
-				l.stage = stageDone
-				continue
-			}
-			want := binary.LittleEndian.Uint32(l.buf[4:8])
-			if l.crc != want {
-				return fmt.Errorf("%w: got %#x want %#x", traceio.ErrCRC, l.crc, want)
-			}
-			l.complete = true
-			l.pos += int64(len(l.buf))
-			l.buf = nil
-			l.stage = stageDone
-		case stageDone:
-			l.pos += int64(len(l.buf))
-			l.buf = nil
-			return nil
+			l.complete, l.done = true, true
+		case traceio.ElemBadFooter:
+			l.truncated, l.done = true, true
 		}
+		used += l.take(in[used : used+n])
 	}
+	// Like Parse, ignore whatever follows the footer (it still counted
+	// against MaxFileBytes).
+	l.pos += int64(len(in) - used)
+	return len(in), nil
 }
 
-// openChunk resolves the chunk's run/anchor placement, replicating the
-// batch decodeChunkEvents checks. Unresolvable anchors fail the load:
-// the streaming path is strict (salvage stays on the batch path), and a
-// well-formed live stream always delivers the anchor — as a LiveAnchor
-// record in an earlier PPE chunk — before any chunk referencing it.
-func (l *StreamLoader) openChunk() error {
-	c := &l.cur
-	c.run = -1
-	if c.core == event.CorePPE {
-		return nil
-	}
-	if int(c.anchorIdx) >= len(l.meta.Anchors) {
-		return fmt.Errorf("analyzer: chunk for SPE %d references anchor %d of %d",
-			c.core, c.anchorIdx, len(l.meta.Anchors))
-	}
-	a := l.meta.Anchors[c.anchorIdx]
-	if a.SPE != int(c.core) {
-		l.issues = append(l.issues,
-			Issue{"error", fmt.Sprintf("anchor %d is for SPE %d but chunk is core %d", c.anchorIdx, a.SPE, c.core)})
-	}
-	c.run = int32(c.anchorIdx)
-	c.anchorTB = a.Timebase
-	return nil
-}
-
-// consumeChunkData decodes records from the next data bytes of the
-// current chunk. data is capped at cur.remaining by the caller, which
-// also folds it into the footer CRC.
+// consumeChunkData feeds the next data bytes of the current chunk to the
+// record loop, first completing a record split across pieces.
 func (l *StreamLoader) consumeChunkData(data []byte) error {
 	c := &l.cur
 	c.remaining -= len(data)
-	if c.dropped {
-		return nil
-	}
-	// Complete a record split across Write boundaries first.
-	for len(l.tail) > 0 && len(data) > 0 {
-		need := int(l.tail[0]) - len(l.tail)
-		if need <= 0 {
-			break
-		}
-		if need > len(data) {
-			need = len(data)
-		}
+	if len(l.tail) > 0 {
+		need := min(int(l.tail[0])-len(l.tail), len(data))
 		l.tail = append(l.tail, data[:need]...)
 		data = data[need:]
-	}
-	if len(l.tail) > 0 {
-		if len(l.tail) >= int(l.tail[0]) {
-			rec := l.tail
-			l.tail = nil
-			if err := l.decodeRecords(rec); err != nil {
+		if len(l.tail) == int(l.tail[0]) {
+			if err := l.decodePiece(l.tail); err != nil {
 				return err
 			}
-			if len(l.tail) > 0 {
-				// Still short: only possible when the chunk itself ended.
-				return l.endOfChunkTail()
-			}
-		} else if c.remaining == 0 {
-			return l.endOfChunkTail()
-		} else {
-			return nil
 		}
 	}
-	if err := l.decodeRecords(data); err != nil {
+	if err := l.decodePiece(data); err != nil {
 		return err
 	}
 	if len(l.tail) > 0 && c.remaining == 0 {
-		return l.endOfChunkTail()
+		// The chunk ends inside a record: the partial record is dropped
+		// with the batch decoder's warning, the records before it kept.
+		l.tail = l.tail[:0]
+		l.issues = append(l.issues,
+			Issue{"warn", fmt.Sprintf("chunk for core %d truncated mid-record", c.core)})
 	}
 	return nil
 }
 
-// endOfChunkTail handles a chunk ending inside a record: the partial
-// record is dropped with the batch decoder's mid-record warning, and
-// the records decoded before it are kept.
-func (l *StreamLoader) endOfChunkTail() error {
-	l.tail = nil
-	l.issues = append(l.issues,
-		Issue{"warn", fmt.Sprintf("chunk for core %d truncated mid-record", l.cur.core)})
-	l.cur.dropped = true
-	return nil
-}
-
-// decodeRecords decodes every complete record in data into the current
-// chunk piece, stashing a trailing partial record in l.tail.
-func (l *StreamLoader) decodeRecords(data []byte) error {
+// decodePiece runs the record loop and placement over data — bytes of
+// the current chunk starting at a record boundary — leaves a trailing
+// partial record in l.tail, and paces the window.
+func (l *StreamLoader) decodePiece(data []byte) error {
 	c := &l.cur
-	// Size the record extension and a fresh argument arena from the
-	// framing, exactly like the batch decoder: the arena never regrows
-	// while this batch's records alias it.
-	est, words := event.ScanChunk(data)
-	if est > 0 && cap(c.recs)-len(c.recs) < est {
-		recs := make([]event.Record, len(c.recs), len(c.recs)+est)
-		copy(recs, c.recs)
-		c.recs = recs
-		globals := make([]uint64, len(c.globals), len(c.globals)+est)
-		copy(globals, c.globals)
-		c.globals = globals
-	}
-	var arena []uint64
-	if words > 0 {
-		arena = make([]uint64, 0, words)
-	}
+	// One step takes an eighth of the window, so a single huge Write
+	// cannot outgrow it between pacing checks — but never less than one
+	// whole record.
+	step := max(int(l.window/8), 256)
 	for len(data) > 0 {
-		if err := checkStreamCtx(l.ctx, c.count); err != nil {
+		piece := data[:min(len(data), step)]
+		recs, n, err := traceio.DecodeRecords(l.ctx, c.core, piece, c.recs, c.count, l.opts.Limits)
+		if err != nil {
 			return err
 		}
-		if data[0] == 0 {
-			// DMA-alignment padding between buffer flushes.
-			n := 1
-			for n < len(data) && data[n] == 0 {
-				n++
-			}
-			data = data[n:]
-			continue
+		got := len(recs) - len(c.recs)
+		c.recs, c.count, l.decoded = recs, c.count+got, l.decoded+int64(got)
+		if l.budget > 0 && l.decoded > l.budget {
+			return fmt.Errorf("%w: decoded records %d exceed budget %d (MaxRecords/MaxDecodeBytes)",
+				ErrLimitExceeded, l.decoded, l.budget)
 		}
-		if len(c.recs) < cap(c.recs) {
-			c.recs = c.recs[:len(c.recs)+1]
-		} else {
-			c.recs = append(c.recs, event.Record{})
-		}
-		if len(c.globals) < cap(c.globals) {
-			c.globals = c.globals[:len(c.globals)+1]
-		} else {
-			c.globals = append(c.globals, 0)
-		}
-		n, nextArena, derr := event.DecodeNext(&c.recs[len(c.recs)-1], data, arena)
-		arena = nextArena
-		if derr != nil {
-			c.recs = c.recs[:len(c.recs)-1]
-			c.globals = c.globals[:len(c.globals)-1]
-			if errors.Is(derr, event.ErrShortRecord) {
-				// Partial record: wait for the rest of it.
-				l.tail = append(make([]byte, 0, 256), data...)
-				return nil
-			}
-			return fmt.Errorf("traceio: core %d: %w", c.core, derr)
-		}
-		c.count++
-		if max := l.opts.Limits.MaxRecords; max > 0 && c.count > max {
-			return streamLimitErr(fmt.Sprintf("core %d record count", c.core), int64(c.count), int64(max))
-		}
-		if l.budget > 0 {
-			if l.decoded++; l.decoded > l.budget {
-				return fmt.Errorf("%w: decoded records %d exceed budget %d (MaxRecords/MaxDecodeBytes)",
-					ErrLimitExceeded, l.decoded, l.budget)
-			}
-		}
-		if err := l.placeRecord(); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-// placeRecord resolves the global time of the record just decoded and
-// applies stream-level side effects (string interning, live anchors),
-// cutting a window when the pending footprint reaches the budget.
-func (l *StreamLoader) placeRecord() error {
-	c := &l.cur
-	i := len(c.recs) - 1
-	rec := &c.recs[i]
-	if rec.Flags&event.FlagDecrTime != 0 {
-		c.globals[i] = c.anchorTB + rec.Time
-	} else {
-		c.globals[i] = rec.Time
-	}
-	c.argWords += len(rec.Args)
-	if rec.ID == event.StringDef && len(rec.Args) == 1 {
-		l.pendStrs = append(l.pendStrs, stringDef{rec.Args[0], rec.Str})
-	}
-	if rec.ID == event.LiveAnchor && len(rec.Args) == 3 {
 		// Live streams deliver clock anchors in-band (the tracer appends
 		// one as each run starts) instead of in the up-front metadata.
-		l.meta.Anchors = append(l.meta.Anchors, traceio.Anchor{
-			SPE:      int(rec.Args[0]),
-			Timebase: rec.Args[1],
-			Loaded:   uint32(rec.Args[2]),
-			Program:  rec.Str,
-		})
-	}
-	if i > 0 && c.globals[i-1] > c.globals[i] {
-		c.sorted = false
-	}
-	// Window pacing. Only completed chunks fold by default, so an
-	// end-of-stream truncation can still drop the current chunk exactly
-	// as batch Parse does; a chunk that alone outgrows the window is cut
-	// mid-chunk anyway — bounded memory wins over drop-parity there.
-	curBytes := int64(len(c.recs))*eventFootprint + int64(c.argWords)*8
-	pendBytes := int64(l.pendRecs)*eventFootprint + int64(l.pendArgs)*8
-	if pendBytes+curBytes >= l.window/2 {
-		if curBytes >= l.window/2 {
-			l.cutPiece()
+		c.place.place(c.recs, &l.scan.Meta.Anchors)
+
+		// Window pacing. Only completed chunks fold by default, so an
+		// end-of-stream truncation can still drop the current chunk exactly
+		// as batch Parse does; a chunk that alone outgrows the window is cut
+		// mid-chunk anyway — bounded memory wins over drop-parity there.
+		curBytes := int64(len(c.recs))*eventFootprint + int64(c.place.argWords)*8
+		pendBytes := int64(l.pendRecs)*eventFootprint + int64(l.pendArgs)*8
+		if pendBytes+curBytes >= l.window/2 {
+			if curBytes >= l.window/2 {
+				l.cutPiece(true)
+			}
+			if err := l.flushWindow(); err != nil {
+				return err
+			}
 		}
-		if l.pendRecs > 0 {
-			return l.flushWindow()
+		if len(piece) == len(data) {
+			l.tail = append(l.tail[:0], data[n:]...)
+			return nil
 		}
+		data = data[n:] // the step cap split a record: it starts the next step
 	}
 	return nil
 }
 
 // cutPiece moves the current chunk's decoded records into the pending
-// merge window as one stream piece.
-func (l *StreamLoader) cutPiece() {
+// merge window as one stream piece. Their strings and live anchors are
+// committed with them: a later rollback undoes only what follows.
+//
+// A cut inside a chunk (midChunk) keeps the latest record back to open
+// the next piece. Pieces are sorted one by one, so a record may not be
+// earlier than anything in the piece cut before it — and the tracer
+// stamps a TRACE_FLUSH record after the record whose arrival forced the
+// flush yet writes it first, so a chunk's newest record can still be
+// overtaken by exactly its successor.
+func (l *StreamLoader) cutPiece(midChunk bool) {
 	c := &l.cur
-	if len(c.recs) == 0 {
-		return
-	}
-	if !c.sorted {
-		sort.Stable(&streamSorter{c.recs, c.globals})
-	}
-	l.pending = append(l.pending, chunkStream{recs: c.recs, globals: c.globals, run: c.run})
-	l.pendRecs += len(c.recs)
-	l.pendArgs += c.argWords
+	piece, args := c.place.stream(c.recs), c.place.argWords
+	next := placement{run: c.place.run, anchorTB: c.place.anchorTB}
 	c.recs = nil
-	c.globals = nil
-	c.argWords = 0
-	c.sorted = true
-}
-
-// closeChunk finishes the current chunk; its final piece joins the
-// pending window.
-func (l *StreamLoader) closeChunk() {
-	l.cutPiece()
-	l.tail = nil
+	if k := len(piece.recs) - 1; midChunk && k >= 0 {
+		c.recs = []event.Record{piece.recs[k]}
+		next.place(c.recs, nil)
+		piece.recs, piece.globals, args = piece.recs[:k], piece.globals[:k], args-next.argWords
+	}
+	l.pendStrs = append(l.pendStrs, c.place.strings...)
+	c.place = next
+	c.anchorMark = len(l.scan.Meta.Anchors)
+	if len(piece.recs) > 0 {
+		l.pending = append(l.pending, piece)
+		l.pendRecs += len(piece.recs)
+		l.pendArgs += args
+	}
 }
 
 // flushWindow merges the pending chunk pieces into one columnar segment
@@ -619,22 +402,19 @@ func (l *StreamLoader) flushWindow() error {
 	l.pending = l.pending[:0]
 	l.pendRecs, l.pendArgs = 0, 0
 	l.acc.fold(seg, l.strings)
-	// Folded side effects cannot be rolled back any more: advance the
-	// current chunk's drop marks past everything just flushed.
-	l.cur.strMark = 0
-	l.cur.anchorMark = len(l.meta.Anchors)
 	return nil
 }
 
-// Bytes returns the number of stream bytes received so far.
-// Events reports how many records have been decoded so far; like Bytes
-// it is safe to call concurrently with Write.
+// Events reports how many records have been decoded so far; it is safe
+// to call concurrently with Write.
 func (l *StreamLoader) Events() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.decoded
 }
 
+// Bytes returns the number of stream bytes received so far; like Events
+// it is safe to call concurrently with Write.
 func (l *StreamLoader) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -668,27 +448,24 @@ func (l *StreamLoader) Finish() (*StreamResult, error) {
 	}
 	if !l.finished {
 		l.finished = true
-		switch l.stage {
-		case stageHeader:
+		switch {
+		case l.scan.Header.Version == 0:
 			// Batch: too short to hold a header at all.
 			return nil, l.fail(traceio.ErrBadMagic)
-		case stageChunkData:
+		case l.inChunk:
 			// Ended inside a chunk: batch Parse drops a chunk whose
-			// data was cut off, so undo this chunk's un-flushed side
+			// data was cut off, so undo this chunk's uncommitted side
 			// effects (records, string defs, issues, live anchors). A
-			// window-sized chunk may have folded earlier pieces already;
+			// window-sized chunk may have cut earlier pieces already;
 			// those stay — bounded memory made them irreversible.
 			c := &l.cur
-			l.tail = nil
 			l.issues = l.issues[:c.issueMark]
-			l.pendStrs = l.pendStrs[:c.strMark]
-			l.meta.Anchors = l.meta.Anchors[:c.anchorMark]
+			l.scan.Meta.Anchors = l.scan.Meta.Anchors[:c.anchorMark]
 			l.decoded -= int64(len(c.recs))
-			c.recs, c.globals = nil, nil
-			c.argWords = 0
+			l.cur = streamChunk{}
 			l.truncated = true
-		case stageMetaLen, stageMeta, stageChunk, stageFooter:
-			l.truncated = true
+		case !l.done:
+			l.truncated = true // no footer
 		}
 		if err := l.flushWindow(); err != nil {
 			return nil, l.fail(err)
@@ -716,15 +493,6 @@ func (l *StreamLoader) snapshotLocked(final bool) *StreamResult {
 		strings:   l.strings,
 		bytes:     l.total(),
 	})
-}
-
-// checkStreamCtx polls ctx once per ctx-stride records, mirroring the
-// batch decoder's cadence.
-func checkStreamCtx(ctx context.Context, n int) error {
-	if n%4096 == 0 {
-		return ctx.Err()
-	}
-	return nil
 }
 
 // StreamFile streams an on-disk trace through a StreamLoader in bounded

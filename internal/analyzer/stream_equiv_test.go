@@ -10,6 +10,8 @@ package analyzer_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"os"
 	"reflect"
 	"sync"
@@ -109,6 +111,9 @@ func streamIn(t *testing.T, data []byte, writeSize int, opts analyzer.StreamOpti
 	res, err := l.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
+	}
+	if l.Events() != res.Events {
+		t.Fatalf("Events() reports %d after Finish, the result holds %d", l.Events(), res.Events)
 	}
 	return res
 }
@@ -235,6 +240,31 @@ func TestStreamWriteSlicings(t *testing.T) {
 	}
 }
 
+// TestStreamMidChunkCuts sweeps window sizes small enough that every
+// chunk is cut into many pieces, so the cuts land on every record
+// boundary in turn — including the ones between a TRACE_FLUSH record and
+// the earlier-stamped record written after it, the out-of-order pair
+// each flush leaves in an SPE chunk. Pieces are sorted one at a time, so
+// a cut that separates such a pair would fold the two in the wrong order
+// (one window size does not show it: most boundaries are harmless).
+func TestStreamMidChunkCuts(t *testing.T) {
+	data := traceWorkload(t, "synthetic")
+	want := loadBatch(t, data)
+	for window := int64(300); window < 12000; window += 97 {
+		for _, writeSize := range []int{977, len(data)} {
+			got := streamIn(t, data, writeSize, analyzer.StreamOptions{
+				Limits:      analyzer.Limits{StreamWindowBytes: window},
+				GapMinTicks: want.minGap,
+				Validate:    true,
+			})
+			if !reflect.DeepEqual(got.Summary, want.summary) || !reflect.DeepEqual(got.Profile, want.profile) ||
+				!reflect.DeepEqual(got.Gaps, want.gaps) || !reflect.DeepEqual(got.Trace.Issues, want.tr.Issues) {
+				t.Errorf("window %d, writes of %d: stream results differ from batch", window, writeSize)
+			}
+		}
+	}
+}
+
 // TestStreamTruncationMatchesBatch cuts the trace at arbitrary byte
 // offsets and asserts the streaming loader lands in the same truncation
 // state as batch Parse+FromFile: same summary, same issues, same
@@ -290,6 +320,57 @@ func TestStreamTruncationMatchesBatch(t *testing.T) {
 				t.Errorf("confidence differs:\nstream %+v\nbatch  %+v", got.Trace.Confidence, want.tr.Confidence)
 			}
 		})
+	}
+}
+
+// TestStreamEveryPrefixMatchesBatch cuts one small trace at every byte
+// offset and streams each prefix byte-at-a-time, in 7-byte writes and in
+// one write. Whatever batch Parse+FromFile makes of the prefix — an
+// error, a truncated load, the complete trace — the stream must make the
+// same: identical error text, Header, Meta, Issues, Truncated and event
+// count. The default window keeps every chunk in one piece, so the
+// drop-the-cut-off-chunk rollback is exact.
+func TestStreamEveryPrefixMatchesBatch(t *testing.T) {
+	data := buildColFuzzTrace(t)
+	for cut := 0; cut <= len(data); cut++ {
+		prefix := data[:cut]
+		var tr *analyzer.Trace
+		f, batchErr := traceio.Parse(prefix)
+		if batchErr == nil {
+			tr, batchErr = analyzer.FromFile(f)
+		}
+		for _, writeSize := range []int{1, 7, cut} {
+			l := analyzer.NewStreamLoader(analyzer.StreamOptions{})
+			var res *analyzer.StreamResult
+			var err error
+			for off := 0; off < cut && err == nil; off += writeSize {
+				_, err = l.Write(prefix[off:min(off+writeSize, cut)])
+			}
+			if err == nil {
+				res, err = l.Finish()
+			}
+			if batchErr != nil || err != nil {
+				if batchErr == nil || err == nil || batchErr.Error() != err.Error() {
+					t.Fatalf("cut %d, writes of %d: stream error %v, batch error %v", cut, writeSize, err, batchErr)
+				}
+				continue
+			}
+			got := res.Trace
+			if got.Header != tr.Header || !reflect.DeepEqual(got.Meta, tr.Meta) {
+				t.Fatalf("cut %d, writes of %d: header/meta differ:\nstream %+v %+v\nbatch  %+v %+v",
+					cut, writeSize, got.Header, got.Meta, tr.Header, tr.Meta)
+			}
+			if got.Truncated != tr.Truncated || res.Complete == tr.Truncated {
+				t.Fatalf("cut %d, writes of %d: stream truncated=%v complete=%v, batch truncated=%v",
+					cut, writeSize, got.Truncated, res.Complete, tr.Truncated)
+			}
+			if !reflect.DeepEqual(got.Issues, tr.Issues) {
+				t.Fatalf("cut %d, writes of %d: issues differ:\nstream %v\nbatch  %v", cut, writeSize, got.Issues, tr.Issues)
+			}
+			if res.Events != int64(tr.NumEvents()) {
+				t.Fatalf("cut %d, writes of %d: stream %d events, batch %d", cut, writeSize, res.Events, tr.NumEvents())
+			}
+		}
 	}
 }
 
@@ -402,4 +483,48 @@ func TestStreamLimits(t *testing.T) {
 			t.Fatal("expected the decode budget to reject the stream")
 		}
 	})
+
+	// The declared-length and per-chunk caps: the stream must fail with
+	// the batch path's exact error, and — fed a byte at a time — no later
+	// than the byte that completes the offending declaration, so a
+	// declared 4 GB blob is refused before any of it is buffered.
+	chunk0 := 27 + int(binary.LittleEndian.Uint32(data[23:27])) // header, metadata length, metadata
+	rec4 := chunk0 + 12                                         // end of the first chunk's fourth record
+	for i := 0; i < 4; i++ {
+		for data[rec4] == 0 {
+			rec4++
+		}
+		rec4 += int(data[rec4])
+	}
+	for _, tc := range []struct {
+		name  string
+		lim   analyzer.Limits
+		bound int // the stream must have failed once this many bytes are in
+	}{
+		{"meta-bytes", analyzer.Limits{MaxMetaBytes: 8}, 27},
+		{"chunk-bytes", analyzer.Limits{MaxChunkBytes: 16}, chunk0 + 12},
+		{"chunk-records", analyzer.Limits{MaxRecords: 3}, rec4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, batchErr := traceio.ParseContext(context.Background(), data, tc.lim)
+			if batchErr == nil {
+				_, batchErr = analyzer.FromFileContext(context.Background(), f, tc.lim)
+			}
+			if !errors.Is(batchErr, analyzer.ErrLimitExceeded) {
+				t.Fatalf("batch path: want ErrLimitExceeded, got %v", batchErr)
+			}
+			l := analyzer.NewStreamLoader(analyzer.StreamOptions{Limits: tc.lim})
+			var failed error
+			n := 0
+			for ; n < len(data) && failed == nil; n++ {
+				_, failed = l.Write(data[n : n+1])
+			}
+			if failed == nil || failed.Error() != batchErr.Error() {
+				t.Fatalf("stream error %v, batch error %v", failed, batchErr)
+			}
+			if n > tc.bound {
+				t.Fatalf("stream rejected after %d bytes, the declaration is complete at %d", n, tc.bound)
+			}
+		})
+	}
 }

@@ -1,8 +1,6 @@
 package analyzer
 
 import (
-	"fmt"
-
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
 	"github.com/celltrace/pdt/internal/core/traceio"
 )
@@ -33,10 +31,11 @@ type snapshotInput struct {
 // streamAccumulators folds merged segments into every kernel the stream
 // reports. All calls happen under the owning StreamLoader's mutex.
 type streamAccumulators struct {
-	header traceio.Header
-	// meta points at the loader's metadata so anchors appended by
-	// in-band LiveAnchor records are visible without re-plumbing.
-	meta *traceio.Meta
+	// header and meta point into the loader's framing scanner: filled in
+	// when the stream's prefix arrives, and meta.Anchors grows with every
+	// in-band LiveAnchor record.
+	header *traceio.Header
+	meta   *traceio.Meta
 
 	sum  summaryAcc
 	prof profileAcc
@@ -46,8 +45,8 @@ type streamAccumulators struct {
 	val  *validateAcc // nil unless StreamOptions.Validate
 }
 
-func newStreamAccumulators(opts StreamOptions) *streamAccumulators {
-	a := &streamAccumulators{gaps: gapsAcc{minTicks: opts.GapMinTicks}}
+func newStreamAccumulators(opts StreamOptions, header *traceio.Header, meta *traceio.Meta) *streamAccumulators {
+	a := &streamAccumulators{header: header, meta: meta, gaps: gapsAcc{minTicks: opts.GapMinTicks}}
 	if opts.Validate {
 		a.val = &validateAcc{}
 	}
@@ -58,7 +57,7 @@ func newStreamAccumulators(opts StreamOptions) *streamAccumulators {
 // string table, already updated with every StringDef up to and
 // including this segment.
 func (a *streamAccumulators) fold(seg *colstore.Store, strings map[uint64]string) {
-	a.sum.cpt = cyclesPerTick(&a.header)
+	a.sum.cpt = cyclesPerTick(a.header)
 	a.sum.fold(seg)
 	a.prof.fold(seg)
 	a.ppe.fold(seg)
@@ -85,19 +84,8 @@ func (a *streamAccumulators) snapshot(in snapshotInput) *StreamResult {
 	if in.final && a.val != nil {
 		valIssues = a.val.result(&meta, conf, in.truncated)
 	}
-	issues := make([]Issue, 0, len(in.issues)+len(meta.Drops)+len(valIssues)+1)
-	if in.truncated {
-		issues = append(issues, Issue{"warn", "trace is truncated (crashed or incomplete run)"})
-	}
-	for _, d := range meta.Drops {
-		issues = append(issues,
-			Issue{"warn", fmt.Sprintf("SPE %d dropped %d records (main trace region full)", d.SPE, d.Count)})
-	}
-	issues = append(issues, in.issues...)
-	issues = append(issues, valIssues...)
-	if len(issues) == 0 {
-		issues = nil // batch leaves Issues nil on clean traces
-	}
+	// Nil on a clean trace, like the batch load's.
+	issues := append(append(fileIssues(in.truncated, meta.Drops), in.issues...), valIssues...)
 
 	strs := make(map[uint64]string, len(in.strings))
 	for k, v := range in.strings {
@@ -106,7 +94,7 @@ func (a *streamAccumulators) snapshot(in snapshotInput) *StreamResult {
 	s := a.sum.result(&meta, conf)
 	return &StreamResult{
 		Trace: &Trace{
-			Header:     a.header,
+			Header:     *a.header,
 			Meta:       meta,
 			Strings:    strs,
 			Truncated:  in.truncated,

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"github.com/celltrace/pdt/internal/core/event"
 )
@@ -235,6 +236,93 @@ func ReadContext(ctx context.Context, r io.Reader, lim Limits) (*File, error) {
 	return ParseContext(ctx, data, lim)
 }
 
+// Framing element kinds reported by Scanner.Next.
+const (
+	// ElemNeedMore: the input ends inside the element at its front.
+	ElemNeedMore = iota
+	// ElemPrefix: the file header and metadata blob, now in
+	// Scanner.Header and Scanner.Meta.
+	ElemPrefix
+	// ElemChunk: a chunk header; its dataLen data bytes follow.
+	ElemChunk
+	// ElemFooter: the footer, its stored file CRC in Chunk.CRC.
+	ElemFooter
+	// ElemBadFooter: a footer magic byte that does not start a footer.
+	// Readers stop here and call the trace truncated.
+	ElemBadFooter
+)
+
+// Scanner parses the file framing — prefix, chunk headers, footer — one
+// element at a time. It is the only reader of that layout: ParseContext
+// walks it over a whole image and analyzer.StreamLoader over whatever
+// prefix of the stream has arrived, so the two cannot disagree on what
+// the bytes mean. It never touches chunk data and keeps no offset;
+// callers own both, and the running file CRC.
+type Scanner struct {
+	Lim Limits
+	// Header is set once the fixed header has been seen (Version is then
+	// non-zero) — before Next reports ElemPrefix when the metadata is
+	// still incomplete. Meta is set when Next reports ElemPrefix.
+	Header Header
+	Meta   Meta
+
+	prefixed bool
+}
+
+// Next parses the framing element at the front of buf, which starts at
+// absolute offset off of the trace (used in error text only). n is the
+// element's length; for ElemChunk, c carries the header fields and the
+// chunk's dataLen data bytes follow the n header bytes. Declared lengths
+// over Lim fail with ErrLimitExceeded as soon as the length field is
+// visible, before anything that long is buffered or sliced.
+func (s *Scanner) Next(buf []byte, off int64) (kind int, c Chunk, dataLen, n int, err error) {
+	if !s.prefixed {
+		if len(buf) < headerLen {
+			return ElemNeedMore, c, 0, 0, nil
+		}
+		f, size, err := parseHeaderMeta(buf, s.Lim)
+		if err != nil {
+			return 0, c, 0, 0, err
+		}
+		s.Header = f.Header
+		if f.Truncated {
+			return ElemNeedMore, c, 0, 0, nil
+		}
+		s.Meta, s.prefixed = f.Meta, true
+		return ElemPrefix, c, 0, size, nil
+	}
+	if len(buf) == 0 {
+		return ElemNeedMore, c, 0, 0, nil
+	}
+	if buf[0] == FooterMagic[0] {
+		if len(buf) < 8 {
+			return ElemNeedMore, c, 0, 0, nil
+		}
+		if string(buf[:4]) != FooterMagic {
+			return ElemBadFooter, c, 0, 0, nil
+		}
+		c.CRC = binary.LittleEndian.Uint32(buf[4:8])
+		return ElemFooter, c, 0, 8, nil
+	}
+	if buf[0] != ChunkMagic {
+		return 0, c, 0, 0, fmt.Errorf("%w: bad chunk magic %#x at offset %d", ErrCorrupt, buf[0], off)
+	}
+	n = chunkHeaderLen(s.Header.Version)
+	if len(buf) < n {
+		return ElemNeedMore, c, 0, 0, nil
+	}
+	c.Core = buf[1]
+	c.AnchorIdx = binary.LittleEndian.Uint16(buf[2:4])
+	dataLen = int(binary.LittleEndian.Uint32(buf[4:8]))
+	if s.Lim.MaxChunkBytes > 0 && dataLen > s.Lim.MaxChunkBytes {
+		return 0, c, 0, 0, limitErr(fmt.Sprintf("chunk at offset %d declares", off), int64(dataLen), int64(s.Lim.MaxChunkBytes))
+	}
+	if n == 12 {
+		c.CRC = binary.LittleEndian.Uint32(buf[8:12])
+	}
+	return ElemChunk, c, dataLen, n, nil
+}
+
 // Parse parses a trace from memory with no deadline and no resource
 // limits (the historical trusted-operator contract). On a footer CRC
 // mismatch it returns the structurally complete *File alongside ErrCRC,
@@ -250,79 +338,55 @@ func Parse(data []byte) (*File, error) {
 // ErrLimitExceeded before any length-proportional work happens. Declared
 // lengths are never trusted for allocation — chunk data is sliced from
 // the input, so the per-chunk footprint is capped by
-// min(declared, remaining input bytes) even with no limits set.
+// min(declared, remaining input bytes) even with no limits set. Bytes
+// after the footer are ignored.
 func ParseContext(ctx context.Context, data []byte, lim Limits) (*File, error) {
 	if lim.MaxFileBytes > 0 && int64(len(data)) > lim.MaxFileBytes {
 		return nil, limitErr("file size", int64(len(data)), lim.MaxFileBytes)
 	}
-	f, off, err := parseHeaderMeta(data, lim)
-	if err != nil || f.Truncated {
-		return orNil(f, err)
-	}
-	chdr := chunkHeaderLen(f.Header.Version)
-
-	// Chunks until footer or truncation.
-	for iter := 0; off < len(data); iter++ {
-		if err := checkEvery(ctx, iter); err != nil {
+	s := Scanner{Lim: lim}
+	f := &File{}
+	for off, iter := 0, 0; ; iter++ {
+		kind, c, dataLen, n, err := s.Next(data[off:], int64(off))
+		if err != nil {
 			return nil, err
 		}
-		if data[off] == FooterMagic[0] {
-			if len(data)-off < 8 || string(data[off:off+4]) != FooterMagic {
+		switch kind {
+		case ElemPrefix:
+			f.Header, f.Meta = s.Header, s.Meta
+		case ElemChunk:
+			if dataLen > len(data)-off-n {
+				// Final chunk cut off mid-data (crashed run): dropped.
 				f.Truncated = true
 				return f, nil
 			}
-			want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-			got := crc32.ChecksumIEEE(data[:off])
-			if got != want {
-				return f, fmt.Errorf("%w: got %#x want %#x", ErrCRC, got, want)
+			c.Data = data[off+n : off+n+dataLen]
+			f.Chunks = append(f.Chunks, c)
+			n += dataLen
+		case ElemFooter:
+			if got := crc32.ChecksumIEEE(data[:off]); got != c.CRC {
+				return f, fmt.Errorf("%w: got %#x want %#x", ErrCRC, got, c.CRC)
 			}
 			return f, nil
-		}
-		if data[off] != ChunkMagic {
-			return nil, fmt.Errorf("%w: bad chunk magic %#x at offset %d", ErrCorrupt, data[off], off)
-		}
-		if len(data)-off < chdr {
-			f.Truncated = true
+		default: // ElemNeedMore, ElemBadFooter: no footer where one is due
+			if s.Header.Version == 0 {
+				return nil, ErrBadMagic // too short to hold a header at all
+			}
+			f.Header, f.Truncated = s.Header, true
 			return f, nil
 		}
-		c := Chunk{
-			Core:      data[off+1],
-			AnchorIdx: binary.LittleEndian.Uint16(data[off+2 : off+4]),
+		off += n
+		if err := checkEvery(ctx, iter); err != nil {
+			return nil, err
 		}
-		clen := int(binary.LittleEndian.Uint32(data[off+4 : off+8]))
-		if lim.MaxChunkBytes > 0 && clen > lim.MaxChunkBytes {
-			return nil, limitErr(fmt.Sprintf("chunk at offset %d declares", off), int64(clen), int64(lim.MaxChunkBytes))
-		}
-		if chdr == 12 {
-			c.CRC = binary.LittleEndian.Uint32(data[off+8 : off+12])
-		}
-		off += chdr
-		if off+clen > len(data) {
-			f.Truncated = true
-			return f, nil
-		}
-		c.Data = data[off : off+clen]
-		f.Chunks = append(f.Chunks, c)
-		off += clen
 	}
-	f.Truncated = true // ran out of bytes without seeing a footer
-	return f, nil
-}
-
-// orNil drops the partial file for errors other than ErrCRC, preserving
-// the strict contract that only checksum failures carry data out.
-func orNil(f *File, err error) (*File, error) {
-	if err != nil && !errors.Is(err, ErrCRC) {
-		return nil, err
-	}
-	return f, err
 }
 
 // parseHeaderMeta parses the fixed header and metadata blob, returning the
 // offset of the first chunk. A truncated prefix sets f.Truncated with no
 // error, mirroring Parse's tolerance for crashed writes. A metadata blob
 // declaring more than lim.MaxMetaBytes is rejected before the XML decoder
-// sees it.
+// sees it, whether or not the blob itself is present.
 func parseHeaderMeta(data []byte, lim Limits) (*File, int, error) {
 	if len(data) < headerLen || string(data[:4]) != Magic {
 		return nil, 0, ErrBadMagic
@@ -366,40 +430,50 @@ func DecodeChunk(c Chunk) (recs []event.Record, truncated bool, err error) {
 }
 
 // DecodeChunkContext decodes one chunk under cancellation and a per-chunk
-// record cap (lim.MaxRecords; 0 = unlimited). The preallocation is sized
-// from the bytes actually present in the chunk — never from any
-// header-declared length — so a hostile header cannot drive allocation
-// beyond min(declared, remaining) bytes of real input.
+// record cap (lim.MaxRecords; 0 = unlimited).
 func DecodeChunkContext(ctx context.Context, c Chunk, lim Limits) (recs []event.Record, truncated bool, err error) {
-	data := c.Data
-	// Pre-scan the framing for the exact record and argument-word counts
-	// (an upper bound under corruption, see event.ScanChunk), so decoding
-	// never regrows either slice: one record slice zeroed to its real
-	// size instead of a len/MinRecordSize guess, and one shared argument
-	// arena for the whole chunk so records do not allocate individually.
-	// The arena never reallocating is a correctness requirement, not a
-	// speed win — every decoded record's Args aliases it.
+	recs, n, err := DecodeRecords(ctx, c.Core, c.Data, nil, 0, lim)
+	return recs, err == nil && n < len(c.Data), err
+}
+
+// DecodeRecords is the record loop: it decodes every complete record at
+// the front of data — a whole chunk, or the piece of one that has
+// arrived — appending to recs, and returns the bytes consumed. Without an
+// error, data[n:] is a trailing partial record: truncation at the end of
+// a chunk, the start of the next piece before it. before is the number
+// of records earlier pieces of the same chunk produced, so the per-chunk
+// lim.MaxRecords cap (0 = unlimited) and the ctx poll count the chunk,
+// not the piece. Structural corruption and the cap return an error
+// alongside the records decoded so far; core only labels those errors.
+//
+// Each call pre-scans its data for the exact record and argument-word
+// counts (an upper bound under corruption, see event.ScanChunk), so recs
+// grows at most once and the call's records share one argument arena
+// instead of allocating individually. The sizes come from bytes actually
+// present — never from a header-declared length — so a hostile header
+// cannot drive allocation beyond the real input. The arena never
+// reallocating is a correctness requirement, not a speed win: every
+// decoded record's Args aliases it.
+func DecodeRecords(ctx context.Context, core uint8, data []byte, recs []event.Record, before int, lim Limits) (out []event.Record, n int, err error) {
 	est, words := event.ScanChunk(data)
-	if lim.MaxRecords > 0 && est > lim.MaxRecords {
-		est = lim.MaxRecords + 1 // room for the record that trips the cap
+	if room := lim.MaxRecords + 1 - before; lim.MaxRecords > 0 && est > room {
+		est = room // up to and including the record that trips the cap
 	}
 	var arena []uint64
 	if est > 0 {
-		recs = make([]event.Record, 0, est)
+		recs = slices.Grow(recs, est)
 		arena = make([]uint64, 0, words)
 	}
-	for len(data) > 0 {
-		if err := checkEvery(ctx, len(recs)); err != nil {
-			return recs, false, err
+	count := before
+	for n < len(data) {
+		if err := checkEvery(ctx, count); err != nil {
+			return recs, n, err
 		}
-		if data[0] == 0 {
+		if data[n] == 0 {
 			// DMA-alignment padding between buffer flushes: skip the
 			// whole zero run at once.
-			n := 1
-			for n < len(data) && data[n] == 0 {
-				n++
+			for n++; n < len(data) && data[n] == 0; n++ {
 			}
-			data = data[n:]
 			continue
 		}
 		// Decode straight into the next slot of the pre-sized slice; the
@@ -411,20 +485,19 @@ func DecodeChunkContext(ctx context.Context, c Chunk, lim Limits) (recs []event.
 		} else {
 			recs = append(recs, event.Record{})
 		}
-		n, nextArena, derr := event.DecodeNext(&recs[len(recs)-1], data, arena)
+		size, nextArena, derr := event.DecodeNext(&recs[len(recs)-1], data[n:], arena)
 		arena = nextArena
 		if derr != nil {
 			recs = recs[:len(recs)-1]
 			if errors.Is(derr, event.ErrShortRecord) {
-				return recs, true, nil
+				return recs, n, nil
 			}
-			return recs, false, fmt.Errorf("traceio: core %d: %w", c.Core, derr)
+			return recs, n, fmt.Errorf("traceio: core %d: %w", core, derr)
 		}
-		if lim.MaxRecords > 0 && len(recs) > lim.MaxRecords {
-			return recs, false, limitErr(fmt.Sprintf("core %d record count", c.Core),
-				int64(len(recs)), int64(lim.MaxRecords))
+		n += size
+		if count++; lim.MaxRecords > 0 && count > lim.MaxRecords {
+			return recs, n, limitErr(fmt.Sprintf("core %d record count", core), int64(count), int64(lim.MaxRecords))
 		}
-		data = data[n:]
 	}
-	return recs, false, nil
+	return recs, n, nil
 }

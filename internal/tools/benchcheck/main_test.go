@@ -46,7 +46,7 @@ func TestCompare(t *testing.T) {
 		"b": {NsOp: 1300, BOp: 999, AllocsOp: 99}, // +30% time: regression; allocs unbaselined
 		// c missing entirely
 	}
-	bad := compare(base, got, 0.25)
+	bad, _ := compare(base, got, 0.25, true)
 	if len(bad) != 2 {
 		t.Fatalf("compare flagged %d entries, want 2: %v", len(bad), bad)
 	}
@@ -61,15 +61,24 @@ func TestCompare(t *testing.T) {
 		"b": {NsOp: 1000, BOp: -1, AllocsOp: -1},
 		"c": {NsOp: 1249, BOp: 124, AllocsOp: 12},
 	}
-	if bad = compare(base, clean, 0.25); len(bad) != 0 {
+	if bad, _ = compare(base, clean, 0.25, true); len(bad) != 0 {
 		t.Fatalf("clean run flagged: %v", bad)
+	}
+	// Short sizes do not gate time: b's +30% becomes a note, the missing
+	// benchmark still fails.
+	bad, notes := compare(base, got, 0.25, false)
+	if len(bad) != 1 || !strings.Contains(bad[0], "c:") {
+		t.Fatalf("ungated time: flagged %v, want only the missing benchmark", bad)
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "b:") || !strings.Contains(notes[0], "ns/op") {
+		t.Fatalf("ungated time: notes %v, want b's ns/op", notes)
 	}
 }
 
 func TestCompareAllocRegression(t *testing.T) {
 	base := map[string]metrics{"a": {NsOp: 1000, BOp: 100, AllocsOp: 10}}
 	got := map[string]metrics{"a": {NsOp: 1000, BOp: 200, AllocsOp: 20}}
-	bad := compare(base, got, 0.25)
+	bad, _ := compare(base, got, 0.25, false)
 	if len(bad) != 2 {
 		t.Fatalf("compare flagged %d entries, want B/op and allocs/op: %v", len(bad), bad)
 	}
@@ -79,7 +88,7 @@ func TestCompareAllocRegression(t *testing.T) {
 	// A benchmark that newly reports allocations against a baseline
 	// without them (-1) must not be flagged on the alloc metrics.
 	base = map[string]metrics{"a": {NsOp: 1000, BOp: -1, AllocsOp: -1}}
-	if bad = compare(base, got, 0.25); len(bad) != 0 {
+	if bad, _ = compare(base, got, 0.25, true); len(bad) != 0 {
 		t.Fatalf("unbaselined alloc metrics flagged: %v", bad)
 	}
 }
