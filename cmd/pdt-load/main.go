@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/celltrace/pdt/internal/analyzer/cache"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/harness"
 )
@@ -52,16 +53,6 @@ var loadParams = map[string]map[string]string{
 	"sort":      {"elements": "8192", "chunk": "1024"},
 	"nbody":     {"n": "64"},
 	"taskfarm":  {"tasks": "16", "blockbytes": "1024"},
-}
-
-// analysisKinds are the synchronous endpoints pdt-load can target
-// (diff is excluded: it takes a two-trace body).
-var analysisKinds = map[string]bool{
-	"summary":  true,
-	"profile":  true,
-	"gaps":     true,
-	"critpath": true,
-	"doctor":   true,
 }
 
 // summary is the JSON document printed after a run.
@@ -122,8 +113,10 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-chunk-bytes must be positive")
 		}
 	} else {
+		// Any synchronous single-trace endpoint can be targeted (diff is
+		// excluded: it takes a two-trace body).
 		for _, k := range kinds {
-			if !analysisKinds[k] {
+			if !cache.ValidKind(k) {
 				return fmt.Errorf("unknown analysis kind %q", k)
 			}
 		}

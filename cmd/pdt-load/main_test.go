@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/celltrace/pdt/internal/analyzer/cache"
 )
 
 // stub returns a test server that answers every POST with the given
@@ -168,6 +172,33 @@ func TestRunFlagValidation(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) accepted, want error", args)
+		}
+	}
+}
+
+// TestRunAcceptsEveryAnalysisKind: every kind the daemon serves is a
+// valid -kinds value and is replayed against its own /v1/<kind> route.
+func TestRunAcceptsEveryAnalysisKind(t *testing.T) {
+	var mu sync.Mutex
+	paths := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths[r.URL.Path]++
+		mu.Unlock()
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	defer ts.Close()
+
+	var out bytes.Buffer
+	err := run([]string{"-targets", ts.URL, "-workloads", "julia",
+		"-kinds", strings.Join(cache.AnalysisKinds, ","),
+		"-requests", fmt.Sprint(2 * len(cache.AnalysisKinds)), "-concurrency", "2"}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.Bytes())
+	}
+	for _, kind := range cache.AnalysisKinds {
+		if paths["/v1/"+kind] != 2 {
+			t.Errorf("/v1/%s saw %d requests, want 2 (all paths: %v)", kind, paths["/v1/"+kind], paths)
 		}
 	}
 }

@@ -4,6 +4,7 @@
 // Usage:
 //
 //	pdt-ta summary trace.pdt
+//	pdt-ta profile -json trace.pdt
 //	pdt-ta report trace.pdt
 //	pdt-ta timeline -width 100 trace.pdt
 //	pdt-ta svg -o timeline.svg trace.pdt
@@ -19,6 +20,10 @@
 //	pdt-ta diff baseline.pdt instrumented.pdt
 //	pdt-ta diff -mode align before.pdt after.pdt
 //	pdt-ta cycles trace.pdt
+//
+// The analysis kinds (summary, profile, gaps, critpath, cycles) come from
+// internal/analyzer/kinds: each prints text, or with -json the bytes
+// pdt-tad's POST /v1/<kind> serves.
 package main
 
 import (
@@ -29,12 +34,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
 	"github.com/celltrace/pdt/internal/analyzer"
-	"github.com/celltrace/pdt/internal/analyzer/cycles"
 	"github.com/celltrace/pdt/internal/analyzer/diff"
+	"github.com/celltrace/pdt/internal/analyzer/kinds"
 	"github.com/celltrace/pdt/internal/core/traceio"
 )
 
@@ -70,37 +76,35 @@ func loadFriendly(ctx context.Context, path string) (*analyzer.Trace, error) {
 // combined report costs about as much wall-clock as its slowest section.
 func report(tr *analyzer.Trace, out io.Writer) error {
 	analyzer.Validate(tr)
-	var (
-		sum    *analyzer.Summary
-		pairs  []analyzer.PairProfile
-		gapMin uint64
-		gaps   []analyzer.Gap
-		cp     *analyzer.CriticalPath
-	)
+	// The sections, in kinds.All order, under the headings they have
+	// always had; a kind without a heading (cycles) is not in the report.
+	headings := map[string]string{
+		"summary": "", "profile": "\ninterval profile:\n", "gaps": "\n", "critpath": "\n",
+	}
+	vals := make([]any, len(kinds.All))
 	var wg sync.WaitGroup
-	for _, task := range []func(){
-		func() { sum = analyzer.Summarize(tr) },
-		func() { pairs = analyzer.Profile(tr) },
-		func() { gapMin = analyzer.SuggestGapThreshold(tr); gaps = analyzer.FindGaps(tr, gapMin) },
-		func() { cp = analyzer.ComputeCriticalPath(tr) },
-	} {
-		wg.Add(1)
-		go func(f func()) { defer wg.Done(); f() }(task)
+	for i, k := range kinds.All {
+		if _, ok := headings[k.Name]; ok {
+			wg.Add(1)
+			go func() { defer wg.Done(); vals[i] = k.Compute(tr) }()
+		}
 	}
 	wg.Wait()
-
-	analyzer.Report(tr, sum, out)
-	fmt.Fprintf(out, "\ninterval profile:\n")
-	analyzer.WriteProfilePairs(tr, pairs, out)
-	fmt.Fprintln(out)
-	analyzer.WriteGapsFound(gapMin, gaps, 15, out)
-	fmt.Fprintln(out)
-	analyzer.WriteCriticalPathFrom(cp, out, 10)
+	for i, k := range kinds.All {
+		if heading, ok := headings[k.Name]; ok {
+			fmt.Fprint(out, heading)
+			k.Text(tr, vals[i], 0, out)
+		}
+	}
 	return nil
 }
 
 func usage() error {
-	return fmt.Errorf("usage: pdt-ta <summary|report|timeline|svg|html|csv|json|validate|doctor|events|profile|tags|intervals|slack|bw|compensate|critpath|gaps|cycles|compare|diff> [flags] trace.pdt [trace2.pdt]")
+	names := make([]string, len(kinds.All))
+	for i, k := range kinds.All {
+		names[i] = k.Name
+	}
+	return fmt.Errorf("usage: pdt-ta <%s|report|timeline|svg|html|csv|json|validate|doctor|events|tags|intervals|slack|bw|compensate|compare|diff> [flags] trace.pdt [trace2.pdt]", strings.Join(names, "|"))
 }
 
 func run(args []string, out io.Writer) error {
@@ -115,7 +119,7 @@ func run(args []string, out io.Writer) error {
 	svgOut := fs.String("o", "", "output path (svg; empty = stdout)")
 	maxEvents := fs.Int("n", 0, "max events to print (events; 0 = all)")
 	gapTicks := fs.Int("min", 0, "minimum gap ticks (gaps; 0 = auto threshold)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of text (diff, cycles)")
+	asJSON := fs.Bool("json", false, "emit JSON instead of text (every analysis kind, and diff)")
 	mode := fs.String("mode", "", "per-cycle diff mode: match or align (diff; empty = off)")
 	follow := fs.Bool("follow", false, "tail a still-growing trace (pdt-run -live) and report when it seals (summary)")
 	poll := fs.Duration("poll", 500*time.Millisecond, "file poll interval in follow mode")
@@ -158,6 +162,23 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if cmd == "json" { // the historical spelling of `summary -json`
+		cmd, *asJSON = "summary", true
+	}
+	if k, ok := kinds.Lookup(cmd); ok {
+		analyzer.Validate(tr)
+		var v any
+		if min := uint64(*gapTicks); cmd == "gaps" && min > 0 {
+			v = kinds.GapReport{Min: min, Gaps: analyzer.FindGaps(tr, min)}
+		} else {
+			v = k.Compute(tr)
+		}
+		if *asJSON {
+			return k.JSON(tr, v, out)
+		}
+		k.Text(tr, v, *maxEvents, out)
+		return nil
+	}
 
 	switch cmd {
 	case "compare":
@@ -177,13 +198,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *asJSON {
-			return rep.WriteJSON(out)
-		}
-		rep.Write(out)
-		return nil
-	case "cycles":
-		rep := cycles.Detect(tr, cycles.Options{})
 		if *asJSON {
 			return rep.WriteJSON(out)
 		}
@@ -209,9 +223,6 @@ func run(args []string, out io.Writer) error {
 				st.Run, st.Core, st.Waits, st.Slack.Mean(), st.Slack.Max, st.WaitDur.Mean())
 		}
 		return nil
-	case "profile":
-		analyzer.WriteProfile(tr, out)
-		return nil
 	case "tags":
 		fmt.Fprintf(out, "%-4s %8s %14s\n", "tag", "cmds", "bytes")
 		for _, ts := range analyzer.TagBreakdown(tr) {
@@ -220,20 +231,6 @@ func run(args []string, out io.Writer) error {
 		return nil
 	case "compensate":
 		analyzer.WriteCompensation(tr, out)
-		return nil
-	case "critpath":
-		n := *maxEvents
-		if n <= 0 {
-			n = 10
-		}
-		analyzer.WriteCriticalPath(tr, out, n)
-		return nil
-	case "gaps":
-		n := *maxEvents
-		if n <= 0 {
-			n = 15
-		}
-		analyzer.WriteGaps(tr, uint64(*gapTicks), n, out)
 		return nil
 	case "intervals":
 		return analyzer.WriteIntervalsCSV(tr, out)
@@ -249,9 +246,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	switch cmd {
-	case "summary":
-		analyzer.Validate(tr)
-		analyzer.Report(tr, analyzer.Summarize(tr), out)
 	case "report":
 		return report(tr, out)
 	case "timeline":
@@ -265,9 +259,6 @@ func run(args []string, out io.Writer) error {
 		return os.WriteFile(*svgOut, []byte(svg), 0o644)
 	case "csv":
 		return analyzer.WriteCSV(tr, out)
-	case "json":
-		analyzer.Validate(tr)
-		return analyzer.WriteJSON(tr, analyzer.Summarize(tr), out)
 	case "validate":
 		issues := analyzer.Validate(tr)
 		if len(issues) == 0 {

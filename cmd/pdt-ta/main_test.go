@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/celltrace/pdt/internal/analyzer"
+	"github.com/celltrace/pdt/internal/analyzer/cache"
+	"github.com/celltrace/pdt/internal/analyzer/kinds"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/harness"
 )
@@ -242,6 +246,37 @@ func TestCritpathAndGaps(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), ">= 1 ticks") {
 		t.Fatalf("gaps -min output:\n%s", out.String())
+	}
+}
+
+// TestKindJSONMatchesService: for every registered kind, `pdt-ta <kind>
+// -json` prints exactly the artifact the cache renders for the same file
+// — the bytes pdt-tad serves from POST /v1/<kind> — and it is JSON.
+func TestKindJSONMatchesService(t *testing.T) {
+	path := makeTrace(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cache.New(0, 0).Load(context.Background(), data, analyzer.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kinds.All {
+		var out bytes.Buffer
+		if err := run([]string{k.Name, "-json", path}, &out); err != nil {
+			t.Fatalf("%s -json: %v", k.Name, err)
+		}
+		if !json.Valid(out.Bytes()) {
+			t.Errorf("%s -json did not print JSON:\n%s", k.Name, out.Bytes())
+		}
+		want, err := cache.Render(k.Name, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s -json differs from cache.Render(%q)", k.Name, k.Name)
+		}
 	}
 }
 

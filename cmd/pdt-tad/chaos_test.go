@@ -449,14 +449,19 @@ func TestChaosPhaseListsAgree(t *testing.T) {
 	}
 }
 
-// TestJobSyncAllKinds: the degraded (no -state-dir) job endpoint must
-// render every analysis kind byte-identically to its synchronous
-// endpoint — the kind → renderer mapping has no odd one out.
+// TestJobSyncAllKinds: the degraded (no -state-dir) job endpoint and the
+// cache-disabled daemon must both render every analysis kind
+// byte-identically to the cached synchronous endpoint — the kind →
+// renderer mapping has no odd one out.
 func TestJobSyncAllKinds(t *testing.T) {
 	trace := smallTrace(t)
 	_, ts := testServer(t, nil)
+	_, plain := testServer(t, func(c *config) { c.cacheBytes = 0; c.cacheEntries = 0 })
 	for _, kind := range cache.AnalysisKinds {
 		_, want := post(t, ts.URL+"/v1/"+kind, trace)
+		if resp, uncached := post(t, plain.URL+"/v1/"+kind, trace); resp.StatusCode != http.StatusOK || !bytes.Equal(uncached, want) {
+			t.Fatalf("%s: cache-disabled daemon answered status %d, or bytes that differ from the cached daemon's", kind, resp.StatusCode)
+		}
 		resp, got := post(t, ts.URL+"/v1/jobs?kind="+kind, trace)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: degraded submit status %d", kind, resp.StatusCode)

@@ -13,6 +13,7 @@ import (
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/cache"
+	"github.com/celltrace/pdt/internal/analyzer/cycles"
 	"github.com/celltrace/pdt/internal/analyzer/diff"
 	"github.com/celltrace/pdt/internal/core/traceio"
 )
@@ -67,43 +68,36 @@ func diffSides(r *http.Request, data []byte) (a, b []byte, err error) {
 	return a, b, nil
 }
 
-// renderDiff serves POST /v1/diff: load both sides (through the shared
-// content-addressed cache when enabled, so each distinct image loads
-// once no matter how many diffs reference it), diff them, and emit the
-// structured report. A corrupt side comes back as a doctor-style 422
-// naming the side and carrying its recovery report with partial
-// confidence; a workload mismatch or a bad ?mode= is a clear 400.
+// renderDiff serves POST /v1/diff: load both sides through the
+// content-addressed cache (so each distinct image loads once no matter
+// how many diffs reference it), diff them, and emit the structured
+// report. A corrupt side comes back as a doctor-style 422 naming the
+// side and carrying its recovery report with partial confidence; a
+// workload mismatch or a bad ?mode= is a clear 400.
 //
 // The optional ?mode=match|align query parameter turns on the per-cycle
-// layer; with the cache enabled the cycle reports come from the handles'
-// memoized artifacts, so repeated cycle-aware diffs of the same images
-// never re-detect.
+// layer; the critical paths and cycle reports come from the handles'
+// memoized values, so repeated diffs of the same images never recompute
+// them.
 func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte, w io.Writer) error {
 	da, db, err := diffSides(r, data)
 	if err != nil {
 		return err
 	}
-	var trA, trB *analyzer.Trace
-	opt := diff.Options{Mode: r.URL.Query().Get("mode")}
-	if s.cache != nil {
-		ha, hb, err := s.cache.LoadPair(ctx, da, db, s.cfg.limits)
-		if err != nil {
-			return s.diffLoadError(ctx, err)
-		}
-		trA, trB = ha.Trace(), hb.Trace()
-		opt.CritPathA, opt.CritPathB = ha.CriticalPath(), hb.CriticalPath()
-		if opt.Mode != "" {
-			opt.CyclesA, opt.CyclesB = ha.Cycles(), hb.Cycles()
-		}
-	} else {
-		if trA, err = s.loadDiffSide(ctx, "a", da); err != nil {
-			return err
-		}
-		if trB, err = s.loadDiffSide(ctx, "b", db); err != nil {
-			return err
-		}
+	ha, hb, err := s.traces().LoadPair(ctx, da, db, s.cfg.limits)
+	if err != nil {
+		return s.diffLoadError(ctx, err)
 	}
-	rep, err := diff.Diff(trA, trB, opt)
+	opt := diff.Options{
+		Mode:      r.URL.Query().Get("mode"),
+		CritPathA: ha.Value(cache.KindCritPath).(*analyzer.CriticalPath),
+		CritPathB: hb.Value(cache.KindCritPath).(*analyzer.CriticalPath),
+	}
+	if opt.Mode != "" {
+		opt.CyclesA = ha.Value(cache.KindCycles).(*cycles.Report)
+		opt.CyclesB = hb.Value(cache.KindCycles).(*cycles.Report)
+	}
+	rep, err := diff.Diff(ha.Trace(), hb.Trace(), opt)
 	if err != nil {
 		if errors.Is(err, diff.ErrWorkloadMismatch) || errors.Is(err, diff.ErrBadMode) {
 			return &statusError{status: http.StatusBadRequest, err: err}
@@ -111,17 +105,6 @@ func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte, w
 		return err
 	}
 	return rep.WriteJSON(w)
-}
-
-// loadDiffSide is the cache-disabled load of one diff side, with the
-// same corrupt-side mapping as the cached path.
-func (s *server) loadDiffSide(ctx context.Context, side string, data []byte) (*analyzer.Trace, error) {
-	tr, err := analyzer.LoadContext(ctx, data, s.cfg.limits)
-	if err != nil {
-		return nil, s.diffLoadError(ctx, &cache.SideError{Side: side, Err: err, Data: data})
-	}
-	analyzer.Validate(tr)
-	return tr, nil
 }
 
 // diffLoadError maps a one-sided load failure: corrupt bytes become a
@@ -141,14 +124,7 @@ func (s *server) diffLoadError(ctx context.Context, err error) error {
 		Error: fmt.Sprintf("side %s is corrupt: %v — see embedded doctor report", se.Side, se.Err),
 		Side:  se.Side,
 	}
-	var d *analyzer.DoctorReport
-	var derr error
-	if s.cache != nil {
-		d, derr = s.cache.Doctor(ctx, se.Data, s.cfg.limits)
-	} else {
-		d, derr = analyzer.DoctorDataContext(ctx, se.Data, s.cfg.limits)
-	}
-	if derr == nil && d != nil {
+	if d, derr := s.traces().Doctor(ctx, se.Data, s.cfg.limits); derr == nil && d != nil {
 		var buf bytes.Buffer
 		if d.WriteJSON(&buf) == nil {
 			doc.Doctor = json.RawMessage(buf.Bytes())

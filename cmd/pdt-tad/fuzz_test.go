@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/celltrace/pdt/internal/analyzer/cache"
 	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
 )
@@ -88,7 +89,8 @@ func FuzzTADHandler(f *testing.F) {
 
 		s := newServer(defaultConfig(), quietLogger())
 		h := s.handler()
-		for _, path := range []string{"/v1/summary", "/v1/profile", "/v1/cycles", "/v1/doctor"} {
+		for _, kind := range cache.AnalysisKinds {
+			path := "/v1/" + kind
 			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)

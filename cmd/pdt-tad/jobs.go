@@ -89,9 +89,7 @@ func (s *server) setupState() error {
 			// non-owner replica peeks the owner's cache like a
 			// synchronous request would.
 			var buf bytes.Buffer
-			err := s.artifact(ctx, kind, image, &buf, func() error {
-				return errors.New("jobs require the cache")
-			})
+			err := s.artifact(ctx, kind, image, &buf)
 			return buf.Bytes(), err
 		},
 		Notify: notifyWebhook,
@@ -253,25 +251,7 @@ func (s *server) runSync(w http.ResponseWriter, r *http.Request, kind string, da
 		r.ContentLength = int64(len(data))
 		r.Header.Del("Content-Encoding")
 	}
-	s.analysis(kind, s.renderFor(kind)).ServeHTTP(w, r)
-}
-
-// renderFor maps an artifact kind to its renderFunc.
-func (s *server) renderFor(kind string) renderFunc {
-	switch kind {
-	case cache.KindProfile:
-		return s.renderProfile
-	case cache.KindGaps:
-		return s.renderGaps
-	case cache.KindCritPath:
-		return s.renderCritPath
-	case cache.KindCycles:
-		return s.renderCycles
-	case cache.KindDoctor:
-		return s.renderDoctor
-	default:
-		return s.renderSummary
-	}
+	s.analysis(kind, s.renderKind(kind)).ServeHTTP(w, r)
 }
 
 // handleGetJob serves GET /v1/jobs/{id}: the job document as JSON.

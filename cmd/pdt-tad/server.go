@@ -16,7 +16,6 @@ import (
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/cache"
-	"github.com/celltrace/pdt/internal/analyzer/cycles"
 	"github.com/celltrace/pdt/internal/cluster"
 	"github.com/celltrace/pdt/internal/faults"
 	"github.com/celltrace/pdt/internal/jobs"
@@ -127,7 +126,8 @@ type server struct {
 	queue    chan struct{}
 	draining atomic.Bool
 	// cache is the content-addressed trace cache shared by the analysis
-	// endpoints; nil when disabled (every request analyzes from scratch).
+	// endpoints; nil when disabled (every request analyzes from scratch,
+	// see traces).
 	cache *cache.Cache
 	// jobs/journal are the async job manager and its durable journal;
 	// nil without -state-dir (the job API then runs synchronously).
@@ -208,13 +208,10 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.Handle("POST /v1/summary", s.analysis("summary", s.renderSummary))
-	mux.Handle("POST /v1/profile", s.analysis("profile", s.renderProfile))
-	mux.Handle("POST /v1/gaps", s.analysis("gaps", s.renderGaps))
-	mux.Handle("POST /v1/critpath", s.analysis("critpath", s.renderCritPath))
-	mux.Handle("POST /v1/doctor", s.analysis("doctor", s.renderDoctor))
+	for _, kind := range cache.AnalysisKinds {
+		mux.Handle("POST /v1/"+kind, s.analysis(kind, s.renderKind(kind)))
+	}
 	mux.Handle("POST /v1/diff", s.analysis("diff", s.renderDiff))
-	mux.Handle("POST /v1/cycles", s.analysis("cycles", s.renderCycles))
 	mux.HandleFunc("POST /v1/upload", s.handleUploadCreate)
 	mux.HandleFunc("POST /v1/upload/{id}", s.handleUploadAppend)
 	mux.HandleFunc("POST /v1/upload/{id}/complete", s.handleUploadComplete)
@@ -322,42 +319,30 @@ type statusError struct {
 func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
-// loadShared resolves a trace through the cache (one load per content
-// address, artifacts memoized) or, when the cache is disabled, loads and
-// validates it directly. The second return is nil exactly when the cache
-// is bypassed.
-func (s *server) loadShared(ctx context.Context, data []byte) (*analyzer.Trace, *cache.Handle, error) {
-	if s.cache != nil {
-		h, err := s.cache.Load(ctx, data, s.cfg.limits)
-		if err != nil {
-			return nil, nil, err
-		}
-		return h.Trace(), h, nil
+// traces returns the cache every load, analysis and render goes through:
+// the shared one or, when it is disabled, a cache that lives for this
+// one request — the same path, with nothing retained past the response
+// and so nothing that can bleed from one request into another.
+func (s *server) traces() *cache.Cache {
+	if s.cache == nil {
+		return cache.New(0, 0)
 	}
-	tr, err := analyzer.LoadContext(ctx, data, s.cfg.limits)
-	if err != nil {
-		return nil, nil, err
-	}
-	analyzer.Validate(tr)
-	return tr, nil, nil
+	return s.cache
 }
 
 // artifact serves one analysis kind through all the tiers — local
 // memory memo, CRC-verified disk tier, then (in cluster mode) a peek at
-// the key's owner replica, then recompute with write-through — falling
-// back to direct computation when the cache is disabled. Remote fetches
-// are adopted into the local tiers so the next request for the same
-// bytes stays on this box.
-func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Writer, direct func() error) error {
-	if s.cache == nil {
-		return direct()
-	}
+// the key's owner replica, then recompute with write-through. Remote
+// fetches are adopted into the local tiers so the next request for the
+// same bytes stays on this box.
+func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Writer) error {
+	c := s.traces()
 	if s.cluster != nil {
 		// Only a cluster needs the key out here, to ask the owner before
 		// computing; Artifact hashes the body itself and starts with the
 		// same local tiers Peek reads.
 		key := cache.KeyOf(data)
-		if b, ok := s.cache.Peek(key, kind); ok {
+		if b, ok := c.Peek(key, kind); ok {
 			s.noteCluster(ctx, "local")
 			_, err := w.Write(b)
 			return err
@@ -367,7 +352,7 @@ func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Wr
 			return err
 		}
 	}
-	b, err := s.cache.Artifact(ctx, data, kind, s.cfg.limits)
+	b, err := c.Artifact(ctx, data, kind, s.cfg.limits)
 	if err != nil {
 		return err
 	}
@@ -375,67 +360,12 @@ func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Wr
 	return err
 }
 
-func (s *server) renderSummary(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindSummary, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
-		if err != nil {
-			return err
-		}
-		return analyzer.WriteJSON(tr, analyzer.Summarize(tr), w)
-	})
-}
-
-func (s *server) renderProfile(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindProfile, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
-		if err != nil {
-			return err
-		}
-		return analyzer.WriteProfileJSON(tr, w)
-	})
-}
-
-func (s *server) renderGaps(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindGaps, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
-		if err != nil {
-			return err
-		}
-		min := analyzer.SuggestGapThreshold(tr)
-		return analyzer.WriteGapsJSON(min, analyzer.FindGaps(tr, min), w)
-	})
-}
-
-func (s *server) renderCritPath(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindCritPath, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
-		if err != nil {
-			return err
-		}
-		return analyzer.WriteCriticalPathJSON(analyzer.ComputeCriticalPath(tr), w)
-	})
-}
-
-func (s *server) renderCycles(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindCycles, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
-		if err != nil {
-			return err
-		}
-		return cycles.Detect(tr, cycles.Options{}).WriteJSON(w)
-	})
-}
-
-// renderDoctor never treats damage as an error — that is the point of the
-// endpoint — but limit violations and deadlines still abort.
-func (s *server) renderDoctor(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindDoctor, data, w, func() error {
-		d, err := analyzer.DoctorDataContext(ctx, data, s.cfg.limits)
-		if err != nil {
-			return err
-		}
-		return d.WriteJSON(w)
-	})
+// renderKind is the renderFunc of every single-trace endpoint: what
+// /v1/<kind> returns is whatever the cache's Artifact renders for kind.
+func (s *server) renderKind(kind string) renderFunc {
+	return func(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
+		return s.artifact(ctx, kind, data, w)
+	}
 }
 
 // handleStats reports the cache counters (GET /v1/stats).

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/celltrace/pdt/internal/analyzer/cache"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/harness"
 )
@@ -403,7 +404,10 @@ func TestCacheChurnNoBleed(t *testing.T) {
 		traceBytes(t, map[string]string{"w": "80", "h": "40", "maxiter": "32"}),
 		traceBytes(t, map[string]string{"w": "96", "h": "48", "maxiter": "40"}),
 	}
-	endpoints := []string{"/v1/summary", "/v1/profile", "/v1/gaps", "/v1/critpath"}
+	var endpoints []string
+	for _, kind := range cache.AnalysisKinds {
+		endpoints = append(endpoints, "/v1/"+kind)
+	}
 
 	// Baselines from a cache-disabled server: the ground truth per trace.
 	_, plain := testServer(t, func(c *config) { c.cacheBytes = 0; c.cacheEntries = 0 })

@@ -29,11 +29,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-
 	"sync"
 
 	"github.com/celltrace/pdt/internal/analyzer"
-	"github.com/celltrace/pdt/internal/analyzer/cycles"
+	"github.com/celltrace/pdt/internal/analyzer/kinds"
 )
 
 // Key is the content address of a trace image: SHA-256 over its bytes.
@@ -103,15 +102,31 @@ func New(maxEntries int, maxBytes int64) *Cache {
 	}
 }
 
-// entry is one content address worth of cached state. The trace and
-// doctor flights are independent: corrupt bytes fail the strict load but
-// still produce a doctor report, and both can be cached side by side.
+// slot indexes an entry's two independent loads: corrupt bytes fail the
+// strict load but still produce a doctor report, and both can be cached
+// side by side.
+type slot int
+
+const (
+	slotTrace slot = iota
+	slotDoctor
+	numSlots
+)
+
+// slotOf names the load an artifact kind is rendered from.
+func slotOf(kind string) slot {
+	if kind == KindDoctor {
+		return slotDoctor
+	}
+	return slotTrace
+}
+
+// entry is one content address worth of cached state.
 type entry struct {
-	key    Key
-	elem   *list.Element
-	weight int64
-	trace  *flight
-	doctor *flight
+	key     Key
+	elem    *list.Element
+	weight  int64
+	flights [numSlots]*flight
 	// adopted holds artifact bytes installed from a peer replica for a
 	// key no local flight has loaded (the replica has the artifact but
 	// never saw the trace bytes). A later local load supersedes it via
@@ -122,7 +137,12 @@ type entry struct {
 // inFlight reports whether any of the entry's loads is still running;
 // such entries are pinned against eviction.
 func (e *entry) inFlight() bool {
-	return (e.trace != nil && !e.trace.settled) || (e.doctor != nil && !e.doctor.settled)
+	for _, f := range e.flights {
+		if f != nil && !f.settled {
+			return true
+		}
+	}
+	return false
 }
 
 // flight is one load (trace or doctor) plus its memoized artifacts.
@@ -136,17 +156,13 @@ type flight struct {
 	trace   *analyzer.Trace
 	doctor  *analyzer.DoctorReport
 
-	memoMu   sync.Mutex
-	summary  *analyzer.Summary
-	profile  []analyzer.PairProfile
-	gapsDone bool
-	gapMin   uint64
-	gaps     []analyzer.Gap
-	critpath *analyzer.CriticalPath
-	cycles   *cycles.Report
-	// arts memoizes the rendered JSON artifact bytes per kind — what
-	// the service actually serves, and what spills to the disk tier.
-	arts map[string][]byte
+	memoMu sync.Mutex
+	// values memoizes each kind's kernel result (what kinds.Kind.Compute
+	// returned); arts memoizes the rendered JSON artifact bytes per kind
+	// — what the service actually serves, and what spills to the disk
+	// tier.
+	values map[string]any
+	arts   map[string][]byte
 }
 
 // Handle is the per-request view of a cached trace: the shared loaded
@@ -157,56 +173,25 @@ type Handle struct{ f *flight }
 // Trace returns the loaded, validated trace.
 func (h *Handle) Trace() *analyzer.Trace { return h.f.trace }
 
-// Summary returns the memoized full-trace summary.
-func (h *Handle) Summary() *analyzer.Summary {
+// Value returns the memoized result of the named kind's kernel — the
+// type its kinds.All entry computes — running it at most once per entry.
+// An unregistered kind has no value.
+func (h *Handle) Value(kind string) any {
+	k, ok := kinds.Lookup(kind)
+	if !ok {
+		return nil
+	}
 	h.f.memoMu.Lock()
 	defer h.f.memoMu.Unlock()
-	if h.f.summary == nil {
-		h.f.summary = analyzer.Summarize(h.f.trace)
+	v, ok := h.f.values[kind]
+	if !ok {
+		if h.f.values == nil {
+			h.f.values = map[string]any{}
+		}
+		v = k.Compute(h.f.trace)
+		h.f.values[kind] = v
 	}
-	return h.f.summary
-}
-
-// Profile returns the memoized per-pair interval profile.
-func (h *Handle) Profile() []analyzer.PairProfile {
-	h.f.memoMu.Lock()
-	defer h.f.memoMu.Unlock()
-	if h.f.profile == nil {
-		h.f.profile = analyzer.Profile(h.f.trace)
-	}
-	return h.f.profile
-}
-
-// Gaps returns the memoized gap report at the auto-suggested threshold.
-func (h *Handle) Gaps() (minTicks uint64, gaps []analyzer.Gap) {
-	h.f.memoMu.Lock()
-	defer h.f.memoMu.Unlock()
-	if !h.f.gapsDone {
-		h.f.gapMin = analyzer.SuggestGapThreshold(h.f.trace)
-		h.f.gaps = analyzer.FindGaps(h.f.trace, h.f.gapMin)
-		h.f.gapsDone = true
-	}
-	return h.f.gapMin, h.f.gaps
-}
-
-// CriticalPath returns the memoized critical-path analysis.
-func (h *Handle) CriticalPath() *analyzer.CriticalPath {
-	h.f.memoMu.Lock()
-	defer h.f.memoMu.Unlock()
-	if h.f.critpath == nil {
-		h.f.critpath = analyzer.ComputeCriticalPath(h.f.trace)
-	}
-	return h.f.critpath
-}
-
-// Cycles returns the memoized cycle/phase detection report.
-func (h *Handle) Cycles() *cycles.Report {
-	h.f.memoMu.Lock()
-	defer h.f.memoMu.Unlock()
-	if h.f.cycles == nil {
-		h.f.cycles = cycles.Detect(h.f.trace, cycles.Options{})
-	}
-	return h.f.cycles
+	return v
 }
 
 // Load returns a handle for the trace image, loading it at most once per
@@ -221,43 +206,27 @@ func (c *Cache) Load(ctx context.Context, data []byte, lim analyzer.Limits) (*Ha
 
 // load is Load for a caller that has already hashed data into key.
 func (c *Cache) load(ctx context.Context, key Key, data []byte, lim analyzer.Limits) (*Handle, error) {
-	for {
-		f, lead := c.acquire(key, false)
-		if lead {
-			tr, err := analyzer.LoadContext(ctx, data, lim)
-			if err == nil {
-				// Validate once while the flight is still exclusive; the
-				// shared trace is immutable from here on.
-				analyzer.Validate(tr)
-				f.trace = tr
-				f.weight = tr.Footprint()
-			}
-			f.err = err
-			c.settle(key, f, false)
-			if err != nil {
-				return nil, err
-			}
-			// Spill the raw image to the disk tier after settling, so
-			// dedup waiters are not held behind an fsync. Failure only
-			// latches the tier degraded; the request is served either way.
-			if c.disk != nil {
-				_ = c.disk.Put(key, KindTrace, data)
-			}
-			return &Handle{f}, nil
+	f, led, err := c.fly(ctx, key, slotTrace, func(f *flight) error {
+		tr, err := analyzer.LoadContext(ctx, data, lim)
+		if err != nil {
+			return err
 		}
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if f.err != nil {
-			if isCtxErr(f.err) && ctx.Err() == nil {
-				continue // the leader's request died, not ours: retry
-			}
-			return nil, f.err
-		}
-		return &Handle{f}, nil
+		// Validate once while the flight is still exclusive; the shared
+		// trace is immutable from here on.
+		analyzer.Validate(tr)
+		f.trace, f.weight = tr, tr.Footprint()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	// Spill the raw image to the disk tier after settling, so dedup
+	// waiters are not held behind an fsync. Failure only latches the
+	// tier degraded; the request is served either way.
+	if led && c.disk != nil {
+		_ = c.disk.Put(key, KindTrace, data)
+	}
+	return &Handle{f}, nil
 }
 
 // Doctor returns the salvage/recovery report for the trace image, cached
@@ -265,37 +234,49 @@ func (c *Cache) load(ctx context.Context, key Key, data []byte, lim analyzer.Lim
 // (cached) result; only hard failures — cancellation, admission limits —
 // are errors, and those are never cached.
 func (c *Cache) Doctor(ctx context.Context, data []byte, lim analyzer.Limits) (*analyzer.DoctorReport, error) {
-	key := KeyOf(data)
+	f, _, err := c.fly(ctx, KeyOf(data), slotDoctor, func(f *flight) error {
+		d, err := analyzer.DoctorDataContext(ctx, data, lim)
+		if err != nil {
+			return err
+		}
+		f.doctor, f.weight = d, 4096
+		if d.Trace != nil {
+			f.weight += d.Trace.Footprint()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f.doctor, nil
+}
+
+// fly is the singleflight protocol for one slot of key's entry: the first
+// caller becomes the leader and runs fill under its own ctx; the rest
+// wait on the leader's flight, and a live waiter whose leader was
+// cancelled mid-load retries instead of failing on the leader's context
+// error. With a nil error the returned flight is settled and successful;
+// the bool reports whether this caller led it.
+func (c *Cache) fly(ctx context.Context, key Key, sl slot, fill func(*flight) error) (*flight, bool, error) {
 	for {
-		f, lead := c.acquire(key, true)
+		f, lead := c.acquire(key, sl)
 		if lead {
-			d, err := analyzer.DoctorDataContext(ctx, data, lim)
-			if err == nil {
-				f.doctor = d
-				f.weight = 4096
-				if d.Trace != nil {
-					f.weight += d.Trace.Footprint()
-				}
-			}
-			f.err = err
-			c.settle(key, f, true)
-			if err != nil {
-				return nil, err
-			}
-			return d, nil
+			f.err = fill(f)
+			c.settle(key, sl, f)
+			return f, true, f.err
 		}
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 		if f.err != nil {
 			if isCtxErr(f.err) && ctx.Err() == nil {
-				continue
+				continue // the leader's request died, not ours: retry
 			}
-			return nil, f.err
+			return nil, false, f.err
 		}
-		return f.doctor, nil
+		return f, false, nil
 	}
 }
 
@@ -319,44 +300,35 @@ func (c *Cache) RawImage(key Key) ([]byte, bool) {
 	return c.disk.Get(key, KindTrace)
 }
 
-// AnalysisKinds lists the artifact kinds Artifact can produce.
-var AnalysisKinds = []string{KindSummary, KindProfile, KindGaps, KindCritPath, KindCycles, KindDoctor}
+// AnalysisKinds lists the artifact kinds Artifact can produce: every
+// registered kind, then doctor.
+var AnalysisKinds = func() []string {
+	names := make([]string, 0, len(kinds.All)+1)
+	for _, k := range kinds.All {
+		names = append(names, k.Name)
+	}
+	return append(names, KindDoctor)
+}()
 
 // ValidKind reports whether kind names a servable artifact.
 func ValidKind(kind string) bool {
-	for _, k := range AnalysisKinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
+	_, ok := kinds.Lookup(kind)
+	return ok || kind == KindDoctor
 }
 
-// Render computes the canonical JSON artifact of one kind from a
-// handle, using the handle's memoized analysis (each underlying kernel
-// still runs at most once per entry). The bytes are deterministic for a
-// given trace image, which is what makes the disk tier's
+// Render computes the canonical JSON artifact of one registered kind
+// from a handle, using the handle's memoized analysis (each underlying
+// kernel still runs at most once per entry). The bytes are deterministic
+// for a given trace image, which is what makes the disk tier's
 // content-addressed artifacts and the chaos harness's byte-convergence
 // check possible.
 func Render(kind string, h *Handle) ([]byte, error) {
-	var buf bytes.Buffer
-	var err error
-	switch kind {
-	case KindSummary:
-		err = analyzer.WriteJSON(h.Trace(), h.Summary(), &buf)
-	case KindProfile:
-		err = analyzer.WriteProfilePairsJSON(h.Trace(), h.Profile(), &buf)
-	case KindGaps:
-		min, gaps := h.Gaps()
-		err = analyzer.WriteGapsJSON(min, gaps, &buf)
-	case KindCritPath:
-		err = analyzer.WriteCriticalPathJSON(h.CriticalPath(), &buf)
-	case KindCycles:
-		err = h.Cycles().WriteJSON(&buf)
-	default:
+	k, ok := kinds.Lookup(kind)
+	if !ok {
 		return nil, fmt.Errorf("cache: unknown artifact kind %q", kind)
 	}
-	if err != nil {
+	var buf bytes.Buffer
+	if err := k.JSON(h.Trace(), h.Value(kind), &buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -375,13 +347,8 @@ func Render(kind string, h *Handle) ([]byte, error) {
 // is hashed and served without parsing, decoding, or analyzing.
 func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim analyzer.Limits) ([]byte, error) {
 	key := KeyOf(data)
-	if b, ok := c.peekArtifact(key, kind); ok {
+	if b, ok := c.Peek(key, kind); ok {
 		return b, nil
-	}
-	if c.disk != nil {
-		if b, ok := c.disk.Get(key, kind); ok {
-			return b, nil
-		}
 	}
 	if kind == KindDoctor {
 		d, err := c.Doctor(ctx, data, lim)
@@ -392,7 +359,7 @@ func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim anal
 		if err := d.WriteJSON(&buf); err != nil {
 			return nil, err
 		}
-		return c.adoptArtifact(key, kind, buf.Bytes()), nil
+		return c.AdoptArtifact(key, kind, buf.Bytes()), nil
 	}
 	h, err := c.load(ctx, key, data, lim)
 	if err != nil {
@@ -427,15 +394,6 @@ func (c *Cache) Peek(key Key, kind string) ([]byte, bool) {
 	return nil, false
 }
 
-// AdoptArtifact installs externally produced artifact bytes (fetched
-// from the key's owner replica) into the local tiers: memoized onto the
-// entry if one is settled, and written through to the disk tier. The
-// bytes must be the canonical rendering for the key — in cluster mode
-// both sides derive them deterministically from the same trace image.
-func (c *Cache) AdoptArtifact(key Key, kind string, b []byte) []byte {
-	return c.adoptArtifact(key, kind, b)
-}
-
 // peekArtifact serves the memory tier's memoized artifact bytes without
 // triggering a load. A hit counts as a cache hit and refreshes LRU.
 func (c *Cache) peekArtifact(key Key, kind string) ([]byte, bool) {
@@ -445,12 +403,7 @@ func (c *Cache) peekArtifact(key Key, kind string) ([]byte, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	var f *flight
-	if kind == KindDoctor {
-		f = e.doctor
-	} else {
-		f = e.trace
-	}
+	f := e.flights[slotOf(kind)]
 	adopted := e.adopted[kind]
 	if f == nil || !f.settled || f.err != nil {
 		if adopted == nil {
@@ -496,21 +449,22 @@ func storeArtifact(f *flight, kind string, b []byte) []byte {
 	return b
 }
 
-// adoptArtifact memoizes rendered bytes onto whatever flight currently
-// holds the key or, when no settled flight exists, retains them on the
-// entry directly (bounded by the normal LRU accounting) — a memory-only
-// replica must not re-fetch what it just got — and spills them to the
-// disk tier.
-func (c *Cache) adoptArtifact(key Key, kind string, b []byte) []byte {
+// AdoptArtifact installs artifact bytes produced outside Artifact's
+// trace path (fetched from the key's owner replica, rendered by the
+// streaming upload, or the doctor report) into the local tiers: memoized
+// onto whatever flight currently holds the key or, when no settled
+// flight exists, retained on the entry directly (bounded by the normal
+// LRU accounting) — a memory-only replica must not re-fetch what it just
+// got — and written through to the disk tier. The bytes must be the
+// canonical rendering for the key — in cluster mode both sides derive
+// them deterministically from the same trace image. The first writer
+// wins; the bytes returned are the ones retained.
+func (c *Cache) AdoptArtifact(key Key, kind string, b []byte) []byte {
 	c.mu.Lock()
 	e := c.entries[key]
 	var f *flight
 	if e != nil {
-		if kind == KindDoctor {
-			f = e.doctor
-		} else {
-			f = e.trace
-		}
+		f = e.flights[slotOf(kind)]
 	}
 	if f != nil && f.settled && f.err == nil {
 		c.mu.Unlock()
@@ -557,11 +511,11 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// acquire looks up (or creates) the flight for key. lead reports whether
-// the caller must run the load and settle it. Settled failed flights are
-// removed in settle, so an existing flight seen here is either in flight
-// or a settled success.
-func (c *Cache) acquire(key Key, doctor bool) (f *flight, lead bool) {
+// acquire looks up (or creates) the flight in one slot of key's entry.
+// lead reports whether the caller must run the load and settle it.
+// Settled failed flights are removed in settle, so an existing flight
+// seen here is either in flight or a settled success.
+func (c *Cache) acquire(key Key, sl slot) (f *flight, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -572,17 +526,10 @@ func (c *Cache) acquire(key Key, doctor bool) (f *flight, lead bool) {
 	} else {
 		c.ll.MoveToFront(e.elem)
 	}
-	f = e.trace
-	if doctor {
-		f = e.doctor
-	}
+	f = e.flights[sl]
 	if f == nil {
 		f = &flight{done: make(chan struct{})}
-		if doctor {
-			e.doctor = f
-		} else {
-			e.trace = f
-		}
+		e.flights[sl] = f
 		c.misses++
 		return f, true
 	}
@@ -597,18 +544,16 @@ func (c *Cache) acquire(key Key, doctor bool) (f *flight, lead bool) {
 // settle publishes the flight result: accounts its weight (or removes the
 // failed flight so the next request retries), runs eviction, and releases
 // the waiters.
-func (c *Cache) settle(key Key, f *flight, doctor bool) {
+func (c *Cache) settle(key Key, sl slot, f *flight) {
 	c.mu.Lock()
 	f.settled = true
 	e := c.entries[key]
 	if f.err != nil {
 		if e != nil {
-			if doctor && e.doctor == f {
-				e.doctor = nil
-			} else if !doctor && e.trace == f {
-				e.trace = nil
+			if e.flights[sl] == f {
+				e.flights[sl] = nil
 			}
-			if e.trace == nil && e.doctor == nil && len(e.adopted) == 0 {
+			if e.flights == [numSlots]*flight{} && len(e.adopted) == 0 {
 				c.ll.Remove(e.elem)
 				delete(c.entries, key)
 			}

@@ -44,10 +44,10 @@ func TestLoadHitReturnsSameTrace(t *testing.T) {
 	if h1.Trace() != h2.Trace() {
 		t.Fatal("second load did not reuse the cached *Trace")
 	}
-	if h1.Summary() != h2.Summary() {
+	if h1.Value(cache.KindSummary) != h2.Value(cache.KindSummary) {
 		t.Fatal("summary memo not shared")
 	}
-	if h1.CriticalPath() != h2.CriticalPath() {
+	if h1.Value(cache.KindCritPath) != h2.Value(cache.KindCritPath) {
 		t.Fatal("critical-path memo not shared")
 	}
 	st := c.Stats()
@@ -243,16 +243,16 @@ func TestChurnMixedTracesNoBleed(t *testing.T) {
 					t.Errorf("trace %d: %d events, want %d (cross-trace bleed?)", k, got, bases[k].events)
 					return
 				}
-				if got := h.Summary().WallTicks; got != bases[k].wall {
+				if got := h.Value(cache.KindSummary).(*analyzer.Summary).WallTicks; got != bases[k].wall {
 					t.Errorf("trace %d: wall %d, want %d", k, got, bases[k].wall)
 					return
 				}
-				if got := h.CriticalPath().Total; got != bases[k].total {
+				if got := h.Value(cache.KindCritPath).(*analyzer.CriticalPath).Total; got != bases[k].total {
 					t.Errorf("trace %d: critpath total %d, want %d", k, got, bases[k].total)
 					return
 				}
-				h.Profile()
-				h.Gaps()
+				h.Value(cache.KindProfile)
+				h.Value(cache.KindGaps)
 			}
 		}(w)
 	}

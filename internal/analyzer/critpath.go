@@ -311,14 +311,8 @@ func walkCriticalPath(tr *Trace, prevOnCore, crossDep []int) *CriticalPath {
 	return cp
 }
 
-// WriteCriticalPath renders the analysis: per-core attribution and the
-// largest segments.
-func WriteCriticalPath(tr *Trace, w io.Writer, topN int) {
-	WriteCriticalPathFrom(ComputeCriticalPath(tr), w, topN)
-}
-
-// WriteCriticalPathFrom renders an already-computed critical path, letting
-// callers reuse a memoized result.
+// WriteCriticalPathFrom renders a computed critical path: per-core
+// attribution and the topN largest segments.
 func WriteCriticalPathFrom(cp *CriticalPath, w io.Writer, topN int) {
 	if cp.Total == 0 {
 		fmt.Fprintln(w, "(empty trace)")

@@ -88,7 +88,7 @@ func TestCriticalPathEmpty(t *testing.T) {
 		t.Fatal("nonempty path from empty trace")
 	}
 	var buf bytes.Buffer
-	WriteCriticalPath(&Trace{}, &buf, 5)
+	WriteCriticalPathFrom(cp, &buf, 5)
 	if !strings.Contains(buf.String(), "empty") {
 		t.Fatalf("output: %s", buf.String())
 	}
@@ -102,7 +102,7 @@ func TestWriteCriticalPath(t *testing.T) {
 		}))
 	})
 	var buf bytes.Buffer
-	WriteCriticalPath(tr, &buf, 5)
+	WriteCriticalPathFrom(ComputeCriticalPath(tr), &buf, 5)
 	out := buf.String()
 	for _, want := range []string{"critical path:", "SPE1", "PPE", "largest segments"} {
 		if !strings.Contains(out, want) {

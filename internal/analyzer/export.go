@@ -122,16 +122,9 @@ type jsonProfilePair struct {
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
-// WriteProfileJSON exports the interval profile (most expensive pair
-// first, like WriteProfile) as JSON. Confidence appears only on degraded
-// traces, mirroring the human-readable table.
-func WriteProfileJSON(tr *Trace, w io.Writer) error {
-	return WriteProfilePairsJSON(tr, Profile(tr), w)
-}
-
-// WriteProfilePairsJSON exports an already-computed profile as JSON,
-// letting the cached service path reuse a memoized result instead of
-// rescanning the trace.
+// WriteProfilePairsJSON exports a computed profile (most expensive pair
+// first, like WriteProfilePairs) as JSON. Confidence appears only on
+// degraded traces, mirroring the human-readable table.
 func WriteProfilePairsJSON(tr *Trace, pairs []PairProfile, w io.Writer) error {
 	degraded := tr.Confidence.Degraded()
 	out := struct {

@@ -96,17 +96,8 @@ func SuggestGapThreshold(tr *Trace) uint64 {
 	return max(dists[len(dists)/2]*20, 10)
 }
 
-// WriteGaps renders the gap report.
-func WriteGaps(tr *Trace, minTicks uint64, topN int, w io.Writer) {
-	if minTicks == 0 {
-		minTicks = SuggestGapThreshold(tr)
-	}
-	WriteGapsFound(minTicks, FindGaps(tr, minTicks), topN, w)
-}
-
-// WriteGapsFound renders an already-computed gap report, letting callers
-// (the cached service path, the concurrent report path) reuse a memoized
-// result.
+// WriteGapsFound renders a computed gap report: the gaps FindGaps
+// returned for minTicks, the topN longest listed.
 func WriteGapsFound(minTicks uint64, gaps []Gap, topN int, w io.Writer) {
 	fmt.Fprintf(w, "event-free stretches >= %d ticks: %d found\n", minTicks, len(gaps))
 	if topN > len(gaps) {

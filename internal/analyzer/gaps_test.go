@@ -56,7 +56,8 @@ func TestSuggestGapThreshold(t *testing.T) {
 func TestWriteGaps(t *testing.T) {
 	tr := gapTrace(t)
 	var buf bytes.Buffer
-	WriteGaps(tr, 0, 5, &buf)
+	min := SuggestGapThreshold(tr)
+	WriteGapsFound(min, FindGaps(tr, min), 5, &buf)
 	out := buf.String()
 	for _, want := range []string{"event-free", "SPE0", "hint"} {
 		if !strings.Contains(out, want) {

@@ -140,17 +140,10 @@ func Profile(tr *Trace) []PairProfile {
 	return a.result(tr.Confidence)
 }
 
-// WriteProfile renders the profile as a table, most expensive pair first.
-// On degraded (salvaged or lossy) traces a confidence column shows the
-// record-survival fraction behind each row; clean traces keep the
-// original layout.
-func WriteProfile(tr *Trace, w io.Writer) {
-	WriteProfilePairs(tr, Profile(tr), w)
-}
-
-// WriteProfilePairs renders an already-computed profile, letting callers
-// (the cached service path, the concurrent report path) reuse a memoized
-// result instead of rescanning the trace.
+// WriteProfilePairs renders a computed profile as a table, most expensive
+// pair first. On degraded (salvaged or lossy) traces a confidence column
+// shows the record-survival fraction behind each row; clean traces keep
+// the original layout.
 func WriteProfilePairs(tr *Trace, pairs []PairProfile, w io.Writer) {
 	degraded := tr.Confidence.Degraded()
 	fmt.Fprintf(w, "%-28s %8s %12s %12s %12s", "interval", "count", "total ticks", "mean", "max")

@@ -56,7 +56,7 @@ func TestWriteProfile(t *testing.T) {
 		}))
 	})
 	var buf bytes.Buffer
-	WriteProfile(tr, &buf)
+	WriteProfilePairs(tr, Profile(tr), &buf)
 	out := buf.String()
 	if !strings.Contains(out, "SPE_WAIT_TAG") || !strings.Contains(out, "total ticks") {
 		t.Fatalf("profile output:\n%s", out)
