@@ -79,14 +79,14 @@ func diffSides(r *http.Request, data []byte) (a, b []byte, err error) {
 // layer; the critical paths and cycle reports come from the handles'
 // memoized values, so repeated diffs of the same images never recompute
 // them.
-func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte, w io.Writer) error {
+func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte) ([]byte, error) {
 	da, db, err := diffSides(r, data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ha, hb, err := s.traces().LoadPair(ctx, da, db, s.cfg.limits)
 	if err != nil {
-		return s.diffLoadError(ctx, err)
+		return nil, s.diffLoadError(ctx, err)
 	}
 	opt := diff.Options{
 		Mode:      r.URL.Query().Get("mode"),
@@ -100,11 +100,13 @@ func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte, w
 	rep, err := diff.Diff(ha.Trace(), hb.Trace(), opt)
 	if err != nil {
 		if errors.Is(err, diff.ErrWorkloadMismatch) || errors.Is(err, diff.ErrBadMode) {
-			return &statusError{status: http.StatusBadRequest, err: err}
+			return nil, &statusError{status: http.StatusBadRequest, err: err}
 		}
-		return err
+		return nil, err
 	}
-	return rep.WriteJSON(w)
+	var buf bytes.Buffer
+	err = rep.WriteJSON(&buf)
+	return buf.Bytes(), err
 }
 
 // diffLoadError maps a one-sided load failure: corrupt bytes become a

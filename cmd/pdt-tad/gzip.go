@@ -16,6 +16,8 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+
+	"github.com/celltrace/pdt/internal/analyzer/cache"
 )
 
 // gzipPool recycles response compressors: a gzip.Writer carries the
@@ -25,49 +27,82 @@ var gzipPool = sync.Pool{
 	New: func() any { return gzip.NewWriter(io.Discard) },
 }
 
+// bodyReader is the read loop a request body goes through, in one of
+// its two forms: cache.ReadImage for a trace image, which hashes each
+// read as it lands, and readRaw for /v1/diff's envelope, whose own hash
+// nobody would use.
+type bodyReader[B any] func(r io.Reader, hint int64) (B, error)
+
+func readRaw(r io.Reader, hint int64) ([]byte, error) { return cache.ReadSized(r, hint, nil) }
+
 // readBody reads one request body under the configured cap,
-// transparently decompressing gzip uploads. All failures come back as
-// *statusError so both the analysis stack and the job endpoint map them
-// the same way.
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
+// transparently decompressing gzip uploads. A declared length over the
+// cap is refused before a byte is read; an honest one sizes the buffer,
+// so the body is walked once and never copied by growth. All failures
+// come back as *statusError so both the analysis stack and the job
+// endpoint map them the same way.
+func readBody[B any](s *server, w http.ResponseWriter, r *http.Request, read bodyReader[B]) (body B, err error) {
+	if r.ContentLength > s.cfg.maxBody {
+		// The answer MaxBytesReader would give after reading up to the cap.
+		return body, &statusError{
+			status: http.StatusRequestEntityTooLarge,
+			err:    &http.MaxBytesError{Limit: s.cfg.maxBody},
+		}
+	}
+	src, hint := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.maxBody)), r.ContentLength
 	if enc := r.Header.Get("Content-Encoding"); enc != "" {
 		if !strings.EqualFold(enc, "gzip") {
-			return nil, &statusError{
+			return body, &statusError{
 				status: http.StatusUnsupportedMediaType,
 				err:    fmt.Errorf("unsupported Content-Encoding %q", enc),
 			}
 		}
-		zr, err := gzip.NewReader(body)
+		zr, err := gzip.NewReader(src)
 		if err != nil {
-			return nil, &statusError{
+			return body, &statusError{
 				status: http.StatusBadRequest,
 				err:    fmt.Errorf("gzip body: %w", err),
 			}
 		}
 		defer zr.Close()
-		// One byte past the cap is enough to prove the overflow without
-		// inflating the whole bomb.
-		body = io.LimitReader(zr, s.cfg.maxBody+1)
+		// Content-Length counts wire bytes; what they inflate to is unknown.
+		src, hint = &capReader{io.LimitedReader{R: zr, N: s.cfg.maxBody + 1}, s.cfg.maxBody}, -1
 	}
-	data, err := io.ReadAll(body)
+	body, err = read(src, hint)
 	if err != nil {
+		var se *statusError
 		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, &statusError{status: http.StatusRequestEntityTooLarge, err: err}
-		}
-		return nil, &statusError{
-			status: http.StatusBadRequest,
-			err:    fmt.Errorf("reading body: %w", err),
+		switch {
+		case errors.As(err, &se): // capReader's 413: already a status
+		case errors.As(err, &mbe):
+			err = &statusError{status: http.StatusRequestEntityTooLarge, err: err}
+		default:
+			err = &statusError{
+				status: http.StatusBadRequest,
+				err:    fmt.Errorf("reading body: %w", err),
+			}
 		}
 	}
-	if int64(len(data)) > s.cfg.maxBody {
-		return nil, &statusError{
+	return body, err
+}
+
+// capReader holds a decompressed stream to the body cap by failing the
+// read that crosses it: its limit starts one byte past the cap, which is
+// enough to prove the overflow without inflating the whole bomb.
+type capReader struct {
+	io.LimitedReader
+	max int64
+}
+
+func (c *capReader) Read(p []byte) (int, error) {
+	n, err := c.LimitedReader.Read(p)
+	if c.N <= 0 {
+		return n, &statusError{
 			status: http.StatusRequestEntityTooLarge,
-			err:    fmt.Errorf("decompressed body exceeds %d bytes", s.cfg.maxBody),
+			err:    fmt.Errorf("decompressed body exceeds %d bytes", c.max),
 		}
 	}
-	return data, nil
+	return n, err
 }
 
 // streamBody returns the request body as a plain decompressed stream

@@ -88,9 +88,7 @@ func (s *server) setupState() error {
 			// Through the cluster-aware path: a job executing on a
 			// non-owner replica peeks the owner's cache like a
 			// synchronous request would.
-			var buf bytes.Buffer
-			err := s.artifact(ctx, kind, image, &buf)
-			return buf.Bytes(), err
+			return s.artifact(ctx, kind, cache.ImageOf(image))
 		},
 		Notify: notifyWebhook,
 		Release: func(key string) {
@@ -196,7 +194,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.runSync(w, r, kind, nil)
 		return
 	}
-	data, err := s.readBody(w, r)
+	img, err := readBody(s, w, r, cache.ReadImage)
 	if err != nil {
 		var se *statusError
 		if errors.As(err, &se) {
@@ -206,7 +204,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := cache.KeyOf(data)
+	key, data := img.Key(), img.Data()
 	tier := s.cache.Disk()
 	// The image must be durable before the 202: a replayed job has no
 	// request body to fall back on. A failed spill degrades this
@@ -251,7 +249,7 @@ func (s *server) runSync(w http.ResponseWriter, r *http.Request, kind string, da
 		r.ContentLength = int64(len(data))
 		r.Header.Del("Content-Encoding")
 	}
-	s.analysis(kind, s.renderKind(kind)).ServeHTTP(w, r)
+	analysis(s, kind, cache.ReadImage, s.renderKind(kind)).ServeHTTP(w, r)
 }
 
 // handleGetJob serves GET /v1/jobs/{id}: the job document as JSON.

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -209,9 +207,9 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	for _, kind := range cache.AnalysisKinds {
-		mux.Handle("POST /v1/"+kind, s.analysis(kind, s.renderKind(kind)))
+		mux.Handle("POST /v1/"+kind, analysis(s, kind, cache.ReadImage, s.renderKind(kind)))
 	}
-	mux.Handle("POST /v1/diff", s.analysis("diff", s.renderDiff))
+	mux.Handle("POST /v1/diff", analysis(s, "diff", readRaw, s.renderDiff))
 	mux.HandleFunc("POST /v1/upload", s.handleUploadCreate)
 	mux.HandleFunc("POST /v1/upload/{id}", s.handleUploadAppend)
 	mux.HandleFunc("POST /v1/upload/{id}/complete", s.handleUploadComplete)
@@ -304,9 +302,10 @@ func (s *server) observe(d time.Duration) {
 }
 
 // renderFunc turns an uploaded request body into a JSON response body.
-// Most endpoints only look at the raw trace image in data; /v1/diff also
-// reads the request's Content-Type to pick its two-side encoding.
-type renderFunc func(ctx context.Context, r *http.Request, data []byte, w io.Writer) error
+// Most endpoints only look at the hashed trace image they were handed;
+// /v1/diff takes its envelope raw and also reads the request's
+// Content-Type to pick its two-side encoding.
+type renderFunc[B any] func(ctx context.Context, r *http.Request, body B) ([]byte, error)
 
 // statusError pins a render failure to a specific HTTP status, with an
 // optional prebuilt JSON body (the diff endpoint's doctor-style 422).
@@ -335,36 +334,27 @@ func (s *server) traces() *cache.Cache {
 // the key's owner replica, then recompute with write-through. Remote
 // fetches are adopted into the local tiers so the next request for the
 // same bytes stays on this box.
-func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Writer) error {
+func (s *server) artifact(ctx context.Context, kind string, img cache.Image) ([]byte, error) {
 	c := s.traces()
 	if s.cluster != nil {
-		// Only a cluster needs the key out here, to ask the owner before
-		// computing; Artifact hashes the body itself and starts with the
-		// same local tiers Peek reads.
-		key := cache.KeyOf(data)
-		if b, ok := c.Peek(key, kind); ok {
+		// Only a cluster looks at the key out here, to ask the owner before
+		// computing; ArtifactOf starts with the same local tiers Peek reads.
+		if b, ok := c.Peek(img.Key(), kind); ok {
 			s.noteCluster(ctx, "local")
-			_, err := w.Write(b)
-			return err
+			return b, nil
 		}
-		if b, ok := s.clusterFetch(ctx, key, kind); ok {
-			_, err := w.Write(b)
-			return err
+		if b, ok := s.clusterFetch(ctx, img.Key(), kind); ok {
+			return b, nil
 		}
 	}
-	b, err := c.Artifact(ctx, data, kind, s.cfg.limits)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
+	return c.ArtifactOf(ctx, img, kind, s.cfg.limits)
 }
 
 // renderKind is the renderFunc of every single-trace endpoint: what
-// /v1/<kind> returns is whatever the cache's Artifact renders for kind.
-func (s *server) renderKind(kind string) renderFunc {
-	return func(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-		return s.artifact(ctx, kind, data, w)
+// /v1/<kind> returns is whatever the cache's ArtifactOf renders for kind.
+func (s *server) renderKind(kind string) renderFunc[cache.Image] {
+	return func(ctx context.Context, _ *http.Request, img cache.Image) ([]byte, error) {
+		return s.artifact(ctx, kind, img)
 	}
 }
 
@@ -413,9 +403,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // analysis wraps a renderFunc with the whole protection stack: request
 // deadline, admission control, body cap, and error-to-status mapping.
-// The JSON body is rendered into a buffer first so a mid-render failure
+// The JSON body is rendered in full before any of it is written — a
+// renderFunc returns finished bytes or an error — so a mid-render failure
 // still produces a clean error response instead of truncated output.
-func (s *server) analysis(name string, render renderFunc) http.Handler {
+func analysis[B any](s *server, name string, read bodyReader[B], render renderFunc[B]) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		if s.cfg.requestTimeout > 0 {
@@ -443,7 +434,7 @@ func (s *server) analysis(name string, render renderFunc) http.Handler {
 		if s.analysisHook != nil {
 			s.analysisHook()
 		}
-		data, err := s.readBody(w, r)
+		body, err := readBody(s, w, r, read)
 		if err != nil {
 			var se *statusError
 			if errors.As(err, &se) {
@@ -458,8 +449,8 @@ func (s *server) analysis(name string, render renderFunc) http.Handler {
 			note = &clusterNote{}
 			ctx = context.WithValue(ctx, clusterNoteKey{}, note)
 		}
-		var buf bytes.Buffer
-		if err := render(ctx, r, data, &buf); err != nil {
+		out, err := render(ctx, r, body)
+		if err != nil {
 			var se *statusError
 			switch {
 			case errors.As(err, &se):
@@ -487,8 +478,8 @@ func (s *server) analysis(name string, render renderFunc) http.Handler {
 			w.Header().Set("X-Pdt-Cluster", note.v)
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-		_, _ = w.Write(buf.Bytes())
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+		_, _ = w.Write(out)
 	})
 }
 

@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -52,6 +53,82 @@ func ParseKey(s string) (Key, bool) {
 		return Key{}, false
 	}
 	return Key(raw), true
+}
+
+// Image is a trace image together with its content address. The fields
+// are unexported and the only constructors hash the bytes they hold, so
+// a key that does not belong to its bytes cannot be built outside this
+// package: whoever has an Image may skip the hash, nobody else can.
+type Image struct {
+	data []byte
+	key  Key
+}
+
+// ImageOf hashes a trace image already in memory.
+func ImageOf(data []byte) Image { return Image{data: data, key: KeyOf(data)} }
+
+// Data returns the image bytes; Key their content address.
+func (im Image) Data() []byte { return im.data }
+func (im Image) Key() Key     { return im.key }
+
+// ReadImage reads r to EOF like ReadSized and hashes each read as it
+// lands, so the key is ready with the last byte and the image is walked
+// once.
+func ReadImage(r io.Reader, hint int64) (Image, error) {
+	h := sha256.New()
+	data, err := ReadSized(r, hint, h)
+	if err != nil {
+		return Image{}, err
+	}
+	im := Image{data: data}
+	h.Sum(im.key[:0])
+	return im, nil
+}
+
+// trustedAfter is how much of a declared length ReadSized allocates
+// before the sender has delivered anything. A sender that announces far
+// more than it sends costs this much, not what it announced.
+const trustedAfter = 1 << 20
+
+// ReadSized reads r to EOF into a buffer sized from hint, the sender's
+// declared length, and feeds every read to sink (nil = none) as it
+// lands. The buffer is hint+1 bytes — the spare one is room for the read
+// that reports EOF — so an honest length never regrows; a hint over
+// trustedAfter gets that much first and the rest, in one jump, once the
+// first part has filled. With no hint (hint <= 0), or past a hint that
+// was too small, it starts at 512 bytes and grows by append, as
+// io.ReadAll does. r's error comes back as it is.
+func ReadSized(r io.Reader, hint int64, sink io.Writer) ([]byte, error) {
+	first := int64(512)
+	switch {
+	case hint > trustedAfter:
+		first = trustedAfter
+	case hint > 0:
+		first = hint + 1
+	}
+	buf := make([]byte, 0, first)
+	for {
+		if len(buf) == cap(buf) {
+			if int64(cap(buf)) <= hint {
+				buf = append(make([]byte, 0, hint+1), buf...)
+			} else {
+				buf = append(buf, 0)[:len(buf)]
+			}
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		if sink != nil && n > 0 {
+			if _, werr := sink.Write(buf[len(buf) : len(buf)+n]); werr != nil {
+				return nil, werr
+			}
+		}
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -201,13 +278,13 @@ func (h *Handle) Value(kind string) any {
 // request is cancelled mid-load, a live waiter retries the load itself
 // rather than failing on the leader's context error.
 func (c *Cache) Load(ctx context.Context, data []byte, lim analyzer.Limits) (*Handle, error) {
-	return c.load(ctx, KeyOf(data), data, lim)
+	return c.load(ctx, ImageOf(data), lim)
 }
 
-// load is Load for a caller that has already hashed data into key.
-func (c *Cache) load(ctx context.Context, key Key, data []byte, lim analyzer.Limits) (*Handle, error) {
-	f, led, err := c.fly(ctx, key, slotTrace, func(f *flight) error {
-		tr, err := analyzer.LoadContext(ctx, data, lim)
+// load is Load for an image that is already hashed.
+func (c *Cache) load(ctx context.Context, im Image, lim analyzer.Limits) (*Handle, error) {
+	f, led, err := c.fly(ctx, im.key, slotTrace, func(f *flight) error {
+		tr, err := analyzer.LoadContext(ctx, im.data, lim)
 		if err != nil {
 			return err
 		}
@@ -224,7 +301,7 @@ func (c *Cache) load(ctx context.Context, key Key, data []byte, lim analyzer.Lim
 	// waiters are not held behind an fsync. Failure only latches the
 	// tier degraded; the request is served either way.
 	if led && c.disk != nil {
-		_ = c.disk.Put(key, KindTrace, data)
+		_ = c.disk.Put(im.key, KindTrace, im.data)
 	}
 	return &Handle{f}, nil
 }
@@ -234,8 +311,13 @@ func (c *Cache) load(ctx context.Context, key Key, data []byte, lim analyzer.Lim
 // (cached) result; only hard failures — cancellation, admission limits —
 // are errors, and those are never cached.
 func (c *Cache) Doctor(ctx context.Context, data []byte, lim analyzer.Limits) (*analyzer.DoctorReport, error) {
-	f, _, err := c.fly(ctx, KeyOf(data), slotDoctor, func(f *flight) error {
-		d, err := analyzer.DoctorDataContext(ctx, data, lim)
+	return c.doctor(ctx, ImageOf(data), lim)
+}
+
+// doctor is Doctor for an image that is already hashed.
+func (c *Cache) doctor(ctx context.Context, im Image, lim analyzer.Limits) (*analyzer.DoctorReport, error) {
+	f, _, err := c.fly(ctx, im.key, slotDoctor, func(f *flight) error {
+		d, err := analyzer.DoctorDataContext(ctx, im.data, lim)
 		if err != nil {
 			return err
 		}
@@ -334,7 +416,12 @@ func Render(kind string, h *Handle) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Artifact returns the rendered JSON artifact of the given kind for the
+// Artifact is ArtifactOf for a trace image that has yet to be hashed.
+func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim analyzer.Limits) ([]byte, error) {
+	return c.ArtifactOf(ctx, ImageOf(data), kind, lim)
+}
+
+// ArtifactOf returns the rendered JSON artifact of the given kind for the
 // trace image, from the fastest tier that has it:
 //
 //  1. the memory tier's memoized artifact bytes (a settled entry),
@@ -345,13 +432,13 @@ func Render(kind string, h *Handle) ([]byte, error) {
 //
 // After a restart, path 2 is what makes the warm cache real: the upload
 // is hashed and served without parsing, decoding, or analyzing.
-func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim analyzer.Limits) ([]byte, error) {
-	key := KeyOf(data)
+func (c *Cache) ArtifactOf(ctx context.Context, im Image, kind string, lim analyzer.Limits) ([]byte, error) {
+	key := im.key
 	if b, ok := c.Peek(key, kind); ok {
 		return b, nil
 	}
 	if kind == KindDoctor {
-		d, err := c.Doctor(ctx, data, lim)
+		d, err := c.doctor(ctx, im, lim)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +448,7 @@ func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim anal
 		}
 		return c.AdoptArtifact(key, kind, buf.Bytes()), nil
 	}
-	h, err := c.load(ctx, key, data, lim)
+	h, err := c.load(ctx, im, lim)
 	if err != nil {
 		return nil, err
 	}
