@@ -41,10 +41,10 @@ package cycles
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/celltrace/pdt/internal/analyzer"
-	"github.com/celltrace/pdt/internal/analyzer/colstore"
 	"github.com/celltrace/pdt/internal/core/event"
 )
 
@@ -148,10 +148,11 @@ func (r *Report) Detected() int {
 }
 
 // Detect analyzes every SPE program run of the trace. Runs are
-// independent and detection allocates heavily per run, so past the
-// adaptive threshold they are detected on the shared pool (1.75x on the
-// benchmark's 80k-event trace with two processors); below it, and on a
-// single P, the pool degenerates to a plain loop.
+// independent, so past the adaptive threshold they are detected on the
+// shared pool; below it, and on a single P, the pool degenerates to a
+// plain loop. A run costs a handful of buffers and one OR per row per
+// candidate, which leaves the pool 1.3–1.4x on the benchmark's 80k-event
+// trace with two processors (1.9 against 2.5 ms; docs/MODEL.md).
 func Detect(tr *analyzer.Trace, opt Options) *Report {
 	opt = opt.withDefaults()
 	runs := make([]Run, numRuns(tr))
@@ -202,12 +203,27 @@ func numRuns(tr *analyzer.Trace) int {
 	return max + 1
 }
 
-// eligible reports whether an event ID may anchor a cycle or count in a
-// cycle signature.
-func eligible(id event.ID) bool {
-	info, ok := event.Lookup(id)
-	return ok && info.Group != event.GroupOverhead && info.Group != event.GroupLifecycle
+// eligibleMask is the set of event IDs that may anchor a cycle or count in
+// a cycle signature, one bit per ID: every table entry outside the
+// overhead and lifecycle groups. The event table has 51 entries, so a set
+// of IDs — a cycle's signature, a run's distinct IDs, the majority set —
+// is one word, and the per-row work of detection is an OR.
+var eligibleMask uint64
+
+func init() {
+	if event.NumIDs() > 64 {
+		panic("cycles: event table outgrew the one-word signature set (eligibleMask, scratch.bit)")
+	}
+	for _, info := range event.All() {
+		if info.Group != event.GroupOverhead && info.Group != event.GroupLifecycle {
+			eligibleMask |= 1 << info.ID
+		}
+	}
 }
+
+// idBit returns id's bit of the signature set: 0 for an ineligible ID, for
+// ID 0, and for anything past the table (a shift by 64 or more is 0).
+func idBit(id event.ID) uint64 { return eligibleMask & (1 << id) }
 
 // detectRun runs anchor selection and segmentation on one run.
 func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
@@ -232,31 +248,44 @@ func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
 		End:    s.Global[seqs[len(seqs)-1]],
 	}
 
-	// Occurrence positions (indexes into seqs) per eligible ID.
-	occ := make(map[event.ID][]int32)
-	ids := make([]event.ID, 0, 16)
+	// Occurrence positions (indexes into seqs) per eligible ID, as one
+	// arena: count per ID, prefix-sum the counts into offsets, fill. A
+	// row's bit is one-hot, so the fill pass reads the ID back out of it.
+	sc := scratch{seqs: seqs, global: s.Global, bit: make([]uint64, len(seqs))}
+	var off [65]int32 // ID i's positions are occ[off[i]:off[i+1]]
 	for j, seq := range seqs {
 		id := s.ID[seq]
-		if !eligible(id) {
-			continue
+		if b := idBit(id); b != 0 {
+			sc.bit[j] = b
+			sc.all |= b
+			off[id+1]++
 		}
-		if _, seen := occ[id]; !seen {
-			ids = append(ids, id)
-		}
-		occ[id] = append(occ[id], int32(j))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	most := int32(0)
+	for id := 0; id < 64; id++ {
+		most = max(most, off[id+1])
+		off[id+1] += off[id]
+	}
+	occ := make([]int32, off[64])
+	next := off
+	for j, b := range sc.bit {
+		if b != 0 {
+			id := bits.TrailingZeros64(b)
+			occ[next[id]] = int32(j)
+			next[id]++
+		}
+	}
+	sc.sigs = make([]uint64, most)
+	sc.jacs = make([]float64, most)
 
 	best := candidate{score: -1}
-	sc := newScratch(seqs, s)
-	sc.distinct = len(ids)
-	for _, id := range ids {
-		p := occ[id]
-		if len(p) < opt.MinCycles {
+	for id := 0; id < 64; id++ { // ascending ID order
+		p := occ[off[id]:off[id+1]]
+		if len(p) == 0 || len(p) < opt.MinCycles {
 			continue
 		}
 		for _, role := range [2]int{roleInitiator, roleTerminator} {
-			c := sc.evaluate(id, p, role, opt)
+			c := sc.evaluate(event.ID(id), p, role)
 			if c.better(&best) {
 				best = c
 			}
@@ -269,7 +298,7 @@ func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
 	out.Anchor = best.id
 	out.Score = best.score
 	out.Raw = best.raw
-	out.Cycles = buildCycles(tr, run, seqs, best)
+	out.Cycles = buildCycles(tr, run, &sc, best)
 	out.Wall = statsOf(out.Cycles, func(c *Cycle) uint64 { return c.Wall })
 	out.Busy = statsOf(out.Cycles, func(c *Cycle) uint64 { return c.Busy })
 	out.Stall = statsOf(out.Cycles, func(c *Cycle) uint64 { return c.Stall })
@@ -296,7 +325,6 @@ type candidate struct {
 	kept     int     // cycles kept
 	firstRow int32   // seqs index of the first kept cycle's first row
 	pos      []int32 // anchor positions (indexes into seqs)
-	sigs     []uint64
 }
 
 // better orders candidates: higher score, then more cycles (finer
@@ -318,52 +346,27 @@ func (c *candidate) better(o *candidate) bool {
 	return c.id < o.id
 }
 
-// scratch holds the per-run buffers candidate evaluation reuses across
-// anchors: the run's row list, the columns, and a generation-stamped
-// set for collecting distinct IDs per cycle without reallocating.
+// scratch holds what candidate evaluation shares across the anchors of
+// one run: the run's row list, the Global column, each row's signature
+// bit, and two buffers sized to the largest occurrence count that every
+// candidate reuses.
 type scratch struct {
-	seqs     []int32
-	ids      []event.ID // ID column value per seqs entry
-	global   []uint64   // Global column value per seqs entry
-	distinct int        // distinct eligible IDs in the run
-	stamp    map[event.ID]int
-	gen      int
-	sig      []event.ID // scratch for the current cycle's signature
+	seqs   []int32
+	global []uint64  // the store's Global column, indexed by seqs values
+	bit    []uint64  // idBit of the ID column value per seqs entry
+	all    uint64    // the run's distinct eligible IDs
+	sigs   []uint64  // per-cycle signatures of the candidate being scored
+	jacs   []float64 // their similarity to the majority set, then the walls
 }
 
-func newScratch(seqs []int32, s *colstore.Store) *scratch {
-	sc := &scratch{
-		seqs:   seqs,
-		ids:    make([]event.ID, len(seqs)),
-		global: make([]uint64, len(seqs)),
-		stamp:  make(map[event.ID]int),
+// cycleSig is the set of distinct eligible IDs of rows [lo, hi] (indexes
+// into seqs).
+func (sc *scratch) cycleSig(lo, hi int32) uint64 {
+	var sig uint64
+	for _, b := range sc.bit[lo : hi+1] {
+		sig |= b
 	}
-	for j, seq := range seqs {
-		sc.ids[j] = s.ID[seq]
-		sc.global[j] = s.Global[seq]
-	}
-	return sc
-}
-
-// cycleSig collects the sorted distinct eligible IDs of rows [lo, hi]
-// (indexes into seqs). The returned slice is a copy.
-func (sc *scratch) cycleSig(lo, hi int32) []event.ID {
-	sc.gen++
-	sc.sig = sc.sig[:0]
-	for j := lo; j <= hi; j++ {
-		id := sc.ids[j]
-		if sc.stamp[id] == sc.gen {
-			continue
-		}
-		sc.stamp[id] = sc.gen
-		if eligible(id) {
-			sc.sig = append(sc.sig, id)
-		}
-	}
-	out := make([]event.ID, len(sc.sig))
-	copy(out, sc.sig)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sig
 }
 
 // Anchor roles: an anchor either initiates its cycle (cycle i spans
@@ -399,35 +402,32 @@ func segmentBounds(role int, pos []int32, i int, n int32) (lo, hi int32) {
 // evaluate scores one anchor candidate in one role: segment at every
 // occurrence, trim deviant boundary cycles, and combine signature
 // regularity, variety, duration regularity, and coverage.
-func (sc *scratch) evaluate(id event.ID, pos []int32, role int, opt Options) candidate {
+func (sc *scratch) evaluate(id event.ID, pos []int32, role int) candidate {
 	k := len(pos)
 	n := int32(len(sc.seqs))
-	sigs := make([][]event.ID, k)
-	for i := 0; i < k; i++ {
-		lo, hi := segmentBounds(role, pos, i, n)
-		sigs[i] = sc.cycleSig(lo, hi)
-	}
 
 	// Majority set: IDs present in at least half the cycles (>= not >:
 	// a stream chunk's prefetch is absent from the final chunks, landing
 	// in exactly half the cycles of a 4-chunk partition) — but always at
 	// least two, so a 2-occurrence candidate's majority is the sigs'
 	// intersection rather than their union.
-	counts := make(map[event.ID]int)
-	for _, sig := range sigs {
-		for _, id := range sig {
-			counts[id]++
+	sigs := sc.sigs[:k]
+	var counts [64]int
+	for i := range sigs {
+		lo, hi := segmentBounds(role, pos, i, n)
+		sigs[i] = sc.cycleSig(lo, hi)
+		for sig := sigs[i]; sig != 0; sig &= sig - 1 {
+			counts[bits.TrailingZeros64(sig)]++
 		}
 	}
-	var maj []event.ID
+	var maj uint64
 	for id, c := range counts {
 		if c >= 2 && c*2 >= k {
-			maj = append(maj, id)
+			maj |= 1 << id
 		}
 	}
-	sort.Slice(maj, func(i, j int) bool { return maj[i] < maj[j] })
 
-	jacs := make([]float64, k)
+	jacs := sc.jacs[:k]
 	for i, sig := range sigs {
 		jacs[i] = jaccard(sig, maj)
 	}
@@ -452,11 +452,12 @@ func (sc *scratch) evaluate(id event.ID, pos []int32, role int, opt Options) can
 
 	// Duration regularity. Boundary cycles legitimately run long or
 	// short (a pipeline's first block waits for the pipe to fill), so
-	// with enough cycles the CV is taken over the middle ones only.
-	walls := make([]float64, 0, kept)
-	for i := front; i < k-back; i++ {
-		lo, hi := segmentBounds(role, pos, i, n)
-		walls = append(walls, float64(sc.global[hi]-sc.global[lo]))
+	// with enough cycles the CV is taken over the middle ones only. The
+	// similarities are summed, so the walls take their place.
+	walls := jacs[front : k-back]
+	for i := range walls {
+		lo, hi := segmentBounds(role, pos, front+i, n)
+		walls[i] = float64(sc.global[sc.seqs[hi]] - sc.global[sc.seqs[lo]])
 	}
 	if len(walls) >= 4 {
 		walls = walls[1 : len(walls)-1]
@@ -484,14 +485,10 @@ func (sc *scratch) evaluate(id event.ID, pos []int32, role int, opt Options) can
 
 	// Variety: the majority set's share of the run's distinct IDs.
 	variety := 1.0
-	if sc.distinct > 0 {
-		variety = float64(len(maj)) / float64(sc.distinct)
+	if sc.all != 0 {
+		variety = float64(bits.OnesCount64(maj)) / float64(bits.OnesCount64(sc.all))
 	}
 
-	hashes := make([]uint64, k)
-	for i, sig := range sigs {
-		hashes[i] = sigHash(sig)
-	}
 	return candidate{
 		id:       id,
 		role:     role,
@@ -501,40 +498,28 @@ func (sc *scratch) evaluate(id event.ID, pos []int32, role int, opt Options) can
 		kept:     kept,
 		firstRow: loRow,
 		pos:      pos,
-		sigs:     hashes,
 	}
 }
 
-// jaccard computes |a∩b| / |a∪b| over two sorted ID slices; two empty
-// sets are identical (similarity 1).
-func jaccard(a, b []event.ID) float64 {
-	if len(a) == 0 && len(b) == 0 {
+// jaccard computes |a∩b| / |a∪b| over two ID sets; two empty sets are
+// identical (similarity 1).
+func jaccard(a, b uint64) float64 {
+	if a|b == 0 {
 		return 1
 	}
-	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	return float64(bits.OnesCount64(a&b)) / float64(bits.OnesCount64(a|b))
 }
 
-// sigHash is FNV-1a over the sorted distinct ID set.
-func sigHash(sig []event.ID) uint64 {
+// sigHash is FNV-1a over the set's IDs in ascending order, two bytes per
+// ID — the hash of the sorted distinct ID list the JSON report has always
+// printed and both diff modes pair on.
+func sigHash(sig uint64) uint64 {
 	h := uint64(14695981039346656037)
-	for _, id := range sig {
-		h ^= uint64(id) & 0xff
+	for ; sig != 0; sig &= sig - 1 {
+		id := uint64(bits.TrailingZeros64(sig))
+		h ^= id & 0xff
 		h *= 1099511628211
-		h ^= uint64(id) >> 8
+		h ^= id >> 8
 		h *= 1099511628211
 	}
 	return h
@@ -542,14 +527,13 @@ func sigHash(sig []event.ID) uint64 {
 
 // buildCycles materializes the winning candidate's kept cycles with
 // interval-derived busy/stall/DMA-wait time.
-func buildCycles(tr *analyzer.Trace, run int, seqs []int32, best candidate) []Cycle {
-	s := tr.Columns()
+func buildCycles(tr *analyzer.Trace, run int, sc *scratch, best candidate) []Cycle {
+	seqs := sc.seqs
 	n := int32(len(seqs))
 	out := make([]Cycle, best.kept)
 	for i := 0; i < best.kept; i++ {
-		ci := best.front + i
-		lo, hi := segmentBounds(best.role, best.pos, ci, n)
-		start, end := s.Global[seqs[lo]], s.Global[seqs[hi]]
+		lo, hi := segmentBounds(best.role, best.pos, best.front+i, n)
+		start, end := sc.global[seqs[lo]], sc.global[seqs[hi]]
 		out[i] = Cycle{
 			Index:    i,
 			StartSeq: int(seqs[lo]),
@@ -558,7 +542,7 @@ func buildCycles(tr *analyzer.Trace, run int, seqs []int32, best candidate) []Cy
 			End:      end,
 			Events:   int(hi - lo + 1),
 			Wall:     end - start,
-			Sig:      best.sigs[ci],
+			Sig:      sigHash(sc.cycleSig(lo, hi)),
 		}
 	}
 

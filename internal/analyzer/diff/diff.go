@@ -19,6 +19,7 @@ package diff
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/cycles"
@@ -251,7 +252,7 @@ type side struct {
 	flush      uint64
 	confidence float64
 	perCore    map[uint8]*CoreSide
-	groups     map[event.Group]int
+	groups     groupCounts
 	crit       *analyzer.CriticalPath
 }
 
@@ -313,7 +314,6 @@ func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *sid
 		records:    tr.NumEvents(),
 		confidence: overallConfidence(tr),
 		perCore:    map[uint8]*CoreSide{},
-		groups:     map[event.Group]int{},
 	}
 	start, end := tr.Span()
 	s.wall = end - start
@@ -327,22 +327,18 @@ func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *sid
 	} else {
 		ivs = analyzer.IntervalsSerial(tr)
 	}
-	ivs = append(ivs, analyzer.PPEIntervals(tr)...)
-	type stateAgg struct{ busy, stall, flush uint64 }
-	states := map[uint8]*stateAgg{}
-	for _, iv := range ivs {
-		sa := states[iv.Core]
-		if sa == nil {
-			sa = &stateAgg{}
-			states[iv.Core] = sa
-		}
-		switch iv.State {
-		case analyzer.StateCompute:
-			sa.busy += iv.Dur()
-		case analyzer.StateFlush:
-			sa.flush += iv.Dur()
-		default:
-			sa.stall += iv.Dur()
+	var states [256]struct{ busy, stall, flush uint64 } // by core
+	for _, list := range [2][]analyzer.Interval{ivs, analyzer.PPEIntervals(tr)} {
+		for _, iv := range list {
+			sa := &states[iv.Core]
+			switch iv.State {
+			case analyzer.StateCompute:
+				sa.busy += iv.Dur()
+			case analyzer.StateFlush:
+				sa.flush += iv.Dur()
+			default:
+				sa.stall += iv.Dur()
+			}
 		}
 	}
 
@@ -351,7 +347,7 @@ func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *sid
 	// scans shard on the pool.
 	cores := tr.Cores()
 	perCore := make([]*CoreSide, len(cores))
-	perGroups := make([]map[event.Group]int, len(cores))
+	perGroups := make([]groupCounts, len(cores))
 	scan := func(i int) {
 		perCore[i], perGroups[i] = scanCore(tr, cores[i])
 	}
@@ -364,16 +360,14 @@ func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *sid
 	}
 	for i, c := range cores {
 		cs := perCore[i]
-		if sa := states[c]; sa != nil {
-			cs.BusyTicks, cs.StallTicks, cs.FlushTicks = sa.busy, sa.stall, sa.flush
-		}
+		cs.BusyTicks, cs.StallTicks, cs.FlushTicks = states[c].busy, states[c].stall, states[c].flush
 		if covered := cs.BusyTicks + cs.StallTicks + cs.FlushTicks; cs.WallTicks > covered {
 			cs.GapTicks = cs.WallTicks - covered
 		}
 		s.perCore[c] = cs
 		s.flush += cs.FlushTicks
-		for g, n := range perGroups[i] {
-			s.groups[g] += n
+		for bit, n := range perGroups[i] {
+			s.groups[bit] += n
 		}
 	}
 
@@ -388,13 +382,34 @@ func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *sid
 	return s
 }
 
+// groupCounts holds record counts by group bit position: event.Group is
+// a uint16 of one-bit flags.
+type groupCounts [16]int
+
+// noGroup is the groupBit slot of IDs the table does not hold (ID 0
+// included): a bit position no group has, so it is counted for nobody.
+const noGroup = 15
+
+// groupBit holds, per event ID, the bit position of the event's group, so
+// the per-record loop of scanCore indexes two arrays.
+var groupBit = func() []uint8 {
+	t := make([]uint8, event.NumIDs())
+	for id := range t {
+		t[id] = noGroup
+	}
+	for _, info := range event.All() {
+		t[info.ID] = uint8(bits.TrailingZeros16(uint16(info.Group)))
+	}
+	return t
+}()
+
 // scanCore computes one core's event-level metrics by walking the
 // core's stream-ordered index block against the trace's columns.
-func scanCore(tr *analyzer.Trace, core uint8) (*CoreSide, map[event.Group]int) {
+func scanCore(tr *analyzer.Trace, core uint8) (*CoreSide, groupCounts) {
 	seqs := tr.CoreSeqs(core)
 	s := tr.Columns()
 	cs := &CoreSide{Records: len(seqs)}
-	groups := map[event.Group]int{}
+	var groups groupCounts
 	if len(seqs) > 0 {
 		cs.WallTicks = s.Global[seqs[len(seqs)-1]] - s.Global[seqs[0]]
 	}
@@ -403,8 +418,8 @@ func scanCore(tr *analyzer.Trace, core uint8) (*CoreSide, map[event.Group]int) {
 	for _, seq := range seqs {
 		id := s.ID[seq]
 		global := s.Global[seq]
-		if info, ok := event.Lookup(id); ok {
-			groups[info.Group]++
+		if int(id) < len(groupBit) {
+			groups[groupBit[id]]++
 		}
 		switch id {
 		case event.SPEWaitTagEnter, event.PPEWaitTagEnter:
@@ -479,7 +494,8 @@ func assemble(a, b *side, opt Options) *Report {
 	// Group alignment: every group, declaration order, so the report
 	// shape is independent of what either trace happened to record.
 	for _, g := range event.Groups() {
-		gd := GroupDelta{Group: g, CountA: a.groups[g], CountB: b.groups[g]}
+		bit := bits.TrailingZeros16(uint16(g))
+		gd := GroupDelta{Group: g, CountA: a.groups[bit], CountB: b.groups[bit]}
 		gd.Flagged = opt.flagCount(gd.CountA, gd.CountB)
 		r.Groups = append(r.Groups, gd)
 	}

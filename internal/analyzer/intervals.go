@@ -60,8 +60,25 @@ type Interval struct {
 // Dur returns the interval length in timebase ticks.
 func (iv Interval) Dur() uint64 { return iv.End - iv.Start }
 
-// stallState maps Enter events to the state they open.
-var stallState = map[event.ID]State{
+// noStall fills the slots of a stall table whose event opens no stall. An
+// open state is never noStall, so comparing a slot with one stays exact.
+const noStall State = -1
+
+// stallTable lays an Enter-event → state map out flat, indexed by event
+// ID like kindOf: the run machine reads it once per record.
+func stallTable(opens map[event.ID]State) []State {
+	t := make([]State, event.NumIDs())
+	for id := range t {
+		t[id] = noStall
+	}
+	for id, st := range opens {
+		t[id] = st
+	}
+	return t
+}
+
+// stallState holds the state each SPE Enter event opens.
+var stallState = stallTable(map[event.ID]State{
 	event.SPEWaitTagEnter:       StateStallDMA,
 	event.SPEReadInMboxEnter:    StateStallMbox,
 	event.SPEWriteOutMboxEnter:  StateStallMbox,
@@ -71,7 +88,7 @@ var stallState = map[event.ID]State{
 	event.SyncMutexEnter:        StateStallSync,
 	event.SyncWQGetEnter:        StateStallSync,
 	event.SPEAtomicEnter:        StateStallSync,
-}
+})
 
 // runSeqsOrScan returns the store rows of one run: the precomputed index
 // block when the run is in range, otherwise (hand-assembled traces whose
@@ -123,7 +140,7 @@ func (m *runMachine) step(s *colstore.Store, i int, cpt uint64, emit emitFunc) {
 	global := s.Global[i]
 	switch {
 	case kindOf[id] == event.KindEnter:
-		if st, stalls := stallState[id]; stalls && !m.open {
+		if st := stallState[id]; st != noStall && !m.open {
 			emitSpan(emit, StateCompute, m.cursor, global)
 			m.open = true
 			m.openState = st
@@ -228,15 +245,15 @@ func IntervalsSerial(tr *Trace) []Interval {
 	return out
 }
 
-// ppeStallState maps PPE Enter events to the state they open.
-var ppeStallState = map[event.ID]State{
+// ppeStallState holds the state each PPE Enter event opens.
+var ppeStallState = stallTable(map[event.ID]State{
 	event.PPEWaitEnter:         StateHostWait,
 	event.PPEReadOutMboxEnter:  StateStallMbox,
 	event.PPEReadIntrMboxEnter: StateStallMbox,
 	event.PPEWriteInMboxEnter:  StateStallMbox,
 	event.PPEWaitTagEnter:      StateStallDMA,
 	event.PPEAtomicEnter:       StateStallSync,
-}
+})
 
 // PPEIntervals reconstructs the host lanes — one per PPE thread (the
 // main thread records as CorePPE, spawned threads count down), classified
@@ -280,7 +297,7 @@ func ppeLaneIntervals(tr *Trace, core uint8, run int) []Interval {
 		}
 		switch kindOf[id] {
 		case event.KindEnter:
-			if st, stalls := ppeStallState[id]; stalls && !open {
+			if st := ppeStallState[id]; st != noStall && !open {
 				emit(StateCompute, cursor, global)
 				open = true
 				openState = st

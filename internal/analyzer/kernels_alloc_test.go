@@ -1,7 +1,7 @@
 package analyzer_test
 
-// Host-independent allocation gate for the summarising kernels and the
-// load layer under them. The kernels fold the column store in place; a
+// Host-independent allocation gate for the summarising kernels, the cycle
+// detector and align-mode diff, and the load layer under them. The kernels fold the column store in place; a
 // kernel that starts materialising an Event per row again (6.5 MB per
 // Summarize on this trace before the accumulators became the kernels)
 // fails here, on any machine. The batch load allocates per chunk, never
@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
+	"github.com/celltrace/pdt/internal/analyzer/cycles"
+	"github.com/celltrace/pdt/internal/analyzer/diff"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/harness"
@@ -64,10 +66,23 @@ func TestKernelAllocationBudget(t *testing.T) {
 		{"Profile", 32, func() { analyzer.Profile(tr) }},
 		{"SummarizePPE", 8, func() { analyzer.SummarizePPE(tr) }},
 		{"TagBreakdown", 8, func() { analyzer.TagBreakdown(tr) }},
+		// Event IDs index arrays in these two: per run and per core they
+		// allocate a handful of buffers, where a map stamp and a sorted ID
+		// slice per candidate cycle cost 160,282 and 320,957 on this trace.
+		{"cycles.Detect", 128, func() { cycles.Detect(tr, cycles.Options{}) }},
+		{"diff.Diff align", 1024, func() {
+			if _, err := diff.Diff(tr, tr, diff.Options{Mode: diff.ModeAlign}); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		if got := testing.AllocsPerRun(5, k.run); got > k.budget {
 			t.Errorf("%s: %.0f allocs per run, budget is %.0f", k.name, got, k.budget)
 		}
+	}
+
+	if got := allocatedBytes(func() { cycles.Detect(tr, cycles.Options{}) }); got >= 2<<20 {
+		t.Errorf("cycles.Detect allocated %d bytes on %d events, budget is under 2 MiB", got, tr.NumEvents())
 	}
 
 	// The load layer, on the same image: the batch pipeline, then the

@@ -142,8 +142,9 @@ type summaryAcc struct {
 
 	events     int
 	minG, maxG uint64
-	eventCount map[event.ID]int
-	perCore    [256]int // record counts, the input of the stream's confidence
+	known      []int            // record counts indexed by event ID, like kindOf
+	unknown    map[event.ID]int // IDs past the table: only SetEvents can store one
+	perCore    [256]int         // record counts, the input of the stream's confidence
 	runs       []runAcc
 }
 
@@ -171,13 +172,17 @@ func (a *summaryAcc) fold(seg *colstore.Store) {
 		a.maxG = last
 	}
 	a.events += n
-	if a.eventCount == nil {
-		a.eventCount = map[event.ID]int{}
+	if a.known == nil {
+		a.known = make([]int, event.NumIDs())
 	}
 	var ra *runAcc
 	addState := func(state State, start, end uint64) { ra.state[state] += end - start }
 	for i, id := range seg.ID {
-		a.eventCount[id]++
+		if int(id) < len(a.known) {
+			a.known[id]++
+		} else {
+			a.countUnknown(id)
+		}
 		a.perCore[seg.Core[i]]++
 		run := seg.Run[i]
 		if run < 0 {
@@ -196,6 +201,15 @@ func (a *summaryAcc) fold(seg *colstore.Store) {
 		ra.scan(seg, i, id, g)
 		ra.machine.step(seg, i, a.cpt, addState)
 	}
+}
+
+// countUnknown counts an ID the event table does not hold. The decoder
+// rejects such records, so this is off every loaded trace's path.
+func (a *summaryAcc) countUnknown(id event.ID) {
+	if a.unknown == nil {
+		a.unknown = map[event.ID]int{}
+	}
+	a.unknown[id]++
 }
 
 // scan advances the run's DMA and mailbox scanners by one event.
@@ -251,11 +265,16 @@ func (ra *runAcc) scan(seg *colstore.Store, i int, id event.ID, g uint64) {
 func (a *summaryAcc) result(meta *traceio.Meta, conf Confidence) *Summary {
 	s := &Summary{
 		Workload:   meta.Workload,
-		EventCount: make(map[event.ID]int, len(a.eventCount)),
+		EventCount: make(map[event.ID]int, len(a.known)+len(a.unknown)),
 		TotalRecs:  a.events,
 		WallTicks:  a.maxG - a.minG,
 	}
-	for id, n := range a.eventCount {
+	for id, n := range a.known {
+		if n > 0 { // a key per ID that occurred, not a zero row per table entry
+			s.EventCount[event.ID(id)] = n
+		}
+	}
+	for id, n := range a.unknown {
 		s.EventCount[id] = n
 	}
 	for run := 0; run < len(meta.Anchors) && run < len(a.runs); run++ {
