@@ -33,8 +33,12 @@ const NumTagGroups = 32
 // Config holds the machine parameters. The defaults approximate a 3.2 GHz
 // Cell BE with 8 SPEs; all timing is expressed in 3.2 GHz cycles.
 type Config struct {
-	NumSPEs       int    // number of synergistic processing elements
-	MemSize       int    // bytes of simulated main (XDR) memory
+	NumSPEs int // number of synergistic processing elements
+	// MemSize is the bytes of simulated main (XDR) memory, at most
+	// LSBaseEA (1 GiB). It is address space, not a cost: on unix main
+	// memory is demand-zeroed (see Machine.Mem), so a machine pays for
+	// the pages its workload touches.
+	MemSize       int
 	LocalStore    int    // bytes of local store per SPE
 	TimebaseDiv   uint64 // cycles per timebase tick (3.2GHz/40 = 80 MHz)
 	MFCQueueDepth int    // MFC command queue entries per SPE

@@ -49,11 +49,11 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		cfg:        cfg,
 		eng:        eng,
-		mem:        make([]byte, cfg.MemSize),
 		eib:        sim.NewBandwidthServer(eng, cfg.EIBRings, cfg.EIBBytesPerCycle, cfg.EIBStartup),
 		memBus:     sim.NewBandwidthServer(eng, 1, cfg.MemBytesPerCycle, cfg.MemLatency),
 		atomicUnit: sim.NewResource(eng, 1),
 	}
+	m.mem = newMainMemory(m, cfg.MemSize)
 	for i := 0; i < cfg.NumSPEs; i++ {
 		m.spes = append(m.spes, newSPE(m, i))
 	}
@@ -75,6 +75,14 @@ func (m *Machine) Timebase() uint64 { return m.eng.Now() / m.cfg.TimebaseDiv }
 // Mem exposes the simulated main memory. Host code may read/write it
 // directly (the PPE has cache-coherent access to main storage); timing for
 // bulk PPE access should be modeled with Host.Compute.
+//
+// The slice, and anything sliced from it, is valid only while the Machine
+// is reachable: on unix the bytes are a private mapping outside the Go
+// heap, unmapped once the collector finds the Machine unreachable, and a
+// slice of them keeps nothing alive. Re-derive from Mem() rather than
+// storing a slice beside a machine that may be dropped, and where the
+// last mention of the machine is the call that derives the slice, follow
+// the last use of the slice with runtime.KeepAlive(m).
 func (m *Machine) Mem() []byte { return m.mem }
 
 // Alloc carves size bytes out of main memory at the given alignment and

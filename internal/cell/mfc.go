@@ -15,6 +15,7 @@ const (
 	cmdGetList
 	cmdPutList
 	cmdSndsig
+	numCmdKinds
 )
 
 func (k cmdKind) String() string {
@@ -61,6 +62,10 @@ type mfc struct {
 	outstanding [NumTagGroups]int
 	tagWaiters  *sim.WaitQueue // broadcast whenever a tag group drains
 
+	// procNames is the simulation-process name of a command of each kind
+	// ("mfc3:GET"), built once: one process is spawned per command.
+	procNames [numCmdKinds]string
+
 	totalCmds    uint64
 	totalBytes   uint64
 	totalLatency uint64
@@ -68,12 +73,16 @@ type mfc struct {
 
 func newMFC(s *SPE) *mfc {
 	e := s.m.eng
-	return &mfc{
+	f := &mfc{
 		spe:        s,
 		slots:      sim.NewResource(e, s.m.cfg.MFCQueueDepth),
 		serial:     sim.NewResource(e, 1),
 		tagWaiters: sim.NewWaitQueue(e),
 	}
+	for k := range f.procNames {
+		f.procNames[k] = fmt.Sprintf("mfc%d:%s", s.idx, cmdKind(k))
+	}
+	return f
 }
 
 // checkDMA validates architectural transfer constraints and panics (the
@@ -129,7 +138,7 @@ func (f *mfc) issue(p *sim.Proc, cmd mfcCmd) {
 	f.slots.Acquire(p, 1) // stall on full command queue
 	f.outstanding[cmd.tag]++
 	issued := p.Now()
-	f.spe.m.eng.Spawn(fmt.Sprintf("mfc%d:%s", f.spe.idx, cmd.kind), func(dp *sim.Proc) {
+	f.spe.m.eng.Spawn(f.procNames[cmd.kind], func(dp *sim.Proc) {
 		f.serial.Acquire(dp, 1) // strict in-order execution
 		if st := f.spe.m.DMAStall; st != nil {
 			// Injected stall: holds the serial slot, so later commands

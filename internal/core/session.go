@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 
 	"github.com/celltrace/pdt/internal/cell"
@@ -217,7 +218,18 @@ func (s *Session) WriteTrace(w io.Writer) error { return s.writeTrace(w, false) 
 // Truncated; traceio.Salvage and `pdt-ta doctor` recover them.
 func (s *Session) WriteCrashTrace(w io.Writer) error { return s.writeTrace(w, true) }
 
+// What traceio.Writer puts around the bytes it is handed (format v2):
+// magic, core, anchor index, length and CRC before a chunk's data; magic
+// and CRC as the footer. TestWriteTraceGrowsOnce pins both.
+const (
+	chunkHeaderBytes = 12
+	footerBytes      = 8
+)
+
 func (s *Session) writeTrace(w io.Writer, crash bool) error {
+	// SPE chunks are written straight out of main memory, which is valid
+	// only while the machine is reachable (cell.Machine.Mem).
+	defer runtime.KeepAlive(s.m)
 	mc := s.m.Config()
 	tw, err := traceio.NewWriter(w, traceio.Header{
 		Version:     traceio.Version,
@@ -257,6 +269,22 @@ func (s *Session) writeTrace(w io.Writer, crash bool) error {
 	}
 	if err := tw.WriteMeta(&meta); err != nil {
 		return err
+	}
+	// Everything after the metadata has a known size. A destination that
+	// can reserve it (a bytes.Buffer) does so once, here, instead of
+	// doubling its way up to a megabyte-sized trace.
+	if g, ok := w.(interface{ Grow(n int) }); ok {
+		rest := 0
+		if len(s.ppeBuf) > 0 {
+			rest += chunkHeaderBytes + len(s.ppeBuf)
+		}
+		for _, run := range s.runs {
+			rest += chunkHeaderBytes + run.regionUsed
+		}
+		if !crash {
+			rest += footerBytes
+		}
+		g.Grow(rest)
 	}
 	// PPE chunk first: it carries the string table other records refer to.
 	if len(s.ppeBuf) > 0 {

@@ -1,23 +1,37 @@
+// iter.Pull arrived in go1.23. go.mod stays at go 1.22 (bench/go.mod, which
+// replaces this module, says 1.22), so this line raises the language
+// version of this one file; the toolchain must be 1.23 or newer.
+//
+//go:build go1.23
+
 // Package sim implements a deterministic, cooperatively scheduled
 // discrete-event simulation kernel.
 //
-// Model processes are ordinary Go functions run on goroutines, but the
-// engine guarantees that at most one process is runnable at any instant:
-// a process runs until it blocks on a kernel primitive (Delay, WaitQueue,
-// Queue, Resource, ...), at which point control returns to the engine,
-// which advances virtual time to the next scheduled wakeup. Ties in wakeup
-// time are broken by schedule order, so a given program produces exactly
-// the same event sequence on every run.
+// Model processes are ordinary Go functions, each run as a coroutine of
+// the engine (iter.Pull): a process runs until it blocks on a kernel
+// primitive (Delay, WaitQueue, Queue, Resource, ...), at which point it
+// yields to the engine, which advances virtual time to the next scheduled
+// wakeup and resumes that process. Exactly one of the engine and its
+// processes executes at any instant, and control passes between them by
+// a direct coroutine switch: the Go scheduler picks nothing, so nothing
+// about a run depends on it. A coroutine rather than a free goroutine
+// because a simulated wakeup is the hot path of every run: as two
+// handoffs through the scheduler's run queue it was nearly half of a
+// run's host time.
+//
+// Determinism rests on the wakeup order alone: wakeups are dispatched by
+// (time, schedule order), so a given program produces exactly the same
+// event sequence on every run.
 //
 // Virtual time is measured in abstract ticks; the Cell model interprets
 // one tick as one 3.2 GHz processor cycle.
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // ErrDeadlock is returned by Run when processes are still alive but no
@@ -28,8 +42,8 @@ var ErrDeadlock = errors.New("sim: deadlock: live processes but no scheduled eve
 // ErrStopped is returned by Run when the simulation was halted by Stop.
 var ErrStopped = errors.New("sim: stopped")
 
-// panicAbort is the value used to unwind process goroutines when the
-// engine shuts down before they finish.
+// panicAbort is the value used to unwind a parked process when the
+// engine shuts down before it finishes.
 type panicAbort struct{}
 
 // wakeup is a scheduled resumption of a process at a virtual time.
@@ -39,23 +53,14 @@ type wakeup struct {
 	proc *Proc
 }
 
-type wakeupHeap []wakeup
-
-func (h wakeupHeap) Len() int { return len(h) }
-func (h wakeupHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the dispatch order: earlier time first, schedule order within
+// one instant. seq is unique, so the order is total and any correct heap
+// pops the same sequence.
+func (w wakeup) before(o wakeup) bool {
+	if w.at != o.at {
+		return w.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h wakeupHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *wakeupHeap) Push(x interface{}) { *h = append(*h, x.(wakeup)) }
-func (h *wakeupHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return w.seq < o.seq
 }
 
 // Engine owns virtual time and the wakeup queue.
@@ -64,20 +69,11 @@ func (h *wakeupHeap) Pop() interface{} {
 type Engine struct {
 	now     uint64
 	seq     uint64
-	queue   wakeupHeap
-	live    int // processes spawned and not yet finished
+	queue   []wakeup // binary min-heap by wakeup.before
+	live    int      // processes spawned and not yet finished
 	nextID  int
 	procs   []*Proc // every spawned process, for shutdown
 	stopped bool    // Stop was called
-	current *Proc
-
-	// parked is signalled by a process when it has transferred control
-	// back to the engine (blocked, finished, or aborted).
-	parked chan struct{}
-
-	// panicVal carries a panic out of a process goroutine so Run can
-	// re-raise it on the caller's goroutine.
-	panicVal interface{}
 
 	// Trace, when non-nil, receives a line per scheduler action (debug).
 	Trace func(format string, args ...interface{})
@@ -85,7 +81,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time 0.
 func NewEngine() *Engine {
-	return &Engine{parked: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time in ticks.
@@ -100,16 +96,22 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Live() int { return e.live }
 
 // Proc is a simulation process. All kernel primitives that can block take
-// the Proc of the calling process; calling them from the wrong goroutine
-// corrupts the schedule, so processes must not leak their Proc to other
-// goroutines.
+// the Proc of the calling process; calling them from anywhere else
+// corrupts the schedule, so processes must not leak their Proc.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	wake   chan struct{}
-	done   bool
-	killed bool
+	eng  *Engine
+	id   int
+	name string
+	done bool
+
+	// The coroutine (iter.Pull): resume runs the process until it next
+	// parks or ends, and is only called by the engine; yield is what the
+	// process parks in, and returns false when the engine has stopped
+	// the coroutine instead of resuming it; stop unwinds a parked
+	// process, and keeps one that never ran from running at all.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 }
 
 // Name returns the process name given at Spawn.
@@ -125,8 +127,9 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() uint64 { return p.eng.now }
 
 // Spawn creates a process that will first run at the current virtual time,
-// after all currently runnable work scheduled earlier. fn runs on its own
-// goroutine under the engine's cooperative regime.
+// after all currently runnable work scheduled earlier. fn runs as a
+// coroutine of the engine: on a goroutine of its own, but only ever
+// between a dispatch and the next park.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
@@ -136,64 +139,83 @@ func (e *Engine) SpawnAt(at uint64, name string, fn func(p *Proc)) *Proc {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%d) in the past (now %d)", at, e.now))
 	}
-	p := &Proc{eng: e, id: e.nextID, name: name, wake: make(chan struct{})}
+	p := &Proc{eng: e, id: e.nextID, name: name}
 	e.nextID++
 	e.live++
 	e.procs = append(e.procs, p)
 	e.schedule(p, at)
-	go func() {
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(panicAbort); ok {
-					// Engine shut down; exit quietly.
-					e.parked <- struct{}{}
-					return
+					return // engine shut down; exit quietly
 				}
 				p.done = true
 				e.live--
-				// Re-panic on the engine side by stashing the value.
-				e.panicVal = r
-				e.parked <- struct{}{}
-				return
+				panic(r) // comes out of resume, on the engine's goroutine
 			}
 		}()
-		<-p.wake // wait for first dispatch
-		if p.killed {
-			panic(panicAbort{})
-		}
 		fn(p)
 		p.done = true
 		e.live--
-		e.parked <- struct{}{}
-	}()
+	})
 	return p
 }
 
 // schedule enqueues a wakeup for p at time at.
 func (e *Engine) schedule(p *Proc, at uint64) {
 	e.seq++
-	heap.Push(&e.queue, wakeup{at: at, seq: e.seq, proc: p})
+	w := wakeup{at: at, seq: e.seq, proc: p}
+	q := append(e.queue, w)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !w.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = w
+	e.queue = q
 }
 
-// dispatch resumes p and blocks until it parks again.
-func (e *Engine) dispatch(p *Proc) {
-	e.current = p
-	p.wake <- struct{}{}
-	<-e.parked
-	e.current = nil
-	if e.panicVal != nil {
-		v := e.panicVal
-		e.panicVal = nil
-		panic(v)
+// pop removes and returns the earliest wakeup; the queue must not be empty.
+func (e *Engine) pop() wakeup {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	w := q[n]
+	q[n] = wakeup{} // do not keep the process reachable from the spare capacity
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(w) {
+			break
+		}
+		q[i] = q[c]
+		i = c
 	}
+	if n > 0 {
+		q[i] = w
+	}
+	e.queue = q
+	return top
 }
 
 // park transfers control from the calling process back to the engine and
-// blocks until the engine dispatches the process again.
+// returns when the engine dispatches the process again. If the engine
+// shuts down instead, park unwinds the process.
 func (p *Proc) park() {
-	p.eng.parked <- struct{}{}
-	<-p.wake
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(panicAbort{})
 	}
 }
@@ -229,10 +251,29 @@ const ctxStride = 4096
 func (e *Engine) RunContext(ctx context.Context) error { return e.runUntil(ctx, ^uint64(0)) }
 
 // RunUntil drives the simulation until no wakeups remain or the next
-// wakeup would be at a time strictly greater than limit.
+// wakeup would be at a time strictly greater than limit. A run that stops
+// at its limit keeps its processes parked where they are (and their
+// goroutines alive) until it is resumed by another Run* call or the
+// engine is run to an end; every other way out — completion, deadlock,
+// Stop, cancellation, a panic in a process — leaves no process behind.
 func (e *Engine) RunUntil(limit uint64) error { return e.runUntil(nil, limit) }
 
 func (e *Engine) runUntil(ctx context.Context, limit uint64) error {
+	// A panic in a process comes out of resume on this goroutine, below.
+	// Unwind its parked siblings before it continues up the caller's
+	// stack, or a caller that recovers leaks every one of them.
+	returned := false
+	defer func() {
+		if !returned {
+			e.abortAll()
+		}
+	}()
+	err := e.loop(ctx, limit)
+	returned = true
+	return err
+}
+
+func (e *Engine) loop(ctx context.Context, limit uint64) error {
 	for n := 0; len(e.queue) > 0; n++ {
 		if e.stopped {
 			e.abortAll()
@@ -244,12 +285,11 @@ func (e *Engine) runUntil(ctx context.Context, limit uint64) error {
 				return err
 			}
 		}
-		next := e.queue[0]
-		if next.at > limit {
+		if e.queue[0].at > limit {
 			e.now = limit
 			return nil
 		}
-		heap.Pop(&e.queue)
+		next := e.pop()
 		if next.proc.done {
 			continue // stale wakeup for a finished process
 		}
@@ -260,7 +300,7 @@ func (e *Engine) runUntil(ctx context.Context, limit uint64) error {
 		if e.Trace != nil {
 			e.Trace("t=%d dispatch %s", e.now, next.proc.name)
 		}
-		e.dispatch(next.proc)
+		next.proc.resume() // runs the process until it parks again
 	}
 	if e.live > 0 {
 		n := e.live
@@ -286,16 +326,14 @@ func (e *Engine) stuckNames() string {
 	return s
 }
 
-// abortAll unwinds every live process goroutine, whether it is waiting in
-// the wakeup queue or parked on a wait queue.
+// abortAll unwinds every live process, whether it is waiting in the wakeup
+// queue or parked on a wait queue. A process that was never dispatched
+// does not run at all.
 func (e *Engine) abortAll() {
 	e.queue = nil
 	for _, p := range e.procs {
-		if p.done {
-			continue
+		if !p.done {
+			p.stop()
 		}
-		p.killed = true
-		p.wake <- struct{}{}
-		<-e.parked
 	}
 }
