@@ -85,6 +85,7 @@ func (s *server) setupState() error {
 				ctx, cancel = context.WithTimeout(ctx, s.cfg.requestTimeout)
 				defer cancel()
 			}
+			defer s.mem.hold(int64(len(image)))()
 			// Through the cluster-aware path: a job executing on a
 			// non-owner replica peeks the owner's cache like a
 			// synchronous request would.

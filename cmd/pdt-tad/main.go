@@ -150,8 +150,15 @@ func run(args []string, stdout io.Writer, logw io.Writer, ready chan<- net.Addr)
 	// step so admission control agrees with the HTTP layer.
 	cfg.limits.MaxFileBytes = cfg.maxBody
 
+	// Before setupState, so that disk-tier rehydration runs under the limit
+	// too.
+	budget, limitSource := memoryLimit(cfg, os.Getenv("GOMEMLIMIT"))
+	mem, stopMem := startMemLimit(budget)
+	defer stopMem()
+
 	log := slog.New(slog.NewJSONHandler(logw, nil))
 	srv := newServer(cfg, log)
+	srv.mem, srv.memoryLimitSource = mem, limitSource
 	if err := srv.setupState(); err != nil {
 		return err
 	}
@@ -165,7 +172,8 @@ func run(args []string, stdout io.Writer, logw io.Writer, ready chan<- net.Addr)
 	fmt.Fprintf(stdout, "pdt-tad: listening on %s\n", ln.Addr())
 	log.Info("listening", "addr", ln.Addr().String(),
 		"max_concurrent", cfg.maxConcurrent, "max_queue", cfg.maxQueue,
-		"max_body", cfg.maxBody, "request_timeout", cfg.requestTimeout.String())
+		"max_body", cfg.maxBody, "request_timeout", cfg.requestTimeout.String(),
+		"memory_limit", runtimeMemoryLimit(), "memory_limit_source", limitSource)
 	if ready != nil {
 		ready <- ln.Addr()
 	}

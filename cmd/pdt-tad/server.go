@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -146,6 +147,12 @@ type server struct {
 	analysisHook func()
 	// uploads is the chunked-upload session registry.
 	uploads *uploads
+	// mem raises the runtime's soft memory limit while trace images are
+	// analysed (nil when the daemon sets no limit); memoryLimitSource
+	// names what set the limit: "cache-bytes", "GOMEMLIMIT" or "none"
+	// (see memoryLimit).
+	mem               *memLimit
+	memoryLimitSource string
 }
 
 func newServer(cfg config, log *slog.Logger) *server {
@@ -156,10 +163,11 @@ func newServer(cfg config, log *slog.Logger) *server {
 		cfg.maxQueue = 0
 	}
 	s := &server{
-		cfg:   cfg,
-		log:   log,
-		slots: make(chan struct{}, cfg.maxConcurrent),
-		queue: make(chan struct{}, cfg.maxQueue),
+		cfg:               cfg,
+		log:               log,
+		slots:             make(chan struct{}, cfg.maxConcurrent),
+		queue:             make(chan struct{}, cfg.maxQueue),
+		memoryLimitSource: "none",
 	}
 	if cfg.cacheBytes > 0 || cfg.cacheEntries > 0 {
 		s.cache = cache.New(cfg.cacheEntries, cfg.cacheBytes)
@@ -358,6 +366,25 @@ func (s *server) renderKind(kind string) renderFunc[cache.Image] {
 	}
 }
 
+// memoryStats is the memory section of GET /v1/stats: the soft limit in
+// force (0 = none) and what set it, beside the heap the last GC found
+// live — what the cache's bytes are a budget for.
+type memoryStats struct {
+	LimitBytes    int64  `json:"limitBytes"`
+	Source        string `json:"source"`
+	HeapLiveBytes uint64 `json:"heapLiveBytes"`
+}
+
+func (s *server) memoryStats() memoryStats {
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(live)
+	out := memoryStats{LimitBytes: runtimeMemoryLimit(), Source: s.memoryLimitSource}
+	if live[0].Value.Kind() == metrics.KindUint64 {
+		out.HeapLiveBytes = live[0].Value.Uint64()
+	}
+	return out
+}
+
 // handleStats reports the cache counters (GET /v1/stats).
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	type cacheStats struct {
@@ -373,10 +400,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	out := struct {
 		Cache   cacheStats       `json:"cache"`
+		Memory  memoryStats      `json:"memory"`
 		Disk    *cache.DiskStats `json:"disk,omitempty"`
 		Jobs    *jobs.Stats      `json:"jobs,omitempty"`
 		Cluster *clusterStats    `json:"cluster,omitempty"`
-	}{}
+	}{Memory: s.memoryStats()}
 	out.Cluster = s.clusterStatsSnapshot()
 	if s.cache != nil {
 		st := s.cache.Stats()
@@ -429,6 +457,14 @@ func analysis[B any](s *server, name string, read bodyReader[B], render renderFu
 			return
 		}
 		defer release()
+		// The body counts toward the memory limit's headroom until the
+		// response, at its declared size, or at the cap when that says
+		// nothing (chunked, or gzip's wire length).
+		held := s.cfg.maxBody
+		if r.ContentLength >= 0 && r.Header.Get("Content-Encoding") == "" {
+			held = min(r.ContentLength, held)
+		}
+		defer s.mem.hold(held)()
 		start := time.Now()
 		defer func() { s.observe(time.Since(start)) }()
 		if s.analysisHook != nil {

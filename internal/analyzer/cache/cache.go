@@ -168,8 +168,9 @@ type Cache struct {
 	evictions uint64
 }
 
-// New builds a cache bounded to maxEntries entries and maxBytes estimated
-// trace bytes (each 0 = unbounded on that axis).
+// New builds a cache bounded to maxEntries entries and maxBytes of
+// weight — each entry's loaded trace, kernel values and rendered
+// artifacts (each 0 = unbounded on that axis).
 func New(maxEntries int, maxBytes int64) *Cache {
 	return &Cache{
 		maxEntries: maxEntries,
@@ -227,8 +228,9 @@ func (e *entry) inFlight() bool {
 // fills them, settles, then closes done; waiters read only after done.
 type flight struct {
 	done    chan struct{}
-	settled bool // guarded by Cache.mu
-	weight  int64
+	entry   *entry // the entry whose slot holds the flight
+	settled bool   // guarded by Cache.mu
+	weight  int64  // of the load itself; memos are charged as stored
 	err     error
 	trace   *analyzer.Trace
 	doctor  *analyzer.DoctorReport
@@ -245,30 +247,46 @@ type flight struct {
 // Handle is the per-request view of a cached trace: the shared loaded
 // Trace plus lazily memoized analysis artifacts. Everything it returns is
 // shared across requests and must be treated as immutable.
-type Handle struct{ f *flight }
+type Handle struct {
+	c *Cache
+	f *flight
+}
 
 // Trace returns the loaded, validated trace.
 func (h *Handle) Trace() *analyzer.Trace { return h.f.trace }
 
 // Value returns the memoized result of the named kind's kernel — the
 // type its kinds.All entry computes — running it at most once per entry.
-// An unregistered kind has no value.
+// An unregistered kind has no value. A value is weighed into its entry
+// when it is computed.
 func (h *Handle) Value(kind string) any {
 	k, ok := kinds.Lookup(kind)
 	if !ok {
 		return nil
 	}
-	h.f.memoMu.Lock()
-	defer h.f.memoMu.Unlock()
-	v, ok := h.f.values[kind]
-	if !ok {
-		if h.f.values == nil {
-			h.f.values = map[string]any{}
-		}
-		v = k.Compute(h.f.trace)
-		h.f.values[kind] = v
+	v, computed := h.f.memoValue(kind, k)
+	if computed {
+		h.c.charge(h.f, sizeOf(v))
 	}
 	return v
+}
+
+// memoValue returns the flight's value of kind, computing it under
+// memoMu if it is not memoized yet. The deferred unlock matters: a
+// kernel panic unwinds to the caller (the daemon answers it with a 500)
+// and must not leave every later request for the entry blocked.
+func (f *flight) memoValue(kind string, k *kinds.Kind) (v any, computed bool) {
+	f.memoMu.Lock()
+	defer f.memoMu.Unlock()
+	if v, ok := f.values[kind]; ok {
+		return v, false
+	}
+	if f.values == nil {
+		f.values = map[string]any{}
+	}
+	v = k.Compute(f.trace)
+	f.values[kind] = v
+	return v, true
 }
 
 // Load returns a handle for the trace image, loading it at most once per
@@ -303,7 +321,7 @@ func (c *Cache) load(ctx context.Context, im Image, lim analyzer.Limits) (*Handl
 	if led && c.disk != nil {
 		_ = c.disk.Put(im.key, KindTrace, im.data)
 	}
-	return &Handle{f}, nil
+	return &Handle{c, f}, nil
 }
 
 // Doctor returns the salvage/recovery report for the trace image, cached
@@ -456,7 +474,7 @@ func (c *Cache) ArtifactOf(ctx context.Context, im Image, kind string, lim analy
 	if err != nil {
 		return nil, err
 	}
-	b = storeArtifact(h.f, kind, b)
+	b = c.storeArtifact(h.f, kind, b)
 	if c.disk != nil {
 		_ = c.disk.Put(key, kind, b)
 	}
@@ -521,19 +539,37 @@ func (c *Cache) peekArtifact(key Key, kind string) ([]byte, bool) {
 	return b, true
 }
 
-// storeArtifact memoizes rendered bytes on a flight; the first writer
-// wins so concurrent renders converge on one shared slice.
-func storeArtifact(f *flight, kind string, b []byte) []byte {
+// storeArtifact memoizes rendered bytes on a settled flight and weighs
+// them, at their capacity, into its entry; the first writer wins so
+// concurrent renders converge on one shared slice.
+func (c *Cache) storeArtifact(f *flight, kind string, b []byte) []byte {
 	f.memoMu.Lock()
-	defer f.memoMu.Unlock()
-	if prev := f.arts[kind]; prev != nil {
+	prev := f.arts[kind]
+	if prev == nil {
+		if f.arts == nil {
+			f.arts = map[string][]byte{}
+		}
+		f.arts[kind] = b
+	}
+	f.memoMu.Unlock()
+	if prev != nil {
 		return prev
 	}
-	if f.arts == nil {
-		f.arts = map[string][]byte{}
-	}
-	f.arts[kind] = b
+	c.charge(f, int64(cap(b)))
 	return b
+}
+
+// charge adds n bytes just memoized on a settled flight to its entry's
+// weight and evicts to fit. Once the entry has left the cache nothing is
+// charged: only the handles still in use keep that memory alive.
+func (c *Cache) charge(f *flight, n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := f.entry; c.entries[e.key] == e {
+		e.weight += n
+		c.bytes += n
+		c.evict(e)
+	}
 }
 
 // AdoptArtifact installs artifact bytes produced outside Artifact's
@@ -555,7 +591,7 @@ func (c *Cache) AdoptArtifact(key Key, kind string, b []byte) []byte {
 	}
 	if f != nil && f.settled && f.err == nil {
 		c.mu.Unlock()
-		b = storeArtifact(f, kind, b)
+		b = c.storeArtifact(f, kind, b)
 	} else {
 		if e == nil {
 			e = &entry{key: key}
@@ -569,8 +605,8 @@ func (c *Cache) AdoptArtifact(key Key, kind string, b []byte) []byte {
 				e.adopted = map[string][]byte{}
 			}
 			e.adopted[kind] = b
-			e.weight += int64(len(b))
-			c.bytes += int64(len(b))
+			e.weight += int64(cap(b))
+			c.bytes += int64(cap(b))
 		}
 		c.ll.MoveToFront(e.elem)
 		c.evict(e)
@@ -615,7 +651,7 @@ func (c *Cache) acquire(key Key, sl slot) (f *flight, lead bool) {
 	}
 	f = e.flights[sl]
 	if f == nil {
-		f = &flight{done: make(chan struct{})}
+		f = &flight{done: make(chan struct{}), entry: e}
 		e.flights[sl] = f
 		c.misses++
 		return f, true

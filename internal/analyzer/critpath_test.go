@@ -2,6 +2,9 @@ package analyzer
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -108,5 +111,101 @@ func TestWriteCriticalPath(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// writeCriticalPathJSONReference is the encoding/json rendering the
+// hand-written WriteCriticalPathJSON must reproduce byte for byte.
+func writeCriticalPathJSONReference(cp *CriticalPath, w io.Writer) error {
+	type segment struct {
+		Core      string `json:"core"`
+		Run       int    `json:"run"`
+		StartTick uint64 `json:"startTick"`
+		EndTick   uint64 `json:"endTick"`
+		Ticks     uint64 `json:"ticks"`
+		Via       string `json:"via"`
+		Cross     bool   `json:"cross"`
+	}
+	out := struct {
+		TotalTicks uint64            `json:"totalTicks"`
+		CoreTicks  map[string]uint64 `json:"coreTicks"`
+		Segments   []segment         `json:"segments"`
+	}{TotalTicks: cp.Total, CoreTicks: map[string]uint64{}, Segments: []segment{}}
+	for c, t := range cp.CoreTicks {
+		out.CoreTicks[event.CoreName(c)] = t
+	}
+	for _, s := range cp.Segments {
+		out.Segments = append(out.Segments, segment{
+			Core: event.CoreName(s.Core), Run: s.Run,
+			StartTick: s.Start, EndTick: s.End, Ticks: s.Dur(),
+			Via: s.Via.String(), Cross: s.Cross,
+		})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(&out)
+}
+
+// TestWriteCriticalPathJSONMatchesEncoder holds the appending renderer to
+// encoding/json on paths the workloads do not produce: empty, every core
+// class, negative runs, unregistered event IDs and extreme tick values,
+// into a bare writer and into a bytes.Buffer that already holds data.
+func TestWriteCriticalPathJSONMatchesEncoder(t *testing.T) {
+	big := &CriticalPath{CoreTicks: map[uint8]uint64{}}
+	for i := 0; i < 10000; i++ {
+		c := uint8(i % 9)
+		if c == 8 {
+			c = event.CorePPE - uint8(i%3)
+		}
+		start := uint64(i) * 1000003
+		big.Segments = append(big.Segments, PathSegment{
+			Core: c, Run: i%7 - 1, Start: start, End: start + uint64(i%13)*97,
+			Via: event.ID(i % int(event.NumIDs()+3)), Cross: i%5 == 0,
+		})
+		big.CoreTicks[c] += uint64(i % 13 * 97)
+		big.Total = start
+	}
+	cases := map[string]*CriticalPath{
+		"zero":  {},
+		"empty": {CoreTicks: map[uint8]uint64{}, Segments: []PathSegment{}},
+		"extremes": {
+			Total:     math.MaxUint64,
+			CoreTicks: map[uint8]uint64{0: 0, 15: math.MaxUint64, event.CorePPE: 1, event.CorePPEBase: 2},
+			Segments: []PathSegment{
+				{Core: event.CorePPEBase, Run: math.MinInt32, End: math.MaxUint64, Via: event.NumIDs() + 40},
+				{Core: 200, Run: math.MaxInt32, Start: 1, End: 1, Via: 0, Cross: true},
+			},
+		},
+		"big": big,
+	}
+	for name, cp := range cases {
+		var want bytes.Buffer
+		if err := writeCriticalPathJSONReference(cp, &want); err != nil {
+			t.Fatal(err)
+		}
+		var plain bytes.Buffer
+		if err := WriteCriticalPathJSON(cp, struct{ io.Writer }{&plain}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: bare writer got\n%s\nwant\n%s", name, plain.Bytes(), want.Bytes())
+		}
+		buf := bytes.NewBufferString("prefix")
+		if err := WriteCriticalPathJSON(cp, buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.Bytes(); !bytes.Equal(got[len("prefix"):], want.Bytes()) {
+			t.Fatalf("%s: bytes.Buffer got\n%s\nwant\n%s", name, got, want.Bytes())
+		}
+	}
+	// The buffer is sized up front: rendering into an empty bytes.Buffer
+	// never regrows it, and leaves at most a byte a segment plus the
+	// allocator's rounding unused.
+	var buf bytes.Buffer
+	if err := WriteCriticalPathJSON(big, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if slack := cap(buf.Bytes()) - buf.Len(); slack > len(big.Segments)+8192 {
+		t.Fatalf("buffer cap %d for %d bytes: sized wrong", cap(buf.Bytes()), buf.Len())
 	}
 }

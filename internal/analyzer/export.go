@@ -1,11 +1,14 @@
 package analyzer
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+	"strings"
 
 	"github.com/celltrace/pdt/internal/core/event"
 )
@@ -179,38 +182,149 @@ func WriteGapsJSON(minTicks uint64, gaps []Gap, w io.Writer) error {
 	return enc.Encode(&out)
 }
 
-// jsonPathSegment is the JSON shape of one critical-path hop.
-type jsonPathSegment struct {
-	Core      string `json:"core"`
-	Run       int    `json:"run"`
-	StartTick uint64 `json:"startTick"`
-	EndTick   uint64 `json:"endTick"`
-	Ticks     uint64 `json:"ticks"`
-	Via       string `json:"via"`
-	Cross     bool   `json:"cross"`
-}
+// The critical-path document, piece by piece: what json.Encoder with a
+// two-space indent writes for {totalTicks, coreTicks, segments}.
+const (
+	cpHead      = "{\n  \"totalTicks\": "
+	cpCoreTicks = ",\n  \"coreTicks\": {"
+	cpCoreKey   = "\n    "
+	cpCoreVal   = ": "
+	cpSegments  = "},\n  \"segments\": ["
+	cpSegCore   = "\n    {\n      \"core\": "
+	cpSegRun    = ",\n      \"run\": "
+	cpSegStart  = ",\n      \"startTick\": "
+	cpSegEnd    = ",\n      \"endTick\": "
+	cpSegTicks  = ",\n      \"ticks\": "
+	cpSegVia    = ",\n      \"via\": "
+	cpSegCross  = ",\n      \"cross\": "
+	cpSegClose  = "\n    }"
+	cpListClose = "\n  "
+	cpTail      = "]\n}\n"
+)
 
 // WriteCriticalPathJSON exports an already-computed critical path as
-// JSON, served by pdt-tad's /v1/critpath endpoint.
+// JSON, served by pdt-tad's /v1/critpath endpoint. The document is
+// appended straight into one buffer sized up front to hold it (within a
+// byte per segment) — on a large trace it is megabytes, and building it
+// as structs, marshalling, re-indenting and copying it left ten times
+// that in garbage per render. Handed a *bytes.Buffer, it writes into the
+// buffer's own storage.
 func WriteCriticalPathJSON(cp *CriticalPath, w io.Writer) error {
-	out := struct {
-		TotalTicks uint64            `json:"totalTicks"`
-		CoreTicks  map[string]uint64 `json:"coreTicks"`
-		Segments   []jsonPathSegment `json:"segments"`
-	}{TotalTicks: cp.Total, CoreTicks: map[string]uint64{}, Segments: []jsonPathSegment{}}
-	for c, t := range cp.CoreTicks {
-		out.CoreTicks[event.CoreName(c)] = t
+	var names jsonNames
+	cores := make([]uint8, 0, len(cp.CoreTicks))
+	for c := range cp.CoreTicks {
+		cores = append(cores, c)
 	}
-	for _, s := range cp.Segments {
-		out.Segments = append(out.Segments, jsonPathSegment{
-			Core: event.CoreName(s.Core), Run: s.Run,
-			StartTick: s.Start, EndTick: s.End, Ticks: s.Dur(),
-			Via: s.Via.String(), Cross: s.Cross,
-		})
+	// encoding/json orders map keys by their unescaped text.
+	slices.SortFunc(cores, func(a, b uint8) int { return strings.Compare(event.CoreName(a), event.CoreName(b)) })
+
+	n := len(cpHead) + decLen(cp.Total) + len(cpCoreTicks) + len(cpSegments) + 2*len(cpListClose) + len(cpTail)
+	for _, c := range cores {
+		n += len(",") + len(cpCoreKey) + len(names.core(c)) + len(cpCoreVal) + decLen(cp.CoreTicks[c])
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&out)
+	const segFixed = len(",") + len(cpSegCore) + len(cpSegRun) + len(cpSegStart) + len(cpSegEnd) +
+		len(cpSegTicks) + len(cpSegVia) + len(cpSegCross) + len("false") + len(cpSegClose)
+	for i := range cp.Segments {
+		s := &cp.Segments[i]
+		n += segFixed + len(names.core(s.Core)) + len(names.id(s.Via)) +
+			intLen(s.Run) + decLen(s.Start) + decLen(s.End) + decLen(s.Dur())
+	}
+
+	var b []byte
+	if buf, ok := w.(*bytes.Buffer); ok {
+		buf.Grow(n)
+		b = buf.AvailableBuffer()
+	} else {
+		b = make([]byte, 0, n)
+	}
+	b = append(b, cpHead...)
+	b = strconv.AppendUint(b, cp.Total, 10)
+	b = append(b, cpCoreTicks...)
+	for i, c := range cores {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, cpCoreKey...)
+		b = append(b, names.core(c)...)
+		b = append(b, cpCoreVal...)
+		b = strconv.AppendUint(b, cp.CoreTicks[c], 10)
+	}
+	if len(cores) > 0 {
+		b = append(b, cpListClose...)
+	}
+	b = append(b, cpSegments...)
+	for i := range cp.Segments {
+		s := &cp.Segments[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, cpSegCore...)
+		b = append(b, names.core(s.Core)...)
+		b = append(b, cpSegRun...)
+		b = strconv.AppendInt(b, int64(s.Run), 10)
+		b = append(b, cpSegStart...)
+		b = strconv.AppendUint(b, s.Start, 10)
+		b = append(b, cpSegEnd...)
+		b = strconv.AppendUint(b, s.End, 10)
+		b = append(b, cpSegTicks...)
+		b = strconv.AppendUint(b, s.Dur(), 10)
+		b = append(b, cpSegVia...)
+		b = append(b, names.id(s.Via)...)
+		b = append(b, cpSegCross...)
+		b = strconv.AppendBool(b, s.Cross)
+		b = append(b, cpSegClose...)
+	}
+	if len(cp.Segments) > 0 {
+		b = append(b, cpListClose...)
+	}
+	b = append(b, cpTail...)
+	_, err := w.Write(b)
+	return err
+}
+
+// jsonNames memoizes the JSON spelling of core and event names — quoted
+// and escaped by encoding/json itself, HTML escaping included — so each
+// distinct name is escaped once per document.
+type jsonNames struct {
+	cores [256][]byte
+	ids   [][]byte // by event ID; registered IDs only
+}
+
+func (n *jsonNames) core(c uint8) []byte {
+	if n.cores[c] == nil {
+		n.cores[c], _ = json.Marshal(event.CoreName(c))
+	}
+	return n.cores[c]
+}
+
+func (n *jsonNames) id(id event.ID) []byte {
+	if n.ids == nil {
+		n.ids = make([][]byte, event.NumIDs())
+	}
+	if int(id) >= len(n.ids) {
+		q, _ := json.Marshal(id.String())
+		return q
+	}
+	if n.ids[id] == nil {
+		n.ids[id], _ = json.Marshal(id.String())
+	}
+	return n.ids[id]
+}
+
+// decLen is the length of v in decimal; intLen the same for a signed v.
+func decLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+func intLen(v int) int {
+	if v < 0 {
+		return 1 + decLen(uint64(-v))
+	}
+	return decLen(uint64(v))
 }
 
 // Report renders the human-readable summary the pdt-ta CLI prints.

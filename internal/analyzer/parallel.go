@@ -98,8 +98,8 @@ func (tr *Trace) Cores() []uint8 {
 // Footprint reports the resident size of the loaded trace in bytes: the
 // exact columnar store size (fixed-width columns, argument arena,
 // interned strings) plus the per-core/per-run index arenas and a small
-// constant for the surrounding structures. The trace cache uses it as
-// the entry weight for its byte bound.
+// constant for the surrounding structures. The trace cache starts an
+// entry's weight for its byte bound from it.
 func (tr *Trace) Footprint() int64 {
 	n := int64(4096)
 	if tr.col != nil {
