@@ -15,7 +15,11 @@
 // constant number of allocations instead of one per record.
 package colstore
 
-import "github.com/celltrace/pdt/internal/core/event"
+import (
+	"encoding/binary"
+
+	"github.com/celltrace/pdt/internal/core/event"
+)
 
 // Store is a struct-of-arrays event table. All column slices have the
 // same length (the event count) except ArgOff, which has one extra
@@ -96,19 +100,38 @@ type Builder struct {
 // total argument words. Either may be 0 when unknown; the columns then
 // grow geometrically.
 func NewBuilder(n, argWords int) *Builder {
-	b := &Builder{intern: make(map[string]int32)}
-	b.s = Store{
-		ID:     make([]event.ID, 0, n),
-		Core:   make([]uint8, 0, n),
-		Flags:  make([]uint8, 0, n),
-		Time:   make([]uint64, 0, n),
-		Global: make([]uint64, 0, n),
-		Run:    make([]int32, 0, n),
-		ArgOff: make([]uint32, 1, n+1),
-		Args:   make([]uint64, 0, argWords),
-		StrIdx: make([]int32, 0, n),
-	}
+	b := &Builder{}
+	b.Reset(n, argWords)
 	return b
+}
+
+// Reset empties the builder for another store of n events and argWords
+// argument words, reusing every column array already large enough and
+// starting a fresh intern table. A store an earlier Done returned shares
+// those arrays, so it must be out of use by now.
+func (b *Builder) Reset(n, argWords int) {
+	s := &b.s
+	s.ID = fit(s.ID, n)
+	s.Core = fit(s.Core, n)
+	s.Flags = fit(s.Flags, n)
+	s.Time = fit(s.Time, n)
+	s.Global = fit(s.Global, n)
+	s.Run = fit(s.Run, n)
+	s.ArgOff = append(fit(s.ArgOff, n+1), 0)
+	s.Args = fit(s.Args, argWords)
+	s.StrIdx = fit(s.StrIdx, n)
+	clear(s.Strs)
+	s.Strs = s.Strs[:0]
+	b.intern = make(map[string]int32)
+}
+
+// fit returns s emptied with room for n elements: its own array when that
+// is large enough, else a new one of exactly n.
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]T, 0, n)
 }
 
 // Append adds one event row from a decoded record plus its correlated
@@ -137,10 +160,48 @@ func (b *Builder) Append(r *event.Record, global uint64, run int32) {
 	}
 }
 
+// AppendEncoded adds one event row decoded straight from the encoded
+// record at the front of rec (docs/FORMAT.md, "Records"), plus its
+// correlated global time and run assignment — Append without the
+// record-shaped copy in between. rec must start with a record event.Frame
+// accepted: AppendEncoded checks nothing again. The argument words are
+// copied into the shared arena and the string payload is interned by
+// value, so the store keeps no reference into rec.
+func (b *Builder) AppendEncoded(rec []byte, global uint64, run int32) {
+	s := &b.s
+	rec = rec[:rec[0]]
+	flags := rec[4]
+	s.ID = append(s.ID, event.ID(binary.LittleEndian.Uint16(rec[1:3])))
+	s.Core = append(s.Core, rec[3])
+	s.Flags = append(s.Flags, flags)
+	s.Time = append(s.Time, binary.LittleEndian.Uint64(rec[5:13]))
+	s.Global = append(s.Global, global)
+	s.Run = append(s.Run, run)
+	off := 14 // the fixed header: size, ID, core, flags, time, nargs
+	for end := off + 8*int(rec[13]); off < end; off += 8 {
+		s.Args = append(s.Args, binary.LittleEndian.Uint64(rec[off:off+8]))
+	}
+	s.ArgOff = append(s.ArgOff, uint32(len(s.Args)))
+	if flags&event.FlagHasStr == 0 {
+		s.StrIdx = append(s.StrIdx, -1)
+		return
+	}
+	str := rec[off+2:] // past the u16 length: Frame checked it ends the record
+	idx, ok := b.intern[string(str)]
+	if !ok {
+		idx = int32(len(s.Strs))
+		s.Strs = append(s.Strs, string(str))
+		b.intern[s.Strs[idx]] = idx
+	}
+	s.StrIdx = append(s.StrIdx, idx)
+}
+
 // Len returns the number of rows appended so far.
 func (b *Builder) Len() int { return len(b.s.ID) }
 
-// Done returns the built store. The Builder must not be used afterwards.
+// Done returns the built store. The Builder must not be used afterwards
+// except through Reset. Dropping the intern table matters: the store
+// lives inside the Builder, so whoever keeps the store keeps the table.
 func (b *Builder) Done() *Store {
 	b.intern = nil
 	return &b.s

@@ -1,12 +1,15 @@
 package analyzer_test
 
 // Host-independent allocation gate for the summarising kernels, the cycle
-// detector and align-mode diff, and the load layer under them. The kernels fold the column store in place; a
-// kernel that starts materialising an Event per row again (6.5 MB per
-// Summarize on this trace before the accumulators became the kernels)
-// fails here, on any machine. The batch load allocates per chunk, never
-// per record, and the streaming load — the same decode and placement
-// driven piece by piece — may cost less than twice its bytes.
+// detector and align-mode diff, and the load layer under them. The
+// kernels fold the column store in place; a kernel that starts
+// materialising an Event per row again (6.5 MB per Summarize on this
+// trace before the accumulators became the kernels) fails here, on any
+// machine. The batch load frames each chunk in place and decodes every
+// record once, in the merge, straight into the columns: it allocates per
+// chunk, never per record, and at most 1.5x what the trace it returns
+// keeps. The streaming load — the same framing, placement and merge
+// driven piece by piece — may cost at most 1.85x the batch load's bytes.
 
 import (
 	"bytes"
@@ -19,6 +22,7 @@ import (
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/harness"
+	"github.com/celltrace/pdt/internal/workloads"
 )
 
 // allocatedBytes reports what one call of run allocates, after a warm-up
@@ -118,5 +122,54 @@ func TestKernelAllocationBudget(t *testing.T) {
 	if ratio := float64(streamBytes) / float64(loadBytes); ratio > 1.85 {
 		t.Errorf("streaming load allocated %d bytes, %.2fx the batch load's %d; budget is 1.85x",
 			streamBytes, ratio, loadBytes)
+	}
+}
+
+// TestLoadAllocatesWhatItKeeps holds the batch load to what the loaded
+// trace retains: FromFile may allocate at most 1.5x the Footprint it
+// returns. Decoding every record into a per-chunk []event.Record before
+// merging it into the columns cost 2.27-2.73x on these traces; framing
+// in place and decoding once, in the merge, costs 1.20-1.39x.
+func TestLoadAllocatesWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations swamp the ratio")
+	}
+	small := map[string]map[string]string{ // the verify skill's A/B sizes
+		"julia":     {"w": "128", "h": "64", "maxiter": "32"},
+		"histogram": {"size": "262144"},
+		"nbody":     {"n": "256"},
+		"synthetic": {"events": "2000", "gap": "100"},
+	}
+	type run struct {
+		name   string
+		params map[string]string
+	}
+	var runs []run
+	for _, name := range workloads.Names() {
+		runs = append(runs, run{name, small[name]})
+	}
+	runs = append(runs, run{"synthetic", map[string]string{"events": "10000", "gap": "100"}})
+	for _, r := range runs {
+		cfg := core.DefaultTraceConfig()
+		res, err := harness.Run(harness.Spec{Workload: r.name, Params: r.params, Trace: &cfg})
+		if err != nil {
+			t.Fatalf("%s %v: %v", r.name, r.params, err)
+		}
+		f, err := traceio.Parse(res.TraceBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr *analyzer.Trace
+		got := allocatedBytes(func() {
+			if tr, err = analyzer.FromFile(f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ratio := float64(got) / float64(tr.Footprint())
+		t.Logf("%s %v: %.2fx", r.name, r.params, ratio)
+		if ratio > 1.5 {
+			t.Errorf("%s %v: FromFile allocated %d bytes for a %d-byte trace (%d events), %.2fx; budget is 1.5x",
+				r.name, r.params, got, tr.Footprint(), tr.NumEvents(), ratio)
+		}
 	}
 }

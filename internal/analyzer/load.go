@@ -9,6 +9,7 @@ package analyzer
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -154,10 +155,11 @@ func LoadContext(ctx context.Context, data []byte, lim Limits) (*Trace, error) {
 }
 
 // FromFile merges an already-parsed trace file through the parallel
-// decode→merge→index pipeline: chunks are decoded concurrently by a
-// bounded worker pool, the per-chunk streams (each time-ordered at the
-// source) are combined with a k-way heap merge directly into the columnar
-// store, and the per-core and per-run index arenas are built once. The
+// frame→merge→index pipeline: chunks are framed and placed on the
+// timeline concurrently by a bounded worker pool, the per-chunk streams
+// (each time-ordered at the source) are combined with a k-way heap merge
+// that decodes every record once, straight into the columnar store, and
+// the per-core and per-run index arenas are built once. The
 // resulting event order is exactly the one a global stable sort produces
 // (the tests' reference loader does just that): ascending Global time,
 // ties broken by chunk position in the file, then record position within
@@ -224,43 +226,64 @@ func resolveLiveAnchors(f *traceio.File) {
 		if c.Core != event.CorePPE {
 			continue
 		}
-		recs, _, err := traceio.DecodeChunk(c)
+		offs, _, err := traceio.FrameRecords(context.Background(), c.Core, c.Data, nil, 0, Limits{})
 		if err != nil {
 			continue
 		}
-		for i := range recs {
-			appendLiveAnchor(&f.Meta.Anchors, &recs[i])
+		for _, off := range offs {
+			appendLiveAnchor(&f.Meta.Anchors, c.Data[off:])
 		}
 	}
 }
 
+// The loaders read a framed record's header at its fixed offsets
+// (docs/FORMAT.md, "Records"): size u8 | eventID u16 | core u8 |
+// flags u8 | time u64 | nargs u8. Only the few records whose payload they
+// need — STRING_DEF, LIVE_ANCHOR — are decoded whole, by decodeFramed.
+
+// recordID reads the event ID of the framed record at the front of rec.
+func recordID(rec []byte) event.ID { return event.ID(binary.LittleEndian.Uint16(rec[1:3])) }
+
+// decodeFramed decodes the framed record at the front of rec.
+func decodeFramed(rec []byte) event.Record {
+	var r event.Record
+	event.DecodeNext(&r, rec, nil)
+	return r
+}
+
 // appendLiveAnchor appends the clock anchor an in-band LiveAnchor record
-// carries; any other record is ignored.
-func appendLiveAnchor(anchors *[]traceio.Anchor, rec *event.Record) {
-	if rec.ID == event.LiveAnchor && len(rec.Args) == 3 {
+// — the framed record at the front of rec — carries; any other record is
+// ignored.
+func appendLiveAnchor(anchors *[]traceio.Anchor, rec []byte) {
+	if recordID(rec) != event.LiveAnchor {
+		return
+	}
+	if r := decodeFramed(rec); len(r.Args) == 3 {
 		*anchors = append(*anchors, traceio.Anchor{
-			SPE:      int(rec.Args[0]),
-			Timebase: rec.Args[1],
-			Loaded:   uint32(rec.Args[2]),
-			Program:  rec.Str,
+			SPE:      int(r.Args[0]),
+			Timebase: r.Args[1],
+			Loaded:   uint32(r.Args[2]),
+			Program:  r.Str,
 		})
 	}
 }
 
-// stringDef is one interned string observed while decoding a chunk.
+// stringDef is one interned string observed while placing a chunk.
 type stringDef struct {
 	ref uint64
 	s   string
 }
 
-// chunkStream is one decoded chunk ready for the k-way merge: the
-// records in stream order, the parallel Global-timeline column (anchor
-// times already resolved), and the run every record belongs to (-1 for
-// PPE chunks). Keeping records and timeline as two flat slices instead
-// of wrapping each record in an Event halves the bytes the merge moves
-// and lets the heap compare raw uint64s.
+// chunkStream is one framed chunk ready for the k-way merge: its encoded
+// records (data; the image's own bytes on the batch path, a copy on the
+// streaming one), each record's offset in data in stream order, the
+// parallel Global-timeline column (anchor times already resolved), and
+// the run every record belongs to (-1 for PPE chunks). Twelve bytes per
+// record instead of a decoded event.Record: each record is decoded once,
+// by the merge, straight into its column row.
 type chunkStream struct {
-	recs    []event.Record
+	data    []byte
+	offs    []uint32
 	globals []uint64
 	run     int32
 }
@@ -344,7 +367,7 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 			if ctx.Err() != nil {
 				break
 			}
-			results[i] = decodeChunkEvents(ctx, f, i, lenient, lim, &decoded, budget)
+			results[i] = frameChunk(ctx, f, i, lenient, lim, &decoded, budget)
 		}
 	} else {
 		idx := make(chan int)
@@ -359,7 +382,7 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 						// feeder never blocks and the pool winds down fast.
 						continue
 					}
-					results[i] = decodeChunkEvents(ctx, f, i, lenient, lim, &decoded, budget)
+					results[i] = frameChunk(ctx, f, i, lenient, lim, &decoded, budget)
 				}
 			}()
 		}
@@ -406,7 +429,7 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 			tr.Strings[sd.ref] = sd.s
 		}
 		streams[i] = r.stream
-		total += len(r.stream.recs)
+		total += len(r.stream.offs)
 		argWords += r.argWords
 	}
 	b := colstore.NewBuilder(total, argWords)
@@ -425,14 +448,15 @@ func (tr *Trace) finish(b *colstore.Builder) {
 	tr.Confidence = tr.confidence(nil)
 }
 
-// decodeChunkEvents runs one whole chunk through the record loop and
-// placement, collecting its merge stream, interned strings and issues.
+// frameChunk runs one whole chunk through the record loop and placement,
+// collecting its merge stream, interned strings and issues. Its records
+// stay encoded in the chunk's data until the merge decodes them.
 //
-// A panic anywhere in the decode is recovered and converted into a
+// A panic anywhere in the work is recovered and converted into a
 // per-chunk errDecodePanic, so one poisoned chunk degrades into a trace
 // Issue instead of crashing the worker pool. decoded accumulates the
 // cross-chunk record count against budget (0 = unlimited).
-func decodeChunkEvents(ctx context.Context, f *traceio.File, i int, lenient bool, lim Limits, decoded *atomic.Int64, budget int64) (res chunkResult) {
+func frameChunk(ctx context.Context, f *traceio.File, i int, lenient bool, lim Limits, decoded *atomic.Int64, budget int64) (res chunkResult) {
 	c := f.Chunks[i]
 	defer func() {
 		if r := recover(); r != nil {
@@ -442,7 +466,8 @@ func decodeChunkEvents(ctx context.Context, f *traceio.File, i int, lenient bool
 	if decodePanicHook != nil {
 		decodePanicHook(i)
 	}
-	recs, trunc, err := traceio.DecodeChunkContext(ctx, c, lim)
+	offs, n, err := traceio.FrameRecords(ctx, c.Core, c.Data, nil, 0, lim)
+	trunc := err == nil && n < len(c.Data)
 	if err != nil {
 		if errors.Is(err, ErrLimitExceeded) || ctx.Err() != nil {
 			res.err = err
@@ -456,10 +481,10 @@ func decodeChunkEvents(ctx context.Context, f *traceio.File, i int, lenient bool
 		// surface the damage as an issue.
 		res.issues = append(res.issues,
 			Issue{"error", fmt.Sprintf("chunk for core %d: decode stopped after %d records: %v",
-				c.Core, len(recs), err)})
+				c.Core, len(offs), err)})
 	}
 	if budget > 0 {
-		if n := decoded.Add(int64(len(recs))); n > budget {
+		if n := decoded.Add(int64(len(offs))); n > budget {
 			res = chunkResult{err: fmt.Errorf("%w: decoded records %d exceed budget %d (MaxRecords/MaxDecodeBytes)",
 				ErrLimitExceeded, n, budget)}
 			return res
@@ -487,8 +512,8 @@ func decodeChunkEvents(ctx context.Context, f *traceio.File, i int, lenient bool
 	// Live anchors were collected up front (resolveLiveAnchors): parallel
 	// workers need the whole table before any of them starts.
 	p := placement{run: run, anchorTB: anchorTB}
-	p.place(recs, nil)
-	res.stream, res.argWords, res.strings = p.stream(recs), p.argWords, p.strings
+	p.place(c.Data, offs, nil)
+	res.stream, res.argWords, res.strings = p.stream(c.Data, offs), p.argWords, p.strings
 	return res
 }
 
@@ -515,7 +540,7 @@ func resolveAnchor(meta *traceio.Meta, core uint8, anchorIdx uint16) (run int32,
 }
 
 // placement puts one chunk's records on the global timeline as they are
-// decoded: the whole chunk at once on the batch path, piece by piece on
+// framed: the whole chunk at once on the batch path, piece by piece on
 // the streaming path. The zero value plus run and anchorTB (from
 // resolveAnchor) is ready to use.
 type placement struct {
@@ -527,28 +552,31 @@ type placement struct {
 	strings  []stringDef
 }
 
-// place resolves the records of recs not placed yet — recs is the
-// chunk's growing record slice, globals its parallel timeline column —
-// collecting interned strings on the way. With live non-nil, in-band
-// LiveAnchor records are appended to it: a live stream's anchor table
-// grows as it is read.
-func (p *placement) place(recs []event.Record, live *[]traceio.Anchor) {
+// place resolves the records of offs not placed yet — offs locates the
+// chunk's framed records in data and grows with it, globals is its
+// parallel timeline column — collecting interned strings on the way.
+// With live non-nil, in-band LiveAnchor records are appended to it: a
+// live stream's anchor table grows as it is read.
+func (p *placement) place(data []byte, offs []uint32, live *[]traceio.Anchor) {
 	from := len(p.globals)
-	p.globals = slices.Grow(p.globals, len(recs)-from)[:len(recs)]
-	for j := from; j < len(recs); j++ {
-		rec := &recs[j]
-		g := rec.Time
-		if rec.Flags&event.FlagDecrTime != 0 {
+	p.globals = slices.Grow(p.globals, len(offs)-from)[:len(offs)]
+	for j := from; j < len(offs); j++ {
+		rec := data[offs[j]:]
+		g := binary.LittleEndian.Uint64(rec[5:13])
+		if rec[4]&event.FlagDecrTime != 0 {
 			// SPU decrementer time: elapsed ticks since the anchor.
 			g += p.anchorTB
 		}
 		p.globals[j] = g
-		p.argWords += len(rec.Args)
-		if rec.ID == event.StringDef && len(rec.Args) == 1 {
-			p.strings = append(p.strings, stringDef{rec.Args[0], rec.Str})
-		}
-		if live != nil {
-			appendLiveAnchor(live, rec)
+		p.argWords += int(rec[13])
+		switch recordID(rec) {
+		case event.StringDef:
+			r := decodeFramed(rec)
+			p.strings = append(p.strings, stringDef{r.Args[0], r.Str})
+		case event.LiveAnchor:
+			if live != nil {
+				appendLiveAnchor(live, rec)
+			}
 		}
 		if j > 0 && p.globals[j-1] > g {
 			p.unsorted = true
@@ -561,25 +589,25 @@ func (p *placement) place(recs []event.Record, live *[]traceio.Anchor) {
 // writes each TRACE_FLUSH record ahead of the earlier-stamped record that
 // forced the flush, and foreign traces may do worse — so one that is not
 // is stable-sorted here, which preserves exact equivalence with a global
-// stable sort.
-func (p *placement) stream(recs []event.Record) chunkStream {
+// stable sort. Only the offsets move; the records stay where they are.
+func (p *placement) stream(data []byte, offs []uint32) chunkStream {
 	if p.unsorted {
-		sort.Stable(&streamSorter{recs, p.globals})
+		sort.Stable(&streamSorter{offs, p.globals})
 	}
-	return chunkStream{recs, p.globals, p.run}
+	return chunkStream{data, offs, p.globals, p.run}
 }
 
-// streamSorter stable-sorts a decoded chunk by Global, keeping the
-// record and timeline slices aligned.
+// streamSorter stable-sorts a framed chunk by Global, keeping the
+// offset and timeline slices aligned.
 type streamSorter struct {
-	recs    []event.Record
+	offs    []uint32
 	globals []uint64
 }
 
-func (s *streamSorter) Len() int           { return len(s.recs) }
+func (s *streamSorter) Len() int           { return len(s.offs) }
 func (s *streamSorter) Less(i, j int) bool { return s.globals[i] < s.globals[j] }
 func (s *streamSorter) Swap(i, j int) {
-	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
+	s.offs[i], s.offs[j] = s.offs[j], s.offs[i]
 	s.globals[i], s.globals[j] = s.globals[j], s.globals[i]
 }
 
@@ -587,10 +615,8 @@ func (s *streamSorter) Swap(i, j int) {
 // a cursor into it. Heads sit at fixed positions in one array; only the
 // small mergeEnt keys move through the heap.
 type streamHead struct {
-	recs    []event.Record
-	globals []uint64
-	run     int32
-	pos     int
+	chunkStream
+	pos int
 }
 
 // mergeEnt is one heap entry: the cached next key of a stream plus the
@@ -636,18 +662,19 @@ const mergeCtxStride = 1 << 14
 
 // mergeStreams k-way merges per-chunk event streams, each ascending in
 // Global, into the columnar builder: O(N log k) instead of the
-// O(N log N) global sort, with no reflection in the hot loop, and the
-// merged rows land directly in their final columns (the transient
-// per-chunk record and timeline slices die here). The merge polls ctx
-// every mergeCtxStride events and aborts with ctx.Err().
+// O(N log N) global sort, with no reflection in the hot loop. This is
+// where each framed record is decoded, once, straight from its encoded
+// bytes into its final column row (the transient per-chunk offset and
+// timeline slices die here). The merge polls ctx every mergeCtxStride
+// events and aborts with ctx.Err().
 func mergeStreams(ctx context.Context, b *colstore.Builder, streams []chunkStream, total int) error {
 	heads := make([]streamHead, 0, len(streams))
 	h := make([]mergeEnt, 0, len(streams))
 	for i := range streams {
 		s := &streams[i]
-		if len(s.recs) > 0 {
+		if len(s.offs) > 0 {
 			h = append(h, mergeEnt{nextG: s.globals[0], idx: int32(i), hi: int32(len(heads))})
-			heads = append(heads, streamHead{recs: s.recs, globals: s.globals, run: s.run})
+			heads = append(heads, streamHead{chunkStream: *s})
 		}
 	}
 	if len(h) == 0 {
@@ -682,9 +709,9 @@ func mergeStreams(ctx context.Context, b *colstore.Builder, streams []chunkStrea
 			if g > runner.nextG || (g == runner.nextG && e.idx > runner.idx) {
 				break
 			}
-			b.Append(&hd.recs[hd.pos], g, hd.run)
+			b.AppendEncoded(hd.data[hd.offs[hd.pos]:], g, hd.run)
 			hd.pos++
-			if hd.pos == len(hd.recs) {
+			if hd.pos == len(hd.offs) {
 				exhausted = true
 				break
 			}
@@ -700,8 +727,8 @@ func mergeStreams(ctx context.Context, b *colstore.Builder, streams []chunkStrea
 	}
 	// Sole surviving stream: drain its tail without heap maintenance.
 	hd := &heads[h[0].hi]
-	for ; hd.pos < len(hd.recs); hd.pos++ {
-		b.Append(&hd.recs[hd.pos], hd.globals[hd.pos], hd.run)
+	for ; hd.pos < len(hd.offs); hd.pos++ {
+		b.AppendEncoded(hd.data[hd.offs[hd.pos]:], hd.globals[hd.pos], hd.run)
 	}
 	return nil
 }

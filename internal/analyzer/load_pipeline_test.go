@@ -223,7 +223,13 @@ func TestPipelineBadAnchorError(t *testing.T) {
 // tie-breaking order observable.
 func TestMergeStreams(t *testing.T) {
 	stream := func(tag int32, globals ...uint64) chunkStream {
-		return chunkStream{recs: make([]event.Record, len(globals)), globals: globals, run: tag}
+		s := chunkStream{globals: globals, run: tag}
+		for range globals {
+			rec := event.Record{ID: event.SPEUserEvent, Args: []uint64{0, 0, 0}}
+			s.offs = append(s.offs, uint32(len(s.data)))
+			s.data, _ = rec.AppendTo(s.data)
+		}
+		return s
 	}
 	cases := []struct {
 		name    string
@@ -243,7 +249,7 @@ func TestMergeStreams(t *testing.T) {
 	for _, tc := range cases {
 		total := 0
 		for _, s := range tc.streams {
-			total += len(s.recs)
+			total += len(s.offs)
 		}
 		b := colstore.NewBuilder(total, 0)
 		if err := mergeStreams(context.Background(), b, tc.streams, total); err != nil {

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
-	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
 )
 
@@ -62,19 +61,21 @@ type StreamResult struct {
 	Events int64
 }
 
-// streamChunk is the chunk currently being decoded.
+// streamChunk is the chunk currently being framed.
 type streamChunk struct {
 	core      uint8
 	remaining int // data bytes not yet consumed
-	count     int // records decoded across the whole chunk (MaxRecords cap)
-	// recs and place hold the records decoded and placed since the last
-	// window cut; a chunk larger than the window contributes several
-	// pieces.
-	recs  []event.Record
+	count     int // records framed across the whole chunk (MaxRecords cap)
+	// data, offs and place hold the records framed and placed since the
+	// last window cut: a copy of their encoded bytes, since they outlive
+	// the Write that brought them, and each one's offset in it. A chunk
+	// larger than the window contributes several pieces.
+	data  []byte
+	offs  []uint32
 	place placement
 	// Rollback marks: batch Parse drops a final chunk whose data was cut
 	// off, so if the stream ends inside this chunk the issues and live
-	// anchors past these marks go the way of recs (see Finish).
+	// anchors past these marks go the way of its records (see Finish).
 	issueMark  int
 	anchorMark int
 }
@@ -85,9 +86,10 @@ type streamChunk struct {
 // feed it bytes in any slicing, then call Finish. It drives the batch
 // loader's own stages in arrival order: the framing comes from the
 // traceio.Scanner that ParseContext walks (same errors, same truncation
-// tolerance, same footer CRC check), records from traceio.DecodeRecords,
+// tolerance, same footer CRC check), records from traceio.FrameRecords,
 // timeline placement from resolveAnchor and placement, and each window is
-// merged through the batch k-way heap merge. The kernels are the
+// merged — every record decoded once, into the window's columns — through
+// the batch k-way heap merge. The kernels are the
 // accumulators the batch functions fold over the whole store as one
 // segment; their folds are order-insensitive beyond the per-core/per-run
 // order the window cuts preserve — so the final results are identical to
@@ -114,13 +116,15 @@ type StreamLoader struct {
 	done    bool   // the footer, or a bad one, ended parsing for good
 	cur     streamChunk
 
-	// Pending decoded-but-unmerged chunk pieces for the current window.
+	// Pending framed-but-unmerged chunk pieces for the current window, and
+	// the builder every window merges into.
 	pending  []chunkStream
 	pendRecs int
 	pendArgs int
 	pendStrs []stringDef
+	b        colstore.Builder
 
-	decoded int64 // records decoded so far, checked against budget
+	decoded int64 // records framed so far, checked against budget
 	budget  int64
 
 	acc *streamAccumulators
@@ -182,8 +186,9 @@ func (l *StreamLoader) Write(p []byte) (int, error) {
 	if max, n := l.opts.Limits.MaxFileBytes, l.total()+int64(len(p)); max > 0 && n > max {
 		return 0, l.fail(fmt.Errorf("%w: file size %d exceeds limit %d", ErrLimitExceeded, n, max))
 	}
-	// With nothing buffered everything parses and decodes straight out of
-	// p — the zero-copy fast path every full-speed upload takes.
+	// With nothing buffered everything parses and frames straight out of
+	// p — the fast path every full-speed upload takes; only the framed
+	// records' bytes are copied, to be merged with their window.
 	in, buffered := p, len(l.buf) > 0
 	if buffered {
 		l.buf = append(l.buf, p...)
@@ -286,12 +291,12 @@ func (l *StreamLoader) consumeChunkData(data []byte) error {
 		l.tail = append(l.tail, data[:need]...)
 		data = data[need:]
 		if len(l.tail) == int(l.tail[0]) {
-			if err := l.decodePiece(l.tail); err != nil {
+			if err := l.framePiece(l.tail); err != nil {
 				return err
 			}
 		}
 	}
-	if err := l.decodePiece(data); err != nil {
+	if err := l.framePiece(data); err != nil {
 		return err
 	}
 	if len(l.tail) > 0 && c.remaining == 0 {
@@ -304,10 +309,10 @@ func (l *StreamLoader) consumeChunkData(data []byte) error {
 	return nil
 }
 
-// decodePiece runs the record loop and placement over data — bytes of
+// framePiece runs the record loop and placement over data — bytes of
 // the current chunk starting at a record boundary — leaves a trailing
 // partial record in l.tail, and paces the window.
-func (l *StreamLoader) decodePiece(data []byte) error {
+func (l *StreamLoader) framePiece(data []byte) error {
 	c := &l.cur
 	// One step takes an eighth of the window, so a single huge Write
 	// cannot outgrow it between pacing checks — but never less than one
@@ -315,25 +320,43 @@ func (l *StreamLoader) decodePiece(data []byte) error {
 	step := max(int(l.window/8), 256)
 	for len(data) > 0 {
 		piece := data[:min(len(data), step)]
-		recs, n, err := traceio.DecodeRecords(l.ctx, c.core, piece, c.recs, c.count, l.opts.Limits)
+		from := len(c.offs)
+		offs, n, err := traceio.FrameRecords(l.ctx, c.core, piece, c.offs, c.count, l.opts.Limits)
 		if err != nil {
 			return err
 		}
-		got := len(recs) - len(c.recs)
-		c.recs, c.count, l.decoded = recs, c.count+got, l.decoded+int64(got)
+		// The piece's bytes belong to the caller (or to l.tail) and its
+		// records are merged windows later, so they move into the chunk's
+		// own buffer — grown from bytes present, never from the chunk's
+		// declared length — and their offsets move with them. A chunk
+		// arrives a Write at a time, so the buffer at least doubles when it
+		// grows: append's 1.25x steps for large slices would copy a chunk
+		// several times over. (Not slices.Grow: under -race its
+		// append-of-make allocates the padding as well.)
+		base := uint32(len(c.data))
+		for j := from; j < len(offs); j++ {
+			offs[j] += base
+		}
+		if cap(c.data)-len(c.data) < n {
+			c.data = append(make([]byte, 0, 2*len(c.data)+n), c.data...)
+		}
+		c.data = append(c.data, piece[:n]...)
+		got := len(offs) - from
+		c.offs, c.count, l.decoded = offs, c.count+got, l.decoded+int64(got)
 		if l.budget > 0 && l.decoded > l.budget {
 			return fmt.Errorf("%w: decoded records %d exceed budget %d (MaxRecords/MaxDecodeBytes)",
 				ErrLimitExceeded, l.decoded, l.budget)
 		}
 		// Live streams deliver clock anchors in-band (the tracer appends
 		// one as each run starts) instead of in the up-front metadata.
-		c.place.place(c.recs, &l.scan.Meta.Anchors)
+		c.place.place(c.data, c.offs, &l.scan.Meta.Anchors)
 
 		// Window pacing. Only completed chunks fold by default, so an
 		// end-of-stream truncation can still drop the current chunk exactly
 		// as batch Parse does; a chunk that alone outgrows the window is cut
 		// mid-chunk anyway — bounded memory wins over drop-parity there.
-		curBytes := int64(len(c.recs))*eventFootprint + int64(c.place.argWords)*8
+		// The budget counts records as the batch columns will hold them.
+		curBytes := int64(len(c.offs))*eventFootprint + int64(c.place.argWords)*8
 		pendBytes := int64(l.pendRecs)*eventFootprint + int64(l.pendArgs)*8
 		if pendBytes+curBytes >= l.window/2 {
 			if curBytes >= l.window/2 {
@@ -352,7 +375,7 @@ func (l *StreamLoader) decodePiece(data []byte) error {
 	return nil
 }
 
-// cutPiece moves the current chunk's decoded records into the pending
+// cutPiece moves the current chunk's framed records into the pending
 // merge window as one stream piece. Their strings and live anchors are
 // committed with them: a later rollback undoes only what follows.
 //
@@ -364,28 +387,31 @@ func (l *StreamLoader) decodePiece(data []byte) error {
 // overtaken by exactly its successor.
 func (l *StreamLoader) cutPiece(midChunk bool) {
 	c := &l.cur
-	piece, args := c.place.stream(c.recs), c.place.argWords
+	piece, args := c.place.stream(c.data, c.offs), c.place.argWords
 	next := placement{run: c.place.run, anchorTB: c.place.anchorTB}
-	c.recs = nil
-	if k := len(piece.recs) - 1; midChunk && k >= 0 {
-		c.recs = []event.Record{piece.recs[k]}
-		next.place(c.recs, nil)
-		piece.recs, piece.globals, args = piece.recs[:k], piece.globals[:k], args-next.argWords
+	c.data, c.offs = nil, nil
+	if k := len(piece.offs) - 1; midChunk && k >= 0 {
+		rec := piece.data[piece.offs[k]:]
+		c.data, c.offs = append([]byte(nil), rec[:rec[0]]...), []uint32{0}
+		next.place(c.data, c.offs, nil)
+		piece.offs, piece.globals, args = piece.offs[:k], piece.globals[:k], args-next.argWords
 	}
 	l.pendStrs = append(l.pendStrs, c.place.strings...)
 	c.place = next
 	c.anchorMark = len(l.scan.Meta.Anchors)
-	if len(piece.recs) > 0 {
+	if len(piece.offs) > 0 {
 		l.pending = append(l.pending, piece)
-		l.pendRecs += len(piece.recs)
+		l.pendRecs += len(piece.offs)
 		l.pendArgs += args
 	}
 }
 
 // flushWindow merges the pending chunk pieces into one columnar segment
 // — the batch k-way heap merge, so intra-window order is exactly the
-// batch order — and folds it into every accumulator. The segment is
-// dropped afterwards, keeping resident memory bounded by the window.
+// batch order — and folds it into every accumulator. Every window reuses
+// the same builder's columns, and the flushed pieces are cleared, not
+// just truncated, so nothing of a folded window stays reachable: resident
+// memory stays bounded by the window.
 func (l *StreamLoader) flushWindow() error {
 	if len(l.pending) == 0 {
 		return nil
@@ -393,12 +419,14 @@ func (l *StreamLoader) flushWindow() error {
 	for _, sd := range l.pendStrs {
 		l.strings[sd.ref] = sd.s
 	}
+	clear(l.pendStrs)
 	l.pendStrs = l.pendStrs[:0]
-	b := colstore.NewBuilder(l.pendRecs, l.pendArgs)
-	if err := mergeStreams(l.ctx, b, l.pending, l.pendRecs); err != nil {
+	l.b.Reset(l.pendRecs, l.pendArgs)
+	if err := mergeStreams(l.ctx, &l.b, l.pending, l.pendRecs); err != nil {
 		return err
 	}
-	seg := b.Done()
+	seg := l.b.Done()
+	clear(l.pending)
 	l.pending = l.pending[:0]
 	l.pendRecs, l.pendArgs = 0, 0
 	l.acc.fold(seg, l.strings)
@@ -461,7 +489,7 @@ func (l *StreamLoader) Finish() (*StreamResult, error) {
 			c := &l.cur
 			l.issues = l.issues[:c.issueMark]
 			l.scan.Meta.Anchors = l.scan.Meta.Anchors[:c.anchorMark]
-			l.decoded -= int64(len(c.recs))
+			l.decoded -= int64(len(c.offs))
 			l.cur = streamChunk{}
 			l.truncated = true
 		case !l.done:
@@ -470,6 +498,7 @@ func (l *StreamLoader) Finish() (*StreamResult, error) {
 		if err := l.flushWindow(); err != nil {
 			return nil, l.fail(err)
 		}
+		l.b = colstore.Builder{} // no window follows; a kept loader keeps no columns
 	}
 	return l.snapshotLocked(true), nil
 }

@@ -111,9 +111,10 @@ func Decode(buf []byte) (Record, int, error) {
 // ScanChunk walks the record framing of one chunk — size bytes and
 // zero-padding runs only, no field decoding — and returns an upper bound
 // on the records and argument words a full decode of the same bytes can
-// produce. Bulk decoders size their record slice and argument arena from
-// it instead of assuming every record is MinRecordSize, which
-// over-allocates several-fold on arg-heavy streams.
+// produce. The record loop sizes its offset slice from it, and bulk
+// decoders their record slice and argument arena, instead of assuming
+// every record is MinRecordSize, which over-allocates several-fold on
+// arg-heavy streams.
 //
 // The bound is safe against hostile input: the scan stops at the first
 // record the decoder would reject for framing (size below the header or
@@ -159,40 +160,68 @@ func DecodeInto(buf []byte, arena []uint64) (Record, int, []uint64, error) {
 	return r, n, arena, err
 }
 
+// Frame checks the record at the front of buf — its size against the
+// header and the buffer, a known event ID, the table's arity, and the
+// argument and string bounds against the declared size — and returns its
+// encoded length, without decoding a field. It is the only record
+// validator: DecodeNext decodes what Frame accepted, and loaders that
+// frame a chunk first decode each accepted record later, straight out of
+// the same bytes (colstore.Builder.AppendEncoded). A short buffer yields
+// ErrShortRecord.
+func Frame(buf []byte) (int, error) {
+	if len(buf) < 1 {
+		return 0, ErrShortRecord
+	}
+	size := int(buf[0])
+	if size < headerSize {
+		return 0, fmt.Errorf("event: record size %d below header size", size)
+	}
+	if len(buf) < size {
+		return 0, ErrShortRecord
+	}
+	id := ID(binary.LittleEndian.Uint16(buf[1:3]))
+	nargs := int(buf[13])
+	// Metadata via pointer, not Lookup: copying the Info struct per
+	// record is measurable in bulk framing, and only the arity and (on
+	// the error paths) the name are needed.
+	if id == idInvalid || id >= maxID {
+		return 0, fmt.Errorf("event: unknown event ID %d", id)
+	}
+	info := &table[id]
+	if nargs != len(info.Args) {
+		return 0, fmt.Errorf("event: %s has %d args, expected %d", info.Name, nargs, len(info.Args))
+	}
+	off := headerSize + 8*nargs
+	if off > size {
+		return 0, fmt.Errorf("event: %s args overflow record size", info.Name)
+	}
+	if buf[4]&FlagHasStr != 0 {
+		if off+2 > size {
+			return 0, fmt.Errorf("event: %s string length overflows record", info.Name)
+		}
+		if off+2+int(binary.LittleEndian.Uint16(buf[off:off+2])) != size {
+			return 0, fmt.Errorf("event: %s string payload inconsistent with record size", info.Name)
+		}
+		return size, nil
+	}
+	if off != size {
+		return 0, fmt.Errorf("event: %s trailing bytes in record", info.Name)
+	}
+	return size, nil
+}
+
 // DecodeNext is DecodeInto writing the record into *dst instead of
 // returning it by value: bulk decoders point dst at the next slot of
 // their preallocated record slice, skipping two 64-byte struct copies
 // per record (the return and the append). On error *dst is not written.
 func DecodeNext(dst *Record, buf []byte, arena []uint64) (int, []uint64, error) {
-	if len(buf) < 1 {
-		return 0, arena, ErrShortRecord
-	}
-	size := int(buf[0])
-	if size < headerSize {
-		return 0, arena, fmt.Errorf("event: record size %d below header size", size)
-	}
-	if len(buf) < size {
-		return 0, arena, ErrShortRecord
-	}
-	id := ID(binary.LittleEndian.Uint16(buf[1:3]))
-	nargs := int(buf[13])
-	// Metadata via pointer, not Lookup: copying the Info struct per
-	// record is measurable in bulk decode, and only the arity and (on
-	// the error paths) the name are needed.
-	if id == idInvalid || id >= maxID {
-		return 0, arena, fmt.Errorf("event: unknown event ID %d", id)
-	}
-	info := &table[id]
-	if nargs != len(info.Args) {
-		return 0, arena, fmt.Errorf("event: %s has %d args, expected %d", info.Name, nargs, len(info.Args))
+	size, err := Frame(buf)
+	if err != nil {
+		return 0, arena, err
 	}
 	off := headerSize
-	if off+8*nargs > size {
-		return 0, arena, fmt.Errorf("event: %s args overflow record size", info.Name)
-	}
-	flags := buf[4]
 	var args []uint64
-	if nargs > 0 {
+	if nargs := int(buf[13]); nargs > 0 {
 		start := len(arena)
 		for i := 0; i < nargs; i++ {
 			arena = append(arena, binary.LittleEndian.Uint64(buf[off:off+8]))
@@ -200,23 +229,12 @@ func DecodeNext(dst *Record, buf []byte, arena []uint64) (int, []uint64, error) 
 		}
 		args = arena[start:len(arena):len(arena)]
 	}
+	flags := buf[4]
 	var str string
 	if flags&FlagHasStr != 0 {
-		if off+2 > size {
-			return 0, arena, fmt.Errorf("event: %s string length overflows record", info.Name)
-		}
-		n := int(binary.LittleEndian.Uint16(buf[off : off+2]))
-		off += 2
-		if off+n != size {
-			return 0, arena, fmt.Errorf("event: %s string payload inconsistent with record size", info.Name)
-		}
-		str = string(buf[off : off+n])
-		off += n
+		str = string(buf[off+2 : size])
 	}
-	if off != size {
-		return 0, arena, fmt.Errorf("event: %s trailing bytes in record", info.Name)
-	}
-	dst.ID = id
+	dst.ID = ID(binary.LittleEndian.Uint16(buf[1:3]))
 	dst.Core = buf[3]
 	dst.Flags = flags
 	dst.Time = binary.LittleEndian.Uint64(buf[5:13])

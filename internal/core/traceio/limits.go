@@ -27,14 +27,14 @@ type Limits struct {
 	MaxChunkBytes int
 	// MaxRecords caps the number of records decoded from one trace
 	// (enforced cumulatively by the analyzer across chunks, and per chunk
-	// by DecodeChunkContext).
+	// by FrameRecords).
 	MaxRecords int
 	// MaxDecodeBytes budgets the memory the decoded in-core event
 	// representation may take (enforced by the analyzer, which knows its
 	// per-event footprint).
 	MaxDecodeBytes int64
 	// StreamWindowBytes budgets the working memory of a streaming load
-	// (analyzer.StreamLoader): decoded-but-unmerged chunks are folded into
+	// (analyzer.StreamLoader): framed-but-unmerged chunks are folded into
 	// the incremental kernels whenever their footprint reaches this
 	// window. It bounds resident memory, not input size — unlike the caps
 	// above it is a pacing knob, not admission control, so setting it

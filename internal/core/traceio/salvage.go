@@ -347,7 +347,7 @@ func decodablePrefix(data []byte) (recs, n int) {
 			off = z
 			continue
 		}
-		_, sz, err := event.Decode(data[off:])
+		sz, err := event.Frame(data[off:])
 		if err != nil {
 			return recs, off
 		}

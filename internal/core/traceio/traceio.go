@@ -430,44 +430,56 @@ func DecodeChunk(c Chunk) (recs []event.Record, truncated bool, err error) {
 }
 
 // DecodeChunkContext decodes one chunk under cancellation and a per-chunk
-// record cap (lim.MaxRecords; 0 = unlimited).
+// record cap (lim.MaxRecords; 0 = unlimited): the record loop frames it,
+// then each framed record decodes into one pre-sized slice, all of their
+// arguments into one shared arena — sized by event.ScanChunk, so it never
+// reallocates under the records whose Args alias it. The analyzer's
+// loaders skip the record-shaped step and decode each framed record
+// straight into the column store; this is the record view tests and
+// tools compare against.
 func DecodeChunkContext(ctx context.Context, c Chunk, lim Limits) (recs []event.Record, truncated bool, err error) {
-	recs, n, err := DecodeRecords(ctx, c.Core, c.Data, nil, 0, lim)
+	offs, n, err := FrameRecords(ctx, c.Core, c.Data, nil, 0, lim)
+	if len(offs) > 0 {
+		_, words := event.ScanChunk(c.Data[:n])
+		recs = make([]event.Record, len(offs))
+		arena := make([]uint64, 0, words)
+		for i, off := range offs {
+			_, arena, _ = event.DecodeNext(&recs[i], c.Data[off:], arena)
+		}
+	}
 	return recs, err == nil && n < len(c.Data), err
 }
 
-// DecodeRecords is the record loop: it decodes every complete record at
+// FrameRecords is the record loop: it frames every complete record at
 // the front of data — a whole chunk, or the piece of one that has
-// arrived — appending to recs, and returns the bytes consumed. Without an
-// error, data[n:] is a trailing partial record: truncation at the end of
-// a chunk, the start of the next piece before it. before is the number
-// of records earlier pieces of the same chunk produced, so the per-chunk
-// lim.MaxRecords cap (0 = unlimited) and the ctx poll count the chunk,
-// not the piece. Structural corruption and the cap return an error
-// alongside the records decoded so far; core only labels those errors.
+// arrived — checking each one with event.Frame, appends each record's
+// offset in data to offs, and returns the bytes consumed. Nothing is
+// decoded; the caller decodes each framed record once, where it is
+// finally kept. Without an error, data[n:] is a trailing partial record:
+// truncation at the end of a chunk, the start of the next piece before
+// it. before is the number of records earlier pieces of the same chunk
+// produced, so the per-chunk lim.MaxRecords cap (0 = unlimited) and the
+// ctx poll count the chunk, not the piece. Structural corruption and the
+// cap return an error alongside the offsets framed so far, the record
+// that trips the cap included; core only labels those errors.
 //
-// Each call pre-scans its data for the exact record and argument-word
-// counts (an upper bound under corruption, see event.ScanChunk), so recs
-// grows at most once and the call's records share one argument arena
-// instead of allocating individually. The sizes come from bytes actually
-// present — never from a header-declared length — so a hostile header
-// cannot drive allocation beyond the real input. The arena never
-// reallocating is a correctness requirement, not a speed win: every
-// decoded record's Args aliases it.
-func DecodeRecords(ctx context.Context, core uint8, data []byte, recs []event.Record, before int, lim Limits) (out []event.Record, n int, err error) {
-	est, words := event.ScanChunk(data)
+// Each call pre-scans its data for the exact record count (an upper
+// bound under corruption, see event.ScanChunk), so offs grows at most
+// once. The size comes from bytes actually present — never from a
+// header-declared length — so a hostile header cannot drive allocation
+// beyond the real input.
+func FrameRecords(ctx context.Context, core uint8, data []byte, offs []uint32, before int, lim Limits) (out []uint32, n int, err error) {
+	est, _ := event.ScanChunk(data)
 	if room := lim.MaxRecords + 1 - before; lim.MaxRecords > 0 && est > room {
 		est = room // up to and including the record that trips the cap
 	}
-	var arena []uint64
 	if est > 0 {
-		recs = slices.Grow(recs, est)
-		arena = make([]uint64, 0, words)
+		offs = slices.Grow(offs, est)
 	}
 	count := before
 	for n < len(data) {
 		if err := checkEvery(ctx, count); err != nil {
-			return recs, n, err
+			return offs, n, err
 		}
 		if data[n] == 0 {
 			// DMA-alignment padding between buffer flushes: skip the
@@ -476,28 +488,18 @@ func DecodeRecords(ctx context.Context, core uint8, data []byte, recs []event.Re
 			}
 			continue
 		}
-		// Decode straight into the next slot of the pre-sized slice; the
-		// append branch only runs if the pre-scan bound was ever wrong
-		// (it cannot be — see event.ScanChunk — but growth is safer than
-		// an out-of-range write).
-		if len(recs) < cap(recs) {
-			recs = recs[:len(recs)+1]
-		} else {
-			recs = append(recs, event.Record{})
-		}
-		size, nextArena, derr := event.DecodeNext(&recs[len(recs)-1], data[n:], arena)
-		arena = nextArena
-		if derr != nil {
-			recs = recs[:len(recs)-1]
-			if errors.Is(derr, event.ErrShortRecord) {
-				return recs, n, nil
+		size, ferr := event.Frame(data[n:])
+		if ferr != nil {
+			if errors.Is(ferr, event.ErrShortRecord) {
+				return offs, n, nil
 			}
-			return recs, n, fmt.Errorf("traceio: core %d: %w", core, derr)
+			return offs, n, fmt.Errorf("traceio: core %d: %w", core, ferr)
 		}
+		offs = append(offs, uint32(n))
 		n += size
 		if count++; lim.MaxRecords > 0 && count > lim.MaxRecords {
-			return recs, n, limitErr(fmt.Sprintf("core %d record count", core), int64(count), int64(lim.MaxRecords))
+			return offs, n, limitErr(fmt.Sprintf("core %d record count", core), int64(count), int64(lim.MaxRecords))
 		}
 	}
-	return recs, n, nil
+	return offs, n, nil
 }
