@@ -7,11 +7,10 @@ GO ?= go
 # small margin so routine refactors don't trip it.
 COVER_BASELINE ?= 84.2
 
-.PHONY: ci fmt vet staticcheck build test race bench bench-analysis bench-analysis-short \
-	bench-check bench-check-short bench-baseline bench-smoke bench-compare cover cover-check \
+.PHONY: ci fmt vet staticcheck build test race bench-smoke bench-compare cover cover-check \
 	fuzz-smoke fuzz smoke-tad chaos-smoke chaos-cluster loadtest-smoke stream-smoke
 
-ci: fmt vet staticcheck build race bench bench-smoke cover-check bench-check-short fuzz-smoke chaos-smoke chaos-cluster loadtest-smoke stream-smoke smoke-tad
+ci: fmt vet staticcheck build race bench-smoke cover-check fuzz-smoke chaos-smoke chaos-cluster loadtest-smoke stream-smoke smoke-tad
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -41,13 +40,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pass over the trace-load benchmarks the pattern matches
-# (BenchmarkLoadLargeTrace, BenchmarkLoadStream) to catch load-path
-# regressions that only show up under -bench; -short shrinks the
-# synthetic trace.
-bench:
-	$(GO) test -run '^$$' -bench BenchmarkLoad -benchtime 1x -short .
-
 # bench/ is its own module that compiles against the analyzer packages,
 # and `go build ./... && go test ./...` does not reach it: an API rename
 # that breaks the benchmark is otherwise invisible until a benchmark run
@@ -61,40 +53,6 @@ bench-smoke:
 # Paths are relative to bench/. See bench/README.md.
 bench-compare:
 	$(GO) run -C bench . -compare $(A) $(B)
-
-# Analysis-kernel and service-cache benchmarks: the kernels (parallel vs
-# serial where both exist) and warm vs cold pdt-tad summary (the
-# warm/cold split is the cache speedup recorded in EXPERIMENTS.md).
-bench-analysis:
-	$(GO) test -run '^$$' -bench 'BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 10x .
-	$(GO) test -run '^$$' -bench BenchmarkTADSummary -benchtime 10x ./cmd/pdt-tad
-
-# One -short pass of the same benchmarks for ci: catches kernel/cache
-# regressions that only show up under -bench without the full cost.
-bench-analysis-short:
-	$(GO) test -run '^$$' -bench 'BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 1x -short .
-	$(GO) test -run '^$$' -bench BenchmarkTADSummary -benchtime 1x -short ./cmd/pdt-tad
-
-# Benchmark regression gate: run the reference benchmarks (trace load,
-# interval profile, critical path, gap hunting, trace differencing,
-# cycle detection, align-mode cycle diffing, end-to-end TAD summary)
-# with -benchmem and fail on any ns/op, B/op or
-# allocs/op result >25% worse than BENCH_baseline.json. The short
-# variant (10x smaller traces) is what ci runs, and gates B/op and
-# allocs/op only; bench-baseline rewrites the committed baseline — only
-# after verifying the change is real.
-bench-check:
-	$(GO) run ./internal/tools/benchcheck -baseline BENCH_baseline.json
-
-# The short sizes finish in microseconds, so their timings are all
-# scheduler noise on a busy host: benchcheck -short prints ns/op without
-# gating on it. 40x matches the iteration count the committed baseline
-# was recorded at.
-bench-check-short:
-	$(GO) run ./internal/tools/benchcheck -short -benchtime 40x -baseline BENCH_baseline.json
-
-bench-baseline:
-	$(GO) run ./internal/tools/benchcheck -update -baseline BENCH_baseline.json
 
 # Coverage: `make cover` prints per-package and total statement
 # coverage; `make cover-check` additionally fails when the total drops

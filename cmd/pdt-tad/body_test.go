@@ -124,13 +124,10 @@ func TestOneImageThreeTransports(t *testing.T) {
 	}
 }
 
-// TestWarmHitAllocationBudget holds the warm request path to a
-// host-independent budget: serving a cached artifact may allocate the
-// body once (plus the first-MiB buffer a declared length earns its trust
-// with) and little else. Reading the body by doubling cost six times the
-// body here; hashing it in a second pass cost nothing in bytes, which is
-// why the budget is in bytes and the benchmark holds the time.
-func TestWarmHitAllocationBudget(t *testing.T) {
+// budgetTrace is the trace the request allocation budgets are measured
+// on: synthetic, 4,000 events per SPE, a 1.2 MB body.
+func budgetTrace(t *testing.T) []byte {
+	t.Helper()
 	cfg := core.DefaultTraceConfig()
 	res, err := harness.Run(harness.Spec{
 		Workload: "synthetic",
@@ -140,24 +137,62 @@ func TestWarmHitAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := res.TraceBytes
-	_, ts := testServer(t, nil)
-	post(t, ts.URL+"/v1/summary", trace) // prime the cache
+	return res.TraceBytes
+}
 
-	const requests = 20
+// bytesPerRequest posts body to url n times, after one request that
+// primes the cache (or pays a cacheless path's one-time allocations), and
+// returns what each request allocated on average, client and daemon
+// together.
+func bytesPerRequest(t *testing.T, url string, body []byte, n int) uint64 {
+	t.Helper()
+	post(t, url, body)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < requests; i++ {
-		if resp, body := post(t, ts.URL+"/v1/summary", trace); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
+	for i := 0; i < n; i++ {
+		if resp, out := post(t, url, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, out)
 		}
 	}
 	runtime.ReadMemStats(&after)
-	perRequest := (after.TotalAlloc - before.TotalAlloc) / requests
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestWarmHitAllocationBudget holds the warm request path to a
+// host-independent budget: serving a cached artifact may allocate the
+// body once (plus the first-MiB buffer a declared length earns its trust
+// with) and little else. Reading the body by doubling cost six times the
+// body here; hashing it in a second pass cost nothing in bytes, which is
+// why the budget is in bytes and the benchmark holds the time.
+func TestWarmHitAllocationBudget(t *testing.T) {
+	trace := budgetTrace(t)
+	_, ts := testServer(t, nil)
+	perRequest := bytesPerRequest(t, ts.URL+"/v1/summary", trace, 20)
 	budget := uint64(len(trace))*5/4 + 5<<18
 	t.Logf("%d B/request for a %d B body (budget %d)", perRequest, len(trace), budget)
 	if perRequest > budget {
 		t.Fatalf("a warm /v1/summary allocates %d B per request for a %d B body, budget %d (1.25 x body + 1.25 MiB)",
+			perRequest, len(trace), budget)
+	}
+}
+
+// TestColdSummaryAllocationBudget holds the request the cache cannot
+// answer to a budget of its own. With the cache disabled every
+// /v1/summary reads the body, loads and validates the trace, summarises
+// it and renders the document: 4.48x the body per request when this
+// budget was set, which it may exceed by a quarter.
+func TestColdSummaryAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations swamp the budget")
+	}
+	trace := budgetTrace(t)
+	_, ts := testServer(t, func(c *config) { c.cacheBytes, c.cacheEntries = 0, 0 })
+	perRequest := bytesPerRequest(t, ts.URL+"/v1/summary", trace, 10)
+	budget := uint64(len(trace)) * 28 / 5
+	t.Logf("%d B/request for a %d B body, %.2fx (budget %d)", perRequest, len(trace),
+		float64(perRequest)/float64(len(trace)), budget)
+	if perRequest > budget {
+		t.Fatalf("a cold /v1/summary allocates %d B per request for a %d B body, budget %d (5.6 x body)",
 			perRequest, len(trace), budget)
 	}
 }

@@ -35,55 +35,69 @@ type bodyReader[B any] func(r io.Reader, hint int64) (B, error)
 
 func readRaw(r io.Reader, hint int64) ([]byte, error) { return cache.ReadSized(r, hint, nil) }
 
-// readBody reads one request body under the configured cap,
-// transparently decompressing gzip uploads. A declared length over the
-// cap is refused before a byte is read; an honest one sizes the buffer,
-// so the body is walked once and never copied by growth. All failures
-// come back as *statusError so both the analysis stack and the job
-// endpoint map them the same way.
-func readBody[B any](s *server, w http.ResponseWriter, r *http.Request, read bodyReader[B]) (body B, err error) {
+// openBody opens one request body under the configured cap and returns
+// it with the length it declares (-1 when unknown). A declared length
+// over the cap is refused before a byte is read. Wire bytes are capped by
+// MaxBytesReader; a gzip upload is inflated lazily, and its decompressed
+// bytes are held to the same cap by capReader, so a bomb dies at the
+// first read past it.
+func (s *server) openBody(w http.ResponseWriter, r *http.Request) (io.Reader, int64, *statusError) {
 	if r.ContentLength > s.cfg.maxBody {
 		// The answer MaxBytesReader would give after reading up to the cap.
-		return body, &statusError{
+		return nil, 0, &statusError{
 			status: http.StatusRequestEntityTooLarge,
 			err:    &http.MaxBytesError{Limit: s.cfg.maxBody},
 		}
 	}
-	src, hint := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.maxBody)), r.ContentLength
-	if enc := r.Header.Get("Content-Encoding"); enc != "" {
-		if !strings.EqualFold(enc, "gzip") {
-			return body, &statusError{
-				status: http.StatusUnsupportedMediaType,
-				err:    fmt.Errorf("unsupported Content-Encoding %q", enc),
-			}
-		}
-		zr, err := gzip.NewReader(src)
-		if err != nil {
-			return body, &statusError{
-				status: http.StatusBadRequest,
-				err:    fmt.Errorf("gzip body: %w", err),
-			}
-		}
-		defer zr.Close()
-		// Content-Length counts wire bytes; what they inflate to is unknown.
-		src, hint = &capReader{io.LimitedReader{R: zr, N: s.cfg.maxBody + 1}, s.cfg.maxBody}, -1
+	src := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
+	enc := r.Header.Get("Content-Encoding")
+	if enc == "" {
+		return src, r.ContentLength, nil
 	}
-	body, err = read(src, hint)
+	if !strings.EqualFold(enc, "gzip") {
+		return nil, 0, &statusError{
+			status: http.StatusUnsupportedMediaType,
+			err:    fmt.Errorf("unsupported Content-Encoding %q", enc),
+		}
+	}
+	zr, err := gzip.NewReader(src)
 	if err != nil {
-		var se *statusError
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.As(err, &se): // capReader's 413: already a status
-		case errors.As(err, &mbe):
-			err = &statusError{status: http.StatusRequestEntityTooLarge, err: err}
-		default:
-			err = &statusError{
-				status: http.StatusBadRequest,
-				err:    fmt.Errorf("reading body: %w", err),
-			}
+		return nil, 0, &statusError{
+			status: http.StatusBadRequest,
+			err:    fmt.Errorf("gzip body: %w", err),
 		}
 	}
-	return body, err
+	// Content-Length counts wire bytes; what they inflate to is unknown.
+	return &capReader{io.LimitedReader{R: zr, N: s.cfg.maxBody + 1}, s.cfg.maxBody}, -1, nil
+}
+
+// bodyError maps a failed body read to its status: the cap's 413, from
+// MaxBytesReader or capReader, or else a 400.
+func bodyError(err error, what string) *statusError {
+	var se *statusError
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &se): // capReader's 413: already a status
+		return se
+	case errors.As(err, &mbe):
+		return &statusError{status: http.StatusRequestEntityTooLarge, err: err}
+	}
+	return &statusError{status: http.StatusBadRequest, err: fmt.Errorf("%s: %w", what, err)}
+}
+
+// readBody reads one whole request body through openBody. An honest
+// declared length sizes the buffer, so the body is walked once and never
+// copied by growth.
+func readBody[B any](s *server, w http.ResponseWriter, r *http.Request, read bodyReader[B]) (body B, serr *statusError) {
+	src, hint, serr := s.openBody(w, r)
+	if serr != nil {
+		return body, serr
+	}
+	body, err := read(src, hint)
+	if err != nil {
+		return body, bodyError(err, "reading body")
+	}
+	return body, nil
 }
 
 // capReader holds a decompressed stream to the body cap by failing the
@@ -103,32 +117,6 @@ func (c *capReader) Read(p []byte) (int, error) {
 		}
 	}
 	return n, err
-}
-
-// streamBody returns the request body as a plain decompressed stream
-// for the chunked-upload handlers: wire bytes are capped by
-// MaxBytesReader and gzip is inflated lazily, so the caller sees (and
-// caps) decompressed bytes as they emerge instead of after the whole
-// body was buffered — admission control applies mid-inflate.
-func (s *server) streamBody(w http.ResponseWriter, r *http.Request) (io.ReadCloser, *statusError) {
-	body := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	if enc := r.Header.Get("Content-Encoding"); enc != "" {
-		if !strings.EqualFold(enc, "gzip") {
-			return nil, &statusError{
-				status: http.StatusUnsupportedMediaType,
-				err:    fmt.Errorf("unsupported Content-Encoding %q", enc),
-			}
-		}
-		zr, err := gzip.NewReader(body)
-		if err != nil {
-			return nil, &statusError{
-				status: http.StatusBadRequest,
-				err:    fmt.Errorf("gzip body: %w", err),
-			}
-		}
-		return zr, nil
-	}
-	return io.NopCloser(body), nil
 }
 
 // gzipResponses negotiates response compression: when the client

@@ -195,14 +195,9 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.runSync(w, r, kind, nil)
 		return
 	}
-	img, err := readBody(s, w, r, cache.ReadImage)
-	if err != nil {
-		var se *statusError
-		if errors.As(err, &se) {
-			s.writeError(w, se.status, se.err)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, err)
+	img, serr := readBody(s, w, r, cache.ReadImage)
+	if serr != nil {
+		s.writeError(w, serr.status, serr.err)
 		return
 	}
 	key, data := img.Key(), img.Data()

@@ -470,14 +470,9 @@ func analysis[B any](s *server, name string, read bodyReader[B], render renderFu
 		if s.analysisHook != nil {
 			s.analysisHook()
 		}
-		body, err := readBody(s, w, r, read)
-		if err != nil {
-			var se *statusError
-			if errors.As(err, &se) {
-				s.writeError(w, se.status, se.err)
-				return
-			}
-			s.writeError(w, http.StatusBadRequest, err)
+		body, serr := readBody(s, w, r, read)
+		if serr != nil {
+			s.writeError(w, serr.status, serr.err)
 			return
 		}
 		var note *clusterNote

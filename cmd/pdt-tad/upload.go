@@ -153,14 +153,15 @@ func (s *server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleUploadAppend feeds one chunk into the session's streaming loader
-// (POST /v1/upload/{id}?offset=N). The body may be gzip-compressed; it is
-// inflated straight into the loader in small slices, with the per-request
-// decompressed cap and the loader's cumulative budgets enforced
-// mid-inflate — a gzip bomb dies at the first slice past a cap, never
-// fully inflated in memory. An offset mismatch is a 409 carrying the
-// session's current offset: the client re-slices its data there and
-// resumes (append is otherwise not idempotent, so the check is
-// mandatory whenever ?offset is supplied).
+// (POST /v1/upload/{id}?offset=N). A declared length over the body cap is
+// a 413 before a byte reaches the session. The body may be
+// gzip-compressed; it is inflated straight into the loader in small
+// slices, with the per-request decompressed cap and the loader's
+// cumulative budgets enforced mid-inflate — a gzip bomb dies at the first
+// slice past a cap, never fully inflated in memory. An offset mismatch is
+// a 409 carrying the session's current offset: the client re-slices its
+// data there and resumes (append is otherwise not idempotent, so the
+// check is mandatory whenever ?offset is supplied).
 func (s *server) handleUploadAppend(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.uploads.get(r.PathValue("id"))
 	if !ok {
@@ -208,25 +209,22 @@ func (s *server) handleUploadAppend(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, serr := s.streamBody(w, r)
+	body, _, serr := s.openBody(w, r)
 	if serr != nil {
 		s.writeError(w, serr.status, serr.err)
 		return
 	}
-	defer body.Close()
 	buf := make([]byte, 256<<10)
-	var chunkBytes int64
 	for {
 		n, rerr := body.Read(buf)
+		var capped *statusError
+		if errors.As(rerr, &capped) {
+			// Mid-inflate cap: the decompressed chunk outgrew the body
+			// limit on this read; refuse it before inflating the rest.
+			s.writeError(w, capped.status, capped.err)
+			return
+		}
 		if n > 0 {
-			chunkBytes += int64(n)
-			if chunkBytes > s.cfg.maxBody {
-				// Mid-inflate cap: the decompressed request outgrew the
-				// body limit; stop before inflating the rest.
-				s.writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("decompressed chunk exceeds %d bytes", s.cfg.maxBody))
-				return
-			}
 			if _, werr := sess.loader.Write(buf[:n]); werr != nil {
 				if errors.Is(werr, analyzer.ErrLimitExceeded) {
 					sess.failed = werr
@@ -244,15 +242,12 @@ func (s *server) handleUploadAppend(w http.ResponseWriter, r *http.Request) {
 			if rerr == io.EOF {
 				break
 			}
-			var mbe *http.MaxBytesError
-			if errors.As(rerr, &mbe) {
-				s.writeError(w, http.StatusRequestEntityTooLarge, rerr)
-				return
-			}
-			// Transport or gzip failure mid-chunk: whatever bytes were
-			// accepted stay accepted; the client resumes from the offset
-			// the next 409 reports.
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading chunk: %w", rerr))
+			// An undeclared body past the cap, or a transport or gzip
+			// failure mid-chunk: whatever bytes were accepted stay
+			// accepted; the client resumes from the offset the next 409
+			// reports.
+			se := bodyError(rerr, "reading chunk")
+			s.writeError(w, se.status, se.err)
 			return
 		}
 	}

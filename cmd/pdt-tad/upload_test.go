@@ -250,6 +250,31 @@ func TestUploadGzipBomb(t *testing.T) {
 	}
 }
 
+// TestUploadDeclaredOversizeAppliesNothing: an append whose
+// Content-Length is over -max-body is a 413 from the header alone, and
+// the session is left as it was — no prefix of the refused chunk reaches
+// the loader or moves the resume offset.
+func TestUploadDeclaredOversizeAppliesNothing(t *testing.T) {
+	const maxBody = 4096
+	_, ts := testServer(t, func(c *config) { c.maxBody = maxBody })
+	id := createUpload(t, ts.URL)
+	resp, body := appendChunk(t, ts.URL, id, 0, smallTrace(t)[:maxBody+1], false)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize append: status %d, want 413: %s", resp.StatusCode, body)
+	}
+	resp, body = get(t, ts.URL+"/v1/live/"+id)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("live: status %d: %s", resp.StatusCode, body)
+	}
+	var live uploadDoc
+	if err := json.Unmarshal(body, &live); err != nil {
+		t.Fatalf("live: bad JSON: %v", err)
+	}
+	if live.Offset != 0 || live.Events != 0 {
+		t.Fatalf("a refused append moved the session to offset %d, %d events; want 0, 0", live.Offset, live.Events)
+	}
+}
+
 // TestUploadSessionLimit fills the registry and checks the next create
 // is shed with 429 + Retry-After, then that DELETE frees a slot.
 func TestUploadSessionLimit(t *testing.T) {

@@ -151,8 +151,8 @@ func (r *Report) Detected() int {
 // independent, so past the adaptive threshold they are detected on the
 // shared pool; below it, and on a single P, the pool degenerates to a
 // plain loop. A run costs a handful of buffers and one OR per row per
-// candidate, which leaves the pool 1.3–1.4x on the benchmark's 80k-event
-// trace with two processors (1.9 against 2.5 ms; docs/MODEL.md).
+// candidate; on the benchmark's 80k-event trace with two processors the
+// pool is 1.7x a plain loop (about 2.3 against 4.0 ms; docs/MODEL.md).
 func Detect(tr *analyzer.Trace, opt Options) *Report {
 	opt = opt.withDefaults()
 	runs := make([]Run, numRuns(tr))

@@ -1,8 +1,8 @@
 package analyzer_test
 
-// Host-independent allocation gate for the summarising kernels, the cycle
-// detector and align-mode diff, and the load layer under them. The
-// kernels fold the column store in place; a kernel that starts
+// Host-independent allocation gate for every kind's kernel, diff in both
+// modes, and the load layer under them. The summarising kernels fold the
+// column store in place; a kernel that starts
 // materialising an Event per row again (6.5 MB per Summarize on this
 // trace before the accumulators became the kernels) fails here, on any
 // machine. The batch load frames each chunk in place and decodes every
@@ -61,6 +61,15 @@ func TestKernelAllocationBudget(t *testing.T) {
 	if issues := analyzer.Validate(tr); len(issues) != 0 {
 		t.Fatalf("trace is not clean: %v", issues)
 	}
+	minGap := analyzer.SuggestGapThreshold(tr)
+	critPath := func() { analyzer.ComputeCriticalPath(tr) }
+	diffMode := func(mode string) func() {
+		return func() {
+			if _, err := diff.Diff(tr, tr, diff.Options{Mode: mode}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, k := range []struct {
 		name   string
 		budget float64
@@ -70,15 +79,14 @@ func TestKernelAllocationBudget(t *testing.T) {
 		{"Profile", 32, func() { analyzer.Profile(tr) }},
 		{"SummarizePPE", 8, func() { analyzer.SummarizePPE(tr) }},
 		{"TagBreakdown", 8, func() { analyzer.TagBreakdown(tr) }},
+		{"FindGaps", 8, func() { analyzer.FindGaps(tr, minGap) }},
+		{"ComputeCriticalPath", 128, critPath},
+		{"diff.Diff", 512, diffMode("")},
 		// Event IDs index arrays in these two: per run and per core they
 		// allocate a handful of buffers, where a map stamp and a sorted ID
 		// slice per candidate cycle cost 160,282 and 320,957 on this trace.
 		{"cycles.Detect", 128, func() { cycles.Detect(tr, cycles.Options{}) }},
-		{"diff.Diff align", 1024, func() {
-			if _, err := diff.Diff(tr, tr, diff.Options{Mode: diff.ModeAlign}); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"diff.Diff align", 1024, diffMode(diff.ModeAlign)},
 	} {
 		if got := testing.AllocsPerRun(5, k.run); got > k.budget {
 			t.Errorf("%s: %.0f allocs per run, budget is %.0f", k.name, got, k.budget)
@@ -87,6 +95,21 @@ func TestKernelAllocationBudget(t *testing.T) {
 
 	if got := allocatedBytes(func() { cycles.Detect(tr, cycles.Options{}) }); got >= 2<<20 {
 		t.Errorf("cycles.Detect allocated %d bytes on %d events, budget is under 2 MiB", got, tr.NumEvents())
+	}
+	if !raceEnabled { // the race detector's own allocations swamp these
+		for _, k := range []struct {
+			name   string
+			budget uint64
+			run    func()
+		}{
+			{"ComputeCriticalPath", 2 << 20, critPath},
+			{"diff.Diff", 4 << 20, diffMode("")},
+			{"diff.Diff align", 7 << 20, diffMode(diff.ModeAlign)},
+		} {
+			if got := allocatedBytes(k.run); got >= k.budget {
+				t.Errorf("%s allocated %d bytes on %d events, budget is under %d MiB", k.name, got, tr.NumEvents(), k.budget>>20)
+			}
+		}
 	}
 
 	// The load layer, on the same image: the batch pipeline, then the
@@ -117,6 +140,9 @@ func TestKernelAllocationBudget(t *testing.T) {
 		if _, err := l.Finish(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := testing.AllocsPerRun(5, stream); got > 640 {
+		t.Errorf("streaming load: %.0f allocs per run, budget is 640", got)
 	}
 	loadBytes, streamBytes := allocatedBytes(load), allocatedBytes(stream)
 	if ratio := float64(streamBytes) / float64(loadBytes); ratio > 1.85 {

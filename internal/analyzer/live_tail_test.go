@@ -80,9 +80,7 @@ func TestLiveTailRoundTrip(t *testing.T) {
 			}
 
 			// Streaming the live stream == batch-loading it.
-			sr := streamIn(t, live, 977, analyzer.StreamOptions{
-				GapMinTicks: liveBatch.minGap, Validate: true,
-			})
+			sr := streamIn(t, live, 977, analyzer.StreamOptions{Validate: true})
 			assertStreamMatchesBatch(t, liveBatch, sr)
 
 			// The live view agrees with the sealed file on everything
@@ -154,9 +152,7 @@ func TestLiveTailTruncated(t *testing.T) {
 		b.minGap = analyzer.SuggestGapThreshold(tr)
 		b.gaps = analyzer.FindGaps(tr, b.minGap)
 
-		l := analyzer.NewStreamLoader(analyzer.StreamOptions{
-			GapMinTicks: b.minGap, Validate: true,
-		})
+		l := analyzer.NewStreamLoader(analyzer.StreamOptions{Validate: true})
 		if _, err := l.Write(data); err != nil {
 			t.Fatalf("cut at %d: stream write: %v", cut, err)
 		}

@@ -65,11 +65,9 @@ func RunParallel(workers, n int, task func(i int)) { runParallel(workers, n, tas
 
 // parallelThreshold is the event count below which the sharded kernels
 // (Intervals, ComputeCriticalPath, diff.Diff) run their serial variants
-// instead of fanning out: at the benchmark's -short size (~16k events)
-// pool startup and shard merging cost more than the whole serial scan,
-// while at ~10x that the parallel variants win 1.8-3.9x.
-// BenchmarkCritPathLargeTrace and BenchmarkDiffLargeTrace keep a
-// /parallel and a /serial row on each side of the cutoff.
+// instead of fanning out: at ~16k events pool startup and shard merging
+// cost more than the whole serial scan, while at ~10x that the parallel
+// variants win 1.8-3.9x (docs/MODEL.md, "Which kernels still shard").
 const parallelThreshold = 1 << 15
 
 // ParallelThreshold exposes the adaptive-parallelism cutoff to sibling

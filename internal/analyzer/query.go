@@ -4,80 +4,6 @@ import (
 	"github.com/celltrace/pdt/internal/core/event"
 )
 
-// Filter selects a subset of the merged event stream. Zero values mean
-// "no constraint" (AnyCore / AnyRun sentinels for the index fields).
-type Filter struct {
-	// Core restricts to one core (SPE index or event.CorePPE); AnyCore
-	// disables the constraint.
-	Core int
-	// Run restricts to one SPE program run; AnyRun disables.
-	Run int
-	// From/To restrict to global times in [From, To); To == 0 means
-	// unbounded.
-	From, To uint64
-	// Groups restricts to events whose group intersects the mask;
-	// 0 disables.
-	Groups event.Group
-	// IDs restricts to specific event types; empty disables.
-	IDs []event.ID
-}
-
-// Sentinels for Filter index fields.
-const (
-	AnyCore = -1
-	AnyRun  = -2 // distinct from the PPE's run index of -1
-)
-
-// NewFilter returns a filter with no constraints.
-func NewFilter() Filter { return Filter{Core: AnyCore, Run: AnyRun} }
-
-// Match reports whether e passes the filter.
-func (f *Filter) Match(e *Event) bool {
-	if f.Core != AnyCore && int(e.Core) != f.Core {
-		return false
-	}
-	if f.Run != AnyRun && e.Run != f.Run {
-		return false
-	}
-	if e.Global < f.From {
-		return false
-	}
-	if f.To != 0 && e.Global >= f.To {
-		return false
-	}
-	if f.Groups != 0 {
-		info, ok := event.Lookup(e.ID)
-		if !ok || info.Group&f.Groups == 0 {
-			return false
-		}
-	}
-	if len(f.IDs) > 0 {
-		found := false
-		for _, id := range f.IDs {
-			if e.ID == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// Select returns the events passing the filter, in stream order.
-func (tr *Trace) Select(f Filter) []Event {
-	var out []Event
-	for i, n := 0, tr.NumEvents(); i < n; i++ {
-		e := tr.Event(i)
-		if f.Match(&e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // SlackStats quantifies how well DMA latency was overlapped with compute
 // for one run: for every tag-group wait, the slack is the time between
 // the last command issued on a waited tag and the start of the wait —

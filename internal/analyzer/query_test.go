@@ -7,7 +7,6 @@ import (
 
 	"github.com/celltrace/pdt/internal/cell"
 	"github.com/celltrace/pdt/internal/core"
-	"github.com/celltrace/pdt/internal/core/event"
 )
 
 func queryTrace(t *testing.T) *Trace {
@@ -31,69 +30,6 @@ func queryTrace(t *testing.T) *Trace {
 			h.Wait(hd)
 		}
 	})
-}
-
-func TestFilterByCore(t *testing.T) {
-	tr := queryTrace(t)
-	f := NewFilter()
-	f.Core = 1
-	evs := tr.Select(f)
-	if len(evs) == 0 {
-		t.Fatal("no events for core 1")
-	}
-	for _, e := range evs {
-		if e.Core != 1 {
-			t.Fatalf("event from core %d leaked", e.Core)
-		}
-	}
-}
-
-func TestFilterByGroupAndID(t *testing.T) {
-	tr := queryTrace(t)
-	f := NewFilter()
-	f.Groups = event.GroupMFC
-	for _, e := range tr.Select(f) {
-		info, _ := event.Lookup(e.ID)
-		if info.Group != event.GroupMFC {
-			t.Fatalf("non-MFC event %v", e.ID)
-		}
-	}
-	f = NewFilter()
-	f.IDs = []event.ID{event.SPEMFCGet}
-	evs := tr.Select(f)
-	if len(evs) != 10 { // 2 SPEs x 5 gets
-		t.Fatalf("GET events = %d, want 10", len(evs))
-	}
-}
-
-func TestFilterByTimeRange(t *testing.T) {
-	tr := queryTrace(t)
-	start, end := tr.Span()
-	mid := (start + end) / 2
-	f := NewFilter()
-	f.From, f.To = start, mid
-	first := tr.Select(f)
-	f.From, f.To = mid, 0
-	second := tr.Select(f)
-	if len(first)+len(second) != tr.NumEvents() {
-		t.Fatalf("split %d + %d != %d", len(first), len(second), tr.NumEvents())
-	}
-	for _, e := range first {
-		if e.Global >= mid {
-			t.Fatal("first half leaked late event")
-		}
-	}
-}
-
-func TestFilterByRun(t *testing.T) {
-	tr := queryTrace(t)
-	f := NewFilter()
-	f.Run = 0
-	for _, e := range tr.Select(f) {
-		if e.Run != 0 {
-			t.Fatalf("run %d leaked", e.Run)
-		}
-	}
 }
 
 func TestDMASlackSingleVsDoubleBuffer(t *testing.T) {

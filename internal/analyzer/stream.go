@@ -24,11 +24,6 @@ type StreamOptions struct {
 	// Limits carries the admission-control caps (enforced cumulatively
 	// as bytes arrive) and the StreamWindowBytes memory budget.
 	Limits Limits
-	// GapMinTicks enables incremental gap detection at the given
-	// threshold. Zero disables it: the batch auto-threshold
-	// (SuggestGapThreshold) needs every inter-event distance and is
-	// deliberately not replicated on the streaming path.
-	GapMinTicks uint64
 	// Validate folds the structural validator too. It is Validate's own
 	// accumulator, so the findings are the batch findings; on a damaged
 	// stream cut into several windows the "at seq" locators count rows in
@@ -46,8 +41,6 @@ type StreamResult struct {
 	Trace   *Trace
 	Summary *Summary
 	Profile []PairProfile
-	Gaps    []Gap
-	Tags    []TagStats
 	PPE     PPEStats
 	// EffectiveConcurrency is the time-averaged number of computing
 	// SPEs, matching EffectiveConcurrency on the batch-loaded trace.
@@ -93,8 +86,8 @@ type streamChunk struct {
 // accumulators the batch functions fold over the whole store as one
 // segment; their folds are order-insensitive beyond the per-core/per-run
 // order the window cuts preserve — so the final results are identical to
-// loading the whole trace and calling Summarize, Profile and the rest on
-// it.
+// loading the whole trace and calling Summarize, Profile, SummarizePPE
+// and Validate on it.
 //
 // Write and Finish must be called from one goroutine; Snapshot may be
 // called concurrently from others (the live-tail path).

@@ -134,12 +134,6 @@ func assertStreamMatchesBatch(t *testing.T, want *batchResults, got *analyzer.St
 	if !reflect.DeepEqual(got.Profile, want.profile) {
 		t.Errorf("profile differs:\nstream %+v\nbatch  %+v", got.Profile, want.profile)
 	}
-	if !reflect.DeepEqual(got.Gaps, want.gaps) {
-		t.Errorf("gaps differ:\nstream %+v\nbatch  %+v", got.Gaps, want.gaps)
-	}
-	if !reflect.DeepEqual(got.Tags, want.tags) {
-		t.Errorf("tags differ:\nstream %+v\nbatch  %+v", got.Tags, want.tags)
-	}
 	if !reflect.DeepEqual(got.PPE, want.ppe) {
 		t.Errorf("ppe stats differ:\nstream %+v\nbatch  %+v", got.PPE, want.ppe)
 	}
@@ -160,7 +154,7 @@ func assertStreamMatchesBatch(t *testing.T, want *batchResults, got *analyzer.St
 	}
 
 	// Byte-identical rendered outputs: the summary report, the JSON
-	// export, the profile table, and the gap report.
+	// export and the profile table.
 	var wantBuf, gotBuf bytes.Buffer
 	analyzer.Report(want.tr, want.summary, &wantBuf)
 	got.Report(&gotBuf)
@@ -185,13 +179,6 @@ func assertStreamMatchesBatch(t *testing.T, want *batchResults, got *analyzer.St
 	if wantBuf.String() != gotBuf.String() {
 		t.Errorf("profile table differs:\n--- batch ---\n%s\n--- stream ---\n%s", wantBuf.String(), gotBuf.String())
 	}
-	wantBuf.Reset()
-	gotBuf.Reset()
-	analyzer.WriteGapsFound(want.minGap, want.gaps, 10, &wantBuf)
-	analyzer.WriteGapsFound(want.minGap, got.Gaps, 10, &gotBuf)
-	if wantBuf.String() != gotBuf.String() {
-		t.Errorf("gap report differs:\n--- batch ---\n%s\n--- stream ---\n%s", wantBuf.String(), gotBuf.String())
-	}
 }
 
 // TestStreamMatchesBatchAllWorkloads is the headline equivalence suite:
@@ -204,9 +191,8 @@ func TestStreamMatchesBatchAllWorkloads(t *testing.T) {
 			data := traceWorkload(t, name)
 			want := loadBatch(t, data)
 			got := streamIn(t, data, 977, analyzer.StreamOptions{
-				Limits:      analyzer.Limits{StreamWindowBytes: 1 << 14},
-				GapMinTicks: want.minGap,
-				Validate:    true,
+				Limits:   analyzer.Limits{StreamWindowBytes: 1 << 14},
+				Validate: true,
 			})
 			assertStreamMatchesBatch(t, want, got)
 		})
@@ -231,9 +217,8 @@ func TestStreamWriteSlicings(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := streamIn(t, data, tc.writeSize, analyzer.StreamOptions{
-				Limits:      analyzer.Limits{StreamWindowBytes: tc.window},
-				GapMinTicks: want.minGap,
-				Validate:    true,
+				Limits:   analyzer.Limits{StreamWindowBytes: tc.window},
+				Validate: true,
 			})
 			assertStreamMatchesBatch(t, want, got)
 		})
@@ -253,12 +238,11 @@ func TestStreamMidChunkCuts(t *testing.T) {
 	for window := int64(300); window < 12000; window += 97 {
 		for _, writeSize := range []int{977, len(data)} {
 			got := streamIn(t, data, writeSize, analyzer.StreamOptions{
-				Limits:      analyzer.Limits{StreamWindowBytes: window},
-				GapMinTicks: want.minGap,
-				Validate:    true,
+				Limits:   analyzer.Limits{StreamWindowBytes: window},
+				Validate: true,
 			})
 			if !reflect.DeepEqual(got.Summary, want.summary) || !reflect.DeepEqual(got.Profile, want.profile) ||
-				!reflect.DeepEqual(got.Gaps, want.gaps) || !reflect.DeepEqual(got.Trace.Issues, want.tr.Issues) {
+				!reflect.DeepEqual(got.Trace.Issues, want.tr.Issues) {
 				t.Errorf("window %d, writes of %d: stream results differ from batch", window, writeSize)
 			}
 		}
@@ -435,8 +419,7 @@ func TestStreamFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := analyzer.StreamFile(context.Background(), path, analyzer.StreamOptions{
-		GapMinTicks: want.minGap,
-		Validate:    true,
+		Validate: true,
 	})
 	if err != nil {
 		t.Fatal(err)

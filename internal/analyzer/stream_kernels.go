@@ -7,7 +7,7 @@ import (
 
 // This file composes the analysis kernels for the streaming loader. The
 // kernels themselves are the accumulators next to each batch function
-// (summaryAcc, profileAcc, ppeAcc, tagsAcc, gapsAcc, validateAcc): the
+// (summaryAcc, profileAcc, ppeAcc, validateAcc): the
 // batch functions fold the whole store as one segment, StreamLoader folds
 // one merged window at a time. Many windows give the one-segment result
 // because window segments preserve the merged order *within each core and
@@ -40,13 +40,11 @@ type streamAccumulators struct {
 	sum  summaryAcc
 	prof profileAcc
 	ppe  ppeAcc
-	tags tagsAcc
-	gaps gapsAcc      // folded only when StreamOptions.GapMinTicks > 0
 	val  *validateAcc // nil unless StreamOptions.Validate
 }
 
 func newStreamAccumulators(opts StreamOptions, header *traceio.Header, meta *traceio.Meta) *streamAccumulators {
-	a := &streamAccumulators{header: header, meta: meta, gaps: gapsAcc{minTicks: opts.GapMinTicks}}
+	a := &streamAccumulators{header: header, meta: meta}
 	if opts.Validate {
 		a.val = &validateAcc{}
 	}
@@ -61,10 +59,6 @@ func (a *streamAccumulators) fold(seg *colstore.Store, strings map[uint64]string
 	a.sum.fold(seg)
 	a.prof.fold(seg)
 	a.ppe.fold(seg)
-	a.tags.fold(seg)
-	if a.gaps.minTicks > 0 {
-		a.gaps.fold(seg)
-	}
 	if a.val != nil {
 		a.val.fold(seg, strings)
 	}
@@ -103,8 +97,6 @@ func (a *streamAccumulators) snapshot(in snapshotInput) *StreamResult {
 		},
 		Summary:              s,
 		Profile:              a.prof.result(conf),
-		Gaps:                 a.gaps.result(len(meta.Anchors)),
-		Tags:                 a.tags.result(),
 		PPE:                  a.ppe.stats,
 		EffectiveConcurrency: s.effectiveConcurrency(),
 		Complete:             in.complete,

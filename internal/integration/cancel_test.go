@@ -15,8 +15,8 @@ import (
 )
 
 // TestCancelLatencyOnBenchmarkTrace is the acceptance check for load
-// cancellation: on the multi-MiB synthetic trace BenchmarkLoadLargeTrace
-// uses, a cancel landing mid-pipeline must surface ctx.Err() within
+// cancellation: on a multi-MiB synthetic trace (160k events), a cancel
+// landing mid-pipeline must surface ctx.Err() within
 // 100 ms, leaving zero pipeline goroutines behind. Under -short the
 // trace shrinks with the same shape.
 func TestCancelLatencyOnBenchmarkTrace(t *testing.T) {
