@@ -10,7 +10,10 @@ COVER_BASELINE ?= 84.2
 .PHONY: ci fmt vet staticcheck build test race bench-smoke bench-compare cover cover-check \
 	fuzz-smoke fuzz smoke-tad chaos-smoke chaos-cluster loadtest-smoke stream-smoke
 
-ci: fmt vet staticcheck build race bench-smoke cover-check fuzz-smoke chaos-smoke chaos-cluster loadtest-smoke stream-smoke smoke-tad
+# fuzz-smoke, chaos-smoke and chaos-cluster are not in ci: race already
+# runs every fuzz seed corpus and every TestChaos* test (none carries a
+# build tag or a -short skip). They stay as targets for running alone.
+ci: fmt vet staticcheck build race bench-smoke cover-check loadtest-smoke stream-smoke smoke-tad
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -218,6 +218,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%-4s %-4s %8s %14s %14s %14s\n",
 			"run", "core", "waits", "mean slack", "max slack", "mean wait")
 		for run := range tr.Meta.Anchors {
+			if len(tr.RunSeqs(run)) == 0 {
+				continue // no surviving events: a cut trace, like compensate
+			}
 			st := analyzer.DMASlack(tr, run)
 			fmt.Fprintf(out, "%-4d %-4d %8d %14.1f %14d %14.1f\n",
 				st.Run, st.Core, st.Waits, st.Slack.Mean(), st.Slack.Max, st.WaitDur.Mean())
@@ -272,13 +275,14 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%d errors", len(analyzer.Errors(issues)))
 		}
 	case "events":
+		s := tr.Columns()
 		for i, n := 0, tr.NumEvents(); i < n; i++ {
 			if *maxEvents > 0 && i >= *maxEvents {
 				fmt.Fprintf(out, "... %d more\n", n-i)
 				break
 			}
-			e := tr.Event(i)
-			fmt.Fprintf(out, "%8d %s\n", e.Global, e.Record.String())
+			rec := s.Record(i)
+			fmt.Fprintf(out, "%8d %s\n", s.Global[i], rec.String())
 		}
 	default:
 		return usage()

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -196,6 +198,44 @@ func TestSlackAndBW(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(out.String()), "\n")) != 5 {
 		t.Fatalf("bw output:\n%s", out.String())
+	}
+}
+
+// TestSlackOnCutTraceListsSummaryRuns: a trace cut at 70% has anchors
+// for runs none of whose events survived. slack lists only the runs with
+// events — the runs summary and compensate list — instead of a row of
+// zeros on core 0 for each of the others.
+func TestSlackOnCutTraceListsSummaryRuns(t *testing.T) {
+	cfg := core.DefaultTraceConfig()
+	res, err := harness.Run(harness.Spec{Workload: "pipeline", Trace: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.pdt")
+	if err := os.WriteFile(path, res.TraceBytes[:len(res.TraceBytes)*7/10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := analyzer.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, r := range analyzer.Summarize(tr).Runs {
+		want = append(want, fmt.Sprint(r.Run))
+	}
+	if len(want) == len(tr.Meta.Anchors) {
+		t.Fatalf("every one of the %d runs kept events: the cut tests nothing", len(want))
+	}
+	var out bytes.Buffer
+	if err := run([]string{"slack", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		got = append(got, strings.Fields(line)[0])
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("slack lists runs %v, summary %v:\n%s", got, want, out.String())
 	}
 }
 

@@ -165,6 +165,9 @@ func bytesPerRequest(t *testing.T, url string, body []byte, n int) uint64 {
 // body here; hashing it in a second pass cost nothing in bytes, which is
 // why the budget is in bytes and the benchmark holds the time.
 func TestWarmHitAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations swamp the budget")
+	}
 	trace := budgetTrace(t)
 	_, ts := testServer(t, nil)
 	perRequest := bytesPerRequest(t, ts.URL+"/v1/summary", trace, 20)

@@ -9,6 +9,7 @@ import (
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
+	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
 )
 
 // buildTrace constructs a trace in memory directly through the writer (for
@@ -34,6 +35,17 @@ func buildTrace(t *testing.T, meta traceio.Meta, chunks ...traceio.Chunk) *Trace
 		t.Fatal(err)
 	}
 	tr, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// loadRows loads rows as tracetest.Encode writes them, with no limit on
+// the records per chunk.
+func loadRows(t *testing.T, rows ...tracetest.Row) *Trace {
+	t.Helper()
+	tr, err := Load(bytes.NewReader(tracetest.Encode(t, traceio.Meta{}, rows, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +109,14 @@ func TestClockCorrelation(t *testing.T) {
 	if tr.NumEvents() != len(wantOrder) {
 		t.Fatalf("events = %d", tr.NumEvents())
 	}
+	s := tr.Columns()
 	for i, id := range wantOrder {
-		if tr.Event(i).ID != id {
-			t.Fatalf("event %d = %v, want %v", i, tr.Event(i).ID, id)
+		if s.ID[i] != id {
+			t.Fatalf("event %d = %v, want %v", i, s.ID[i], id)
 		}
 	}
-	if tr.Event(2).Global != 1000 || tr.Event(3).Global != 1050 {
-		t.Fatalf("correlated times: %d, %d", tr.Event(2).Global, tr.Event(3).Global)
+	if s.Global[2] != 1000 || s.Global[3] != 1050 {
+		t.Fatalf("correlated times: %d, %d", s.Global[2], s.Global[3])
 	}
 	if tr.StringRef(1) != "p" {
 		t.Fatalf("StringRef = %q", tr.StringRef(1))
@@ -157,27 +170,41 @@ func TestValidateDetectsUnmatchedEnter(t *testing.T) {
 }
 
 func TestValidateDetectsBackwardsTime(t *testing.T) {
-	meta := traceio.Meta{Anchors: []traceio.Anchor{{SPE: 0, Timebase: 100, Program: "p"}}}
-	// Two chunks for the same core with overlapping time ranges force a
-	// backwards step within the core's stream.
-	c1 := enc(t, event.Record{ID: event.SPEUserEvent, Core: 0, Flags: event.FlagDecrTime, Time: 50, Args: []uint64{1, 0, 0}})
-	c2 := enc(t, event.Record{ID: event.SPEUserEvent, Core: 0, Flags: event.FlagDecrTime, Time: 50, Args: []uint64{2, 0, 0}})
-	_ = c2
-	tr := buildTrace(t, meta, traceio.Chunk{Core: 0, AnchorIdx: 0, Data: c1})
-	// Inject a manual out-of-order event stream.
-	tr.SetEvents([]Event{
-		{Record: event.Record{ID: event.SPEUserEvent, Core: 0, Args: []uint64{1, 0, 0}}, Global: 150, Run: 0, Seq: 0},
-		{Record: event.Record{ID: event.SPEUserEvent, Core: 0, Args: []uint64{2, 0, 0}}, Global: 100, Run: 0, Seq: 1},
-	})
-	issues := Validate(tr)
-	found := false
-	for _, i := range issues {
-		if strings.Contains(i.Msg, "backwards") {
-			found = true
+	// Two chunks of core 0 whose time ranges overlap by two records: the
+	// second chunk opens before both of the first's. The batch merge puts
+	// them in order. A stream holds back only each core's latest record
+	// when it cuts a window (the tracer's chunks overlap by at most one),
+	// so with the cut between the chunks it folds 150, then 100.
+	img := tracetest.Encode(t, traceio.Meta{}, []tracetest.Row{
+		{Rec: event.Record{ID: event.SPEUserEvent, Core: 0, Args: []uint64{1, 0, 0}}, Global: 150},
+		{Rec: event.Record{ID: event.SPEUserEvent, Core: 0, Args: []uint64{2, 0, 0}}, Global: 160},
+		{Rec: event.Record{ID: event.SPEUserEvent, Core: 0, Args: []uint64{3, 0, 0}}, Global: 100},
+	}, 2)
+	backwards := func(issues []Issue) bool {
+		for _, i := range issues {
+			if strings.Contains(i.Msg, "backwards") {
+				return true
+			}
 		}
+		return false
 	}
-	if !found {
-		t.Fatalf("backwards time not detected: %v", issues)
+	tr, err := Load(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if issues := Validate(tr); backwards(issues) {
+		t.Fatalf("batch load is merged, yet time went backwards: %v", issues)
+	}
+	l := NewStreamLoader(StreamOptions{Validate: true, Limits: Limits{StreamWindowBytes: 512}})
+	if _, err := l.Write(img); err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !backwards(res.Trace.Issues) {
+		t.Fatalf("backwards time not detected: %v", res.Trace.Issues)
 	}
 }
 

@@ -1,13 +1,8 @@
-// Package colstore holds the analyzer's struct-of-arrays event store.
-//
-// The record-of-structs layout the analyzer used to keep ([]Event, each
-// embedding an event.Record with its own Args slice and Str header) costs
-// ~88 bytes plus a pointer chase per event even when a kernel only wants
-// the event ID and timestamp. The columnar Store splits every field into
-// its own parallel slice so a scan touches only the columns it reads:
-// Profile walks 2-byte IDs and 8-byte timestamps, the critical-path
-// dependency scans walk the ID column alone, and the whole store costs
-// ~32 bytes per event plus argument words.
+// Package colstore holds the analyzer's event store: one struct-of-arrays
+// table, a parallel slice per field, so a scan touches only the columns
+// it reads — Profile walks 2-byte IDs and 8-byte timestamps, the
+// critical-path dependency scans the ID column alone — and the store
+// costs ~32 bytes per event plus argument words.
 //
 // Arguments are packed into one shared arena (Args) addressed by a
 // prefix-sum offset column (ArgOff), and string payloads are interned
@@ -134,37 +129,11 @@ func fit[T any](s []T, n int) []T {
 	return make([]T, 0, n)
 }
 
-// Append adds one event row from a decoded record plus its correlated
-// global time and run assignment. The record's Args are copied into the
-// shared arena and its Str is interned.
-func (b *Builder) Append(r *event.Record, global uint64, run int32) {
-	s := &b.s
-	s.ID = append(s.ID, r.ID)
-	s.Core = append(s.Core, r.Core)
-	s.Flags = append(s.Flags, r.Flags)
-	s.Time = append(s.Time, r.Time)
-	s.Global = append(s.Global, global)
-	s.Run = append(s.Run, run)
-	s.Args = append(s.Args, r.Args...)
-	s.ArgOff = append(s.ArgOff, uint32(len(s.Args)))
-	if r.Flags&event.FlagHasStr != 0 || r.Str != "" {
-		idx, ok := b.intern[r.Str]
-		if !ok {
-			idx = int32(len(s.Strs))
-			s.Strs = append(s.Strs, r.Str)
-			b.intern[r.Str] = idx
-		}
-		s.StrIdx = append(s.StrIdx, idx)
-	} else {
-		s.StrIdx = append(s.StrIdx, -1)
-	}
-}
-
 // AppendEncoded adds one event row decoded straight from the encoded
 // record at the front of rec (docs/FORMAT.md, "Records"), plus its
-// correlated global time and run assignment — Append without the
-// record-shaped copy in between. rec must start with a record event.Frame
-// accepted: AppendEncoded checks nothing again. The argument words are
+// correlated global time and run assignment. It is the only way a row
+// enters a store. rec must start with a record event.Frame accepted:
+// AppendEncoded checks nothing again. The argument words are
 // copied into the shared arena and the string payload is interned by
 // value, so the store keeps no reference into rec.
 func (b *Builder) AppendEncoded(rec []byte, global uint64, run int32) {

@@ -20,7 +20,11 @@ func TestBuilderRoundTrip(t *testing.T) {
 	}
 	b := NewBuilder(len(recs), 16)
 	for i, r := range recs {
-		b.Append(&r, uint64(100+i), int32(i%2))
+		enc, err := r.AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AppendEncoded(enc, uint64(100+i), int32(i%2))
 	}
 	if b.Len() != len(recs) {
 		t.Fatalf("builder len = %d, want %d", b.Len(), len(recs))

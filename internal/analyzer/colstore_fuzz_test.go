@@ -3,15 +3,11 @@ package analyzer_test
 // FuzzColumnarRoundTrip drives mutated trace images through the salvage
 // loader and the columnar store: the store salvage loads must equal,
 // column for column, the one the record-shaped path builds from the same
-// salvaged chunks; whatever events it holds must survive materialization
-// (Events) and re-ingestion (SetEvents) unchanged; the analysis kernels
-// must run on the round-tripped store without panicking; and the
-// footprint must stay positive.
+// salvaged chunks; the analysis kernels must run on it without
+// panicking; and the footprint must stay positive.
 
 import (
 	"bytes"
-	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
@@ -128,31 +124,18 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("salvage failed on input the doctor recovered: %v", err)
 		}
-		assertStoresEqual(t, recordShapedStore(sf), tr.Columns())
+		analyzer.AssertStoresEqual(t, recordShapedStore(sf), tr.Columns())
 
-		evs := tr.Events()
-		rt := &analyzer.Trace{Meta: tr.Meta, Strings: tr.Strings, Confidence: tr.Confidence}
-		rt.SetEvents(evs)
-		if tr.NumEvents() != rt.NumEvents() {
-			t.Fatalf("round trip lost events: %d -> %d", tr.NumEvents(), rt.NumEvents())
-		}
-		for i, n := 0, tr.NumEvents(); i < n; i++ {
-			if !reflect.DeepEqual(tr.Event(i), rt.Event(i)) {
-				t.Fatalf("event %d differs after round trip:\nwant %+v\ngot  %+v",
-					i, tr.Event(i), rt.Event(i))
-			}
-		}
+		// The kernels must run on the salvaged store without panicking.
+		analyzer.Summarize(tr)
+		analyzer.Profile(tr)
+		analyzer.ComputeCriticalPath(tr)
+		analyzer.Intervals(tr)
+		analyzer.PPEIntervals(tr)
+		analyzer.FindGaps(tr, 1)
 
-		// The kernels must run on the round-tripped store without
-		// panicking, salvaged input or not.
-		analyzer.Profile(rt)
-		analyzer.ComputeCriticalPath(rt)
-		analyzer.Intervals(rt)
-		analyzer.PPEIntervals(rt)
-		analyzer.FindGaps(rt, 1)
-
-		if tr.Footprint() <= 0 || rt.Footprint() <= 0 {
-			t.Fatalf("footprint not positive: %d / %d", tr.Footprint(), rt.Footprint())
+		if tr.Footprint() <= 0 {
+			t.Fatalf("footprint not positive: %d", tr.Footprint())
 		}
 	})
 }
@@ -160,16 +143,11 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 // recordShapedStore builds what a lenient load of a salvaged file must
 // hold, the way the reference loader (FromFileSerial) builds it: every
 // chunk through traceio.DecodeChunk, its records placed on the timeline
-// here, one stable sort, then colstore.Builder.Append per record. It
-// shares no framing, placement or merge code with the load under test.
+// here, one stable sort, then analyzer.SerialStore. It shares no
+// framing, placement, merge or column writer with the load under test.
 // Salvage keeps only chunks whose anchor resolves, so none is dropped.
 func recordShapedStore(f *traceio.File) *colstore.Store {
-	type row struct {
-		rec    event.Record
-		global uint64
-		run    int32
-	}
-	var rows []row
+	var rows []analyzer.SerialRow
 	for _, c := range f.Chunks {
 		run, anchorTB := int32(-1), uint64(0)
 		if c.Core != event.CorePPE {
@@ -181,41 +159,9 @@ func recordShapedStore(f *traceio.File) *colstore.Store {
 			if r.Flags&event.FlagDecrTime != 0 {
 				g += anchorTB
 			}
-			rows = append(rows, row{r, g, run})
+			rows = append(rows, analyzer.SerialRow{Rec: r, Global: g, Run: run})
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].global < rows[j].global })
-	b := colstore.NewBuilder(len(rows), 0)
-	for i := range rows {
-		b.Append(&rows[i].rec, rows[i].global, rows[i].run)
-	}
-	return b.Done()
-}
-
-// assertStoresEqual compares two column stores row by row on every
-// column, then the argument arena and the intern table themselves.
-func assertStoresEqual(t *testing.T, want, got *colstore.Store) {
-	t.Helper()
-	if got == nil {
-		got = &colstore.Store{}
-	}
-	if want.Len() != got.Len() {
-		t.Fatalf("store rows: record-shaped path %d, loaded %d", want.Len(), got.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if want.ID[i] != got.ID[i] || want.Core[i] != got.Core[i] || want.Flags[i] != got.Flags[i] ||
-			want.Time[i] != got.Time[i] || want.Global[i] != got.Global[i] || want.Run[i] != got.Run[i] ||
-			want.StrIdx[i] != got.StrIdx[i] || want.Str(i) != got.Str(i) ||
-			!slices.Equal(want.EventArgs(i), got.EventArgs(i)) {
-			t.Fatalf("row %d differs:\nrecord-shaped %+v (global %d, run %d, strIdx %d)\nloaded        %+v (global %d, run %d, strIdx %d)",
-				i, want.Record(i), want.Global[i], want.Run[i], want.StrIdx[i],
-				got.Record(i), got.Global[i], got.Run[i], got.StrIdx[i])
-		}
-	}
-	if !slices.Equal(want.ArgOff, got.ArgOff) || !slices.Equal(want.Args, got.Args) {
-		t.Fatalf("argument arenas differ:\nrecord-shaped %v %v\nloaded        %v %v", want.ArgOff, want.Args, got.ArgOff, got.Args)
-	}
-	if !slices.Equal(want.Strs, got.Strs) {
-		t.Fatalf("intern tables differ:\nrecord-shaped %q\nloaded        %q", want.Strs, got.Strs)
-	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Global < rows[j].Global })
+	return analyzer.SerialStore(rows)
 }

@@ -53,8 +53,8 @@ func Compensate(tr *Trace) []Compensation {
 			Compute:    r.StateTicks[StateCompute],
 			FlushTicks: r.StateTicks[StateFlush],
 		}
-		for _, e := range tr.RunEvents(r.Run) {
-			if e.ID != event.SPETraceFlush {
+		for _, i := range tr.RunSeqs(r.Run) {
+			if tr.col.ID[i] != event.SPETraceFlush {
 				c.Records++
 			}
 		}

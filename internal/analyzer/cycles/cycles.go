@@ -155,7 +155,7 @@ func (r *Report) Detected() int {
 // pool is 1.7x a plain loop (about 2.3 against 4.0 ms; docs/MODEL.md).
 func Detect(tr *analyzer.Trace, opt Options) *Report {
 	opt = opt.withDefaults()
-	runs := make([]Run, numRuns(tr))
+	runs := make([]Run, len(tr.Meta.Anchors))
 	workers := 1
 	if tr.NumEvents() >= analyzer.ParallelThreshold() {
 		workers = 0 // GOMAXPROCS
@@ -180,29 +180,6 @@ func Detect(tr *analyzer.Trace, opt Options) *Report {
 	return rep
 }
 
-// numRuns returns how many SPE run indexes the trace holds: the anchor
-// count when metadata is present, otherwise (hand-assembled traces) one
-// past the largest Run column value, clamped to a sane bound.
-func numRuns(tr *analyzer.Trace) int {
-	if n := len(tr.Meta.Anchors); n > 0 {
-		return n
-	}
-	s := tr.Columns()
-	if s == nil {
-		return 0
-	}
-	max := -1
-	for _, r := range s.Run {
-		if int(r) > max {
-			max = int(r)
-		}
-	}
-	if max+1 > 1<<16 {
-		return 1 << 16
-	}
-	return max + 1
-}
-
 // eligibleMask is the set of event IDs that may anchor a cycle or count in
 // a cycle signature, one bit per ID: every table entry outside the
 // overhead and lifecycle groups. The event table has 51 entries, so a set
@@ -221,25 +198,16 @@ func init() {
 	}
 }
 
-// idBit returns id's bit of the signature set: 0 for an ineligible ID, for
-// ID 0, and for anything past the table (a shift by 64 or more is 0).
+// idBit returns id's bit of the signature set, 0 for an ineligible ID.
 func idBit(id event.ID) uint64 { return eligibleMask & (1 << id) }
 
 // detectRun runs anchor selection and segmentation on one run.
 func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
 	seqs := tr.RunSeqs(run)
-	s := tr.Columns()
-	if len(seqs) == 0 && s != nil {
-		// Hand-assembled traces without anchor metadata: scan the column.
-		for i, r := range s.Run {
-			if int(r) == run {
-				seqs = append(seqs, int32(i))
-			}
-		}
-	}
 	if len(seqs) == 0 {
 		return Run{Run: run}
 	}
+	s := tr.Columns()
 	out := Run{
 		Core:   s.Core[seqs[0]],
 		Run:    run,

@@ -19,6 +19,8 @@ import (
 	"github.com/celltrace/pdt/internal/analyzer/cycles"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio"
+	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
 	"github.com/celltrace/pdt/internal/harness"
 	"github.com/celltrace/pdt/internal/workloads"
 )
@@ -234,19 +236,24 @@ func TestDetectSerialEquivalence(t *testing.T) {
 	})
 }
 
-// syntheticCycleTrace hand-assembles a run of k byte-identical cycles:
-// the same event pattern with the same intra-cycle offsets at a fixed
-// period. Stddev of every metric must be exactly zero — float noise in
-// the stats pipeline would break the regression gate downstream.
-func syntheticCycleTrace(k int) *analyzer.Trace {
-	tr := &analyzer.Trace{}
-	var evs []analyzer.Event
+// encodedTrace loads rows through the test encoder.
+func encodedTrace(t *testing.T, rows []tracetest.Row) *analyzer.Trace {
+	t.Helper()
+	tr, err := analyzer.Load(bytes.NewReader(tracetest.Encode(t, traceio.Meta{}, rows, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// syntheticCycleTrace builds a run of k byte-identical cycles: the same
+// event pattern with the same intra-cycle offsets at a fixed period.
+// Stddev of every metric must be exactly zero — float noise in the stats
+// pipeline would break the regression gate downstream.
+func syntheticCycleTrace(t *testing.T, k int) *analyzer.Trace {
+	var rows []tracetest.Row
 	add := func(id event.ID, global uint64, args ...uint64) {
-		evs = append(evs, analyzer.Event{
-			Record: event.Record{ID: id, Core: 0, Args: args},
-			Global: global,
-			Run:    0,
-		})
+		rows = append(rows, tracetest.Row{Rec: event.Record{ID: id, Args: tracetest.Args(id, args...)}, Global: global})
 	}
 	const period = 1000
 	add(event.SPEProgramStart, 5)
@@ -261,13 +268,12 @@ func syntheticCycleTrace(k int) *analyzer.Trace {
 	// run's last row by construction, so any gap here would make its wall
 	// time differ from the interior cycles'.
 	add(event.SPEProgramEnd, uint64(100+(k-1)*period+700), 0)
-	tr.SetEvents(evs)
-	return tr
+	return encodedTrace(t, rows)
 }
 
 func TestStddevZeroByteIdenticalCycles(t *testing.T) {
 	const k = 6
-	tr := syntheticCycleTrace(k)
+	tr := syntheticCycleTrace(t, k)
 	rep := cycles.Detect(tr, cycles.Options{})
 	if len(rep.Runs) != 1 {
 		t.Fatalf("runs = %d, want 1", len(rep.Runs))
@@ -300,12 +306,11 @@ func TestStddevZeroByteIdenticalCycles(t *testing.T) {
 // Detected=false with zero cycles (the documented failure semantics of
 // /v1/cycles for non-iterative traces).
 func TestNonIterativeTrace(t *testing.T) {
-	tr := &analyzer.Trace{}
-	var evs []analyzer.Event
-	evs = append(evs, analyzer.Event{Record: event.Record{ID: event.SPEProgramStart, Core: 0}, Global: 1, Run: 0})
-	evs = append(evs, analyzer.Event{Record: event.Record{ID: event.SPEMFCGet, Core: 0, Args: []uint64{1, 0, 0, 64}}, Global: 10, Run: 0})
-	evs = append(evs, analyzer.Event{Record: event.Record{ID: event.SPEProgramEnd, Core: 0, Args: []uint64{0}}, Global: 20, Run: 0})
-	tr.SetEvents(evs)
+	tr := encodedTrace(t, []tracetest.Row{
+		{Rec: event.Record{ID: event.SPEProgramStart, Args: []uint64{0}}, Global: 1},
+		{Rec: event.Record{ID: event.SPEMFCGet, Args: []uint64{1, 0, 0, 64}}, Global: 10},
+		{Rec: event.Record{ID: event.SPEProgramEnd, Args: []uint64{0}}, Global: 20},
+	})
 	rep := cycles.Detect(tr, cycles.Options{})
 	if len(rep.Runs) != 1 {
 		t.Fatalf("runs = %d, want 1", len(rep.Runs))

@@ -9,11 +9,13 @@ package cycles_test
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/cycles"
 	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
@@ -37,32 +39,28 @@ func matchReference(t *testing.T, label string, tr *analyzer.Trace, runs int) (d
 	return detected
 }
 
-// randomCycleTrace hand-assembles 1–4 runs, each a random 2–7-ID loop body
-// repeated 0–39 times with 10% noise between a random head and tail. The
-// ID pool holds what a decoded image never does (0, IDs past the table,
-// 63/64/65 around the set's word boundary) because SetEvents stores it all
-// the same, plus an overhead ID and both lifecycle IDs, which must stay
-// out of every signature.
-func randomCycleTrace(rng *rand.Rand) (*analyzer.Trace, int) {
-	n := event.NumIDs()
+// randomCycleTrace builds 1–4 runs, each a random 2–7-ID loop body
+// repeated 0–39 times with 10% noise between a random head and tail, and
+// loads them through the test encoder. The ID pool holds the last ID of
+// the table, an overhead ID and both lifecycle IDs, which must stay out
+// of every signature.
+func randomCycleTrace(t *testing.T, rng *rand.Rand) (*analyzer.Trace, int) {
 	pool := []event.ID{
 		event.SPEMFCGet, event.SPEMFCPut, event.SPEWaitTagEnter, event.SPEWaitTagExit,
 		event.SPEReadInMboxEnter, event.SPEReadInMboxExit, event.SPEWriteOutMboxEnter,
 		event.SPEWriteOutMboxExit, event.SPEAtomicEnter, event.SPEAtomicExit,
-		event.SPEUserEvent, event.SyncMutexRelease, event.SPESndsig, n - 1,
+		event.SPEUserEvent, event.SyncMutexRelease, event.SPESndsig, event.NumIDs() - 1,
 		event.SPETraceFlush, event.SPEProgramStart, event.SPEProgramEnd,
-		0, n, n + 3, 63, 64, 65, 200, 0x7fff,
 	}
 	pick := func() event.ID { return pool[rng.Intn(len(pool))] }
 	runs := 1 + rng.Intn(4)
-	var evs []analyzer.Event
+	var rows []tracetest.Row
 	for r := 0; r < runs; r++ {
 		global := uint64(rng.Intn(50))
 		add := func(id event.ID) {
 			global += uint64(rng.Intn(40)) // 0 included: equal timestamps happen
-			// Four argument words cover every arity the interval machine reads.
-			evs = append(evs, analyzer.Event{
-				Record: event.Record{ID: id, Core: uint8(r), Args: []uint64{1, 64, 128, 3}},
+			rows = append(rows, tracetest.Row{
+				Rec:    event.Record{ID: id, Core: uint8(r), Args: tracetest.Args(id, 1, 64, 128, 3)},
 				Global: global, Run: r,
 			})
 		}
@@ -85,9 +83,10 @@ func randomCycleTrace(rng *rand.Rand) (*analyzer.Trace, int) {
 			add(pick())
 		}
 	}
-	tr := &analyzer.Trace{}
-	tr.SetEvents(evs)
-	return tr, runs
+	// The runs overlap in time: merge them into stream order, each run's
+	// own order kept.
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Global < rows[j].Global })
+	return encodedTrace(t, rows), runs
 }
 
 func TestDetectMatchesReference(t *testing.T) {
@@ -98,7 +97,7 @@ func TestDetectMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	detected := 0
 	for i := 0; i < 3000; i++ {
-		tr, runs := randomCycleTrace(rng)
+		tr, runs := randomCycleTrace(t, rng)
 		detected += matchReference(t, "random", tr, runs)
 	}
 	if detected < 1000 {

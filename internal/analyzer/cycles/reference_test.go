@@ -38,18 +38,10 @@ func refEligible(id event.ID) bool {
 // refDetectRun runs anchor selection and segmentation on one run.
 func refDetectRun(tr *analyzer.Trace, run int, opt Options) Run {
 	seqs := tr.RunSeqs(run)
-	s := tr.Columns()
-	if len(seqs) == 0 && s != nil {
-		// Hand-assembled traces without anchor metadata: scan the column.
-		for i, r := range s.Run {
-			if int(r) == run {
-				seqs = append(seqs, int32(i))
-			}
-		}
-	}
 	if len(seqs) == 0 {
 		return Run{Run: run}
 	}
+	s := tr.Columns()
 	out := Run{
 		Core:   s.Core[seqs[0]],
 		Run:    run,

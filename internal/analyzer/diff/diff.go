@@ -386,17 +386,11 @@ func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *sid
 // a uint16 of one-bit flags.
 type groupCounts [16]int
 
-// noGroup is the groupBit slot of IDs the table does not hold (ID 0
-// included): a bit position no group has, so it is counted for nobody.
-const noGroup = 15
-
 // groupBit holds, per event ID, the bit position of the event's group, so
-// the per-record loop of scanCore indexes two arrays.
+// the per-record loop of scanCore indexes two arrays. Every stored ID
+// indexes it: framing rejects IDs the event table does not hold.
 var groupBit = func() []uint8 {
 	t := make([]uint8, event.NumIDs())
-	for id := range t {
-		t[id] = noGroup
-	}
 	for _, info := range event.All() {
 		t[info.ID] = uint8(bits.TrailingZeros16(uint16(info.Group)))
 	}
@@ -418,9 +412,7 @@ func scanCore(tr *analyzer.Trace, core uint8) (*CoreSide, groupCounts) {
 	for _, seq := range seqs {
 		id := s.ID[seq]
 		global := s.Global[seq]
-		if int(id) < len(groupBit) {
-			groups[groupBit[id]]++
-		}
+		groups[groupBit[id]]++
 		switch id {
 		case event.SPEWaitTagEnter, event.PPEWaitTagEnter:
 			inWait = true

@@ -20,29 +20,28 @@ func WriteCSV(tr *Trace, w io.Writer) error {
 	if err := cw.Write([]string{"seq", "global_tick", "core", "run", "event", "args", "str"}); err != nil {
 		return err
 	}
-	for i, n := 0, tr.NumEvents(); i < n; i++ {
-		e := tr.Event(i)
-		core := event.CoreName(e.Core)
+	s := tr.segment()
+	for i := 0; i < s.Len(); i++ {
 		args := ""
-		info, _ := event.Lookup(e.ID)
-		for i, a := range e.Args {
-			if i > 0 {
+		info, _ := event.Lookup(s.ID[i])
+		for j, a := range s.EventArgs(i) {
+			if j > 0 {
 				args += " "
 			}
-			name := fmt.Sprintf("a%d", i)
-			if i < len(info.Args) {
-				name = info.Args[i]
+			name := fmt.Sprintf("a%d", j)
+			if j < len(info.Args) {
+				name = info.Args[j]
 			}
 			args += fmt.Sprintf("%s=%d", name, a)
 		}
 		rec := []string{
-			strconv.Itoa(e.Seq),
-			strconv.FormatUint(e.Global, 10),
-			core,
-			strconv.Itoa(e.Run),
-			e.ID.String(),
+			strconv.Itoa(i),
+			strconv.FormatUint(s.Global[i], 10),
+			event.CoreName(s.Core[i]),
+			strconv.Itoa(int(s.Run[i])),
+			s.ID[i].String(),
 			args,
-			e.Str,
+			s.Str(i),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -83,8 +83,7 @@ func SuggestGapThreshold(tr *Trace) uint64 {
 	}
 	dists := make([]uint64, 0, n)
 	s := tr.col
-	for run := range tr.Meta.Anchors {
-		seqs := tr.runSeqsOrScan(run)
+	for _, seqs := range tr.runSeq {
 		for i := 1; i < len(seqs); i++ {
 			dists = append(dists, s.Global[seqs[i]]-s.Global[seqs[i-1]])
 		}

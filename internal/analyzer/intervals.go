@@ -90,25 +90,6 @@ var stallState = stallTable(map[event.ID]State{
 	event.SPEAtomicEnter:        StateStallSync,
 })
 
-// runSeqsOrScan returns the store rows of one run: the precomputed index
-// block when the run is in range, otherwise (hand-assembled traces whose
-// metadata lacks anchors) a fresh scan of the Run column.
-func (tr *Trace) runSeqsOrScan(run int) []int32 {
-	if tr.col == nil {
-		return nil
-	}
-	if run >= 0 && run < len(tr.runSeq) {
-		return tr.runSeq[run]
-	}
-	var out []int32
-	for i, r := range tr.col.Run {
-		if int(r) == run {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // runMachine is the state machine that classifies one SPE program run
 // into compute, stall and flush time. It exists once: RunIntervals drives
 // it appending Intervals, the summary accumulator drives it adding to
@@ -134,9 +115,6 @@ func emitSpan(emit emitFunc, state State, start, end uint64) {
 // only at flush markers; cpt is the trace's cycles per timebase tick.
 func (m *runMachine) step(s *colstore.Store, i int, cpt uint64, emit emitFunc) {
 	id := s.ID[i]
-	if int(id) >= len(kindOf) || id == 0 {
-		return
-	}
 	global := s.Global[i]
 	switch {
 	case kindOf[id] == event.KindEnter:
@@ -189,7 +167,7 @@ func (m runMachine) finish(last uint64, emit emitFunc) {
 // (SPE_PROGRAM_START..SPE_PROGRAM_END) by walking the run's index block
 // through the run state machine.
 func RunIntervals(tr *Trace, run int) []Interval {
-	seqs := tr.runSeqsOrScan(run)
+	seqs := tr.RunSeqs(run)
 	if len(seqs) == 0 {
 		return nil
 	}
@@ -292,9 +270,6 @@ func ppeLaneIntervals(tr *Trace, core uint8, run int) []Interval {
 		global := s.Global[seq]
 		lastPPE = global
 		id := s.ID[seq]
-		if id == 0 || int(id) >= len(kindOf) {
-			continue
-		}
 		switch kindOf[id] {
 		case event.KindEnter:
 			if st := ppeStallState[id]; st != noStall && !open {

@@ -13,6 +13,7 @@ import (
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/core"
+	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
 	"github.com/celltrace/pdt/internal/harness"
 	"github.com/celltrace/pdt/internal/workloads"
 )
@@ -54,36 +55,30 @@ func TestParallelKernelsMatchSerialAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestColumnarRoundTripAllWorkloads checks the columnar store against
-// the record view it materializes: every event rebuilt from the columns
-// must survive a round trip through SetEvents unchanged, and the
-// per-core/per-run index views must agree before and after.
+// TestColumnarRoundTripAllWorkloads takes every workload's store back to
+// bytes and loads it again: the rows, written out by the test encoder
+// in 64-record chunks, must come back row for row, on every column but
+// Time — the encoder anchors each run at its first record, so an SPE
+// record's decrementer time counts from there — with the same strings.
 func TestColumnarRoundTripAllWorkloads(t *testing.T) {
 	for _, name := range workloads.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			tr := loadWorkloadTrace(t, name)
-			evs := tr.Events()
-			rt := &analyzer.Trace{Meta: tr.Meta, Strings: tr.Strings, Confidence: tr.Confidence}
-			rt.SetEvents(evs)
-			if want, got := tr.NumEvents(), rt.NumEvents(); want != got {
-				t.Fatalf("round trip lost events: %d -> %d", want, got)
+			s := tr.Columns()
+			rows := make([]tracetest.Row, s.Len())
+			for i := range rows {
+				rows[i] = tracetest.Row{Rec: s.Record(i), Global: s.Global[i], Run: int(s.Run[i])}
 			}
-			for i, n := 0, tr.NumEvents(); i < n; i++ {
-				if !reflect.DeepEqual(tr.Event(i), rt.Event(i)) {
-					t.Fatalf("event %d differs after round trip:\nwant %+v\ngot  %+v",
-						i, tr.Event(i), rt.Event(i))
-				}
+			rt, err := analyzer.Load(bytes.NewReader(tracetest.Encode(t, tr.Meta, rows, 64)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, c := range tr.Cores() {
-				if want, got := tr.CoreEvents(c), rt.CoreEvents(c); !reflect.DeepEqual(want, got) {
-					t.Fatalf("core %d view differs after round trip", c)
-				}
-			}
-			for run := range tr.Meta.Anchors {
-				if want, got := tr.RunEvents(run), rt.RunEvents(run); !reflect.DeepEqual(want, got) {
-					t.Fatalf("run %d view differs after round trip", run)
-				}
+			want := *s
+			want.Time = rt.Columns().Time
+			analyzer.AssertStoresEqual(t, &want, rt.Columns())
+			if !reflect.DeepEqual(tr.Strings, rt.Strings) {
+				t.Fatal("string tables differ after the round trip")
 			}
 		})
 	}

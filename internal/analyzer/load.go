@@ -56,22 +56,6 @@ var errDecodePanic = errors.New("analyzer: panic while decoding chunk")
 // set in production code.
 var decodePanicHook func(chunk int)
 
-// Event is one trace record with its reconstructed global time (in
-// timebase ticks) and a stable sequence number. It is the materialized,
-// record-shaped view of one row of the columnar store: kernels scan the
-// columns directly, while callers that want a self-contained value use
-// Trace.Event or the CoreEvents/RunEvents views.
-type Event struct {
-	event.Record
-	// Global is the event time in PPE timebase ticks.
-	Global uint64
-	// Run is the SPE program run index (anchor index) the event belongs
-	// to, or -1 for PPE events.
-	Run int
-	// Seq is the stable index of the event in the merged stream.
-	Seq int
-}
-
 // Issue is one validation finding.
 type Issue struct {
 	Severity string // "warn" or "error"
@@ -80,10 +64,9 @@ type Issue struct {
 
 func (i Issue) String() string { return i.Severity + ": " + i.Msg }
 
-// Trace is a fully loaded and merged PDT trace. The event stream lives
-// in a struct-of-arrays columnar store (see colstore): kernels scan the
-// columns they need, everything else materializes Event values through
-// the accessors.
+// Trace is a fully loaded and merged PDT trace. The event stream is one
+// struct-of-arrays table (see colstore) that every caller scans: a row
+// holds one record, its global time and its run.
 type Trace struct {
 	Header    traceio.Header
 	Meta      traceio.Meta
@@ -98,8 +81,9 @@ type Trace struct {
 
 	// col is the columnar event store, in merged order (ascending
 	// Global, stable by file position), so a row index is the event's
-	// sequence number. Nil only on zero-value Traces; hand-assembled
-	// traces populate it through SetEvents.
+	// sequence number. Nil only on zero-value Traces. Every row was
+	// written by the merge from a record event.Frame accepted, so its ID
+	// is in the event table, and an SPE row's Run indexes Meta.Anchors.
 	col *colstore.Store
 
 	// coreSeq and runSeq map cores and runs to their rows of col in
@@ -280,12 +264,15 @@ type stringDef struct {
 // parallel Global-timeline column (anchor times already resolved), and
 // the run every record belongs to (-1 for PPE chunks). Twelve bytes per
 // record instead of a decoded event.Record: each record is decoded once,
-// by the merge, straight into its column row.
+// by the merge, straight into its column row. core, the chunk's core, is
+// set by the streaming loader, which keeps each core's newest record
+// back from a window (StreamLoader.holdBack).
 type chunkStream struct {
 	data    []byte
 	offs    []uint32
 	globals []uint64
 	run     int32
+	core    uint8
 }
 
 // chunkResult is everything one worker produced for one chunk.
@@ -346,7 +333,7 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 	tr := newTrace(f)
 	n := len(f.Chunks)
 	if n == 0 {
-		tr.finish(colstore.NewBuilder(0, 0))
+		tr.finish(colstore.NewBuilder(0, 0).Done())
 		return tr, nil
 	}
 	if workers > n {
@@ -436,14 +423,14 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 	if err := mergeStreams(ctx, b, streams, total); err != nil {
 		return nil, err
 	}
-	tr.finish(b)
+	tr.finish(b.Done())
 	return tr, nil
 }
 
 // finish installs the built columns and derives the indexes and
 // confidence shared by every load path.
-func (tr *Trace) finish(b *colstore.Builder) {
-	tr.col = b.Done()
+func (tr *Trace) finish(s *colstore.Store) {
+	tr.col = s
 	tr.buildIndexes()
 	tr.Confidence = tr.confidence(nil)
 }
@@ -594,7 +581,7 @@ func (p *placement) stream(data []byte, offs []uint32) chunkStream {
 	if p.unsorted {
 		sort.Stable(&streamSorter{offs, p.globals})
 	}
-	return chunkStream{data, offs, p.globals, p.run}
+	return chunkStream{data: data, offs: offs, globals: p.globals, run: p.run}
 }
 
 // streamSorter stable-sorts a framed chunk by Global, keeping the
@@ -822,43 +809,6 @@ func (tr *Trace) segment() *colstore.Store {
 	return tr.col
 }
 
-// Event materializes row i of the store as a self-contained value. The
-// Args slice views the shared arena (nil for zero-argument events) and
-// must not be mutated.
-func (tr *Trace) Event(i int) Event {
-	s := tr.col
-	return Event{Record: s.Record(i), Global: s.Global[i], Run: int(s.Run[i]), Seq: i}
-}
-
-// Events materializes the whole merged stream. It exists for tests and
-// small tools that want to range over record-shaped values; analysis
-// code should scan the columns or index with Event instead of paying the
-// O(n) copy.
-func (tr *Trace) Events() []Event {
-	if tr.col == nil {
-		return nil
-	}
-	out := make([]Event, tr.col.Len())
-	for i := range out {
-		out[i] = tr.Event(i)
-	}
-	return out
-}
-
-// SetEvents replaces the trace's event store with the given events,
-// rebuilding the columns and indexes. It is the assembly path for tests
-// and tools that construct traces by hand; the events must already be in
-// stream order (their Seq fields are ignored and become their indexes).
-func (tr *Trace) SetEvents(evs []Event) {
-	b := colstore.NewBuilder(len(evs), 0)
-	for i := range evs {
-		ev := &evs[i]
-		b.Append(&ev.Record, ev.Global, int32(ev.Run))
-	}
-	tr.col = b.Done()
-	tr.buildIndexes()
-}
-
 // StringRef resolves an interned string reference.
 func (tr *Trace) StringRef(ref uint64) string {
 	if s, ok := tr.Strings[ref]; ok {
@@ -880,48 +830,6 @@ func (tr *Trace) RunSeqs(run int) []int32 {
 		return tr.runSeq[run]
 	}
 	return nil
-}
-
-// materialize builds Event values for the given store rows.
-func (tr *Trace) materialize(seqs []int32) []Event {
-	if len(seqs) == 0 {
-		return nil
-	}
-	out := make([]Event, len(seqs))
-	for j, i := range seqs {
-		out[j] = tr.Event(int(i))
-	}
-	return out
-}
-
-// CoreEvents returns the events of one core in stream order. The slice
-// is materialized from the columnar store on every call; kernels should
-// scan CoreSeqs against the columns instead.
-func (tr *Trace) CoreEvents(core uint8) []Event {
-	if tr.col == nil {
-		return nil
-	}
-	return tr.materialize(tr.coreSeq[core])
-}
-
-// RunEvents returns the events of one SPE program run in stream order.
-// Out-of-range runs (notably -1, the PPE pseudo-run) fall back to a
-// column scan. The slice is materialized on every call; kernels should
-// scan RunSeqs against the columns instead.
-func (tr *Trace) RunEvents(run int) []Event {
-	if tr.col == nil {
-		return nil
-	}
-	if run >= 0 && run < len(tr.runSeq) {
-		return tr.materialize(tr.runSeq[run])
-	}
-	var out []Event
-	for i, r := range tr.col.Run {
-		if int(r) == run {
-			out = append(out, tr.Event(i))
-		}
-	}
-	return out
 }
 
 // Span returns the [first, last] global time covered by the trace.

@@ -6,6 +6,7 @@ package analyzer_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -34,9 +35,9 @@ var equivParams = map[string]map[string]string{
 }
 
 // TestParallelLoadMatchesSerialAllWorkloads runs every registered
-// workload traced and asserts the parallel pipeline reconstructs an
-// event stream identical — Seq for Seq, including tie-break order — to
-// the serial stable-sort reference.
+// workload traced and asserts the parallel pipeline reconstructs a store
+// identical — row for row, including tie-break order — to the serial
+// stable-sort reference.
 func TestParallelLoadMatchesSerialAllWorkloads(t *testing.T) {
 	for _, name := range workloads.Names() {
 		name := name
@@ -65,15 +66,7 @@ func TestParallelLoadMatchesSerialAllWorkloads(t *testing.T) {
 			if want.NumEvents() == 0 {
 				t.Fatal("reference trace is empty — workload produced no records")
 			}
-			if want.NumEvents() != got.NumEvents() {
-				t.Fatalf("event count: serial %d, parallel %d", want.NumEvents(), got.NumEvents())
-			}
-			for i, n := 0, want.NumEvents(); i < n; i++ {
-				if !reflect.DeepEqual(want.Event(i), got.Event(i)) {
-					t.Fatalf("event %d differs:\nserial   %+v\nparallel %+v",
-						i, want.Event(i), got.Event(i))
-				}
-			}
+			analyzer.AssertStoresEqual(t, want.Columns(), got.Columns())
 			if !reflect.DeepEqual(want.Issues, got.Issues) {
 				t.Fatalf("issues differ: serial %v, parallel %v", want.Issues, got.Issues)
 			}
@@ -81,12 +74,12 @@ func TestParallelLoadMatchesSerialAllWorkloads(t *testing.T) {
 				t.Fatalf("string tables differ")
 			}
 			for run := range want.Meta.Anchors {
-				if !reflect.DeepEqual(want.RunEvents(run), got.RunEvents(run)) {
-					t.Fatalf("RunEvents(%d) differ", run)
+				if !slices.Equal(want.RunSeqs(run), got.RunSeqs(run)) {
+					t.Fatalf("RunSeqs(%d) differ", run)
 				}
 			}
-			if !reflect.DeepEqual(want.CoreEvents(event.CorePPE), got.CoreEvents(event.CorePPE)) {
-				t.Fatal("CoreEvents(PPE) differ")
+			if !slices.Equal(want.CoreSeqs(event.CorePPE), got.CoreSeqs(event.CorePPE)) {
+				t.Fatal("CoreSeqs(PPE) differ")
 			}
 		})
 	}

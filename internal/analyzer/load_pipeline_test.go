@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
@@ -41,7 +42,7 @@ func encodeFile(t *testing.T, meta traceio.Meta, chunks []traceio.Chunk) *tracei
 }
 
 // assertTracesEqual compares every observable of two loaded traces,
-// including the Seq-for-Seq event order and the precomputed views.
+// including the row-for-row column store and the precomputed indexes.
 func assertTracesEqual(t *testing.T, want, got *Trace) {
 	t.Helper()
 	if want.Truncated != got.Truncated {
@@ -53,25 +54,15 @@ func assertTracesEqual(t *testing.T, want, got *Trace) {
 	if !reflect.DeepEqual(want.Strings, got.Strings) {
 		t.Fatalf("Strings differ:\nwant %v\ngot  %v", want.Strings, got.Strings)
 	}
-	if want.NumEvents() != got.NumEvents() {
-		t.Fatalf("event count: want %d got %d", want.NumEvents(), got.NumEvents())
-	}
-	for i, n := 0, want.NumEvents(); i < n; i++ {
-		if !reflect.DeepEqual(want.Event(i), got.Event(i)) {
-			t.Fatalf("event %d differs:\nwant %+v\ngot  %+v", i, want.Event(i), got.Event(i))
+	AssertStoresEqual(t, want.col, got.col)
+	for core := 0; core < 256; core++ {
+		if !slices.Equal(want.CoreSeqs(uint8(core)), got.CoreSeqs(uint8(core))) {
+			t.Fatalf("CoreSeqs(%d) differ", core)
 		}
-	}
-	for core := 0; core < 8; core++ {
-		if !reflect.DeepEqual(want.CoreEvents(uint8(core)), got.CoreEvents(uint8(core))) {
-			t.Fatalf("CoreEvents(%d) differ", core)
-		}
-	}
-	if !reflect.DeepEqual(want.CoreEvents(event.CorePPE), got.CoreEvents(event.CorePPE)) {
-		t.Fatalf("CoreEvents(PPE) differ")
 	}
 	for run := -1; run < len(want.Meta.Anchors)+1; run++ {
-		if !reflect.DeepEqual(want.RunEvents(run), got.RunEvents(run)) {
-			t.Fatalf("RunEvents(%d) differ", run)
+		if !slices.Equal(want.RunSeqs(run), got.RunSeqs(run)) {
+			t.Fatalf("RunSeqs(%d) differ", run)
 		}
 	}
 }
@@ -265,25 +256,5 @@ func TestMergeStreams(t *testing.T) {
 					tc.name, i, got.Global[i], got.Run[i], tc.want[i], tc.runs[i])
 			}
 		}
-	}
-}
-
-// TestManualTraceFallback checks that hand-assembled Trace values (no
-// precomputed indexes) still answer CoreEvents/RunEvents by scanning.
-func TestManualTraceFallback(t *testing.T) {
-	tr := &Trace{}
-	tr.SetEvents([]Event{
-		{Record: event.Record{Core: 2}, Run: 0, Global: 1, Seq: 0},
-		{Record: event.Record{Core: event.CorePPE}, Run: -1, Global: 2, Seq: 1},
-		{Record: event.Record{Core: 2}, Run: 0, Global: 3, Seq: 2},
-	})
-	if n := len(tr.CoreEvents(2)); n != 2 {
-		t.Fatalf("CoreEvents(2) = %d events, want 2", n)
-	}
-	if n := len(tr.RunEvents(-1)); n != 1 {
-		t.Fatalf("RunEvents(-1) = %d events, want 1", n)
-	}
-	if n := len(tr.RunEvents(0)); n != 2 {
-		t.Fatalf("RunEvents(0) = %d events, want 2", n)
 	}
 }

@@ -26,9 +26,9 @@ type PairProfile struct {
 }
 
 // kindOf and pairOf are flat arrays indexed by event ID, replacing the
-// metadata map lookup in the pair-matching hot loops: unknown ids keep
-// the zero Kind (a point event) and are ignored, exactly like a failed
-// Lookup.
+// metadata map lookup in the pair-matching hot loops. Every stored ID
+// indexes them: framing rejects ID 0 and IDs past the event table, and
+// every row of a store was framed.
 var (
 	kindOf []event.Kind
 	pairOf []event.ID
@@ -69,9 +69,6 @@ func (a *profileAcc) fold(seg *colstore.Store) {
 		a.pairs = map[event.ID]*pairAcc{}
 	}
 	for i, id := range seg.ID {
-		if int(id) >= len(kindOf) {
-			continue
-		}
 		switch kindOf[id] {
 		case event.KindEnter:
 			core := seg.Core[i]

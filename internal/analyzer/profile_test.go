@@ -8,6 +8,7 @@ import (
 	"github.com/celltrace/pdt/internal/cell"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
 )
 
 func TestProfilePairs(t *testing.T) {
@@ -95,10 +96,7 @@ func TestWriteIntervalsCSV(t *testing.T) {
 
 func TestProfileTruncatedUnmatchedEnter(t *testing.T) {
 	// An enter without exit must not produce a pair (and not panic).
-	tr := &Trace{}
-	tr.SetEvents([]Event{
-		{Record: event.Record{ID: event.SPEWaitTagEnter, Core: 0, Args: []uint64{1}}, Global: 10},
-	})
+	tr := loadRows(t, tracetest.Row{Rec: event.Record{ID: event.SPEWaitTagEnter, Core: 0, Args: []uint64{1}}, Global: 10})
 	if p := Profile(tr); len(p) != 0 {
 		t.Fatalf("profile = %+v", p)
 	}

@@ -23,34 +23,36 @@ type SlackStats struct {
 
 // DMASlack computes slack statistics for one run.
 func DMASlack(tr *Trace, run int) SlackStats {
-	evs := tr.RunEvents(run)
+	seqs := tr.RunSeqs(run)
 	st := SlackStats{Run: run}
-	if len(evs) == 0 {
+	if len(seqs) == 0 {
 		return st
 	}
-	st.Core = evs[0].Core
+	s := tr.col
+	st.Core = s.Core[seqs[0]]
 	var lastIssue [32]uint64 // per-tag last command issue time
 	var lastIssueSet [32]bool
 	var waitStart uint64
 	var waitMask uint64
 	inWait := false
-	for _, e := range evs {
-		switch e.ID {
+	for _, i := range seqs {
+		args, g := s.Args[s.ArgOff[i]:], s.Global[i]
+		switch s.ID[i] {
 		case event.SPEMFCGet, event.SPEMFCPut, event.SPEMFCGetList, event.SPEMFCPutList:
-			tag := e.Args[3] % 32
-			lastIssue[tag] = e.Global
+			tag := args[3] % 32
+			lastIssue[tag] = g
 			lastIssueSet[tag] = true
 		case event.SPEWaitTagEnter:
 			inWait = true
-			waitStart = e.Global
-			waitMask = e.Args[0]
+			waitStart = g
+			waitMask = args[0]
 		case event.SPEWaitTagExit:
 			if !inWait {
 				break
 			}
 			inWait = false
 			st.Waits++
-			st.WaitDur.Add(e.Global - waitStart)
+			st.WaitDur.Add(g - waitStart)
 			// Slack relative to the newest issue among waited tags.
 			var newest uint64
 			var any bool

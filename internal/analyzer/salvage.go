@@ -23,7 +23,7 @@ type Confidence struct {
 }
 
 // ForCore returns the confidence for one core, falling back to the
-// overall figure. The zero value (hand-assembled traces) reports full
+// overall figure. The zero value (a zero-value Trace's) reports full
 // confidence.
 func (c Confidence) ForCore(core uint8) float64 {
 	if v, ok := c.PerCore[core]; ok {

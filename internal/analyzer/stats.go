@@ -142,9 +142,8 @@ type summaryAcc struct {
 
 	events     int
 	minG, maxG uint64
-	known      []int            // record counts indexed by event ID, like kindOf
-	unknown    map[event.ID]int // IDs past the table: only SetEvents can store one
-	perCore    [256]int         // record counts, the input of the stream's confidence
+	known      []int    // record counts indexed by event ID, like kindOf
+	perCore    [256]int // record counts, the input of the stream's confidence
 	runs       []runAcc
 }
 
@@ -178,11 +177,7 @@ func (a *summaryAcc) fold(seg *colstore.Store) {
 	var ra *runAcc
 	addState := func(state State, start, end uint64) { ra.state[state] += end - start }
 	for i, id := range seg.ID {
-		if int(id) < len(a.known) {
-			a.known[id]++
-		} else {
-			a.countUnknown(id)
-		}
+		a.known[id]++
 		a.perCore[seg.Core[i]]++
 		run := seg.Run[i]
 		if run < 0 {
@@ -201,15 +196,6 @@ func (a *summaryAcc) fold(seg *colstore.Store) {
 		ra.scan(seg, i, id, g)
 		ra.machine.step(seg, i, a.cpt, addState)
 	}
-}
-
-// countUnknown counts an ID the event table does not hold. The decoder
-// rejects such records, so this is off every loaded trace's path.
-func (a *summaryAcc) countUnknown(id event.ID) {
-	if a.unknown == nil {
-		a.unknown = map[event.ID]int{}
-	}
-	a.unknown[id]++
 }
 
 // scan advances the run's DMA and mailbox scanners by one event.
@@ -265,7 +251,7 @@ func (ra *runAcc) scan(seg *colstore.Store, i int, id event.ID, g uint64) {
 func (a *summaryAcc) result(meta *traceio.Meta, conf Confidence) *Summary {
 	s := &Summary{
 		Workload:   meta.Workload,
-		EventCount: make(map[event.ID]int, len(a.known)+len(a.unknown)),
+		EventCount: make(map[event.ID]int, len(a.known)),
 		TotalRecs:  a.events,
 		WallTicks:  a.maxG - a.minG,
 	}
@@ -273,9 +259,6 @@ func (a *summaryAcc) result(meta *traceio.Meta, conf Confidence) *Summary {
 		if n > 0 { // a key per ID that occurred, not a zero row per table entry
 			s.EventCount[event.ID(id)] = n
 		}
-	}
-	for id, n := range a.unknown {
-		s.EventCount[id] = n
 	}
 	for run := 0; run < len(meta.Anchors) && run < len(a.runs); run++ {
 		ra := a.runs[run] // value copy

@@ -355,7 +355,7 @@ func (l *StreamLoader) framePiece(data []byte) error {
 			if curBytes >= l.window/2 {
 				l.cutPiece(true)
 			}
-			if err := l.flushWindow(); err != nil {
+			if err := l.flushWindow(false); err != nil {
 				return err
 			}
 		}
@@ -381,6 +381,7 @@ func (l *StreamLoader) framePiece(data []byte) error {
 func (l *StreamLoader) cutPiece(midChunk bool) {
 	c := &l.cur
 	piece, args := c.place.stream(c.data, c.offs), c.place.argWords
+	piece.core = c.core
 	next := placement{run: c.place.run, anchorTB: c.place.anchorTB}
 	c.data, c.offs = nil, nil
 	if k := len(piece.offs) - 1; midChunk && k >= 0 {
@@ -404,8 +405,9 @@ func (l *StreamLoader) cutPiece(midChunk bool) {
 // batch order — and folds it into every accumulator. Every window reuses
 // the same builder's columns, and the flushed pieces are cleared, not
 // just truncated, so nothing of a folded window stays reachable: resident
-// memory stays bounded by the window.
-func (l *StreamLoader) flushWindow() error {
+// memory stays bounded by the window. Unless the window is the final
+// one, each core's newest record is held back to open the next (holdBack).
+func (l *StreamLoader) flushWindow(final bool) error {
 	if len(l.pending) == 0 {
 		return nil
 	}
@@ -414,16 +416,52 @@ func (l *StreamLoader) flushWindow() error {
 	}
 	clear(l.pendStrs)
 	l.pendStrs = l.pendStrs[:0]
+	var held []chunkStream
+	if !final {
+		held = l.holdBack()
+	}
 	l.b.Reset(l.pendRecs, l.pendArgs)
 	if err := mergeStreams(l.ctx, &l.b, l.pending, l.pendRecs); err != nil {
 		return err
 	}
 	seg := l.b.Done()
 	clear(l.pending)
-	l.pending = l.pending[:0]
-	l.pendRecs, l.pendArgs = 0, 0
+	l.pending = append(l.pending[:0], held...)
+	l.pendRecs, l.pendArgs = len(held), 0
+	for _, p := range held {
+		l.pendArgs += int(p.data[13])
+	}
 	l.acc.fold(seg, l.strings)
 	return nil
+}
+
+// holdBack takes the latest pending record of each chunk core — largest
+// Global, last in file order among equals — out of the window, each in a
+// piece of its own, in file order. A window may not fold a record later
+// than one a later window brings for the same core, and the tracer writes
+// each TRACE_FLUSH record ahead of the earlier-stamped record whose
+// arrival forced the flush: where a chunk boundary falls between the two,
+// the later chunk opens before the earlier one's latest record, and
+// whatever follows the pair is later than both. cutPiece keeps the same
+// record back when the cut falls inside a chunk.
+func (l *StreamLoader) holdBack() (held []chunkStream) {
+	var latest [256]*chunkStream // a piece is sorted: its last record is its latest
+	for i := range l.pending {
+		p := &l.pending[i]
+		if q := latest[p.core]; q == nil || p.globals[len(p.globals)-1] >= q.globals[len(q.globals)-1] {
+			latest[p.core] = p
+		}
+	}
+	for i := range l.pending {
+		if p := &l.pending[i]; latest[p.core] == p {
+			k := len(p.offs) - 1
+			rec := p.data[p.offs[k]:]
+			held = append(held, chunkStream{data: append([]byte(nil), rec[:rec[0]]...),
+				offs: []uint32{0}, globals: []uint64{p.globals[k]}, run: p.run, core: p.core})
+			p.offs, p.globals = p.offs[:k], p.globals[:k]
+		}
+	}
+	return held
 }
 
 // Events reports how many records have been decoded so far; it is safe
@@ -488,7 +526,7 @@ func (l *StreamLoader) Finish() (*StreamResult, error) {
 		case !l.done:
 			l.truncated = true // no footer
 		}
-		if err := l.flushWindow(); err != nil {
+		if err := l.flushWindow(true); err != nil {
 			return nil, l.fail(err)
 		}
 		l.b = colstore.Builder{} // no window follows; a kept loader keeps no columns

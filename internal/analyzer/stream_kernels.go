@@ -11,9 +11,11 @@ import (
 // batch functions fold the whole store as one segment, StreamLoader folds
 // one merged window at a time. Many windows give the one-segment result
 // because window segments preserve the merged order *within each core and
-// each run* (chunks decode in file order, each chunk is time-ordered, and
-// the in-window merge is the batch k-way merge), and every kernel is a
-// per-core/per-run state machine combined with order-insensitive sums.
+// each run* (chunks decode in file order, each chunk is time-ordered, the
+// in-window merge is the batch k-way merge, and a window cut holds back
+// each core's latest record, the one a later chunk may open before), and
+// every kernel is a per-core/per-run state machine combined with
+// order-insensitive sums.
 // stream_equiv_test.go checks that identity byte-for-byte on every
 // workload.
 

@@ -252,8 +252,8 @@ func TestSyncEventsAppearInTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[event.ID]int{}
-	for _, e := range tr.Events() {
-		counts[e.ID]++
+	for _, id := range tr.Columns().ID {
+		counts[id]++
 	}
 	if counts[event.SyncBarrierEnter] != 2 || counts[event.SyncBarrierExit] != 2 {
 		t.Fatalf("barrier events = %d/%d", counts[event.SyncBarrierEnter], counts[event.SyncBarrierExit])

@@ -59,9 +59,6 @@ type Record struct {
 	Str   string
 }
 
-// IsSPE reports whether the record came from an SPE.
-func (r *Record) IsSPE() bool { return r.Core < CorePPEBase }
-
 // EncodedSize returns the byte length of the encoded record.
 func (r *Record) EncodedSize() int {
 	n := headerSize + 8*len(r.Args)
@@ -104,7 +101,8 @@ var ErrShortRecord = errors.New("event: truncated record")
 
 // Decode parses the first record in buf.
 func Decode(buf []byte) (Record, int, error) {
-	r, n, _, err := DecodeInto(buf, nil)
+	var r Record
+	n, _, err := DecodeNext(&r, buf, nil)
 	return r, n, err
 }
 
@@ -120,8 +118,8 @@ func Decode(buf []byte) (Record, int, error) {
 // record the decoder would reject for framing (size below the header or
 // past the buffer), and the word count covers every byte the scanned
 // records own beyond their headers — at least the argument words
-// DecodeInto can accept per record (it rejects args overflowing the
-// record's declared size before appending any). The decoder therefore
+// DecodeNext can accept per record (Frame rejects args overflowing the
+// record's declared size before any is appended). The decoder therefore
 // never appends more words than ScanChunk counted, so an arena sized
 // from it cannot regrow while earlier records alias its backing array.
 func ScanChunk(data []byte) (records, argWords int) {
@@ -145,19 +143,6 @@ func ScanChunk(data []byte) (records, argWords int) {
 		data = data[size:]
 	}
 	return records, (bytes - records*headerSize) / 8
-}
-
-// DecodeInto parses the first record in buf like Decode, but appends any
-// arguments to arena instead of allocating a fresh slice per record; the
-// returned record's Args aliases the appended tail of the returned arena.
-// Bulk decoders size the arena's capacity up front (a chunk of n data
-// bytes can never hold more than n/8 argument words) so growth cannot
-// reallocate while earlier records' Args still alias the backing array.
-// Zero-argument records keep Args nil, matching Decode.
-func DecodeInto(buf []byte, arena []uint64) (Record, int, []uint64, error) {
-	var r Record
-	n, arena, err := DecodeNext(&r, buf, arena)
-	return r, n, arena, err
 }
 
 // Frame checks the record at the front of buf — its size against the
@@ -210,10 +195,12 @@ func Frame(buf []byte) (int, error) {
 	return size, nil
 }
 
-// DecodeNext is DecodeInto writing the record into *dst instead of
-// returning it by value: bulk decoders point dst at the next slot of
-// their preallocated record slice, skipping two 64-byte struct copies
-// per record (the return and the append). On error *dst is not written.
+// DecodeNext decodes the first record in buf into *dst, appending any
+// arguments to arena instead of allocating a fresh slice per record:
+// dst.Args aliases the appended tail of the returned arena, so bulk
+// decoders size the arena up front (ScanChunk) and point dst at the next
+// slot of a preallocated record slice. Zero-argument records keep Args
+// nil. On error *dst is not written.
 func DecodeNext(dst *Record, buf []byte, arena []uint64) (int, []uint64, error) {
 	size, err := Frame(buf)
 	if err != nil {

@@ -116,8 +116,9 @@ func TestFileSizeLimit(t *testing.T) {
 	}
 }
 
-// TestDecodeChunkRecordCap: the per-chunk record cap trips with the typed
-// error, and the preallocation honors the cap rather than the chunk size.
+// TestDecodeChunkRecordCap: the per-chunk record cap of the record loop
+// every loader frames a chunk with trips with the typed error, and the
+// offset slice is sized by the cap rather than the chunk size.
 func TestDecodeChunkRecordCap(t *testing.T) {
 	var data []byte
 	var err error
@@ -129,13 +130,12 @@ func TestDecodeChunkRecordCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := Chunk{Core: 0, AnchorIdx: 0, Data: data}
-	recs, _, err := DecodeChunkContext(context.Background(), c, Limits{MaxRecords: 10})
+	offs, _, err := FrameRecords(context.Background(), 0, data, nil, 0, Limits{MaxRecords: 10})
 	if !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("want ErrLimitExceeded, got %v (%d records)", err, len(recs))
+		t.Fatalf("want ErrLimitExceeded, got %v (%d records)", err, len(offs))
 	}
-	if len(recs) > 11 {
-		t.Fatalf("decoded %d records past a cap of 10", len(recs))
+	if len(offs) > 11 || cap(offs) > 16 {
+		t.Fatalf("framed %d records (room for %d) past a cap of 10", len(offs), cap(offs))
 	}
 }
 

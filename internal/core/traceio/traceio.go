@@ -421,24 +421,17 @@ func parseHeaderMeta(data []byte, lim Limits) (*File, int, error) {
 	return f, off, nil
 }
 
-// DecodeChunk decodes every record in one chunk with no deadline and no
-// record cap. A truncated final record ends decoding cleanly with
-// truncated=true; structural corruption returns an error alongside the
-// records decoded so far.
+// DecodeChunk decodes every record in one chunk: the record loop frames
+// it, then each framed record decodes into one pre-sized slice, all of
+// their arguments into one shared arena — sized by event.ScanChunk, so it
+// never reallocates under the records whose Args alias it. A truncated
+// final record ends decoding cleanly with truncated=true; structural
+// corruption returns an error alongside the records decoded so far. The
+// analyzer's loaders skip the record-shaped step and decode each framed
+// record straight into the column store; this is the record view tests
+// and tools compare against.
 func DecodeChunk(c Chunk) (recs []event.Record, truncated bool, err error) {
-	return DecodeChunkContext(context.Background(), c, Limits{})
-}
-
-// DecodeChunkContext decodes one chunk under cancellation and a per-chunk
-// record cap (lim.MaxRecords; 0 = unlimited): the record loop frames it,
-// then each framed record decodes into one pre-sized slice, all of their
-// arguments into one shared arena — sized by event.ScanChunk, so it never
-// reallocates under the records whose Args alias it. The analyzer's
-// loaders skip the record-shaped step and decode each framed record
-// straight into the column store; this is the record view tests and
-// tools compare against.
-func DecodeChunkContext(ctx context.Context, c Chunk, lim Limits) (recs []event.Record, truncated bool, err error) {
-	offs, n, err := FrameRecords(ctx, c.Core, c.Data, nil, 0, lim)
+	offs, n, err := FrameRecords(context.Background(), c.Core, c.Data, nil, 0, Limits{})
 	if len(offs) > 0 {
 		_, words := event.ScanChunk(c.Data[:n])
 		recs = make([]event.Record, len(offs))

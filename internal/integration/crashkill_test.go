@@ -23,16 +23,15 @@ func crashSpec(name string, params map[string]string, plan *faults.Plan) harness
 	}
 }
 
-// eventKey identifies one trace record for the prefix comparison.
-func eventKey(e analyzer.Event) string {
-	return fmt.Sprintf("%d@%d%v", e.ID, e.Global, e.Args)
-}
-
-// perCoreKeys groups the trace's record keys by core, in stream order.
+// perCoreKeys groups the trace's record keys — ID, global time and
+// arguments, which identify a record for the prefix comparison — by core,
+// in stream order.
 func perCoreKeys(tr *analyzer.Trace) map[uint8][]string {
 	out := map[uint8][]string{}
-	for _, e := range tr.Events() {
-		out[e.Core] = append(out[e.Core], eventKey(e))
+	s := tr.Columns()
+	for i, id := range s.ID {
+		c := s.Core[i]
+		out[c] = append(out[c], fmt.Sprintf("%d@%d%v", id, s.Global[i], s.EventArgs(i)))
 	}
 	return out
 }

@@ -109,13 +109,15 @@ func TestAlignDiffLocalizesStalledCycle(t *testing.T) {
 	// flush at or after the threshold (the stall may land past mid's
 	// start if mid's first flush comes later).
 	wantIdx := -1
-	for _, e := range base.Trace.Events() {
-		if e.Core != target.Core || e.ID != event.SPETraceFlush || e.Global < mid.Start {
+	s := base.Trace.Columns()
+	for i, id := range s.ID {
+		g := s.Global[i]
+		if s.Core[i] != target.Core || id != event.SPETraceFlush || g < mid.Start {
 			continue
 		}
 		for ci := range target.Cycles {
 			c := &target.Cycles[ci]
-			if e.Global >= c.Start && e.Global <= c.End {
+			if g >= c.Start && g <= c.End {
 				wantIdx = c.Index
 			}
 		}

@@ -207,11 +207,12 @@ func TestRandomProgramsTraceInvariants(t *testing.T) {
 		}
 		// Record accounting: expected app records + 2 lifecycle per run.
 		app := 0
-		for _, e := range tr.Events() {
-			if !e.IsSPE() {
+		col := tr.Columns()
+		for i, id := range col.ID {
+			if col.Core[i] >= event.CorePPEBase {
 				continue
 			}
-			switch e.ID {
+			switch id {
 			case event.SPEProgramStart, event.SPEProgramEnd, event.SPETraceFlush:
 			default:
 				app++

@@ -20,10 +20,11 @@ func TestNBodyTracedRingTraffic(t *testing.T) {
 	_, tr := runWorkload(t, "nbody", map[string]string{"n": "128"}, true)
 	counts := map[event.ID]int{}
 	var putBytes uint64
-	for _, e := range tr.Events() {
-		counts[e.ID]++
-		if e.ID == event.SPEMFCPut {
-			putBytes += e.Args[2]
+	col := tr.Columns()
+	for i, id := range col.ID {
+		counts[id]++
+		if id == event.SPEMFCPut {
+			putBytes += col.EventArgs(i)[2]
 		}
 	}
 	// 8 SPEs x 7 ring passes, one sndsig each.

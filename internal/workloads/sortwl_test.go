@@ -18,8 +18,8 @@ func TestSortSingleChunk(t *testing.T) {
 func TestSortTraced(t *testing.T) {
 	_, tr := runWorkload(t, "sort", map[string]string{"elements": "16384", "chunk": "2048"}, true)
 	counts := map[event.ID]int{}
-	for _, e := range tr.Events() {
-		counts[e.ID]++
+	for _, id := range tr.Columns().ID {
+		counts[id]++
 	}
 	// 8 chunks: one GET and one PUT each.
 	if counts[event.SPEMFCGet] != 8 || counts[event.SPEMFCPut] != 8 {

@@ -27,8 +27,8 @@ func TestStencilFewerRowsThanSPEs(t *testing.T) {
 func TestStencilTracedHaloTraffic(t *testing.T) {
 	_, tr := runWorkload(t, "stencil", map[string]string{"w": "64", "h": "64", "iters": "4"}, true)
 	counts := map[event.ID]int{}
-	for _, e := range tr.Events() {
-		counts[e.ID]++
+	for _, id := range tr.Columns().ID {
+		counts[id]++
 	}
 	// 8 SPEs, interior pairs exchange 2 halo rows per iteration: SPE 0
 	// and 7 send one each, SPEs 1..6 send two each -> 14 sends/iter.
