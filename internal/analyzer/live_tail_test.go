@@ -177,3 +177,41 @@ func TestLiveTailTruncated(t *testing.T) {
 		}
 	}
 }
+
+// TestDoctorLiveMirror: a live mirror's metadata names no anchors — they
+// arrive in-band, as LIVE_ANCHOR records in PPE chunks — so salvage must
+// count those when it checks an SPE chunk's anchor index, or it takes
+// every SPE chunk header for a false magic. Intact, the mirror needs no
+// repair and doctor recovers exactly what a load keeps; cut mid-file, it
+// recovers at least that, on every core.
+func TestDoctorLiveMirror(t *testing.T) {
+	live, _ := liveWorkload(t, "pipeline")
+	for _, cut := range []int{len(live), len(live) * 3 / 5} {
+		data := live[:cut]
+		f, err := traceio.Parse(data)
+		if err != nil {
+			t.Fatalf("cut at %d: parse: %v", cut, err)
+		}
+		tr, err := analyzer.FromFile(f)
+		if err != nil {
+			t.Fatalf("cut at %d: load: %v", cut, err)
+		}
+		d := analyzer.DoctorData(data)
+		if !d.Recoverable() {
+			t.Fatalf("cut at %d: doctor recovered nothing: %v %v", cut, d.SalvageErr, d.LoadErr)
+		}
+		if rep := d.Salvage; rep.ChunksDropped != 0 || rep.Resyncs != 0 {
+			t.Errorf("cut at %d: salvage dropped %d chunk(s) and resynced %d time(s)",
+				cut, rep.ChunksDropped, rep.Resyncs)
+		}
+		if cut == len(live) && (!d.Salvage.Clean() || d.Trace.NumEvents() != tr.NumEvents()) {
+			t.Errorf("intact mirror: clean %v, %d records recovered, load keeps %d",
+				d.Salvage.Clean(), d.Trace.NumEvents(), tr.NumEvents())
+		}
+		for _, c := range tr.Cores() {
+			if got, want := len(d.Trace.CoreSeqs(c)), len(tr.CoreSeqs(c)); got < want {
+				t.Errorf("cut at %d: core %d: doctor recovered %d records, load keeps %d", cut, c, got, want)
+			}
+		}
+	}
+}

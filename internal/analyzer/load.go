@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
@@ -236,18 +235,13 @@ func decodeFramed(rec []byte) event.Record {
 }
 
 // appendLiveAnchor appends the clock anchor an in-band LiveAnchor record
-// — the framed record at the front of rec — carries; any other record is
-// ignored.
+// — the framed record at the front of rec, whose three arguments framing
+// checked — carries; any other record is ignored.
 func appendLiveAnchor(anchors *[]traceio.Anchor, rec []byte) {
-	if recordID(rec) != event.LiveAnchor {
-		return
-	}
-	if r := decodeFramed(rec); len(r.Args) == 3 {
+	if recordID(rec) == event.LiveAnchor {
+		r := decodeFramed(rec)
 		*anchors = append(*anchors, traceio.Anchor{
-			SPE:      int(r.Args[0]),
-			Timebase: r.Args[1],
-			Loaded:   uint32(r.Args[2]),
-			Program:  r.Str,
+			SPE: int(r.Args[0]), Timebase: r.Args[1], Loaded: uint32(r.Args[2]), Program: r.Str,
 		})
 	}
 }
@@ -264,15 +258,12 @@ type stringDef struct {
 // parallel Global-timeline column (anchor times already resolved), and
 // the run every record belongs to (-1 for PPE chunks). Twelve bytes per
 // record instead of a decoded event.Record: each record is decoded once,
-// by the merge, straight into its column row. core, the chunk's core, is
-// set by the streaming loader, which keeps each core's newest record
-// back from a window (StreamLoader.holdBack).
+// by the merge, straight into its column row.
 type chunkStream struct {
 	data    []byte
 	offs    []uint32
 	globals []uint64
 	run     int32
-	core    uint8
 }
 
 // chunkResult is everything one worker produced for one chunk.
@@ -336,54 +327,17 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 		tr.finish(colstore.NewBuilder(0, 0).Done())
 		return tr, nil
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	// decoded counts records cumulatively across workers so the combined
 	// record/memory budget trips mid-decode, not after the fact.
 	var decoded atomic.Int64
 	budget := recordBudget(lim)
 
 	results := make([]chunkResult, n)
-	if workers == 1 {
-		for i := range f.Chunks {
-			if ctx.Err() != nil {
-				break
-			}
+	runParallel(workers, n, func(i int) {
+		if ctx.Err() == nil {
 			results[i] = frameChunk(ctx, f, i, lenient, lim, &decoded, budget)
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					if ctx.Err() != nil {
-						// Drain remaining indexes without decoding so the
-						// feeder never blocks and the pool winds down fast.
-						continue
-					}
-					results[i] = frameChunk(ctx, f, i, lenient, lim, &decoded, budget)
-				}
-			}()
-		}
-	feed:
-		for i := 0; i < n; i++ {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(idx)
-		wg.Wait()
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -572,10 +526,9 @@ func (p *placement) place(data []byte, offs []uint32, live *[]traceio.Anchor) {
 }
 
 // stream hands the placed records to the k-way merge, ascending in
-// Global. Chunks are nearly time-ordered at the source — the tracer
-// writes each TRACE_FLUSH record ahead of the earlier-stamped record that
-// forced the flush, and foreign traces may do worse — so one that is not
-// is stable-sorted here, which preserves exact equivalence with a global
+// Global. The tracer writes every chunk in stamp order; one that is not —
+// from a foreign writer, or written before the tracer did — is
+// stable-sorted here, which preserves exact equivalence with a global
 // stable sort. Only the offsets move; the records stay where they are.
 func (p *placement) stream(data []byte, offs []uint32) chunkStream {
 	if p.unsorted {

@@ -85,7 +85,8 @@ type streamChunk struct {
 // the batch k-way heap merge. The kernels are the
 // accumulators the batch functions fold over the whole store as one
 // segment; their folds are order-insensitive beyond the per-core/per-run
-// order the window cuts preserve — so the final results are identical to
+// order, and since the tracer writes each core in stamp order a window
+// cut anywhere preserves it — so the final results are identical to
 // loading the whole trace and calling Summarize, Profile, SummarizePPE
 // and Validate on it.
 //
@@ -227,7 +228,7 @@ func (l *StreamLoader) advance(in []byte) (used int, err error) {
 			if l.cur.remaining > 0 {
 				return used, nil // wait for the rest of the chunk
 			}
-			l.cutPiece(false)
+			l.cutPiece()
 			l.inChunk = false
 			continue
 		}
@@ -353,9 +354,9 @@ func (l *StreamLoader) framePiece(data []byte) error {
 		pendBytes := int64(l.pendRecs)*eventFootprint + int64(l.pendArgs)*8
 		if pendBytes+curBytes >= l.window/2 {
 			if curBytes >= l.window/2 {
-				l.cutPiece(true)
+				l.cutPiece()
 			}
-			if err := l.flushWindow(false); err != nil {
+			if err := l.flushWindow(); err != nil {
 				return err
 			}
 		}
@@ -371,33 +372,18 @@ func (l *StreamLoader) framePiece(data []byte) error {
 // cutPiece moves the current chunk's framed records into the pending
 // merge window as one stream piece. Their strings and live anchors are
 // committed with them: a later rollback undoes only what follows.
-//
-// A cut inside a chunk (midChunk) keeps the latest record back to open
-// the next piece. Pieces are sorted one by one, so a record may not be
-// earlier than anything in the piece cut before it — and the tracer
-// stamps a TRACE_FLUSH record after the record whose arrival forced the
-// flush yet writes it first, so a chunk's newest record can still be
-// overtaken by exactly its successor.
-func (l *StreamLoader) cutPiece(midChunk bool) {
+func (l *StreamLoader) cutPiece() {
 	c := &l.cur
-	piece, args := c.place.stream(c.data, c.offs), c.place.argWords
-	piece.core = c.core
-	next := placement{run: c.place.run, anchorTB: c.place.anchorTB}
-	c.data, c.offs = nil, nil
-	if k := len(piece.offs) - 1; midChunk && k >= 0 {
-		rec := piece.data[piece.offs[k]:]
-		c.data, c.offs = append([]byte(nil), rec[:rec[0]]...), []uint32{0}
-		next.place(c.data, c.offs, nil)
-		piece.offs, piece.globals, args = piece.offs[:k], piece.globals[:k], args-next.argWords
-	}
+	piece := c.place.stream(c.data, c.offs)
 	l.pendStrs = append(l.pendStrs, c.place.strings...)
-	c.place = next
-	c.anchorMark = len(l.scan.Meta.Anchors)
 	if len(piece.offs) > 0 {
 		l.pending = append(l.pending, piece)
 		l.pendRecs += len(piece.offs)
-		l.pendArgs += args
+		l.pendArgs += c.place.argWords
 	}
+	c.data, c.offs = nil, nil
+	c.place = placement{run: c.place.run, anchorTB: c.place.anchorTB}
+	c.anchorMark = len(l.scan.Meta.Anchors)
 }
 
 // flushWindow merges the pending chunk pieces into one columnar segment
@@ -405,9 +391,8 @@ func (l *StreamLoader) cutPiece(midChunk bool) {
 // batch order — and folds it into every accumulator. Every window reuses
 // the same builder's columns, and the flushed pieces are cleared, not
 // just truncated, so nothing of a folded window stays reachable: resident
-// memory stays bounded by the window. Unless the window is the final
-// one, each core's newest record is held back to open the next (holdBack).
-func (l *StreamLoader) flushWindow(final bool) error {
+// memory stays bounded by the window.
+func (l *StreamLoader) flushWindow() error {
 	if len(l.pending) == 0 {
 		return nil
 	}
@@ -416,52 +401,16 @@ func (l *StreamLoader) flushWindow(final bool) error {
 	}
 	clear(l.pendStrs)
 	l.pendStrs = l.pendStrs[:0]
-	var held []chunkStream
-	if !final {
-		held = l.holdBack()
-	}
 	l.b.Reset(l.pendRecs, l.pendArgs)
 	if err := mergeStreams(l.ctx, &l.b, l.pending, l.pendRecs); err != nil {
 		return err
 	}
 	seg := l.b.Done()
 	clear(l.pending)
-	l.pending = append(l.pending[:0], held...)
-	l.pendRecs, l.pendArgs = len(held), 0
-	for _, p := range held {
-		l.pendArgs += int(p.data[13])
-	}
+	l.pending = l.pending[:0]
+	l.pendRecs, l.pendArgs = 0, 0
 	l.acc.fold(seg, l.strings)
 	return nil
-}
-
-// holdBack takes the latest pending record of each chunk core — largest
-// Global, last in file order among equals — out of the window, each in a
-// piece of its own, in file order. A window may not fold a record later
-// than one a later window brings for the same core, and the tracer writes
-// each TRACE_FLUSH record ahead of the earlier-stamped record whose
-// arrival forced the flush: where a chunk boundary falls between the two,
-// the later chunk opens before the earlier one's latest record, and
-// whatever follows the pair is later than both. cutPiece keeps the same
-// record back when the cut falls inside a chunk.
-func (l *StreamLoader) holdBack() (held []chunkStream) {
-	var latest [256]*chunkStream // a piece is sorted: its last record is its latest
-	for i := range l.pending {
-		p := &l.pending[i]
-		if q := latest[p.core]; q == nil || p.globals[len(p.globals)-1] >= q.globals[len(q.globals)-1] {
-			latest[p.core] = p
-		}
-	}
-	for i := range l.pending {
-		if p := &l.pending[i]; latest[p.core] == p {
-			k := len(p.offs) - 1
-			rec := p.data[p.offs[k]:]
-			held = append(held, chunkStream{data: append([]byte(nil), rec[:rec[0]]...),
-				offs: []uint32{0}, globals: []uint64{p.globals[k]}, run: p.run, core: p.core})
-			p.offs, p.globals = p.offs[:k], p.globals[:k]
-		}
-	}
-	return held
 }
 
 // Events reports how many records have been decoded so far; it is safe
@@ -526,7 +475,7 @@ func (l *StreamLoader) Finish() (*StreamResult, error) {
 		case !l.done:
 			l.truncated = true // no footer
 		}
-		if err := l.flushWindow(true); err != nil {
+		if err := l.flushWindow(); err != nil {
 			return nil, l.fail(err)
 		}
 		l.b = colstore.Builder{} // no window follows; a kept loader keeps no columns

@@ -227,11 +227,11 @@ func TestStreamWriteSlicings(t *testing.T) {
 
 // TestStreamMidChunkCuts sweeps window sizes small enough that every
 // chunk is cut into many pieces, so the cuts land on every record
-// boundary in turn — including the ones between a TRACE_FLUSH record and
-// the earlier-stamped record written after it, the out-of-order pair
-// each flush leaves in an SPE chunk. Pieces are sorted one at a time, so
-// a cut that separates such a pair would fold the two in the wrong order
-// (one window size does not show it: most boundaries are harmless).
+// boundary in turn — including the ones around each TRACE_FLUSH record
+// and the record whose arrival forced its flush. Pieces are sorted one at
+// a time, so a piece cut from a chunk out of stamp order would fold its
+// records in the wrong order (one window size does not show it: most
+// boundaries are harmless).
 func TestStreamMidChunkCuts(t *testing.T) {
 	data := traceWorkload(t, "synthetic")
 	want := loadBatch(t, data)

@@ -83,32 +83,59 @@ func (r *speRun) halfBase(half int) int { return r.lsBase + half*r.halfSize }
 // emit records one event if its type is enabled, charging the
 // instrumentation cost and flushing when the buffer fills.
 func (r *speRun) emit(rec event.Record) {
+	if !r.stamp(&rec) {
+		return
+	}
+	if r.used+rec.EncodedSize() <= r.halfSize {
+		r.put(rec)
+		return
+	}
+	marker, flushed := r.flush(false)
+	switch {
+	case r.stoppedFull:
+		r.s.drops[r.spe]++
+	case !flushed:
+		r.put(rec)
+	case marker.Time == rec.Time:
+		// The flush record is stamped after rec. On an equal stamp it
+		// goes first, where it was stamped; otherwise after rec, so the
+		// chunk stays in stamp order.
+		r.put(marker)
+		r.put(rec)
+	default:
+		r.put(rec)
+		r.put(marker)
+	}
+}
+
+// stamp charges the instrumentation cost of an enabled event and stamps
+// it with its core and decrementer time. It reports false when the event
+// is not recorded: disabled, outside the window, or dropped because the
+// main region is full.
+func (r *speRun) stamp(rec *event.Record) bool {
 	if r.finished {
 		panic(fmt.Sprintf("core: SPE %d emitted %s after program end", r.spe, rec.ID))
 	}
 	if !r.s.cfg.EventOn(rec.ID) {
-		return
+		return false
 	}
 	if !r.s.inWindow(r.u.Now()) {
-		return
+		return false
 	}
 	r.u.Compute(r.s.cfg.SPEEventCost)
 	if r.stoppedFull {
 		r.s.drops[r.spe]++
-		return
+		return false
 	}
 	rec.Core = uint8(r.spe)
 	rec.Flags |= event.FlagDecrTime
 	rec.Time = r.elapsed()
-	size := rec.EncodedSize()
-	if r.used+size > r.halfSize {
-		r.flush(false)
-		if r.stoppedFull {
-			r.s.drops[r.spe]++
-			return
-		}
-	}
-	if size > r.halfSize {
+	return true
+}
+
+// put writes a stamped record into the active half, which has room.
+func (r *speRun) put(rec event.Record) {
+	if rec.EncodedSize() > r.halfSize {
 		panic("core: record larger than the SPE trace buffer half")
 	}
 	ls := r.u.LS()
@@ -155,8 +182,10 @@ func (r *speRun) flushPermitted() bool {
 // flush DMAs the active half to the main-memory region. Single-buffered
 // mode waits for the DMA; double-buffered mode issues it asynchronously
 // and only waits when the target half is still in flight from last time.
-// final forces a synchronous drain of everything outstanding.
-func (r *speRun) flush(final bool) {
+// final forces a synchronous drain of everything outstanding. Otherwise
+// a successful flush stamps its TRACE_FLUSH record and returns it with
+// flushed true; the caller writes it into the fresh half.
+func (r *speRun) flush(final bool) (marker event.Record, flushed bool) {
 	start := r.u.Now()
 	if r.used > 0 {
 		// Pad to a legal DMA length (multiple of 16); zero bytes are
@@ -243,10 +272,11 @@ func (r *speRun) flush(final bool) {
 				// Record PDT's own overhead (into the fresh buffer), as
 				// the paper's tool does. Skipped on the final drain:
 				// there is no later flush to carry the record out.
-				r.emit(event.Record{
+				marker = event.Record{
 					ID:   event.SPETraceFlush,
 					Args: []uint64{uint64(flushedBytes), cycles},
-				})
+				}
+				flushed = r.stamp(&marker)
 			}
 		}
 	}
@@ -262,4 +292,5 @@ func (r *speRun) flush(final bool) {
 		r.s.flushCycles += r.u.Now() - start
 	}
 	r.s.liveFlush(r)
+	return marker, flushed
 }

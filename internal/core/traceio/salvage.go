@@ -85,7 +85,9 @@ const maxPlausibleSPE = 16
 //
 // The returned File contains only usable chunks: every chunk's Data
 // decodes without structural errors, and every SPE chunk's AnchorIdx
-// resolves in the (possibly lost) metadata. The report is always non-nil.
+// resolves in the (possibly lost) metadata or, in a live-streamed trace,
+// names a LIVE_ANCHOR record of an earlier kept PPE chunk. The report is
+// always non-nil.
 // The error is non-nil only when nothing at all was recoverable.
 //
 // For a single-point corruption (one flipped, inserted, or deleted byte
@@ -148,6 +150,10 @@ func SalvageContext(ctx context.Context, data []byte) (*File, *SalvageReport, er
 	// resync the next candidate must additionally prove itself (CRC match
 	// or at least one decodable record).
 	synced := rep.MetaOK
+	// live counts the LIVE_ANCHOR records of the PPE chunks kept so far:
+	// a live stream's anchors arrive in-band, and the load appends them to
+	// the metadata's table in file order.
+	live := 0
 
 	for iter := 0; off < len(data); iter++ {
 		if err := checkEvery(ctx, iter); err != nil {
@@ -169,7 +175,7 @@ func SalvageContext(ctx context.Context, data []byte) (*File, *SalvageReport, er
 			}
 			break
 		}
-		used, trusted, ok := salvageChunkAt(data, off, chdr, f, rep, synced)
+		used, trusted, ok := salvageChunkAt(data, off, chdr, f, rep, synced, &live)
 		if !ok {
 			// Not a chunk here: skip this byte and scan for the next
 			// candidate boundary.
@@ -199,8 +205,9 @@ func isFooterAt(data []byte, off int) bool {
 
 // plausibleChunkHeader checks the cheap structural constraints of a chunk
 // header at off: magic, a core byte that names an SPE or a PPE stream, and
-// an anchor index that is NoAnchor or resolvable (when metadata survived).
-func plausibleChunkHeader(data []byte, off, chdr int, f *File, haveMeta bool) bool {
+// an anchor index that is NoAnchor or below anchors (when metadata
+// survived).
+func plausibleChunkHeader(data []byte, off, chdr, anchors int, haveMeta bool) bool {
 	if len(data)-off < chdr || data[off] != ChunkMagic {
 		return false
 	}
@@ -209,7 +216,7 @@ func plausibleChunkHeader(data []byte, off, chdr int, f *File, haveMeta bool) bo
 		return false
 	}
 	anchorIdx := binary.LittleEndian.Uint16(data[off+2 : off+4])
-	if anchorIdx != NoAnchor && haveMeta && int(anchorIdx) >= len(f.Meta.Anchors) {
+	if anchorIdx != NoAnchor && haveMeta && int(anchorIdx) >= anchors {
 		return false
 	}
 	return true
@@ -225,9 +232,11 @@ func boundaryAt(data []byte, off int) bool {
 // salvageChunkAt attempts to recover the chunk starting at off, appending
 // it to f when usable and accounting every consumed byte in rep. It
 // returns the bytes consumed and whether a chunk structure was identified
-// at all (ok=false means "this is not a chunk — resync").
-func salvageChunkAt(data []byte, off, chdr int, f *File, rep *SalvageReport, synced bool) (used int, trusted, ok bool) {
-	if !plausibleChunkHeader(data, off, chdr, f, rep.MetaOK) {
+// at all (ok=false means "this is not a chunk — resync"). live counts the
+// LIVE_ANCHOR records kept so far; a kept main-PPE chunk adds its own.
+func salvageChunkAt(data []byte, off, chdr int, f *File, rep *SalvageReport, synced bool, live *int) (used int, trusted, ok bool) {
+	anchors := len(f.Meta.Anchors) + *live
+	if !plausibleChunkHeader(data, off, chdr, anchors, rep.MetaOK) {
 		return 0, false, false
 	}
 	core := data[off+1]
@@ -302,7 +311,7 @@ func salvageChunkAt(data []byte, off, chdr int, f *File, rep *SalvageReport, syn
 	// An SPE chunk whose anchor did not survive cannot be placed on the
 	// global timeline; account it but keep it out of the file.
 	if core < event.CorePPEBase &&
-		(anchorIdx == NoAnchor || int(anchorIdx) >= len(f.Meta.Anchors)) {
+		(anchorIdx == NoAnchor || int(anchorIdx) >= anchors) {
 		if verified {
 			// Reclassify: identified and intact, but unusable.
 			cs.ChunksRecovered--
@@ -324,6 +333,9 @@ func salvageChunkAt(data []byte, off, chdr int, f *File, rep *SalvageReport, syn
 		keep = raw[:decodable]
 	}
 	f.Chunks = append(f.Chunks, Chunk{Core: core, AnchorIdx: anchorIdx, Data: keep, CRC: hdrCRC})
+	if core == event.CorePPE {
+		*live += liveAnchors(keep)
+	}
 	cs.RecordsRecovered += recs
 	rep.RecordsRecovered += recs
 	cs.BytesRecovered += keptBytes
@@ -331,6 +343,24 @@ func salvageChunkAt(data []byte, off, chdr int, f *File, rep *SalvageReport, syn
 	cs.BytesDamaged += damagedTail
 	rep.BytesDamaged += damagedTail
 	return used, trusted, true
+}
+
+// liveAnchors counts the LIVE_ANCHOR records of a main-PPE chunk, as the
+// analyzer's load does when it rebuilds a live trace's anchor table: none
+// when the chunk does not frame cleanly. Framing checks every record's
+// arity, so each one counted carries an anchor.
+func liveAnchors(data []byte) int {
+	offs, _, err := FrameRecords(context.Background(), event.CorePPE, data, nil, 0, Limits{})
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for _, off := range offs {
+		if event.ID(binary.LittleEndian.Uint16(data[off+1:off+3])) == event.LiveAnchor {
+			n++
+		}
+	}
+	return n
 }
 
 // decodablePrefix returns how many records decode from the front of data

@@ -90,7 +90,7 @@ func buildBigTrace(tb testing.TB, path string, wantBytes int64) int64 {
 }
 
 func TestSmokeStreamBoundedRSS(t *testing.T) {
-	const window = 8 << 20
+	const window = 4 << 20       // the benchmark's analyze_stream window
 	const traceBytes = 100 << 20 // >10x the window
 
 	path := filepath.Join(t.TempDir(), "big.pdt")
