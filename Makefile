@@ -95,14 +95,16 @@ chaos-smoke:
 chaos-cluster:
 	$(GO) test -race -run 'TestChaosCluster' ./cmd/pdt-tad
 
-# Actual coverage-guided fuzzing (long; not in ci).
+# Actual coverage-guided fuzzing (long; not in ci): every Fuzz target in
+# the module, as `go test -list` finds them, 60s each.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzSalvage -fuzztime 60s ./internal/core/traceio
-	$(GO) test -run '^$$' -fuzz FuzzTADHandler -fuzztime 60s ./cmd/pdt-tad
-	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 60s ./internal/jobs
-	$(GO) test -run '^$$' -fuzz FuzzStreamDecode -fuzztime 60s ./internal/analyzer
-	$(GO) test -run '^$$' -fuzz FuzzCycles -fuzztime 60s ./internal/analyzer/cycles
-	$(GO) test -run '^$$' -fuzz FuzzDiffAlign -fuzztime 60s ./internal/analyzer/diff
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
+	echo "$$list" | \
+		awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+		while read pkg target; do \
+			echo "fuzz $$target ($$pkg)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 60s $$pkg || exit 1; \
+		done
 
 # End-to-end service smoke test: builds the real pdt-tad binary, starts
 # it, and checks the operator contract — 200 on the golden trace, 413

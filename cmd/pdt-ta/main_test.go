@@ -16,6 +16,9 @@ import (
 	"github.com/celltrace/pdt/internal/analyzer/cache"
 	"github.com/celltrace/pdt/internal/analyzer/kinds"
 	"github.com/celltrace/pdt/internal/core"
+	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio"
+	"github.com/celltrace/pdt/internal/faults"
 	"github.com/celltrace/pdt/internal/harness"
 )
 
@@ -343,6 +346,41 @@ func TestCorruptTraceRejected(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"summary", path}, &out); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestRecordFramingDamagePointsAtDoctor: a record that does not frame is
+// damage, so summary points at the doctor instead of printing the raw
+// decode error alone.
+func TestRecordFramingDamagePointsAtDoctor(t *testing.T) {
+	kill, err := faults.Parse("kill:250000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultTraceConfig()
+	res, err := harness.Run(harness.Spec{Workload: "pipeline", Trace: &cfg, Faults: kill})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := res.TraceBytes // killed: no footer, so no file CRC to fail first
+	f, err := traceio.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range f.Chunks {
+		if c.Core < event.CorePPEBase {
+			c.Data[1] = 0xFE // the first record's event ID, in data itself
+			break
+		}
+	}
+	path := filepath.Join(t.TempDir(), "bad.pdt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run([]string{"summary", path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "pdt-ta doctor") {
+		t.Fatalf("want an error naming pdt-ta doctor, got %v", err)
 	}
 }
 

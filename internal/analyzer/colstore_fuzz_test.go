@@ -140,12 +140,13 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 	})
 }
 
-// recordShapedStore builds what a lenient load of a salvaged file must
-// hold, the way the reference loader (FromFileSerial) builds it: every
-// chunk through traceio.DecodeChunk, its records placed on the timeline
-// here, one stable sort, then analyzer.SerialStore. It shares no
-// framing, placement, merge or column writer with the load under test.
-// Salvage keeps only chunks whose anchor resolves, so none is dropped.
+// recordShapedStore builds what the load of a salvaged file must hold,
+// the way the reference loader (FromFileSerial) builds it: every chunk
+// through traceio.DecodeChunk, its records placed on the timeline here,
+// one stable sort, then analyzer.SerialStore. It shares no framing,
+// placement, merge or column writer with the load under test. Salvage
+// keeps only chunks that frame whole and whose anchor resolves, so none
+// is cut short or dropped.
 func recordShapedStore(f *traceio.File) *colstore.Store {
 	var rows []analyzer.SerialRow
 	for _, c := range f.Chunks {
@@ -153,7 +154,7 @@ func recordShapedStore(f *traceio.File) *colstore.Store {
 		if c.Core != event.CorePPE {
 			run, anchorTB = int32(c.AnchorIdx), f.Meta.Anchors[c.AnchorIdx].Timebase
 		}
-		recs, _, _ := traceio.DecodeChunk(c) // a damaged chunk keeps what decoded
+		recs, _, _ := traceio.DecodeChunk(c)
 		for _, r := range recs {
 			g := r.Time
 			if r.Flags&event.FlagDecrTime != 0 {

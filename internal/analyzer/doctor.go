@@ -20,7 +20,7 @@ type DoctorReport struct {
 	// input could not be read at all.
 	Salvage *traceio.SalvageReport
 	// Trace is the analyzer view of the surviving records; nil when
-	// nothing was recoverable or the lenient load itself failed.
+	// nothing was recoverable or the load itself failed.
 	Trace *Trace
 	// Validation holds the structural findings on the recovered stream.
 	Validation []Issue
@@ -50,8 +50,8 @@ func DoctorFileContext(ctx context.Context, path string, lim Limits) (*DoctorRep
 	return DoctorDataContext(ctx, data, lim)
 }
 
-// DoctorData salvages a raw trace image, loads the survivors leniently,
-// and validates the result. The report is always non-nil; inspect
+// DoctorData salvages a raw trace image, loads the survivors, and
+// validates the result. The report is always non-nil; inspect
 // Recoverable for the verdict.
 func DoctorData(data []byte) *DoctorReport {
 	d, _ := DoctorDataContext(context.Background(), data, Limits{})

@@ -26,7 +26,7 @@ import (
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
-var updateKernelGolden = flag.Bool("update", false, "rewrite testdata/kernels.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/kernels.golden and testdata/doctor.golden")
 
 const kernelGoldenPath = "testdata/kernels.golden"
 
@@ -155,7 +155,7 @@ func TestKernelCharacterisationGolden(t *testing.T) {
 		rendered[name] = renderKernels(traces[name])
 		fmt.Fprintf(&got, "%s %x\n", name, sha256.Sum256(rendered[name]))
 	}
-	if *updateKernelGolden {
+	if *updateGolden {
 		if err := os.WriteFile(kernelGoldenPath, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

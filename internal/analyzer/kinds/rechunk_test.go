@@ -2,12 +2,16 @@ package kinds_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/kinds"
+	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
+	"github.com/celltrace/pdt/internal/faults"
+	"github.com/celltrace/pdt/internal/harness"
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
@@ -52,28 +56,87 @@ func TestRechunkingIsInvisible(t *testing.T) {
 				}
 			}
 			for _, window := range []int64{4 << 10, 16 << 10} {
-				l := analyzer.NewStreamLoader(analyzer.StreamOptions{
-					Validate: true, Limits: analyzer.Limits{StreamWindowBytes: window},
-				})
-				for off := 0; off < len(split); off += 777 {
-					if _, err := l.Write(split[off:min(off+777, len(split))]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				res, err := l.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sum bytes.Buffer
-				if err := analyzer.WriteJSON(res.Trace, res.Summary, &sum); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sum.Bytes(), want["summary"]) {
+				if !bytes.Equal(streamSummary(t, split, window), want["summary"]) {
 					t.Errorf("%s per=%d window=%d: streamed summary differs from batch", name, per, window)
 				}
 			}
 		}
 	}
+}
+
+// TestVersionsAnalyseAlike: format version 1 differs from version 2 only
+// in its chunk headers, which carry no CRC. The same run in either
+// encoding — every workload, and one killed mid-run — must give every
+// kind's JSON, the streaming summary, and the doctor's verdict and counts
+// alike.
+func TestVersionsAnalyseAlike(t *testing.T) {
+	kill, err := faults.Parse("kill:250000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultTraceConfig()
+	killed, err := harness.Run(harness.Spec{Workload: "pipeline", Trace: &cfg, Faults: kill})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := map[string][]byte{"pipeline.kill": killed.TraceBytes}
+	names := append(workloads.Names(), "pipeline.kill")
+	for _, name := range names[:len(names)-1] {
+		imgs[name] = traceImage(t, name, rechunkParams[name])
+	}
+	doctor := func(img []byte) string {
+		d := analyzer.DoctorData(img)
+		r := d.Salvage
+		events := 0
+		if d.Trace != nil {
+			events = d.Trace.NumEvents()
+		}
+		return fmt.Sprintf("%s header %v meta %v footer %v; chunks %d/%d/%d; records %d; bytes %d/%d/%d; resyncs %d; events %d",
+			d.Verdict(), r.HeaderOK, r.MetaOK, r.FooterOK, r.ChunksRecovered, r.ChunksDamaged, r.ChunksDropped,
+			r.RecordsRecovered, r.BytesRecovered, r.BytesDamaged, r.BytesSkipped, r.Resyncs, events)
+	}
+	for _, name := range names {
+		v2 := imgs[name]
+		v1 := tracetest.V1(t, v2)
+		if f, err := traceio.Parse(v1); err != nil || f.Header.Version != 1 {
+			t.Fatalf("%s: re-encoding does not parse as version 1: %v", name, err)
+		}
+		want, got := kindsJSON(t, v2), kindsJSON(t, v1)
+		for _, k := range kinds.All {
+			if !bytes.Equal(got[k.Name], want[k.Name]) {
+				t.Errorf("%s: %s differs between versions 1 and 2", name, k.Name)
+			}
+		}
+		if !bytes.Equal(streamSummary(t, v1, 16<<10), streamSummary(t, v2, 16<<10)) {
+			t.Errorf("%s: streamed summary differs between versions 1 and 2", name)
+		}
+		if a, b := doctor(v1), doctor(v2); a != b {
+			t.Errorf("%s: doctor differs:\n v1 %s\n v2 %s", name, a, b)
+		}
+	}
+}
+
+// streamSummary loads img through StreamLoader in the given window, in
+// odd-sized writes, and renders its summary as JSON.
+func streamSummary(t *testing.T, img []byte, window int64) []byte {
+	t.Helper()
+	l := analyzer.NewStreamLoader(analyzer.StreamOptions{
+		Validate: true, Limits: analyzer.Limits{StreamWindowBytes: window},
+	})
+	for off := 0; off < len(img); off += 777 {
+		if _, err := l.Write(img[off:min(off+777, len(img))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := l.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum bytes.Buffer
+	if err := analyzer.WriteJSON(res.Trace, res.Summary, &sum); err != nil {
+		t.Fatal(err)
+	}
+	return sum.Bytes()
 }
 
 // kindsJSON loads and validates img and renders every kind as JSON.

@@ -148,7 +148,7 @@ func LoadContext(ctx context.Context, data []byte, lim Limits) (*Trace, error) {
 // ties broken by chunk position in the file, then record position within
 // the chunk.
 func FromFile(f *traceio.File) (*Trace, error) {
-	return fromFile(context.Background(), f, runtime.GOMAXPROCS(0), false, Limits{})
+	return fromFile(context.Background(), f, runtime.GOMAXPROCS(0), Limits{})
 }
 
 // FromFileContext is FromFile under cancellation and admission control.
@@ -156,7 +156,7 @@ func FromFile(f *traceio.File) (*Trace, error) {
 // it fires, all pipeline goroutines are joined before the call returns,
 // so a cancelled load never leaks goroutines or leaves channels open.
 func FromFileContext(ctx context.Context, f *traceio.File, lim Limits) (*Trace, error) {
-	return fromFile(ctx, f, runtime.GOMAXPROCS(0), false, lim)
+	return fromFile(ctx, f, runtime.GOMAXPROCS(0), lim)
 }
 
 // newTrace builds the Trace shell: header, metadata, file-level issues.
@@ -209,10 +209,8 @@ func resolveLiveAnchors(f *traceio.File) {
 		if c.Core != event.CorePPE {
 			continue
 		}
-		offs, _, err := traceio.FrameRecords(context.Background(), c.Core, c.Data, nil, 0, Limits{})
-		if err != nil {
-			continue
-		}
+		// A chunk that does not frame fails the load later, in frameChunk.
+		offs, _, _ := traceio.FrameRecords(context.Background(), c.Core, c.Data, nil, 0, Limits{})
 		for _, off := range offs {
 			appendLiveAnchor(&f.Meta.Anchors, c.Data[off:])
 		}
@@ -307,13 +305,11 @@ func admitChunks(f *traceio.File, lim Limits) error {
 	return nil
 }
 
-// fromFile runs the pipeline with a bounded number of decode workers. In
-// lenient mode (salvaged files), chunk decode errors and unresolvable
-// anchors become Issues on the trace instead of failing the load, and
-// whatever records did decode are kept. Cancellation and admission
-// failures are never lenient: both stop the load with a typed error after
-// every worker has been joined.
-func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, lim Limits) (*Trace, error) {
+// fromFile runs the pipeline with a bounded number of decode workers. A
+// chunk that does not frame or cannot be placed, cancellation and
+// admission failures all stop the load with a typed error after every
+// worker has been joined.
+func fromFile(ctx context.Context, f *traceio.File, workers int, lim Limits) (*Trace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -335,7 +331,7 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 	results := make([]chunkResult, n)
 	runParallel(workers, n, func(i int) {
 		if ctx.Err() == nil {
-			results[i] = frameChunk(ctx, f, i, lenient, lim, &decoded, budget)
+			results[i] = frameChunk(ctx, f, i, lim, &decoded, budget)
 		}
 	})
 	if err := ctx.Err(); err != nil {
@@ -345,25 +341,17 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lenient bool, l
 	// Aggregate in chunk order so issues, string interning and the error
 	// returned are deterministic and identical to the serial path. Panics
 	// recovered in a worker become per-chunk issues (the chunk's records
-	// are lost to the unwind); admission failures abort even lenient
-	// loads.
+	// are lost to the unwind); every other error fails the load.
 	total, argWords := 0, 0
 	streams := make([]chunkStream, n)
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
-			switch {
-			case errors.Is(r.err, errDecodePanic):
-				tr.Issues = append(tr.Issues, Issue{"error", r.err.Error()})
-				continue
-			case errors.Is(r.err, ErrLimitExceeded), errors.Is(r.err, context.Canceled),
-				errors.Is(r.err, context.DeadlineExceeded), !lenient:
-				return nil, r.err
-			default:
-				// Lenient decode damage was already folded into r.issues
-				// by the worker; r.err is only set on hard failures.
+			if !errors.Is(r.err, errDecodePanic) {
 				return nil, r.err
 			}
+			tr.Issues = append(tr.Issues, Issue{"error", r.err.Error()})
+			continue
 		}
 		tr.Issues = append(tr.Issues, r.issues...)
 		for _, sd := range r.strings {
@@ -397,7 +385,7 @@ func (tr *Trace) finish(s *colstore.Store) {
 // per-chunk errDecodePanic, so one poisoned chunk degrades into a trace
 // Issue instead of crashing the worker pool. decoded accumulates the
 // cross-chunk record count against budget (0 = unlimited).
-func frameChunk(ctx context.Context, f *traceio.File, i int, lenient bool, lim Limits, decoded *atomic.Int64, budget int64) (res chunkResult) {
+func frameChunk(ctx context.Context, f *traceio.File, i int, lim Limits, decoded *atomic.Int64, budget int64) (res chunkResult) {
 	c := f.Chunks[i]
 	defer func() {
 		if r := recover(); r != nil {
@@ -408,21 +396,8 @@ func frameChunk(ctx context.Context, f *traceio.File, i int, lenient bool, lim L
 		decodePanicHook(i)
 	}
 	offs, n, err := traceio.FrameRecords(ctx, c.Core, c.Data, nil, 0, lim)
-	trunc := err == nil && n < len(c.Data)
 	if err != nil {
-		if errors.Is(err, ErrLimitExceeded) || ctx.Err() != nil {
-			res.err = err
-			return res
-		}
-		if !lenient {
-			res.err = err
-			return res
-		}
-		// Lenient (salvaged) load: keep the records that did decode and
-		// surface the damage as an issue.
-		res.issues = append(res.issues,
-			Issue{"error", fmt.Sprintf("chunk for core %d: decode stopped after %d records: %v",
-				c.Core, len(offs), err)})
+		return chunkResult{err: err}
 	}
 	if budget > 0 {
 		if n := decoded.Add(int64(len(offs))); n > budget {
@@ -431,21 +406,13 @@ func frameChunk(ctx context.Context, f *traceio.File, i int, lenient bool, lim L
 			return res
 		}
 	}
-	if trunc {
+	if n < len(c.Data) {
 		res.issues = append(res.issues,
 			Issue{"warn", fmt.Sprintf("chunk for core %d truncated mid-record", c.Core)})
 	}
 	run, anchorTB, issue, err := resolveAnchor(&f.Meta, c.Core, c.AnchorIdx)
 	if err != nil {
-		if !lenient {
-			res.err = err
-			return res
-		}
-		// No anchor to place this chunk on the timeline: drop it.
-		res.issues = append(res.issues,
-			Issue{"error", fmt.Sprintf("chunk for SPE %d dropped: anchor %d of %d unresolvable",
-				c.Core, c.AnchorIdx, len(f.Meta.Anchors))})
-		return res
+		return chunkResult{err: err}
 	}
 	if issue != nil {
 		res.issues = append(res.issues, *issue)
@@ -462,9 +429,9 @@ func frameChunk(ctx context.Context, f *traceio.File, i int, lenient bool, lim L
 // its records belong to (-1 for PPE chunks, whose times already are
 // timebase ticks) and the timebase tick its decrementer times count
 // from. An anchor recorded for a different SPE is reported as an issue;
-// an index past the anchor table is an error, because the chunk cannot
-// be placed at all — whether that fails the load or only drops the chunk
-// is the caller's policy.
+// an index past the anchor table is an error that fails the load,
+// because the chunk cannot be placed at all. (Salvage drops such a chunk
+// itself, so a salvaged file never reaches this error.)
 func resolveAnchor(meta *traceio.Meta, core uint8, anchorIdx uint16) (run int32, anchorTB uint64, issue *Issue, err error) {
 	if core == event.CorePPE {
 		return -1, 0, nil, nil

@@ -121,7 +121,7 @@ func TestFromFileContextDeadline(t *testing.T) {
 
 // TestFromFileLimits exercises the analyzer-side admission checks:
 // record-count budget, decode-memory budget, and per-chunk byte cap —
-// the last also through the lenient salvage path, which must not excuse
+// the last also through the salvage path, which must not excuse
 // resource limits.
 func TestFromFileLimits(t *testing.T) {
 	f := bigTestFile(t, 4, 500) // 2000 records total
@@ -137,7 +137,7 @@ func TestFromFileLimits(t *testing.T) {
 		t.Fatalf("MaxChunkBytes: want ErrLimitExceeded, got %v", err)
 	}
 	if _, err := FromSalvagedContext(ctx, f, nil, Limits{MaxChunkBytes: 64}); !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("lenient MaxChunkBytes: want ErrLimitExceeded, got %v", err)
+		t.Fatalf("salvaged MaxChunkBytes: want ErrLimitExceeded, got %v", err)
 	}
 	// Generous limits admit the trace untouched.
 	tr, err := FromFileContext(ctx, f, DefaultServiceLimits())
@@ -162,7 +162,7 @@ func TestDecodePanicBecomesIssue(t *testing.T) {
 	defer func() { decodePanicHook = nil }()
 
 	baseline := runtime.NumGoroutine()
-	tr, err := fromFile(context.Background(), f, 4, false, Limits{})
+	tr, err := fromFile(context.Background(), f, 4, Limits{})
 	if err != nil {
 		t.Fatalf("load with poisoned chunk failed outright: %v", err)
 	}

@@ -146,7 +146,7 @@ func TestPipelineMatchesSerialFuzzed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			got, err := fromFile(context.Background(), f, workers, false, Limits{})
+			got, err := fromFile(context.Background(), f, workers, Limits{})
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -181,7 +181,7 @@ func TestPipelineChunkIssues(t *testing.T) {
 	if len(want.Issues) != 3 { // mismatch (chunk 0), mismatch + truncation (chunk 1)
 		t.Fatalf("expected 3 issues from reference path, got %v", want.Issues)
 	}
-	got, err := fromFile(context.Background(), f, 2, false, Limits{})
+	got, err := fromFile(context.Background(), f, 2, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestPipelineBadAnchorError(t *testing.T) {
 	}
 	f := encodeFile(t, traceio.Meta{}, []traceio.Chunk{{Core: 0, AnchorIdx: 4, Data: data}})
 	_, errSerial := FromFileSerial(f)
-	_, errPar := fromFile(context.Background(), f, 2, false, Limits{})
+	_, errPar := fromFile(context.Background(), f, 2, Limits{})
 	if errSerial == nil || errPar == nil {
 		t.Fatalf("expected errors, got serial=%v parallel=%v", errSerial, errPar)
 	}

@@ -3,7 +3,6 @@ package analyzer
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
@@ -69,10 +68,12 @@ func computeConfidence(got *[256]int, drops []traceio.Drop, rep *traceio.Salvage
 		if rep.RecordsRecovered > 0 && rep.BytesRecovered > 0 {
 			avg = float64(rep.BytesRecovered) / float64(rep.RecordsRecovered)
 		}
-		for core, cs := range rep.PerCore {
-			if cs.BytesDamaged > 0 {
+		// Ascending core order, not map order: float addition is not
+		// associative, and equal inputs must give equal bytes.
+		for core := range got {
+			if cs := rep.PerCore[uint8(core)]; cs != nil && cs.BytesDamaged > 0 {
 				est := float64(cs.BytesDamaged) / avg
-				lost[core] += est
+				lost[uint8(core)] += est
 				lostTotal += est
 			}
 		}
@@ -114,19 +115,19 @@ func (tr *Trace) confidence(rep *traceio.SalvageReport) Confidence {
 	return computeConfidence(&got, tr.Meta.Drops, rep)
 }
 
-// FromSalvaged merges a salvaged trace file leniently: chunk decode
-// errors and unresolvable anchors become Issues instead of load failures,
-// the salvage report is folded into Trace.Issues, and Confidence reflects
-// the reported damage. rep may be nil (plain lenient load).
+// FromSalvaged merges a salvaged trace file: FromFile, then the salvage
+// report folded into Trace.Issues and a Confidence that reflects the
+// reported damage. Salvage hands over only chunks that frame whole and
+// can be placed, so the load is the strict one. rep may be nil (a plain
+// FromFile).
 func FromSalvaged(f *traceio.File, rep *traceio.SalvageReport) (*Trace, error) {
 	return FromSalvagedContext(context.Background(), f, rep, Limits{})
 }
 
 // FromSalvagedContext is FromSalvaged under cancellation and admission
-// control. Leniency covers damage, not resources: ErrLimitExceeded and
-// ctx errors abort a salvaged load like any other.
+// control: FromFileContext plus the report fold.
 func FromSalvagedContext(ctx context.Context, f *traceio.File, rep *traceio.SalvageReport, lim Limits) (*Trace, error) {
-	tr, err := fromFile(ctx, f, runtime.GOMAXPROCS(0), true, lim)
+	tr, err := FromFileContext(ctx, f, lim)
 	if err != nil {
 		return nil, err
 	}

@@ -240,10 +240,10 @@ func (l *StreamLoader) advance(in []byte) (used int, err error) {
 		case traceio.ElemNeedMore:
 			return used, nil
 		case traceio.ElemChunk:
-			// Strict, unlike the salvaging batch path: an unresolvable
-			// anchor fails the load. A well-formed live stream always
-			// delivers the anchor — a LiveAnchor record in an earlier PPE
-			// chunk — before any chunk referencing it.
+			// An unresolvable anchor fails the load, as in the batch load
+			// (Salvage drops such chunks first). A well-formed live stream
+			// always delivers the anchor — a LiveAnchor record in an
+			// earlier PPE chunk — before any chunk referencing it.
 			run, anchorTB, issue, err := resolveAnchor(&l.scan.Meta, c.Core, c.AnchorIdx)
 			if err != nil {
 				return used, err

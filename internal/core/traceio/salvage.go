@@ -12,9 +12,9 @@ import (
 
 // CoreSalvage accounts salvage results for one core's chunks.
 type CoreSalvage struct {
-	ChunksRecovered  int // chunk CRC verified (or v1 chunk that decoded cleanly)
-	ChunksDamaged    int // kept, but CRC mismatch or trimmed to a decodable prefix
-	ChunksDropped    int // identified but unusable (SPE chunk with no surviving anchor)
+	ChunksRecovered  int // verified: frames whole and, in version 2, its CRC matches
+	ChunksDamaged    int // unverified, so trimmed to the prefix that frames; or dropped
+	ChunksDropped    int // identified but unusable (no surviving anchor, not main PPE)
 	RecordsRecovered int // records decodable from the kept chunks
 	BytesRecovered   int // chunk data bytes kept
 	BytesDamaged     int // chunk data bytes identified but discarded
@@ -64,6 +64,19 @@ func (r *SalvageReport) core(c uint8) *CoreSalvage {
 	return cs
 }
 
+// sumCores sets the report's chunk, record and data-byte totals from the
+// per-core tallies, the one place they are counted.
+func (r *SalvageReport) sumCores() {
+	for _, cs := range r.PerCore {
+		r.ChunksRecovered += cs.ChunksRecovered
+		r.ChunksDamaged += cs.ChunksDamaged
+		r.ChunksDropped += cs.ChunksDropped
+		r.RecordsRecovered += cs.RecordsRecovered
+		r.BytesRecovered += cs.BytesRecovered
+		r.BytesDamaged += cs.BytesDamaged
+	}
+}
+
 func (r *SalvageReport) note(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
@@ -78,16 +91,18 @@ var ErrUnsalvageable = errors.New("traceio: nothing recoverable")
 const maxPlausibleSPE = 16
 
 // Salvage recovers as much of a damaged trace as possible. It parses the
-// header and metadata leniently, resynchronizes on chunk magic bytes past
-// corrupted or inserted regions, verifies each candidate chunk against its
-// header CRC (version 2), trims structurally corrupt chunks to their
-// decodable prefix, and tolerates a missing footer or file-CRC mismatch.
+// header and metadata leniently, reads chunk headers and the footer with
+// Scanner, resynchronizes on chunk magic bytes past corrupted or inserted
+// regions, and tolerates a missing footer or file-CRC mismatch. A chunk
+// is verified when all of it frames (FrameRecords) and, in version 2, its
+// header CRC matches too; any other chunk keeps only the prefix that
+// frames.
 //
 // The returned File contains only usable chunks: every chunk's Data
-// decodes without structural errors, and every SPE chunk's AnchorIdx
+// frames whole, and every chunk but the main PPE's has an AnchorIdx that
 // resolves in the (possibly lost) metadata or, in a live-streamed trace,
-// names a LIVE_ANCHOR record of an earlier kept PPE chunk. The report is
-// always non-nil.
+// names a LIVE_ANCHOR record of an earlier kept PPE chunk — so the
+// analyzer's strict load takes it as it is. The report is always non-nil.
 // The error is non-nil only when nothing at all was recoverable.
 //
 // For a single-point corruption (one flipped, inserted, or deleted byte
@@ -105,6 +120,7 @@ func Salvage(data []byte) (*File, *SalvageReport, error) {
 // runs).
 func SalvageContext(ctx context.Context, data []byte) (*File, *SalvageReport, error) {
 	rep := &SalvageReport{BytesTotal: len(data)}
+	defer rep.sumCores()
 	f := &File{}
 	off := 0
 
@@ -143,54 +159,48 @@ func SalvageContext(ctx context.Context, data []byte) (*File, *SalvageReport, er
 		off = resync(data, headerLen, rep)
 	}
 
-	chdr := chunkHeaderLen(f.Header.Version)
-	sawValidFooter := false
-	// synced: the previous structure parsed cleanly, so a plausible chunk
-	// header at off is trusted even if its payload is damaged. After a
-	// resync the next candidate must additionally prove itself (CRC match
-	// or at least one decodable record).
-	synced := rep.MetaOK
-	// live counts the LIVE_ANCHOR records of the PPE chunks kept so far:
-	// a live stream's anchors arrive in-band, and the load appends them to
-	// the metadata's table in file order.
-	live := 0
-
+	// Scanner reads every chunk header and the footer; what to believe of
+	// them is decided here. synced: the previous structure parsed
+	// cleanly, so a plausible chunk header at off is trusted even if its
+	// payload is damaged. After a resync the next candidate must
+	// additionally prove itself (a verified chunk, or at least one record
+	// that frames).
+	sv := salvager{data: data, f: f, rep: rep, synced: rep.MetaOK,
+		scan: Scanner{Header: f.Header, prefixed: true}}
 	for iter := 0; off < len(data); iter++ {
 		if err := checkEvery(ctx, iter); err != nil {
 			return nil, rep, err
 		}
-		if isFooterAt(data, off) {
-			want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-			if crc32.ChecksumIEEE(data[:off]) == want {
+		kind, c, clen, n, err := sv.scan.Next(data[off:], int64(off))
+		if err == nil && kind == ElemFooter {
+			if crc32.ChecksumIEEE(data[:off]) == c.CRC {
 				rep.FooterOK = true
-				sawValidFooter = true
 			} else {
 				rep.note("footer CRC mismatch at offset %d", off)
 			}
-			rep.BytesStructural += 8
-			off += 8
+			rep.BytesStructural += n
+			off += n
 			if off < len(data) {
 				rep.note("%d trailing bytes after footer ignored", len(data)-off)
 				rep.BytesSkipped += len(data) - off
 			}
 			break
 		}
-		used, trusted, ok := salvageChunkAt(data, off, chdr, f, rep, synced, &live)
-		if !ok {
+		used := 0
+		if err == nil && kind == ElemChunk {
+			used = sv.chunk(off, c, clen, n)
+		}
+		if used == 0 {
 			// Not a chunk here: skip this byte and scan for the next
 			// candidate boundary.
 			rep.BytesSkipped++
 			off = resync(data, off+1, rep)
-			synced = false
+			sv.synced = false
 			continue
 		}
-		// Only a verified chunk (or one whose claimed length landed on a
-		// believable boundary) leaves the scanner at a trusted position;
-		// after a trimmed chunk the next candidate must prove itself.
-		synced = trusted
 		off += used
 	}
-	f.Truncated = !sawValidFooter
+	f.Truncated = !rep.FooterOK
 
 	if !rep.HeaderOK && !rep.MetaOK && len(f.Chunks) == 0 {
 		return nil, rep, fmt.Errorf("%w (%d bytes scanned)", ErrUnsalvageable, len(data))
@@ -203,25 +213,6 @@ func isFooterAt(data []byte, off int) bool {
 	return len(data)-off >= 8 && string(data[off:off+4]) == FooterMagic
 }
 
-// plausibleChunkHeader checks the cheap structural constraints of a chunk
-// header at off: magic, a core byte that names an SPE or a PPE stream, and
-// an anchor index that is NoAnchor or below anchors (when metadata
-// survived).
-func plausibleChunkHeader(data []byte, off, chdr, anchors int, haveMeta bool) bool {
-	if len(data)-off < chdr || data[off] != ChunkMagic {
-		return false
-	}
-	core := data[off+1]
-	if core >= maxPlausibleSPE && core < event.CorePPEBase {
-		return false
-	}
-	anchorIdx := binary.LittleEndian.Uint16(data[off+2 : off+4])
-	if anchorIdx != NoAnchor && haveMeta && int(anchorIdx) >= anchors {
-		return false
-	}
-	return true
-}
-
 // boundaryAt reports whether off is a believable next-structure position:
 // end of input, a footer, or another chunk magic.
 func boundaryAt(data []byte, off int) bool {
@@ -229,46 +220,47 @@ func boundaryAt(data []byte, off int) bool {
 		(off < len(data) && data[off] == ChunkMagic)
 }
 
-// salvageChunkAt attempts to recover the chunk starting at off, appending
-// it to f when usable and accounting every consumed byte in rep. It
-// returns the bytes consumed and whether a chunk structure was identified
-// at all (ok=false means "this is not a chunk — resync"). live counts the
-// LIVE_ANCHOR records kept so far; a kept main-PPE chunk adds its own.
-func salvageChunkAt(data []byte, off, chdr int, f *File, rep *SalvageReport, synced bool, live *int) (used int, trusted, ok bool) {
-	anchors := len(f.Meta.Anchors) + *live
-	if !plausibleChunkHeader(data, off, chdr, anchors, rep.MetaOK) {
-		return 0, false, false
-	}
-	core := data[off+1]
-	anchorIdx := binary.LittleEndian.Uint16(data[off+2 : off+4])
-	clen := int(binary.LittleEndian.Uint32(data[off+4 : off+8]))
-	var hdrCRC uint32
-	if chdr == 12 {
-		hdrCRC = binary.LittleEndian.Uint32(data[off+8 : off+12])
-	}
-	body := off + chdr
+// salvager is one salvage pass over data: the file it is filling, the
+// report, and what the scan may trust at its current position.
+type salvager struct {
+	data   []byte
+	f      *File
+	rep    *SalvageReport
+	scan   Scanner
+	synced bool
+	live   int      // LIVE_ANCHOR records in the main-PPE chunks kept so far
+	offs   []uint32 // FrameRecords scratch, reused across chunks
+}
 
-	overEOF := body+clen > len(data)
-	avail := clen
-	if overEOF {
-		avail = len(data) - body
+// chunk recovers the chunk whose header Scanner read at off: fields c,
+// clen declared data bytes, n header bytes. It keeps the chunk when
+// usable, accounts every byte it consumes, and returns their count —
+// zero when this is not a chunk after all.
+func (sv *salvager) chunk(off int, c Chunk, clen, n int) int {
+	rep := sv.rep
+	// A live stream's anchors arrive in-band, and the load appends them
+	// to the metadata's table in file order.
+	anchors := len(sv.f.Meta.Anchors) + sv.live
+	if (c.Core >= maxPlausibleSPE && c.Core < event.CorePPEBase) ||
+		(c.AnchorIdx != NoAnchor && rep.MetaOK && int(c.AnchorIdx) >= anchors) {
+		return 0 // a core or anchor no trace holds: a false chunk magic
 	}
-	raw := data[body : body+avail]
-
-	verified := chdr == 12 && !overEOF &&
-		ChunkCRC(Chunk{Core: core, AnchorIdx: anchorIdx, Data: raw}) == hdrCRC
-	recs, decodable := decodablePrefix(raw)
-	if chdr != 12 && !overEOF && decodable == len(raw) {
-		// Version 1 chunk with no CRC to check: a full clean decode is
-		// the best evidence available.
-		verified = true
-	}
-
-	if !synced && recs == 0 && !(verified && clen > 0) {
-		// A resync candidate must prove itself: a non-empty CRC match or
-		// at least one decodable record. (An empty chunk's CRC matching
-		// proves nothing — the checksum of zero bytes is always zero.)
-		return 0, false, false
+	body := off + n
+	overEOF := body+clen > len(sv.data)
+	c.Data = sv.data[body:min(body+clen, len(sv.data))]
+	offs, framed, err := FrameRecords(context.Background(), c.Core, c.Data, sv.offs[:0], 0, Limits{})
+	sv.offs = offs
+	// Verified: all of the chunk is present and frames, and in version 2
+	// its CRC matches too. Every other chunk keeps only the prefix that
+	// frames.
+	verified := !overEOF && err == nil && framed == len(c.Data) &&
+		(sv.f.Header.Version < 2 || ChunkCRC(c) == c.CRC)
+	if !sv.synced && len(offs) == 0 && !(verified && clen > 0) {
+		// A resync candidate must prove itself: a non-empty verified chunk
+		// or at least one record that frames. (An empty chunk's CRC
+		// matching proves nothing — the checksum of zero bytes is always
+		// zero.)
+		return 0
 	}
 
 	// Decide how far to trust the header's length. A verified chunk
@@ -276,115 +268,51 @@ func salvageChunkAt(data []byte, off, chdr int, f *File, rep *SalvageReport, syn
 	// claimed extent only when that lands on a believable boundary
 	// (otherwise the length field itself is suspect, so give the scanner
 	// the tail back rather than swallowing later chunks).
-	keptBytes := decodable // data bytes credited to this chunk
-	var damagedTail int    // consumed data bytes beyond the kept prefix
-	switch {
-	case verified:
-		used = chdr + clen
-		keptBytes = len(raw)
-		trusted = true
-	case !overEOF && boundaryAt(data, body+clen):
-		used = chdr + clen
-		damagedTail = clen - decodable
-		trusted = true
-	default:
-		used = chdr + decodable
+	sv.synced = verified || !overEOF && boundaryAt(sv.data, body+clen)
+	used := n + framed
+	if sv.synced {
+		used = n + clen
 	}
-	rep.BytesStructural += chdr
+	rep.BytesStructural += n
+	if !verified && overEOF {
+		rep.note("core %d: chunk at offset %d truncated at EOF (%d of %d bytes decodable)",
+			c.Core, off, framed, len(c.Data))
+	} else if !verified {
+		rep.note("core %d: chunk at offset %d damaged (%d of %d bytes decodable, %d records)",
+			c.Core, off, framed, clen, len(offs))
+	}
 
-	cs := rep.core(core)
+	cs := rep.core(c.Core)
+	// A chunk whose anchor did not survive cannot be placed on the global
+	// timeline: identified, perhaps intact, but unusable, so it is
+	// accounted and kept out of the file. Only the main PPE's chunks carry
+	// absolute time and need none.
+	if c.Core != event.CorePPE && (c.AnchorIdx == NoAnchor || int(c.AnchorIdx) >= anchors) {
+		cs.ChunksDamaged++
+		cs.ChunksDropped++
+		cs.BytesDamaged += used - n
+		rep.note("core %d: chunk at offset %d dropped (anchor %d lost with metadata)",
+			c.Core, off, c.AnchorIdx)
+		return used
+	}
 	if verified {
 		cs.ChunksRecovered++
-		rep.ChunksRecovered++
 	} else {
 		cs.ChunksDamaged++
-		rep.ChunksDamaged++
-		if overEOF {
-			rep.note("core %d: chunk at offset %d truncated at EOF (%d of %d bytes decodable)",
-				core, off, decodable, avail)
-		} else {
-			rep.note("core %d: chunk at offset %d damaged (%d of %d bytes decodable, %d records)",
-				core, off, decodable, clen, recs)
-		}
 	}
-
-	// An SPE chunk whose anchor did not survive cannot be placed on the
-	// global timeline; account it but keep it out of the file.
-	if core < event.CorePPEBase &&
-		(anchorIdx == NoAnchor || int(anchorIdx) >= anchors) {
-		if verified {
-			// Reclassify: identified and intact, but unusable.
-			cs.ChunksRecovered--
-			rep.ChunksRecovered--
-			cs.ChunksDamaged++
-			rep.ChunksDamaged++
-		}
-		cs.ChunksDropped++
-		rep.ChunksDropped++
-		cs.BytesDamaged += keptBytes + damagedTail
-		rep.BytesDamaged += keptBytes + damagedTail
-		rep.note("core %d: chunk at offset %d dropped (anchor %d lost with metadata)",
-			core, off, anchorIdx)
-		return used, trusted, true
-	}
-
-	keep := raw
-	if !verified {
-		keep = raw[:decodable]
-	}
-	f.Chunks = append(f.Chunks, Chunk{Core: core, AnchorIdx: anchorIdx, Data: keep, CRC: hdrCRC})
-	if core == event.CorePPE {
-		*live += liveAnchors(keep)
-	}
-	cs.RecordsRecovered += recs
-	rep.RecordsRecovered += recs
-	cs.BytesRecovered += keptBytes
-	rep.BytesRecovered += keptBytes
-	cs.BytesDamaged += damagedTail
-	rep.BytesDamaged += damagedTail
-	return used, trusted, true
-}
-
-// liveAnchors counts the LIVE_ANCHOR records of a main-PPE chunk, as the
-// analyzer's load does when it rebuilds a live trace's anchor table: none
-// when the chunk does not frame cleanly. Framing checks every record's
-// arity, so each one counted carries an anchor.
-func liveAnchors(data []byte) int {
-	offs, _, err := FrameRecords(context.Background(), event.CorePPE, data, nil, 0, Limits{})
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, off := range offs {
-		if event.ID(binary.LittleEndian.Uint16(data[off+1:off+3])) == event.LiveAnchor {
-			n++
-		}
-	}
-	return n
-}
-
-// decodablePrefix returns how many records decode from the front of data
-// and the byte length of that structurally sound prefix (zero padding runs
-// included, a trailing partial record excluded).
-func decodablePrefix(data []byte) (recs, n int) {
-	off := 0
-	for off < len(data) {
-		if data[off] == 0 {
-			z := off
-			for z < len(data) && data[z] == 0 {
-				z++
+	c.Data = c.Data[:framed]
+	sv.f.Chunks = append(sv.f.Chunks, c)
+	if c.Core == event.CorePPE {
+		for _, o := range offs {
+			if event.ID(binary.LittleEndian.Uint16(c.Data[o+1:o+3])) == event.LiveAnchor {
+				sv.live++
 			}
-			off = z
-			continue
 		}
-		sz, err := event.Frame(data[off:])
-		if err != nil {
-			return recs, off
-		}
-		recs++
-		off += sz
 	}
-	return recs, off
+	cs.RecordsRecovered += len(offs)
+	cs.BytesRecovered += framed
+	cs.BytesDamaged += used - n - framed // consumed beyond the kept prefix
+	return used
 }
 
 // resync scans forward from off for the next offset that could start a

@@ -2,8 +2,10 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/celltrace/pdt/internal/core/event"
 )
@@ -326,5 +328,56 @@ func TestSalvageParityWithParse(t *testing.T) {
 			sf.Chunks[i].AnchorIdx != pf.Chunks[i].AnchorIdx {
 			t.Fatalf("chunk %d differs", i)
 		}
+	}
+}
+
+// hostileResyncImage builds size bytes of 0x0E filler — each byte reads
+// as a 14-byte record header with an unknown event ID, so a size-only
+// walk (event.ScanChunk) runs through all of it — with a plausible
+// version-2 chunk header for SPE 1 every 200 bytes that declares a
+// near-4 GiB length. rec, when non-nil, follows each header.
+func hostileResyncImage(size int, rec []byte) []byte {
+	data := bytes.Repeat([]byte{0x0E}, size)
+	for off := 0; off+chunkHeaderLen(Version)+len(rec) <= size; off += 200 {
+		h := data[off:]
+		h[0], h[1] = ChunkMagic, 1
+		binary.LittleEndian.PutUint16(h[2:4], NoAnchor)
+		binary.LittleEndian.PutUint32(h[4:8], 0xFFFFFFF0)
+		binary.LittleEndian.PutUint32(h[8:12], 0)
+		copy(h[chunkHeaderLen(Version):], rec)
+	}
+	return data
+}
+
+// TestSalvageResyncLinear salvages hostile images at two sizes eight
+// times apart and checks the time grows about eightfold: each resync
+// candidate must cost the bytes it frames, not a walk to the end of the
+// input, or a 64 MiB upload takes quadratic time.
+func TestSalvageResyncLinear(t *testing.T) {
+	rec := encodeRecords(t, event.Record{ID: event.SPEMFCGet, Core: 1,
+		Flags: event.FlagDecrTime, Time: 10, Args: []uint64{0, 64, 128, 3}})
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+	}{{"filler", nil}, {"one record then filler", rec}} {
+		t.Run(tc.name, func(t *testing.T) {
+			best := func(size int) time.Duration {
+				data := hostileResyncImage(size, tc.rec)
+				d := time.Duration(1<<63 - 1)
+				for range 5 {
+					start := time.Now()
+					_, rep, _ := Salvage(data)
+					d = min(d, time.Since(start))
+					checkAccounting(t, rep)
+				}
+				return d
+			}
+			small, large := best(128<<10), best(1<<20)
+			ratio := float64(large) / float64(small)
+			t.Logf("128 KiB: %v, 1 MiB: %v (%.1fx)", small, large, ratio)
+			if ratio > 24 {
+				t.Fatalf("8x the input took %.0fx the time (%v vs %v): salvage is superlinear", ratio, large, small)
+			}
+		})
 	}
 }

@@ -1,9 +1,10 @@
 // Package traceio implements the PDT trace file format: a fixed header, an
 // XML metadata blob (session parameters, clock-correlation anchors, drop
 // accounting), a sequence of record chunks (one per core buffer flush
-// region), and a CRC32 footer. Readers tolerate a truncated tail — a trace
-// from a crashed run decodes up to the damage and is flagged Truncated —
-// and Salvage recovers the intact chunks of an arbitrarily damaged file.
+// region), and a CRC32 footer. One Scanner and one record loop read it for
+// Parse and the analyzer's StreamLoader, which tolerate a truncated tail
+// (a crashed run's trace decodes up to the damage, flagged Truncated), and
+// for Salvage, which recovers the intact chunks of a damaged file.
 package traceio
 
 import (
@@ -192,10 +193,10 @@ var ErrBadMagic = errors.New("traceio: bad magic (not a PDT trace)")
 // non-nil error as fatal and discard the file).
 var ErrCRC = errors.New("traceio: CRC mismatch")
 
-// ErrCorrupt marks structural damage (bad chunk framing, unreadable
-// metadata). Errors wrapping it — and ErrCRC / ErrBadMagic — identify
-// input that Salvage may still partially recover; IsCorrupt tests for all
-// three.
+// ErrCorrupt marks structural damage (bad chunk framing, a record that
+// does not frame, unreadable metadata). Errors wrapping it — and ErrCRC /
+// ErrBadMagic — identify input that Salvage may still partially recover;
+// IsCorrupt tests for all three.
 var ErrCorrupt = errors.New("traceio: corrupt trace")
 
 // IsCorrupt reports whether err indicates a damaged trace file that is a
@@ -253,10 +254,12 @@ const (
 )
 
 // Scanner parses the file framing — prefix, chunk headers, footer — one
-// element at a time. It is the only reader of that layout: ParseContext
-// walks it over a whole image and analyzer.StreamLoader over whatever
-// prefix of the stream has arrived, so the two cannot disagree on what
-// the bytes mean. It never touches chunk data and keeps no offset;
+// element at a time. It is the only reader of that layout, with three
+// drivers: ParseContext walks it over a whole image,
+// analyzer.StreamLoader over whatever prefix of the stream has arrived,
+// and SalvageContext over a damaged image from any offset it resyncs to
+// (past a prefix it parsed leniently itself). So they cannot disagree on
+// what the bytes mean. It never touches chunk data and keeps no offset;
 // callers own both, and the running file CRC.
 type Scanner struct {
 	Lim Limits
@@ -456,19 +459,11 @@ func DecodeChunk(c Chunk) (recs []event.Record, truncated bool, err error) {
 // cap return an error alongside the offsets framed so far, the record
 // that trips the cap included; core only labels those errors.
 //
-// Each call pre-scans its data for the exact record count (an upper
-// bound under corruption, see event.ScanChunk), so offs grows at most
-// once. The size comes from bytes actually present — never from a
-// header-declared length — so a hostile header cannot drive allocation
-// beyond the real input.
+// When a framed record finds offs full, the rest of data is pre-scanned
+// for its record count (an upper bound, see event.ScanChunk), so offs
+// grows at most once per call, sized from bytes actually present — never
+// a header-declared length — and a call that frames nothing scans nothing.
 func FrameRecords(ctx context.Context, core uint8, data []byte, offs []uint32, before int, lim Limits) (out []uint32, n int, err error) {
-	est, _ := event.ScanChunk(data)
-	if room := lim.MaxRecords + 1 - before; lim.MaxRecords > 0 && est > room {
-		est = room // up to and including the record that trips the cap
-	}
-	if est > 0 {
-		offs = slices.Grow(offs, est)
-	}
 	count := before
 	for n < len(data) {
 		if err := checkEvery(ctx, count); err != nil {
@@ -486,7 +481,14 @@ func FrameRecords(ctx context.Context, core uint8, data []byte, offs []uint32, b
 			if errors.Is(ferr, event.ErrShortRecord) {
 				return offs, n, nil
 			}
-			return offs, n, fmt.Errorf("traceio: core %d: %w", core, ferr)
+			return offs, n, fmt.Errorf("%w: core %d: %w", ErrCorrupt, core, ferr)
+		}
+		if len(offs) == cap(offs) {
+			est, _ := event.ScanChunk(data[n:])
+			if room := lim.MaxRecords + 1 - count; lim.MaxRecords > 0 && est > room {
+				est = room // up to and including the record that trips the cap
+			}
+			offs = slices.Grow(offs, est)
 		}
 		offs = append(offs, uint32(n))
 		n += size

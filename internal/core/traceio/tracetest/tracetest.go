@@ -7,6 +7,8 @@ package tracetest
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"slices"
 	"testing"
 
@@ -157,4 +159,33 @@ func Rechunk(tb testing.TB, img []byte, per int) []byte {
 		chunks = append(chunks, c)
 	}
 	return image(tb, f.Header, &f.Meta, chunks)
+}
+
+// V1 re-encodes the version-2 trace image img as version 1, whose chunk
+// headers are 8 bytes and carry no CRC: the same header fields, metadata
+// and chunk data, and a footer (over the new bytes) only if img has one.
+// A chunk cut off by the end of img stays cut off; a cut header is left out.
+func V1(tb testing.TB, img []byte) []byte {
+	tb.Helper()
+	var s traceio.Scanner
+	var out []byte
+	for off := 0; ; {
+		kind, _, dataLen, n, err := s.Next(img[off:], int64(off))
+		switch {
+		case err != nil || kind == traceio.ElemPrefix && s.Header.Version != 2:
+			tb.Fatalf("tracetest: not a version 2 image (%v)", err)
+		case kind == traceio.ElemPrefix:
+			out = append(binary.LittleEndian.AppendUint16(append(out, img[:4]...), 1), img[6:n]...)
+		case kind == traceio.ElemChunk: // magic, core, anchor, length: the version 1 header
+			end := min(off+n+dataLen, len(img))
+			out = append(append(out, img[off:off+8]...), img[off+n:end]...)
+			n = end - off
+		case kind == traceio.ElemFooter:
+			crc := crc32.ChecksumIEEE(out)
+			return binary.LittleEndian.AppendUint32(append(out, traceio.FooterMagic...), crc)
+		default:
+			return out
+		}
+		off += n
+	}
 }
