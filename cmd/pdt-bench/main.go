@@ -29,7 +29,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pdt-bench", flag.ContinueOnError)
-	exp := fs.String("experiment", "all", "experiment id (E1..E14) or 'all'")
+	exp := fs.String("experiment", "all", "experiment id (E1..E15) or 'all'")
 	quick := fs.Bool("quick", false, "shrink problem sizes for a fast smoke run")
 	parallel := fs.Bool("parallel", false, "regenerate independent experiment tables concurrently (one worker per host core); output stays in experiment order")
 	list := fs.Bool("list", false, "list experiments and exit")

@@ -21,8 +21,9 @@ import (
 
 // followSummary tails path until the trace footer arrives, the file is
 // idle past idle (0 = wait forever), or ctx expires. The final report —
-// possibly of a truncated stream, if the writer crashed — goes to out.
-func followSummary(ctx context.Context, path string, poll, idle time.Duration, out io.Writer) error {
+// possibly of a truncated stream, if the writer crashed — goes to out,
+// as the summary JSON when asJSON is set.
+func followSummary(ctx context.Context, path string, poll, idle time.Duration, asJSON bool, out io.Writer) error {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
@@ -71,6 +72,9 @@ func followSummary(ctx context.Context, path string, poll, idle time.Duration, o
 	res, err := l.Finish()
 	if err != nil {
 		return err
+	}
+	if asJSON {
+		return analyzer.WriteJSON(res.Trace, res.Summary, out)
 	}
 	res.Report(out)
 	return nil

@@ -12,7 +12,8 @@ import (
 
 // TestFollowGrowingTrace drip-feeds a sealed trace into a file while
 // `summary -follow` tails it: follow must stop on its own when the
-// footer lands and print the same report the batch path prints.
+// footer lands and print the same report the batch path prints, as text
+// and with -json.
 func TestFollowGrowingTrace(t *testing.T) {
 	src := makeTrace(t)
 	data, err := os.ReadFile(src)
@@ -20,43 +21,46 @@ func TestFollowGrowingTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := filepath.Join(t.TempDir(), "live.pdt")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		f, err := os.Create(live)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer f.Close()
-		const step = 4 << 10
-		for off := 0; off < len(data); off += step {
-			end := off + step
-			if end > len(data) {
-				end = len(data)
-			}
-			if _, err := f.Write(data[off:end]); err != nil {
+	for _, flags := range [][]string{nil, {"-json"}} {
+		live := filepath.Join(t.TempDir(), "live.pdt")
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := os.Create(live)
+			if err != nil {
 				t.Error(err)
 				return
 			}
-			time.Sleep(2 * time.Millisecond)
+			defer f.Close()
+			const step = 4 << 10
+			for off := 0; off < len(data); off += step {
+				end := off + step
+				if end > len(data) {
+					end = len(data)
+				}
+				if _, err := f.Write(data[off:end]); err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}()
+
+		var followed bytes.Buffer
+		args := append([]string{"summary", "-follow", "-poll", "5ms", "-timeout", "30s"}, flags...)
+		if err := run(append(args, live), &followed); err != nil {
+			t.Fatalf("follow %v: %v", flags, err)
 		}
-	}()
+		wg.Wait()
 
-	var followed bytes.Buffer
-	if err := run([]string{"summary", "-follow", "-poll", "5ms", "-timeout", "30s", live}, &followed); err != nil {
-		t.Fatalf("follow: %v", err)
-	}
-	wg.Wait()
-
-	var batch bytes.Buffer
-	if err := run([]string{"summary", src}, &batch); err != nil {
-		t.Fatal(err)
-	}
-	if followed.String() != batch.String() {
-		t.Errorf("follow report differs from batch:\nfollow:\n%s\nbatch:\n%s", &followed, &batch)
+		var batch bytes.Buffer
+		if err := run(append(append([]string{"summary"}, flags...), src), &batch); err != nil {
+			t.Fatal(err)
+		}
+		if followed.String() != batch.String() {
+			t.Errorf("follow %v report differs from batch:\nfollow:\n%s\nbatch:\n%s", flags, &followed, &batch)
+		}
 	}
 }
 

@@ -145,7 +145,7 @@ func run(args []string, out io.Writer) error {
 		if cmd != "summary" {
 			return errors.New("-follow only applies to `pdt-ta summary`")
 		}
-		return followSummary(ctx, fs.Arg(0), *poll, *idle, out)
+		return followSummary(ctx, fs.Arg(0), *poll, *idle, *asJSON, out)
 	}
 	if cmd == "doctor" {
 		rep, err := analyzer.DoctorFileContext(ctx, fs.Arg(0), analyzer.Limits{})

@@ -15,29 +15,18 @@ import (
 // cross-core sender that the event was waiting for. The result explains
 // *why* the run took as long as it did, attributing wall time to cores.
 //
-// Cross-core dependencies recovered from the trace:
+// The cross-core dependencies recovered from the trace are the rows of
+// the channels table below: program launch, join, the outbound and
+// inbound mailboxes and signal notification. Atomic and barrier orderings
+// are not modeled (the spin is visible as compute on the waiting core),
+// which the report notes.
 //
-//   - PPE_SPE_START        -> SPE_PROGRAM_START       (program launch)
-//   - SPE_PROGRAM_END      -> PPE_WAIT_EXIT           (join)
-//   - SPE_WRITE_OUT_MBOX_EXIT -> PPE_READ_OUT_MBOX_EXIT (FIFO per SPE)
-//   - PPE_WRITE_IN_MBOX_EXIT  -> SPE_READ_IN_MBOX_EXIT  (FIFO per SPE)
-//   - PPE_WRITE_SIGNAL / SPE_SNDSIG -> SPE_READ_SIGNAL_EXIT (FIFO per SPE+reg)
-//
-// Atomic and barrier orderings are not modeled (the spin is visible as
-// compute on the waiting core), which the report notes.
-//
-// The analysis has three stages: two full-stream preparation scans — the
-// same-core predecessor index and the cross-core dependency match — and
-// the backward walk. The walk is inherently sequential (each hop depends
-// on the previous), but the preparation is not: the predecessor index is
-// independent per core, and the five dependency channels (start, join,
-// out-mbox, in-mbox, signal) touch disjoint event ids and therefore
-// disjoint slots of the dependency array. All scans read the columnar
-// store — the channel matchers walk the 2-byte ID column and touch
-// arguments only on the rare matching rows. ComputeCriticalPath runs the
-// scans concurrently on a bounded pool once the trace is past the
-// adaptive-parallelism threshold; ComputeCriticalPathSerial is the
-// single-threaded reference it is tested against.
+// The analysis builds two indexes — each event's predecessor on its core
+// and the sender each receive waited for — and then walks back from the
+// last event. One pass over the 2-byte ID column matches every channel;
+// it touches arguments only on channel rows. The walk is sequential by
+// nature, and the two indexes run inline too: on a worker pool they were
+// slower than one plain pass (docs/MODEL.md, "Which kernels still shard").
 
 // PathSegment is one hop of the critical path.
 type PathSegment struct {
@@ -64,153 +53,114 @@ type CriticalPath struct {
 	Total uint64
 }
 
-// fifo is one dependency channel queue: pending sender event indices.
-type fifo struct{ q []int }
-
-func (f *fifo) push(i int) { f.q = append(f.q, i) }
-func (f *fifo) pop() int {
-	if len(f.q) == 0 {
-		return -1
-	}
-	v := f.q[0]
-	f.q = f.q[1:]
-	return v
-}
-
-func ensureFifo[K comparable](m map[K]*fifo, k K) *fifo {
-	f := m[k]
-	if f == nil {
-		f = &fifo{}
-		m[k] = f
-	}
-	return f
-}
-
-// sigKey identifies one signal-notification channel: target SPE + register.
-type sigKey struct{ spe, reg uint64 }
-
 // arg0 returns event i's first argument word.
 func arg0(s *colstore.Store, i int) uint64 { return s.Args[s.ArgOff[i]] }
 
-// arg1 returns event i's second argument word.
-func arg1(s *colstore.Store, i int) uint64 { return s.Args[s.ArgOff[i]+1] }
+// chanKey is the queue a send joins or a receive pops within a channel.
+type chanKey [2]uint64
 
-// scanStarts matches program launches: PPE_SPE_START -> SPE_PROGRAM_START.
-func scanStarts(s *colstore.Store, crossDep []int) {
-	starts := map[uint64]*fifo{}
-	for i, id := range s.ID {
-		switch id {
-		case event.PPESPEStart:
-			ensureFifo(starts, arg0(s, i)).push(i)
-		case event.SPEProgramStart:
-			crossDep[i] = ensureFifo(starts, uint64(s.Core[i])).pop()
-		}
-	}
+// Keys read off a channel row. The join and outbound-mailbox receives
+// name their SPE in the low byte of the argument; the start and
+// inbound-mailbox sends compare the whole word with the receiver's core.
+func byCore(s *colstore.Store, i int) chanKey     { return chanKey{uint64(s.Core[i])} }
+func byArg0(s *colstore.Store, i int) chanKey     { return chanKey{arg0(s, i)} }
+func byArg0Low(s *colstore.Store, i int) chanKey  { return chanKey{uint64(uint8(arg0(s, i)))} }
+func byArg01(s *colstore.Store, i int) chanKey    { return chanKey{arg0(s, i), s.Args[s.ArgOff[i]+1]} }
+func byCoreArg0(s *colstore.Store, i int) chanKey { return chanKey{uint64(s.Core[i]), arg0(s, i)} }
+
+// channel is one kind of cross-core dependency: a receive waits for the
+// oldest pending send whose key equals its own. Sends are queued at their
+// EXIT or point rows, and pairing follows merged order.
+type channel struct {
+	sends   []event.ID
+	sendKey func(s *colstore.Store, i int) chanKey
+	recvs   []event.ID
+	recvKey func(s *colstore.Store, i int) chanKey
 }
 
-// scanEnds matches joins: SPE_PROGRAM_END -> PPE_WAIT_EXIT.
-func scanEnds(s *colstore.Store, crossDep []int) {
-	ends := map[uint8]*fifo{}
-	for i, id := range s.ID {
-		switch id {
-		case event.SPEProgramEnd:
-			ensureFifo(ends, s.Core[i]).push(i)
-		case event.PPEWaitExit:
-			crossDep[i] = ensureFifo(ends, uint8(arg0(s, i))).pop()
-		}
-	}
+// channels is every cross-core dependency the critical path follows.
+var channels = []channel{
+	// program launch: the PPE names the SPE it starts
+	{[]event.ID{event.PPESPEStart}, byArg0, []event.ID{event.SPEProgramStart}, byCore},
+	// join: the PPE waits for the SPE it names
+	{[]event.ID{event.SPEProgramEnd}, byCore, []event.ID{event.PPEWaitExit}, byArg0Low},
+	// outbound (and interrupt) mailbox, a FIFO per SPE
+	{[]event.ID{event.SPEWriteOutMboxExit, event.SPEWriteIntrMboxExit}, byCore,
+		[]event.ID{event.PPEReadOutMboxExit, event.PPEReadIntrMboxExit}, byArg0Low},
+	// inbound mailbox, a FIFO per SPE
+	{[]event.ID{event.PPEWriteInMboxExit}, byArg0, []event.ID{event.SPEReadInMboxExit}, byCore},
+	// signal notification, a FIFO per SPE and register
+	{[]event.ID{event.PPEWriteSignal, event.SPESndsig}, byArg01, []event.ID{event.SPEReadSignalExit}, byCoreArg0},
 }
 
-// scanOutMbox matches the outbound mailbox FIFO per SPE.
-func scanOutMbox(s *colstore.Store, crossDep []int) {
-	outMbox := map[uint8]*fifo{}
-	for i, id := range s.ID {
-		switch id {
-		case event.SPEWriteOutMboxExit, event.SPEWriteIntrMboxExit:
-			ensureFifo(outMbox, s.Core[i]).push(i)
-		case event.PPEReadOutMboxExit, event.PPEReadIntrMboxExit:
-			crossDep[i] = ensureFifo(outMbox, uint8(arg0(s, i))).pop()
-		}
-	}
+// chanEnd is an event ID's side of its channel (ch nil for an ID on none).
+type chanEnd struct {
+	ch   *channel
+	recv bool
 }
 
-// scanInMbox matches the inbound mailbox FIFO per SPE.
-func scanInMbox(s *colstore.Store, crossDep []int) {
-	inMbox := map[uint64]*fifo{}
-	for i, id := range s.ID {
-		switch id {
-		case event.PPEWriteInMboxExit:
-			ensureFifo(inMbox, arg0(s, i)).push(i)
-		case event.SPEReadInMboxExit:
-			crossDep[i] = ensureFifo(inMbox, uint64(s.Core[i])).pop()
+// chanEndOf is indexed by event ID, like kindOf.
+var chanEndOf = func() []chanEnd {
+	ends := make([]chanEnd, event.NumIDs())
+	for i := range channels {
+		for _, id := range channels[i].sends {
+			ends[id] = chanEnd{ch: &channels[i]}
+		}
+		for _, id := range channels[i].recvs {
+			ends[id] = chanEnd{ch: &channels[i], recv: true}
 		}
 	}
-}
+	return ends
+}()
 
-// scanSignals matches the signal-notification FIFO per SPE+register.
-func scanSignals(s *colstore.Store, crossDep []int) {
-	signals := map[sigKey]*fifo{}
+// matchChannels returns, for every row, the row of the send it received
+// from, or -1 for a row that is no receive or found no send pending.
+func matchChannels(s *colstore.Store) []int {
+	crossDep := make([]int, s.Len())
+	type queue struct {
+		ch  *channel
+		key chanKey
+	}
+	pending := map[queue][]int{}
 	for i, id := range s.ID {
-		switch id {
-		case event.PPEWriteSignal, event.SPESndsig:
-			ensureFifo(signals, sigKey{arg0(s, i), arg1(s, i)}).push(i)
-		case event.SPEReadSignalExit:
-			crossDep[i] = ensureFifo(signals, sigKey{uint64(s.Core[i]), arg0(s, i)}).pop()
+		crossDep[i] = -1
+		e := chanEndOf[id]
+		switch {
+		case e.ch == nil:
+		case e.recv:
+			q := queue{e.ch, e.ch.recvKey(s, i)}
+			if rows := pending[q]; len(rows) > 0 {
+				crossDep[i], pending[q] = rows[0], rows[1:]
+			}
+		default:
+			q := queue{e.ch, e.ch.sendKey(s, i)}
+			pending[q] = append(pending[q], i)
 		}
 	}
+	return crossDep
 }
 
-// ComputeCriticalPath runs the backward walk. The sharded preparation
-// (per-core predecessor blocks off the core index, per-channel ID-column
-// scans) beats the serial reference's combined passes at every size, so
-// it always runs; adaptive parallelism only decides whether the shards
-// go to a worker pool or execute inline on the calling goroutine (small
-// traces and single-processor hosts, where pool startup is pure loss).
+// ComputeCriticalPath runs the backward walk, reading each core's
+// predecessors off the trace's per-core index.
 func ComputeCriticalPath(tr *Trace) *CriticalPath {
 	s := tr.col
 	if s == nil {
 		return ComputeCriticalPathSerial(tr)
 	}
-	n := s.Len()
-	prevOnCore := make([]int, n)
-	crossDep := make([]int, n)
-	for i := range crossDep {
-		crossDep[i] = -1
+	prevOnCore := make([]int, s.Len())
+	for _, seqs := range tr.coreSeq {
+		prev := -1
+		for _, seq := range seqs {
+			prevOnCore[seq] = prev
+			prev = int(seq)
+		}
 	}
-
-	// One task per core for the predecessor index (the per-core index
-	// blocks are stream-ordered rows of the store), plus one task per
-	// dependency channel. Tasks write disjoint array slots.
-	cores := tr.Cores()
-	tasks := make([]func(), 0, len(cores)+5)
-	for _, c := range cores {
-		seqs := tr.coreSeq[c]
-		tasks = append(tasks, func() {
-			prev := -1
-			for _, seq := range seqs {
-				prevOnCore[seq] = prev
-				prev = int(seq)
-			}
-		})
-	}
-	tasks = append(tasks,
-		func() { scanStarts(s, crossDep) },
-		func() { scanEnds(s, crossDep) },
-		func() { scanOutMbox(s, crossDep) },
-		func() { scanInMbox(s, crossDep) },
-		func() { scanSignals(s, crossDep) },
-	)
-	workers := 0 // GOMAXPROCS
-	if !tr.parallelWorthwhile() {
-		workers = 1 // inline: same shards, no pool
-	}
-	runParallel(workers, len(tasks), func(i int) { tasks[i]() })
-	return walkCriticalPath(tr, prevOnCore, crossDep)
+	return walkCriticalPath(tr, prevOnCore, matchChannels(s))
 }
 
-// ComputeCriticalPathSerial is the single-threaded reference: one scan
-// builds the per-core predecessor index, one scan matches all five
-// dependency channels, then the shared backward walk runs.
+// ComputeCriticalPathSerial is the reference: it builds the per-core
+// predecessor index from the row stream alone, then matches channels and
+// walks as ComputeCriticalPath does.
 func ComputeCriticalPathSerial(tr *Trace) *CriticalPath {
 	n := tr.NumEvents()
 	if n == 0 {
@@ -229,45 +179,7 @@ func ComputeCriticalPathSerial(tr *Trace) *CriticalPath {
 		}
 		lastOnCore[c] = i
 	}
-
-	// crossDep[i] = index of the cross-core sender event, or -1.
-	crossDep := make([]int, n)
-	for i := range crossDep {
-		crossDep[i] = -1
-	}
-	outMbox := map[uint8]*fifo{}  // SPE -> pending out-mbox writes
-	inMbox := map[uint64]*fifo{}  // spe arg -> pending PPE in-mbox writes
-	signals := map[sigKey]*fifo{} // spe+reg -> pending signal sends
-	starts := map[uint64]*fifo{}  // spe arg -> pending PPE starts
-	ends := map[uint8]*fifo{}     // SPE -> pending program ends
-
-	for i, id := range s.ID {
-		switch id {
-		case event.PPESPEStart:
-			ensureFifo(starts, arg0(s, i)).push(i)
-		case event.SPEProgramStart:
-			crossDep[i] = ensureFifo(starts, uint64(s.Core[i])).pop()
-		case event.SPEProgramEnd:
-			ensureFifo(ends, s.Core[i]).push(i)
-		case event.PPEWaitExit:
-			crossDep[i] = ensureFifo(ends, uint8(arg0(s, i))).pop()
-		case event.SPEWriteOutMboxExit, event.SPEWriteIntrMboxExit:
-			ensureFifo(outMbox, s.Core[i]).push(i)
-		case event.PPEReadOutMboxExit, event.PPEReadIntrMboxExit:
-			crossDep[i] = ensureFifo(outMbox, uint8(arg0(s, i))).pop()
-		case event.PPEWriteInMboxExit:
-			ensureFifo(inMbox, arg0(s, i)).push(i)
-		case event.SPEReadInMboxExit:
-			crossDep[i] = ensureFifo(inMbox, uint64(s.Core[i])).pop()
-		case event.PPEWriteSignal:
-			ensureFifo(signals, sigKey{arg0(s, i), arg1(s, i)}).push(i)
-		case event.SPESndsig:
-			ensureFifo(signals, sigKey{arg0(s, i), arg1(s, i)}).push(i)
-		case event.SPEReadSignalExit:
-			crossDep[i] = ensureFifo(signals, sigKey{uint64(s.Core[i]), arg0(s, i)}).pop()
-		}
-	}
-	return walkCriticalPath(tr, prevOnCore, crossDep)
+	return walkCriticalPath(tr, prevOnCore, matchChannels(s))
 }
 
 // walkCriticalPath is the sequential backward walk over the prepared

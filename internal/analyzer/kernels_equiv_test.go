@@ -1,10 +1,11 @@
 package analyzer_test
 
-// Equivalence suite for the parallel analysis kernels: for every
-// registered workload, the sharded ComputeCriticalPath and Intervals
+// Equivalence suite for the analysis kernels that have a reference
+// implementation: for every registered workload, ComputeCriticalPath
+// (predecessors read off the per-core index) and the sharded Intervals
 // must return results deeply equal to their serial references — same
-// values, same order. Run under -race this also proves the shards touch
-// disjoint state.
+// values, same order. Run under -race this also proves the Intervals
+// shards touch disjoint state.
 
 import (
 	"bytes"

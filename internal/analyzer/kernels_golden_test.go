@@ -2,9 +2,11 @@ package analyzer_test
 
 // Characterisation golden for the analysis kernels: absolute output, not
 // agreement between two implementations. Every workload (plus one
-// truncated, one lossy and one salvaged trace) is rendered through Report, the
-// profile table, the gap report, the tag breakdown and Validate, and the
-// SHA-256 of that text is compared with testdata/kernels.golden. A
+// truncated, one lossy and one salvaged trace, and one hand-built trace
+// that drives every critical-path channel) is rendered through Report, the
+// profile table, the gap report, the tag breakdown, Validate and the
+// critical path, and the SHA-256 of that text is compared with
+// testdata/kernels.golden. A
 // change to how any kernel counts shows up here even when batch and
 // stream still agree with each other.
 
@@ -21,7 +23,9 @@ import (
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/core"
+	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
+	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
 	"github.com/celltrace/pdt/internal/harness"
 	"github.com/celltrace/pdt/internal/workloads"
 )
@@ -70,7 +74,54 @@ func renderKernels(tr *analyzer.Trace) []byte {
 	for _, f := range findings {
 		fmt.Fprintln(&w, f)
 	}
+
+	fmt.Fprintln(&w, "== critpath")
+	if err := analyzer.WriteCriticalPathJSON(analyzer.ComputeCriticalPath(tr), &w); err != nil {
+		panic(err) // a bytes.Buffer takes every write
+	}
 	return w.Bytes()
+}
+
+// critpathChannelRows is one chain of waits through every critical-path
+// channel, each receive issued just after its send so that the walk takes
+// every cross-core edge. Each channel also has one receive with no
+// pending send, issued after a matched event on its core so that the walk
+// passes through it. The join and outbound-mailbox receives name their
+// SPE as 256 or more: they key on the low byte of the argument. The
+// start and inbound-mailbox sends to SPE 257 key on the whole word, so
+// they must not reach SPE 1, where either would bind its unmatched receive.
+func critpathChannelRows() []tracetest.Row {
+	ppe := func(g uint64, id event.ID, args ...uint64) tracetest.Row {
+		return tracetest.Row{Rec: event.Record{ID: id, Core: event.CorePPE, Args: tracetest.Args(id, args...)}, Global: g, Run: -1}
+	}
+	spe := func(g uint64, core uint8, id event.ID, args ...uint64) tracetest.Row {
+		return tracetest.Row{Rec: event.Record{ID: id, Core: core, Args: tracetest.Args(id, args...)}, Global: g, Run: int(core)}
+	}
+	return []tracetest.Row{
+		ppe(5, event.PPESPEStart, 257),
+		spe(10, 1, event.SPEProgramStart), // unmatched start
+		spe(20, 1, event.SPEWriteOutMboxExit, 7),
+		ppe(30, event.PPEReadOutMboxExit, 257, 7),
+		ppe(31, event.PPEReadOutMboxExit, 1), // unmatched outbound mailbox
+		ppe(40, event.PPESPEStart, 0),
+		spe(50, 0, event.SPEProgramStart),
+		spe(60, 0, event.SPEWriteIntrMboxExit, 8),
+		ppe(70, event.PPEReadIntrMboxExit, 256, 8),
+		ppe(80, event.PPEWriteInMboxExit, 1, 9),
+		spe(90, 1, event.SPEReadInMboxExit, 9),
+		ppe(92, event.PPEWriteInMboxExit, 257, 10),
+		spe(94, 1, event.SPEReadInMboxExit), // unmatched inbound mailbox
+		spe(100, 1, event.SPESndsig, 0, 1, 11),
+		spe(110, 0, event.SPEReadSignalExit, 1, 11),
+		spe(111, 0, event.SPEReadSignalExit, 1), // unmatched signal
+		spe(120, 0, event.SPEProgramEnd),
+		ppe(130, event.PPEWaitExit, 256),
+		ppe(140, event.PPEWriteSignal, 1, 2, 12),
+		spe(150, 1, event.SPEReadSignalExit, 2, 12),
+		spe(160, 1, event.SPEProgramEnd),
+		ppe(170, event.PPEWaitExit, 257),
+		ppe(171, event.PPEWaitExit, 1), // unmatched join
+	}
 }
 
 // traceWorkloadWith is traceWorkload under a caller-chosen tracer
@@ -144,6 +195,9 @@ func kernelGoldenTraces(t *testing.T) (names []string, traces map[string]*analyz
 	if !tr.Confidence.Degraded() {
 		t.Fatal("salvaged trace is not degraded; the golden would not cover the confidence columns")
 	}
+
+	tr, err = analyzer.Load(bytes.NewReader(tracetest.Encode(t, traceio.Meta{}, critpathChannelRows(), 0)))
+	add("critpath.channels", tr, err)
 	return names, traces
 }
 

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
-	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/cycles"
 	"github.com/celltrace/pdt/internal/core"
 )
@@ -50,11 +48,7 @@ func runE15(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		tr, err := analyzer.Load(bytes.NewReader(res.TraceBytes))
-		if err != nil {
-			return err
-		}
-		rep := cycles.Detect(tr, cycles.Options{})
+		rep := cycles.Detect(res.Trace, cycles.Options{})
 		for i := range rep.Runs {
 			r := &rep.Runs[i]
 			if !r.Detected {

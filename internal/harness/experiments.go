@@ -127,13 +127,13 @@ func runE2(w io.Writer, quick bool) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	return runE2APIOps(w, iters)
+	return runE2APIOps(w)
 }
 
 // runE2APIOps times individual instrumented API calls via the matmul/
 // histogram communication paths and prints the configured model costs for
 // reference.
-func runE2APIOps(w io.Writer, iters int) error {
+func runE2APIOps(w io.Writer) error {
 	cfg := core.DefaultTraceConfig()
 	tw := newTab(w)
 	fmt.Fprintln(tw, "\nconfigured instrumentation cost\tcycles\tns")
@@ -141,7 +141,6 @@ func runE2APIOps(w io.Writer, iters int) error {
 	fmt.Fprintf(tw, "PPE event record\t%d\t%.1f\n", cfg.PPEEventCost, cyclesToNs(float64(cfg.PPEEventCost)))
 	fmt.Fprintf(tw, "records per DMA get+wait\t3\t%.1f\n", cyclesToNs(float64(3*cfg.SPEEventCost)))
 	fmt.Fprintf(tw, "records per mailbox write+read pair\t4\t%.1f\n", cyclesToNs(float64(2*cfg.SPEEventCost+2*cfg.PPEEventCost)))
-	_ = iters
 	return tw.Flush()
 }
 

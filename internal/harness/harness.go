@@ -25,11 +25,9 @@ type Spec struct {
 	Params   map[string]string
 	// NumSPEs overrides the machine SPE count when positive.
 	NumSPEs int
-	// MemMiB sizes simulated memory (default 64).
-	MemMiB int
 	// MachineMut, when non-nil, adjusts the machine configuration after
-	// defaults and NumSPEs/MemMiB are applied (used by the machine-
-	// parameter ablation experiments).
+	// defaults and NumSPEs are applied (used by the machine-parameter
+	// ablation experiments).
 	MachineMut func(*cell.Config)
 	// Trace, when non-nil, attaches a PDT session with this config.
 	Trace *core.Config
@@ -41,10 +39,6 @@ type Spec struct {
 	// footer on clean completion and left truncated after a crash,
 	// exactly the shape a dying writer leaves. Requires Trace.
 	LivePath string
-	// SkipVerify skips result verification (overhead sweeps that run
-	// many configurations use it to save host time, never correctness
-	// tests).
-	SkipVerify bool
 	// Faults, when non-nil and non-empty, injects the planned faults:
 	// machine crash, flush-DMA stalls and failures, and post-hoc trace
 	// corruption. Damaged traces are loaded through the salvage path.
@@ -97,9 +91,6 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		mc.NumSPEs = spec.NumSPEs
 	}
 	mc.MemSize = 64 * cell.MiB
-	if spec.MemMiB > 0 {
-		mc.MemSize = spec.MemMiB * cell.MiB
-	}
 	if spec.MachineMut != nil {
 		spec.MachineMut(&mc)
 	}
@@ -157,7 +148,7 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		crashed = true
 	}
-	if !spec.SkipVerify && !crashed {
+	if !crashed {
 		if err := w.Verify(m); err != nil {
 			return nil, fmt.Errorf("harness: verification: %w", err)
 		}

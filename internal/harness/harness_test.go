@@ -128,6 +128,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 		"E11": {"GB/s", "baseline"},
 		"E12": {"parties", "signal speedup"},
 		"E13": {"speedup", "julia"},
+		"E14": {"critpath Δ", "baseline:"},
 		"E15": {"wall CV%", "pipeline", "stream", "steady%"},
 	}
 	for _, e := range Experiments() {

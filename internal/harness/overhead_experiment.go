@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -65,10 +64,7 @@ func runE14(w io.Writer, quick bool) error {
 			if err != nil {
 				return err
 			}
-			tr, err := analyzer.Load(bytes.NewReader(res.TraceBytes))
-			if err != nil {
-				return err
-			}
+			tr := res.Trace
 			if i == 0 {
 				base = tr
 				fmt.Fprintf(tw, "%s\t%s\t(baseline: %d records, %d ticks)\t\t\t\t\t\t\n",
