@@ -117,7 +117,7 @@ func run(args []string, out io.Writer) error {
 	width := fs.Int("width", 100, "timeline width in characters (timeline)")
 	pxWidth := fs.Int("px", 900, "timeline width in pixels (svg)")
 	svgOut := fs.String("o", "", "output path (svg; empty = stdout)")
-	maxEvents := fs.Int("n", 0, "max events to print (events; 0 = all)")
+	maxEvents := fs.Int("n", 0, "events: max events to print (0 = all); bw: bucket count (0 = 20); gaps, critpath: max rows (0 = the kind's default)")
 	gapTicks := fs.Int("min", 0, "minimum gap ticks (gaps; 0 = auto threshold)")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text (every analysis kind, and diff)")
 	mode := fs.String("mode", "", "per-cycle diff mode: match or align (diff; empty = off)")
@@ -263,16 +263,18 @@ func run(args []string, out io.Writer) error {
 	case "csv":
 		return analyzer.WriteCSV(tr, out)
 	case "validate":
-		issues := analyzer.Validate(tr)
-		if len(issues) == 0 {
+		// tr.Issues holds what the load found (truncation, drops, a chunk
+		// cut mid-record) followed by Validate's own findings.
+		analyzer.Validate(tr)
+		if len(tr.Issues) == 0 {
 			fmt.Fprintf(out, "OK: %d events, no issues\n", tr.NumEvents())
 			return nil
 		}
-		for _, is := range issues {
+		for _, is := range tr.Issues {
 			fmt.Fprintln(out, is)
 		}
-		if len(analyzer.Errors(issues)) > 0 {
-			return fmt.Errorf("%d errors", len(analyzer.Errors(issues)))
+		if n := len(analyzer.Errors(tr.Issues)); n > 0 {
+			return fmt.Errorf("%d errors", n)
 		}
 	case "events":
 		s := tr.Columns()

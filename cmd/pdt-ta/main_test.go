@@ -171,6 +171,28 @@ func TestValidateClean(t *testing.T) {
 	}
 }
 
+// TestValidateReportsLoadIssues: a trace cut short loads with a
+// truncation warning, and validate lists it instead of saying "OK"; a
+// warning alone is not a failure.
+func TestValidateReportsLoadIssues(t *testing.T) {
+	cfg := core.DefaultTraceConfig()
+	res, err := harness.Run(harness.Spec{Workload: "pipeline", Trace: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.pdt")
+	if err := os.WriteFile(path, res.TraceBytes[:60000], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"validate", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "OK") || !strings.Contains(out.String(), "warn: trace is truncated") {
+		t.Fatalf("validate on a cut trace:\n%s", out.String())
+	}
+}
+
 func TestEventsLimited(t *testing.T) {
 	path := makeTrace(t)
 	var out bytes.Buffer

@@ -126,11 +126,8 @@ func (s *server) diffLoadError(ctx context.Context, err error) error {
 		Error: fmt.Sprintf("side %s is corrupt: %v — see embedded doctor report", se.Side, se.Err),
 		Side:  se.Side,
 	}
-	if d, derr := s.traces().Doctor(ctx, se.Data, s.cfg.limits); derr == nil && d != nil {
-		var buf bytes.Buffer
-		if d.WriteJSON(&buf) == nil {
-			doc.Doctor = json.RawMessage(buf.Bytes())
-		}
+	if d, derr := s.traces().Artifact(ctx, se.Data, cache.KindDoctor, s.cfg.limits); derr == nil {
+		doc.Doctor = json.RawMessage(d)
 	}
 	body, merr := json.MarshalIndent(&doc, "", "  ")
 	if merr != nil {

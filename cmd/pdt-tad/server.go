@@ -338,7 +338,7 @@ func (s *server) traces() *cache.Cache {
 }
 
 // artifact serves one analysis kind through all the tiers — local
-// memory memo, CRC-verified disk tier, then (in cluster mode) a peek at
+// memory tier, CRC-verified disk tier, then (in cluster mode) a peek at
 // the key's owner replica, then recompute with write-through. Remote
 // fetches are adopted into the local tiers so the next request for the
 // same bytes stays on this box.

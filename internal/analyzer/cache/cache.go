@@ -1,24 +1,31 @@
 // Package cache provides a content-addressed, size-bounded LRU cache of
-// loaded traces and their memoized analysis artifacts, with
-// singleflight-style deduplication of concurrent loads. pdt-tad's
-// endpoints sit on top of it so a repeated upload of the same trace bytes
-// skips parsing, decoding, merging and analysis entirely.
+// loaded traces and their rendered artifacts, with singleflight-style
+// deduplication of concurrent loads. pdt-tad's endpoints sit on top of it
+// so a repeated upload of the same trace bytes skips parsing, decoding,
+// merging and analysis entirely.
 //
 // Keying is by SHA-256 of the raw trace image, so identical uploads share
 // one entry regardless of client or endpoint, and a single flipped byte
-// addresses a different entry. Entries are evicted least-recently-used
-// once the cache exceeds its entry or byte bound; an entry with a load
-// still in flight is pinned and skipped by the evictor, so the bound
-// applies to retained entries (concurrent distinct loads can transiently
-// exceed it — the requests must be served either way). Load failures are
-// never cached: the flight is removed on settle, so the next request for
-// those bytes retries.
+// addresses a different entry. An entry holds the loaded trace, its
+// memoized kernel values and one map of artifact bytes per kind, whoever
+// produced them: a render, the doctor, a peer replica or a streaming
+// upload. A doctor entry holds only its report's bytes, not the trace it
+// salvaged.
+//
+// Entries are evicted least-recently-used once the cache exceeds its
+// entry or byte bound; an entry with a load still in flight is pinned and
+// skipped by the evictor, so the bound applies to retained entries
+// (concurrent distinct loads can transiently exceed it — the requests
+// must be served either way). Load failures are never cached: the flight
+// is removed on settle, so the next request for those bytes retries.
 //
 // The cached *Trace is shared by every request that hits its entry. It is
 // validated exactly once, when the load settles (analyzer.Validate
 // appends to the trace and must not run concurrently), and is read-only
-// from then on; the memoized artifacts are computed at most once under
-// the entry's lock. Callers must not mutate anything a Handle returns.
+// from then on; each kernel value is computed at most once under the
+// flight's lock, and the first bytes stored for a kind are the ones every
+// later request gets. Callers must not mutate anything a Handle or an
+// artifact lookup returns.
 package cache
 
 import (
@@ -191,13 +198,9 @@ const (
 	numSlots
 )
 
-// slotOf names the load an artifact kind is rendered from.
-func slotOf(kind string) slot {
-	if kind == KindDoctor {
-		return slotDoctor
-	}
-	return slotTrace
-}
+// doctorWeight is what a doctor flight weighs beside its report's bytes:
+// the entry, the flight and the map that holds the report.
+const doctorWeight = 1 << 10
 
 // entry is one content address worth of cached state.
 type entry struct {
@@ -205,11 +208,10 @@ type entry struct {
 	elem    *list.Element
 	weight  int64
 	flights [numSlots]*flight
-	// adopted holds artifact bytes installed from a peer replica for a
-	// key no local flight has loaded (the replica has the artifact but
-	// never saw the trace bytes). A later local load supersedes it via
-	// the flight memo; LRU eviction applies to it like any other weight.
-	adopted map[string][]byte
+	// arts holds the rendered artifact bytes per kind, guarded by
+	// Cache.mu. AdoptArtifact is its only writer and the first bytes
+	// stored for a kind stay; LRU eviction takes them with the entry.
+	arts map[string][]byte
 }
 
 // inFlight reports whether any of the entry's loads is still running;
@@ -223,29 +225,25 @@ func (e *entry) inFlight() bool {
 	return false
 }
 
-// flight is one load (trace or doctor) plus its memoized artifacts.
-// done/err/trace/doctor follow the singleflight protocol: the leader
+// flight is one load (trace or doctor) plus the trace's memoized kernel
+// values. done/err/trace follow the singleflight protocol: the leader
 // fills them, settles, then closes done; waiters read only after done.
 type flight struct {
 	done    chan struct{}
 	entry   *entry // the entry whose slot holds the flight
 	settled bool   // guarded by Cache.mu
-	weight  int64  // of the load itself; memos are charged as stored
+	weight  int64  // of the load itself; values are charged as computed
 	err     error
 	trace   *analyzer.Trace
-	doctor  *analyzer.DoctorReport
 
 	memoMu sync.Mutex
 	// values memoizes each kind's kernel result (what kinds.Kind.Compute
-	// returned); arts memoizes the rendered JSON artifact bytes per kind
-	// — what the service actually serves, and what spills to the disk
-	// tier.
+	// returned).
 	values map[string]any
-	arts   map[string][]byte
 }
 
 // Handle is the per-request view of a cached trace: the shared loaded
-// Trace plus lazily memoized analysis artifacts. Everything it returns is
+// Trace plus its lazily memoized kernel values. Everything it returns is
 // shared across requests and must be treated as immutable.
 type Handle struct {
 	c *Cache
@@ -324,31 +322,32 @@ func (c *Cache) load(ctx context.Context, im Image, lim analyzer.Limits) (*Handl
 	return &Handle{c, f}, nil
 }
 
-// Doctor returns the salvage/recovery report for the trace image, cached
-// and deduplicated exactly like Load. Recoverable damage is a valid
-// (cached) result; only hard failures — cancellation, admission limits —
-// are errors, and those are never cached.
-func (c *Cache) Doctor(ctx context.Context, data []byte, lim analyzer.Limits) (*analyzer.DoctorReport, error) {
-	return c.doctor(ctx, ImageOf(data), lim)
-}
-
-// doctor is Doctor for an image that is already hashed.
-func (c *Cache) doctor(ctx context.Context, im Image, lim analyzer.Limits) (*analyzer.DoctorReport, error) {
+// doctor renders the salvage/recovery report of the trace image to JSON,
+// cached and deduplicated exactly like load. Recoverable damage is a
+// valid (cached) result; only hard failures — cancellation, admission
+// limits — are errors, and those are never cached. The leader adopts the
+// bytes before it settles, so every caller finds them on the entry; the
+// salvaged trace is dropped with the report.
+func (c *Cache) doctor(ctx context.Context, im Image, lim analyzer.Limits) ([]byte, error) {
 	f, _, err := c.fly(ctx, im.key, slotDoctor, func(f *flight) error {
 		d, err := analyzer.DoctorDataContext(ctx, im.data, lim)
 		if err != nil {
 			return err
 		}
-		f.doctor, f.weight = d, 4096
-		if d.Trace != nil {
-			f.weight += d.Trace.Footprint()
+		var buf bytes.Buffer
+		if err := d.WriteJSON(&buf); err != nil {
+			return err
 		}
+		c.AdoptArtifact(im.key, KindDoctor, buf.Bytes())
+		f.weight = doctorWeight
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return f.doctor, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return f.entry.arts[KindDoctor], nil
 }
 
 // fly is the singleflight protocol for one slot of key's entry: the first
@@ -442,29 +441,20 @@ func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim anal
 // ArtifactOf returns the rendered JSON artifact of the given kind for the
 // trace image, from the fastest tier that has it:
 //
-//  1. the memory tier's memoized artifact bytes (a settled entry),
+//  1. the bytes on the key's entry in the memory tier,
 //  2. the disk tier, CRC-verified (a corrupt object is deleted and the
 //     lookup falls through to recompute),
-//  3. computed — loading the trace through the normal singleflight path
-//     if needed — then memoized and spilled to the disk tier.
+//  3. computed — loading the trace (or salvaging it, for doctor) through
+//     the singleflight path if needed — then adopted into both tiers.
 //
 // After a restart, path 2 is what makes the warm cache real: the upload
 // is hashed and served without parsing, decoding, or analyzing.
 func (c *Cache) ArtifactOf(ctx context.Context, im Image, kind string, lim analyzer.Limits) ([]byte, error) {
-	key := im.key
-	if b, ok := c.Peek(key, kind); ok {
+	if b, ok := c.Peek(im.key, kind); ok {
 		return b, nil
 	}
 	if kind == KindDoctor {
-		d, err := c.doctor(ctx, im, lim)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := d.WriteJSON(&buf); err != nil {
-			return nil, err
-		}
-		return c.AdoptArtifact(key, kind, buf.Bytes()), nil
+		return c.doctor(ctx, im, lim)
 	}
 	h, err := c.load(ctx, im, lim)
 	if err != nil {
@@ -474,15 +464,11 @@ func (c *Cache) ArtifactOf(ctx context.Context, im Image, kind string, lim analy
 	if err != nil {
 		return nil, err
 	}
-	b = c.storeArtifact(h.f, kind, b)
-	if c.disk != nil {
-		_ = c.disk.Put(key, kind, b)
-	}
-	return b, nil
+	return c.AdoptArtifact(im.key, kind, b), nil
 }
 
 // Peek returns the rendered artifact for a key from the fastest tier
-// that already holds it — the memory memo, then the disk tier — and
+// that already holds it — the memory tier, then the disk tier — and
 // never computes. It is the cluster peer-peek read path: a replica asks
 // the key's owner "do you have this?", and a cold owner must answer
 // cheaply instead of analyzing a trace it does not even have the bytes
@@ -499,64 +485,21 @@ func (c *Cache) Peek(key Key, kind string) ([]byte, bool) {
 	return nil, false
 }
 
-// peekArtifact serves the memory tier's memoized artifact bytes without
+// peekArtifact serves the memory tier's artifact bytes without
 // triggering a load. A hit counts as a cache hit and refreshes LRU.
 func (c *Cache) peekArtifact(key Key, kind string) ([]byte, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e := c.entries[key]
 	if e == nil {
-		c.mu.Unlock()
 		return nil, false
 	}
-	f := e.flights[slotOf(kind)]
-	adopted := e.adopted[kind]
-	if f == nil || !f.settled || f.err != nil {
-		if adopted == nil {
-			c.mu.Unlock()
-			return nil, false
-		}
+	b, ok := e.arts[kind]
+	if ok {
 		c.ll.MoveToFront(e.elem)
 		c.hits++
-		c.mu.Unlock()
-		return adopted, true
 	}
-	c.ll.MoveToFront(e.elem)
-	c.mu.Unlock()
-	f.memoMu.Lock()
-	b := f.arts[kind]
-	f.memoMu.Unlock()
-	if b == nil {
-		// A local flight that never rendered this kind does not hide
-		// bytes adopted from a peer earlier.
-		if adopted == nil {
-			return nil, false
-		}
-		b = adopted
-	}
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
-	return b, true
-}
-
-// storeArtifact memoizes rendered bytes on a settled flight and weighs
-// them, at their capacity, into its entry; the first writer wins so
-// concurrent renders converge on one shared slice.
-func (c *Cache) storeArtifact(f *flight, kind string, b []byte) []byte {
-	f.memoMu.Lock()
-	prev := f.arts[kind]
-	if prev == nil {
-		if f.arts == nil {
-			f.arts = map[string][]byte{}
-		}
-		f.arts[kind] = b
-	}
-	f.memoMu.Unlock()
-	if prev != nil {
-		return prev
-	}
-	c.charge(f, int64(cap(b)))
-	return b
+	return b, ok
 }
 
 // charge adds n bytes just memoized on a settled flight to its entry's
@@ -572,46 +515,30 @@ func (c *Cache) charge(f *flight, n int64) {
 	}
 }
 
-// AdoptArtifact installs artifact bytes produced outside Artifact's
-// trace path (fetched from the key's owner replica, rendered by the
-// streaming upload, or the doctor report) into the local tiers: memoized
-// onto whatever flight currently holds the key or, when no settled
-// flight exists, retained on the entry directly (bounded by the normal
-// LRU accounting) — a memory-only replica must not re-fetch what it just
-// got — and written through to the disk tier. The bytes must be the
-// canonical rendering for the key — in cluster mode both sides derive
-// them deterministically from the same trace image. The first writer
-// wins; the bytes returned are the ones retained.
+// AdoptArtifact is how artifact bytes enter the cache, whoever produced
+// them: ArtifactOf's render, the doctor, a fetch from the key's owner
+// replica, a streaming upload. It stores them on key's entry — creating
+// one if no load has touched the key, so a memory-only replica keeps
+// what it fetched — weighs them at their capacity, and writes them
+// through to the disk tier. The bytes must be the canonical rendering for
+// the key; in cluster mode both sides derive them deterministically from
+// the same trace image. The first writer wins; the bytes returned are the
+// ones retained.
 func (c *Cache) AdoptArtifact(key Key, kind string, b []byte) []byte {
 	c.mu.Lock()
-	e := c.entries[key]
-	var f *flight
-	if e != nil {
-		f = e.flights[slotOf(kind)]
-	}
-	if f != nil && f.settled && f.err == nil {
-		c.mu.Unlock()
-		b = c.storeArtifact(f, kind, b)
+	e := c.touch(key)
+	if prev, ok := e.arts[kind]; ok {
+		b = prev
 	} else {
-		if e == nil {
-			e = &entry{key: key}
-			e.elem = c.ll.PushFront(e)
-			c.entries[key] = e
+		if e.arts == nil {
+			e.arts = map[string][]byte{}
 		}
-		if prev := e.adopted[kind]; prev != nil {
-			b = prev
-		} else {
-			if e.adopted == nil {
-				e.adopted = map[string][]byte{}
-			}
-			e.adopted[kind] = b
-			e.weight += int64(cap(b))
-			c.bytes += int64(cap(b))
-		}
-		c.ll.MoveToFront(e.elem)
+		e.arts[kind] = b
+		e.weight += int64(cap(b))
+		c.bytes += int64(cap(b))
 		c.evict(e)
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	if c.disk != nil {
 		_ = c.disk.Put(key, kind, b)
 	}
@@ -641,14 +568,7 @@ func isCtxErr(err error) bool {
 func (c *Cache) acquire(key Key, sl slot) (f *flight, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		e = &entry{key: key}
-		e.elem = c.ll.PushFront(e)
-		c.entries[key] = e
-	} else {
-		c.ll.MoveToFront(e.elem)
-	}
+	e := c.touch(key)
 	f = e.flights[sl]
 	if f == nil {
 		f = &flight{done: make(chan struct{}), entry: e}
@@ -664,6 +584,20 @@ func (c *Cache) acquire(key Key, sl slot) (f *flight, lead bool) {
 	return f, false
 }
 
+// touch returns key's entry, creating it if absent, as the most recently
+// used. Called with mu held.
+func (c *Cache) touch(key Key) *entry {
+	e := c.entries[key]
+	if e == nil {
+		e = &entry{key: key}
+		e.elem = c.ll.PushFront(e)
+		c.entries[key] = e
+	} else {
+		c.ll.MoveToFront(e.elem)
+	}
+	return e
+}
+
 // settle publishes the flight result: accounts its weight (or removes the
 // failed flight so the next request retries), runs eviction, and releases
 // the waiters.
@@ -676,7 +610,7 @@ func (c *Cache) settle(key Key, sl slot, f *flight) {
 			if e.flights[sl] == f {
 				e.flights[sl] = nil
 			}
-			if e.flights == [numSlots]*flight{} && len(e.adopted) == 0 {
+			if e.flights == [numSlots]*flight{} && len(e.arts) == 0 {
 				c.ll.Remove(e.elem)
 				delete(c.entries, key)
 			}

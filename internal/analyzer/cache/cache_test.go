@@ -180,15 +180,15 @@ func TestDoctorCachedBesideFailedLoad(t *testing.T) {
 	if _, err := c.Load(ctx, img, analyzer.Limits{}); err == nil {
 		t.Fatal("corrupt image loaded cleanly; test needs a corrupting flip")
 	}
-	d1, err := c.Doctor(ctx, img, analyzer.Limits{})
+	d1, err := c.Artifact(ctx, img, cache.KindDoctor, analyzer.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := c.Doctor(ctx, img, analyzer.Limits{})
+	d2, err := c.Artifact(ctx, img, cache.KindDoctor, analyzer.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1 != d2 {
+	if &d1[0] != &d2[0] {
 		t.Fatal("doctor report not cached")
 	}
 	st := c.Stats()
@@ -323,7 +323,7 @@ func TestAdoptArtifactWithoutLocalFlight(t *testing.T) {
 	if !ok || !bytes.Equal(got, art) {
 		t.Fatalf("adopted artifact not peekable: ok=%v", ok)
 	}
-	// First adoption wins, like the flight memo.
+	// First adoption wins.
 	kept := c.AdoptArtifact(key, cache.KindSummary, []byte(`{"other":1}`))
 	if !bytes.Equal(kept, art) {
 		t.Fatal("second adoption replaced the first")

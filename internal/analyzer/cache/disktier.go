@@ -179,9 +179,6 @@ func OpenDiskTier(dir string, maxBytes int64, disturb Disturber) (*DiskTier, err
 	return d, nil
 }
 
-// Dir returns the tier's root directory.
-func (d *DiskTier) Dir() string { return d.dir }
-
 // headerOK reads just the 16-byte header and checks the frame against
 // the payload size on disk; the full CRC check is deferred to Get, so
 // rehydrating a large cache stays cheap.

@@ -68,6 +68,20 @@ func TestFootprintMatchesRetainedHeap(t *testing.T) {
 	}
 }
 
+// TestDoctorWeighsItsReport: a cached doctor report is kept as the
+// bytes it serves, so the 3 MB trace's entry weighs a few KiB — not the
+// salvaged trace the report was built from.
+func TestDoctorWeighsItsReport(t *testing.T) {
+	c := cache.New(0, 0)
+	b, err := c.Artifact(context.Background(), traceImage(t, 10000), cache.KindDoctor, analyzer.DefaultServiceLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Bytes; got >= 16<<10 {
+		t.Fatalf("a cached %d-byte doctor report weighs %d, want under 16 KiB", len(b), got)
+	}
+}
+
 // freshBody re-serialises a parsed trace with one extra metadata
 // parameter: the same events under a new content key, the way the
 // benchmark's serve_cold makes every request a miss.
@@ -149,7 +163,7 @@ func TestColdScheduleHeapWithinBudget(t *testing.T) {
 }
 
 // TestWeightsFollowTheirEntry: a value, a rendered artifact and an
-// artifact adopted onto a settled flight each add to their entry's
+// artifact adopted onto a loaded entry each add to their entry's
 // weight once, eviction takes all of it away, and a handle that outlives
 // its entry charges nothing to the cache.
 func TestWeightsFollowTheirEntry(t *testing.T) {
