@@ -13,7 +13,28 @@ COVER_BASELINE ?= 84.2
 # fuzz-smoke, chaos-smoke and chaos-cluster are not in ci: race already
 # runs every fuzz seed corpus and every TestChaos* test (none carries a
 # build tag or a -short skip). They stay as targets for running alone.
-ci: fmt vet staticcheck build race bench-smoke cover-check loadtest-smoke stream-smoke smoke-tad
+CI_TARGETS = fmt vet staticcheck build race bench-smoke cover-check loadtest-smoke stream-smoke smoke-tad
+ci: $(addprefix timed-,$(CI_TARGETS))
+
+# Wall-time budgets in seconds, measured on a 2-vCPU host (go1.24.0)
+# with a warm build cache; budget_test is tier-1 (`make timed-test`).
+# timed-<target> runs the target, prints its wall time, and names it on
+# stderr as OVER when it took more than twice its budget. It never fails
+# on time: that host has phases 1.6-1.9x slower than its fast one.
+budget_test = 24
+budget_race = 108
+budget_cover-check = 28
+budget_bench-smoke = 11
+budget_smoke-tad = 7
+budget_stream-smoke = 1
+budget_loadtest-smoke = 2
+
+timed-%:
+	@start=$$(date +%s%N); $(MAKE) --no-print-directory $* || exit 1; \
+	ms=$$(( ($$(date +%s%N) - start) / 1000000 )); \
+	echo "time: $* $$((ms / 1000)).$$((ms % 1000 / 100))s$(if $(budget_$*), (budget $(budget_$*)s))"; \
+	$(if $(budget_$*),if [ $$ms -gt $$((2000 * $(budget_$*))) ]; then \
+		echo "OVER: $* took $$((ms / 1000))s: more than twice its $(budget_$*)s budget" >&2; fi)
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -121,10 +121,15 @@ func (b *Builder) Reset(n, argWords int) {
 }
 
 // fit returns s emptied with room for n elements: its own array when that
-// is large enough, else a new one of exactly n.
+// is large enough, else a new one — of exactly n the first time, and with
+// a quarter to spare when a reused builder outgrows its arrays, so a
+// stream of slightly growing windows does not refit on every one.
 func fit[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:0]
+	}
+	if cap(s) > 0 {
+		n += n / 4
 	}
 	return make([]T, 0, n)
 }

@@ -40,9 +40,12 @@ func liveWorkload(t *testing.T, name string) ([]byte, []byte) {
 // TestLiveTailRoundTrip checks the whole live-tail contract: the mirror
 // a run writes while executing is a well-formed PDT stream whose batch
 // load resolves the in-band LiveAnchor records, whose streaming load is
-// kernel-for-kernel identical to that batch load, and whose per-run
-// analysis agrees with the sealed file the same run produced.
+// kernel-for-kernel identical to that batch load — in one window, and in
+// 16 KiB windows whose piece buffers are poisoned as they return for
+// reuse — and whose per-run analysis agrees with the sealed file the same
+// run produced.
 func TestLiveTailRoundTrip(t *testing.T) {
+	analyzer.PoisonRecycled(t)
 	for _, name := range []string{"pipeline", "matmul"} {
 		t.Run(name, func(t *testing.T) {
 			live, sealed := liveWorkload(t, name)
@@ -80,8 +83,13 @@ func TestLiveTailRoundTrip(t *testing.T) {
 			}
 
 			// Streaming the live stream == batch-loading it.
-			sr := streamIn(t, live, 977, analyzer.StreamOptions{Validate: true})
-			assertStreamMatchesBatch(t, liveBatch, sr)
+			for _, window := range []int64{0, 1 << 14} {
+				sr := streamIn(t, live, 977, analyzer.StreamOptions{
+					Limits:   analyzer.Limits{StreamWindowBytes: window},
+					Validate: true,
+				})
+				assertStreamMatchesBatch(t, liveBatch, sr)
+			}
 
 			// The live view agrees with the sealed file on everything
 			// per-run: the only extra records in the stream are the
@@ -124,8 +132,11 @@ func TestLiveTailRoundTrip(t *testing.T) {
 
 // TestLiveTailTruncated cuts a live stream off mid-file — the shape an
 // interrupted pdt-run leaves — and checks that both loaders tolerate it
-// and still agree with each other.
+// and still agree with each other: the stream in one window and one
+// Write, and in 16 KiB windows of 977-byte Writes whose piece buffers are
+// poisoned as they return for reuse.
 func TestLiveTailTruncated(t *testing.T) {
+	analyzer.PoisonRecycled(t)
 	live, _ := liveWorkload(t, "pipeline")
 	for _, cut := range []int{len(live) - 8, len(live) * 3 / 5} {
 		data := live[:cut]
@@ -152,28 +163,29 @@ func TestLiveTailTruncated(t *testing.T) {
 		b.minGap = analyzer.SuggestGapThreshold(tr)
 		b.gaps = analyzer.FindGaps(tr, b.minGap)
 
-		l := analyzer.NewStreamLoader(analyzer.StreamOptions{Validate: true})
-		if _, err := l.Write(data); err != nil {
-			t.Fatalf("cut at %d: stream write: %v", cut, err)
-		}
-		sr, err := l.Finish()
-		if err != nil {
-			t.Fatalf("cut at %d: stream finish: %v", cut, err)
-		}
-		if !sr.Trace.Truncated {
-			t.Fatalf("cut at %d: stream not flagged truncated", cut)
-		}
-		if !reflect.DeepEqual(sr.Summary, b.summary) {
-			t.Errorf("cut at %d: summaries differ:\nstream %+v\nbatch  %+v", cut, sr.Summary, b.summary)
-		}
-		if !reflect.DeepEqual(sr.Profile, b.profile) {
-			t.Errorf("cut at %d: profiles differ", cut)
-		}
-		var sw, bw bytes.Buffer
-		sr.Report(&sw)
-		analyzer.Report(b.tr, b.summary, &bw)
-		if sw.String() != bw.String() {
-			t.Errorf("cut at %d: reports differ:\nstream:\n%s\nbatch:\n%s", cut, sw.String(), bw.String())
+		for _, tc := range []struct {
+			window    int64
+			writeSize int
+		}{{0, len(data)}, {1 << 14, 977}} {
+			sr := streamIn(t, data, tc.writeSize, analyzer.StreamOptions{
+				Limits:   analyzer.Limits{StreamWindowBytes: tc.window},
+				Validate: true,
+			})
+			if !sr.Trace.Truncated {
+				t.Fatalf("cut at %d, window %d: stream not flagged truncated", cut, tc.window)
+			}
+			if !reflect.DeepEqual(sr.Summary, b.summary) {
+				t.Errorf("cut at %d, window %d: summaries differ:\nstream %+v\nbatch  %+v", cut, tc.window, sr.Summary, b.summary)
+			}
+			if !reflect.DeepEqual(sr.Profile, b.profile) {
+				t.Errorf("cut at %d, window %d: profiles differ", cut, tc.window)
+			}
+			var sw, bw bytes.Buffer
+			sr.Report(&sw)
+			analyzer.Report(b.tr, b.summary, &bw)
+			if sw.String() != bw.String() {
+				t.Errorf("cut at %d, window %d: reports differ:\nstream:\n%s\nbatch:\n%s", cut, tc.window, sw.String(), bw.String())
+			}
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -467,7 +466,12 @@ type placement struct {
 // live stream's anchor table grows as it is read.
 func (p *placement) place(data []byte, offs []uint32, live *[]traceio.Anchor) {
 	from := len(p.globals)
-	p.globals = slices.Grow(p.globals, len(offs)-from)[:len(offs)]
+	if cap(p.globals) < len(offs) {
+		// A whole chunk sizes the column exactly; a streamed chunk, placed
+		// a piece at a time, at least doubles it.
+		p.globals = append(make([]uint64, 0, max(len(offs), 2*cap(p.globals))), p.globals...)
+	}
+	p.globals = p.globals[:len(offs)]
 	for j := from; j < len(offs); j++ {
 		rec := data[offs[j]:]
 		g := binary.LittleEndian.Uint64(rec[5:13])

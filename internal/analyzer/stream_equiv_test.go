@@ -14,11 +14,13 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/core"
+	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/harness"
 	"github.com/celltrace/pdt/internal/workloads"
@@ -184,7 +186,10 @@ func assertStreamMatchesBatch(t *testing.T, want *batchResults, got *analyzer.St
 // TestStreamMatchesBatchAllWorkloads is the headline equivalence suite:
 // all workloads, a window small enough to force many segment folds, and
 // an odd write size so records split across Write boundaries constantly.
+// This test and the next three poison every piece buffer as it returns
+// for reuse, so none may be read once its window has merged.
 func TestStreamMatchesBatchAllWorkloads(t *testing.T) {
+	analyzer.PoisonRecycled(t)
 	for _, name := range workloads.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -203,6 +208,7 @@ func TestStreamMatchesBatchAllWorkloads(t *testing.T) {
 // slicings, including byte-at-a-time, and several window budgets —
 // the result must never depend on how the bytes arrive.
 func TestStreamWriteSlicings(t *testing.T) {
+	analyzer.PoisonRecycled(t)
 	data := traceWorkload(t, "synthetic")
 	want := loadBatch(t, data)
 	for _, tc := range []struct {
@@ -233,6 +239,7 @@ func TestStreamWriteSlicings(t *testing.T) {
 // records in the wrong order (one window size does not show it: most
 // boundaries are harmless).
 func TestStreamMidChunkCuts(t *testing.T) {
+	analyzer.PoisonRecycled(t)
 	data := traceWorkload(t, "synthetic")
 	want := loadBatch(t, data)
 	for window := int64(300); window < 12000; window += 97 {
@@ -252,8 +259,11 @@ func TestStreamMidChunkCuts(t *testing.T) {
 // TestStreamTruncationMatchesBatch cuts the trace at arbitrary byte
 // offsets and asserts the streaming loader lands in the same truncation
 // state as batch Parse+FromFile: same summary, same issues, same
-// confidence. This covers the drop-the-partial-final-chunk semantics.
+// confidence. This covers the drop-the-partial-final-chunk semantics, in
+// one window and in 16 KiB windows, which fold several times over but cut
+// none of these chunks, so the drop stays exact.
 func TestStreamTruncationMatchesBatch(t *testing.T) {
+	analyzer.PoisonRecycled(t)
 	data := traceWorkload(t, "matmul")
 	for _, frac := range []int{30, 55, 80, 95, 99} {
 		cut := len(data) * frac / 100
@@ -275,33 +285,37 @@ func TestStreamTruncationMatchesBatch(t *testing.T) {
 				ppe:     analyzer.SummarizePPE(tr),
 				eff:     analyzer.EffectiveConcurrency(tr),
 			}
-			got := streamIn(t, trunc, 977, analyzer.StreamOptions{})
 			if !tr.Truncated {
 				t.Fatal("expected a truncated batch load")
 			}
-			if got.Complete {
-				t.Error("stream result marked Complete on truncated input")
-			}
-			if !got.Trace.Truncated {
-				t.Error("stream result not marked Truncated")
-			}
-			if !reflect.DeepEqual(got.Summary, want.summary) {
-				t.Errorf("summary differs:\nstream %+v\nbatch  %+v", got.Summary, want.summary)
-			}
-			if !reflect.DeepEqual(got.Profile, want.profile) {
-				t.Errorf("profile differs:\nstream %+v\nbatch  %+v", got.Profile, want.profile)
-			}
-			if !reflect.DeepEqual(got.PPE, want.ppe) {
-				t.Errorf("ppe differs:\nstream %+v\nbatch  %+v", got.PPE, want.ppe)
-			}
-			if got.EffectiveConcurrency != want.eff {
-				t.Errorf("effective concurrency: stream %v, batch %v", got.EffectiveConcurrency, want.eff)
-			}
-			if !reflect.DeepEqual(got.Trace.Issues, want.tr.Issues) {
-				t.Errorf("issues differ:\nstream %v\nbatch  %v", got.Trace.Issues, want.tr.Issues)
-			}
-			if !reflect.DeepEqual(got.Trace.Confidence, want.tr.Confidence) {
-				t.Errorf("confidence differs:\nstream %+v\nbatch  %+v", got.Trace.Confidence, want.tr.Confidence)
+			for _, window := range []int64{0, 1 << 14} {
+				got := streamIn(t, trunc, 977, analyzer.StreamOptions{
+					Limits: analyzer.Limits{StreamWindowBytes: window},
+				})
+				if got.Complete {
+					t.Errorf("window %d: stream result marked Complete on truncated input", window)
+				}
+				if !got.Trace.Truncated {
+					t.Errorf("window %d: stream result not marked Truncated", window)
+				}
+				if !reflect.DeepEqual(got.Summary, want.summary) {
+					t.Errorf("window %d: summary differs:\nstream %+v\nbatch  %+v", window, got.Summary, want.summary)
+				}
+				if !reflect.DeepEqual(got.Profile, want.profile) {
+					t.Errorf("window %d: profile differs:\nstream %+v\nbatch  %+v", window, got.Profile, want.profile)
+				}
+				if !reflect.DeepEqual(got.PPE, want.ppe) {
+					t.Errorf("window %d: ppe differs:\nstream %+v\nbatch  %+v", window, got.PPE, want.ppe)
+				}
+				if got.EffectiveConcurrency != want.eff {
+					t.Errorf("window %d: effective concurrency: stream %v, batch %v", window, got.EffectiveConcurrency, want.eff)
+				}
+				if !reflect.DeepEqual(got.Trace.Issues, want.tr.Issues) {
+					t.Errorf("window %d: issues differ:\nstream %v\nbatch  %v", window, got.Trace.Issues, want.tr.Issues)
+				}
+				if !reflect.DeepEqual(got.Trace.Confidence, want.tr.Confidence) {
+					t.Errorf("window %d: confidence differs:\nstream %+v\nbatch  %+v", window, got.Trace.Confidence, want.tr.Confidence)
+				}
 			}
 		})
 	}
@@ -509,5 +523,64 @@ func TestStreamLimits(t *testing.T) {
 				t.Fatalf("stream rejected after %d bytes, the declaration is complete at %d", n, tc.bound)
 			}
 		})
+	}
+}
+
+// TestStreamHostileDeclaredLengthNoAllocation is the stream's twin of
+// traceio's TestParseHostileDeclaredLengthNoAllocation: a 1 KiB image
+// whose PPE chunk declares 2 GiB and delivers 1 KiB of records. At the
+// default window the loader frames those records as they arrive, so its
+// piece buffers grow from the bytes present; sized from the declared
+// length they would allocate gigabytes, and any sizing from it shows
+// here. The stream ends inside the chunk, so the load is truncated and
+// drops the chunk, as batch Parse does.
+func TestStreamHostileDeclaredLengthNoAllocation(t *testing.T) {
+	var img bytes.Buffer
+	w, err := traceio.NewWriter(&img, traceio.Header{
+		Version: traceio.Version, NumSPEs: 8, TimebaseDiv: 40, ClockHz: 3_200_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteMeta(&traceio.Meta{Workload: "hostile"}); err != nil {
+		t.Fatal(err)
+	}
+	hdr := []byte{traceio.ChunkMagic, event.CorePPE}
+	hdr = binary.LittleEndian.AppendUint16(hdr, traceio.NoAnchor)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 2<<30) // declares 2 GiB
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)     // bogus chunk CRC
+	img.Write(hdr)
+	var recs []byte
+	for i := 0; len(recs) < 1024-32; i++ {
+		r := event.Record{ID: event.PPESPEStart, Core: event.CorePPE, Time: uint64(i), Args: []uint64{0, 1}}
+		if recs, err = r.AppendTo(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img.Write(recs)
+	data := img.Bytes()
+	if len(data) > 2048 {
+		t.Fatalf("hostile image unexpectedly large: %d bytes", len(data))
+	}
+
+	var res *analyzer.StreamResult
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l := analyzer.NewStreamLoader(analyzer.StreamOptions{})
+	if _, err := l.Write(data); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	res, err = l.Finish()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if !res.Trace.Truncated || res.Events != 0 {
+		t.Fatalf("truncated %v with %d events; want the cut-off chunk dropped", res.Trace.Truncated, res.Events)
+	}
+	t.Logf("%d-byte image: %d bytes allocated", len(data), after.TotalAlloc-before.TotalAlloc)
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
+		t.Fatalf("streaming a %d-byte image whose chunk declares 2 GiB allocated %d bytes", len(data), delta)
 	}
 }

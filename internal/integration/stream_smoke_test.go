@@ -5,7 +5,8 @@ package integration
 // Bounded-RSS streaming smoke (`make stream-smoke`): synthesize a
 // ~100 MB trace on disk — more than 10× the stream window — and load it
 // through the incremental StreamLoader under a hard runtime memory
-// limit, asserting the live heap never grows past twice the window. The
+// limit, asserting the live heap never grows past twice the window and
+// the load allocates at most three windows and a MiB over its run. The
 // batch loader would hold every decoded event at once (gigabytes of
 // columns for this volume); the stream loader must stay flat no matter
 // how long the trace gets.
@@ -156,10 +157,19 @@ func TestSmokeStreamBoundedRSS(t *testing.T) {
 		t.Fatalf("summary runs = %+v, want 8 runs", res.Summary)
 	}
 
+	var end runtime.MemStats
+	runtime.ReadMemStats(&end)
 	growth := int64(peak) - int64(base.HeapAlloc)
-	t.Logf("heap: baseline %d, peak %d, growth %d (window %d)", base.HeapAlloc, peak, growth, window)
+	alloc := int64(end.TotalAlloc - base.TotalAlloc)
+	t.Logf("heap: baseline %d, peak %d, growth %d; allocated %d (window %d)", base.HeapAlloc, peak, growth, alloc, window)
 	if growth > 2*window {
 		t.Fatalf("heap grew %d bytes streaming a %d-byte trace; want < 2x the %d-byte window",
 			growth, fi.Size(), window)
+	}
+	// What the load allocates is bounded by the window too: merged pieces
+	// hand their buffers to the pieces that follow.
+	if alloc > 3*window+1<<20 {
+		t.Fatalf("streaming a %d-byte trace allocated %d bytes; want at most 3x the %d-byte window plus 1 MiB",
+			fi.Size(), alloc, window)
 	}
 }
