@@ -10,13 +10,13 @@
 package pdt_test
 
 import (
-	"bytes"
 	"io"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/harness"
 )
 
@@ -123,21 +123,30 @@ func BenchmarkRecordDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceLoad measures full trace load+merge on a mid-size trace.
+// BenchmarkTraceLoad measures the batch load layer — frame, place, merge
+// and index, analyzer.FromFile — on the large trace of the benchmark's
+// analyze_batch workload (synthetic events=10000 gap=100: about 3 MB and
+// 80k records on 8 SPEs). The image is parsed once, outside the loop;
+// -benchmem reports what one load allocates.
 func BenchmarkTraceLoad(b *testing.B) {
 	cfg := core.DefaultTraceConfig()
 	res, err := harness.Run(harness.Spec{
 		Workload: "synthetic",
-		Params:   map[string]string{"events": "5000", "gap": "300"},
+		Params:   map[string]string{"events": "10000", "gap": "100"},
 		Trace:    &cfg,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	f, err := traceio.Parse(res.TraceBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(res.TraceBytes)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analyzer.Load(bytes.NewReader(res.TraceBytes)); err != nil {
+		if _, err := analyzer.FromFile(f); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -283,7 +283,7 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintf(out, "... %d more\n", n-i)
 				break
 			}
-			rec := s.Record(i)
+			rec := tr.Record(i)
 			fmt.Fprintf(out, "%8d %s\n", s.Global[i], rec.String())
 		}
 	default:

@@ -183,7 +183,9 @@ func TestWarmHitAllocationBudget(t *testing.T) {
 // answer to a budget of its own. With the cache disabled every
 // /v1/summary reads the body, loads and validates the trace, summarises
 // it and renders the document: 4.48x the body per request when this
-// budget was set, which it may exceed by a quarter.
+// budget was first set, 4.54x before the load stopped keeping a raw-time
+// column and a per-record time buffer, and 3.97-4.19x since. The budget
+// is a quarter over the top of that.
 func TestColdSummaryAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the budget")
@@ -191,11 +193,11 @@ func TestColdSummaryAllocationBudget(t *testing.T) {
 	trace := budgetTrace(t)
 	_, ts := testServer(t, func(c *config) { c.cacheBytes, c.cacheEntries = 0, 0 })
 	perRequest := bytesPerRequest(t, ts.URL+"/v1/summary", trace, 10)
-	budget := uint64(len(trace)) * 28 / 5
+	budget := uint64(len(trace)) * 26 / 5
 	t.Logf("%d B/request for a %d B body, %.2fx (budget %d)", perRequest, len(trace),
 		float64(perRequest)/float64(len(trace)), budget)
 	if perRequest > budget {
-		t.Fatalf("a cold /v1/summary allocates %d B per request for a %d B body, budget %d (5.6 x body)",
+		t.Fatalf("a cold /v1/summary allocates %d B per request for a %d B body, budget %d (5.2 x body)",
 			perRequest, len(trace), budget)
 	}
 }

@@ -2,7 +2,8 @@
 // table, a parallel slice per field, so a scan touches only the columns
 // it reads — Profile walks 2-byte IDs and 8-byte timestamps, the
 // critical-path dependency scans the ID column alone — and the store
-// costs ~32 bytes per event plus argument words.
+// costs 24 bytes per event plus argument words. A record's raw stamp is
+// not among them: Global and the run's anchor give it back (Record).
 //
 // Arguments are packed into one shared arena (Args) addressed by a
 // prefix-sum offset column (ArgOff), and string payloads are interned
@@ -25,7 +26,6 @@ type Store struct {
 	ID     []event.ID
 	Core   []uint8
 	Flags  []uint8
-	Time   []uint64 // raw record timestamp (decrementer or timebase)
 	Global []uint64 // correlated global timebase ticks
 	Run    []int32  // SPE run index, or -1 for PPE events
 	ArgOff []uint32 // len()+1 entries; prefix sums into Args
@@ -55,15 +55,22 @@ func (s *Store) Str(i int) string {
 	return ""
 }
 
-// Record materializes event i as a decoded wire record. The Args slice
-// aliases the shared arena (nil for zero-argument events, matching
-// event.Decode) and must not be mutated.
-func (s *Store) Record(i int) event.Record {
+// Record materializes event i as a decoded wire record. Its raw time is
+// derived, not stored: a decrementer stamp is Global less anchorTB, the
+// timebase tick the row's run anchor counts from — mod 2^64, so exactly
+// the inverse of the loader's placement — and any other stamp is Global
+// itself. The Args slice aliases the shared arena (nil for zero-argument
+// events, matching event.Decode) and must not be mutated.
+func (s *Store) Record(i int, anchorTB uint64) event.Record {
+	t := s.Global[i]
+	if s.Flags[i]&event.FlagDecrTime != 0 {
+		t -= anchorTB
+	}
 	return event.Record{
 		ID:    s.ID[i],
 		Core:  s.Core[i],
 		Flags: s.Flags[i],
-		Time:  s.Time[i],
+		Time:  t,
 		Args:  s.EventArgs(i),
 		Str:   s.Str(i),
 	}
@@ -74,7 +81,7 @@ func (s *Store) Record(i int) event.Record {
 // map headers of the Store struct itself are not counted; they are O(1).
 func (s *Store) Bytes() int64 {
 	n := int64(cap(s.ID))*2 + int64(cap(s.Core)) + int64(cap(s.Flags)) +
-		int64(cap(s.Time))*8 + int64(cap(s.Global))*8 + int64(cap(s.Run))*4 +
+		int64(cap(s.Global))*8 + int64(cap(s.Run))*4 +
 		int64(cap(s.ArgOff))*4 + int64(cap(s.Args))*8 + int64(cap(s.StrIdx))*4
 	n += int64(cap(s.Strs)) * 16 // string headers
 	for _, str := range s.Strs {
@@ -83,81 +90,87 @@ func (s *Store) Bytes() int64 {
 	return n
 }
 
-// Builder appends rows to a Store, interning strings as it goes. Use
-// NewBuilder with the final event count when it is known up front so the
-// columns are allocated exactly once.
+// Builder writes rows into a Store, interning strings as it goes. Its
+// columns are sized up front, from the exact event and argument-word
+// counts, and every row is written in place by index.
 type Builder struct {
 	s      Store
+	n      int // rows written so far
 	intern map[string]int32
 }
 
-// NewBuilder returns a Builder with capacity for n events and argWords
-// total argument words. Either may be 0 when unknown; the columns then
-// grow geometrically.
+// NewBuilder returns a Builder for exactly n events holding argWords
+// argument words in all.
 func NewBuilder(n, argWords int) *Builder {
 	b := &Builder{}
 	b.Reset(n, argWords)
 	return b
 }
 
-// Reset empties the builder for another store of n events and argWords
-// argument words, reusing every column array already large enough and
-// starting a fresh intern table. A store an earlier Done returned shares
-// those arrays, so it must be out of use by now.
+// Reset empties the builder for another store of exactly n events and
+// argWords argument words, reusing every column array already large
+// enough and starting a fresh intern table. All n rows must be written
+// before Done. A store an earlier Done returned shares those arrays, so
+// it must be out of use by now.
 func (b *Builder) Reset(n, argWords int) {
 	s := &b.s
 	s.ID = fit(s.ID, n)
 	s.Core = fit(s.Core, n)
 	s.Flags = fit(s.Flags, n)
-	s.Time = fit(s.Time, n)
 	s.Global = fit(s.Global, n)
 	s.Run = fit(s.Run, n)
-	s.ArgOff = append(fit(s.ArgOff, n+1), 0)
+	s.ArgOff = fit(s.ArgOff, n+1)
+	s.ArgOff[0] = 0
 	s.Args = fit(s.Args, argWords)
 	s.StrIdx = fit(s.StrIdx, n)
 	clear(s.Strs)
 	s.Strs = s.Strs[:0]
+	b.n = 0
 	b.intern = make(map[string]int32)
 }
 
-// fit returns s emptied with room for n elements: its own array when that
-// is large enough, else a new one — of exactly n the first time, and with
-// a quarter to spare when a reused builder outgrows its arrays, so a
+// fit returns s resliced to n elements: its own array when that is large
+// enough, else a new one — of exactly n the first time, and with a
+// quarter to spare when a reused builder outgrows its arrays, so a
 // stream of slightly growing windows does not refit on every one.
 func fit[T any](s []T, n int) []T {
 	if cap(s) >= n {
-		return s[:0]
+		return s[:n]
 	}
+	c := n
 	if cap(s) > 0 {
-		n += n / 4
+		c += n / 4
 	}
-	return make([]T, 0, n)
+	return make([]T, n, c)
 }
 
-// AppendEncoded adds one event row decoded straight from the encoded
-// record at the front of rec (docs/FORMAT.md, "Records"), plus its
-// correlated global time and run assignment. It is the only way a row
-// enters a store. rec must start with a record event.Frame accepted:
-// AppendEncoded checks nothing again. The argument words are
-// copied into the shared arena and the string payload is interned by
-// value, so the store keeps no reference into rec.
+// AppendEncoded writes the next event row, decoded straight from the
+// encoded record at the front of rec (docs/FORMAT.md, "Records"), plus
+// its correlated global time and run assignment. It is the only way a
+// row enters a store. rec must start with a record event.Frame accepted:
+// AppendEncoded checks nothing again, and the rows and argument words
+// written may not exceed what Reset sized. The argument words are copied
+// into the shared arena and the string payload is interned by value, so
+// the store keeps no reference into rec.
 func (b *Builder) AppendEncoded(rec []byte, global uint64, run int32) {
-	s := &b.s
+	s, i := &b.s, b.n
+	b.n++
 	rec = rec[:rec[0]]
 	flags := rec[4]
-	s.ID = append(s.ID, event.ID(binary.LittleEndian.Uint16(rec[1:3])))
-	s.Core = append(s.Core, rec[3])
-	s.Flags = append(s.Flags, flags)
-	s.Time = append(s.Time, binary.LittleEndian.Uint64(rec[5:13]))
-	s.Global = append(s.Global, global)
-	s.Run = append(s.Run, run)
+	s.ID[i] = event.ID(binary.LittleEndian.Uint16(rec[1:3]))
+	s.Core[i] = rec[3]
+	s.Flags[i] = flags
+	s.Global[i] = global
+	s.Run[i] = run
+	a := s.ArgOff[i]
 	off := 14 // the fixed header: size, ID, core, flags, time, nargs
 	for end := off + 8*int(rec[13]); off < end; off += 8 {
-		s.Args = append(s.Args, binary.LittleEndian.Uint64(rec[off:off+8]))
+		s.Args[a] = binary.LittleEndian.Uint64(rec[off : off+8])
+		a++
 	}
-	s.ArgOff = append(s.ArgOff, uint32(len(s.Args)))
+	s.ArgOff[i+1] = a
 	if flags&event.FlagHasStr == 0 {
-		s.StrIdx = append(s.StrIdx, -1)
+		s.StrIdx[i] = -1
 		return
 	}
 	str := rec[off+2:] // past the u16 length: Frame checked it ends the record
@@ -167,11 +180,11 @@ func (b *Builder) AppendEncoded(rec []byte, global uint64, run int32) {
 		s.Strs = append(s.Strs, string(str))
 		b.intern[s.Strs[idx]] = idx
 	}
-	s.StrIdx = append(s.StrIdx, idx)
+	s.StrIdx[i] = idx
 }
 
-// Len returns the number of rows appended so far.
-func (b *Builder) Len() int { return len(b.s.ID) }
+// Len returns the number of rows written so far.
+func (b *Builder) Len() int { return b.n }
 
 // Done returns the built store. The Builder must not be used afterwards
 // except through Reset. Dropping the intern table matters: the store

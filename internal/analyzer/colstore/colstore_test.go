@@ -18,13 +18,22 @@ func TestBuilderRoundTrip(t *testing.T) {
 		{ID: event.StringDef, Core: event.CorePPE, Flags: event.FlagHasStr, Time: 50,
 			Args: []uint64{8}, Str: "hello"}, // interned duplicate
 	}
-	b := NewBuilder(len(recs), 16)
+	// Row i belongs to run i%2, anchored at anchorTB(i): a decrementer
+	// stamp goes in as Global = stamp + anchor tick and must come back out.
+	anchorTB := func(i int) uint64 { return 1000 * uint64(1+i%2) }
+	global := func(i int) uint64 {
+		if recs[i].Flags&event.FlagDecrTime != 0 {
+			return recs[i].Time + anchorTB(i)
+		}
+		return recs[i].Time
+	}
+	b := NewBuilder(len(recs), 6)
 	for i, r := range recs {
 		enc, err := r.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.AppendEncoded(enc, uint64(100+i), int32(i%2))
+		b.AppendEncoded(enc, global(i), int32(i%2))
 	}
 	if b.Len() != len(recs) {
 		t.Fatalf("builder len = %d, want %d", b.Len(), len(recs))
@@ -34,11 +43,11 @@ func TestBuilderRoundTrip(t *testing.T) {
 		t.Fatalf("store len = %d, want %d", s.Len(), len(recs))
 	}
 	for i, want := range recs {
-		got := s.Record(i)
+		got := s.Record(i, anchorTB(i))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("record %d = %+v, want %+v", i, got, want)
 		}
-		if s.Global[i] != uint64(100+i) || s.Run[i] != int32(i%2) {
+		if s.Global[i] != global(i) || s.Run[i] != int32(i%2) {
 			t.Fatalf("row %d global/run = %d/%d", i, s.Global[i], s.Run[i])
 		}
 	}
@@ -53,7 +62,7 @@ func TestBuilderRoundTrip(t *testing.T) {
 	}
 	// Footprint must scale with the data actually held: at least the raw
 	// column widths, at most a small constant factor over them.
-	min := int64(s.Len()) * 32
+	min := int64(s.Len()) * 24
 	if got := s.Bytes(); got < min || got > 8*min {
 		t.Fatalf("Bytes = %d, want within [%d, %d]", got, min, 8*min)
 	}

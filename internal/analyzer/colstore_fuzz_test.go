@@ -124,7 +124,8 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("salvage failed on input the doctor recovered: %v", err)
 		}
-		analyzer.AssertStoresEqual(t, recordShapedStore(sf), tr.Columns())
+		want, wantTime := recordShapedStore(sf)
+		analyzer.AssertStoresEqual(t, want, wantTime, tr)
 
 		// The kernels must run on the salvaged store without panicking.
 		analyzer.Summarize(tr)
@@ -146,8 +147,8 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 // one stable sort, then analyzer.SerialStore. It shares no framing,
 // placement, merge or column writer with the load under test. Salvage
 // keeps only chunks that frame whole and whose anchor resolves, so none
-// is cut short or dropped.
-func recordShapedStore(f *traceio.File) *colstore.Store {
+// is cut short or dropped. Every row's raw stamp comes back beside it.
+func recordShapedStore(f *traceio.File) (*colstore.Store, []uint64) {
 	var rows []analyzer.SerialRow
 	for _, c := range f.Chunks {
 		run, anchorTB := int32(-1), uint64(0)

@@ -8,13 +8,15 @@
 package analyzer
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
@@ -37,11 +39,14 @@ var ErrLimitExceeded = traceio.ErrLimitExceeded
 func DefaultServiceLimits() Limits { return traceio.DefaultServiceLimits() }
 
 // eventFootprint is the budgeted in-core cost of one decoded event in
-// bytes under the columnar store: ~32 bytes of fixed-width columns, a
-// couple of argument words, and the 8 bytes of per-core plus per-run
-// index entries. MaxDecodeBytes divided by this gives the record budget
-// the decode stage enforces; Trace.Footprint reports the exact measured
-// size after the fact.
+// bytes under the columnar store: 24 bytes of fixed-width columns and 4
+// of argument offset, a couple of argument words, the 8 bytes of
+// per-core plus per-run index entries, and the 4-byte offset a framed
+// record holds until the merge. MaxDecodeBytes divided by this gives the
+// record budget the decode stage enforces, and a stream paces its
+// windows in it, so it stays at 64 now that the columns are smaller:
+// window cut points and Validate's "at seq" locators do not move.
+// Trace.Footprint reports the exact measured size after the fact.
 const eventFootprint = 64
 
 // errDecodePanic marks a chunk whose decode panicked; the per-worker
@@ -139,9 +144,9 @@ func LoadContext(ctx context.Context, data []byte, lim Limits) (*Trace, error) {
 // FromFile merges an already-parsed trace file through the parallel
 // frame→merge→index pipeline: chunks are framed and placed on the
 // timeline concurrently by a bounded worker pool, the per-chunk streams
-// (each time-ordered at the source) are combined with a k-way heap merge
-// that decodes every record once, straight into the columnar store, and
-// the per-core and per-run index arenas are built once. The
+// (each time-ordered at the source) are combined by a tournament-tree
+// merge that decodes every record once, straight into the columnar
+// store, and the per-core and per-run index arenas are built once. The
 // resulting event order is exactly the one a global stable sort produces
 // (the tests' reference loader does just that): ascending Global time,
 // ties broken by chunk position in the file, then record position within
@@ -191,8 +196,9 @@ func fileIssues(truncated bool, drops []traceio.Drop) []Issue {
 // order and append the anchors their LiveAnchor records describe —
 // emission order is anchor-index order, so the rebuilt table lines up
 // with the chunk references. Sealed files resolve every index from
-// metadata alone and skip the scan entirely.
-func resolveLiveAnchors(f *traceio.File) {
+// metadata alone and skip the scan entirely. The scan polls ctx as the
+// decode does and returns its error.
+func resolveLiveAnchors(ctx context.Context, f *traceio.File) error {
 	need := false
 	for _, c := range f.Chunks {
 		if c.Core != event.CorePPE && c.AnchorIdx != traceio.NoAnchor &&
@@ -202,18 +208,22 @@ func resolveLiveAnchors(f *traceio.File) {
 		}
 	}
 	if !need {
-		return
+		return nil
 	}
 	for _, c := range f.Chunks {
 		if c.Core != event.CorePPE {
 			continue
 		}
 		// A chunk that does not frame fails the load later, in frameChunk.
-		offs, _, _ := traceio.FrameRecords(context.Background(), c.Core, c.Data, nil, 0, Limits{})
+		offs, _, err := traceio.FrameRecords(ctx, c.Core, c.Data, nil, 0, Limits{})
+		if err != nil && !errors.Is(err, traceio.ErrCorrupt) {
+			return err
+		}
 		for _, off := range offs {
 			appendLiveAnchor(&f.Meta.Anchors, c.Data[off:])
 		}
 	}
+	return nil
 }
 
 // The loaders read a framed record's header at its fixed offsets
@@ -223,6 +233,19 @@ func resolveLiveAnchors(f *traceio.File) {
 
 // recordID reads the event ID of the framed record at the front of rec.
 func recordID(rec []byte) event.ID { return event.ID(binary.LittleEndian.Uint16(rec[1:3])) }
+
+// recordGlobal places the framed record at the front of rec on the
+// global timeline: its stamp, plus anchorTB when the stamp is SPU
+// decrementer time (elapsed ticks since the run's anchor). Placement and
+// the merge both read a record's Global time here, straight from its
+// bytes; Trace.Record inverts it.
+func recordGlobal(rec []byte, anchorTB uint64) uint64 {
+	g := binary.LittleEndian.Uint64(rec[5:13])
+	if rec[4]&event.FlagDecrTime != 0 {
+		g += anchorTB
+	}
+	return g
+}
 
 // decodeFramed decodes the framed record at the front of rec.
 func decodeFramed(rec []byte) event.Record {
@@ -249,19 +272,22 @@ type stringDef struct {
 	s   string
 }
 
-// chunkStream is one framed chunk ready for the k-way merge: its encoded
+// chunkStream is one framed chunk ready for the merge: its encoded
 // records (data; the image's own bytes on the batch path, a copy on the
 // streaming one), each record's offset in data in stream order, the
-// parallel Global-timeline column (anchor times already resolved), and
-// the run every record belongs to (-1 for PPE chunks). Twelve bytes per
-// record instead of a decoded event.Record: each record is decoded once,
-// by the merge, straight into its column row.
+// timebase tick its decrementer stamps count from, and the run every
+// record belongs to (-1 for PPE chunks). Four bytes per record instead
+// of a decoded event.Record: the merge reads each record's Global time
+// from its own bytes and decodes it once, straight into its column row.
 type chunkStream struct {
-	data    []byte
-	offs    []uint32
-	globals []uint64
-	run     int32
+	data     []byte
+	offs     []uint32
+	anchorTB uint64
+	run      int32
 }
+
+// global returns the Global time of the stream's j-th record.
+func (s *chunkStream) global(j int) uint64 { return recordGlobal(s.data[s.offs[j]:], s.anchorTB) }
 
 // chunkResult is everything one worker produced for one chunk.
 type chunkResult struct {
@@ -315,7 +341,9 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lim Limits) (*T
 	if err := admitChunks(f, lim); err != nil {
 		return nil, err
 	}
-	resolveLiveAnchors(f)
+	if err := resolveLiveAnchors(ctx, f); err != nil {
+		return nil, err
+	}
 	tr := newTrace(f)
 	n := len(f.Chunks)
 	if n == 0 {
@@ -361,7 +389,7 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lim Limits) (*T
 		argWords += r.argWords
 	}
 	b := colstore.NewBuilder(total, argWords)
-	if err := mergeStreams(ctx, b, streams, total); err != nil {
+	if err := mergeStreams(ctx, b, streams); err != nil {
 		return nil, err
 	}
 	tr.finish(b.Done())
@@ -453,33 +481,21 @@ func resolveAnchor(meta *traceio.Meta, core uint8, anchorIdx uint16) (run int32,
 type placement struct {
 	run      int32
 	anchorTB uint64
-	globals  []uint64 // Global time of every record placed so far
-	argWords int      // total argument words across them
-	unsorted bool     // some record is earlier than its predecessor
+	placed   int    // records placed so far
+	last     uint64 // Global time of the latest of them
+	argWords int    // total argument words across them
+	unsorted bool   // some record is earlier than its predecessor
 	strings  []stringDef
 }
 
 // place resolves the records of offs not placed yet — offs locates the
-// chunk's framed records in data and grows with it, globals is its
-// parallel timeline column — collecting interned strings on the way.
-// With live non-nil, in-band LiveAnchor records are appended to it: a
-// live stream's anchor table grows as it is read.
+// chunk's framed records in data and grows with it — collecting interned
+// strings on the way. With live non-nil, in-band LiveAnchor records are
+// appended to it: a live stream's anchor table grows as it is read.
 func (p *placement) place(data []byte, offs []uint32, live *[]traceio.Anchor) {
-	from := len(p.globals)
-	if cap(p.globals) < len(offs) {
-		// A whole chunk sizes the column exactly; a streamed chunk, placed
-		// a piece at a time, at least doubles it.
-		p.globals = append(make([]uint64, 0, max(len(offs), 2*cap(p.globals))), p.globals...)
-	}
-	p.globals = p.globals[:len(offs)]
-	for j := from; j < len(offs); j++ {
+	for j := p.placed; j < len(offs); j++ {
 		rec := data[offs[j]:]
-		g := binary.LittleEndian.Uint64(rec[5:13])
-		if rec[4]&event.FlagDecrTime != 0 {
-			// SPU decrementer time: elapsed ticks since the anchor.
-			g += p.anchorTB
-		}
-		p.globals[j] = g
+		g := recordGlobal(rec, p.anchorTB)
 		p.argWords += int(rec[13])
 		switch recordID(rec) {
 		case event.StringDef:
@@ -490,156 +506,101 @@ func (p *placement) place(data []byte, offs []uint32, live *[]traceio.Anchor) {
 				appendLiveAnchor(live, rec)
 			}
 		}
-		if j > 0 && p.globals[j-1] > g {
+		if j > 0 && p.last > g {
 			p.unsorted = true
 		}
+		p.last = g
 	}
+	p.placed = len(offs)
 }
 
-// stream hands the placed records to the k-way merge, ascending in
-// Global. The tracer writes every chunk in stamp order; one that is not —
-// from a foreign writer, or written before the tracer did — is
-// stable-sorted here, which preserves exact equivalence with a global
-// stable sort. Only the offsets move; the records stay where they are.
+// stream hands the placed records to the merge, ascending in Global. The
+// tracer writes every chunk in stamp order; one that is not — from a
+// foreign writer, or written before the tracer did — is stable-sorted
+// here, which preserves exact equivalence with a global stable sort.
+// Only the offsets move; the records stay where they are.
 func (p *placement) stream(data []byte, offs []uint32) chunkStream {
 	if p.unsorted {
-		sort.Stable(&streamSorter{offs, p.globals})
+		slices.SortStableFunc(offs, func(a, b uint32) int {
+			return cmp.Compare(recordGlobal(data[a:], p.anchorTB), recordGlobal(data[b:], p.anchorTB))
+		})
 	}
-	return chunkStream{data: data, offs: offs, globals: p.globals, run: p.run}
-}
-
-// streamSorter stable-sorts a framed chunk by Global, keeping the
-// offset and timeline slices aligned.
-type streamSorter struct {
-	offs    []uint32
-	globals []uint64
-}
-
-func (s *streamSorter) Len() int           { return len(s.offs) }
-func (s *streamSorter) Less(i, j int) bool { return s.globals[i] < s.globals[j] }
-func (s *streamSorter) Swap(i, j int) {
-	s.offs[i], s.offs[j] = s.offs[j], s.offs[i]
-	s.globals[i], s.globals[j] = s.globals[j], s.globals[i]
-}
-
-// streamHead is one live input of the k-way merge: a chunk's stream and
-// a cursor into it. Heads sit at fixed positions in one array; only the
-// small mergeEnt keys move through the heap.
-type streamHead struct {
-	chunkStream
-	pos int
-}
-
-// mergeEnt is one heap entry: the cached next key of a stream plus the
-// stream's identity. 16 bytes, so heap swaps are two register moves
-// instead of duffcopying whole stream heads, and the comparisons — the
-// hottest reads of the merge — touch only the heap slice itself.
-type mergeEnt struct {
-	nextG uint64 // == head.globals[head.pos] while the stream is live
-	idx   int32  // chunk file position: breaks Global ties
-	hi    int32  // index into the heads array
-}
-
-// entLess orders heap entries by (Global of next event, chunk index);
-// the chunk index is unique, so the order is total and the merge output
-// is exactly the stable-sort order over the chunk-concatenated stream.
-func entLess(a, b mergeEnt) bool {
-	return a.nextG < b.nextG || (a.nextG == b.nextG && a.idx < b.idx)
-}
-
-func siftDown(h []mergeEnt, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && entLess(h[r], h[l]) {
-			m = r
-		}
-		if !entLess(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
+	return chunkStream{data: data, offs: offs, anchorTB: p.anchorTB, run: p.run}
 }
 
 // mergeCtxStride is how many merged events pass between context polls in
-// the k-way merge hot loop: cheap enough to be invisible, frequent enough
-// that cancellation lands well inside the 100 ms budget even on
+// the merge hot loop: cheap enough to be invisible, frequent enough that
+// cancellation lands well inside the 100 ms budget even on
 // multi-million-event traces.
 const mergeCtxStride = 1 << 14
 
-// mergeStreams k-way merges per-chunk event streams, each ascending in
-// Global, into the columnar builder: O(N log k) instead of the
-// O(N log N) global sort, with no reflection in the hot loop. This is
-// where each framed record is decoded, once, straight from its encoded
-// bytes into its final column row (the transient per-chunk offset and
-// timeline slices die here). The merge polls ctx every mergeCtxStride
-// events and aborts with ctx.Err().
-func mergeStreams(ctx context.Context, b *colstore.Builder, streams []chunkStream, total int) error {
-	heads := make([]streamHead, 0, len(streams))
-	h := make([]mergeEnt, 0, len(streams))
-	for i := range streams {
-		s := &streams[i]
-		if len(s.offs) > 0 {
-			h = append(h, mergeEnt{nextG: s.globals[0], idx: int32(i), hi: int32(len(heads))})
-			heads = append(heads, streamHead{chunkStream: *s})
-		}
-	}
-	if len(h) == 0 {
+// mergeStreams merges per-chunk event streams, each ascending in Global,
+// into the columnar builder through a tournament tree of losers: O(N log
+// k) instead of the O(N log N) global sort, one match per tree level per
+// record. Rows come out ascending in Global, ties in stream (chunk file)
+// order: each stream carries a rank, its position, and a drained stream
+// moves its rank past every live one, so it loses every match — even to a
+// record stamped at the top tick. This is where each framed record is
+// decoded, once, straight from its encoded bytes into its final column
+// row (the transient per-chunk offset slices die here). The merge polls
+// ctx every mergeCtxStride events and aborts with ctx.Err().
+func mergeStreams(ctx context.Context, b *colstore.Builder, streams []chunkStream) error {
+	k := len(streams)
+	if k == 0 {
 		return nil
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	poll := mergeCtxStride
-	for len(h) > 1 {
-		// The runner-up entry (the smaller heap child of the root) bounds
-		// how far the top stream may drain before the heap must be
-		// re-established. Chunks are time-clustered — each SPE run owns a
-		// contiguous region of the timeline — so draining a whole run per
-		// heap round replaces one siftDown per event with one per run.
-		e := h[0]
-		hd := &heads[e.hi]
-		r := 1
-		if 2 < len(h) && entLess(h[2], h[1]) {
-			r = 2
-		}
-		runner := h[r]
-		g := e.nextG
-		exhausted := false
-		for {
-			if poll--; poll <= 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				poll = mergeCtxStride
-			}
-			if g > runner.nextG || (g == runner.nextG && e.idx > runner.idx) {
-				break
-			}
-			b.AppendEncoded(hd.data[hd.offs[hd.pos]:], g, hd.run)
-			hd.pos++
-			if hd.pos == len(hd.offs) {
-				exhausted = true
-				break
-			}
-			g = hd.globals[hd.pos]
-		}
-		if exhausted {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+	pos := make([]int, k)    // each stream's next record
+	key := make([]uint64, k) // its Global time while live
+	rank := make([]int, k)   // its position, plus k once drained
+	for i := range streams {
+		rank[i] = i
+		if len(streams[i].offs) == 0 {
+			key[i], rank[i] = math.MaxUint64, k+i
 		} else {
-			h[0].nextG = g
+			key[i] = streams[i].global(0)
 		}
-		siftDown(h, 0)
 	}
-	// Sole surviving stream: drain its tail without heap maintenance.
-	hd := &heads[h[0].hi]
-	for ; hd.pos < len(hd.offs); hd.pos++ {
-		b.AppendEncoded(hd.data[hd.offs[hd.pos]:], hd.globals[hd.pos], hd.run)
+	beats := func(a, b int32) bool {
+		return key[a] < key[b] || key[a] == key[b] && rank[a] < rank[b]
+	}
+	// Leaf i is node k+i, node n's parent is n/2, and loser[n] keeps the
+	// stream that lost the match at inner node n; the winner of the root's
+	// match is w. Built bottom-up over a scratch table of match winners.
+	loser := make([]int32, k)
+	win := make([]int32, 2*k)
+	for i := range streams {
+		win[k+i] = int32(i)
+	}
+	for n := k - 1; n > 0; n-- {
+		a, c := win[2*n], win[2*n+1]
+		if beats(c, a) {
+			a, c = c, a
+		}
+		win[n], loser[n] = a, c
+	}
+	w := win[1]
+	poll := mergeCtxStride
+	for rank[w] < k {
+		if poll--; poll <= 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			poll = mergeCtxStride
+		}
+		s := &streams[w]
+		b.AppendEncoded(s.data[s.offs[pos[w]]:], key[w], s.run)
+		if pos[w]++; pos[w] < len(s.offs) {
+			key[w] = s.global(pos[w])
+		} else {
+			key[w], rank[w] = math.MaxUint64, rank[w]+k
+		}
+		// Replay the winner's path: at each node the stronger of it and
+		// the node's loser goes on up.
+		for n := (int(w) + k) / 2; n > 0; n /= 2 {
+			if l := loser[n]; beats(l, w) {
+				loser[n], w = w, l
+			}
+		}
 	}
 	return nil
 }
@@ -723,6 +684,17 @@ func (tr *Trace) NumEvents() int {
 // (analyzer/diff scans it directly). Nil on zero-value Traces; callers
 // must not mutate it.
 func (tr *Trace) Columns() *colstore.Store { return tr.col }
+
+// Record materializes row i as the record it was loaded from, raw
+// stamp included: the store keeps Global, and a decrementer stamp is
+// Global less its run's anchor tick (colstore.Store.Record).
+func (tr *Trace) Record(i int) event.Record {
+	var anchorTB uint64
+	if r := tr.col.Run[i]; r >= 0 {
+		anchorTB = tr.Meta.Anchors[r].Timebase
+	}
+	return tr.col.Record(i, anchorTB)
+}
 
 // segment returns the whole store as the single segment the batch
 // kernels fold: empty, never nil, on a zero-value Trace.

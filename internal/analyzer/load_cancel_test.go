@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,6 +117,53 @@ func TestFromFileContextDeadline(t *testing.T) {
 	defer cancel()
 	if _, err := FromFileContext(ctx, f, Limits{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+}
+
+// cancelOnSecondErr is a context whose Err reports context.Canceled from
+// its second call on: a load that polls it once up front and then
+// again inside its first loop sees the cancel there.
+type cancelOnSecondErr struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelOnSecondErr) Err() error {
+	if c.calls.Add(1) >= 2 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLiveAnchorScanHonoursContext: the scan that rebuilds a live
+// mirror's anchor table from its PPE chunks polls the load's context as
+// the decode does, so a load cancelled during it stops there instead of
+// framing every PPE record first.
+func TestLiveAnchorScanHonoursContext(t *testing.T) {
+	const anchors = 5000 // more than one context-poll stride of records
+	var ppe []byte
+	for i := 0; i < anchors; i++ {
+		rec := event.Record{ID: event.LiveAnchor, Core: event.CorePPE, Flags: event.FlagHasStr,
+			Time: uint64(i), Args: []uint64{0, uint64(i), 0}, Str: "live"}
+		var err error
+		if ppe, err = rec.AppendTo(ppe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spe, err := (&event.Record{ID: event.SPEUserEvent, Core: 0, Flags: event.FlagDecrTime,
+		Time: 1, Args: []uint64{1, 2, 3}}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := encodeFile(t, traceio.Meta{}, []traceio.Chunk{
+		{Core: event.CorePPE, AnchorIdx: traceio.NoAnchor, Data: ppe},
+		{Core: 0, AnchorIdx: 0, Data: spe},
+	})
+	if _, err := FromFileContext(&cancelOnSecondErr{Context: context.Background()}, f, Limits{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if n := len(f.Meta.Anchors); n >= anchors {
+		t.Fatalf("the cancelled scan appended all %d anchors", n)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
@@ -41,9 +43,10 @@ func encodeFile(t *testing.T, meta traceio.Meta, chunks []traceio.Chunk) *tracei
 	return f
 }
 
-// assertTracesEqual compares every observable of two loaded traces,
-// including the row-for-row column store and the precomputed indexes.
-func assertTracesEqual(t *testing.T, want, got *Trace) {
+// assertTracesEqual compares every observable of a loaded trace with
+// the reference load, including the row-for-row column store, each
+// row's derived raw stamp and the precomputed indexes.
+func assertTracesEqual(t *testing.T, want *Reference, got *Trace) {
 	t.Helper()
 	if want.Truncated != got.Truncated {
 		t.Fatalf("Truncated: want %v got %v", want.Truncated, got.Truncated)
@@ -54,7 +57,7 @@ func assertTracesEqual(t *testing.T, want, got *Trace) {
 	if !reflect.DeepEqual(want.Strings, got.Strings) {
 		t.Fatalf("Strings differ:\nwant %v\ngot  %v", want.Strings, got.Strings)
 	}
-	AssertStoresEqual(t, want.col, got.col)
+	AssertStoresEqual(t, want.col, want.Time, got)
 	for core := 0; core < 256; core++ {
 		if !slices.Equal(want.CoreSeqs(uint8(core)), got.CoreSeqs(uint8(core))) {
 			t.Fatalf("CoreSeqs(%d) differ", core)
@@ -208,52 +211,87 @@ func TestPipelineBadAnchorError(t *testing.T) {
 	}
 }
 
-// TestMergeStreams exercises the k-way merge directly on corner cases.
-// Each stream's run tag is set to its own index so the Run column
-// records which stream every merged row came from, making the
-// tie-breaking order observable.
+// TestMergeStreams exercises the merge directly on the corner cases a
+// tournament tree can get wrong: inputs that are not a power of two,
+// empty and draining streams, ties across every stream and records at
+// the top tick. Each stream's run tag is its own index, so the Run
+// column records which stream every merged row came from; the expected
+// order is a stable sort of the streams' records concatenated in order.
 func TestMergeStreams(t *testing.T) {
 	stream := func(tag int32, globals ...uint64) chunkStream {
-		s := chunkStream{globals: globals, run: tag}
-		for range globals {
-			rec := event.Record{ID: event.SPEUserEvent, Args: []uint64{0, 0, 0}}
+		s := chunkStream{run: tag}
+		for _, g := range globals {
+			rec := event.Record{ID: event.SPEUserEvent, Time: g, Args: []uint64{0, 0, 0}}
 			s.offs = append(s.offs, uint32(len(s.data)))
 			s.data, _ = rec.AppendTo(s.data)
 		}
 		return s
 	}
+	top := uint64(math.MaxUint64)
+	rng := rand.New(rand.NewSource(3))
+	uneven := func(k int) []chunkStream {
+		ss := make([]chunkStream, k)
+		for i := range ss {
+			var gs []uint64
+			for g, n := uint64(rng.Intn(3)), rng.Intn(7); len(gs) < n; g += uint64(rng.Intn(3)) {
+				gs = append(gs, g)
+			}
+			ss[i] = stream(int32(i), gs...)
+		}
+		return ss
+	}
+	tied := make([]chunkStream, 9)
+	for i := range tied {
+		tied[i] = stream(int32(i), 7, 7)
+	}
 	cases := []struct {
 		name    string
 		streams []chunkStream
-		want    []uint64 // expected Global order
-		runs    []int    // expected Run (stream tag) order, checking ties
 	}{
-		{"empty", nil, nil, nil},
-		{"single", []chunkStream{stream(0, 3, 5)}, []uint64{3, 5}, []int{0, 0}},
+		{"empty", nil},
+		{"single", []chunkStream{stream(0, 3, 5)}},
 		{"ties break by chunk order",
-			[]chunkStream{stream(0, 1, 2), stream(1, 1, 2), stream(2, 1)},
-			[]uint64{1, 1, 1, 2, 2}, []int{0, 1, 2, 0, 1}},
+			[]chunkStream{stream(0, 1, 2), stream(1, 1, 2), stream(2, 1)}},
 		{"with empty stream between",
-			[]chunkStream{stream(0, 4), {run: 1}, stream(2, 2, 4)},
-			[]uint64{2, 4, 4}, []int{2, 0, 2}},
+			[]chunkStream{stream(0, 4), {run: 1}, stream(2, 2, 4)}},
+		{"5 streams interleaved",
+			[]chunkStream{stream(0, 0, 5, 10), stream(1, 1, 6), stream(2, 2, 7, 12, 13),
+				stream(3, 3), stream(4, 4, 9, 14)}},
+		{"5 streams uneven", uneven(5)},
+		{"9 streams uneven", uneven(9)},
+		{"empty streams first, between and last",
+			[]chunkStream{{run: 0}, stream(1, 2, 6), {run: 2}, {run: 3}, stream(4, 1, 6, 8), {run: 5}}},
+		{"all streams empty", []chunkStream{{run: 0}, {run: 1}, {run: 2}}},
+		{"every stream tied", tied},
+		{"leading stream drains mid-merge",
+			[]chunkStream{stream(0, 1, 2, 3), stream(1, 2, 5, 9), stream(2, 4, 4, 10), stream(3, 3, 11)}},
+		{"top tick beside drained streams",
+			[]chunkStream{stream(0, 1), {run: 1}, stream(2, top), stream(3, 5, top, top), {run: 4}}},
 	}
 	for _, tc := range cases {
-		total := 0
-		for _, s := range tc.streams {
-			total += len(s.offs)
+		type row struct {
+			g   uint64
+			tag int32
 		}
-		b := colstore.NewBuilder(total, 0)
-		if err := mergeStreams(context.Background(), b, tc.streams, total); err != nil {
+		var want []row
+		for _, s := range tc.streams {
+			for j := range s.offs {
+				want = append(want, row{s.global(j), s.run})
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].g < want[j].g })
+		b := colstore.NewBuilder(len(want), 3*len(want))
+		if err := mergeStreams(context.Background(), b, tc.streams); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		got := b.Done()
-		if got.Len() != len(tc.want) {
-			t.Fatalf("%s: got %d events, want %d", tc.name, got.Len(), len(tc.want))
+		if got.Len() != len(want) {
+			t.Fatalf("%s: got %d events, want %d", tc.name, got.Len(), len(want))
 		}
-		for i := 0; i < got.Len(); i++ {
-			if got.Global[i] != tc.want[i] || int(got.Run[i]) != tc.runs[i] {
+		for i, w := range want {
+			if got.Global[i] != w.g || got.Run[i] != w.tag {
 				t.Fatalf("%s: event %d = (t=%d, stream=%d), want (t=%d, stream=%d)",
-					tc.name, i, got.Global[i], got.Run[i], tc.want[i], tc.runs[i])
+					tc.name, i, got.Global[i], got.Run[i], w.g, w.tag)
 			}
 		}
 	}

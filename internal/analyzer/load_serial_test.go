@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -20,9 +21,12 @@ import (
 // deliberately shares no anchor lookup, time placement, sort or column
 // writer with the pipeline under test (resolveAnchor, placement,
 // colstore.Builder). Only after the order is fixed are the records
-// transposed into the columnar store, by SerialStore.
-func FromFileSerial(f *traceio.File) (*Trace, error) {
-	resolveLiveAnchors(f)
+// transposed into the columnar store, by SerialStore, which also keeps
+// every row's raw decoded stamp.
+func FromFileSerial(f *traceio.File) (*Reference, error) {
+	if err := resolveLiveAnchors(context.Background(), f); err != nil {
+		return nil, err
+	}
 	tr := newTrace(f)
 	var rows []SerialRow
 	for _, c := range f.Chunks {
@@ -62,8 +66,18 @@ func FromFileSerial(f *traceio.File) (*Trace, error) {
 		}
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Global < rows[j].Global })
-	tr.finish(SerialStore(rows))
-	return tr, nil
+	s, times := SerialStore(rows)
+	tr.finish(s)
+	return &Reference{Trace: tr, Time: times}, nil
+}
+
+// Reference is what the reference loader builds: the trace, and the raw
+// stamp each row was decoded with, in row order. The store keeps no raw
+// stamp; Trace.Record derives it from Global, and AssertStoresEqual
+// holds the derivation to these.
+type Reference struct {
+	*Trace
+	Time []uint64
 }
 
 // SerialRow is one decoded record placed on the global timeline by a
@@ -75,17 +89,19 @@ type SerialRow struct {
 }
 
 // SerialStore transposes rows, already in stream order, into a column
-// store one decoded record at a time, interning strings in row order. The
-// loaders write each row straight from its encoded bytes instead
+// store one decoded record at a time, interning strings in row order,
+// and returns every row's raw stamp beside it. The loaders write each
+// row straight from its encoded bytes instead
 // (colstore.Builder.AppendEncoded); this is the reference they match.
-func SerialStore(rows []SerialRow) *colstore.Store {
+func SerialStore(rows []SerialRow) (*colstore.Store, []uint64) {
 	s := &colstore.Store{ArgOff: []uint32{0}}
+	times := make([]uint64, 0, len(rows))
 	intern := map[string]int32{}
 	for _, r := range rows {
 		s.ID = append(s.ID, r.Rec.ID)
 		s.Core = append(s.Core, r.Rec.Core)
 		s.Flags = append(s.Flags, r.Rec.Flags)
-		s.Time = append(s.Time, r.Rec.Time)
+		times = append(times, r.Rec.Time)
 		s.Global = append(s.Global, r.Global)
 		s.Run = append(s.Run, r.Run)
 		s.Args = append(s.Args, r.Rec.Args...)
@@ -101,37 +117,42 @@ func SerialStore(rows []SerialRow) *colstore.Store {
 		}
 		s.StrIdx = append(s.StrIdx, idx)
 	}
-	return s
+	return s, times
 }
 
-// AssertStoresEqual compares two column stores row by row on every
-// column, then the argument arena and the intern table themselves. A nil
-// store is an empty one.
-func AssertStoresEqual(t testing.TB, want, got *colstore.Store) {
+// AssertStoresEqual compares the store of a loaded trace with a
+// record-shaped one row by row on every column, and the raw stamp the
+// loaded trace derives for each row (Trace.Record) with wantTime, then
+// the argument arenas and the intern tables themselves. A nil store is
+// an empty one; a nil wantTime skips the stamps.
+func AssertStoresEqual(t testing.TB, want *colstore.Store, wantTime []uint64, got *Trace) {
 	t.Helper()
 	if want == nil {
 		want = &colstore.Store{}
 	}
-	if got == nil {
-		got = &colstore.Store{}
-	}
-	if want.Len() != got.Len() {
-		t.Fatalf("store rows: record-shaped path %d, loaded %d", want.Len(), got.Len())
+	gs := got.segment()
+	if want.Len() != gs.Len() {
+		t.Fatalf("store rows: record-shaped path %d, loaded %d", want.Len(), gs.Len())
 	}
 	for i := 0; i < want.Len(); i++ {
-		if want.ID[i] != got.ID[i] || want.Core[i] != got.Core[i] || want.Flags[i] != got.Flags[i] ||
-			want.Time[i] != got.Time[i] || want.Global[i] != got.Global[i] || want.Run[i] != got.Run[i] ||
-			want.StrIdx[i] != got.StrIdx[i] || want.Str(i) != got.Str(i) ||
-			!slices.Equal(want.EventArgs(i), got.EventArgs(i)) {
+		rec := got.Record(i)
+		if want.ID[i] != gs.ID[i] || want.Core[i] != gs.Core[i] || want.Flags[i] != gs.Flags[i] ||
+			wantTime != nil && wantTime[i] != rec.Time || want.Global[i] != gs.Global[i] ||
+			want.Run[i] != gs.Run[i] || want.StrIdx[i] != gs.StrIdx[i] || want.Str(i) != gs.Str(i) ||
+			!slices.Equal(want.EventArgs(i), gs.EventArgs(i)) {
+			wantRec := want.Record(i, 0)
+			if wantTime != nil {
+				wantRec.Time = wantTime[i]
+			}
 			t.Fatalf("row %d differs:\nrecord-shaped %+v (global %d, run %d, strIdx %d)\nloaded        %+v (global %d, run %d, strIdx %d)",
-				i, want.Record(i), want.Global[i], want.Run[i], want.StrIdx[i],
-				got.Record(i), got.Global[i], got.Run[i], got.StrIdx[i])
+				i, wantRec, want.Global[i], want.Run[i], want.StrIdx[i],
+				rec, gs.Global[i], gs.Run[i], gs.StrIdx[i])
 		}
 	}
-	if !slices.Equal(want.ArgOff, got.ArgOff) || !slices.Equal(want.Args, got.Args) {
-		t.Fatalf("argument arenas differ:\nrecord-shaped %v %v\nloaded        %v %v", want.ArgOff, want.Args, got.ArgOff, got.Args)
+	if !slices.Equal(want.ArgOff, gs.ArgOff) || !slices.Equal(want.Args, gs.Args) {
+		t.Fatalf("argument arenas differ:\nrecord-shaped %v %v\nloaded        %v %v", want.ArgOff, want.Args, gs.ArgOff, gs.Args)
 	}
-	if !slices.Equal(want.Strs, got.Strs) {
-		t.Fatalf("intern tables differ:\nrecord-shaped %q\nloaded        %q", want.Strs, got.Strs)
+	if !slices.Equal(want.Strs, gs.Strs) {
+		t.Fatalf("intern tables differ:\nrecord-shaped %q\nloaded        %q", want.Strs, gs.Strs)
 	}
 }

@@ -63,9 +63,9 @@ type streamChunk struct {
 	// data, offs and place hold the records framed and placed since the
 	// last window cut: a copy of their encoded bytes, since they outlive
 	// the Write that brought them, and each one's offset in it. A chunk
-	// larger than the window contributes several pieces. The three
-	// buffers are taken from the loader's spares when the piece frames its
-	// first bytes, and go back to them once its window has merged.
+	// larger than the window contributes several pieces. The two buffers
+	// are taken from the loader's spares when the piece frames its first
+	// bytes, and go back to them once its window has merged.
 	data  []byte
 	offs  []uint32
 	place placement
@@ -85,7 +85,7 @@ type streamChunk struct {
 // tolerance, same footer CRC check), records from traceio.FrameRecords,
 // timeline placement from resolveAnchor and placement, and each window is
 // merged — every record decoded once, into the window's columns — through
-// the batch k-way heap merge. The kernels are the
+// the batch tournament-tree merge. The kernels are the
 // accumulators the batch functions fold over the whole store as one
 // segment; their folds are order-insensitive beyond the per-core/per-run
 // order, and since the tracer writes each core in stamp order a window
@@ -341,7 +341,7 @@ func (l *StreamLoader) framePiece(data []byte) error {
 			s := l.spare[last]
 			l.spare[last] = chunkStream{}
 			l.spare, l.spareBytes = l.spare[:last], l.spareBytes-spareSize(s)
-			c.data, c.offs, c.place.globals = s.data, s.offs, s.globals
+			c.data, c.offs = s.data, s.offs
 		}
 		piece := data[:min(len(data), step)]
 		from := len(c.offs)
@@ -420,11 +420,12 @@ func (l *StreamLoader) cutPiece() {
 }
 
 // flushWindow merges the pending chunk pieces into one columnar segment
-// — the batch k-way heap merge, so intra-window order is exactly the
-// batch order — and folds it into every accumulator. Every window reuses
-// the same builder's columns, and the merged pieces' buffers become
-// spares for the pieces that follow, so both what a stream holds and
-// what it allocates are bounded by the window, not by the trace.
+// — the batch merge, so intra-window order is exactly the batch order,
+// into columns sized to the window's exact record and argument counts —
+// and folds it into every accumulator. Every window reuses the same
+// builder's columns, and the merged pieces' byte and offset buffers
+// become spares for the pieces that follow, so both what a stream holds
+// and what it allocates are bounded by the window, not by the trace.
 func (l *StreamLoader) flushWindow() error {
 	if len(l.pending) == 0 {
 		return nil
@@ -435,7 +436,7 @@ func (l *StreamLoader) flushWindow() error {
 	clear(l.pendStrs)
 	l.pendStrs = l.pendStrs[:0]
 	l.b.Reset(l.pendRecs, l.pendArgs)
-	if err := mergeStreams(l.ctx, &l.b, l.pending, l.pendRecs); err != nil {
+	if err := mergeStreams(l.ctx, &l.b, l.pending); err != nil {
 		return err
 	}
 	seg := l.b.Done()
@@ -465,7 +466,7 @@ func (l *StreamLoader) recycle(p chunkStream) {
 	if l.spareBytes+size > l.window {
 		return
 	}
-	l.spare = append(l.spare, chunkStream{data: p.data[:0], offs: p.offs[:0], globals: p.globals[:0]})
+	l.spare = append(l.spare, chunkStream{data: p.data[:0], offs: p.offs[:0]})
 	l.spareBytes += size
 	if n := len(l.spare); n > 1 && spareSize(l.spare[n-2]) > size {
 		l.spare[n-2], l.spare[n-1] = l.spare[n-1], l.spare[n-2]
@@ -475,7 +476,7 @@ func (l *StreamLoader) recycle(p chunkStream) {
 // spareSize is what keeping p as a spare costs: its buffers' capacity and
 // its own entry in the spares.
 func spareSize(p chunkStream) int64 {
-	return int64(cap(p.data)) + 4*int64(cap(p.offs)) + 8*int64(cap(p.globals)) + int64(unsafe.Sizeof(p))
+	return int64(cap(p.data)) + 4*int64(cap(p.offs)) + int64(unsafe.Sizeof(p))
 }
 
 // Events reports how many records have been decoded so far; it is safe

@@ -12,7 +12,7 @@ import (
 // one merged window at a time. Many windows give the one-segment result
 // because window segments preserve the merged order *within each core and
 // each run* (chunks decode in file order, the tracer writes each core in
-// stamp order, and the in-window merge is the batch k-way merge), and
+// stamp order, and the in-window merge is the batch merge), and
 // every kernel is a per-core/per-run state machine combined with
 // order-insensitive sums.
 // stream_equiv_test.go checks that identity byte-for-byte on every

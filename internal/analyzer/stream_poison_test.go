@@ -11,7 +11,6 @@ func PoisonRecycled(tb testing.TB) {
 	recycleHook = func(p chunkStream) {
 		fill(p.data[:cap(p.data)], 0xA5)
 		fill(p.offs[:cap(p.offs)], 0xA5A5A5A5)
-		fill(p.globals[:cap(p.globals)], 0xA5A5A5A5A5A5A5A5)
 	}
 	tb.Cleanup(func() { recycleHook = nil })
 }
