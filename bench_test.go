@@ -10,14 +10,17 @@
 package pdt_test
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
+	"github.com/celltrace/pdt/internal/cell"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/harness"
+	"github.com/celltrace/pdt/internal/workloads"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -149,6 +152,61 @@ func BenchmarkTraceLoad(b *testing.B) {
 		if _, err := analyzer.FromFile(f); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTraceRunCorpus times one traced pdt-run equivalent per trace
+// of the trace_run corpus at seed 1: machine, session, Prepare, Run,
+// Verify and the trace written to memory. It does not use harness.Run,
+// which also loads the trace. The specs mirror corpusSpecs in
+// bench/corpus.go, which is its own module and cannot be imported here;
+// keep the two in step. Each trace is its own sub-benchmark, so a change
+// to one workload's host loops shows on its own row.
+func BenchmarkTraceRunCorpus(b *testing.B) {
+	specs := []struct {
+		name, workload string
+		params         map[string]string
+	}{
+		{"synthetic4k", "synthetic", map[string]string{"events": "4000", "gap": "100"}},
+		{"matmul", "matmul", map[string]string{"n": "256", "t": "32", "buffers": "2", "seed": "1"}},
+		{"pipeline", "pipeline", map[string]string{"blocks": "64", "blockbytes": "4096", "seed": "1"}},
+		{"julia", "julia", map[string]string{"w": "256", "h": "128", "maxiter": "64", "mode": "dynamic"}},
+		{"histogram", "histogram", map[string]string{"size": "1048576", "seed": "1"}},
+		{"stencil", "stencil", map[string]string{"w": "256", "h": "128", "iters": "8", "seed": "1"}},
+		{"taskfarm", "taskfarm", map[string]string{"tasks": "256", "blockbytes": "4096", "seed": "1"}},
+	}
+	for _, s := range specs {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w, err := workloads.New(s.workload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Configure(s.params); err != nil {
+					b.Fatal(err)
+				}
+				m := cell.NewMachine(cell.DefaultConfig())
+				cfg := core.DefaultTraceConfig()
+				cfg.Workload = s.workload
+				cfg.Params = w.Params()
+				session := core.NewSession(m, cfg)
+				session.Attach()
+				if err := w.Prepare(m); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Verify(m); err != nil {
+					b.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := session.WriteTrace(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

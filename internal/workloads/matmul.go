@@ -168,31 +168,61 @@ func (w *Matmul) speMain(spu cell.SPU, spe, nspe int) {
 }
 
 func decodeTile(src []byte, dst []float32) {
+	src = src[:4*len(dst)]
 	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i : 4*i+4]))
 	}
 }
 
 func encodeTile(src []float32, dst []byte) {
+	dst = dst[:4*len(src)]
 	for i, f := range src {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(f))
+		binary.LittleEndian.PutUint32(dst[4*i:4*i+4], math.Float32bits(f))
 	}
 }
 
-// tileMulAdd computes c += a*b for T*T row-major tiles.
+// tileMulAdd computes c += a*b for T*T row-major tiles. Each element of c
+// adds its products one at a time in k order, each product rounded to
+// float32 on its own, so the result does not depend on whether the target
+// fuses a multiply and an add. The k loop takes four steps per pass over
+// the c row; a group with a zero a entry takes them one by one, skipping
+// the zero, as the single-step loop does.
 func tileMulAdd(c, a, b []float32, t int) {
 	for i := 0; i < t; i++ {
-		for k := 0; k < t; k++ {
-			av := a[i*t+k]
-			if av == 0 {
+		arow := a[i*t : i*t+t]
+		crow := c[i*t : i*t+t]
+		k := 0
+		for ; k+4 <= t; k += 4 {
+			ag := arow[k : k+4 : k+4]
+			a0, a1, a2, a3 := ag[0], ag[1], ag[2], ag[3]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				for kk := k; kk < k+4; kk++ {
+					rowMulAdd(crow, arow[kk], b[kk*t:kk*t+t])
+				}
 				continue
 			}
-			row := b[k*t:]
-			crow := c[i*t:]
-			for j := 0; j < t; j++ {
-				crow[j] += av * row[j]
+			b0 := b[k*t:][:len(crow)]
+			b1 := b[(k+1)*t:][:len(crow)]
+			b2 := b[(k+2)*t:][:len(crow)]
+			b3 := b[(k+3)*t:][:len(crow)]
+			for j, cv := range crow {
+				crow[j] = cv + float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
+		for ; k < t; k++ {
+			rowMulAdd(crow, arow[k], b[k*t:k*t+t])
+		}
+	}
+}
+
+// rowMulAdd adds av*row to crow, doing nothing when av is zero.
+func rowMulAdd(crow []float32, av float32, row []float32) {
+	if av == 0 {
+		return
+	}
+	row = row[:len(crow)]
+	for j, cv := range crow {
+		crow[j] = cv + float32(av*row[j])
 	}
 }
 

@@ -140,8 +140,9 @@ func (w *Pipeline) stageMain(spu cell.SPU, stage, stages int) {
 			}
 		}
 		// Transform slot -> outbuf.
-		for j := 0; j < bb; j++ {
-			ls[outOff+j] = ls[inOff+j] + byte(stage+1)
+		in, out := ls[inOff:inOff+bb], ls[outOff:outOff+bb]
+		for j, v := range in[:len(out)] {
+			out[j] = v + byte(stage+1)
 		}
 		spu.Compute(cost)
 		if stage > 0 {

@@ -61,16 +61,60 @@ func (w *TaskFarm) Params() map[string]string {
 	}
 }
 
-// fnvRounds hashes block for the given number of rounds (shared with the
-// host-side expected-result computation).
+// FNV-1a parameters.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
+
+// fnvRounds hashes block for the given number of rounds. It is the SPE
+// worker's own computation, one chain, as the simulated program runs it.
 func fnvRounds(block []byte, rounds uint32) uint32 {
-	h := uint32(2166136261)
+	h := uint32(fnvOffset)
 	for r := uint32(0); r < rounds; r++ {
 		for _, b := range block {
-			h = (h ^ uint32(b)) * 16777619
+			h = (h ^ uint32(b)) * fnvPrime
 		}
 	}
 	return h
+}
+
+// fnvRounds4 is fnvRounds over four blocks of b0's length at once: four
+// independent chains in one loop, for the host-side expected digests.
+func fnvRounds4(b0, b1, b2, b3 []byte, rounds uint32) (h0, h1, h2, h3 uint32) {
+	h0, h1, h2, h3 = fnvOffset, fnvOffset, fnvOffset, fnvOffset
+	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
+	for r := uint32(0); r < rounds; r++ {
+		for i, c := range b0 {
+			h0 = (h0 ^ uint32(c)) * fnvPrime
+			h1 = (h1 ^ uint32(b1[i])) * fnvPrime
+			h2 = (h2 ^ uint32(b2[i])) * fnvPrime
+			h3 = (h3 ^ uint32(b3[i])) * fnvPrime
+		}
+	}
+	return
+}
+
+// expectedDigests hashes task t's block of in for rounds[t] rounds. Tasks
+// of equal weight are hashed four at a time, a remainder one at a time.
+func expectedDigests(in []byte, blockBytes int, rounds []uint32) map[uint32]uint32 {
+	block := func(t int) []byte { return in[t*blockBytes : (t+1)*blockBytes] }
+	var byRounds [maxTaskRounds + 1][]int
+	for t, r := range rounds {
+		byRounds[r] = append(byRounds[r], t)
+	}
+	out := make(map[uint32]uint32, len(rounds))
+	for r, ts := range byRounds {
+		for ; len(ts) >= 4; ts = ts[4:] {
+			h0, h1, h2, h3 := fnvRounds4(block(ts[0]), block(ts[1]), block(ts[2]), block(ts[3]), uint32(r))
+			out[uint32(ts[0])], out[uint32(ts[1])] = h0, h1
+			out[uint32(ts[2])], out[uint32(ts[3])] = h2, h3
+		}
+		for _, t := range ts {
+			out[uint32(t)] = fnvRounds(block(t), uint32(r))
+		}
+	}
+	return out
 }
 
 // Task and result encoding in queue words.
@@ -81,6 +125,9 @@ func packResult(id uint16, digest uint32) uint64 {
 }
 func unpackResult(v uint64) (uint16, uint32) { return uint16(v >> 32), uint32(v) }
 
+// maxTaskRounds is the heaviest task weight; weights run 1..maxTaskRounds.
+const maxTaskRounds = 8
+
 // poison tells a worker to exit.
 const poison = ^uint64(0)
 
@@ -90,15 +137,13 @@ func (w *TaskFarm) Prepare(m *cell.Machine) error {
 	w.tasks = cellsync.NewMsgQueue(m, 1, 16)
 	w.results = cellsync.NewMsgQueue(m, 2, 16)
 	w.digests = map[uint32]uint32{}
-	w.expected = map[uint32]uint32{}
 	w.rounds = make([]uint32, w.Tasks)
 	x := uint32(w.Seed)
 	for t := 0; t < w.Tasks; t++ {
-		x = x*1664525 + 1013904223
-		w.rounds[t] = 1 + x%8 // skewed task weights
-		block := m.Mem()[w.inEA+uint64(t*w.BlockBytes) : w.inEA+uint64((t+1)*w.BlockBytes)]
-		w.expected[uint32(t)] = fnvRounds(block, w.rounds[t])
+		x = x*lcgA + lcgC
+		w.rounds[t] = 1 + x%maxTaskRounds // skewed task weights
 	}
+	w.expected = expectedDigests(m.Mem()[w.inEA:w.inEA+uint64(w.Tasks*w.BlockBytes)], w.BlockBytes, w.rounds)
 
 	nspe := m.NumSPEs()
 	m.RunMain(func(h cell.Host) {

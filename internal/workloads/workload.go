@@ -122,23 +122,64 @@ func checkKnown(params map[string]string, known ...string) error {
 	return nil
 }
 
-// lcg fills dst with a deterministic byte stream from seed.
+// The byte and float streams come from one linear congruential generator,
+// x ← a·x + c mod 2³². Four steps at once are x ← a⁴·x + c₄, with
+// c₄ = a²·c₂ + c₂ and c₂ = a·c + c. Four interleaved chains that each
+// jump four steps produce the same stream without every draw waiting on
+// the multiply before it.
+const (
+	lcgA  = 1664525
+	lcgC  = 1013904223
+	lcgA2 = lcgA * lcgA % (1 << 32)
+	lcgC2 = (lcgA*lcgC + lcgC) % (1 << 32)
+	lcgA4 = lcgA2 * lcgA2 % (1 << 32)
+	lcgC4 = (lcgA2*lcgC2 + lcgC2) % (1 << 32)
+)
+
+// lcgChains returns the four draws after x, the heads of the four chains.
+func lcgChains(x uint32) (x0, x1, x2, x3 uint32) {
+	x0 = x*lcgA + lcgC
+	x1 = x0*lcgA + lcgC
+	x2 = x1*lcgA + lcgC
+	x3 = x2*lcgA + lcgC
+	return
+}
+
+// lcg fills dst with a deterministic byte stream from seed: byte i is the
+// top byte of draw i+1.
 func lcg(dst []byte, seed uint32) {
-	x := seed | 1
-	for i := range dst {
-		x = x*1664525 + 1013904223
+	x0, x1, x2, x3 := lcgChains(seed | 1)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d := dst[i : i+4 : i+4]
+		d[0], d[1], d[2], d[3] = byte(x0>>24), byte(x1>>24), byte(x2>>24), byte(x3>>24)
+		x0, x1 = x0*lcgA4+lcgC4, x1*lcgA4+lcgC4
+		x2, x3 = x2*lcgA4+lcgC4, x3*lcgA4+lcgC4
+	}
+	for x := x0; i < len(dst); i++ {
 		dst[i] = byte(x >> 24)
+		x = x*lcgA + lcgC
 	}
 }
 
-// lcgFloats fills dst with deterministic floats in [-1, 1).
+// lcgFloats fills dst with deterministic floats in [-1, 1): float i is
+// draw i+1 read as a signed fraction.
 func lcgFloats(dst []float32, seed uint32) {
-	x := seed | 1
-	for i := range dst {
-		x = x*1664525 + 1013904223
-		dst[i] = float32(int32(x))/(1<<31) + 0
+	x0, x1, x2, x3 := lcgChains(seed | 1)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d := dst[i : i+4 : i+4]
+		d[0], d[1], d[2], d[3] = lcgFloat(x0), lcgFloat(x1), lcgFloat(x2), lcgFloat(x3)
+		x0, x1 = x0*lcgA4+lcgC4, x1*lcgA4+lcgC4
+		x2, x3 = x2*lcgA4+lcgC4, x3*lcgA4+lcgC4
+	}
+	for x := x0; i < len(dst); i++ {
+		dst[i] = lcgFloat(x)
+		x = x*lcgA + lcgC
 	}
 }
+
+func lcgFloat(x uint32) float32 { return float32(int32(x))/(1<<31) + 0 }
 
 // partition splits n items into per-worker contiguous [start,end) ranges.
 func partition(n, workers, idx int) (start, end int) {

@@ -2,6 +2,9 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -130,23 +133,64 @@ func TestMatmulDoubleBufferedTraced(t *testing.T) {
 	}
 }
 
+// TestMatmulFullVerification checks every entry of C, bit for bit,
+// against a float32 reference that adds an entry's products one at a
+// time in k order, each product rounded to float32 on its own. Verify
+// only samples C within a tolerance, and the trace does not carry C. The
+// zeroA cases clear some A entries after Prepare, so the kernel's
+// four-step groups also take the one-step path that skips a zero.
 func TestMatmulFullVerification(t *testing.T) {
-	// Exhaustively verify a tiny instance against the reference.
-	w := NewMatmul()
-	if err := w.Configure(map[string]string{"n": "32", "t": "8"}); err != nil {
-		t.Fatal(err)
-	}
-	mc := cell.DefaultConfig()
-	mc.MemSize = 16 * cell.MiB
-	m := cell.NewMachine(mc)
-	if err := w.Prepare(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Verify(m); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		n, t  int
+		zeroA bool
+	}{{32, 8, false}, {32, 8, true}, {64, 32, false}, {64, 32, true}} {
+		t.Run(fmt.Sprintf("n=%d/t=%d/zeroA=%v", tc.n, tc.t, tc.zeroA), func(t *testing.T) {
+			w := NewMatmul()
+			if err := w.Configure(map[string]string{"n": fmt.Sprint(tc.n), "t": fmt.Sprint(tc.t)}); err != nil {
+				t.Fatal(err)
+			}
+			mc := cell.DefaultConfig()
+			mc.MemSize = 16 * cell.MiB
+			m := cell.NewMachine(mc)
+			if err := w.Prepare(m); err != nil {
+				t.Fatal(err)
+			}
+			n := tc.n
+			at := func(base uint64, i, j int) []byte {
+				return m.Mem()[w.tileEA(base, i/w.T, j/w.T)+uint64(4*((i%w.T)*w.T+j%w.T)):][:4]
+			}
+			read := func(base uint64, i, j int) float32 {
+				return math.Float32frombits(binary.LittleEndian.Uint32(at(base, i, j)))
+			}
+			if tc.zeroA {
+				// Row 1 whole, and about one entry in seven elsewhere.
+				for i := 0; i < n; i++ {
+					for k := 0; k < n; k++ {
+						if i == 1 || (i+2*k)%7 == 0 {
+							binary.LittleEndian.PutUint32(at(w.aEA, i, k), 0)
+						}
+					}
+				}
+			}
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Verify(m); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					var want float32
+					for k := 0; k < n; k++ {
+						want += float32(read(w.aEA, i, k) * read(w.bEA, k, j))
+					}
+					if got := read(w.cEA, i, j); math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("C[%d][%d] = %g (%#08x), want %g (%#08x)",
+							i, j, got, math.Float32bits(got), want, math.Float32bits(want))
+					}
+				}
+			}
+		})
 	}
 }
 
