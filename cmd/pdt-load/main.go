@@ -14,7 +14,7 @@
 //	pdt-load -targets http://h1:8329 -p99-budget 500ms
 //
 // Traces are generated in-process at startup (one per selected
-// workload, at the small "quick" sizes) and replayed round-robin over
+// workload, at its workloads.Small size) and replayed round-robin over
 // targets × workloads × kinds, so a multi-replica ring sees a mix of
 // keys it owns and keys its peers own.
 package main
@@ -37,23 +37,8 @@ import (
 	"github.com/celltrace/pdt/internal/analyzer/cache"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/harness"
+	"github.com/celltrace/pdt/internal/workloads"
 )
-
-// loadParams sizes each workload so trace generation stays in the tens
-// of milliseconds; the point is HTTP-path load, not simulation scale.
-var loadParams = map[string]map[string]string{
-	"matmul":    {"n": "64", "t": "16"},
-	"fft":       {"n": "256", "batches": "4"},
-	"pipeline":  {"blocks": "8", "blockbytes": "1024"},
-	"julia":     {"w": "64", "h": "32", "maxiter": "16", "mode": "dynamic"},
-	"histogram": {"size": "65536"},
-	"synthetic": {"events": "400", "gap": "100"},
-	"stream":    {"elements": "8192"},
-	"stencil":   {"w": "64", "h": "16", "iters": "2"},
-	"sort":      {"elements": "8192", "chunk": "1024"},
-	"nbody":     {"n": "64"},
-	"taskfarm":  {"tasks": "16", "blockbytes": "1024"},
-}
 
 // summary is the JSON document printed after a run.
 type summary struct {
@@ -128,7 +113,7 @@ func run(args []string, out io.Writer) error {
 	traces := make([][]byte, len(names))
 	for i, name := range names {
 		cfg := core.DefaultTraceConfig()
-		res, err := harness.Run(harness.Spec{Workload: name, Params: loadParams[name], Trace: &cfg})
+		res, err := harness.Run(harness.Spec{Workload: name, Params: workloads.Small(name), Trace: &cfg})
 		if err != nil {
 			return fmt.Errorf("generating %s trace: %w", name, err)
 		}
@@ -270,21 +255,16 @@ func splitTargets(spec string) ([]string, error) {
 	return targets, nil
 }
 
-// splitWorkloads resolves the -workloads list against loadParams;
-// "all" selects every sized workload, sorted.
+// splitWorkloads resolves the -workloads list against the workload
+// registry; "all" selects every registered workload, sorted.
 func splitWorkloads(spec string) ([]string, error) {
 	if spec == "all" {
-		names := make([]string, 0, len(loadParams))
-		for n := range loadParams {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return names, nil
+		return workloads.Names(), nil
 	}
 	names := strings.Split(spec, ",")
 	for _, n := range names {
-		if _, ok := loadParams[n]; !ok {
-			return nil, fmt.Errorf("unknown workload %q", n)
+		if _, err := workloads.New(n); err != nil {
+			return nil, err
 		}
 	}
 	return names, nil

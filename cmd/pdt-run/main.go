@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"github.com/celltrace/pdt/internal/core"
@@ -83,9 +84,15 @@ func run(args []string, out io.Writer) error {
 	if *list {
 		for _, n := range workloads.Names() {
 			w, _ := workloads.New(n)
-			fmt.Fprintf(out, "%-10s %s\n", n, w.Description())
-			for k, v := range w.Params() {
-				fmt.Fprintf(out, "    %s=%s (default)\n", k, v)
+			fmt.Fprintf(out, "%-10s %s\n", n, workloads.Description(n))
+			defaults := w.Params()
+			keys := make([]string, 0, len(defaults))
+			for k := range defaults {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				fmt.Fprintf(out, "    %s=%s (default)\n", k, defaults[k])
 			}
 		}
 		return nil

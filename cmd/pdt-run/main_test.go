@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/celltrace/pdt/internal/workloads"
 )
 
 func TestList(t *testing.T) {
@@ -18,6 +20,40 @@ func TestList(t *testing.T) {
 	for _, want := range []string{"matmul", "julia", "pipeline", "fft", "histogram", "stream", "synthetic"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("list missing %s:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestListIsStable: -list prints the same bytes every time, and each
+// workload's block names each of its defaults exactly once.
+func TestListIsStable(t *testing.T) {
+	var a, b bytes.Buffer
+	if err := run([]string{"-list"}, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-list"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("two -list calls differ:\n%s\n---\n%s", a.String(), b.String())
+	}
+	blocks := map[string]string{}
+	name := ""
+	for _, line := range strings.SplitAfter(a.String(), "\n") {
+		if line != "" && line[0] != ' ' {
+			name = strings.Fields(line)[0]
+		}
+		blocks[name] += line
+	}
+	for _, n := range workloads.Names() {
+		w, _ := workloads.New(n)
+		for k, v := range w.Params() {
+			if c := strings.Count(blocks[n], "    "+k+"="+v+" (default)\n"); c != 1 {
+				t.Fatalf("%s: default %s=%s printed %d times:\n%s", n, k, v, c, blocks[n])
+			}
+		}
+		if c := strings.Count(blocks[n], "(default)"); c != len(w.Params()) {
+			t.Fatalf("%s: %d defaults printed, want %d", n, c, len(w.Params()))
 		}
 	}
 }

@@ -25,31 +25,23 @@ import (
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
-// cycleParams configures every registered workload small but
-// representative; the iterative four get iteration counts the detector
-// must reproduce exactly.
-var cycleParams = map[string]map[string]string{
-	"matmul":    {"n": "64", "t": "16"},
-	"fft":       {"n": "256", "batches": "4"},
-	"pipeline":  {"blocks": "8", "blockbytes": "1024"},
-	"julia":     {"w": "64", "h": "32", "maxiter": "16", "mode": "dynamic"},
-	"histogram": {"size": "65536"},
-	"synthetic": {"events": "400", "gap": "100"},
-	"stream":    {"elements": "131072"},
-	"stencil":   {"w": "64", "h": "16", "iters": "4"},
-	"sort":      {"elements": "8192", "chunk": "1024"},
-	"nbody":     {"n": "64"},
-	"taskfarm":  {"tasks": "16", "blockbytes": "1024"},
+// cycleParams is a workload's small size with stream and stencil grown
+// to the 32 chunks and 4 sweeps TestCycleCountsIterativeWorkloads pins.
+func cycleParams(name string) map[string]string {
+	p := workloads.Small(name)
+	switch name {
+	case "stream":
+		p["elements"] = "131072"
+	case "stencil":
+		p["iters"] = "4"
+	}
+	return p
 }
 
 func cycleTrace(t *testing.T, name string) *analyzer.Trace {
 	t.Helper()
-	params, ok := cycleParams[name]
-	if !ok {
-		t.Fatalf("no cycle params for workload %q — add it to cycleParams", name)
-	}
 	cfg := core.DefaultTraceConfig()
-	res, err := harness.Run(harness.Spec{Workload: name, Params: params, Trace: &cfg})
+	res, err := harness.Run(harness.Spec{Workload: name, Params: cycleParams(name), Trace: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,33 +22,13 @@ import (
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
-// diffParams gives every registered workload a small but representative
-// configuration (the analyzer equivalence suite's sizes).
-var diffParams = map[string]map[string]string{
-	"matmul":    {"n": "64", "t": "16"},
-	"fft":       {"n": "256", "batches": "4"},
-	"pipeline":  {"blocks": "8", "blockbytes": "1024"},
-	"julia":     {"w": "64", "h": "32", "maxiter": "16", "mode": "dynamic"},
-	"histogram": {"size": "65536"},
-	"synthetic": {"events": "400", "gap": "100"},
-	"stream":    {"elements": "8192"},
-	"stencil":   {"w": "64", "h": "16", "iters": "2"},
-	"sort":      {"elements": "8192", "chunk": "1024"},
-	"nbody":     {"n": "64"},
-	"taskfarm":  {"tasks": "16", "blockbytes": "1024"},
-}
-
 // traceWithGroups runs a workload with the given event groups enabled
 // and loads the result.
 func traceWithGroups(t *testing.T, name string, groups event.Group) *analyzer.Trace {
 	t.Helper()
-	params, ok := diffParams[name]
-	if !ok {
-		t.Fatalf("no diff params for workload %q — add it to diffParams", name)
-	}
 	cfg := core.DefaultTraceConfig()
 	cfg.Groups = groups
-	res, err := harness.Run(harness.Spec{Workload: name, Params: params, Trace: &cfg})
+	res, err := harness.Run(harness.Spec{Workload: name, Params: workloads.Small(name), Trace: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,24 +13,13 @@ import (
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
-	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
-	"github.com/celltrace/pdt/internal/harness"
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
 func loadWorkloadTrace(t *testing.T, name string) *analyzer.Trace {
 	t.Helper()
-	params, ok := equivParams[name]
-	if !ok {
-		t.Fatalf("no equivalence params for workload %q — add it to equivParams", name)
-	}
-	cfg := core.DefaultTraceConfig()
-	res, err := harness.Run(harness.Spec{Workload: name, Params: params, Trace: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := analyzer.Load(bytes.NewReader(res.TraceBytes))
+	tr, err := analyzer.Load(bytes.NewReader(traceWorkload(t, name)))
 	if err != nil {
 		t.Fatal(err)
 	}

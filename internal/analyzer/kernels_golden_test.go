@@ -128,7 +128,7 @@ func critpathChannelRows() []tracetest.Row {
 // configuration.
 func traceWorkloadWith(t *testing.T, name string, cfg core.Config) []byte {
 	t.Helper()
-	res, err := harness.Run(harness.Spec{Workload: name, Params: streamEquivParams[name], Trace: &cfg})
+	res, err := harness.Run(harness.Spec{Workload: name, Params: workloads.Small(name), Trace: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,22 +15,6 @@ import (
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
-// rechunkParams gives every registered workload the small but
-// representative configuration of the analyzer's equivalence suites.
-var rechunkParams = map[string]map[string]string{
-	"matmul":    {"n": "64", "t": "16"},
-	"fft":       {"n": "256", "batches": "4"},
-	"pipeline":  {"blocks": "8", "blockbytes": "1024"},
-	"julia":     {"w": "64", "h": "32", "maxiter": "16", "mode": "dynamic"},
-	"histogram": {"size": "65536"},
-	"synthetic": {"events": "400", "gap": "100"},
-	"stream":    {"elements": "8192"},
-	"stencil":   {"w": "64", "h": "16", "iters": "2"},
-	"sort":      {"elements": "8192", "chunk": "1024"},
-	"nbody":     {"n": "64"},
-	"taskfarm":  {"tasks": "16", "blockbytes": "1024"},
-}
-
 // TestRechunkingIsInvisible: where a chunk ends depends on the tracer's
 // buffer size and nothing else. Every chunk of a workload's trace split
 // in place into pieces of per records — the same records, flushed more
@@ -38,11 +22,7 @@ var rechunkParams = map[string]map[string]string{
 // loader's summary, in small windows and odd writes, must equal batch's.
 func TestRechunkingIsInvisible(t *testing.T) {
 	for _, name := range workloads.Names() {
-		params, ok := rechunkParams[name]
-		if !ok {
-			t.Fatalf("no params for workload %q — add it to rechunkParams", name)
-		}
-		img := traceImage(t, name, params)
+		img := traceImage(t, name, workloads.Small(name))
 		want := kindsJSON(t, img)
 		for _, per := range []int{1, 3} {
 			split := tracetest.Rechunk(t, img, per)
@@ -82,7 +62,7 @@ func TestVersionsAnalyseAlike(t *testing.T) {
 	imgs := map[string][]byte{"pipeline.kill": killed.TraceBytes}
 	names := append(workloads.Names(), "pipeline.kill")
 	for _, name := range names[:len(names)-1] {
-		imgs[name] = traceImage(t, name, rechunkParams[name])
+		imgs[name] = traceImage(t, name, workloads.Small(name))
 	}
 	doctor := func(img []byte) string {
 		d := analyzer.DoctorData(img)

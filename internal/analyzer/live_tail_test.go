@@ -12,20 +12,17 @@ import (
 	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/harness"
+	"github.com/celltrace/pdt/internal/workloads"
 )
 
 // liveWorkload runs one workload with a live mirror attached and returns
 // (live stream bytes, sealed trace bytes).
 func liveWorkload(t *testing.T, name string) ([]byte, []byte) {
 	t.Helper()
-	params, ok := streamEquivParams[name]
-	if !ok {
-		t.Fatalf("no equivalence params for workload %q", name)
-	}
 	cfg := core.DefaultTraceConfig()
 	livePath := filepath.Join(t.TempDir(), "live.pdt")
 	res, err := harness.Run(harness.Spec{
-		Workload: name, Params: params, Trace: &cfg, LivePath: livePath,
+		Workload: name, Params: workloads.Small(name), Trace: &cfg, LivePath: livePath,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,15 +30,23 @@ type PPEStats struct {
 // ppeAcc is the SummarizePPE kernel: the host-side scanner folded one
 // merged segment at a time. PPE records keep their merged relative order
 // across stream windows — each thread's chunks decode in file order — so
-// the shared enter table pairs exactly as a scan of the whole trace.
+// the enter table pairs exactly as a scan of the whole trace. An exit
+// pairs with its own thread's enter: PPE threads wait at overlapping
+// times.
 type ppeAcc struct {
 	stats PPEStats
-	enter map[event.ID]uint64 // open Enter timestamps by enter ID
+	enter map[ppeOpen]uint64 // open Enter timestamps
+}
+
+// ppeOpen keys an open Enter by PPE thread and enter ID.
+type ppeOpen struct {
+	core uint8
+	id   event.ID
 }
 
 func (a *ppeAcc) fold(seg *colstore.Store) {
 	if a.enter == nil {
-		a.enter = map[event.ID]uint64{}
+		a.enter = map[ppeOpen]uint64{}
 	}
 	st := &a.stats
 	for i, core := range seg.Core {
@@ -54,13 +62,14 @@ func (a *ppeAcc) fold(seg *colstore.Store) {
 		g := seg.Global[i]
 		switch info.Kind {
 		case event.KindEnter:
-			a.enter[id] = g
+			a.enter[ppeOpen{core, id}] = g
 		case event.KindExit:
-			start, open := a.enter[info.Pair]
+			key := ppeOpen{core, info.Pair}
+			start, open := a.enter[key]
 			if !open {
 				break
 			}
-			delete(a.enter, info.Pair)
+			delete(a.enter, key)
 			d := g - start
 			switch id {
 			case event.PPEWaitExit:

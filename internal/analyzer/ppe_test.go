@@ -1,10 +1,14 @@
 package analyzer
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/cell"
 	"github.com/celltrace/pdt/internal/core"
+	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio"
+	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
 )
 
 func TestSummarizePPE(t *testing.T) {
@@ -39,6 +43,45 @@ func TestSummarizePPE(t *testing.T) {
 	}
 	if st.ProxyGets != 1 || st.ProxyBytes != 512 || st.ProxyWaits != 1 {
 		t.Fatalf("proxy = %d gets, %d bytes, %d waits", st.ProxyGets, st.ProxyBytes, st.ProxyWaits)
+	}
+}
+
+// TestSummarizePPEPairsPerThread: two PPE threads wait on SPEs at
+// overlapping times, the main thread over [10, 20) and PPE.1 over
+// [12, 40). Each exit closes its own thread's wait: 2 waits, 38 ticks,
+// batch and streamed alike.
+func TestSummarizePPEPairsPerThread(t *testing.T) {
+	wait := func(id event.ID, core uint8, global uint64, args ...uint64) tracetest.Row {
+		return tracetest.Row{Rec: event.Record{ID: id, Core: core, Args: args}, Global: global, Run: -1}
+	}
+	const ppe1 = event.CorePPE - 1
+	img := tracetest.Encode(t, traceio.Meta{}, []tracetest.Row{
+		wait(event.PPEWaitEnter, event.CorePPE, 10, 0),
+		wait(event.PPEWaitEnter, ppe1, 12, 1),
+		wait(event.PPEWaitExit, event.CorePPE, 20, 0, 0),
+		wait(event.PPEWaitExit, ppe1, 40, 1, 0),
+	}, 0)
+	tr, err := Load(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, st PPEStats) {
+		t.Helper()
+		if st.SPEWaits != 2 || st.WaitTicks != 38 {
+			t.Fatalf("%s: %d waits, %d ticks; want 2 waits, 38 ticks", how, st.SPEWaits, st.WaitTicks)
+		}
+	}
+	check("batch", SummarizePPE(tr))
+	for _, window := range []int64{0, 512} {
+		l := NewStreamLoader(StreamOptions{Limits: Limits{StreamWindowBytes: window}})
+		if _, err := l.Write(img); err != nil {
+			t.Fatal(err)
+		}
+		res, err := l.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("stream", res.PPE)
 	}
 }
 

@@ -22,40 +22,14 @@ import (
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/core/traceio"
-	"github.com/celltrace/pdt/internal/harness"
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
-// streamEquivParams mirrors load_equiv_test.go's small-but-representative
-// workload configurations.
-var streamEquivParams = map[string]map[string]string{
-	"matmul":    {"n": "64", "t": "16"},
-	"fft":       {"n": "256", "batches": "4"},
-	"pipeline":  {"blocks": "8", "blockbytes": "1024"},
-	"julia":     {"w": "64", "h": "32", "maxiter": "16", "mode": "dynamic"},
-	"histogram": {"size": "65536"},
-	"synthetic": {"events": "400", "gap": "100"},
-	"stream":    {"elements": "8192"},
-	"stencil":   {"w": "64", "h": "16", "iters": "2"},
-	"sort":      {"elements": "8192", "chunk": "1024"},
-	"nbody":     {"n": "64"},
-	"taskfarm":  {"tasks": "16", "blockbytes": "1024"},
-}
-
-// traceWorkload runs one workload under the harness and returns its
-// trace bytes.
+// traceWorkload runs one workload at its small size under the harness
+// and returns its trace bytes.
 func traceWorkload(t *testing.T, name string) []byte {
 	t.Helper()
-	params, ok := streamEquivParams[name]
-	if !ok {
-		t.Fatalf("no equivalence params for workload %q — add it to streamEquivParams", name)
-	}
-	cfg := core.DefaultTraceConfig()
-	res, err := harness.Run(harness.Spec{Workload: name, Params: params, Trace: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.TraceBytes
+	return traceWorkloadWith(t, name, core.DefaultTraceConfig())
 }
 
 // batchResults holds everything the batch pipeline derives from a trace.

@@ -26,23 +26,8 @@ type FFT struct {
 // NewFFT returns the default 64-batch 1024-point configuration.
 func NewFFT() *FFT { return &FFT{PointsN: 1024, Batches: 64, Seed: 3} }
 
-func (w *FFT) Name() string { return "fft" }
-
-func (w *FFT) Description() string {
-	return "batched 1-D complex float32 FFT over SPEs (radix-2, in-place)"
-}
-
 func (w *FFT) Configure(params map[string]string) error {
-	if err := checkKnown(params, "n", "batches", "seed"); err != nil {
-		return err
-	}
-	if err := intParam(params, "n", &w.PointsN); err != nil {
-		return err
-	}
-	if err := intParam(params, "batches", &w.Batches); err != nil {
-		return err
-	}
-	if err := intParam(params, "seed", &w.Seed); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
 	}
 	if w.PointsN < 4 || w.PointsN&(w.PointsN-1) != 0 {
@@ -57,11 +42,11 @@ func (w *FFT) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *FFT) Params() map[string]string {
-	return map[string]string{
-		"n": fmt.Sprint(w.PointsN), "batches": fmt.Sprint(w.Batches), "seed": fmt.Sprint(w.Seed),
-	}
+func (w *FFT) params() []param {
+	return []param{{"n", &w.PointsN}, {"batches", &w.Batches}, {"seed", &w.Seed}}
 }
+
+func (w *FFT) Params() map[string]string { return paramMap(w.params()) }
 
 func (w *FFT) batchBytes() int { return w.PointsN * 8 }
 
@@ -137,7 +122,9 @@ func (w *FFT) speMain(spu cell.SPU, spe, nspe int) {
 	}
 }
 
-// fftInPlace is an iterative radix-2 Cooley-Tukey transform.
+// fftInPlace is an iterative radix-2 Cooley-Tukey transform. Each
+// product is rounded to float32 on its own, so the result does not depend
+// on whether the target fuses a multiply and an add.
 func fftInPlace(re, im []float32) {
 	n := len(re)
 	// Bit-reversal permutation.
@@ -161,11 +148,11 @@ func fftInPlace(re, im []float32) {
 			for k := 0; k < length/2; k++ {
 				i0, i1 := start+k, start+k+length/2
 				ur, ui := re[i0], im[i0]
-				vr := re[i1]*cr - im[i1]*ci
-				vi := re[i1]*ci + im[i1]*cr
+				vr := float32(re[i1]*cr) - float32(im[i1]*ci)
+				vi := float32(re[i1]*ci) + float32(im[i1]*cr)
 				re[i0], im[i0] = ur+vr, ui+vi
 				re[i1], im[i1] = ur-vr, ui-vi
-				cr, ci = cr*wr-ci*wi, cr*wi+ci*wr
+				cr, ci = float32(cr*wr)-float32(ci*wi), float32(cr*wi)+float32(ci*wr)
 			}
 		}
 	}
@@ -185,7 +172,10 @@ func refFFT(x []complex128) []complex128 {
 	even, odd = refFFT(even), refFFT(odd)
 	out := make([]complex128, n)
 	for k := 0; k < n/2; k++ {
-		t := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n))) * odd[k]
+		// The complex product written out, each real product rounded.
+		e, o := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n))), odd[k]
+		t := complex(float64(real(e)*real(o))-float64(imag(e)*imag(o)),
+			float64(real(e)*imag(o))+float64(imag(e)*real(o)))
 		out[k] = even[k] + t
 		out[k+n/2] = even[k] - t
 	}

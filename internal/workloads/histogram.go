@@ -24,23 +24,10 @@ type Histogram struct {
 // NewHistogram returns the default 4 MiB atomic-reduce configuration.
 func NewHistogram() *Histogram { return &Histogram{Size: 4 * cell.MiB, Reduce: "atomic", Seed: 9} }
 
-func (w *Histogram) Name() string { return "histogram" }
-
-func (w *Histogram) Description() string {
-	return "256-bin byte histogram; atomic vs PPE-side reduction"
-}
-
 func (w *Histogram) Configure(params map[string]string) error {
-	if err := checkKnown(params, "size", "reduce", "seed"); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
 	}
-	if err := intParam(params, "size", &w.Size); err != nil {
-		return err
-	}
-	if err := intParam(params, "seed", &w.Seed); err != nil {
-		return err
-	}
-	stringParam(params, "reduce", &w.Reduce)
 	if w.Size <= 0 || w.Size%16 != 0 {
 		return fmt.Errorf("histogram: size %d must be a positive multiple of 16", w.Size)
 	}
@@ -50,11 +37,11 @@ func (w *Histogram) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *Histogram) Params() map[string]string {
-	return map[string]string{
-		"size": fmt.Sprint(w.Size), "reduce": w.Reduce, "seed": fmt.Sprint(w.Seed),
-	}
+func (w *Histogram) params() []param {
+	return []param{{"size", &w.Size}, {"reduce", &w.Reduce}, {"seed", &w.Seed}}
 }
+
+func (w *Histogram) Params() map[string]string { return paramMap(w.params()) }
 
 const histBins = 256
 

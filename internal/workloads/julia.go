@@ -25,26 +25,10 @@ type Julia struct {
 // NewJulia returns the default 512x512 static renderer.
 func NewJulia() *Julia { return &Julia{W: 512, H: 512, MaxIter: 200, Mode: "static"} }
 
-func (w *Julia) Name() string { return "julia" }
-
-func (w *Julia) Description() string {
-	return "Julia-set renderer; static vs dynamic (work queue) row partitioning"
-}
-
 func (w *Julia) Configure(params map[string]string) error {
-	if err := checkKnown(params, "w", "h", "maxiter", "mode"); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
 	}
-	if err := intParam(params, "w", &w.W); err != nil {
-		return err
-	}
-	if err := intParam(params, "h", &w.H); err != nil {
-		return err
-	}
-	if err := intParam(params, "maxiter", &w.MaxIter); err != nil {
-		return err
-	}
-	stringParam(params, "mode", &w.Mode)
 	if w.W <= 0 || w.W%16 != 0 {
 		return fmt.Errorf("julia: width %d must be a positive multiple of 16", w.W)
 	}
@@ -60,18 +44,20 @@ func (w *Julia) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *Julia) Params() map[string]string {
-	return map[string]string{
-		"w": fmt.Sprint(w.W), "h": fmt.Sprint(w.H),
-		"maxiter": fmt.Sprint(w.MaxIter), "mode": w.Mode,
-	}
+func (w *Julia) params() []param {
+	return []param{{"w", &w.W}, {"h", &w.H}, {"maxiter", &w.MaxIter}, {"mode", &w.Mode}}
 }
+
+func (w *Julia) Params() map[string]string { return paramMap(w.params()) }
 
 // Julia-set constant (a classic highly-structured parameter).
 const juliaCr, juliaCi = -0.8, 0.156
 
 // juliaRow renders row y into dst and returns the total iteration count
 // (the row's true compute weight). Identical code runs in verification.
+// Each product is rounded on its own, so no target fuses it into the add
+// that follows: a pixel's escape count, and with it the trace, is the
+// same on every GOARCH.
 func juliaRow(dst []byte, y, wpx, hpx, maxIter int) uint64 {
 	var total uint64
 	ci0 := -1.2 + 2.4*float64(y)/float64(hpx)
@@ -80,11 +66,11 @@ func juliaRow(dst []byte, y, wpx, hpx, maxIter int) uint64 {
 		zi := ci0
 		it := 0
 		for ; it < maxIter; it++ {
-			zr2, zi2 := zr*zr, zi*zi
+			zr2, zi2 := float64(zr*zr), float64(zi*zi)
 			if zr2+zi2 > 4 {
 				break
 			}
-			zr, zi = zr2-zi2+juliaCr, 2*zr*zi+juliaCi
+			zr, zi = zr2-zi2+juliaCr, float64(2*zr*zi)+juliaCi
 		}
 		dst[x] = byte(it)
 		total += uint64(it)

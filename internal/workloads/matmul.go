@@ -28,26 +28,8 @@ type Matmul struct {
 // tiles, double buffering.
 func NewMatmul() *Matmul { return &Matmul{N: 256, T: 64, Buffers: 2, Seed: 1} }
 
-func (w *Matmul) Name() string { return "matmul" }
-
-func (w *Matmul) Description() string {
-	return "blocked float32 matrix multiply, single- or double-buffered tile DMA"
-}
-
 func (w *Matmul) Configure(params map[string]string) error {
-	if err := checkKnown(params, "n", "t", "buffers", "seed"); err != nil {
-		return err
-	}
-	if err := intParam(params, "n", &w.N); err != nil {
-		return err
-	}
-	if err := intParam(params, "t", &w.T); err != nil {
-		return err
-	}
-	if err := intParam(params, "buffers", &w.Buffers); err != nil {
-		return err
-	}
-	if err := intParam(params, "seed", &w.Seed); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
 	}
 	switch {
@@ -63,12 +45,11 @@ func (w *Matmul) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *Matmul) Params() map[string]string {
-	return map[string]string{
-		"n": fmt.Sprint(w.N), "t": fmt.Sprint(w.T),
-		"buffers": fmt.Sprint(w.Buffers), "seed": fmt.Sprint(w.Seed),
-	}
+func (w *Matmul) params() []param {
+	return []param{{"n", &w.N}, {"t", &w.T}, {"buffers", &w.Buffers}, {"seed", &w.Seed}}
 }
+
+func (w *Matmul) Params() map[string]string { return paramMap(w.params()) }
 
 func (w *Matmul) tileBytes() int { return w.T * w.T * 4 }
 func (w *Matmul) nt() int        { return w.N / w.T }

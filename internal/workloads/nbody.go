@@ -28,20 +28,8 @@ type NBody struct {
 // NewNBody returns the default 1024-particle configuration.
 func NewNBody() *NBody { return &NBody{N: 1024, Seed: 41} }
 
-func (w *NBody) Name() string { return "nbody" }
-
-func (w *NBody) Description() string {
-	return "all-pairs n-body via the SPE ring algorithm (blocks circulate LS-to-LS)"
-}
-
 func (w *NBody) Configure(params map[string]string) error {
-	if err := checkKnown(params, "n", "seed"); err != nil {
-		return err
-	}
-	if err := intParam(params, "n", &w.N); err != nil {
-		return err
-	}
-	if err := intParam(params, "seed", &w.Seed); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
 	}
 	if w.N < 8 || w.N%8 != 0 {
@@ -50,9 +38,11 @@ func (w *NBody) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *NBody) Params() map[string]string {
-	return map[string]string{"n": fmt.Sprint(w.N), "seed": fmt.Sprint(w.Seed)}
+func (w *NBody) params() []param {
+	return []param{{"n", &w.N}, {"seed", &w.Seed}}
 }
+
+func (w *NBody) Params() map[string]string { return paramMap(w.params()) }
 
 // Layout: positions as (x, y, m) triples of float32; accelerations as
 // (ax, ay) pairs.
@@ -63,7 +53,8 @@ const (
 )
 
 // accumulate adds the acceleration on particle i (within pos) due to all
-// particles in src; shared with the host reference.
+// particles in src; shared with the host reference, which it matches
+// exactly on every target because each product is rounded on its own.
 func accumulate(ax, ay []float32, pos, src []float32, selfBlock bool) {
 	nI := len(ax)
 	nJ := len(src) / 3
@@ -76,11 +67,11 @@ func accumulate(ax, ay []float32, pos, src []float32, selfBlock bool) {
 			}
 			dx := src[3*j] - xi
 			dy := src[3*j+1] - yi
-			d2 := dx*dx + dy*dy + softening
+			d2 := float32(dx*dx) + float32(dy*dy) + softening
 			inv := 1 / (d2 * float32(math.Sqrt(float64(d2))))
 			f := src[3*j+2] * inv
-			sx += f * dx
-			sy += f * dy
+			sx += float32(f * dx)
+			sy += float32(f * dy)
 		}
 		ax[i] += sx
 		ay[i] += sy
@@ -103,7 +94,7 @@ func (w *NBody) Prepare(m *cell.Machine) error {
 	pos := make([]float32, 3*w.N)
 	lcgFloats(pos, uint32(w.Seed))
 	for i := 0; i < w.N; i++ {
-		pos[3*i+2] = 0.5 + pos[3*i+2]*pos[3*i+2] // positive masses
+		pos[3*i+2] = 0.5 + float32(pos[3*i+2]*pos[3*i+2]) // positive masses
 		for c := 0; c < 3; c++ {
 			binary.LittleEndian.PutUint32(m.Mem()[w.posEA+uint64(posStride*i+4*c):],
 				math.Float32bits(pos[3*i+c]))

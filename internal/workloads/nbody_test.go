@@ -54,17 +54,13 @@ func TestNBodyTracedRingTraffic(t *testing.T) {
 }
 
 func TestNBodyConfigValidation(t *testing.T) {
-	w := NewNBody()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "nbody", []map[string]string{
 		{"n": "7"},  // not multiple of 8
 		{"n": "0"},  // zero
 		{"n": "xx"}, // parse error
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 	// Divisibility vs SPE count is checked at Prepare.
+	w := NewNBody()
 	if err := w.Configure(map[string]string{"n": "40"}); err != nil {
 		t.Fatal(err)
 	}

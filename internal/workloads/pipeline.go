@@ -31,23 +31,9 @@ func NewPipeline() *Pipeline {
 	return &Pipeline{Stages: 0, Blocks: 64, BlockBytes: 4096, SlowStage: -1, SlowFactor: 8, Seed: 5}
 }
 
-func (w *Pipeline) Name() string { return "pipeline" }
-
-func (w *Pipeline) Description() string {
-	return "SPE-to-SPE stream pipeline with two-slot inboxes; optional slow stage bottleneck"
-}
-
 func (w *Pipeline) Configure(params map[string]string) error {
-	if err := checkKnown(params, "stages", "blocks", "blockbytes", "slowstage", "slowfactor", "seed"); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
-	}
-	for key, dst := range map[string]*int{
-		"stages": &w.Stages, "blocks": &w.Blocks, "blockbytes": &w.BlockBytes,
-		"slowstage": &w.SlowStage, "slowfactor": &w.SlowFactor, "seed": &w.Seed,
-	} {
-		if err := intParam(params, key, dst); err != nil {
-			return err
-		}
 	}
 	if w.BlockBytes <= 0 || w.BlockBytes%16 != 0 || w.BlockBytes > cell.MaxDMASize {
 		return fmt.Errorf("pipeline: blockbytes=%d must be a multiple of 16 within the DMA limit", w.BlockBytes)
@@ -61,13 +47,14 @@ func (w *Pipeline) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *Pipeline) Params() map[string]string {
-	return map[string]string{
-		"stages": fmt.Sprint(w.Stages), "blocks": fmt.Sprint(w.Blocks),
-		"blockbytes": fmt.Sprint(w.BlockBytes), "slowstage": fmt.Sprint(w.SlowStage),
-		"slowfactor": fmt.Sprint(w.SlowFactor), "seed": fmt.Sprint(w.Seed),
+func (w *Pipeline) params() []param {
+	return []param{
+		{"stages", &w.Stages}, {"blocks", &w.Blocks}, {"blockbytes", &w.BlockBytes},
+		{"slowstage", &w.SlowStage}, {"slowfactor", &w.SlowFactor}, {"seed", &w.Seed},
 	}
 }
+
+func (w *Pipeline) Params() map[string]string { return paramMap(w.params()) }
 
 const pipeSpin = 300 // cycles between flag polls
 

@@ -25,20 +25,9 @@ type Sort struct {
 // NewSort returns the default 256Ki-element sort with 4K-element runs.
 func NewSort() *Sort { return &Sort{Elements: 1 << 18, Chunk: 4096, Seed: 31} }
 
-func (w *Sort) Name() string { return "sort" }
-
-func (w *Sort) Description() string {
-	return "distributed sort: SPE-local chunk sorts + PPE k-way merge"
-}
-
 func (w *Sort) Configure(params map[string]string) error {
-	if err := checkKnown(params, "elements", "chunk", "seed"); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
-	}
-	for key, dst := range map[string]*int{"elements": &w.Elements, "chunk": &w.Chunk, "seed": &w.Seed} {
-		if err := intParam(params, key, dst); err != nil {
-			return err
-		}
 	}
 	if w.Chunk <= 0 || w.Chunk%4 != 0 || w.Chunk*4 > cell.MaxDMASize {
 		return fmt.Errorf("sort: chunk=%d must be a positive multiple of 4 fitting one DMA", w.Chunk)
@@ -49,11 +38,11 @@ func (w *Sort) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *Sort) Params() map[string]string {
-	return map[string]string{
-		"elements": fmt.Sprint(w.Elements), "chunk": fmt.Sprint(w.Chunk), "seed": fmt.Sprint(w.Seed),
-	}
+func (w *Sort) params() []param {
+	return []param{{"elements", &w.Elements}, {"chunk", &w.Chunk}, {"seed", &w.Seed}}
 }
+
+func (w *Sort) Params() map[string]string { return paramMap(w.params()) }
 
 func (w *Sort) Prepare(m *cell.Machine) error {
 	w.inEA = m.Alloc(w.Elements*4, 128)

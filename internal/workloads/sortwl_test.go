@@ -40,15 +40,10 @@ func TestSortPPEMergeOnCriticalPath(t *testing.T) {
 }
 
 func TestSortConfigValidation(t *testing.T) {
-	w := NewSort()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "sort", []map[string]string{
 		{"chunk": "6"},                       // not multiple of 4
 		{"chunk": "8192"},                    // over DMA limit
 		{"elements": "1000", "chunk": "512"}, // not a multiple
 		{"elements": "0"},
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }

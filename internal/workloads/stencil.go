@@ -30,20 +30,9 @@ type Stencil struct {
 // NewStencil returns the default 256x128 grid, 8 iterations.
 func NewStencil() *Stencil { return &Stencil{W: 256, H: 128, Iters: 8, Seed: 21} }
 
-func (w *Stencil) Name() string { return "stencil" }
-
-func (w *Stencil) Description() string {
-	return "Jacobi 5-point stencil; LS-resident blocks, halo exchange via SPE-to-SPE DMA + fenced sndsig"
-}
-
 func (w *Stencil) Configure(params map[string]string) error {
-	if err := checkKnown(params, "w", "h", "iters", "seed"); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
-	}
-	for key, dst := range map[string]*int{"w": &w.W, "h": &w.H, "iters": &w.Iters, "seed": &w.Seed} {
-		if err := intParam(params, key, dst); err != nil {
-			return err
-		}
 	}
 	if w.W < 16 || w.W%4 != 0 || w.W*4 > cell.MaxDMASize {
 		return fmt.Errorf("stencil: width %d must be >=16, a multiple of 4, and one row must fit a DMA", w.W)
@@ -57,12 +46,11 @@ func (w *Stencil) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *Stencil) Params() map[string]string {
-	return map[string]string{
-		"w": fmt.Sprint(w.W), "h": fmt.Sprint(w.H),
-		"iters": fmt.Sprint(w.Iters), "seed": fmt.Sprint(w.Seed),
-	}
+func (w *Stencil) params() []param {
+	return []param{{"w", &w.W}, {"h", &w.H}, {"iters", &w.Iters}, {"seed", &w.Seed}}
 }
+
+func (w *Stencil) Params() map[string]string { return paramMap(w.params()) }
 
 func (w *Stencil) rowBytes() int { return w.W * 4 }
 

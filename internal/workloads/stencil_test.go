@@ -55,17 +55,12 @@ func TestStencilTracingPreservesResult(t *testing.T) {
 }
 
 func TestStencilConfigValidation(t *testing.T) {
-	w := NewStencil()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "stencil", []map[string]string{
 		{"w": "10"},    // not multiple of 4 / too small
 		{"w": "8192"},  // row exceeds DMA
 		{"h": "2"},     // too small
 		{"iters": "0"}, // zero
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }
 
 func TestStencilRowKernel(t *testing.T) {

@@ -22,7 +22,8 @@ type Stream struct {
 	aEA, bEA, cEA uint64
 }
 
-// streamQ is the triad scale factor.
+// streamQ is the triad scale factor. The triad rounds q*c before the
+// add, so no target fuses the two and Verify compares exactly.
 const streamQ float32 = 3.0
 
 // streamChunk is the per-DMA element count (16 KiB of float32).
@@ -31,23 +32,8 @@ const streamChunk = 4096
 // NewStream returns the default 1M-element double-buffered triad.
 func NewStream() *Stream { return &Stream{Elements: 1 << 20, Buffers: 2, Seed: 13} }
 
-func (w *Stream) Name() string { return "stream" }
-
-func (w *Stream) Description() string {
-	return "STREAM triad a=b+q*c over float32 arrays; memory-bandwidth bound"
-}
-
 func (w *Stream) Configure(params map[string]string) error {
-	if err := checkKnown(params, "elements", "buffers", "seed"); err != nil {
-		return err
-	}
-	if err := intParam(params, "elements", &w.Elements); err != nil {
-		return err
-	}
-	if err := intParam(params, "buffers", &w.Buffers); err != nil {
-		return err
-	}
-	if err := intParam(params, "seed", &w.Seed); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
 	}
 	if w.Elements <= 0 || w.Elements%streamChunk != 0 {
@@ -59,11 +45,11 @@ func (w *Stream) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *Stream) Params() map[string]string {
-	return map[string]string{
-		"elements": fmt.Sprint(w.Elements), "buffers": fmt.Sprint(w.Buffers), "seed": fmt.Sprint(w.Seed),
-	}
+func (w *Stream) params() []param {
+	return []param{{"elements", &w.Elements}, {"buffers", &w.Buffers}, {"seed", &w.Seed}}
 }
+
+func (w *Stream) Params() map[string]string { return paramMap(w.params()) }
 
 // BytesMoved returns the total memory traffic of one run (read b and c,
 // write a).
@@ -132,7 +118,7 @@ func (w *Stream) speMain(spu cell.SPU, spe, nspe int) {
 		for i := 0; i < streamChunk; i++ {
 			b := math.Float32frombits(binary.LittleEndian.Uint32(ls[bOff(cur)+4*i:]))
 			c := math.Float32frombits(binary.LittleEndian.Uint32(ls[cOff(cur)+4*i:]))
-			binary.LittleEndian.PutUint32(ls[aOff(cur)+4*i:], math.Float32bits(b+streamQ*c))
+			binary.LittleEndian.PutUint32(ls[aOff(cur)+4*i:], math.Float32bits(b+float32(streamQ*c)))
 		}
 		spu.Compute(flopCycles(2 * streamChunk))
 		spu.Put(aOff(cur), w.aEA+uint64(chunk*cb), cb, 2+cur)
@@ -154,7 +140,7 @@ func (w *Stream) Verify(m *cell.Machine) error {
 		b := math.Float32frombits(binary.LittleEndian.Uint32(m.Mem()[w.bEA+uint64(4*i):]))
 		c := math.Float32frombits(binary.LittleEndian.Uint32(m.Mem()[w.cEA+uint64(4*i):]))
 		got := math.Float32frombits(binary.LittleEndian.Uint32(m.Mem()[w.aEA+uint64(4*i):]))
-		want := b + streamQ*c
+		want := b + float32(streamQ*c)
 		if got != want {
 			return fmt.Errorf("stream: a[%d] = %g, want %g", i, got, want)
 		}

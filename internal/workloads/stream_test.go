@@ -53,14 +53,9 @@ func TestStreamPartitionRemainder(t *testing.T) {
 }
 
 func TestStreamConfigValidation(t *testing.T) {
-	w := NewStream()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "stream", []map[string]string{
 		{"elements": "1000"}, // not multiple of chunk
 		{"elements": "0"},
 		{"buffers": "3"},
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }

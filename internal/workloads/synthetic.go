@@ -22,20 +22,8 @@ type Synthetic struct {
 // NewSynthetic returns the default 10k-events, 1000-cycle-gap generator.
 func NewSynthetic() *Synthetic { return &Synthetic{Events: 10000, Gap: 1000} }
 
-func (w *Synthetic) Name() string { return "synthetic" }
-
-func (w *Synthetic) Description() string {
-	return "controlled user-event rate generator for overhead experiments"
-}
-
 func (w *Synthetic) Configure(params map[string]string) error {
-	if err := checkKnown(params, "events", "gap"); err != nil {
-		return err
-	}
-	if err := intParam(params, "events", &w.Events); err != nil {
-		return err
-	}
-	if err := intParam(params, "gap", &w.Gap); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
 	}
 	if w.Events <= 0 || w.Gap < 0 {
@@ -44,9 +32,11 @@ func (w *Synthetic) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *Synthetic) Params() map[string]string {
-	return map[string]string{"events": fmt.Sprint(w.Events), "gap": fmt.Sprint(w.Gap)}
+func (w *Synthetic) params() []param {
+	return []param{{"events", &w.Events}, {"gap", &w.Gap}}
 }
+
+func (w *Synthetic) Params() map[string]string { return paramMap(w.params()) }
 
 func (w *Synthetic) Prepare(m *cell.Machine) error {
 	w.sink = m.Alloc(8, 8)

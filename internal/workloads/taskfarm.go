@@ -31,20 +31,9 @@ type TaskFarm struct {
 // NewTaskFarm returns the default 64-task, 4 KiB-block farm.
 func NewTaskFarm() *TaskFarm { return &TaskFarm{Tasks: 64, BlockBytes: 4096, Seed: 51} }
 
-func (w *TaskFarm) Name() string { return "taskfarm" }
-
-func (w *TaskFarm) Description() string {
-	return "self-scheduling task farm over main-storage MPMC queues"
-}
-
 func (w *TaskFarm) Configure(params map[string]string) error {
-	if err := checkKnown(params, "tasks", "blockbytes", "seed"); err != nil {
+	if err := configure(params, w.params()); err != nil {
 		return err
-	}
-	for key, dst := range map[string]*int{"tasks": &w.Tasks, "blockbytes": &w.BlockBytes, "seed": &w.Seed} {
-		if err := intParam(params, key, dst); err != nil {
-			return err
-		}
 	}
 	if w.Tasks <= 0 || w.Tasks >= 1<<16 {
 		return fmt.Errorf("taskfarm: tasks=%d out of range", w.Tasks)
@@ -55,11 +44,11 @@ func (w *TaskFarm) Configure(params map[string]string) error {
 	return nil
 }
 
-func (w *TaskFarm) Params() map[string]string {
-	return map[string]string{
-		"tasks": fmt.Sprint(w.Tasks), "blockbytes": fmt.Sprint(w.BlockBytes), "seed": fmt.Sprint(w.Seed),
-	}
+func (w *TaskFarm) params() []param {
+	return []param{{"tasks", &w.Tasks}, {"blockbytes", &w.BlockBytes}, {"seed", &w.Seed}}
 }
+
+func (w *TaskFarm) Params() map[string]string { return paramMap(w.params()) }
 
 // FNV-1a parameters.
 const (

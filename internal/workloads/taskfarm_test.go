@@ -38,17 +38,12 @@ func TestTaskFarmTraced(t *testing.T) {
 }
 
 func TestTaskFarmConfigValidation(t *testing.T) {
-	w := NewTaskFarm()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "taskfarm", []map[string]string{
 		{"tasks": "0"},
 		{"tasks": "70000"},
 		{"blockbytes": "100"},
 		{"blockbytes": "32768"},
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }
 
 func TestFnvRoundsDeterministic(t *testing.T) {

@@ -13,6 +13,8 @@ package workloads
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -21,10 +23,6 @@ import (
 
 // Workload is one configurable, self-verifying benchmark.
 type Workload interface {
-	// Name is the registry key.
-	Name() string
-	// Description is a one-line summary for CLI listings.
-	Description() string
 	// Configure applies string parameters; unknown keys or bad values
 	// are errors. Call before Prepare.
 	Configure(params map[string]string) error
@@ -37,37 +35,135 @@ type Workload interface {
 	Verify(m *cell.Machine) error
 }
 
-// factories maps workload names to constructors.
-var factories = map[string]func() Workload{
-	"matmul":    func() Workload { return NewMatmul() },
-	"fft":       func() Workload { return NewFFT() },
-	"pipeline":  func() Workload { return NewPipeline() },
-	"julia":     func() Workload { return NewJulia() },
-	"histogram": func() Workload { return NewHistogram() },
-	"synthetic": func() Workload { return NewSynthetic() },
-	"stream":    func() Workload { return NewStream() },
-	"stencil":   func() Workload { return NewStencil() },
-	"sort":      func() Workload { return NewSort() },
-	"nbody":     func() Workload { return NewNBody() },
-	"taskfarm":  func() Workload { return NewTaskFarm() },
+// entry is one registered workload: its constructor with the defaults,
+// a one-line summary for CLI listings, and its small size.
+type entry struct {
+	new  func() Workload
+	desc string
+	// small is a small but representative configuration: a traced run
+	// takes tens of milliseconds yet produces every record mix the
+	// workload has. The analyzer suites and pdt-load run it.
+	small map[string]string
+}
+
+// registry is the one place a workload is named.
+var registry = map[string]entry{
+	"matmul": {func() Workload { return NewMatmul() },
+		"blocked float32 matrix multiply, single- or double-buffered tile DMA",
+		map[string]string{"n": "64", "t": "16"}},
+	"fft": {func() Workload { return NewFFT() },
+		"batched 1-D complex float32 FFT over SPEs (radix-2, in-place)",
+		map[string]string{"n": "256", "batches": "4"}},
+	"pipeline": {func() Workload { return NewPipeline() },
+		"SPE-to-SPE stream pipeline with two-slot inboxes; optional slow stage bottleneck",
+		map[string]string{"blocks": "8", "blockbytes": "1024"}},
+	"julia": {func() Workload { return NewJulia() },
+		"Julia-set renderer; static vs dynamic (work queue) row partitioning",
+		map[string]string{"w": "64", "h": "32", "maxiter": "16", "mode": "dynamic"}},
+	"histogram": {func() Workload { return NewHistogram() },
+		"256-bin byte histogram; atomic vs PPE-side reduction",
+		map[string]string{"size": "65536"}},
+	"synthetic": {func() Workload { return NewSynthetic() },
+		"controlled user-event rate generator for overhead experiments",
+		map[string]string{"events": "400", "gap": "100"}},
+	"stream": {func() Workload { return NewStream() },
+		"STREAM triad a=b+q*c over float32 arrays; memory-bandwidth bound",
+		map[string]string{"elements": "8192"}},
+	"stencil": {func() Workload { return NewStencil() },
+		"Jacobi 5-point stencil; LS-resident blocks, halo exchange via SPE-to-SPE DMA + fenced sndsig",
+		map[string]string{"w": "64", "h": "16", "iters": "2"}},
+	"sort": {func() Workload { return NewSort() },
+		"distributed sort: SPE-local chunk sorts + PPE k-way merge",
+		map[string]string{"elements": "8192", "chunk": "1024"}},
+	"nbody": {func() Workload { return NewNBody() },
+		"all-pairs n-body via the SPE ring algorithm (blocks circulate LS-to-LS)",
+		map[string]string{"n": "64"}},
+	"taskfarm": {func() Workload { return NewTaskFarm() },
+		"self-scheduling task farm over main-storage MPMC queues",
+		map[string]string{"tasks": "16", "blockbytes": "1024"}},
 }
 
 // New instantiates a registered workload with default parameters.
 func New(name string) (Workload, error) {
-	f, ok := factories[name]
+	e, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
 	}
-	return f(), nil
+	return e.new(), nil
 }
 
 // Names lists the registered workloads, sorted.
 func Names() []string {
-	out := make([]string, 0, len(factories))
-	for n := range factories {
+	out := make([]string, 0, len(registry))
+	for n := range registry {
 		out = append(out, n)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// Description is the one-line summary of a registered workload.
+func Description(name string) string { return registry[name].desc }
+
+// Small returns a fresh copy of a registered workload's small
+// configuration; callers may edit it.
+func Small(name string) map[string]string { return maps.Clone(registry[name].small) }
+
+// param binds one configuration key to the field that holds it, an *int
+// or a *string. A workload lists its params once; Configure and Params
+// both read the list.
+type param struct {
+	key string
+	val any
+}
+
+// configure applies params to the fields of list. An unknown key is an
+// error (the smallest, when there are several); values are parsed in
+// list order and the first bad one is the error.
+func configure(params map[string]string, list []param) error {
+	known := make([]string, len(list))
+	for i, p := range list {
+		known[i] = p.key
+	}
+	var unknown []string
+	for k := range params {
+		if !slices.Contains(known, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		return fmt.Errorf("workloads: unknown parameter %q (known: %v)", slices.Min(unknown), known)
+	}
+	for _, p := range list {
+		s, ok := params[p.key]
+		if !ok {
+			continue
+		}
+		switch v := p.val.(type) {
+		case *int:
+			n, err := strconv.Atoi(s)
+			if err != nil {
+				return fmt.Errorf("workloads: parameter %s=%q: %v", p.key, s, err)
+			}
+			*v = n
+		case *string:
+			*v = s
+		}
+	}
+	return nil
+}
+
+// paramMap reports the current values of list's fields.
+func paramMap(list []param) map[string]string {
+	out := make(map[string]string, len(list))
+	for _, p := range list {
+		switch v := p.val.(type) {
+		case *int:
+			out[p.key] = strconv.Itoa(*v)
+		case *string:
+			out[p.key] = *v
+		}
+	}
 	return out
 }
 
@@ -82,44 +178,6 @@ func flopCycles(flops uint64) uint64 {
 		c = 1
 	}
 	return c
-}
-
-// intParam parses params[key] into *dst when present.
-func intParam(params map[string]string, key string, dst *int) error {
-	s, ok := params[key]
-	if !ok {
-		return nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return fmt.Errorf("workloads: parameter %s=%q: %v", key, s, err)
-	}
-	*dst = v
-	return nil
-}
-
-// stringParam copies params[key] into *dst when present.
-func stringParam(params map[string]string, key string, dst *string) {
-	if s, ok := params[key]; ok {
-		*dst = s
-	}
-}
-
-// checkKnown rejects unknown parameter keys.
-func checkKnown(params map[string]string, known ...string) error {
-	for k := range params {
-		ok := false
-		for _, kn := range known {
-			if k == kn {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("workloads: unknown parameter %q (known: %v)", k, known)
-		}
-	}
-	return nil
 }
 
 // The byte and float streams come from one linear congruential generator,

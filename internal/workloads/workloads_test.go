@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -60,6 +62,19 @@ func runWorkload(t *testing.T, name string, params map[string]string, traced boo
 	return m, tr
 }
 
+// rejectsAll fails t unless a fresh workload of the named kind rejects
+// each configuration in bad: no case inherits a field an earlier one left
+// out of range.
+func rejectsAll(t *testing.T, name string, bad []map[string]string) {
+	t.Helper()
+	for _, params := range bad {
+		w, _ := New(name)
+		if err := w.Configure(params); err == nil {
+			t.Fatalf("%s accepted %v", name, params)
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	names := Names()
 	if len(names) != 11 {
@@ -70,10 +85,7 @@ func TestRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.Name() != n {
-			t.Fatalf("Name() = %q, want %q", w.Name(), n)
-		}
-		if w.Description() == "" {
+		if Description(n) == "" {
 			t.Fatalf("%s has no description", n)
 		}
 		if len(w.Params()) == 0 {
@@ -87,10 +99,62 @@ func TestRegistry(t *testing.T) {
 
 func TestAllWorkloadsRejectUnknownParam(t *testing.T) {
 	for _, n := range Names() {
-		w, _ := New(n)
-		if err := w.Configure(map[string]string{"definitely-bogus": "1"}); err == nil {
-			t.Fatalf("%s accepted a bogus parameter", n)
+		rejectsAll(t, n, []map[string]string{{"definitely-bogus": "1"}})
+	}
+}
+
+// TestConfigureFirstErrorIsFixed: with two faults in one configuration
+// the error names the same one every time — the first bad value in list
+// order, the smallest unknown key.
+func TestConfigureFirstErrorIsFixed(t *testing.T) {
+	for _, c := range []struct {
+		params map[string]string
+		want   string
+	}{
+		{map[string]string{"blocks": "x", "seed": "y"}, `workloads: parameter blocks="x"`},
+		{map[string]string{"zeta": "1", "alpha": "1", "seed": "y"}, `workloads: unknown parameter "alpha"`},
+	} {
+		for i := 0; i < 100; i++ {
+			err := NewPipeline().Configure(c.params)
+			if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Fatalf("call %d: %v, want prefix %s", i, err, c.want)
+			}
 		}
+	}
+}
+
+// TestParamsRoundTrip: at its defaults and at its small size, every
+// workload reports each listed key once, accepts its own Params and
+// reports them back unchanged.
+func TestParamsRoundTrip(t *testing.T) {
+	for _, n := range Names() {
+		for _, params := range []map[string]string{nil, Small(n)} {
+			w, _ := New(n)
+			if err := w.Configure(params); err != nil {
+				t.Fatalf("%s %v: %v", n, params, err)
+			}
+			want := w.Params()
+			if list := w.(interface{ params() []param }).params(); len(want) != len(list) {
+				t.Fatalf("%s: Params() has %d keys, params() lists %d", n, len(want), len(list))
+			}
+			for k, v := range params {
+				if want[k] != v {
+					t.Fatalf("%s: Params()[%s] = %q, configured %q", n, k, want[k], v)
+				}
+			}
+			again, _ := New(n)
+			if err := again.Configure(want); err != nil {
+				t.Fatalf("%s: Configure(Params()): %v", n, err)
+			}
+			if got := again.Params(); !maps.Equal(got, want) {
+				t.Fatalf("%s: Params() = %v after Configure(%v)", n, got, want)
+			}
+		}
+	}
+	small := Small("julia")
+	small["mode"] = "static"
+	if Small("julia")["mode"] != "dynamic" {
+		t.Fatal("Small shares its map with the caller")
 	}
 }
 
@@ -207,18 +271,13 @@ func TestMatmulDoubleBufferFaster(t *testing.T) {
 }
 
 func TestMatmulConfigValidation(t *testing.T) {
-	w := NewMatmul()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "matmul", []map[string]string{
 		{"n": "100", "t": "64"},  // N not multiple of T
 		{"t": "3"},               // not multiple of 4
 		{"t": "128", "n": "256"}, // tile exceeds DMA limit
 		{"buffers": "3"},         // invalid
 		{"n": "abc"},             // parse error
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }
 
 func TestFFTSmall(t *testing.T) {
@@ -240,17 +299,12 @@ func TestFFTTraced(t *testing.T) {
 }
 
 func TestFFTConfigValidation(t *testing.T) {
-	w := NewFFT()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "fft", []map[string]string{
 		{"n": "100"},     // not power of two
 		{"n": "2"},       // too small
 		{"batches": "0"}, // zero
 		{"n": "65536"},   // batch too large for LS budget
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }
 
 func TestFFTInPlaceMatchesReference(t *testing.T) {
@@ -302,17 +356,12 @@ func TestPipelineFourStages(t *testing.T) {
 }
 
 func TestPipelineConfigValidation(t *testing.T) {
-	w := NewPipeline()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "pipeline", []map[string]string{
 		{"blockbytes": "100"},   // not multiple of 16
 		{"blockbytes": "32768"}, // over DMA limit
 		{"blocks": "0"},
 		{"slowfactor": "0"},
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }
 
 func TestJuliaStatic(t *testing.T) {
@@ -350,17 +399,12 @@ func TestJuliaDynamicFasterOnSkewedWork(t *testing.T) {
 }
 
 func TestJuliaConfigValidation(t *testing.T) {
-	w := NewJulia()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "julia", []map[string]string{
 		{"w": "100"},       // not multiple of 16
 		{"maxiter": "300"}, // > 255
 		{"mode": "magic"},  // unknown
 		{"h": "0"},
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }
 
 func TestHistogramAtomic(t *testing.T) {
@@ -380,16 +424,11 @@ func TestHistogramTracedAtomicEvents(t *testing.T) {
 }
 
 func TestHistogramConfigValidation(t *testing.T) {
-	w := NewHistogram()
-	for _, bad := range []map[string]string{
+	rejectsAll(t, "histogram", []map[string]string{
 		{"size": "100"}, // not multiple of 16
 		{"size": "0"},
 		{"reduce": "tree"}, // unknown
-	} {
-		if err := w.Configure(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
+	})
 }
 
 func TestWorkloadsTracedVsUntracedSameResult(t *testing.T) {
