@@ -172,10 +172,12 @@ func TestJobSyncDegradeNoStateDir(t *testing.T) {
 
 // TestJobDiskFullDegradesToSync: once the disk tier starts failing
 // writes, job submissions degrade to synchronous responses and readyz
-// reports the degradation — no 500s, no lost requests.
+// reports the degradation — no 500s, no lost requests. The degraded
+// request serves the image it has already read: one load, one miss, and
+// the bytes /v1/summary then serves from the cache.
 func TestJobDiskFullDegradesToSync(t *testing.T) {
 	trace := smallTrace(t)
-	_, ts := durableServer(t, t.TempDir(), func(c *config) {
+	s, ts := durableServer(t, t.TempDir(), func(c *config) {
 		c.chaosSpec = "diskfull:0:*" // every disk-tier write fails
 	})
 	resp, got := post(t, ts.URL+"/v1/jobs?kind=summary", trace)
@@ -190,6 +192,15 @@ func TestJobDiskFullDegradesToSync(t *testing.T) {
 	}
 	if err := json.Unmarshal(got, &doc); err != nil {
 		t.Fatalf("sync response not analysis JSON: %v", err)
+	}
+	if st := s.cache.Stats(); st.Misses != 1 || st.Hits != 0 || st.Dedups != 0 {
+		t.Fatalf("the degraded submission cost %d misses, %d hits, %d dedups; want one miss", st.Misses, st.Hits, st.Dedups)
+	}
+	if resp, want := post(t, ts.URL+"/v1/summary", trace); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("the degraded job answered differently than /v1/summary (status %d)", resp.StatusCode)
+	}
+	if st := s.cache.Stats(); st.Misses != 1 {
+		t.Fatalf("/v1/summary after the degraded job loaded again: %+v", st)
 	}
 	resp, body := getBody(t, ts.URL+"/readyz")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "degraded") {

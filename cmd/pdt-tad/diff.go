@@ -79,8 +79,8 @@ func diffSides(r *http.Request, data []byte) (a, b []byte, err error) {
 // layer; the critical paths and cycle reports come from the handles'
 // memoized values, so repeated diffs of the same images never recompute
 // them.
-func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte) ([]byte, error) {
-	da, db, err := diffSides(r, data)
+func (s *server) renderDiff(ctx context.Context, r *http.Request, env envelope) ([]byte, error) {
+	da, db, err := diffSides(r, env)
 	if err != nil {
 		return nil, err
 	}

@@ -27,13 +27,25 @@ var gzipPool = sync.Pool{
 	New: func() any { return gzip.NewWriter(io.Discard) },
 }
 
-// bodyReader is the read loop a request body goes through, in one of
-// its two forms: cache.ReadImage for a trace image, which hashes each
-// read as it lands, and readRaw for /v1/diff's envelope, whose own hash
-// nobody would use.
-type bodyReader[B any] func(r io.Reader, hint int64) (B, error)
+// bodyReader is the read loop a request body goes through, filling buf
+// when buf is large enough (see cache.ReadSized), in one of its two
+// forms: cache.ReadImage for a trace image, which hashes each read as it
+// lands, and readRaw for /v1/diff's envelope, whose own hash nobody
+// would use.
+type bodyReader[B body] func(r io.Reader, hint int64, buf []byte) (B, error)
 
-func readRaw(r io.Reader, hint int64) ([]byte, error) { return cache.ReadSized(r, hint, nil) }
+// body is a request body as read; Data is the buffer it was read into,
+// which goes back on the free list after the response.
+type body interface{ Data() []byte }
+
+// envelope is /v1/diff's request body, unhashed.
+type envelope []byte
+
+func (e envelope) Data() []byte { return e }
+
+func readRaw(r io.Reader, hint int64, buf []byte) (envelope, error) {
+	return cache.ReadSized(r, hint, nil, buf)
+}
 
 // openBody opens one request body under the configured cap and returns
 // it with the length it declares (-1 when unknown). A declared length
@@ -85,19 +97,20 @@ func bodyError(err error, what string) *statusError {
 	return &statusError{status: http.StatusBadRequest, err: fmt.Errorf("%s: %w", what, err)}
 }
 
-// readBody reads one whole request body through openBody. An honest
-// declared length sizes the buffer, so the body is walked once and never
-// copied by growth.
-func readBody[B any](s *server, w http.ResponseWriter, r *http.Request, read bodyReader[B]) (body B, serr *statusError) {
+// readBody reads one whole request body through openBody, into a buffer
+// from the server's free list when one holds the declared length. An
+// honest declared length sizes the buffer, so the body is walked once
+// and never copied by growth.
+func readBody[B body](s *server, w http.ResponseWriter, r *http.Request, read bodyReader[B]) (b B, serr *statusError) {
 	src, hint, serr := s.openBody(w, r)
 	if serr != nil {
-		return body, serr
+		return b, serr
 	}
-	body, err := read(src, hint)
+	b, err := read(src, hint, s.bodies.get(hint))
 	if err != nil {
-		return body, bodyError(err, "reading body")
+		return b, bodyError(err, "reading body")
 	}
-	return body, nil
+	return b, nil
 }
 
 // capReader holds a decompressed stream to the body cap by failing the

@@ -192,7 +192,8 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	webhook := r.URL.Query().Get("webhook")
 	if !s.asyncAvailable() {
-		s.runSync(w, r, kind, nil)
+		w.Header().Set("X-Pdt-Mode", "sync")
+		analysis(s, kind, cache.ReadImage, s.renderKind(kind)).ServeHTTP(w, r)
 		return
 	}
 	img, serr := readBody(s, w, r, cache.ReadImage)
@@ -200,14 +201,22 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, serr.status, serr.err)
 		return
 	}
-	key, data := img.Key(), img.Data()
+	s.submitJob(w, r, kind, webhook, img)
+	// The image is on disk or answered from: the buffer is free.
+	s.bodies.put(img.Data())
+}
+
+// submitJob makes an uploaded image durable and journals its job, or
+// serves it synchronously when either step fails.
+func (s *server) submitJob(w http.ResponseWriter, r *http.Request, kind, webhook string, img cache.Image) {
+	key := img.Key()
 	tier := s.cache.Disk()
 	// The image must be durable before the 202: a replayed job has no
 	// request body to fall back on. A failed spill degrades this
 	// request to the synchronous path instead of losing it.
-	if err := tier.Put(key, cache.KindTrace, data); err != nil {
+	if err := tier.Put(key, cache.KindTrace, img.Data()); err != nil {
 		s.log.Warn("job image spill failed, degrading to sync", "err", err)
-		s.runSync(w, r, kind, data)
+		s.runSync(w, r, kind, img)
 		return
 	}
 	tier.Pin(key)
@@ -224,7 +233,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			// The journal would not take the accept record; the job is
 			// not durable, so don't pretend. Serve it synchronously.
 			s.log.Warn("job journal rejected accept, degrading to sync", "err", err)
-			s.runSync(w, r, kind, data)
+			s.runSync(w, r, kind, img)
 		}
 		return
 	}
@@ -232,20 +241,17 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusAccepted, jb)
 }
 
-// runSync executes a job submission synchronously through the normal
-// analysis stack (admission control, deadline, error mapping included).
-// data, when non-nil, replaces the already-consumed request body.
-func (s *server) runSync(w http.ResponseWriter, r *http.Request, kind string, data []byte) {
+// runSync serves a job submission whose upload is already read and
+// hashed synchronously, flagged X-Pdt-Mode: sync, through the analysis
+// stack (admission control, deadline, error mapping included) without
+// reading or hashing the image again.
+func (s *server) runSync(w http.ResponseWriter, r *http.Request, kind string, img cache.Image) {
 	w.Header().Set("X-Pdt-Mode", "sync")
-	if data != nil {
-		// data is already decompressed; the replayed body must not claim
-		// the original Content-Encoding.
-		r = r.Clone(r.Context())
-		r.Body = io.NopCloser(bytes.NewReader(data))
-		r.ContentLength = int64(len(data))
-		r.Header.Del("Content-Encoding")
-	}
-	analysis(s, kind, cache.ReadImage, s.renderKind(kind)).ServeHTTP(w, r)
+	s.admitted(w, r, int64(len(img.Data())), func(ctx context.Context) {
+		s.respond(ctx, w, kind, func(ctx context.Context) ([]byte, error) {
+			return s.artifact(ctx, kind, img)
+		})
+	})
 }
 
 // handleGetJob serves GET /v1/jobs/{id}: the job document as JSON.

@@ -147,6 +147,9 @@ type server struct {
 	analysisHook func()
 	// uploads is the chunked-upload session registry.
 	uploads *uploads
+	// bodies is the free list analysis requests read their bodies into:
+	// at most one buffer per admission slot, bodyPoolBytes in all.
+	bodies *bodyPool
 	// mem raises the runtime's soft memory limit while trace images are
 	// analysed (nil when the daemon sets no limit); memoryLimitSource
 	// names what set the limit: "cache-bytes", "GOMEMLIMIT" or "none"
@@ -167,6 +170,7 @@ func newServer(cfg config, log *slog.Logger) *server {
 		log:               log,
 		slots:             make(chan struct{}, cfg.maxConcurrent),
 		queue:             make(chan struct{}, cfg.maxQueue),
+		bodies:            &bodyPool{maxCount: cfg.maxConcurrent, maxBytes: bodyPoolBytes},
 		memoryLimitSource: "none",
 	}
 	if cfg.cacheBytes > 0 || cfg.cacheEntries > 0 {
@@ -431,32 +435,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // analysis wraps a renderFunc with the whole protection stack: request
 // deadline, admission control, body cap, and error-to-status mapping.
-// The JSON body is rendered in full before any of it is written — a
-// renderFunc returns finished bytes or an error — so a mid-render failure
-// still produces a clean error response instead of truncated output.
-func analysis[B any](s *server, name string, read bodyReader[B], render renderFunc[B]) http.Handler {
+// The body is read into a buffer from the server's free list and goes
+// back on it once the response is written; a handler that panics drops
+// it instead.
+func analysis[B body](s *server, name string, read bodyReader[B], render renderFunc[B]) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		if s.cfg.requestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.requestTimeout)
-			defer cancel()
-		}
-		release, err := s.admit(ctx)
-		if err != nil {
-			if errors.Is(err, errShed) {
-				w.Header().Set("Retry-After", s.retryAfter())
-				s.writeError(w, http.StatusTooManyRequests, err)
-				return
-			}
-			// A queue-deadline 504 is as retryable as a 429 shed: the
-			// server was busy, not broken. Advertise that consistently.
-			w.Header().Set("Retry-After", s.retryAfter())
-			s.writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("queued past the request deadline: %w", err))
-			return
-		}
-		defer release()
 		// The body counts toward the memory limit's headroom until the
 		// response, at its declared size, or at the cap when that says
 		// nothing (chunked, or gzip's wire length).
@@ -464,54 +447,96 @@ func analysis[B any](s *server, name string, read bodyReader[B], render renderFu
 		if r.ContentLength >= 0 && r.Header.Get("Content-Encoding") == "" {
 			held = min(r.ContentLength, held)
 		}
-		defer s.mem.hold(held)()
-		start := time.Now()
-		defer func() { s.observe(time.Since(start)) }()
-		if s.analysisHook != nil {
-			s.analysisHook()
-		}
-		body, serr := readBody(s, w, r, read)
-		if serr != nil {
-			s.writeError(w, serr.status, serr.err)
-			return
-		}
-		var note *clusterNote
-		if s.cluster != nil {
-			note = &clusterNote{}
-			ctx = context.WithValue(ctx, clusterNoteKey{}, note)
-		}
-		out, err := render(ctx, r, body)
-		if err != nil {
-			var se *statusError
-			switch {
-			case errors.As(err, &se):
-				if se.body != nil {
-					w.Header().Set("Content-Type", "application/json")
-					w.WriteHeader(se.status)
-					_, _ = w.Write(se.body)
-					return
-				}
-				s.writeError(w, se.status, se.err)
-			case errors.Is(err, analyzer.ErrLimitExceeded):
-				s.writeError(w, http.StatusRequestEntityTooLarge, err)
-			case errors.Is(err, context.DeadlineExceeded):
-				w.Header().Set("Retry-After", s.retryAfter())
-				s.writeError(w, http.StatusGatewayTimeout, err)
-			case errors.Is(err, context.Canceled):
-				// Client went away; nothing useful to write.
-			default:
-				s.writeError(w, http.StatusBadRequest,
-					fmt.Errorf("%s: %w", name, err))
+		s.admitted(w, r, held, func(ctx context.Context) {
+			body, serr := readBody(s, w, r, read)
+			if serr != nil {
+				s.writeError(w, serr.status, serr.err)
+				return
 			}
+			s.respond(ctx, w, name, func(ctx context.Context) ([]byte, error) {
+				return render(ctx, r, body)
+			})
+			s.bodies.put(body.Data())
+		})
+	})
+}
+
+// admitted runs serve under the request deadline once admission control
+// lets it in, with held bytes of trace image counted toward the memory
+// limit until it returns; a shed or a deadline in the queue is answered
+// here.
+func (s *server) admitted(w http.ResponseWriter, r *http.Request, held int64, serve func(ctx context.Context)) {
+	ctx := r.Context()
+	if s.cfg.requestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.requestTimeout)
+		defer cancel()
+	}
+	release, err := s.admit(ctx)
+	if err != nil {
+		if errors.Is(err, errShed) {
+			w.Header().Set("Retry-After", s.retryAfter())
+			s.writeError(w, http.StatusTooManyRequests, err)
 			return
 		}
-		if note != nil && note.v != "" {
-			w.Header().Set("X-Pdt-Cluster", note.v)
+		// A queue-deadline 504 is as retryable as a 429 shed: the
+		// server was busy, not broken. Advertise that consistently.
+		w.Header().Set("Retry-After", s.retryAfter())
+		s.writeError(w, http.StatusGatewayTimeout,
+			fmt.Errorf("queued past the request deadline: %w", err))
+		return
+	}
+	defer release()
+	defer s.mem.hold(held)()
+	start := time.Now()
+	defer func() { s.observe(time.Since(start)) }()
+	if s.analysisHook != nil {
+		s.analysisHook()
+	}
+	serve(ctx)
+}
+
+// respond writes what render returns, or maps its error to a status.
+// The JSON body is rendered in full before any of it is written — render
+// returns finished bytes or an error — so a mid-render failure still
+// produces a clean error response instead of truncated output.
+func (s *server) respond(ctx context.Context, w http.ResponseWriter, name string, render func(context.Context) ([]byte, error)) {
+	var note *clusterNote
+	if s.cluster != nil {
+		note = &clusterNote{}
+		ctx = context.WithValue(ctx, clusterNoteKey{}, note)
+	}
+	out, err := render(ctx)
+	if err != nil {
+		var se *statusError
+		switch {
+		case errors.As(err, &se):
+			if se.body != nil {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(se.status)
+				_, _ = w.Write(se.body)
+				return
+			}
+			s.writeError(w, se.status, se.err)
+		case errors.Is(err, analyzer.ErrLimitExceeded):
+			s.writeError(w, http.StatusRequestEntityTooLarge, err)
+		case errors.Is(err, context.DeadlineExceeded):
+			w.Header().Set("Retry-After", s.retryAfter())
+			s.writeError(w, http.StatusGatewayTimeout, err)
+		case errors.Is(err, context.Canceled):
+			// Client went away; nothing useful to write.
+		default:
+			s.writeError(w, http.StatusBadRequest,
+				fmt.Errorf("%s: %w", name, err))
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-		_, _ = w.Write(out)
-	})
+		return
+	}
+	if note != nil && note.v != "" {
+		w.Header().Set("X-Pdt-Cluster", note.v)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	_, _ = w.Write(out)
 }
 
 // writeError emits a small JSON error document.

@@ -42,90 +42,18 @@ const coldPeakRSSMB = 500
 
 func TestSmokeTADColdRSS(t *testing.T) {
 	const requests, callers = 100, 2
-	bin := filepath.Join(t.TempDir(), "pdt-tad")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building pdt-tad: %v", err)
-	}
-
-	cfg := core.DefaultTraceConfig()
-	res, err := harness.Run(harness.Spec{
-		Workload: "synthetic",
-		Params:   map[string]string{"events": "10000", "gap": "100"},
-		Trace:    &cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := traceio.Parse(res.TraceBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := cache.New(0, 0).Load(context.Background(), res.TraceBytes, analyzer.DefaultServiceLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][]byte{}
-	for _, k := range kinds.All {
-		if want[k.Name], err = cache.Render(k.Name, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Default flags; an operator's GOMEMLIMIT would take precedence over
-	// the derived limit, so the daemon does not inherit one.
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
-	for _, kv := range os.Environ() {
-		if !strings.HasPrefix(kv, "GOMEMLIMIT=") {
-			cmd.Env = append(cmd.Env, kv)
-		}
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logBuf bytes.Buffer
-	cmd.Stderr = &logBuf
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-	lines := bufio.NewScanner(stdout)
-	if !lines.Scan() {
-		t.Fatal("no startup line on stdout")
-	}
-	base := "http://" + strings.TrimPrefix(lines.Text(), "pdt-tad: listening on ")
-	go io.Copy(io.Discard, stdout)
-
+	bin := buildTAD(t)
+	f, want := largeSmokeTrace(t)
+	cmd, base, logBuf := startDefaultTAD(t, bin)
 	client := &http.Client{Timeout: 30 * time.Second}
 	start := time.Now()
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []string
-		next = make(chan int)
-	)
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				kind := kinds.All[i%len(kinds.All)].Name
-				if err := coldRequest(client, base, kind, freshSmokeBody(f, i), want[kind]); err != nil {
-					mu.Lock()
-					errs = append(errs, fmt.Sprintf("request %d (%s): %v", i, kind, err))
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < requests; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, e := range errs {
+	for _, e := range fanOut(requests, callers, func(i int) error {
+		kind := kinds.All[i%len(kinds.All)].Name
+		if err := coldRequest(client, base, kind, freshSmokeBody(f, i), want[kind]); err != nil {
+			return fmt.Errorf("%s: %w", kind, err)
+		}
+		return nil
+	}) {
 		t.Error(e)
 	}
 
@@ -171,6 +99,110 @@ func TestSmokeTADColdRSS(t *testing.T) {
 	if log := logBuf.String(); !strings.Contains(log, `"memory_limit":469762048,"memory_limit_source":"cache-bytes"`) {
 		t.Errorf("listening line does not carry the derived limit:\n%s", log[:min(len(log), 2000)])
 	}
+}
+
+// buildTAD compiles the daemon in this directory to a temporary binary.
+func buildTAD(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "pdt-tad")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building pdt-tad: %v", err)
+	}
+	return bin
+}
+
+// largeSmokeTrace is the benchmark's large trace (synthetic, 10,000
+// events, 3 MB), parsed, with every kind's reply as an in-process render
+// gives it.
+func largeSmokeTrace(t *testing.T) (*traceio.File, map[string][]byte) {
+	t.Helper()
+	cfg := core.DefaultTraceConfig()
+	res, err := harness.Run(harness.Spec{
+		Workload: "synthetic",
+		Params:   map[string]string{"events": "10000", "gap": "100"},
+		Trace:    &cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := traceio.Parse(res.TraceBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cache.New(0, 0).Load(context.Background(), res.TraceBytes, analyzer.DefaultServiceLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, k := range kinds.All {
+		if want[k.Name], err = cache.Render(k.Name, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f, want
+}
+
+// startDefaultTAD starts bin with default flags and returns the process,
+// its base URL and its log. An operator's GOMEMLIMIT would take
+// precedence over the derived limit, so the daemon does not inherit one.
+// The process is killed when the test ends.
+func startDefaultTAD(t *testing.T, bin string) (*exec.Cmd, string, *bytes.Buffer) {
+	t.Helper()
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GOMEMLIMIT=") {
+			cmd.Env = append(cmd.Env, kv)
+		}
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logBuf := &bytes.Buffer{}
+	cmd.Stderr = logBuf
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+	lines := bufio.NewScanner(stdout)
+	if !lines.Scan() {
+		t.Fatal("no startup line on stdout")
+	}
+	base := "http://" + strings.TrimPrefix(lines.Text(), "pdt-tad: listening on ")
+	go io.Copy(io.Discard, stdout)
+	return cmd, base, logBuf
+}
+
+// fanOut runs do(0) ... do(requests-1) on callers goroutines and returns
+// each failure as "request i: err".
+func fanOut(requests, callers int, do func(i int) error) []string {
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs []string
+		next = make(chan int)
+	)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if err := do(i); err != nil {
+					mu.Lock()
+					errs = append(errs, fmt.Sprintf("request %d: %v", i, err))
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	for i := 0; i < requests; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return errs
 }
 
 // coldRequest posts one body and checks the reply byte for byte.

@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -26,12 +25,7 @@ import (
 )
 
 func TestSmokeTAD(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "pdt-tad")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building pdt-tad: %v", err)
-	}
+	bin := buildTAD(t)
 
 	golden, err := os.ReadFile("../../internal/core/testdata/golden.pdt")
 	if err != nil {

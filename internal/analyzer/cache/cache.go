@@ -78,12 +78,12 @@ func ImageOf(data []byte) Image { return Image{data: data, key: KeyOf(data)} }
 func (im Image) Data() []byte { return im.data }
 func (im Image) Key() Key     { return im.key }
 
-// ReadImage reads r to EOF like ReadSized and hashes each read as it
-// lands, so the key is ready with the last byte and the image is walked
-// once.
-func ReadImage(r io.Reader, hint int64) (Image, error) {
+// ReadImage reads r to EOF like ReadSized, into buf when buf is large
+// enough, and hashes each read as it lands, so the key is ready with the
+// last byte and the image is walked once.
+func ReadImage(r io.Reader, hint int64, buf []byte) (Image, error) {
 	h := sha256.New()
-	data, err := ReadSized(r, hint, h)
+	data, err := ReadSized(r, hint, h, buf)
 	if err != nil {
 		return Image{}, err
 	}
@@ -97,23 +97,29 @@ func ReadImage(r io.Reader, hint int64) (Image, error) {
 // more than it sends costs this much, not what it announced.
 const trustedAfter = 1 << 20
 
-// ReadSized reads r to EOF into a buffer sized from hint, the sender's
-// declared length, and feeds every read to sink (nil = none) as it
-// lands. The buffer is hint+1 bytes — the spare one is room for the read
-// that reports EOF — so an honest length never regrows; a hint over
-// trustedAfter gets that much first and the rest, in one jump, once the
-// first part has filled. With no hint (hint <= 0), or past a hint that
-// was too small, it starts at 512 bytes and grows by append, as
-// io.ReadAll does. r's error comes back as it is.
-func ReadSized(r io.Reader, hint int64, sink io.Writer) ([]byte, error) {
-	first := int64(512)
-	switch {
-	case hint > trustedAfter:
-		first = trustedAfter
-	case hint > 0:
-		first = hint + 1
+// ReadSized reads r to EOF into a buffer and feeds every read to sink
+// (nil = none) as it lands. The buffer is buf, a spare the caller lends
+// (nil = none), when buf already holds hint+1 bytes, hint being the
+// sender's declared length, or with no hint when buf has any room: a
+// spare never lets a declared length skip its trust. Otherwise the
+// buffer is sized from hint: hint+1 bytes — the spare one is room for
+// the read that reports EOF — so an honest length never regrows; a hint
+// over trustedAfter gets that much first and the rest, in one jump, once
+// the first part has filled. With no hint (hint <= 0), or past a hint
+// that was too small, it starts at 512 bytes (or at buf) and grows by
+// append, as io.ReadAll does. r's error comes back as it is.
+func ReadSized(r io.Reader, hint int64, sink io.Writer, buf []byte) ([]byte, error) {
+	if cap(buf) == 0 || int64(cap(buf)) <= hint {
+		first := int64(512)
+		switch {
+		case hint > trustedAfter:
+			first = trustedAfter
+		case hint > 0:
+			first = hint + 1
+		}
+		buf = make([]byte, 0, first)
 	}
-	buf := make([]byte, 0, first)
+	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
 			if int64(cap(buf)) <= hint {

@@ -22,7 +22,7 @@ func noise(n int) []byte {
 
 // TestReadImageMatchesKeyOf walks every branch of the read loop — sized,
 // unsized, the jump at the first MiB, growth past a hint that was too
-// small — under readers that deliver the same bytes in different shapes:
+// small, with and without a used spare buffer — under readers that deliver the same bytes in different shapes:
 // whatever the shape and whatever the hint, the image holds the input and
 // the key it would get from hashing the finished buffer.
 func TestReadImageMatchesKeyOf(t *testing.T) {
@@ -45,15 +45,18 @@ func TestReadImageMatchesKeyOf(t *testing.T) {
 				continue
 			}
 			for _, hint := range []int64{0, -1, int64(n), int64(n / 3), int64(n) * 4} {
-				im, err := cache.ReadImage(rd.wrap(bytes.NewReader(data)), hint)
-				if err != nil {
-					t.Fatalf("%s n=%d hint=%d: %v", rd.name, n, hint, err)
-				}
-				if !bytes.Equal(im.Data(), data) {
-					t.Fatalf("%s n=%d hint=%d: read %d bytes that differ from the input", rd.name, n, hint, len(im.Data()))
-				}
-				if im.Key() != want {
-					t.Fatalf("%s n=%d hint=%d: key %s, want KeyOf = %s", rd.name, n, hint, im.Key(), want)
+				// A spare from a free list still holds its last body.
+				for _, spare := range [][]byte{nil, bytes.Repeat([]byte{0xA5}, n+1)[:0]} {
+					im, err := cache.ReadImage(rd.wrap(bytes.NewReader(data)), hint, spare)
+					if err != nil {
+						t.Fatalf("%s n=%d hint=%d: %v", rd.name, n, hint, err)
+					}
+					if !bytes.Equal(im.Data(), data) {
+						t.Fatalf("%s n=%d hint=%d spare=%d: read %d bytes that differ from the input", rd.name, n, hint, cap(spare), len(im.Data()))
+					}
+					if im.Key() != want {
+						t.Fatalf("%s n=%d hint=%d spare=%d: key %s, want KeyOf = %s", rd.name, n, hint, cap(spare), im.Key(), want)
+					}
 				}
 			}
 		}
@@ -70,7 +73,7 @@ func TestReadImageReturnsReaderError(t *testing.T) {
 	data := noise(70_001)
 	for _, hint := range []int64{-1, int64(len(data))} {
 		r := io.MultiReader(bytes.NewReader(data[:len(data)/2]), iotest.ErrReader(&http.MaxBytesError{Limit: 7}))
-		_, err := cache.ReadImage(r, hint)
+		_, err := cache.ReadImage(r, hint, nil)
 		var mbe *http.MaxBytesError
 		if !errors.As(err, &mbe) || mbe.Limit != 7 {
 			t.Fatalf("hint=%d: err = %v, want the reader's *http.MaxBytesError", hint, err)
@@ -78,30 +81,56 @@ func TestReadImageReturnsReaderError(t *testing.T) {
 	}
 }
 
-// TestReadImageAllocation pins the two allocation properties of the
-// sized read: a declared length is not allocated until the first MiB of
-// it has arrived, and an honest one is allocated exactly once it is.
+// TestReadImageAllocation pins the allocation properties of the sized
+// read: a declared length is not allocated until the first MiB of it has
+// arrived, whether or not the caller lends a smaller spare buffer; an
+// honest one is allocated exactly once it is; and a spare that holds it
+// is filled in place.
 func TestReadImageAllocation(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	im, err := cache.ReadImage(bytes.NewReader(noise(10)), 64<<20)
-	runtime.ReadMemStats(&after)
-	if err != nil || len(im.Data()) != 10 {
-		t.Fatalf("read %d bytes, err %v", len(im.Data()), err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
-		t.Fatalf("a 64 MiB Content-Length with a 10-byte body allocated %d bytes, want < 2 MiB", got)
+	liar := noise(10)
+	for _, spare := range [][]byte{nil, make([]byte, 0, 4<<20)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		im, err := cache.ReadImage(bytes.NewReader(liar), 64<<20, spare)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(im.Data(), liar) {
+			t.Fatalf("spare cap %d: read %d bytes, err %v", cap(spare), len(im.Data()), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+			t.Fatalf("spare cap %d: a 64 MiB Content-Length with a 10-byte body allocated %d bytes, want < 2 MiB", cap(spare), got)
+		}
+		if spare != nil && &im.Data()[0] == &spare[:1][0] {
+			t.Fatalf("a %d B spare was used for a 64 MiB declared length", cap(spare))
+		}
 	}
 
 	for _, n := range []int{1000, 1<<20 - 1, 1 << 20, 1<<20 + 1, 3 << 20} {
 		for _, wrap := range []func(io.Reader) io.Reader{iotest.HalfReader, iotest.DataErrReader} {
-			im, err := cache.ReadImage(wrap(bytes.NewReader(noise(n))), int64(n))
+			im, err := cache.ReadImage(wrap(bytes.NewReader(noise(n))), int64(n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(im.Data()) != n || cap(im.Data()) != n+1 {
 				t.Fatalf("exact hint %d: len %d cap %d, want cap %d (the buffer regrew)", n, len(im.Data()), cap(im.Data()), n+1)
 			}
+		}
+	}
+
+	data := noise(3 << 20)
+	spare := make([]byte, 7, 4<<20)
+	for _, hint := range []int64{int64(len(data)), -1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		im, err := cache.ReadImage(bytes.NewReader(data), hint, spare)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(im.Data(), data) || im.Key() != cache.KeyOf(data) {
+			t.Fatalf("hint %d: the spare did not read the image back (err %v)", hint, err)
+		}
+		if &im.Data()[0] != &spare[0] {
+			t.Fatalf("hint %d: a 4 MiB spare was not used for a 3 MiB body", hint)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Fatalf("hint %d: reading into a spare that holds the body allocated %d bytes", hint, got)
 		}
 	}
 }
