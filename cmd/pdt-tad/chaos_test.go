@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,6 +168,52 @@ func TestJobSyncDegradeNoStateDir(t *testing.T) {
 	// And the poll endpoints say the API is off rather than 500ing.
 	if resp, _ := getBody(t, ts.URL+"/v1/jobs/j-nope"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("job poll without state dir: %d", resp.StatusCode)
+	}
+}
+
+// TestJobSubmitWaitsForAdmission: a durable job submission reads its
+// upload only inside admission control. With the one slot held and no
+// queue, POST /v1/jobs is shed with a 429 before its body is spilled or
+// journaled; once the slot is free, the same submission is accepted.
+func TestJobSubmitWaitsForAdmission(t *testing.T) {
+	trace := smallTrace(t)
+	dir := t.TempDir()
+	s, ts := durableServer(t, dir, func(c *config) {
+		c.maxConcurrent, c.maxQueue = 1, 0
+	})
+	entered, block := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(block) })
+	t.Cleanup(release) // before the server's Close, which waits for the held request
+	s.analysisHook = func() {
+		close(entered)
+		<-block
+	}
+	done := make(chan int)
+	go func() { done <- postCode(ts.URL+"/v1/summary", trace) }()
+	<-entered
+
+	resp, body := post(t, ts.URL+"/v1/jobs?kind=summary", trace)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submission with the only slot held: status %d, Retry-After %q; body %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if st := s.jobs.Stats(); st.Accepted != 0 {
+		t.Fatalf("a shed submission was journaled: %+v", st)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, "jobs.journal")); err == nil && bytes.Contains(raw, []byte("accept")) {
+		t.Fatalf("the journal holds an accept record after a shed submission: %q", raw)
+	}
+	if s.cache.Disk().Has(cache.KeyOf(trace), cache.KindTrace) {
+		t.Fatal("a shed submission spilled its image to the disk tier")
+	}
+
+	s.analysisHook = nil
+	release()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("the request holding the slot finished with %d", code)
+	}
+	if resp, body := post(t, ts.URL+"/v1/jobs?kind=summary", trace); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submission with the slot free: status %d; body %s", resp.StatusCode, body)
 	}
 }
 

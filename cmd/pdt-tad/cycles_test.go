@@ -63,7 +63,7 @@ func TestCyclesEndpoint(t *testing.T) {
 }
 
 // TestCyclesEndpointCachedArtifact verifies the second identical request
-// is served from the memoized artifact: same bytes out, no second trace
+// is served from the cached artifact: same bytes out, no second trace
 // load (one miss, then hits).
 func TestCyclesEndpointCachedArtifact(t *testing.T) {
 	data := buildNamedTrace(t, "wl", 40)

@@ -11,9 +11,7 @@ import (
 	"mime/multipart"
 	"net/http"
 
-	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/cache"
-	"github.com/celltrace/pdt/internal/analyzer/cycles"
 	"github.com/celltrace/pdt/internal/analyzer/diff"
 	"github.com/celltrace/pdt/internal/core/traceio"
 )
@@ -68,36 +66,53 @@ func diffSides(r *http.Request, data []byte) (a, b []byte, err error) {
 	return a, b, nil
 }
 
-// renderDiff serves POST /v1/diff: load both sides through the
-// content-addressed cache (so each distinct image loads once no matter
-// how many diffs reference it), diff them, and emit the structured
-// report. A corrupt side comes back as a doctor-style 422 naming the
-// side and carrying its recovery report with partial confidence; a
-// workload mismatch or a bad ?mode= is a clear 400.
+// renderDiff serves POST /v1/diff. A diff is one more cached artifact:
+// its bytes live under the pair of the two sides' content keys
+// (cache.PairKey, in order) with kind "diff"+mode, in the memory tier and
+// through it the disk tier, so a repeated diff of the same pair and mode
+// — after a restart too — is a lookup. On a miss both sides load through
+// the content-addressed cache (so each distinct image loads once no
+// matter how many diffs reference it), each side is derived as soon as
+// its load settles, Compare assembles the report, and its JSON is
+// adopted under the pair key. A corrupt side comes back as a
+// doctor-style 422 naming the side and carrying its recovery report with
+// partial confidence; a workload mismatch or a bad ?mode= is a clear 400.
 //
 // The optional ?mode=match|align query parameter turns on the per-cycle
-// layer; the critical paths and cycle reports come from the handles'
-// memoized values, so repeated diffs of the same images never recompute
-// them.
+// layer. Only a valid mode names a cache kind: any other value skips the
+// cache, so request input never names a disk object, and fails in
+// Compare as it did in Diff.
 func (s *server) renderDiff(ctx context.Context, r *http.Request, env envelope) ([]byte, error) {
 	da, db, err := diffSides(r, env)
 	if err != nil {
 		return nil, err
 	}
-	ha, hb, err := s.traces().LoadPair(ctx, da, db, s.cfg.limits)
-	if err != nil {
+	mode := r.URL.Query().Get("mode")
+	// The two sides hash concurrently: SHA-256 is most of a repeated diff.
+	var a cache.Image
+	hashed := make(chan struct{})
+	go func() {
+		a = cache.ImageOf(da)
+		close(hashed)
+	}()
+	b := cache.ImageOf(db)
+	<-hashed
+	c := s.traces()
+	kind, cached := "diff"+mode, diff.ValidMode(mode)
+	key := cache.PairKey(a.Key(), b.Key())
+	if cached {
+		if out, ok := c.Peek(key, kind); ok {
+			return out, nil
+		}
+	}
+	// A cached side's derivation overlaps the other side's load.
+	var sides [2]*diff.Side
+	if _, _, err := c.LoadPair(ctx, a, b, s.cfg.limits, func(i int, h *cache.Handle) {
+		sides[i] = diff.DeriveSide(h.Trace(), mode)
+	}); err != nil {
 		return nil, s.diffLoadError(ctx, err)
 	}
-	opt := diff.Options{
-		Mode:      r.URL.Query().Get("mode"),
-		CritPathA: ha.Value(cache.KindCritPath).(*analyzer.CriticalPath),
-		CritPathB: hb.Value(cache.KindCritPath).(*analyzer.CriticalPath),
-	}
-	if opt.Mode != "" {
-		opt.CyclesA = ha.Value(cache.KindCycles).(*cycles.Report)
-		opt.CyclesB = hb.Value(cache.KindCycles).(*cycles.Report)
-	}
-	rep, err := diff.Diff(ha.Trace(), hb.Trace(), opt)
+	rep, err := diff.Compare(sides[0], sides[1], diff.Options{Mode: mode})
 	if err != nil {
 		if errors.Is(err, diff.ErrWorkloadMismatch) || errors.Is(err, diff.ErrBadMode) {
 			return nil, &statusError{status: http.StatusBadRequest, err: err}
@@ -105,8 +120,13 @@ func (s *server) renderDiff(ctx context.Context, r *http.Request, env envelope) 
 		return nil, err
 	}
 	var buf bytes.Buffer
-	err = rep.WriteJSON(&buf)
-	return buf.Bytes(), err
+	if err := rep.WriteJSON(&buf); err != nil {
+		return nil, err
+	}
+	if !cached {
+		return buf.Bytes(), nil
+	}
+	return c.AdoptArtifact(key, kind, buf.Bytes()), nil
 }
 
 // diffLoadError maps a one-sided load failure: corrupt bytes become a
@@ -126,7 +146,7 @@ func (s *server) diffLoadError(ctx context.Context, err error) error {
 		Error: fmt.Sprintf("side %s is corrupt: %v — see embedded doctor report", se.Side, se.Err),
 		Side:  se.Side,
 	}
-	if d, derr := s.traces().Artifact(ctx, se.Data, cache.KindDoctor, s.cfg.limits); derr == nil {
+	if d, derr := s.traces().ArtifactOf(ctx, se.Image, cache.KindDoctor, s.cfg.limits); derr == nil {
 		doc.Doctor = json.RawMessage(d)
 	}
 	body, merr := json.MarshalIndent(&doc, "", "  ")

@@ -5,11 +5,16 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
+	"io/fs"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/celltrace/pdt/internal/analyzer/cache"
 )
 
 // diffBoundary is the fixed multipart boundary the test requests use.
@@ -114,25 +119,131 @@ func TestDiffEndpoint(t *testing.T) {
 	}
 }
 
-// TestDiffEndpointCacheReuse verifies each side loads once: two diffs
-// referencing the same images must hit, not re-load.
+// TestDiffEndpointCacheReuse verifies each side loads once and the diff
+// itself is cached: the first diff misses once per distinct image, and
+// in every mode a repeat of the same pair returns the first response's
+// bytes as one hit on the pair's artifact, with no load.
 func TestDiffEndpointCacheReuse(t *testing.T) {
 	a := buildNamedTrace(t, "wl", 40)
 	b := buildNamedTrace(t, "wl", 80)
+	body, ct := diffBody(t, a, b), "multipart/form-data; boundary="+diffBoundary
 	s := newServer(defaultConfig(), quietLogger())
+	for _, mode := range []string{"", "match", "align"} {
+		path := "/v1/diff?mode=" + mode
+		post := func() *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			req.Header.Set("Content-Type", ct)
+			rec := httptest.NewRecorder()
+			s.handler().ServeHTTP(rec, req)
+			return rec
+		}
+		first := post()
+		if first.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", path, first.Code, first.Body.String())
+		}
+		before := s.cache.Stats()
+		if before.Misses != 2 {
+			t.Fatalf("%s: cache stats %+v: want exactly 2 misses (one per distinct image)", path, before)
+		}
+		again := post()
+		if again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("%s: repeat gave status %d and different bytes", path, again.Code)
+		}
+		st := s.cache.Stats()
+		if st.Hits != before.Hits+1 || st.Misses != 2 || st.Dedups != before.Dedups {
+			t.Fatalf("%s: stats %+v after %+v, want one hit on the pair and no load", path, st, before)
+		}
+		if _, ok := s.cache.Peek(cache.PairKey(cache.KeyOf(a), cache.KeyOf(b)), "diff"+mode); !ok {
+			t.Fatalf("%s: no artifact under the pair key", path)
+		}
+	}
+}
 
-	if rec := postDiff(t, s, diffBody(t, a, b), "multipart/form-data; boundary="+diffBoundary); rec.Code != http.StatusOK {
-		t.Fatalf("first diff: status %d", rec.Code)
+// TestDiffServedFromDiskAfterRestart: a diff adopted under its pair key
+// is written through to the disk tier, so a daemon restarted over the
+// same -state-dir serves the same bytes without loading either side.
+func TestDiffServedFromDiskAfterRestart(t *testing.T) {
+	body := diffBody(t, buildNamedTrace(t, "wl", 40), buildNamedTrace(t, "wl", 80))
+	ct := "multipart/form-data; boundary=" + diffBoundary
+	dir := t.TempDir()
+	postTo := func(url string) []byte {
+		resp, err := http.Post(url+"/v1/diff?mode=align", ct, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, err %v, body %s", resp.StatusCode, err, out)
+		}
+		return out
 	}
-	if rec := postDiff(t, s, diffBody(t, a, b), "multipart/form-data; boundary="+diffBoundary); rec.Code != http.StatusOK {
-		t.Fatalf("second diff: status %d", rec.Code)
+
+	s1, ts1 := durableServer(t, dir, nil)
+	want := postTo(ts1.URL)
+	ts1.Close()
+	s1.closeState()
+
+	s2, ts2 := durableServer(t, dir, nil)
+	if got := postTo(ts2.URL); !bytes.Equal(got, want) {
+		t.Fatal("the diff after a restart differs from the one before it")
 	}
-	st := s.cache.Stats()
-	if st.Misses != 2 {
-		t.Fatalf("cache stats %+v: want exactly 2 misses (one per distinct image)", st)
+	if st := s2.cache.Stats(); st.Misses != 0 {
+		t.Fatalf("the restarted daemon loaded a side: %+v", st)
 	}
-	if st.Hits < 2 {
-		t.Fatalf("cache stats %+v: second diff should have hit both sides", st)
+	if dst := s2.cache.Disk().Stats(); dst.Hits != 1 {
+		t.Fatalf("disk stats %+v: want the diff as one disk hit", dst)
+	}
+}
+
+// TestDiffBadModeSkipsCache: a ?mode= that Diff rejects names no cache
+// kind, so it leaves no artifact in either tier and no file in the state
+// directory, whatever the value spells; and it keeps its place in the
+// order of errors — a corrupt side is still a 422 and a workload
+// mismatch still the mismatch's 400.
+func TestDiffBadModeSkipsCache(t *testing.T) {
+	good := buildNamedTrace(t, "wl", 40)
+	other := buildNamedTrace(t, "wl", 80)
+	corrupt := corruptTrace(buildNamedTrace(t, "wl", 120))
+	mismatched := buildNamedTrace(t, "mismatched", 40)
+	ct := "multipart/form-data; boundary=" + diffBoundary
+	dir := t.TempDir()
+	s, ts := durableServer(t, dir, nil)
+	for _, tc := range []struct {
+		a, b   []byte
+		status int
+		want   string
+	}{
+		{good, other, http.StatusBadRequest, "unknown mode"},
+		{corrupt, good, http.StatusUnprocessableEntity, `"side": "a"`},
+		{good, mismatched, http.StatusBadRequest, "different workloads"},
+	} {
+		for _, mode := range []string{"bogus", "..%2F..%2Fescape", "match%2F"} {
+			resp, err := http.Post(ts.URL+"/v1/diff?mode="+mode, ct, bytes.NewReader(diffBody(t, tc.a, tc.b)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status || !strings.Contains(string(out), tc.want) {
+				t.Fatalf("mode %s: status %d, want %d with %q; body %s", mode, resp.StatusCode, tc.status, tc.want, out)
+			}
+		}
+	}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.Contains(d.Name(), ".diff") {
+			t.Errorf("a rejected mode left %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.cache.Peek(cache.PairKey(cache.KeyOf(good), cache.KeyOf(other)), "diffbogus"); ok {
+		t.Fatal("a rejected mode left an artifact under the pair key")
+	}
+	if st := s.cache.Stats(); st.Entries != 4 {
+		t.Fatalf("cache stats %+v: want the three loaded images and the corrupt one's doctor report, no pair entry", st)
 	}
 }
 

@@ -180,7 +180,9 @@ func (s *server) asyncAvailable() bool {
 // the raw trace image as the body. On the durable path it persists the
 // image to the disk tier, journals the acceptance, and answers 202 with
 // the job document; when durability is unavailable it answers like the
-// matching synchronous endpoint would, with X-Pdt-Mode: sync.
+// matching synchronous endpoint would, with X-Pdt-Mode: sync. Either way
+// the upload is read only once admission control lets the request in,
+// and counts toward the memory limit while it is held.
 func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	kind := r.URL.Query().Get("kind")
 	if kind == "" {
@@ -196,19 +198,22 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		analysis(s, kind, cache.ReadImage, s.renderKind(kind)).ServeHTTP(w, r)
 		return
 	}
-	img, serr := readBody(s, w, r, cache.ReadImage)
-	if serr != nil {
-		s.writeError(w, serr.status, serr.err)
-		return
-	}
-	s.submitJob(w, r, kind, webhook, img)
-	// The image is on disk or answered from: the buffer is free.
-	s.bodies.put(img.Data())
+	s.admitted(w, r, s.heldFor(r), func(ctx context.Context) {
+		img, serr := readBody(s, w, r, cache.ReadImage)
+		if serr != nil {
+			s.writeError(w, serr.status, serr.err)
+			return
+		}
+		s.submitJob(ctx, w, kind, webhook, img)
+		// The image is on disk or answered from: the buffer is free.
+		s.bodies.put(img.Data())
+	})
 }
 
 // submitJob makes an uploaded image durable and journals its job, or
-// serves it synchronously when either step fails.
-func (s *server) submitJob(w http.ResponseWriter, r *http.Request, kind, webhook string, img cache.Image) {
+// serves it synchronously when either step fails. It runs inside the
+// submission's admission, whose slot the synchronous path reuses.
+func (s *server) submitJob(ctx context.Context, w http.ResponseWriter, kind, webhook string, img cache.Image) {
 	key := img.Key()
 	tier := s.cache.Disk()
 	// The image must be durable before the 202: a replayed job has no
@@ -216,7 +221,7 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request, kind, webhook
 	// request to the synchronous path instead of losing it.
 	if err := tier.Put(key, cache.KindTrace, img.Data()); err != nil {
 		s.log.Warn("job image spill failed, degrading to sync", "err", err)
-		s.runSync(w, r, kind, img)
+		s.serveSync(ctx, w, kind, img)
 		return
 	}
 	tier.Pin(key)
@@ -233,7 +238,7 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request, kind, webhook
 			// The journal would not take the accept record; the job is
 			// not durable, so don't pretend. Serve it synchronously.
 			s.log.Warn("job journal rejected accept, degrading to sync", "err", err)
-			s.runSync(w, r, kind, img)
+			s.serveSync(ctx, w, kind, img)
 		}
 		return
 	}
@@ -241,16 +246,14 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request, kind, webhook
 	s.writeJSON(w, http.StatusAccepted, jb)
 }
 
-// runSync serves a job submission whose upload is already read and
-// hashed synchronously, flagged X-Pdt-Mode: sync, through the analysis
-// stack (admission control, deadline, error mapping included) without
-// reading or hashing the image again.
-func (s *server) runSync(w http.ResponseWriter, r *http.Request, kind string, img cache.Image) {
+// serveSync answers an admitted job submission whose upload is already
+// read and hashed synchronously, flagged X-Pdt-Mode: sync, with the
+// analysis stack's error mapping, without reading or hashing the image
+// again and without taking a second admission slot.
+func (s *server) serveSync(ctx context.Context, w http.ResponseWriter, kind string, img cache.Image) {
 	w.Header().Set("X-Pdt-Mode", "sync")
-	s.admitted(w, r, int64(len(img.Data())), func(ctx context.Context) {
-		s.respond(ctx, w, kind, func(ctx context.Context) ([]byte, error) {
-			return s.artifact(ctx, kind, img)
-		})
+	s.respond(ctx, w, kind, func(ctx context.Context) ([]byte, error) {
+		return s.artifact(ctx, kind, img)
 	})
 }
 

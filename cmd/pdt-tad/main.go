@@ -6,8 +6,9 @@
 //
 // Repeated uploads of the same trace bytes are served from a
 // content-addressed (SHA-256), size-bounded LRU cache of loaded traces
-// and memoized analysis artifacts, with singleflight dedup of concurrent
-// loads; GET /v1/stats exposes its counters. With -state-dir the cache
+// and rendered artifact bytes, with singleflight dedup of concurrent
+// loads; a diff is cached under the pair of its two sides' keys. GET
+// /v1/stats exposes the counters. With -state-dir the cache
 // gains a disk-backed second tier (CRC-framed objects, atomic writes,
 // rehydrated on boot) and the async job API becomes durable: accepted
 // jobs are journaled and replayed after a crash.

@@ -440,14 +440,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // it instead.
 func analysis[B body](s *server, name string, read bodyReader[B], render renderFunc[B]) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The body counts toward the memory limit's headroom until the
-		// response, at its declared size, or at the cap when that says
-		// nothing (chunked, or gzip's wire length).
-		held := s.cfg.maxBody
-		if r.ContentLength >= 0 && r.Header.Get("Content-Encoding") == "" {
-			held = min(r.ContentLength, held)
-		}
-		s.admitted(w, r, held, func(ctx context.Context) {
+		s.admitted(w, r, s.heldFor(r), func(ctx context.Context) {
 			body, serr := readBody(s, w, r, read)
 			if serr != nil {
 				s.writeError(w, serr.status, serr.err)
@@ -459,6 +452,16 @@ func analysis[B body](s *server, name string, read bodyReader[B], render renderF
 			s.bodies.put(body.Data())
 		})
 	})
+}
+
+// heldFor is what a request's body counts toward the memory limit's
+// headroom until the response: its declared size, or the cap when that
+// says nothing (chunked, or gzip's wire length).
+func (s *server) heldFor(r *http.Request) int64 {
+	if r.ContentLength >= 0 && r.Header.Get("Content-Encoding") == "" {
+		return min(r.ContentLength, s.cfg.maxBody)
+	}
+	return s.cfg.maxBody
 }
 
 // admitted runs serve under the request deadline once admission control

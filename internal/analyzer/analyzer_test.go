@@ -412,33 +412,6 @@ func TestTimelineEmptyTrace(t *testing.T) {
 	if s := Timeline(tr, 40); !strings.Contains(s, "empty") {
 		t.Fatalf("empty timeline = %q", s)
 	}
-	if pts := UtilizationSeries(tr, 10); pts != nil {
-		t.Fatal("series on empty trace")
-	}
-}
-
-func TestUtilizationSeries(t *testing.T) {
-	tr := simTrace(t, core.DefaultTraceConfig(), func(h cell.Host) {
-		h.Wait(h.Run(0, "us", func(spu cell.SPU) uint32 {
-			spu.Compute(50000) // long pure-compute phase
-			for i := 0; i < 50; i++ {
-				spu.Get(0, 0, 16*1024, 0)
-				spu.WaitTagAll(1) // long DMA-bound phase
-			}
-			return 0
-		}))
-	})
-	pts := UtilizationSeries(tr, 20)
-	if len(pts) != 20 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// Early buckets mostly compute; later buckets mostly waiting.
-	if pts[1].Busy < 0.5 {
-		t.Fatalf("early busy = %.2f, want high", pts[1].Busy)
-	}
-	if pts[18].Busy > 0.6 {
-		t.Fatalf("late busy = %.2f, want low (DMA-bound)", pts[18].Busy)
-	}
 }
 
 func TestCSVExport(t *testing.T) {

@@ -6,11 +6,12 @@
 //
 // Keying is by SHA-256 of the raw trace image, so identical uploads share
 // one entry regardless of client or endpoint, and a single flipped byte
-// addresses a different entry. An entry holds the loaded trace, its
-// memoized kernel values and one map of artifact bytes per kind, whoever
-// produced them: a render, the doctor, a peer replica or a streaming
-// upload. A doctor entry holds only its report's bytes, not the trace it
-// salvaged.
+// addresses a different entry. An entry holds the loaded trace and one
+// map of artifact bytes per kind, whoever produced them: a render, the
+// doctor, a diff, a peer replica or a streaming upload. Both are weighed
+// exactly: the trace by its Footprint, the bytes by their capacity. A
+// doctor entry holds only its report's bytes, not the trace it salvaged,
+// and a diff's bytes live on the entry of its pair key (PairKey).
 //
 // Entries are evicted least-recently-used once the cache exceeds its
 // entry or byte bound; an entry with a load still in flight is pinned and
@@ -22,10 +23,10 @@
 // The cached *Trace is shared by every request that hits its entry. It is
 // validated exactly once, when the load settles (analyzer.Validate
 // appends to the trace and must not run concurrently), and is read-only
-// from then on; each kernel value is computed at most once under the
-// flight's lock, and the first bytes stored for a kind are the ones every
-// later request gets. Callers must not mutate anything a Handle or an
-// artifact lookup returns.
+// from then on. Concurrent requests for one kind of one trace share one
+// render, whose bytes are kept and whose kernel value is not; the first
+// bytes stored for a kind are the ones every later request gets. Callers
+// must not mutate anything a Handle or an artifact lookup returns.
 package cache
 
 import (
@@ -48,6 +49,10 @@ type Key [sha256.Size]byte
 
 // KeyOf hashes a trace image.
 func KeyOf(data []byte) Key { return sha256.Sum256(data) }
+
+// PairKey addresses what is derived from two images in order, such as
+// their diff: SHA-256 over key a then key b.
+func PairKey(a, b Key) Key { return sha256.Sum256(append(a[:], b[:]...)) }
 
 // String renders the key as lowercase hex (the disk tier's and the job
 // journal's on-disk spelling).
@@ -179,17 +184,27 @@ type Cache struct {
 	misses    uint64
 	dedups    uint64
 	evictions uint64
+	// renders holds, per key and kind, the render in progress; its
+	// channel closes when that render ends.
+	renders map[renderKey]chan struct{}
+}
+
+// renderKey names one artifact render: a content address and a kind.
+type renderKey struct {
+	key  Key
+	kind string
 }
 
 // New builds a cache bounded to maxEntries entries and maxBytes of
-// weight — each entry's loaded trace, kernel values and rendered
-// artifacts (each 0 = unbounded on that axis).
+// weight — each entry's loaded trace and artifact bytes (each 0 =
+// unbounded on that axis).
 func New(maxEntries int, maxBytes int64) *Cache {
 	return &Cache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		entries:    map[Key]*entry{},
+		renders:    map[renderKey]chan struct{}{},
 	}
 }
 
@@ -231,67 +246,24 @@ func (e *entry) inFlight() bool {
 	return false
 }
 
-// flight is one load (trace or doctor) plus the trace's memoized kernel
-// values. done/err/trace follow the singleflight protocol: the leader
-// fills them, settles, then closes done; waiters read only after done.
+// flight is one load (trace or doctor). done/err/trace follow the
+// singleflight protocol: the leader fills them, settles, then closes
+// done; waiters read only after done.
 type flight struct {
 	done    chan struct{}
 	entry   *entry // the entry whose slot holds the flight
 	settled bool   // guarded by Cache.mu
-	weight  int64  // of the load itself; values are charged as computed
+	weight  int64
 	err     error
 	trace   *analyzer.Trace
-
-	memoMu sync.Mutex
-	// values memoizes each kind's kernel result (what kinds.Kind.Compute
-	// returned).
-	values map[string]any
 }
 
-// Handle is the per-request view of a cached trace: the shared loaded
-// Trace plus its lazily memoized kernel values. Everything it returns is
-// shared across requests and must be treated as immutable.
-type Handle struct {
-	c *Cache
-	f *flight
-}
+// Handle is the per-request view of a cached trace. The trace it returns
+// is shared across requests and must be treated as immutable.
+type Handle struct{ f *flight }
 
 // Trace returns the loaded, validated trace.
 func (h *Handle) Trace() *analyzer.Trace { return h.f.trace }
-
-// Value returns the memoized result of the named kind's kernel — the
-// type its kinds.All entry computes — running it at most once per entry.
-// An unregistered kind has no value. A value is weighed into its entry
-// when it is computed.
-func (h *Handle) Value(kind string) any {
-	k, ok := kinds.Lookup(kind)
-	if !ok {
-		return nil
-	}
-	v, computed := h.f.memoValue(kind, k)
-	if computed {
-		h.c.charge(h.f, sizeOf(v))
-	}
-	return v
-}
-
-// memoValue returns the flight's value of kind, computing it under
-// memoMu if it is not memoized yet. The deferred unlock matters: a
-// kernel panic unwinds to the caller (the daemon answers it with a 500)
-// and must not leave every later request for the entry blocked.
-func (f *flight) memoValue(kind string, k *kinds.Kind) (v any, computed bool) {
-	f.memoMu.Lock()
-	defer f.memoMu.Unlock()
-	if v, ok := f.values[kind]; ok {
-		return v, false
-	}
-	if f.values == nil {
-		f.values = map[string]any{}
-	}
-	v = k.Compute(f.trace)
-	f.values[kind] = v
-	return v, true
-}
 
 // Load returns a handle for the trace image, loading it at most once per
 // content address no matter how many requests race: the first request
@@ -325,7 +297,7 @@ func (c *Cache) load(ctx context.Context, im Image, lim analyzer.Limits) (*Handl
 	if led && c.disk != nil {
 		_ = c.disk.Put(im.key, KindTrace, im.data)
 	}
-	return &Handle{c, f}, nil
+	return &Handle{f}, nil
 }
 
 // doctor renders the salvage/recovery report of the trace image to JSON,
@@ -422,8 +394,9 @@ func ValidKind(kind string) bool {
 }
 
 // Render computes the canonical JSON artifact of one registered kind
-// from a handle, using the handle's memoized analysis (each underlying
-// kernel still runs at most once per entry). The bytes are deterministic
+// from a handle: the kind's kernel over the shared trace, then its JSON
+// renderer. The cache keeps the bytes, not the kernel's value. The bytes
+// are deterministic
 // for a given trace image, which is what makes the disk tier's
 // content-addressed artifacts and the chaos harness's byte-convergence
 // check possible.
@@ -433,7 +406,7 @@ func Render(kind string, h *Handle) ([]byte, error) {
 		return nil, fmt.Errorf("cache: unknown artifact kind %q", kind)
 	}
 	var buf bytes.Buffer
-	if err := k.JSON(h.Trace(), h.Value(kind), &buf); err != nil {
+	if err := k.JSON(h.Trace(), k.Compute(h.Trace()), &buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -466,11 +439,49 @@ func (c *Cache) ArtifactOf(ctx context.Context, im Image, kind string, lim analy
 	if err != nil {
 		return nil, err
 	}
+	return c.render(ctx, im.key, kind, h)
+}
+
+// render runs kind's kernel over h's trace once however many callers
+// race for it: the first renders and adopts the bytes, the rest wait for
+// that render and take its bytes. A waiter finds none only when the
+// render failed or the entry was evicted meanwhile, and then renders
+// itself.
+func (c *Cache) render(ctx context.Context, key Key, kind string, h *Handle) ([]byte, error) {
+	rk := renderKey{key, kind}
+	for {
+		c.mu.Lock()
+		if e := c.entries[key]; e != nil {
+			if b, ok := e.arts[kind]; ok {
+				c.mu.Unlock()
+				return b, nil
+			}
+		}
+		wait, busy := c.renders[rk]
+		if !busy {
+			c.renders[rk] = make(chan struct{})
+		}
+		c.mu.Unlock()
+		if !busy {
+			break
+		}
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	defer func() {
+		c.mu.Lock()
+		close(c.renders[rk])
+		delete(c.renders, rk)
+		c.mu.Unlock()
+	}()
 	b, err := Render(kind, h)
 	if err != nil {
 		return nil, err
 	}
-	return c.AdoptArtifact(im.key, kind, b), nil
+	return c.AdoptArtifact(key, kind, b), nil
 }
 
 // Peek returns the rendered artifact for a key from the fastest tier
@@ -508,22 +519,9 @@ func (c *Cache) peekArtifact(key Key, kind string) ([]byte, bool) {
 	return b, ok
 }
 
-// charge adds n bytes just memoized on a settled flight to its entry's
-// weight and evicts to fit. Once the entry has left the cache nothing is
-// charged: only the handles still in use keep that memory alive.
-func (c *Cache) charge(f *flight, n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := f.entry; c.entries[e.key] == e {
-		e.weight += n
-		c.bytes += n
-		c.evict(e)
-	}
-}
-
 // AdoptArtifact is how artifact bytes enter the cache, whoever produced
-// them: ArtifactOf's render, the doctor, a fetch from the key's owner
-// replica, a streaming upload. It stores them on key's entry — creating
+// them: ArtifactOf's render, the doctor, a diff under its pair key, a
+// fetch from the key's owner replica, a streaming upload. It stores them on key's entry — creating
 // one if no load has touched the key, so a memory-only replica keeps
 // what it fetched — weighs them at their capacity, and writes them
 // through to the disk tier. The bytes must be the canonical rendering for

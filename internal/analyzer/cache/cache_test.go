@@ -44,12 +44,6 @@ func TestLoadHitReturnsSameTrace(t *testing.T) {
 	if h1.Trace() != h2.Trace() {
 		t.Fatal("second load did not reuse the cached *Trace")
 	}
-	if h1.Value(cache.KindSummary) != h2.Value(cache.KindSummary) {
-		t.Fatal("summary memo not shared")
-	}
-	if h1.Value(cache.KindCritPath) != h2.Value(cache.KindCritPath) {
-		t.Fatal("critical-path memo not shared")
-	}
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 miss + 1 hit", st)
@@ -243,16 +237,20 @@ func TestChurnMixedTracesNoBleed(t *testing.T) {
 					t.Errorf("trace %d: %d events, want %d (cross-trace bleed?)", k, got, bases[k].events)
 					return
 				}
-				if got := h.Value(cache.KindSummary).(*analyzer.Summary).WallTicks; got != bases[k].wall {
+				if got := analyzer.Summarize(h.Trace()).WallTicks; got != bases[k].wall {
 					t.Errorf("trace %d: wall %d, want %d", k, got, bases[k].wall)
 					return
 				}
-				if got := h.Value(cache.KindCritPath).(*analyzer.CriticalPath).Total; got != bases[k].total {
+				if got := analyzer.ComputeCriticalPath(h.Trace()).Total; got != bases[k].total {
 					t.Errorf("trace %d: critpath total %d, want %d", k, got, bases[k].total)
 					return
 				}
-				h.Value(cache.KindProfile)
-				h.Value(cache.KindGaps)
+				for _, kind := range []string{cache.KindProfile, cache.KindGaps} {
+					if _, err := cache.Render(kind, h); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 			}
 		}(w)
 	}

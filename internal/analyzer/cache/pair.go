@@ -2,7 +2,6 @@ package cache
 
 import (
 	"context"
-	"sync"
 
 	"github.com/celltrace/pdt/internal/analyzer"
 )
@@ -12,34 +11,36 @@ import (
 type SideError struct {
 	Side string // "a" or "b"
 	Err  error
-	// Data is the failing side's raw image, for follow-up doctoring.
-	Data []byte
+	// Image is the failing side's hashed image, for follow-up doctoring.
+	Image Image
 }
 
 func (e *SideError) Error() string { return "side " + e.Side + ": " + e.Err.Error() }
 func (e *SideError) Unwrap() error { return e.Err }
 
-// LoadPair loads two trace images concurrently through the cache, so a
-// diff request pays at most one load per distinct content address —
-// none when both sides are already cached, and exactly one when the two
-// sides are byte-identical (the second request piggybacks on the
-// first's flight). A failure is reported as a *SideError naming the
-// side; when both sides fail, side "a" wins deterministically.
-func (c *Cache) LoadPair(ctx context.Context, a, b []byte, lim analyzer.Limits) (ha, hb *Handle, err error) {
-	var ea, eb error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		hb, eb = c.Load(ctx, b, lim)
-	}()
-	ha, ea = c.Load(ctx, a, lim)
-	wg.Wait()
-	if ea != nil {
-		return nil, nil, &SideError{Side: "a", Err: ea, Data: a}
+// LoadPair loads two hashed trace images concurrently through the
+// cache, so a diff request pays at most one load per distinct content
+// address — none when both sides are already cached, and exactly one
+// when the two sides are byte-identical (the second request piggybacks
+// on the first's flight). Each side that loads is passed to then (nil =
+// none) on its own goroutine as soon as it settles, i being 0 for a and
+// 1 for b, so work on one side overlaps the other's load; a panic in
+// then reaches the caller. A failure is reported as a *SideError naming
+// the side; when both sides fail, side "a" wins deterministically.
+func (c *Cache) LoadPair(ctx context.Context, a, b Image, lim analyzer.Limits, then func(i int, h *Handle)) (ha, hb *Handle, err error) {
+	ims := [2]Image{a, b}
+	var hs [2]*Handle
+	var errs [2]error
+	analyzer.RunParallel(2, 2, func(i int) {
+		hs[i], errs[i] = c.load(ctx, ims[i], lim)
+		if errs[i] == nil && then != nil {
+			then(i, hs[i])
+		}
+	})
+	for i, side := range [2]string{"a", "b"} {
+		if errs[i] != nil {
+			return nil, nil, &SideError{Side: side, Err: errs[i], Image: ims[i]}
+		}
 	}
-	if eb != nil {
-		return nil, nil, &SideError{Side: "b", Err: eb, Data: b}
-	}
-	return ha, hb, nil
+	return hs[0], hs[1], nil
 }

@@ -19,12 +19,18 @@ func TestLoadPairSharesCache(t *testing.T) {
 	a := traceImage(t, 300)
 	b := traceImage(t, 500)
 
-	ha, hb, err := c.LoadPair(ctx, a, b, analyzer.Limits{})
+	var got [2]*analyzer.Trace
+	ha, hb, err := c.LoadPair(ctx, cache.ImageOf(a), cache.ImageOf(b), analyzer.Limits{}, func(i int, h *cache.Handle) {
+		got[i] = h.Trace()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ha.Trace() == hb.Trace() {
 		t.Fatal("distinct images returned the same trace")
+	}
+	if got != [2]*analyzer.Trace{ha.Trace(), hb.Trace()} {
+		t.Fatal("then did not see each side's own handle")
 	}
 	if st := c.Stats(); st.Misses != 2 {
 		t.Fatalf("stats = %+v, want 2 misses from the pair load", st)
@@ -49,7 +55,7 @@ func TestLoadPairIdenticalSides(t *testing.T) {
 	c := cache.New(0, 0)
 	data := traceImage(t, 300)
 
-	ha, hb, err := c.LoadPair(context.Background(), data, data, analyzer.Limits{})
+	ha, hb, err := c.LoadPair(context.Background(), cache.ImageOf(data), cache.ImageOf(data), analyzer.Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +71,26 @@ func TestLoadPairIdenticalSides(t *testing.T) {
 	}
 }
 
+// TestLoadPairThenPanicReachesCaller: a panic in the per-side step is
+// re-raised on the caller, where pdt-tad answers it with a 500, instead
+// of killing the process from LoadPair's goroutine.
+func TestLoadPairThenPanicReachesCaller(t *testing.T) {
+	c := cache.New(0, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a panic in then did not reach the caller")
+		}
+	}()
+	c.LoadPair(context.Background(), cache.ImageOf(traceImage(t, 300)), cache.ImageOf(traceImage(t, 500)), analyzer.Limits{},
+		func(i int, _ *cache.Handle) {
+			if i == 1 {
+				panic("side b")
+			}
+		})
+}
+
 // TestLoadPairSideError corrupts one side and checks the error names it
-// and carries the failing bytes for doctoring.
+// and carries the failing image for doctoring.
 func TestLoadPairSideError(t *testing.T) {
 	c := cache.New(0, 0)
 	good := traceImage(t, 300)
@@ -75,7 +99,13 @@ func TestLoadPairSideError(t *testing.T) {
 		bad[i] ^= 0xFF
 	}
 
-	_, _, err := c.LoadPair(context.Background(), good, bad, analyzer.Limits{})
+	var called [2]bool
+	_, _, err := c.LoadPair(context.Background(), cache.ImageOf(good), cache.ImageOf(bad), analyzer.Limits{}, func(i int, _ *cache.Handle) {
+		called[i] = true
+	})
+	if called != [2]bool{true, false} {
+		t.Fatalf("then called for sides %v, want only the side that loaded", called)
+	}
 	if err == nil {
 		t.Fatal("corrupt side b did not fail the pair load")
 	}
@@ -86,7 +116,7 @@ func TestLoadPairSideError(t *testing.T) {
 	if se.Side != "b" {
 		t.Fatalf("SideError names side %q, want b", se.Side)
 	}
-	if !bytes.Equal(se.Data, bad) {
-		t.Fatal("SideError does not carry the failing side's bytes")
+	if !bytes.Equal(se.Image.Data(), bad) || se.Image.Key() != cache.KeyOf(bad) {
+		t.Fatal("SideError does not carry the failing side's image")
 	}
 }

@@ -1,8 +1,8 @@
 package cache_test
 
 // The byte bound is only as good as the weights: an entry must weigh what
-// it keeps alive — the loaded trace, every memoized kernel value and
-// every rendered artifact — or a full cache holds more than its budget.
+// it keeps alive — the loaded trace and every artifact's bytes — or a
+// full cache holds more than its budget.
 // The first two tests measure retained heap after a forced GC and hold
 // the weights, and the cache as a whole, to it; the last pins the
 // bookkeeping.
@@ -162,54 +162,65 @@ func TestColdScheduleHeapWithinBudget(t *testing.T) {
 	}
 }
 
-// TestWeightsFollowTheirEntry: a value, a rendered artifact and an
-// artifact adopted onto a loaded entry each add to their entry's
-// weight once, eviction takes all of it away, and a handle that outlives
-// its entry charges nothing to the cache.
+// TestWeightsFollowTheirEntry: an entry weighs exactly its trace's
+// Footprint plus the capacity of every artifact it holds — rendered,
+// adopted from a peer, or a diff adopted under its pair key — with no
+// other charge; eviction takes all of an entry's weight away, and a
+// handle that outlives its entry charges nothing to the cache.
 func TestWeightsFollowTheirEntry(t *testing.T) {
 	ctx := context.Background()
+	lim := analyzer.Limits{}
 	a, b := traceImage(t, 300), traceImage(t, 500)
-	c := cache.New(1, 0)
-	h, err := c.Load(ctx, a, analyzer.Limits{})
+	c := cache.New(2, 0)
+	h, err := c.Load(ctx, a, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := c.Stats().Bytes
-	h.Value(cache.KindCycles)
-	valued := c.Stats().Bytes
-	h.Value(cache.KindCycles)
-	if valued <= loaded || c.Stats().Bytes != valued {
-		t.Fatalf("weight %d after load, %d after a value, %d after asking again: want one charge",
-			loaded, valued, c.Stats().Bytes)
+	want := h.Trace().Footprint()
+	if got := c.Stats().Bytes; got != want {
+		t.Fatalf("weight %d after load, want the trace's Footprint %d", got, want)
 	}
-	art, err := c.Artifact(ctx, a, cache.KindSummary, analyzer.Limits{})
-	if err != nil {
+	for _, kind := range []string{cache.KindSummary, cache.KindProfile, cache.KindCritPath, cache.KindCycles} {
+		art, err := c.Artifact(ctx, a, kind, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(cap(art))
+		if got := c.Stats().Bytes; got != want {
+			t.Fatalf("weight %d after rendering %s, want %d", got, kind, want)
+		}
+	}
+	if _, err := cache.Render(cache.KindCycles, h); err != nil {
 		t.Fatal(err)
 	}
-	rendered := c.Stats().Bytes
-	if rendered <= valued+int64(cap(art)) {
-		t.Fatalf("weight %d after rendering, want over %d (value) + %d (artifact) + the summary value",
-			rendered, valued, cap(art))
+	if got := c.Stats().Bytes; got != want {
+		t.Fatalf("weight %d after rendering from the handle, want %d: a render is not kept", got, want)
 	}
 	peer := make([]byte, 10, 4096)
 	c.AdoptArtifact(cache.KeyOf(a), cache.KindGaps, peer)
-	if got := c.Stats().Bytes; got != rendered+4096 {
-		t.Fatalf("weight %d after adopting a 4096-byte slice, want %d", got, rendered+4096)
+	want += 4096
+	if got := c.Stats().Bytes; got != want {
+		t.Fatalf("weight %d after adopting a 4096-byte slice, want %d", got, want)
+	}
+	pair := make([]byte, 10, 512)
+	c.AdoptArtifact(cache.PairKey(cache.KeyOf(a), cache.KeyOf(b)), "diff", pair)
+	if st := c.Stats(); st.Entries != 2 || st.Bytes != want+512 {
+		t.Fatalf("after adopting a diff %+v, want 2 entries weighing %d", st, want+512)
 	}
 
-	// b evicts a: what is left is b's load and nothing of a's.
-	if _, err := c.Load(ctx, b, analyzer.Limits{}); err != nil {
+	// b evicts a, the least recently used: what is left is the diff's
+	// bytes and b's load, and nothing of a's.
+	hb, err := c.Load(ctx, b, lim)
+	if err != nil {
 		t.Fatal(err)
 	}
-	alone := cache.New(0, 0)
-	if _, err := alone.Load(ctx, b, analyzer.Limits{}); err != nil {
+	want = 512 + hb.Trace().Footprint()
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 || st.Bytes != want {
+		t.Fatalf("after eviction %+v, want two entries weighing %d", st, want)
+	}
+	if _, err := cache.Render(cache.KindCritPath, h); err != nil { // a's handle, its entry gone
 		t.Fatal(err)
 	}
-	want := alone.Stats().Bytes
-	if st := c.Stats(); st.Entries != 1 || st.Bytes != want {
-		t.Fatalf("after eviction %+v, want one entry weighing %d", st, want)
-	}
-	h.Value(cache.KindCritPath) // a's handle, its entry gone
 	if got := c.Stats().Bytes; got != want {
 		t.Fatalf("a handle outliving its entry charged the cache: %d, want %d", got, want)
 	}

@@ -36,6 +36,10 @@ const (
 // ErrBadMode rejects an unknown Options.Mode.
 var ErrBadMode = errors.New("diff: unknown mode (want \"match\" or \"align\")")
 
+// ValidMode reports whether mode is one Diff accepts: empty, match or
+// align.
+func ValidMode(mode string) bool { return mode == "" || mode == ModeMatch || mode == ModeAlign }
+
 // maxLCSCells caps the alignment DP table. Beyond it (pathological
 // cycle counts) align degrades to match pairing and marks the run
 // Approx rather than blowing memory.

@@ -13,7 +13,9 @@
 //
 // Diff shards its per-core scans on the analyzer's bounded worker pool;
 // DiffSerial is the sequential reference implementation Diff is tested
-// DeepEqual against for every registered workload.
+// DeepEqual against for every registered workload. A caller whose two
+// traces arrive apart derives each with DeriveSide when it arrives and
+// assembles the report with Compare.
 package diff
 
 import (
@@ -30,8 +32,8 @@ import (
 // cross-workload deltas attribute nothing meaningful.
 var ErrWorkloadMismatch = errors.New("diff: traces come from different workloads")
 
-// Options tunes the effect-size gate and lets callers reuse memoized
-// artifacts. The zero value picks the defaults below.
+// Options tunes the effect-size gate and selects per-cycle diffing. The
+// zero value picks the defaults below.
 type Options struct {
 	// MinRel is the minimum relative change — |Δ| as a fraction of the
 	// larger side — for a delta to be flagged (default 0.01).
@@ -40,18 +42,11 @@ type Options struct {
 	MinTicks uint64
 	// MinCount is the minimum absolute count delta to flag (default 8).
 	MinCount int
-	// CritPathA/CritPathB, when non-nil, are precomputed critical paths
-	// for the two sides (pdt-tad passes its cache-memoized results so a
-	// diff of cached traces recomputes nothing).
-	CritPathA, CritPathB *analyzer.CriticalPath
 	// Mode selects per-cycle diffing: ModeMatch pairs cycles by
 	// signature class, ModeAlign LCS-aligns them positionally and
 	// classifies insertions/deletions. Empty keeps per-cycle diffing off
 	// (Report.Cycles stays nil and the output is unchanged).
 	Mode string
-	// CyclesA/CyclesB, when non-nil, are precomputed cycle reports for
-	// the two sides (pdt-tad passes its memoized artifacts).
-	CyclesA, CyclesB *cycles.Report
 }
 
 // withDefaults fills unset gate knobs.
@@ -244,8 +239,9 @@ func (r *Report) Zero() bool {
 		o.RecordDelta == 0 && o.RecordAttributed == 0 && o.ResidualTicks == 0
 }
 
-// side is everything the diff needs from one trace.
-type side struct {
+// Side is everything the diff needs from one trace: its scans, its
+// critical path and, when a mode asks for them, its cycles.
+type Side struct {
 	workload   string
 	records    int
 	wall       uint64
@@ -254,12 +250,14 @@ type side struct {
 	perCore    map[uint8]*CoreSide
 	groups     groupCounts
 	crit       *analyzer.CriticalPath
+	cycles     *cycles.Report
 }
 
 // Diff computes the structured diff of two loaded traces of the same
-// workload. Per-core scans shard on the analyzer's bounded worker pool
-// and the two sides are processed concurrently; the result is DeepEqual
-// to DiffSerial's.
+// workload. It derives everything from the traces themselves: the two
+// sides are derived concurrently, and per-core scans shard on the
+// analyzer's bounded worker pool. The result is DeepEqual to
+// DiffSerial's.
 func Diff(a, b *analyzer.Trace, opt Options) (*Report, error) {
 	return diffTraces(a, b, opt, true)
 }
@@ -274,42 +272,66 @@ func diffTraces(a, b *analyzer.Trace, opt Options, par bool) (*Report, error) {
 	if a == nil || b == nil {
 		return nil, errors.New("diff: nil trace")
 	}
-	if a.Meta.Workload != b.Meta.Workload {
-		return nil, fmt.Errorf("%w: %q vs %q", ErrWorkloadMismatch, a.Meta.Workload, b.Meta.Workload)
+	if err := check(a.Meta.Workload, b.Meta.Workload, opt.Mode); err != nil {
+		return nil, err
 	}
-	if opt.Mode != "" && opt.Mode != ModeMatch && opt.Mode != ModeAlign {
-		return nil, fmt.Errorf("%w: %q", ErrBadMode, opt.Mode)
+	trs := [2]*analyzer.Trace{a, b}
+	var sides [2]*Side
+	one := func(i int) { sides[i] = computeSide(trs[i], opt.Mode, par) }
+	if par {
+		analyzer.RunParallel(0, 2, one)
+	} else {
+		one(0)
+		one(1)
+	}
+	return Compare(sides[0], sides[1], opt)
+}
+
+// DeriveSide derives one trace's side of a diff in mode, with the
+// parallel kernels, so a caller that holds one trace before the other
+// can derive it while the other still loads. An invalid mode derives
+// nothing but the workload: Compare rejects it.
+func DeriveSide(tr *analyzer.Trace, mode string) *Side {
+	if !ValidMode(mode) {
+		return &Side{workload: tr.Meta.Workload}
+	}
+	return computeSide(tr, mode, true)
+}
+
+// Compare assembles the diff of two sides derived by DeriveSide. It is
+// Diff of their traces when both were derived in opt.Mode.
+func Compare(a, b *Side, opt Options) (*Report, error) {
+	if err := check(a.workload, b.workload, opt.Mode); err != nil {
+		return nil, err
+	}
+	if opt.Mode != "" && (a.cycles == nil || b.cycles == nil) {
+		return nil, fmt.Errorf("diff: mode %q needs sides derived with cycles", opt.Mode)
 	}
 	opt = opt.withDefaults()
-	sides := make([]*side, 2)
-	if par {
-		analyzer.RunParallel(0, 2, func(i int) {
-			sides[i] = computeSide([]*analyzer.Trace{a, b}[i], []*analyzer.CriticalPath{opt.CritPathA, opt.CritPathB}[i], true)
-		})
-	} else {
-		sides[0] = computeSide(a, opt.CritPathA, false)
-		sides[1] = computeSide(b, opt.CritPathB, false)
-	}
-	rep := assemble(sides[0], sides[1], opt)
+	rep := assemble(a, b, opt)
 	if opt.Mode != "" {
-		ca, cb := opt.CyclesA, opt.CyclesB
-		if ca == nil {
-			ca = cycles.Detect(a, cycles.Options{})
-		}
-		if cb == nil {
-			cb = cycles.Detect(b, cycles.Options{})
-		}
-		rep.Cycles = cycleDiff(ca, cb, opt)
+		rep.Cycles = cycleDiff(a.cycles, b.cycles, opt)
 	}
 	return rep, nil
 }
 
-// computeSide extracts one trace's metrics. In parallel mode the
-// per-core scans run on the shared pool and the interval reconstruction
-// uses the sharded kernels; serial mode uses the reference kernels and
-// plain loops.
-func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *side {
-	s := &side{
+// check rejects a diff across workloads, then an unknown mode.
+func check(wa, wb, mode string) error {
+	if wa != wb {
+		return fmt.Errorf("%w: %q vs %q", ErrWorkloadMismatch, wa, wb)
+	}
+	if !ValidMode(mode) {
+		return fmt.Errorf("%w: %q", ErrBadMode, mode)
+	}
+	return nil
+}
+
+// computeSide extracts one trace's metrics, and its cycles when mode is
+// set. In parallel mode the per-core scans run on the shared pool and
+// the interval reconstruction uses the sharded kernels; serial mode uses
+// the reference kernels and plain loops.
+func computeSide(tr *analyzer.Trace, mode string, par bool) *Side {
+	s := &Side{
 		workload:   tr.Meta.Workload,
 		records:    tr.NumEvents(),
 		confidence: overallConfidence(tr),
@@ -371,14 +393,14 @@ func computeSide(tr *analyzer.Trace, crit *analyzer.CriticalPath, par bool) *sid
 		}
 	}
 
-	if crit == nil {
-		if par {
-			crit = analyzer.ComputeCriticalPath(tr)
-		} else {
-			crit = analyzer.ComputeCriticalPathSerial(tr)
-		}
+	if par {
+		s.crit = analyzer.ComputeCriticalPath(tr)
+	} else {
+		s.crit = analyzer.ComputeCriticalPathSerial(tr)
 	}
-	s.crit = crit
+	if mode != "" {
+		s.cycles = cycles.Detect(tr, cycles.Options{})
+	}
 	return s
 }
 
@@ -437,17 +459,14 @@ func overallConfidence(tr *analyzer.Trace) float64 {
 }
 
 // assemble aligns the two sides into the report.
-func assemble(a, b *side, opt Options) *Report {
-	gate := opt
-	gate.CritPathA, gate.CritPathB = nil, nil // gate thresholds only
-	gate.CyclesA, gate.CyclesB = nil, nil
+func assemble(a, b *Side, opt Options) *Report {
 	r := &Report{
 		Workload: a.workload,
 		RecordsA: a.records, RecordsB: b.records,
 		WallA: a.wall, WallB: b.wall,
 		FlushA: a.flush, FlushB: b.flush,
 		ConfidenceA: a.confidence, ConfidenceB: b.confidence,
-		Gate: gate,
+		Gate: opt,
 	}
 
 	// Core alignment: union of both sides, ascending.

@@ -173,6 +173,38 @@ func TestDiffWorkloadMismatch(t *testing.T) {
 	}
 }
 
+// TestCompareDerivedSidesEqualsDiff: comparing two sides derived one at
+// a time is Diff of their traces in every mode, a side derived without
+// cycles cannot serve a cycle mode, and a mismatch still outranks a bad
+// mode.
+func TestCompareDerivedSidesEqualsDiff(t *testing.T) {
+	a := traceWithGroups(t, "pipeline", event.GroupAll)
+	b := traceWithGroups(t, "pipeline", event.GroupAll&^event.GroupMailbox)
+	for _, mode := range []string{"", diff.ModeMatch, diff.ModeAlign} {
+		want, err := diff.Diff(a, b, diff.Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := diff.Compare(diff.DeriveSide(a, mode), diff.DeriveSide(b, mode), diff.Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("mode %q: Compare of derived sides differs from Diff", mode)
+		}
+	}
+	if _, err := diff.Compare(diff.DeriveSide(a, ""), diff.DeriveSide(b, ""), diff.Options{Mode: diff.ModeMatch}); err == nil {
+		t.Error("sides derived without cycles served a cycle mode")
+	}
+	if _, err := diff.Compare(diff.DeriveSide(a, "bogus"), diff.DeriveSide(b, "bogus"), diff.Options{Mode: "bogus"}); !errors.Is(err, diff.ErrBadMode) {
+		t.Errorf("bad mode: got %v, want ErrBadMode", err)
+	}
+	other := traceWithGroups(t, "julia", event.GroupAll)
+	if _, err := diff.Compare(diff.DeriveSide(a, "bogus"), diff.DeriveSide(other, "bogus"), diff.Options{Mode: "bogus"}); !errors.Is(err, diff.ErrWorkloadMismatch) {
+		t.Errorf("mismatch with a bad mode: got %v, want ErrWorkloadMismatch", err)
+	}
+}
+
 func TestDiffNilTrace(t *testing.T) {
 	tr := traceWithGroups(t, "synthetic", event.GroupAll)
 	if _, err := diff.Diff(nil, tr, diff.Options{}); err == nil {

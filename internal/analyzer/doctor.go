@@ -35,13 +35,8 @@ func (d *DoctorReport) Recoverable() bool {
 	return d.SalvageErr == nil && d.LoadErr == nil && d.Trace != nil
 }
 
-// DoctorFile runs the recovery pipeline on a trace file on disk.
-func DoctorFile(path string) (*DoctorReport, error) {
-	return DoctorFileContext(context.Background(), path, Limits{})
-}
-
-// DoctorFileContext is DoctorFile under cancellation and admission
-// control.
+// DoctorFileContext runs the recovery pipeline on a trace file on disk,
+// under cancellation and admission control.
 func DoctorFileContext(ctx context.Context, path string, lim Limits) (*DoctorReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -24,7 +24,7 @@ type Kind struct {
 	// Name is the subcommand, the /v1/<Name> route and the artifact kind.
 	Name string
 	// Compute runs the kernel. The result is immutable and may be
-	// memoized and handed to JSON and Text any number of times.
+	// handed to JSON and Text any number of times.
 	Compute func(tr *analyzer.Trace) any
 	// JSON renders a Compute result as the canonical artifact: the bytes
 	// POST /v1/<Name> serves and `pdt-ta <Name> -json` prints.

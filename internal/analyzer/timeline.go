@@ -164,57 +164,3 @@ func xmlEscape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
 }
-
-// UtilizationSeries buckets the trace span and returns, per bucket, the
-// fraction of SPE-run time spent computing (the figure-style time series).
-type SeriesPoint struct {
-	StartTick uint64
-	Busy      float64 // 0..1 averaged over active runs
-}
-
-// UtilizationSeries computes a compute-utilization time series with n
-// buckets across the trace span.
-func UtilizationSeries(tr *Trace, n int) []SeriesPoint {
-	if n <= 0 {
-		n = 1
-	}
-	start, end := tr.Span()
-	if end <= start {
-		return nil
-	}
-	span := end - start
-	busy := make([]uint64, n)
-	active := make([]uint64, n)
-	for _, iv := range Intervals(tr) {
-		b0 := int((iv.Start - start) * uint64(n) / span)
-		b1 := int((iv.End - start) * uint64(n) / span)
-		if b1 >= n {
-			b1 = n - 1
-		}
-		for bk := b0; bk <= b1; bk++ {
-			lo := start + uint64(bk)*span/uint64(n)
-			hi := start + uint64(bk+1)*span/uint64(n)
-			s, e := iv.Start, iv.End
-			if s < lo {
-				s = lo
-			}
-			if e > hi {
-				e = hi
-			}
-			if e > s {
-				active[bk] += e - s
-				if iv.State == StateCompute {
-					busy[bk] += e - s
-				}
-			}
-		}
-	}
-	out := make([]SeriesPoint, n)
-	for i := range out {
-		out[i].StartTick = start + uint64(i)*span/uint64(n)
-		if active[i] > 0 {
-			out[i].Busy = float64(busy[i]) / float64(active[i])
-		}
-	}
-	return out
-}

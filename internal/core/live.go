@@ -72,15 +72,6 @@ func (s *Session) AttachLive(w io.Writer) error {
 	return nil
 }
 
-// LiveErr returns the first error the live sink reported, if any. Live
-// write failures never disturb the run itself: the stream just stops.
-func (s *Session) LiveErr() error {
-	if s.live == nil {
-		return nil
-	}
-	return s.live.err
-}
-
 // CloseLive drains the remaining PPE records and seals the live stream
 // with a footer. Call it after Machine.Run returns cleanly; after a
 // crash, simply don't — the truncated stream is then exactly what a

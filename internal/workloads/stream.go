@@ -51,10 +51,6 @@ func (w *Stream) params() []param {
 
 func (w *Stream) Params() map[string]string { return paramMap(w.params()) }
 
-// BytesMoved returns the total memory traffic of one run (read b and c,
-// write a).
-func (w *Stream) BytesMoved() uint64 { return uint64(w.Elements) * 12 }
-
 func (w *Stream) Prepare(m *cell.Machine) error {
 	bytes := w.Elements * 4
 	w.aEA = m.Alloc(bytes, 128)
