@@ -33,8 +33,8 @@ func durableServer(t *testing.T, stateDir string, mut func(*config)) (*server, *
 	t.Helper()
 	cfg := defaultConfig()
 	cfg.stateDir = stateDir
-	cfg.jobBackoff = time.Millisecond
-	cfg.jobBackoffCap = 5 * time.Millisecond
+	cfg.jobs.BackoffBase = time.Millisecond
+	cfg.jobs.BackoffCap = 5 * time.Millisecond
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -292,6 +292,113 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	}
 }
 
+// TestWarmRestartPromotesDiskHit: after a restart the first request for
+// a known artifact reads it off the disk tier and keeps it in the memory
+// tier, so the second is a memory hit and the object is read once.
+func TestWarmRestartPromotesDiskHit(t *testing.T) {
+	trace := smallTrace(t)
+	dir := t.TempDir()
+	s1, ts1 := durableServer(t, dir, nil)
+	resp, want := post(t, ts1.URL+"/v1/profile", trace)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold request: %d", resp.StatusCode)
+	}
+	ts1.Close()
+	s1.closeState()
+
+	s2, ts2 := durableServer(t, dir, nil)
+	for i := 0; i < 2; i++ {
+		if resp, got := post(t, ts2.URL+"/v1/profile", trace); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("request %d after restart: status %d, or bytes that differ from the cold run's", i+1, resp.StatusCode)
+		}
+	}
+	if st := s2.cache.Stats(); st.Hits != 1 || st.Misses != 0 || st.Entries != 1 {
+		t.Fatalf("cache stats %+v: want the second request as one memory hit and no load", st)
+	}
+	if dst := s2.cache.Disk().Stats(); dst.Hits != 1 {
+		t.Fatalf("disk stats %+v: want one disk hit for two requests", dst)
+	}
+}
+
+// finishedJob runs one profile job to completion over dir and shuts the
+// daemon down, returning the job's id and its result bytes.
+func finishedJob(t *testing.T, dir string, trace []byte) (string, []byte) {
+	t.Helper()
+	s, ts := durableServer(t, dir, nil)
+	resp, jb := submitJob(t, ts, cache.KindProfile, trace, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	waitJobStatus(t, ts, jb.ID, jobs.StatusDone)
+	resp, want := getBody(t, ts.URL+"/v1/jobs/"+jb.ID+"/result")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result: %d %s", resp.StatusCode, want)
+	}
+	ts.Close()
+	s.closeState()
+	return jb.ID, want
+}
+
+// TestJobResultOutlivesItsImage: a done job's result is looked up by its
+// key, so it is served while the artifact is kept even after the trace
+// image has left the disk tier.
+func TestJobResultOutlivesItsImage(t *testing.T) {
+	trace := smallTrace(t)
+	dir := t.TempDir()
+	id, want := finishedJob(t, dir, trace)
+	if err := os.Remove(filepath.Join(dir, "objects", cache.KeyOf(trace).String()+"."+cache.KindTrace)); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := durableServer(t, dir, nil)
+	resp, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/result")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("result with the image gone and the artifact kept: status %d, body %s", resp.StatusCode, got)
+	}
+}
+
+// TestJobResultRecomputeWaitsForAdmission: a result whose artifact is
+// gone is recomputed from the image inside admission control, so with
+// the one slot held and no queue it is shed with a 429, and served once
+// the slot is free.
+func TestJobResultRecomputeWaitsForAdmission(t *testing.T) {
+	trace := smallTrace(t)
+	dir := t.TempDir()
+	id, want := finishedJob(t, dir, trace)
+	if err := os.Remove(filepath.Join(dir, "objects", cache.KeyOf(trace).String()+"."+cache.KindProfile)); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := durableServer(t, dir, func(c *config) {
+		c.maxConcurrent, c.maxQueue = 1, 0
+	})
+	entered, block := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(block) })
+	t.Cleanup(release) // before the server's Close, which waits for the held request
+	s.analysisHook = func() {
+		close(entered)
+		<-block
+	}
+	done := make(chan int)
+	go func() { done <- postCode(ts.URL+"/v1/summary", trace) }()
+	<-entered
+
+	resp, body := getBody(t, ts.URL+"/v1/jobs/"+id+"/result")
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("recompute with the only slot held: status %d, Retry-After %q; body %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+
+	s.analysisHook = nil
+	release()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("the request holding the slot finished with %d", code)
+	}
+	if resp, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/result"); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("recompute with the slot free: status %d, body %s", resp.StatusCode, got)
+	}
+}
+
 // TestChaosKillEveryPhase is the headline chaos drill: a daemon armed
 // with killphase:PHASE dies mid-job at each phase in turn; a clean
 // daemon over the same state directory must replay the journal and
@@ -546,8 +653,8 @@ func TestJobResultStates(t *testing.T) {
 	// A huge backoff freezes the job in queued after its first failed
 	// attempt, making the pending window deterministic.
 	_, slow := durableServer(t, t.TempDir(), func(c *config) {
-		c.jobBackoff = time.Hour
-		c.jobBackoffCap = time.Hour
+		c.jobs.BackoffBase = time.Hour
+		c.jobs.BackoffCap = time.Hour
 	})
 	if resp, _ := getBody(t, slow.URL+"/v1/jobs/j-nope/result"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: status %d", resp.StatusCode)

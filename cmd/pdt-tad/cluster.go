@@ -78,17 +78,9 @@ func (s *server) setupCluster() error {
 	if s.chaos != nil {
 		transport = &netFaultTransport{self: s.cfg.selfName, plan: s.chaos, next: transport}
 	}
-	c, err := cluster.New(cluster.Config{
-		Self:             s.cfg.selfName,
-		Peers:            peers,
-		Timeout:          s.cfg.peerTimeout,
-		Attempts:         s.cfg.peerAttempts,
-		BackoffBase:      s.cfg.peerBackoff,
-		BackoffCap:       s.cfg.peerBackoffCap,
-		BreakerThreshold: s.cfg.peerBreakerThreshold,
-		BreakerCooldown:  s.cfg.peerBreakerCooldown,
-		Transport:        transport,
-	})
+	pc := s.cfg.peer
+	pc.Self, pc.Peers, pc.Transport = s.cfg.selfName, peers, transport
+	c, err := cluster.New(pc)
 	if err != nil {
 		return err
 	}

@@ -70,9 +70,9 @@ func chaosTraces(t *testing.T) (traces, golden [][]byte) {
 func TestChaosClusterPartitionMidRequest(t *testing.T) {
 	traces, golden := chaosTraces(t)
 	servers, urls, plans := chaosRing(t, 3, func(i int, cfg *config) {
-		cfg.peerAttempts = 1
-		cfg.peerBreakerThreshold = 2
-		cfg.peerBreakerCooldown = 150 * time.Millisecond
+		cfg.peer.Attempts = 1
+		cfg.peer.BreakerThreshold = 2
+		cfg.peer.BreakerCooldown = 150 * time.Millisecond
 	})
 	victim := ownerOf(t, servers, traces[0])
 	victimName := servers[victim].cluster.Self()
@@ -214,8 +214,8 @@ func TestChaosClusterPartitionMidRequest(t *testing.T) {
 func TestChaosClusterReplicaCrashMidRequest(t *testing.T) {
 	traces, golden := chaosTraces(t)
 	servers, urls, tss := ringServersHook(t, 3, func(i int, cfg *config) {
-		cfg.peerAttempts = 1
-		cfg.peerBreakerThreshold = 2
+		cfg.peer.Attempts = 1
+		cfg.peer.BreakerThreshold = 2
 	}, nil)
 	victim := ownerOf(t, servers, traces[0])
 
@@ -266,7 +266,7 @@ func TestChaosClusterNoDuplicateJobs(t *testing.T) {
 	servers, urls, plans := chaosRing(t, 3, func(i int, cfg *config) {
 		stateDirs[i] = t.TempDir()
 		cfg.stateDir = stateDirs[i]
-		cfg.peerAttempts = 1
+		cfg.peer.Attempts = 1
 	})
 	victim := ownerOf(t, servers, traces[0])
 	victimName := servers[victim].cluster.Self()

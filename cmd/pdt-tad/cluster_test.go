@@ -58,10 +58,10 @@ func ringServersHook(t *testing.T, n int, mut func(i int, cfg *config), postNew 
 		cfg.peersSpec = peersSpec.String()
 		cfg.selfName = names[i]
 		// Fast failure detection so ring tests stay quick.
-		cfg.peerTimeout = 500 * time.Millisecond
-		cfg.peerBackoff = 5 * time.Millisecond
-		cfg.peerBackoffCap = 20 * time.Millisecond
-		cfg.peerBreakerCooldown = 200 * time.Millisecond
+		cfg.peer.Timeout = 500 * time.Millisecond
+		cfg.peer.BackoffBase = 5 * time.Millisecond
+		cfg.peer.BackoffCap = 20 * time.Millisecond
+		cfg.peer.BreakerCooldown = 200 * time.Millisecond
 		if mut != nil {
 			mut(i, &cfg)
 		}
@@ -267,8 +267,8 @@ func TestClusterStatsAndReadyzSurfaceBreakerState(t *testing.T) {
 	trace := smallTrace(t)
 	servers, urls := ringServers(t, 2, func(i int, cfg *config) {
 		cfg.chaosSpec = "netdrop:*:*"
-		cfg.peerBreakerThreshold = 2
-		cfg.peerAttempts = 2
+		cfg.peer.BreakerThreshold = 2
+		cfg.peer.Attempts = 2
 	})
 	owner := ownerOf(t, servers, trace)
 	other := 1 - owner

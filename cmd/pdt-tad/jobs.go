@@ -67,39 +67,35 @@ func (s *server) setupState() error {
 	if st.Damaged > 0 {
 		s.log.Warn("job journal damage dropped", "lines", st.Damaged)
 	}
-	s.jobs = jobs.New(j, recs, st, jobs.Config{
-		Workers:     s.cfg.jobWorkers,
-		MaxAttempts: s.cfg.jobAttempts,
-		BackoffBase: s.cfg.jobBackoff,
-		BackoffCap:  s.cfg.jobBackoffCap,
-		Fetch: func(key string) ([]byte, bool) {
-			k, ok := cache.ParseKey(key)
-			if !ok {
-				return nil, false
-			}
-			return s.cache.RawImage(k)
-		},
-		Exec: func(ctx context.Context, kind string, image []byte) ([]byte, error) {
-			if s.cfg.requestTimeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, s.cfg.requestTimeout)
-				defer cancel()
-			}
-			defer s.mem.hold(int64(len(image)))()
-			// Through the cluster-aware path: a job executing on a
-			// non-owner replica peeks the owner's cache like a
-			// synchronous request would.
-			return s.artifact(ctx, kind, cache.ImageOf(image))
-		},
-		Notify: notifyWebhook,
-		Release: func(key string) {
-			if k, ok := cache.ParseKey(key); ok {
-				tier.Unpin(k)
-			}
-		},
-		PhaseHook: s.phaseHook(),
-		Log:       s.log,
-	})
+	jc := s.cfg.jobs
+	jc.Fetch = func(key string) ([]byte, bool) {
+		k, ok := cache.ParseKey(key)
+		if !ok {
+			return nil, false
+		}
+		return s.cache.RawImage(k)
+	}
+	jc.Exec = func(ctx context.Context, kind string, image []byte) ([]byte, error) {
+		if s.cfg.requestTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.requestTimeout)
+			defer cancel()
+		}
+		defer s.mem.hold(int64(len(image)))()
+		// Through the cluster-aware path: a job executing on a
+		// non-owner replica peeks the owner's cache like a
+		// synchronous request would.
+		return s.artifact(ctx, kind, cache.ImageOf(image))
+	}
+	jc.Notify = notifyWebhook
+	jc.Release = func(key string) {
+		if k, ok := cache.ParseKey(key); ok {
+			tier.Unpin(k)
+		}
+	}
+	jc.PhaseHook = s.phaseHook()
+	jc.Log = s.log
+	s.jobs = jobs.New(j, recs, st, jc)
 	// Replayed jobs were pinned by the process that accepted them; that
 	// pin died with it. Re-pin before the workers start so the evictor
 	// cannot drop an image a replay is about to need.
@@ -272,9 +268,10 @@ func (s *server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobResult serves GET /v1/jobs/{id}/result: the rendered artifact
-// of a completed job, restored through the cache tiers (or recomputed
-// from the durable trace image). 409 until the job is done; 410 if the
-// trace image has been evicted from the disk tier since.
+// of a completed job, looked up by the job's key in the cache tiers, or
+// recomputed from the durable trace image under admission control like
+// any other analysis. 409 until the job is done; 410 if neither the
+// artifact nor the trace image is left in the disk tier.
 func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if s.jobs == nil {
 		s.writeError(w, http.StatusNotFound, errors.New("async jobs disabled (no -state-dir)"))
@@ -299,18 +296,22 @@ func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, errors.New("malformed job key"))
 		return
 	}
-	img, ok := s.cache.RawImage(key)
-	if !ok {
-		s.writeError(w, http.StatusGone, errors.New("trace image evicted from the disk tier"))
+	if b, ok := s.cache.Peek(key, jb.Kind); ok {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(b)
 		return
 	}
-	b, err := s.cache.Artifact(r.Context(), img, jb.Kind, s.cfg.limits)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(b)
+	s.admitted(w, r, 0, func(ctx context.Context) {
+		img, ok := s.cache.RawImage(key)
+		if !ok {
+			s.writeError(w, http.StatusGone, errors.New("trace image evicted from the disk tier"))
+			return
+		}
+		defer s.mem.hold(int64(len(img)))()
+		s.respond(ctx, w, jb.Kind, func(ctx context.Context) ([]byte, error) {
+			return s.cache.Artifact(ctx, img, jb.Kind, s.cfg.limits)
+		})
+	})
 }
 
 // writeJSON emits one JSON document with the given status.

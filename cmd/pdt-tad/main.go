@@ -45,6 +45,12 @@
 //	GET  /readyz      readiness probe (503 draining, "degraded" body
 //	                  when the durable tier is down)
 //
+// The flags size the daemon to its host (body, decode, cache and upload
+// limits; admission) and place it in a deployment (-addr, -state-dir,
+// -peers, -self, -drain, -chaos). The job manager's and the peer
+// client's retry policies are internal/jobs' and internal/cluster's
+// defaults, not flags.
+//
 // Usage:
 //
 //	pdt-tad -addr 127.0.0.1:8329 -state-dir /var/lib/pdt-tad
@@ -77,76 +83,10 @@ func main() {
 // address once the listener is up (tests use it; main passes nil and
 // reads the address from the log line on stdout).
 func run(args []string, stdout io.Writer, logw io.Writer, ready chan<- net.Addr) error {
-	def := defaultConfig()
-	fs := flag.NewFlagSet("pdt-tad", flag.ContinueOnError)
-	var (
-		addr       = fs.String("addr", def.addr, "listen address (host:port; port 0 picks a free port)")
-		reqTimeout = fs.Duration("request-timeout", def.requestTimeout, "per-request analysis deadline (0 = none)")
-		maxBody    = fs.Int64("max-body", def.maxBody, "max request body bytes (413 beyond)")
-		maxConc    = fs.Int("max-concurrent", def.maxConcurrent, "analyses running at once")
-		maxQueue   = fs.Int("max-queue", def.maxQueue, "requests allowed to wait for a slot (429 beyond)")
-		drain      = fs.Duration("drain", def.drain, "graceful shutdown budget after SIGTERM/SIGINT")
-		maxChunk   = fs.Int("max-chunk-bytes", def.limits.MaxChunkBytes, "max declared chunk payload bytes")
-		maxMeta    = fs.Int("max-meta-bytes", def.limits.MaxMetaBytes, "max declared metadata bytes")
-		maxRecords = fs.Int("max-records", def.limits.MaxRecords, "max decoded records per trace")
-		maxDecode  = fs.Int64("max-decode-bytes", def.limits.MaxDecodeBytes, "decode memory budget in bytes")
-		cacheBytes = fs.Int64("cache-bytes", def.cacheBytes, "trace cache retention budget in bytes (0 with -cache-entries 0 disables the cache)")
-		cacheEnts  = fs.Int("cache-entries", def.cacheEntries, "max cached traces (0 = unbounded when the cache is enabled)")
-		stateDir   = fs.String("state-dir", "", "directory for the disk cache tier and job journal (empty = memory-only, jobs run synchronously)")
-		diskBytes  = fs.Int64("disk-cache-bytes", def.diskCacheBytes, "disk cache tier budget in bytes (0 = unbounded)")
-		jobWorkers = fs.Int("job-workers", def.jobWorkers, "async job worker count")
-		jobTries   = fs.Int("job-attempts", def.jobAttempts, "per-job attempt budget before it fails terminally")
-		jobBackoff = fs.Duration("job-backoff", def.jobBackoff, "base retry backoff between job attempts")
-		jobBackCap = fs.Duration("job-backoff-cap", def.jobBackoffCap, "ceiling on the exponential job retry backoff")
-		chaosSpec  = fs.String("chaos", "", "fault-injection plan for the durable tier and peer transport (e.g. diskfull:3,netdrop:b:2) — test harness only")
-		peersSpec  = fs.String("peers", "", "comma-separated name=URL replica list enabling cluster mode (e.g. a=http://h1:8329,b=http://h2:8329)")
-		selfName   = fs.String("self", "", "this replica's name in -peers")
-		peerTime   = fs.Duration("peer-timeout", def.peerTimeout, "deadline for one peer cache-peek call")
-		peerTries  = fs.Int("peer-attempts", def.peerAttempts, "call budget per peer fetch, first try included")
-		peerBack   = fs.Duration("peer-backoff", def.peerBackoff, "base retry backoff between peer call attempts")
-		peerBackC  = fs.Duration("peer-backoff-cap", def.peerBackoffCap, "ceiling on the peer retry backoff")
-		brkThresh  = fs.Int("peer-breaker-threshold", def.peerBreakerThreshold, "consecutive failures that open a peer's circuit breaker")
-		brkCool    = fs.Duration("peer-breaker-cooldown", def.peerBreakerCooldown, "open breaker cooldown before a half-open probe")
-		maxUploads = fs.Int("max-uploads", def.maxUploads, "concurrent chunked-upload sessions (429 beyond)")
-		uploadTTL  = fs.Duration("upload-ttl", def.uploadTTL, "idle chunked-upload session expiry")
-		maxUpload  = fs.Int64("max-upload-bytes", def.maxUploadBytes, "total decompressed bytes one chunked upload may stream")
-		streamWin  = fs.Int64("stream-window-bytes", def.limits.StreamWindowBytes, "streaming-analysis memory window in bytes (0 = analyzer default)")
-	)
-	if err := fs.Parse(args); err != nil {
+	cfg := defaultConfig()
+	if err := flags(&cfg).Parse(args); err != nil {
 		return err
 	}
-	cfg := def
-	cfg.addr = *addr
-	cfg.requestTimeout = *reqTimeout
-	cfg.maxBody = *maxBody
-	cfg.maxConcurrent = *maxConc
-	cfg.maxQueue = *maxQueue
-	cfg.drain = *drain
-	cfg.limits.MaxChunkBytes = *maxChunk
-	cfg.limits.MaxMetaBytes = *maxMeta
-	cfg.limits.MaxRecords = *maxRecords
-	cfg.limits.MaxDecodeBytes = *maxDecode
-	cfg.cacheBytes = *cacheBytes
-	cfg.cacheEntries = *cacheEnts
-	cfg.stateDir = *stateDir
-	cfg.diskCacheBytes = *diskBytes
-	cfg.jobWorkers = *jobWorkers
-	cfg.jobAttempts = *jobTries
-	cfg.jobBackoff = *jobBackoff
-	cfg.jobBackoffCap = *jobBackCap
-	cfg.chaosSpec = *chaosSpec
-	cfg.peersSpec = *peersSpec
-	cfg.selfName = *selfName
-	cfg.peerTimeout = *peerTime
-	cfg.peerAttempts = *peerTries
-	cfg.peerBackoff = *peerBack
-	cfg.peerBackoffCap = *peerBackC
-	cfg.peerBreakerThreshold = *brkThresh
-	cfg.peerBreakerCooldown = *brkCool
-	cfg.maxUploads = *maxUploads
-	cfg.uploadTTL = *uploadTTL
-	cfg.maxUploadBytes = *maxUpload
-	cfg.limits.StreamWindowBytes = *streamWin
 	// The body cap is the outer wall; keep the analyzer's file limit in
 	// step so admission control agrees with the HTTP layer.
 	cfg.limits.MaxFileBytes = cfg.maxBody
@@ -210,4 +150,32 @@ func run(args []string, stdout io.Writer, logw io.Writer, ready chan<- net.Addr)
 	}
 	log.Info("stopped")
 	return nil
+}
+
+// flags binds each command-line flag to its cfg field, with the field's
+// current value as the default.
+func flags(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("pdt-tad", flag.ContinueOnError)
+	fs.StringVar(&cfg.addr, "addr", cfg.addr, "listen address (host:port; port 0 picks a free port)")
+	fs.DurationVar(&cfg.requestTimeout, "request-timeout", cfg.requestTimeout, "per-request analysis deadline (0 = none)")
+	fs.Int64Var(&cfg.maxBody, "max-body", cfg.maxBody, "max request body bytes (413 beyond)")
+	fs.IntVar(&cfg.maxConcurrent, "max-concurrent", cfg.maxConcurrent, "analyses running at once")
+	fs.IntVar(&cfg.maxQueue, "max-queue", cfg.maxQueue, "requests allowed to wait for a slot (429 beyond)")
+	fs.DurationVar(&cfg.drain, "drain", cfg.drain, "graceful shutdown budget after SIGTERM/SIGINT")
+	fs.IntVar(&cfg.limits.MaxChunkBytes, "max-chunk-bytes", cfg.limits.MaxChunkBytes, "max declared chunk payload bytes")
+	fs.IntVar(&cfg.limits.MaxMetaBytes, "max-meta-bytes", cfg.limits.MaxMetaBytes, "max declared metadata bytes")
+	fs.IntVar(&cfg.limits.MaxRecords, "max-records", cfg.limits.MaxRecords, "max decoded records per trace")
+	fs.Int64Var(&cfg.limits.MaxDecodeBytes, "max-decode-bytes", cfg.limits.MaxDecodeBytes, "decode memory budget in bytes")
+	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", cfg.cacheBytes, "trace cache retention budget in bytes (0 with -cache-entries 0 disables the cache)")
+	fs.IntVar(&cfg.cacheEntries, "cache-entries", cfg.cacheEntries, "max cached traces (0 = unbounded when the cache is enabled)")
+	fs.StringVar(&cfg.stateDir, "state-dir", cfg.stateDir, "directory for the disk cache tier and job journal (empty = memory-only, jobs run synchronously)")
+	fs.Int64Var(&cfg.diskCacheBytes, "disk-cache-bytes", cfg.diskCacheBytes, "disk cache tier budget in bytes (0 = unbounded)")
+	fs.StringVar(&cfg.chaosSpec, "chaos", cfg.chaosSpec, "fault-injection plan for the durable tier and peer transport (e.g. diskfull:3,netdrop:b:2) — test harness only")
+	fs.StringVar(&cfg.peersSpec, "peers", cfg.peersSpec, "comma-separated name=URL replica list enabling cluster mode (e.g. a=http://h1:8329,b=http://h2:8329)")
+	fs.StringVar(&cfg.selfName, "self", cfg.selfName, "this replica's name in -peers")
+	fs.IntVar(&cfg.maxUploads, "max-uploads", cfg.maxUploads, "concurrent chunked-upload sessions (429 beyond)")
+	fs.DurationVar(&cfg.uploadTTL, "upload-ttl", cfg.uploadTTL, "idle chunked-upload session expiry")
+	fs.Int64Var(&cfg.maxUploadBytes, "max-upload-bytes", cfg.maxUploadBytes, "total decompressed bytes one chunked upload may stream")
+	fs.Int64Var(&cfg.limits.StreamWindowBytes, "stream-window-bytes", cfg.limits.StreamWindowBytes, "streaming-analysis memory window in bytes (0 = analyzer default)")
+	return fs
 }

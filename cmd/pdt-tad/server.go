@@ -20,7 +20,9 @@ import (
 	"github.com/celltrace/pdt/internal/jobs"
 )
 
-// config collects the service knobs; every one maps to a flag in main.
+// config collects the service settings. Those that size the daemon to
+// its host or place it in a deployment are flags (see flags); the job
+// and peer retry policies keep their packages' defaults.
 type config struct {
 	addr string
 	// requestTimeout bounds one analysis end to end (read + decode +
@@ -49,13 +51,10 @@ type config struct {
 	stateDir string
 	// diskCacheBytes bounds the disk tier (0 = unbounded).
 	diskCacheBytes int64
-	// jobWorkers/jobAttempts/jobBackoff/jobBackoffCap shape the async
-	// job manager: worker pool size, per-job attempt budget, and the
-	// capped exponential retry backoff.
-	jobWorkers    int
-	jobAttempts   int
-	jobBackoff    time.Duration
-	jobBackoffCap time.Duration
+	// jobs is the async job manager's worker count and retry policy;
+	// setupState adds the hooks. A zero field takes internal/jobs'
+	// default.
+	jobs jobs.Config
 	// chaosSpec is a faults.ParseService plan injected into the disk
 	// tier, the journal, the job phase hooks, and the peer transport
 	// (test harness only).
@@ -65,17 +64,10 @@ type config struct {
 	// single-node.
 	peersSpec string
 	selfName  string
-	// peerTimeout/peerAttempts/peerBackoff/peerBackoffCap bound one peer
-	// fetch: per-call deadline, call budget, and the jittered capped
-	// exponential backoff between attempts.
-	peerTimeout    time.Duration
-	peerAttempts   int
-	peerBackoff    time.Duration
-	peerBackoffCap time.Duration
-	// peerBreakerThreshold consecutive failures open a peer's circuit
-	// breaker; peerBreakerCooldown is the open → half-open delay.
-	peerBreakerThreshold int
-	peerBreakerCooldown  time.Duration
+	// peer bounds one peer fetch: per-call deadline, call budget,
+	// jittered backoff and the per-peer circuit breaker; setupCluster
+	// adds the ring. A zero field takes internal/cluster's default.
+	peer cluster.Config
 	// maxUploads bounds concurrent chunked-upload sessions (429 beyond);
 	// uploadTTL expires sessions idle longer than this; maxUploadBytes
 	// caps one streamed trace's total decompressed size — deliberately
@@ -96,18 +88,6 @@ func defaultConfig() config {
 		limits:         analyzer.DefaultServiceLimits(),
 		cacheBytes:     256 << 20,
 		diskCacheBytes: 1 << 30,
-		jobWorkers:     2,
-		jobAttempts:    3,
-		jobBackoff:     250 * time.Millisecond,
-		jobBackoffCap:  5 * time.Second,
-
-		peerTimeout:          time.Second,
-		peerAttempts:         2,
-		peerBackoff:          25 * time.Millisecond,
-		peerBackoffCap:       250 * time.Millisecond,
-		peerBreakerThreshold: 3,
-		peerBreakerCooldown:  2 * time.Second,
-
 		maxUploads:     8,
 		uploadTTL:      2 * time.Minute,
 		maxUploadBytes: 256 << 20,
@@ -180,7 +160,7 @@ func newServer(cfg config, log *slog.Logger) *server {
 		s.cfg.maxUploads = 1
 	}
 	if s.cfg.uploadTTL <= 0 {
-		s.cfg.uploadTTL = 2 * time.Minute
+		s.cfg.uploadTTL = defaultConfig().uploadTTL
 	}
 	s.uploads = newUploads(s.cfg.maxUploads, s.cfg.uploadTTL)
 	return s

@@ -486,17 +486,18 @@ func (c *Cache) render(ctx context.Context, key Key, kind string, h *Handle) ([]
 
 // Peek returns the rendered artifact for a key from the fastest tier
 // that already holds it — the memory tier, then the disk tier — and
-// never computes. It is the cluster peer-peek read path: a replica asks
-// the key's owner "do you have this?", and a cold owner must answer
-// cheaply instead of analyzing a trace it does not even have the bytes
-// for.
+// never computes. A disk hit is adopted into the memory tier, so the
+// object is read and CRC-checked once per key, not once per request. It
+// is the cluster peer-peek read path: a replica asks the key's owner "do
+// you have this?", and a cold owner must answer cheaply instead of
+// analyzing a trace it does not even have the bytes for.
 func (c *Cache) Peek(key Key, kind string) ([]byte, bool) {
 	if b, ok := c.peekArtifact(key, kind); ok {
 		return b, true
 	}
 	if c.disk != nil {
 		if b, ok := c.disk.Get(key, kind); ok {
-			return b, true
+			return c.AdoptArtifact(key, kind, b), true
 		}
 	}
 	return nil, false

@@ -97,7 +97,7 @@ type CycleRunDelta struct {
 	Inserted []CycleEdit // cycles only in B
 	// ShiftAt localizes a one-off delay: the index into Pairs where the
 	// inter-trace timeline shift (B.Start − A.Start) jumps by at least
-	// the MinTicks gate relative to the previous pair. A stall between
+	// the gateTicks floor relative to the previous pair. A stall between
 	// two iterations does not widen any cycle's wall — the detector
 	// re-segments around the gap — but it does displace every later
 	// cycle's start, and that edge is where the regression entered.
@@ -189,15 +189,15 @@ func cycleDiff(a, b *cycles.Report, opt Options) *CycleDiffReport {
 
 		switch {
 		case opt.Mode == ModeAlign && len(ca)*len(cb) <= maxLCSCells:
-			alignCycles(&rd, ca, cb, opt)
+			alignCycles(&rd, ca, cb)
 		default:
 			if opt.Mode == ModeAlign {
 				rd.Approx = true
 			}
-			matchCycles(&rd, ca, cb, opt)
+			matchCycles(&rd, ca, cb)
 		}
 		if opt.Mode == ModeAlign && !rd.Approx {
-			locateShift(&rd, opt)
+			locateShift(&rd)
 		}
 		out.Matched += len(rd.Pairs)
 		out.Inserted += len(rd.Inserted)
@@ -210,7 +210,7 @@ func cycleDiff(a, b *cycles.Report, opt Options) *CycleDiffReport {
 // locateShift finds the largest gated jump in the pairwise timeline
 // shift. Only positional (align) pairings make "consecutive pairs"
 // meaningful, so match mode never sets it.
-func locateShift(rd *CycleRunDelta, opt Options) {
+func locateShift(rd *CycleRunDelta) {
 	if len(rd.Pairs) < 2 {
 		return
 	}
@@ -223,7 +223,7 @@ func locateShift(rd *CycleRunDelta, opt Options) {
 		if mag < 0 {
 			mag = -mag
 		}
-		if uint64(mag) < opt.MinTicks {
+		if uint64(mag) < gateTicks {
 			continue
 		}
 		best := rd.ShiftTicks
@@ -237,21 +237,21 @@ func locateShift(rd *CycleRunDelta, opt Options) {
 }
 
 // pairOf builds one aligned pair and applies the effect-size gate.
-func pairOf(ia, ib int, ca, cb *cycles.Cycle, opt Options) CyclePairDelta {
+func pairOf(ia, ib int, ca, cb *cycles.Cycle) CyclePairDelta {
 	p := CyclePairDelta{
 		IndexA: ia, IndexB: ib, Sig: ca.Sig,
 		A: metricsOf(ca), B: metricsOf(cb),
 	}
-	p.Flagged = opt.flagTicks(p.A.Wall, p.B.Wall) ||
-		opt.flagTicks(p.A.Busy, p.B.Busy) ||
-		opt.flagTicks(p.A.Stall, p.B.Stall) ||
-		opt.flagTicks(p.A.DMAWait, p.B.DMAWait)
+	p.Flagged = flagTicks(p.A.Wall, p.B.Wall) ||
+		flagTicks(p.A.Busy, p.B.Busy) ||
+		flagTicks(p.A.Stall, p.B.Stall) ||
+		flagTicks(p.A.DMAWait, p.B.DMAWait)
 	return p
 }
 
 // matchCycles pairs cycles by signature class, in order within each
 // class; leftovers become edits.
-func matchCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle, opt Options) {
+func matchCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle) {
 	bySig := map[uint64][]int{}
 	for i := range cb {
 		bySig[cb[i].Sig] = append(bySig[cb[i].Sig], i)
@@ -266,7 +266,7 @@ func matchCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle, opt Options) {
 		j := q[0]
 		bySig[ca[i].Sig] = q[1:]
 		usedB[j] = true
-		rd.Pairs = append(rd.Pairs, pairOf(i, j, &ca[i], &cb[j], opt))
+		rd.Pairs = append(rd.Pairs, pairOf(i, j, &ca[i], &cb[j]))
 	}
 	for j := range cb {
 		if !usedB[j] {
@@ -280,7 +280,7 @@ func matchCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle, opt Options) {
 // differing middle goes through the DP. The matched pairs form a valid
 // common subsequence: strictly increasing on both index axes with equal
 // signatures.
-func alignCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle, opt Options) {
+func alignCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle) {
 	n, m := len(ca), len(cb)
 	pre := 0
 	for pre < n && pre < m && ca[pre].Sig == cb[pre].Sig {
@@ -291,7 +291,7 @@ func alignCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle, opt Options) {
 		suf++
 	}
 	for i := 0; i < pre; i++ {
-		rd.Pairs = append(rd.Pairs, pairOf(i, i, &ca[i], &cb[i], opt))
+		rd.Pairs = append(rd.Pairs, pairOf(i, i, &ca[i], &cb[i]))
 	}
 
 	// DP over the middle [pre, n-suf) × [pre, m-suf).
@@ -316,7 +316,7 @@ func alignCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle, opt Options) {
 		for i > 0 && j > 0 {
 			switch {
 			case ca[pre+i-1].Sig == cb[pre+j-1].Sig:
-				rev = append(rev, pairOf(pre+i-1, pre+j-1, &ca[pre+i-1], &cb[pre+j-1], opt))
+				rev = append(rev, pairOf(pre+i-1, pre+j-1, &ca[pre+i-1], &cb[pre+j-1]))
 				i--
 				j--
 			case at(i-1, j) >= at(i, j-1):
@@ -331,7 +331,7 @@ func alignCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle, opt Options) {
 	}
 
 	for i := 0; i < suf; i++ {
-		rd.Pairs = append(rd.Pairs, pairOf(n-suf+i, m-suf+i, &ca[n-suf+i], &cb[m-suf+i], opt))
+		rd.Pairs = append(rd.Pairs, pairOf(n-suf+i, m-suf+i, &ca[n-suf+i], &cb[m-suf+i]))
 	}
 
 	// Everything unmatched classifies as an edit.
@@ -354,7 +354,7 @@ func alignCycles(rd *CycleRunDelta, ca, cb []cycles.Cycle, opt Options) {
 }
 
 // write renders the per-cycle section of the text report.
-func (c *CycleDiffReport) write(w io.Writer, gate Options) {
+func (c *CycleDiffReport) write(w io.Writer) {
 	fmt.Fprintf(w, "\nper-cycle diff (mode %s): %d matched, %d inserted, %d deleted\n",
 		c.Mode, c.Matched, c.Inserted, c.Deleted)
 	fmt.Fprintf(w, "%-7s %4s %8s %8s %8s %5s %5s\n",
@@ -385,7 +385,7 @@ func (c *CycleDiffReport) write(w io.Writer, gate Options) {
 		flagged += countFlagged(c.Runs[i].Pairs)
 	}
 	fmt.Fprintf(w, "flagged cycle pairs (>=%d ticks and >=%.1f%% of the larger side): %d\n",
-		gate.MinTicks, 100*gate.MinRel, flagged)
+		gateTicks, 100*gateRel, flagged)
 	if flagged > 0 {
 		fmt.Fprintf(w, "%-7s %4s %6s %6s %10s %10s %10s %10s\n",
 			"core", "run", "cyc-A", "cyc-B", "wall", "busy", "stall", "dma-wait")

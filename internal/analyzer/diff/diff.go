@@ -32,16 +32,8 @@ import (
 // cross-workload deltas attribute nothing meaningful.
 var ErrWorkloadMismatch = errors.New("diff: traces come from different workloads")
 
-// Options tunes the effect-size gate and selects per-cycle diffing. The
-// zero value picks the defaults below.
+// Options selects per-cycle diffing.
 type Options struct {
-	// MinRel is the minimum relative change — |Δ| as a fraction of the
-	// larger side — for a delta to be flagged (default 0.01).
-	MinRel float64
-	// MinTicks is the minimum absolute tick delta to flag (default 500).
-	MinTicks uint64
-	// MinCount is the minimum absolute count delta to flag (default 8).
-	MinCount int
 	// Mode selects per-cycle diffing: ModeMatch pairs cycles by
 	// signature class, ModeAlign LCS-aligns them positionally and
 	// classifies insertions/deletions. Empty keeps per-cycle diffing off
@@ -49,22 +41,16 @@ type Options struct {
 	Mode string
 }
 
-// withDefaults fills unset gate knobs.
-func (o Options) withDefaults() Options {
-	if o.MinRel == 0 {
-		o.MinRel = 0.01
-	}
-	if o.MinTicks == 0 {
-		o.MinTicks = 500
-	}
-	if o.MinCount == 0 {
-		o.MinCount = 8
-	}
-	return o
-}
+// The effect-size gate: a delta is flagged only when it reaches both
+// the absolute floor for its unit and gateRel of the larger side.
+const (
+	gateRel   = 0.01 // minimum |Δ| as a fraction of the larger side
+	gateTicks = 500  // minimum absolute tick delta
+	gateCount = 8    // minimum absolute count delta
+)
 
 // flagTicks applies the effect-size gate to a tick-valued pair.
-func (o Options) flagTicks(a, b uint64) bool {
+func flagTicks(a, b uint64) bool {
 	d := a - b
 	if b > a {
 		d = b - a
@@ -73,11 +59,11 @@ func (o Options) flagTicks(a, b uint64) bool {
 	if b > m {
 		m = b
 	}
-	return d > 0 && d >= o.MinTicks && float64(d) >= o.MinRel*float64(m)
+	return d > 0 && d >= gateTicks && float64(d) >= gateRel*float64(m)
 }
 
 // flagCount applies the effect-size gate to a count-valued pair.
-func (o Options) flagCount(a, b int) bool {
+func flagCount(a, b int) bool {
 	d := a - b
 	if b > a {
 		d = b - a
@@ -86,7 +72,7 @@ func (o Options) flagCount(a, b int) bool {
 	if b > m {
 		m = b
 	}
-	return d > 0 && d >= o.MinCount && float64(d) >= o.MinRel*float64(m)
+	return d > 0 && d >= gateCount && float64(d) >= gateRel*float64(m)
 }
 
 // CoreSide is one side's metrics for one core.
@@ -199,8 +185,6 @@ type Report struct {
 	// Cycles is the per-cycle layer; nil unless Options.Mode selected a
 	// cycle-diff mode.
 	Cycles *CycleDiffReport
-	// Gate records the effective effect-size thresholds.
-	Gate Options
 }
 
 // RecordDelta returns RecordsB − RecordsA.
@@ -307,8 +291,7 @@ func Compare(a, b *Side, opt Options) (*Report, error) {
 	if opt.Mode != "" && (a.cycles == nil || b.cycles == nil) {
 		return nil, fmt.Errorf("diff: mode %q needs sides derived with cycles", opt.Mode)
 	}
-	opt = opt.withDefaults()
-	rep := assemble(a, b, opt)
+	rep := assemble(a, b)
 	if opt.Mode != "" {
 		rep.Cycles = cycleDiff(a.cycles, b.cycles, opt)
 	}
@@ -459,14 +442,13 @@ func overallConfidence(tr *analyzer.Trace) float64 {
 }
 
 // assemble aligns the two sides into the report.
-func assemble(a, b *Side, opt Options) *Report {
+func assemble(a, b *Side) *Report {
 	r := &Report{
 		Workload: a.workload,
 		RecordsA: a.records, RecordsB: b.records,
 		WallA: a.wall, WallB: b.wall,
 		FlushA: a.flush, FlushB: b.flush,
 		ConfidenceA: a.confidence, ConfidenceB: b.confidence,
-		Gate: opt,
 	}
 
 	// Core alignment: union of both sides, ascending.
@@ -493,12 +475,12 @@ func assemble(a, b *Side, opt Options) *Report {
 		if cs := b.perCore[c]; cs != nil {
 			cd.B = *cs
 		}
-		cd.Flagged = opt.flagTicks(cd.A.WallTicks, cd.B.WallTicks) ||
-			opt.flagTicks(cd.A.BusyTicks, cd.B.BusyTicks) ||
-			opt.flagTicks(cd.A.StallTicks, cd.B.StallTicks) ||
-			opt.flagTicks(cd.A.FlushTicks, cd.B.FlushTicks) ||
-			opt.flagTicks(cd.A.GapTicks, cd.B.GapTicks)
-		cd.DMAFlagged = opt.flagTicks(uint64(cd.A.DMAWait.Mean()), uint64(cd.B.DMAWait.Mean()))
+		cd.Flagged = flagTicks(cd.A.WallTicks, cd.B.WallTicks) ||
+			flagTicks(cd.A.BusyTicks, cd.B.BusyTicks) ||
+			flagTicks(cd.A.StallTicks, cd.B.StallTicks) ||
+			flagTicks(cd.A.FlushTicks, cd.B.FlushTicks) ||
+			flagTicks(cd.A.GapTicks, cd.B.GapTicks)
+		cd.DMAFlagged = flagTicks(uint64(cd.A.DMAWait.Mean()), uint64(cd.B.DMAWait.Mean()))
 		r.Cores = append(r.Cores, cd)
 	}
 
@@ -507,7 +489,7 @@ func assemble(a, b *Side, opt Options) *Report {
 	for _, g := range event.Groups() {
 		bit := bits.TrailingZeros16(uint16(g))
 		gd := GroupDelta{Group: g, CountA: a.groups[bit], CountB: b.groups[bit]}
-		gd.Flagged = opt.flagCount(gd.CountA, gd.CountB)
+		gd.Flagged = flagCount(gd.CountA, gd.CountB)
 		r.Groups = append(r.Groups, gd)
 	}
 

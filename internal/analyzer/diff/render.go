@@ -27,7 +27,7 @@ func (r *Report) Write(w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "\nper-core deltas (ticks; * passes gate: >=%d ticks and >=%.1f%% of the larger side):\n",
-		r.Gate.MinTicks, 100*r.Gate.MinRel)
+		gateTicks, 100*gateRel)
 	fmt.Fprintf(w, "%-7s %9s %9s %9s %9s %9s %9s %9s %12s\n",
 		"core", "recs-A", "recs-B", "wall",
 		"busy", "stall", "flush", "gap", "dma-mean")
@@ -85,7 +85,7 @@ func (r *Report) Write(w io.Writer) {
 	}
 
 	if r.Cycles != nil {
-		r.Cycles.write(w, r.Gate)
+		r.Cycles.write(w)
 	}
 }
 

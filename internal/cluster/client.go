@@ -30,8 +30,6 @@ type Config struct {
 	Self string
 	// Peers maps peer name → base URL (scheme://host:port).
 	Peers map[string]string
-	// VNodes is the virtual-node count per peer (DefaultVNodes if <= 0).
-	VNodes int
 	// Timeout bounds one peer call end to end (default 1s). Peeks are
 	// cache reads on the far side; anything slow is a sick peer.
 	Timeout time.Duration
@@ -107,7 +105,7 @@ func New(cfg Config) (*Client, error) {
 	for n := range cfg.Peers {
 		names = append(names, n)
 	}
-	ring, err := NewRing(names, cfg.VNodes)
+	ring, err := NewRing(names, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
