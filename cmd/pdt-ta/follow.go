@@ -1,11 +1,12 @@
 package main
 
-// Live-tail mode: `pdt-ta summary -follow live.pdt` watches a trace
-// file that is still being written (pdt-run -live) and reports on it as
-// it grows. New bytes are fed through the incremental StreamLoader —
-// memory stays bounded by the stream window no matter how large the
-// trace gets — with a running status line on stderr, and the standard
-// summary report lands on stdout once the writer seals the stream (or
+// Live-tail mode: `pdt-ta <kind> -follow live.pdt`, for every kind the
+// stream folds (kinds.Kind.FromStream: summary and profile), watches a
+// trace file that is still being written (pdt-run -live) and reports on
+// it as it grows. New bytes are fed through the incremental StreamLoader
+// — memory stays bounded by the stream window no matter how large the
+// trace gets — with a running status line on stderr, and the kind's
+// standard report lands on stdout once the writer seals the stream (or
 // the file goes idle past -idle, whichever is first).
 
 import (
@@ -17,13 +18,14 @@ import (
 	"time"
 
 	"github.com/celltrace/pdt/internal/analyzer"
+	"github.com/celltrace/pdt/internal/analyzer/kinds"
 )
 
-// followSummary tails path until the trace footer arrives, the file is
-// idle past idle (0 = wait forever), or ctx expires. The final report —
-// possibly of a truncated stream, if the writer crashed — goes to out,
-// as the summary JSON when asJSON is set.
-func followSummary(ctx context.Context, path string, poll, idle time.Duration, asJSON bool, out io.Writer) error {
+// follow tails path until the trace footer arrives, the file is idle
+// past idle (0 = wait forever), or ctx expires. k's report of the final
+// result — possibly of a truncated stream, if the writer crashed — goes
+// to out: its JSON when asJSON is set, else its text with top rows.
+func follow(ctx context.Context, k *kinds.Kind, path string, poll, idle time.Duration, asJSON bool, top int, out io.Writer) error {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
@@ -73,10 +75,11 @@ func followSummary(ctx context.Context, path string, poll, idle time.Duration, a
 	if err != nil {
 		return err
 	}
+	v := k.FromStream(res)
 	if asJSON {
-		return analyzer.WriteJSON(res.Trace, res.Summary, out)
+		return k.JSON(res.Trace, v, out)
 	}
-	res.Report(out)
+	k.Text(res.Trace, v, top, out)
 	return nil
 }
 

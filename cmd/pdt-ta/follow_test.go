@@ -8,12 +8,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/celltrace/pdt/internal/analyzer/kinds"
 )
 
 // TestFollowGrowingTrace drip-feeds a sealed trace into a file while
-// `summary -follow` tails it: follow must stop on its own when the
-// footer lands and print the same report the batch path prints, as text
-// and with -json.
+// `<kind> -follow` tails it, for every kind the stream folds: follow
+// must stop on its own when the footer lands and print the same report
+// the batch path prints, as text and with -json.
 func TestFollowGrowingTrace(t *testing.T) {
 	src := makeTrace(t)
 	data, err := os.ReadFile(src)
@@ -21,7 +23,16 @@ func TestFollowGrowingTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, flags := range [][]string{nil, {"-json"}} {
+	var cases [][]string
+	for _, k := range kinds.All {
+		if k.FromStream != nil {
+			cases = append(cases, []string{k.Name}, []string{k.Name, "-json"})
+		}
+	}
+	if len(cases) < 4 {
+		t.Fatalf("%d follow cases, want summary and profile as text and JSON", len(cases))
+	}
+	for _, flags := range cases {
 		live := filepath.Join(t.TempDir(), "live.pdt")
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -48,14 +59,14 @@ func TestFollowGrowingTrace(t *testing.T) {
 		}()
 
 		var followed bytes.Buffer
-		args := append([]string{"summary", "-follow", "-poll", "5ms", "-timeout", "30s"}, flags...)
-		if err := run(append(args, live), &followed); err != nil {
+		args := append(append([]string{}, flags...), "-follow", "-poll", "5ms", "-timeout", "30s", live)
+		if err := run(args, &followed); err != nil {
 			t.Fatalf("follow %v: %v", flags, err)
 		}
 		wg.Wait()
 
 		var batch bytes.Buffer
-		if err := run(append(append([]string{"summary"}, flags...), src), &batch); err != nil {
+		if err := run(append(append([]string{}, flags...), src), &batch); err != nil {
 			t.Fatal(err)
 		}
 		if followed.String() != batch.String() {
@@ -86,10 +97,13 @@ func TestFollowIdleTruncated(t *testing.T) {
 	}
 }
 
-// TestFollowWrongSubcommand rejects -follow outside summary.
+// TestFollowWrongSubcommand rejects -follow outside the kinds the stream
+// folds: a subcommand that is no kind, and a batch-only kind.
 func TestFollowWrongSubcommand(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"timeline", "-follow", "x.pdt"}, &out); err == nil {
-		t.Fatal("-follow accepted for timeline")
+	for _, cmd := range []string{"timeline", "gaps"} {
+		var out bytes.Buffer
+		if err := run([]string{cmd, "-follow", "x.pdt"}, &out); err == nil {
+			t.Errorf("-follow accepted for %s", cmd)
+		}
 	}
 }

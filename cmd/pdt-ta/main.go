@@ -107,6 +107,17 @@ func usage() error {
 	return fmt.Errorf("usage: pdt-ta <%s|report|timeline|svg|html|csv|json|validate|doctor|events|tags|intervals|slack|bw|compensate|compare|diff> [flags] trace.pdt [trace2.pdt]", strings.Join(names, "|"))
 }
 
+// streamedKinds names the kinds -follow serves: those the stream folds.
+func streamedKinds() string {
+	var names []string
+	for _, k := range kinds.All {
+		if k.FromStream != nil {
+			names = append(names, k.Name)
+		}
+	}
+	return strings.Join(names, "|")
+}
+
 func run(args []string, out io.Writer) error {
 	if len(args) < 1 {
 		return usage()
@@ -121,7 +132,7 @@ func run(args []string, out io.Writer) error {
 	gapTicks := fs.Int("min", 0, "minimum gap ticks (gaps; 0 = auto threshold)")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text (every analysis kind, and diff)")
 	mode := fs.String("mode", "", "per-cycle diff mode: match or align (diff; empty = off)")
-	follow := fs.Bool("follow", false, "tail a still-growing trace (pdt-run -live) and report when it seals (summary)")
+	following := fs.Bool("follow", false, "tail a still-growing trace (pdt-run -live) and report when it seals ("+streamedKinds()+")")
 	poll := fs.Duration("poll", 500*time.Millisecond, "file poll interval in follow mode")
 	idle := fs.Duration("idle", 0, "give up and report after the file stops growing for this long (follow; 0 = wait forever)")
 	timeout := fs.Duration("timeout", 0, "abort the whole command after this wall-clock duration (exit status 3)")
@@ -141,11 +152,12 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() != wantArgs {
 		return usage()
 	}
-	if *follow {
-		if cmd != "summary" {
-			return errors.New("-follow only applies to `pdt-ta summary`")
+	if *following {
+		k, ok := kinds.Lookup(cmd)
+		if !ok || k.FromStream == nil {
+			return fmt.Errorf("-follow only applies to `pdt-ta <%s>`", streamedKinds())
 		}
-		return followSummary(ctx, fs.Arg(0), *poll, *idle, *asJSON, out)
+		return follow(ctx, k, fs.Arg(0), *poll, *idle, *asJSON, *maxEvents, out)
 	}
 	if cmd == "doctor" {
 		rep, err := analyzer.DoctorFileContext(ctx, fs.Arg(0), analyzer.Limits{})

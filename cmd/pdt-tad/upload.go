@@ -34,6 +34,7 @@ import (
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/cache"
+	"github.com/celltrace/pdt/internal/analyzer/kinds"
 )
 
 // uploadSession is one in-progress chunked upload: the streaming loader
@@ -367,18 +368,21 @@ func liveDoc(sess *uploadSession, res *analyzer.StreamResult, final bool) ([]byt
 	return buf.Bytes(), nil
 }
 
-// adoptStreamArtifacts installs the stream-computed summary and profile
-// under the upload's content key, exactly the bytes the batch renderers
-// would produce (the streaming kernels are batch-identical, so the cache
-// cannot tell the difference). Gaps and critical path stay uncached:
-// their batch forms need the whole trace in memory.
+// adoptStreamArtifacts installs, under the upload's content key, the
+// artifact of every kind the stream folds (kinds.Kind.FromStream): the
+// kind's own JSON renderer over the stream's value, so exactly the bytes
+// a batch POST would produce (the streaming kernels are batch-identical,
+// so the cache cannot tell the difference). The other kinds stay
+// uncached: their batch forms need the whole trace in memory.
 func (s *server) adoptStreamArtifacts(key cache.Key, res *analyzer.StreamResult) {
 	var buf bytes.Buffer
-	if err := analyzer.WriteJSON(res.Trace, res.Summary, &buf); err == nil {
-		s.cache.AdoptArtifact(key, cache.KindSummary, append([]byte(nil), buf.Bytes()...))
-	}
-	buf.Reset()
-	if err := analyzer.WriteProfilePairsJSON(res.Trace, res.Profile, &buf); err == nil {
-		s.cache.AdoptArtifact(key, cache.KindProfile, append([]byte(nil), buf.Bytes()...))
+	for _, k := range kinds.All {
+		if k.FromStream == nil {
+			continue
+		}
+		buf.Reset()
+		if err := k.JSON(res.Trace, k.FromStream(res), &buf); err == nil {
+			s.cache.AdoptArtifact(key, k.Name, bytes.Clone(buf.Bytes()))
+		}
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"github.com/celltrace/pdt/internal/analyzer"
+	"github.com/celltrace/pdt/internal/analyzer/kinds"
 )
 
 // get fetches a URL and returns the response plus its body.
@@ -160,13 +163,39 @@ func TestUploadChunkedMatchesBatch(t *testing.T) {
 		t.Errorf("streamed summary differs from batch:\nstream: %s\nbatch:  %s", streamC.Bytes(), batchC.Bytes())
 	}
 
-	// The upload adopted its artifacts: that batch /v1/summary must have
-	// been a cache hit, not a recompute.
-	if s.cache != nil {
-		st := s.cache.Stats()
-		if st.Hits == 0 {
-			t.Errorf("batch summary after upload missed the cache (hits=%d misses=%d)", st.Hits, st.Misses)
+	// The upload adopted the artifact of every kind the stream folds: a
+	// batch POST of each must be a cache hit, not a recompute, and serve
+	// the bytes the batch kernel renders.
+	tr, err := analyzer.Load(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzer.Validate(tr)
+	adopted := 0
+	for _, k := range kinds.All {
+		if k.FromStream == nil {
+			continue
 		}
+		adopted++
+		before := s.cache.Stats()
+		resp, got := post(t, ts.URL+"/v1/"+k.Name, trace)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", k.Name, resp.StatusCode, got)
+		}
+		if st := s.cache.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+			t.Errorf("batch %s after upload missed the cache (hits %d -> %d, misses %d -> %d)",
+				k.Name, before.Hits, st.Hits, before.Misses, st.Misses)
+		}
+		var want bytes.Buffer
+		if err := k.JSON(tr, k.Compute(tr), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("adopted %s differs from batch:\nadopted: %s\nbatch:   %s", k.Name, got, want.Bytes())
+		}
+	}
+	if adopted < 2 {
+		t.Errorf("%d kinds adopted, want summary and profile", adopted)
 	}
 }
 

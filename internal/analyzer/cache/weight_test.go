@@ -32,7 +32,9 @@ func liveHeap() int64 {
 // TestFootprintMatchesRetainedHeap: for every (trace, kind), an entry
 // that served one artifact weighs within 1.25x of the heap it retains.
 // Each pair is measured over enough independent caches that the growth
-// dwarfs allocator noise.
+// — about 1 MiB, and never under two entries or over 64 — dwarfs
+// allocator and collector noise: a few-KiB doctor entry measured over
+// eight copies (26 KiB of growth) once read 0.776 on a loaded host.
 func TestFootprintMatchesRetainedHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a heap measurement; the race detector only slows it")
@@ -48,7 +50,7 @@ func TestFootprintMatchesRetainedHeap(t *testing.T) {
 				t.Fatalf("%s %s: %v", im.name, kind, err)
 			}
 			weight := probe.Stats().Bytes
-			copies := min(max(int(2<<20/weight), 2), 8)
+			copies := min(max(int(1<<20/weight), 2), 64)
 			caches := make([]*cache.Cache, copies)
 			base := liveHeap()
 			for i := range caches {

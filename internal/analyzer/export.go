@@ -326,21 +326,10 @@ func intLen(v int) int {
 	return decLen(uint64(v))
 }
 
-// Report renders the human-readable summary the pdt-ta CLI prints.
+// Report renders the human-readable summary the pdt-ta CLI prints. It
+// reads nothing of tr but its metadata, confidence and issues, so the
+// shell of a streamed trace renders the same report as the batch load.
 func Report(tr *Trace, s *Summary, w io.Writer) {
-	reportTo(w, tr, s, SummarizePPE(tr), s.effectiveConcurrency())
-}
-
-// Report renders the same human-readable summary from a streaming
-// result.
-func (r *StreamResult) Report(w io.Writer) {
-	reportTo(w, r.Trace, r.Summary, r.PPE, r.EffectiveConcurrency)
-}
-
-// reportTo is the shared renderer behind the batch and streaming
-// reports: everything it prints arrives as an argument, so the two
-// paths cannot drift apart.
-func reportTo(w io.Writer, tr *Trace, s *Summary, ppe PPEStats, effConc float64) {
 	fmt.Fprintf(w, "workload: %s\n", s.Workload)
 	fmt.Fprintf(w, "records:  %d (wall %d timebase ticks)\n", s.TotalRecs, s.WallTicks)
 	if tr.Confidence.Degraded() {
@@ -372,12 +361,12 @@ func reportTo(w io.Writer, tr *Trace, s *Summary, ppe PPEStats, effConc float64)
 		fmt.Fprintf(w, "%-4d %-6d %-6d %-6d %12d %12d %10d %12.1f\n",
 			d.Run, d.Gets, d.Puts, d.Lists, d.BytesIn, d.BytesOut, d.Waits, d.WaitTicks.Mean())
 	}
-	if ppe.Records > 0 {
+	if ppe := &s.PPE; ppe.Records > 0 {
 		fmt.Fprintf(w, "\nPPE: %d records, %d SPE waits (%d ticks blocked), %d/%d mbox reads/writes (%d ticks), %d proxy cmds (%d bytes)\n",
 			ppe.Records, ppe.SPEWaits, ppe.WaitTicks, ppe.MboxReads, ppe.MboxWrites,
 			ppe.MboxWaitTicks, ppe.ProxyGets+ppe.ProxyPuts, ppe.ProxyBytes)
 	}
-	fmt.Fprintf(w, "effective SPE concurrency: %.2f\n", effConc)
+	fmt.Fprintf(w, "effective SPE concurrency: %.2f\n", s.EffectiveConcurrency())
 	fmt.Fprintf(w, "\ntop events:\n")
 	for i, ec := range s.TopEvents() {
 		if i >= 12 {

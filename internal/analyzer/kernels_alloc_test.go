@@ -86,7 +86,6 @@ func TestKernelAllocationBudget(t *testing.T) {
 	}{
 		{"Validate", 32, func() { analyzer.Validate(tr) }},
 		{"Profile", 32, func() { analyzer.Profile(tr) }},
-		{"SummarizePPE", 8, func() { analyzer.SummarizePPE(tr) }},
 		{"TagBreakdown", 8, func() { analyzer.TagBreakdown(tr) }},
 		{"FindGaps", 8, func() { analyzer.FindGaps(tr, minGap) }},
 		{"ComputeCriticalPath", 128, critPath},

@@ -19,7 +19,8 @@ import (
 // buffer size and nothing else. Every chunk of a workload's trace split
 // in place into pieces of per records — the same records, flushed more
 // often — must give every kind's JSON byte for byte, and the streaming
-// loader's summary, in small windows and odd writes, must equal batch's.
+// loader's value of every kind it folds, in small windows and odd
+// writes, must render batch's JSON.
 func TestRechunkingIsInvisible(t *testing.T) {
 	for _, name := range workloads.Names() {
 		img := traceImage(t, name, workloads.Small(name))
@@ -36,8 +37,10 @@ func TestRechunkingIsInvisible(t *testing.T) {
 				}
 			}
 			for _, window := range []int64{4 << 10, 16 << 10} {
-				if !bytes.Equal(streamSummary(t, split, window), want["summary"]) {
-					t.Errorf("%s per=%d window=%d: streamed summary differs from batch", name, per, window)
+				for kind, got := range streamedJSON(t, split, window) {
+					if !bytes.Equal(got, want[kind]) {
+						t.Errorf("%s per=%d window=%d: streamed %s differs from batch", name, per, window, kind)
+					}
 				}
 			}
 		}
@@ -47,8 +50,8 @@ func TestRechunkingIsInvisible(t *testing.T) {
 // TestVersionsAnalyseAlike: format version 1 differs from version 2 only
 // in its chunk headers, which carry no CRC. The same run in either
 // encoding — every workload, and one killed mid-run — must give every
-// kind's JSON, the streaming summary, and the doctor's verdict and counts
-// alike.
+// kind's JSON, every streamed kind's JSON, and the doctor's verdict and
+// counts alike.
 func TestVersionsAnalyseAlike(t *testing.T) {
 	kill, err := faults.Parse("kill:250000")
 	if err != nil {
@@ -87,8 +90,11 @@ func TestVersionsAnalyseAlike(t *testing.T) {
 				t.Errorf("%s: %s differs between versions 1 and 2", name, k.Name)
 			}
 		}
-		if !bytes.Equal(streamSummary(t, v1, 16<<10), streamSummary(t, v2, 16<<10)) {
-			t.Errorf("%s: streamed summary differs between versions 1 and 2", name)
+		want = streamedJSON(t, v2, 16<<10)
+		for kind, got := range streamedJSON(t, v1, 16<<10) {
+			if !bytes.Equal(got, want[kind]) {
+				t.Errorf("%s: streamed %s differs between versions 1 and 2", name, kind)
+			}
 		}
 		if a, b := doctor(v1), doctor(v2); a != b {
 			t.Errorf("%s: doctor differs:\n v1 %s\n v2 %s", name, a, b)
@@ -96,9 +102,9 @@ func TestVersionsAnalyseAlike(t *testing.T) {
 	}
 }
 
-// streamSummary loads img through StreamLoader in the given window, in
-// odd-sized writes, and renders its summary as JSON.
-func streamSummary(t *testing.T, img []byte, window int64) []byte {
+// streamedJSON loads img through StreamLoader in the given window, in
+// odd-sized writes, and renders every kind it folds as JSON.
+func streamedJSON(t *testing.T, img []byte, window int64) map[string][]byte {
 	t.Helper()
 	l := analyzer.NewStreamLoader(analyzer.StreamOptions{
 		Validate: true, Limits: analyzer.Limits{StreamWindowBytes: window},
@@ -112,11 +118,21 @@ func streamSummary(t *testing.T, img []byte, window int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum bytes.Buffer
-	if err := analyzer.WriteJSON(res.Trace, res.Summary, &sum); err != nil {
-		t.Fatal(err)
+	out := map[string][]byte{}
+	for _, k := range kinds.All {
+		if k.FromStream == nil {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := k.JSON(res.Trace, k.FromStream(res), &buf); err != nil {
+			t.Fatal(err)
+		}
+		out[k.Name] = buf.Bytes()
 	}
-	return sum.Bytes()
+	if len(out) < 2 {
+		t.Fatalf("%d kinds streamed, want summary and profile", len(out))
+	}
+	return out
 }
 
 // kindsJSON loads and validates img and renders every kind as JSON.

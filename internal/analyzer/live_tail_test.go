@@ -154,8 +154,6 @@ func TestLiveTailTruncated(t *testing.T) {
 			summary: analyzer.Summarize(tr),
 			profile: analyzer.Profile(tr),
 			tags:    analyzer.TagBreakdown(tr),
-			ppe:     analyzer.SummarizePPE(tr),
-			eff:     analyzer.EffectiveConcurrency(tr),
 		}
 		b.minGap = analyzer.SuggestGapThreshold(tr)
 		b.gaps = analyzer.FindGaps(tr, b.minGap)

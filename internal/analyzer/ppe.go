@@ -27,10 +27,11 @@ type PPEStats struct {
 	ProxyWaitTicks uint64
 }
 
-// ppeAcc is the SummarizePPE kernel: the host-side scanner folded one
-// merged segment at a time. PPE records keep their merged relative order
-// across stream windows — each thread's chunks decode in file order — so
-// the enter table pairs exactly as a scan of the whole trace. An exit
+// ppeAcc is the host-side scanner summaryAcc folds beside the SPE runs,
+// one merged segment at a time, into Summary.PPE. PPE records keep their
+// merged relative order across stream windows — each thread's chunks
+// decode in file order — so the enter table pairs exactly as a scan of
+// the whole trace. An exit
 // pairs with its own thread's enter: PPE threads wait at overlapping
 // times.
 type ppeAcc struct {
@@ -97,13 +98,6 @@ func (a *ppeAcc) fold(seg *colstore.Store) {
 	}
 }
 
-// SummarizePPE computes host-side statistics from the merged stream.
-func SummarizePPE(tr *Trace) PPEStats {
-	var a ppeAcc
-	a.fold(tr.segment())
-	return a.stats
-}
-
 // ParallelismPoint is one bucket of the parallelism profile.
 type ParallelismPoint struct {
 	StartTick uint64
@@ -157,9 +151,4 @@ func ParallelismSeries(tr *Trace, n int) []ParallelismPoint {
 		}
 	}
 	return out
-}
-
-// EffectiveConcurrency is the time-averaged number of computing SPEs.
-func EffectiveConcurrency(tr *Trace) float64 {
-	return Summarize(tr).effectiveConcurrency()
 }

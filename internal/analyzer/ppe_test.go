@@ -28,7 +28,7 @@ func TestSummarizePPE(t *testing.T) {
 		h.WriteInMbox(0, 9) // SPE never reads it; write completes instantly
 		h.Wait(hd)
 	})
-	st := SummarizePPE(tr)
+	st := Summarize(tr).PPE
 	if st.Records == 0 {
 		t.Fatal("no PPE records")
 	}
@@ -71,7 +71,7 @@ func TestSummarizePPEPairsPerThread(t *testing.T) {
 			t.Fatalf("%s: %d waits, %d ticks; want 2 waits, 38 ticks", how, st.SPEWaits, st.WaitTicks)
 		}
 	}
-	check("batch", SummarizePPE(tr))
+	check("batch", Summarize(tr).PPE)
 	for _, window := range []int64{0, 512} {
 		l := NewStreamLoader(StreamOptions{Limits: Limits{StreamWindowBytes: window}})
 		if _, err := l.Write(img); err != nil {
@@ -81,7 +81,7 @@ func TestSummarizePPEPairsPerThread(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("stream", res.PPE)
+		check("stream", res.Summary.PPE)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestParallelismSeriesAndConcurrency(t *testing.T) {
 	if pts[5].Busy < 3.5 {
 		t.Fatalf("mid-run parallelism = %.2f, want ~4", pts[5].Busy)
 	}
-	ec := EffectiveConcurrency(tr)
+	ec := Summarize(tr).EffectiveConcurrency()
 	if ec < 3 || ec > 4.01 {
 		t.Fatalf("effective concurrency = %.2f, want ~4", ec)
 	}
@@ -116,7 +116,7 @@ func TestParallelismEmptyTrace(t *testing.T) {
 	if ParallelismSeries(&Trace{}, 4) != nil {
 		t.Fatal("series on empty trace")
 	}
-	if EffectiveConcurrency(&Trace{}) != 0 {
+	if Summarize(&Trace{}).EffectiveConcurrency() != 0 {
 		t.Fatal("concurrency on empty trace")
 	}
 }

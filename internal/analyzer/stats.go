@@ -108,6 +108,8 @@ type Summary struct {
 	LoadImbalance float64
 	// FlushTicks is PDT's own overhead observed in the trace.
 	FlushTicks uint64
+	// PPE is the host lane beside the SPE runs.
+	PPE PPEStats
 }
 
 // runAcc is one run's share of the summary: its bounds, the run state
@@ -139,6 +141,7 @@ type runAcc struct {
 // figure is a per-run state machine or an order-insensitive sum.
 type summaryAcc struct {
 	cpt uint64 // cycles per timebase tick (flush durations are in cycles)
+	ppe ppeAcc
 
 	events     int
 	minG, maxG uint64
@@ -171,6 +174,7 @@ func (a *summaryAcc) fold(seg *colstore.Store) {
 		a.maxG = last
 	}
 	a.events += n
+	a.ppe.fold(seg)
 	if a.known == nil {
 		a.known = make([]int, event.NumIDs())
 	}
@@ -254,6 +258,7 @@ func (a *summaryAcc) result(meta *traceio.Meta, conf Confidence) *Summary {
 		EventCount: make(map[event.ID]int, len(a.known)),
 		TotalRecs:  a.events,
 		WallTicks:  a.maxG - a.minG,
+		PPE:        a.ppe.stats,
 	}
 	for id, n := range a.known {
 		if n > 0 { // a key per ID that occurred, not a zero row per table entry
@@ -301,9 +306,9 @@ func Summarize(tr *Trace) *Summary {
 	return a.result(&tr.Meta, tr.Confidence)
 }
 
-// effectiveConcurrency is the time-averaged number of computing SPEs:
+// EffectiveConcurrency is the time-averaged number of computing SPEs:
 // total compute ticks over the trace span.
-func (s *Summary) effectiveConcurrency() float64 {
+func (s *Summary) EffectiveConcurrency() float64 {
 	if s.WallTicks == 0 {
 		return 0
 	}

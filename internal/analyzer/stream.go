@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
+	"maps"
 	"sync"
 	"unsafe"
 
@@ -38,14 +38,12 @@ type StreamOptions struct {
 // StreamResult is a snapshot or final result of a streaming load: the
 // trace shell (header, metadata, interned strings, issues, confidence —
 // no event columns) plus the kernel results over the windows folded.
+// Summary and Profile are what Summarize and Profile return on the
+// batch-loaded trace; kinds.Kind.FromStream reads them by kind.
 type StreamResult struct {
 	Trace   *Trace
 	Summary *Summary
 	Profile []PairProfile
-	PPE     PPEStats
-	// EffectiveConcurrency is the time-averaged number of computing
-	// SPEs, matching EffectiveConcurrency on the batch-loaded trace.
-	EffectiveConcurrency float64
 	// Complete reports that the trace footer arrived and its checksum
 	// verified; false on snapshots of a still-growing stream and on
 	// truncated inputs.
@@ -54,6 +52,10 @@ type StreamResult struct {
 	Bytes  int64
 	Events int64
 }
+
+// Report renders the summary report of a streaming result: Report on
+// its trace shell and summary.
+func (r *StreamResult) Report(w io.Writer) { Report(r.Trace, r.Summary, w) }
 
 // streamChunk is the chunk currently being framed.
 type streamChunk struct {
@@ -85,13 +87,19 @@ type streamChunk struct {
 // tolerance, same footer CRC check), records from traceio.FrameRecords,
 // timeline placement from resolveAnchor and placement, and each window is
 // merged — every record decoded once, into the window's columns — through
-// the batch tournament-tree merge. The kernels are the
-// accumulators the batch functions fold over the whole store as one
-// segment; their folds are order-insensitive beyond the per-core/per-run
-// order, and since the tracer writes each core in stamp order a window
-// cut anywhere preserves it — so the final results are identical to
-// loading the whole trace and calling Summarize, Profile, SummarizePPE
-// and Validate on it.
+// the batch tournament-tree merge.
+//
+// The kernels are the accumulators next to each batch function
+// (summaryAcc with its ppeAcc, profileAcc, validateAcc): the batch
+// functions fold the whole store as one segment, the loader folds one
+// merged window at a time. Many windows give the one-segment result
+// because window segments preserve the merged order within each core and
+// each run (chunks decode in file order, the tracer writes each core in
+// stamp order, and the in-window merge is the batch merge), and every
+// kernel is a per-core/per-run state machine combined with
+// order-insensitive sums. So the final results are identical to loading
+// the whole trace and calling Summarize, Profile and Validate on it;
+// stream_equiv_test.go checks that byte for byte on every workload.
 //
 // Write and Finish must be called from one goroutine; Snapshot may be
 // called concurrently from others (the live-tail path).
@@ -128,7 +136,10 @@ type StreamLoader struct {
 	decoded int64 // records framed so far, checked against budget
 	budget  int64
 
-	acc *streamAccumulators
+	// The kernels. All calls happen under mu.
+	sum  summaryAcc
+	prof profileAcc
+	val  *validateAcc // nil unless StreamOptions.Validate
 
 	truncated bool
 	complete  bool
@@ -156,7 +167,9 @@ func NewStreamLoader(opts StreamOptions) *StreamLoader {
 		budget:  recordBudget(opts.Limits),
 		strings: map[uint64]string{},
 	}
-	l.acc = newStreamAccumulators(opts, &l.scan.Header, &l.scan.Meta)
+	if opts.Validate {
+		l.val = &validateAcc{}
+	}
 	return l
 }
 
@@ -446,7 +459,12 @@ func (l *StreamLoader) flushWindow() error {
 	clear(l.pending)
 	l.pending = l.pending[:0]
 	l.pendRecs, l.pendArgs = 0, 0
-	l.acc.fold(seg, l.strings)
+	l.sum.cpt = cyclesPerTick(&l.scan.Header)
+	l.sum.fold(seg)
+	l.prof.fold(seg)
+	if l.val != nil {
+		l.val.fold(seg, l.strings)
+	}
 	return nil
 }
 
@@ -559,44 +577,33 @@ func (l *StreamLoader) Snapshot() *StreamResult {
 	return l.snapshotLocked(false)
 }
 
+// snapshotLocked materializes the kernel results over the events folded
+// so far. The accumulators' result methods work on copies, so a snapshot
+// of a finished stream is the batch result and a mid-stream snapshot
+// leaves the live state machines undisturbed.
 func (l *StreamLoader) snapshotLocked(final bool) *StreamResult {
-	return l.acc.snapshot(snapshotInput{
-		final:     final,
-		truncated: l.truncated,
-		complete:  l.complete && final,
-		issues:    l.issues,
-		strings:   l.strings,
-		bytes:     l.total(),
-	})
-}
-
-// StreamFile streams an on-disk trace through a StreamLoader in bounded
-// reads and returns the final result — the flat-RSS alternative to
-// LoadFile for traces larger than memory.
-func StreamFile(ctx context.Context, path string, opts StreamOptions) (*StreamResult, error) {
-	if opts.Ctx == nil {
-		opts.Ctx = ctx
+	// The stream knows only the metadata's drop accounting; salvage damage
+	// is a batch-only input.
+	meta := l.scan.Meta
+	conf := computeConfidence(&l.sum.perCore, meta.Drops, nil)
+	var valIssues []Issue
+	if final && l.val != nil {
+		valIssues = l.val.result(&meta, conf, l.truncated)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	return &StreamResult{
+		Trace: &Trace{
+			Header:  l.scan.Header,
+			Meta:    meta,
+			Strings: maps.Clone(l.strings),
+			// Nil on a clean trace, like the batch load's.
+			Issues:     append(append(fileIssues(l.truncated, meta.Drops), l.issues...), valIssues...),
+			Truncated:  l.truncated,
+			Confidence: conf,
+		},
+		Summary:  l.sum.result(&meta, conf),
+		Profile:  l.prof.result(conf),
+		Complete: l.complete && final,
+		Bytes:    l.total(),
+		Events:   int64(l.sum.events),
 	}
-	defer f.Close()
-	l := NewStreamLoader(opts)
-	buf := make([]byte, 1<<20)
-	for {
-		n, rerr := f.Read(buf)
-		if n > 0 {
-			if _, werr := l.Write(buf[:n]); werr != nil {
-				return nil, werr
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-	}
-	return l.Finish()
 }

@@ -12,7 +12,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -39,8 +38,6 @@ type batchResults struct {
 	profile []analyzer.PairProfile
 	gaps    []analyzer.Gap
 	tags    []analyzer.TagStats
-	ppe     analyzer.PPEStats
-	eff     float64
 	minGap  uint64
 }
 
@@ -62,8 +59,6 @@ func loadBatch(t *testing.T, data []byte) *batchResults {
 		summary: analyzer.Summarize(tr),
 		profile: analyzer.Profile(tr),
 		tags:    analyzer.TagBreakdown(tr),
-		ppe:     analyzer.SummarizePPE(tr),
-		eff:     analyzer.EffectiveConcurrency(tr),
 		minGap:  analyzer.SuggestGapThreshold(tr),
 	}
 	b.gaps = analyzer.FindGaps(tr, b.minGap)
@@ -109,12 +104,6 @@ func assertStreamMatchesBatch(t *testing.T, want *batchResults, got *analyzer.St
 	}
 	if !reflect.DeepEqual(got.Profile, want.profile) {
 		t.Errorf("profile differs:\nstream %+v\nbatch  %+v", got.Profile, want.profile)
-	}
-	if !reflect.DeepEqual(got.PPE, want.ppe) {
-		t.Errorf("ppe stats differ:\nstream %+v\nbatch  %+v", got.PPE, want.ppe)
-	}
-	if got.EffectiveConcurrency != want.eff {
-		t.Errorf("effective concurrency: stream %v, batch %v", got.EffectiveConcurrency, want.eff)
 	}
 	if !reflect.DeepEqual(got.Trace.Confidence, want.tr.Confidence) {
 		t.Errorf("confidence differs:\nstream %+v\nbatch  %+v", got.Trace.Confidence, want.tr.Confidence)
@@ -256,8 +245,6 @@ func TestStreamTruncationMatchesBatch(t *testing.T) {
 				summary: analyzer.Summarize(tr),
 				profile: analyzer.Profile(tr),
 				tags:    analyzer.TagBreakdown(tr),
-				ppe:     analyzer.SummarizePPE(tr),
-				eff:     analyzer.EffectiveConcurrency(tr),
 			}
 			if !tr.Truncated {
 				t.Fatal("expected a truncated batch load")
@@ -277,12 +264,6 @@ func TestStreamTruncationMatchesBatch(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.Profile, want.profile) {
 					t.Errorf("window %d: profile differs:\nstream %+v\nbatch  %+v", window, got.Profile, want.profile)
-				}
-				if !reflect.DeepEqual(got.PPE, want.ppe) {
-					t.Errorf("window %d: ppe differs:\nstream %+v\nbatch  %+v", window, got.PPE, want.ppe)
-				}
-				if got.EffectiveConcurrency != want.eff {
-					t.Errorf("window %d: effective concurrency: stream %v, batch %v", window, got.EffectiveConcurrency, want.eff)
 				}
 				if !reflect.DeepEqual(got.Trace.Issues, want.tr.Issues) {
 					t.Errorf("window %d: issues differ:\nstream %v\nbatch  %v", window, got.Trace.Issues, want.tr.Issues)
@@ -396,23 +377,6 @@ func TestStreamSnapshotConcurrent(t *testing.T) {
 	if !reflect.DeepEqual(res.Summary, want.summary) {
 		t.Errorf("final summary differs from batch after concurrent snapshots")
 	}
-}
-
-// TestStreamFile covers the file-streaming convenience wrapper.
-func TestStreamFile(t *testing.T) {
-	data := traceWorkload(t, "histogram")
-	want := loadBatch(t, data)
-	path := t.TempDir() + "/trace.pdt"
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := analyzer.StreamFile(context.Background(), path, analyzer.StreamOptions{
-		Validate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStreamMatchesBatch(t, want, got)
 }
 
 // TestStreamLimits checks the streaming admission controls: cumulative
