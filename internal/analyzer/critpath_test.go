@@ -11,6 +11,8 @@ import (
 	"github.com/celltrace/pdt/internal/cell"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
+	"github.com/celltrace/pdt/internal/core/traceio"
+	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
 )
 
 func TestCriticalPathSkewedLoad(t *testing.T) {
@@ -82,6 +84,61 @@ func TestCriticalPathCrossesMailbox(t *testing.T) {
 	if cp.CoreTicks[0] < cp.CoreTicks[event.CorePPE] {
 		t.Fatalf("path attribution wrong: SPE %d vs PPE %d",
 			cp.CoreTicks[0], cp.CoreTicks[event.CorePPE])
+	}
+}
+
+// TestChannelResync: mailboxes pair by position and value, so one lost
+// record costs one pair. SPE 0 sends 1 to 4 on its outbound mailbox but
+// the read of 2 is lost; the PPE's inbound mailbox to SPE 1 is read 5,
+// 6, 7 but the send of 6 is lost. Every other read pairs with the ENTER
+// of the send of its value, the read of 1 too, though it is stamped
+// before that send's EXIT.
+func TestChannelResync(t *testing.T) {
+	ppe := func(g uint64, id event.ID, args ...uint64) tracetest.Row {
+		return tracetest.Row{Rec: event.Record{ID: id, Core: event.CorePPE, Args: tracetest.Args(id, args...)}, Global: g, Run: -1}
+	}
+	spe := func(g uint64, core uint8, id event.ID, args ...uint64) tracetest.Row {
+		return tracetest.Row{Rec: event.Record{ID: id, Core: core, Args: tracetest.Args(id, args...)}, Global: g, Run: int(core)}
+	}
+	rows := []tracetest.Row{
+		spe(10, 0, event.SPEWriteOutMboxEnter, 1),
+		ppe(11, event.PPEReadOutMboxExit, 0, 1),
+		spe(12, 0, event.SPEWriteOutMboxExit, 1),
+		spe(20, 0, event.SPEWriteOutMboxEnter, 2),
+		spe(21, 0, event.SPEWriteOutMboxExit, 2),
+		spe(30, 0, event.SPEWriteOutMboxEnter, 3),
+		spe(31, 0, event.SPEWriteOutMboxExit, 3),
+		ppe(32, event.PPEReadOutMboxExit, 0, 3),
+		spe(40, 0, event.SPEWriteOutMboxEnter, 4),
+		spe(41, 0, event.SPEWriteOutMboxExit, 4),
+		ppe(42, event.PPEReadOutMboxExit, 0, 4),
+		ppe(50, event.PPEWriteInMboxEnter, 1, 5),
+		ppe(51, event.PPEWriteInMboxExit, 1, 5),
+		spe(52, 1, event.SPEReadInMboxExit, 5),
+		spe(62, 1, event.SPEReadInMboxExit, 6),
+		ppe(70, event.PPEWriteInMboxEnter, 1, 7),
+		ppe(71, event.PPEWriteInMboxExit, 1, 7),
+		spe(72, 1, event.SPEReadInMboxExit, 7),
+	}
+	tr, err := Load(bytes.NewReader(tracetest.Encode(t, traceio.Meta{}, rows, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.col
+	got := map[uint64]uint64{}
+	for r, snd := range matchChannels(s) {
+		if snd >= 0 {
+			got[s.Global[r]] = s.Global[snd]
+		}
+	}
+	want := map[uint64]uint64{11: 10, 32: 30, 42: 40, 52: 50, 72: 70}
+	if len(got) != len(want) {
+		t.Errorf("%d reads paired, want %d: %v", len(got), len(want), got)
+	}
+	for r, snd := range want {
+		if got[r] != snd {
+			t.Errorf("read at %d paired with the send at %d, want %d", r, got[r], snd)
+		}
 	}
 }
 
