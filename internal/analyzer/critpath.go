@@ -76,7 +76,8 @@ func byCoreArg0(s *colstore.Store, i int) chanKey { return chanKey{uint64(s.Core
 // For the same reason a mailbox write's effect happens after its ENTER
 // stamp, so the mailbox rows queue the write at its ENTER, which also
 // dates the edge. A channel that carries a value names the argument that
-// holds it on each side (-1 on a channel that carries none).
+// holds it on each side (-1 on a channel that carries none). A channel
+// whose register ORs its writes together pairs by bits, not by position.
 type channel struct {
 	sends   []event.ID
 	sendKey func(s *colstore.Store, i int) chanKey
@@ -84,24 +85,25 @@ type channel struct {
 	recvKey func(s *colstore.Store, i int) chanKey
 	sendVal int
 	recvVal int
+	or      bool
 }
 
 // channels is every cross-core dependency the critical path follows.
 var channels = []channel{
 	// program launch: the PPE names the SPE it starts
-	{[]event.ID{event.PPESPEStart}, byArg0, []event.ID{event.SPEProgramStart}, byCore, -1, -1},
+	{[]event.ID{event.PPESPEStart}, byArg0, []event.ID{event.SPEProgramStart}, byCore, -1, -1, false},
 	// join: the PPE waits for the SPE it names
-	{[]event.ID{event.SPEProgramEnd}, byCore, []event.ID{event.PPEWaitExit}, byArg0Low, -1, -1},
+	{[]event.ID{event.SPEProgramEnd}, byCore, []event.ID{event.PPEWaitExit}, byArg0Low, -1, -1, false},
 	// outbound mailbox, a FIFO per SPE
-	{[]event.ID{event.SPEWriteOutMboxEnter}, byCore, []event.ID{event.PPEReadOutMboxExit}, byArg0Low, 0, 1},
+	{[]event.ID{event.SPEWriteOutMboxEnter}, byCore, []event.ID{event.PPEReadOutMboxExit}, byArg0Low, 0, 1, false},
 	// outbound interrupt mailbox, a FIFO per SPE
-	{[]event.ID{event.SPEWriteIntrMboxEnter}, byCore, []event.ID{event.PPEReadIntrMboxExit}, byArg0Low, 0, 1},
+	{[]event.ID{event.SPEWriteIntrMboxEnter}, byCore, []event.ID{event.PPEReadIntrMboxExit}, byArg0Low, 0, 1, false},
 	// inbound mailbox, a FIFO per SPE
-	{[]event.ID{event.PPEWriteInMboxEnter}, byArg0, []event.ID{event.SPEReadInMboxExit}, byCore, 1, 0},
+	{[]event.ID{event.PPEWriteInMboxEnter}, byArg0, []event.ID{event.SPEReadInMboxExit}, byCore, 1, 0, false},
 	// signal notification, per SPE and register. The registers OR their
-	// writes together, so a read's value need not be any one send's: the
-	// rows pair by position alone.
-	{[]event.ID{event.PPEWriteSignal, event.SPESndsig}, byArg01, []event.ID{event.SPEReadSignalExit}, byCoreArg0, -1, -1},
+	// writes together, so a read returns the bits of every send since the
+	// last read.
+	{[]event.ID{event.PPEWriteSignal, event.SPESndsig}, byArg01, []event.ID{event.SPEReadSignalExit}, byCoreArg0, 2, 1, true},
 }
 
 // chanEnd is an event ID's side of its channel (ch nil for an ID on none).
@@ -164,12 +166,17 @@ func matchChannels(s *colstore.Store) []int {
 }
 
 // pair matches a queue's receives with its sends by position. On a
+// register that ORs its writes, pairBits does instead. On a
 // channel that carries a value, a receive whose value differs from the
 // next send's resyncs on it: it takes the first later send carrying its
 // value — the sends skipped lost their receive — or, when none does, no
 // send at all, its own having been lost (a salvaged or cut trace). So
 // one lost record costs one pair, not every pair after it.
 func (ch *channel) pair(s *colstore.Store, f fifo, crossDep []int) {
+	if ch.or {
+		ch.pairBits(s, f, crossDep)
+		return
+	}
 	next := 0 // position of the first send not yet taken
 	var at map[uint64][]int
 	for _, r := range f.recvs {
@@ -199,6 +206,31 @@ func (ch *channel) pair(s *colstore.Store, f fifo, crossDep []int) {
 			crossDep[r] = snd
 		}
 		next = k + 1
+	}
+}
+
+// pairBits matches a queue's receives on a register that ORs its writes.
+// A sender stamps its send before the write lands, so every send a read
+// returned is earlier in merged order. The read takes every pending
+// earlier send whose bits it returned, and waited for the latest of them;
+// a send whose bits it did not return stays pending for a later read.
+func (ch *channel) pairBits(s *colstore.Store, f fifo, crossDep []int) {
+	var pending []int
+	next := 0
+	for _, r := range f.recvs {
+		for ; next < len(f.sends) && f.sends[next] < r; next++ {
+			pending = append(pending, f.sends[next])
+		}
+		v := argN(s, r, ch.recvVal)
+		kept := pending[:0]
+		for _, snd := range pending {
+			if argN(s, snd, ch.sendVal)&^v == 0 {
+				crossDep[r] = snd // pending is in merged order: the last is the latest
+			} else {
+				kept = append(kept, snd)
+			}
+		}
+		pending = kept
 	}
 }
 

@@ -53,3 +53,39 @@ func TestMailboxPairsCarryOneValue(t *testing.T) {
 		t.Fatal("no workload paired a mailbox read")
 	}
 }
+
+// TestSignalPairsCarryReturnedBits: a signal register in OR mode returns
+// the OR of every write since the last read, so the send the critical
+// path pairs a signal read with must be one whose bits the read returned,
+// and on a clean trace every read finds one. A matcher that pairs reads
+// with sends by position takes a send meant for the next read whenever
+// two writes land between two reads.
+func TestSignalPairsCarryReturnedBits(t *testing.T) {
+	pairs := 0
+	for _, name := range workloads.Names() {
+		tr, err := analyzer.Load(bytes.NewReader(traceWorkload(t, name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := tr.Columns()
+		arg := func(i, n int) uint64 { return s.Args[int(s.ArgOff[i])+n] }
+		for r, snd := range analyzer.MatchChannels(tr) {
+			if s.ID[r] != event.SPEReadSignalExit {
+				continue
+			}
+			got := arg(r, 1)
+			if snd < 0 {
+				t.Errorf("%s: %s at %d (value %#x) found no send", name, s.ID[r], s.Global[r], got)
+				continue
+			}
+			pairs++
+			if sent := arg(snd, 2); sent == 0 || sent&^got != 0 {
+				t.Errorf("%s: %s at %d returned %#x, paired with %s at %d, which sent %#x",
+					name, s.ID[r], s.Global[r], got, s.ID[snd], s.Global[snd], sent)
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no workload paired a signal read")
+	}
+}
