@@ -310,9 +310,8 @@ func check(wa, wb, mode string) error {
 }
 
 // computeSide extracts one trace's metrics, and its cycles when mode is
-// set. In parallel mode the per-core scans run on the shared pool and
-// the interval reconstruction uses the sharded kernels; serial mode uses
-// the reference kernels and plain loops.
+// set. In parallel mode the per-core scans and the state fold run on the
+// shared pool; serial mode uses the reference kernels and plain loops.
 func computeSide(tr *analyzer.Trace, mode string, par bool) *Side {
 	s := &Side{
 		workload:   tr.Meta.Workload,
@@ -323,29 +322,9 @@ func computeSide(tr *analyzer.Trace, mode string, par bool) *Side {
 	start, end := tr.Span()
 	s.wall = end - start
 
-	// State intervals, grouped by core. Interval reconstruction is
-	// already a (tested-equivalent) parallel kernel; the group-by is a
-	// cheap fold.
-	var ivs []analyzer.Interval
-	if par {
-		ivs = analyzer.Intervals(tr)
-	} else {
-		ivs = analyzer.IntervalsSerial(tr)
-	}
-	var states [256]struct{ busy, stall, flush uint64 } // by core
-	for _, list := range [2][]analyzer.Interval{ivs, analyzer.PPEIntervals(tr)} {
-		for _, iv := range list {
-			sa := &states[iv.Core]
-			switch iv.State {
-			case analyzer.StateCompute:
-				sa.busy += iv.Dur()
-			case analyzer.StateFlush:
-				sa.flush += iv.Dur()
-			default:
-				sa.stall += iv.Dur()
-			}
-		}
-	}
+	// State time by core, summed straight from the run machine and the
+	// PPE lane walks.
+	states := analyzer.CoreStateTicks(tr, par)
 
 	// Per-core event scans: record counts, group counts, DMA wait
 	// distribution, wall span. Each core's view is disjoint, so the
@@ -365,7 +344,16 @@ func computeSide(tr *analyzer.Trace, mode string, par bool) *Side {
 	}
 	for i, c := range cores {
 		cs := perCore[i]
-		cs.BusyTicks, cs.StallTicks, cs.FlushTicks = states[c].busy, states[c].stall, states[c].flush
+		for st, t := range states[c] {
+			switch analyzer.State(st) {
+			case analyzer.StateCompute:
+				cs.BusyTicks += t
+			case analyzer.StateFlush:
+				cs.FlushTicks += t
+			default:
+				cs.StallTicks += t
+			}
+		}
 		if covered := cs.BusyTicks + cs.StallTicks + cs.FlushTicks; cs.WallTicks > covered {
 			cs.GapTicks = cs.WallTicks - covered
 		}

@@ -13,7 +13,10 @@ import (
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
+	"github.com/celltrace/pdt/internal/core"
+	"github.com/celltrace/pdt/internal/core/traceio"
 	"github.com/celltrace/pdt/internal/core/traceio/tracetest"
+	"github.com/celltrace/pdt/internal/harness"
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
@@ -43,6 +46,68 @@ func TestParallelKernelsMatchSerialAllWorkloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCoreStateTicksSumIntervals: CoreStateTicks folds the run machine's
+// and the PPE lane walks' intervals without building them, so for every
+// core and state it must equal the summed durations of Intervals and
+// PPEIntervals — on every workload clean, cut to 70% and as a salvaged
+// live mirror, and on a trace past the size at which the runs fold on the
+// pool. Both the pooled and the plain fold are checked.
+func TestCoreStateTicksSumIntervals(t *testing.T) {
+	check := func(label string, tr *analyzer.Trace) {
+		t.Helper()
+		var want [256]analyzer.StateTicks
+		for _, list := range [][]analyzer.Interval{analyzer.IntervalsSerial(tr), analyzer.PPEIntervals(tr)} {
+			for _, iv := range list {
+				want[iv.Core][iv.State] += iv.Dur()
+			}
+		}
+		for _, parallel := range []bool{false, true} {
+			if got := analyzer.CoreStateTicks(tr, parallel); *got != want {
+				for c := range want {
+					if got[c] != want[c] {
+						t.Errorf("%s, parallel %v: core %d folds to %v, its intervals sum to %v", label, parallel, c, got[c], want[c])
+					}
+				}
+			}
+		}
+	}
+	for _, name := range workloads.Names() {
+		live, sealed := liveWorkload(t, name)
+		tr, err := analyzer.Load(bytes.NewReader(sealed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+" clean", tr)
+		if tr, err = analyzer.Load(bytes.NewReader(sealed[:len(sealed)*7/10])); err != nil {
+			t.Fatalf("%s cut: %v", name, err)
+		}
+		check(name+" cut", tr)
+		f, rep, err := traceio.Salvage(live)
+		if err != nil {
+			t.Fatalf("%s live: %v", name, err)
+		}
+		if tr, err = analyzer.FromSalvaged(f, rep); err != nil {
+			t.Fatalf("%s live: %v", name, err)
+		}
+		check(name+" live", tr)
+	}
+	cfg := core.DefaultTraceConfig()
+	res, err := harness.Run(harness.Spec{
+		Workload: "synthetic", Params: map[string]string{"events": "5000", "gap": "100"}, Trace: &cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := analyzer.Load(bytes.NewReader(res.TraceBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumEvents() < analyzer.ParallelThreshold() {
+		t.Fatalf("synthetic trace has %d events, under the %d at which runs fold on the pool", tr.NumEvents(), analyzer.ParallelThreshold())
+	}
+	check("synthetic events=5000", tr)
 }
 
 // TestColumnarRoundTripAllWorkloads takes every workload's store back to

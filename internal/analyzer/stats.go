@@ -51,7 +51,7 @@ type RunSummary struct {
 	Start   uint64 // timebase ticks
 	End     uint64
 	// Per-state time in timebase ticks.
-	StateTicks [int(numStates)]uint64
+	StateTicks StateTicks
 	Events     int
 	// Confidence is the record-survival fraction for this run's core
 	// (1.0 on clean traces); low values mean the per-state breakdown
@@ -122,7 +122,7 @@ type runAcc struct {
 	events int
 
 	machine runMachine
-	state   [int(numStates)]uint64
+	state   StateTicks
 
 	dma       DMASummary
 	inWait    bool
@@ -270,7 +270,7 @@ func (a *summaryAcc) result(meta *traceio.Meta, conf Confidence) *Summary {
 		if !ra.seen {
 			continue
 		}
-		ra.machine.finish(ra.end, func(state State, start, end uint64) { ra.state[state] += end - start })
+		ra.machine.finish(ra.end, ra.state.add)
 		s.Runs = append(s.Runs, RunSummary{
 			Run: run, Core: ra.core, Program: meta.Anchors[run].Program,
 			Start: ra.start, End: ra.end, StateTicks: ra.state, Events: ra.events,
