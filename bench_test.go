@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
+	"github.com/celltrace/pdt/internal/analyzer/cycles"
+	"github.com/celltrace/pdt/internal/analyzer/diff"
 	"github.com/celltrace/pdt/internal/cell"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
@@ -155,27 +157,51 @@ func BenchmarkTraceLoad(b *testing.B) {
 	}
 }
 
+// corpusSpec is one trace of the benchmark's corpus.
+type corpusSpec struct {
+	name, workload string
+	large          bool
+	params         map[string]string
+}
+
+// corpusSpecs mirrors corpusSpecs in bench/corpus.go at seed 1, which is
+// its own module and cannot be imported here; keep the two in step. Of
+// the two large traces, analysisLarge is the one the analysis workloads
+// run and runLarge the one trace_run runs.
+var corpusSpecs = []corpusSpec{
+	{analysisLarge, "synthetic", true, map[string]string{"events": "10000", "gap": "100"}},
+	{runLarge, "synthetic", true, map[string]string{"events": "4000", "gap": "100"}},
+	{"matmul", "matmul", false, map[string]string{"n": "256", "t": "32", "buffers": "2", "seed": "1"}},
+	{"pipeline", "pipeline", false, map[string]string{"blocks": "64", "blockbytes": "4096", "seed": "1"}},
+	{"julia", "julia", false, map[string]string{"w": "256", "h": "128", "maxiter": "64", "mode": "dynamic"}},
+	{"histogram", "histogram", false, map[string]string{"size": "1048576", "seed": "1"}},
+	{"stencil", "stencil", false, map[string]string{"w": "256", "h": "128", "iters": "8", "seed": "1"}},
+	{"taskfarm", "taskfarm", false, map[string]string{"tasks": "256", "blockbytes": "4096", "seed": "1"}},
+}
+
+const (
+	analysisLarge = "synthetic10k"
+	runLarge      = "synthetic4k"
+)
+
+// corpusWith lists one large trace of the corpus and the six small ones.
+func corpusWith(large string) []corpusSpec {
+	var out []corpusSpec
+	for _, s := range corpusSpecs {
+		if !s.large || s.name == large {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // BenchmarkTraceRunCorpus times one traced pdt-run equivalent per trace
 // of the trace_run corpus at seed 1: machine, session, Prepare, Run,
 // Verify and the trace written to memory. It does not use harness.Run,
-// which also loads the trace. The specs mirror corpusSpecs in
-// bench/corpus.go, which is its own module and cannot be imported here;
-// keep the two in step. Each trace is its own sub-benchmark, so a change
-// to one workload's host loops shows on its own row.
+// which also loads the trace. Each trace is its own sub-benchmark, so a
+// change to one workload's host loops shows on its own row.
 func BenchmarkTraceRunCorpus(b *testing.B) {
-	specs := []struct {
-		name, workload string
-		params         map[string]string
-	}{
-		{"synthetic4k", "synthetic", map[string]string{"events": "4000", "gap": "100"}},
-		{"matmul", "matmul", map[string]string{"n": "256", "t": "32", "buffers": "2", "seed": "1"}},
-		{"pipeline", "pipeline", map[string]string{"blocks": "64", "blockbytes": "4096", "seed": "1"}},
-		{"julia", "julia", map[string]string{"w": "256", "h": "128", "maxiter": "64", "mode": "dynamic"}},
-		{"histogram", "histogram", map[string]string{"size": "1048576", "seed": "1"}},
-		{"stencil", "stencil", map[string]string{"w": "256", "h": "128", "iters": "8", "seed": "1"}},
-		{"taskfarm", "taskfarm", map[string]string{"tasks": "256", "blockbytes": "4096", "seed": "1"}},
-	}
-	for _, s := range specs {
+	for _, s := range corpusWith(runLarge) {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -205,6 +231,48 @@ func BenchmarkTraceRunCorpus(b *testing.B) {
 				if err := session.WriteTrace(&buf); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkKernelsCorpus times analyze_batch's three costliest kernels on
+// each trace of its corpus: cycles.Detect, and a self-diff plain and in
+// align mode, as the benchmark's cycles, diff and diffalign kinds call
+// them. The trace is simulated and loaded once per trace, outside the
+// timed loops; each trace and kernel is its own sub-benchmark.
+func BenchmarkKernelsCorpus(b *testing.B) {
+	kernels := []struct {
+		name string
+		run  func(tr *analyzer.Trace) error
+	}{
+		{"cycles", func(tr *analyzer.Trace) error { cycles.Detect(tr, cycles.Options{}); return nil }},
+		{"diff", func(tr *analyzer.Trace) error { _, err := diff.Diff(tr, tr, diff.Options{}); return err }},
+		{"diffalign", func(tr *analyzer.Trace) error {
+			_, err := diff.Diff(tr, tr, diff.Options{Mode: diff.ModeAlign})
+			return err
+		}},
+	}
+	for _, s := range corpusWith(analysisLarge) {
+		b.Run(s.name, func(b *testing.B) {
+			cfg := core.DefaultTraceConfig()
+			res, err := harness.Run(harness.Spec{Workload: s.workload, Params: s.params, Trace: &cfg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr, err := analyzer.Load(bytes.NewReader(res.TraceBytes))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range kernels {
+				b.Run(k.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := k.run(tr); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}
