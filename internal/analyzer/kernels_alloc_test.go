@@ -89,12 +89,15 @@ func TestKernelAllocationBudget(t *testing.T) {
 		{"TagBreakdown", 8, func() { analyzer.TagBreakdown(tr) }},
 		{"FindGaps", 8, func() { analyzer.FindGaps(tr, minGap) }},
 		{"ComputeCriticalPath", 128, critPath},
-		{"diff.Diff", 512, diffMode("")},
+		// The diff rows are 1.25x what they allocate since diff folds its
+		// state ticks straight from the run machine (177 and 273); the
+		// interval lists it built before took 291 and 387.
+		{"diff.Diff", 221, diffMode("")},
 		// Event IDs index arrays in these two: per run and per core they
 		// allocate a handful of buffers, where a map stamp and a sorted ID
 		// slice per candidate cycle cost 160,282 and 320,957 on this trace.
 		{"cycles.Detect", 128, func() { cycles.Detect(tr, cycles.Options{}) }},
-		{"diff.Diff align", 1024, diffMode(diff.ModeAlign)},
+		{"diff.Diff align", 341, diffMode(diff.ModeAlign)},
 	} {
 		if got := testing.AllocsPerRun(5, k.run); got > k.budget {
 			t.Errorf("%s: %.0f allocs per run, budget is %.0f", k.name, got, k.budget)
@@ -117,6 +120,22 @@ func TestKernelAllocationBudget(t *testing.T) {
 			if got := allocatedBytes(k.run); got >= k.budget {
 				t.Errorf("%s allocated %d bytes on %d events, budget is under %d MiB", k.name, got, tr.NumEvents(), k.budget>>20)
 			}
+		}
+
+		// This trace has almost no stalls. On a stall-heavy one a diff
+		// that built every state interval only to sum them allocated
+		// 995,152 bytes; folding the sums allocates 194,768, and the
+		// budget is 1.25x that.
+		stalls, err := analyzer.Load(bytes.NewReader(traceWorkload(t, "taskfarm")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := allocatedBytes(func() {
+			if _, err := diff.Diff(stalls, stalls, diff.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}); got >= 238<<10 {
+			t.Errorf("diff.Diff allocated %d bytes on taskfarm's %d events, budget is under 238 KiB", got, stalls.NumEvents())
 		}
 	}
 
