@@ -19,83 +19,41 @@ import (
 	"github.com/celltrace/pdt/internal/analyzer/cache"
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/harness"
+	"github.com/celltrace/pdt/internal/spare"
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
-// TestMain runs every test of the package with recycled request bodies
-// poisoned: each buffer offered back to a free list is filled with 0xA5,
-// so a request that gave its body back before it was done with it —
-// before the load read it, the 422 doctored it or the job spilled it —
+// TestMain runs every test of the package with recycled arrays
+// poisoned: each request body offered back to the free list, and each
+// kernel array offered back to the analyzer's lists, is filled with
+// 0xA5, so a request that gave its body back before it was done with it
+// — before the load read it, the 422 doctored it or the job spilled it —
 // answers with garbage, and the golden, diff, job and cluster tests see
 // it.
 func TestMain(m *testing.M) {
-	poisonRecycled.Store(true)
+	spare.Poison(true)
 	os.Exit(m.Run())
 }
 
-// caps lists the capacities on a free list, smallest first.
-func (p *bodyPool) caps() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []int
-	for _, b := range p.free {
-		out = append(out, cap(b))
-	}
-	return out
-}
-
-// TestBodyPoolBounds: the free list never holds more than its count or
-// its bytes; full, it keeps the larger buffers and drops a smaller one
-// offered to it; a buffer over the byte bound, or one only larger
-// buffers could make room for, is dropped and the list left alone; get
-// hands out the smallest buffer that holds hint+1 and none for a length
-// no buffer holds.
-func TestBodyPoolBounds(t *testing.T) {
-	p := &bodyPool{maxCount: 4, maxBytes: 16 << 10}
-	expect := func(when string, want ...int) {
-		t.Helper()
-		got := p.caps()
-		sum := 0
-		for _, c := range got {
-			sum += c
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) || int64(sum) != p.bytes {
-			t.Fatalf("%s: free list %v (%d bytes counted), want %v", when, got, p.bytes, want)
-		}
-		if len(got) > p.maxCount || p.bytes > p.maxBytes {
-			t.Fatalf("%s: %d buffers, %d bytes: over the bounds %d, %d", when, len(got), p.bytes, p.maxCount, p.maxBytes)
-		}
-	}
-	for _, c := range []int{1031, 1024, 1029, 1030, 1025, 1028, 1026} {
-		p.put(make([]byte, 100, c))
-	}
-	expect("count bound", 1028, 1029, 1030, 1031)
-	p.put(make([]byte, 0, 1000))
-	expect("a smaller buffer offered to a full list", 1028, 1029, 1030, 1031)
-	p.put(make([]byte, 0, 6<<10))
-	p.put(make([]byte, 0, 6<<10))
-	expect("larger buffers replace the smallest", 1030, 1031, 6<<10, 6<<10)
-	p.put(make([]byte, 0, 6<<10))
-	expect("byte bound: no room without dropping an equal buffer", 1030, 1031, 6<<10, 6<<10)
-	p.put(make([]byte, 0, 17<<10))
-	expect("a buffer over the byte bound", 1030, 1031, 6<<10, 6<<10)
-
-	if b := p.get(7 << 10); b != nil {
-		t.Fatalf("get(7 KiB) returned a %d B buffer", cap(b))
-	}
-	if b := p.get(1030); cap(b) != 1031 || len(b) != 0 {
-		t.Fatalf("get(1030) = len %d cap %d, want the empty 1031 B buffer", len(b), cap(b))
-	}
-	expect("after get(1030)", 1030, 6<<10, 6<<10)
-	if b := p.get(-1); cap(b) != 1030 {
-		t.Fatalf("get with no hint = cap %d, want the smallest, 1030", cap(b))
-	}
-	expect("after get(-1)", 6<<10, 6<<10)
-
+// TestServerBodyListBounds: a server's body list keeps at most one
+// buffer per admission slot and bodyPoolBytes in all. The list's own
+// rules are internal/spare's tests.
+func TestServerBodyListBounds(t *testing.T) {
 	s := newServer(defaultConfig(), quietLogger())
-	if s.bodies.maxCount != defaultConfig().maxConcurrent || s.bodies.maxBytes != bodyPoolBytes {
-		t.Fatalf("server free list bounds %d buffers, %d bytes; want -max-concurrent %d, %d",
-			s.bodies.maxCount, s.bodies.maxBytes, defaultConfig().maxConcurrent, bodyPoolBytes)
+	slots := defaultConfig().maxConcurrent
+	for i := 0; i <= slots; i++ {
+		s.bodies.Put(make([]byte, 0, 1<<20+i))
+	}
+	if n := len(s.bodies.Caps()); n != slots {
+		t.Fatalf("free list keeps %d buffers after %d were offered, want -max-concurrent %d", n, slots+1, slots)
+	}
+	s.bodies.Put(make([]byte, 0, bodyPoolBytes-slots<<20))
+	total := 0
+	for _, c := range s.bodies.Caps() {
+		total += c
+	}
+	if total > bodyPoolBytes || total < bodyPoolBytes-2<<20 {
+		t.Fatalf("free list keeps %d bytes, want at most bodyPoolBytes %d and near it", total, bodyPoolBytes)
 	}
 }
 
@@ -109,10 +67,10 @@ func TestLyingSenderCostsUnder2MiB(t *testing.T) {
 		h := s.handler()
 		if full {
 			for i := 0; i < 4; i++ {
-				s.bodies.put(make([]byte, 0, 4<<20))
+				s.bodies.Put(make([]byte, 0, 4<<20))
 			}
 		}
-		before := fmt.Sprint(s.bodies.caps())
+		before := fmt.Sprint(s.bodies.Caps())
 		req := httptest.NewRequest(http.MethodPost, "/v1/summary", bytes.NewReader([]byte("0123456789")))
 		req.ContentLength = 64 << 20
 		rec := httptest.NewRecorder()
@@ -126,7 +84,7 @@ func TestLyingSenderCostsUnder2MiB(t *testing.T) {
 		if got := m1.TotalAlloc - m0.TotalAlloc; got >= 2<<20 {
 			t.Fatalf("full=%v: a 64 MiB Content-Length with a 10-byte body allocated %d bytes, want < 2 MiB", full, got)
 		}
-		if after := fmt.Sprint(s.bodies.caps()); full && after != before {
+		if after := fmt.Sprint(s.bodies.Caps()); full && after != before {
 			t.Fatalf("the lying request changed a full free list: %s -> %s", before, after)
 		}
 	}
@@ -143,9 +101,9 @@ func TestLargeUploadNotPinned(t *testing.T) {
 	if resp, out := post(t, ts.URL+"/v1/summary", smallTrace(t)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
-	for _, c := range s.bodies.caps() {
+	for _, c := range s.bodies.Caps() {
 		if c > bodyPoolBytes {
-			t.Fatalf("free list keeps a %d B buffer after a %d B upload: %v", c, len(big), s.bodies.caps())
+			t.Fatalf("free list keeps a %d B buffer after a %d B upload: %v", c, len(big), s.bodies.Caps())
 		}
 	}
 }
@@ -233,7 +191,7 @@ func TestRecycledBodiesServeGoldenArtifacts(t *testing.T) {
 			t.Errorf("served bytes differ from artifacts.golden:\n got  %s\n want %s", got[i], want[i])
 		}
 	}
-	caps := s.bodies.caps()
+	caps := s.bodies.Caps()
 	total := 0
 	for _, c := range caps {
 		total += c
@@ -343,7 +301,7 @@ func TestRecycledBodiesConcurrentCallers(t *testing.T) {
 	if !bytes.Contains(diffWant[1], []byte(`"doctor"`)) {
 		t.Errorf("the corrupt-side diff carries no doctor report: %s", diffWant[1])
 	}
-	if n := len(s.bodies.caps()); n == 0 || n > s.cfg.maxConcurrent {
+	if n := len(s.bodies.Caps()); n == 0 || n > s.cfg.maxConcurrent {
 		t.Errorf("free list holds %d buffers after the run, want 1 to %d", n, s.cfg.maxConcurrent)
 	}
 }

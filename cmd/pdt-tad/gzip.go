@@ -106,7 +106,7 @@ func readBody[B body](s *server, w http.ResponseWriter, r *http.Request, read bo
 	if serr != nil {
 		return b, serr
 	}
-	b, err := read(src, hint, s.bodies.get(hint))
+	b, err := read(src, hint, s.bodies.Get(int(hint)+1))
 	if err != nil {
 		return b, bodyError(err, "reading body")
 	}

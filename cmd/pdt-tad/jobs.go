@@ -202,7 +202,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 		s.submitJob(ctx, w, kind, webhook, img)
 		// The image is on disk or answered from: the buffer is free.
-		s.bodies.put(img.Data())
+		s.bodies.Put(img.Data())
 	})
 }
 

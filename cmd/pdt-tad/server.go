@@ -18,6 +18,7 @@ import (
 	"github.com/celltrace/pdt/internal/cluster"
 	"github.com/celltrace/pdt/internal/faults"
 	"github.com/celltrace/pdt/internal/jobs"
+	"github.com/celltrace/pdt/internal/spare"
 )
 
 // config collects the service settings. Those that size the daemon to
@@ -129,7 +130,7 @@ type server struct {
 	uploads *uploads
 	// bodies is the free list analysis requests read their bodies into:
 	// at most one buffer per admission slot, bodyPoolBytes in all.
-	bodies *bodyPool
+	bodies *spare.List[byte]
 	// mem raises the runtime's soft memory limit while trace images are
 	// analysed (nil when the daemon sets no limit); memoryLimitSource
 	// names what set the limit: "cache-bytes", "GOMEMLIMIT" or "none"
@@ -137,6 +138,17 @@ type server struct {
 	mem               *memLimit
 	memoryLimitSource string
 }
+
+// Every analysis request reads its whole body into one buffer; without
+// reuse the runtime hands out, and zeroes, a fresh one per request — on
+// a warm hit the largest cost after the SHA-256. A server keeps the
+// buffers of finished requests on a small free list instead.
+//
+// bodyPoolBytes bounds the bytes that list keeps: four 4 MiB buffers,
+// one per default admission slot, each large enough for the benchmark's
+// 3 MB trace. A buffer larger than this is dropped after its request,
+// so one near-cap upload is never pinned.
+const bodyPoolBytes = 16 << 20
 
 func newServer(cfg config, log *slog.Logger) *server {
 	if cfg.maxConcurrent < 1 {
@@ -150,7 +162,7 @@ func newServer(cfg config, log *slog.Logger) *server {
 		log:               log,
 		slots:             make(chan struct{}, cfg.maxConcurrent),
 		queue:             make(chan struct{}, cfg.maxQueue),
-		bodies:            &bodyPool{maxCount: cfg.maxConcurrent, maxBytes: bodyPoolBytes},
+		bodies:            spare.New[byte](cfg.maxConcurrent, spare.NewBudget(bodyPoolBytes)),
 		memoryLimitSource: "none",
 	}
 	if cfg.cacheBytes > 0 || cfg.cacheEntries > 0 {
@@ -429,7 +441,7 @@ func analysis[B body](s *server, name string, read bodyReader[B], render renderF
 			s.respond(ctx, w, name, func(ctx context.Context) ([]byte, error) {
 				return render(ctx, r, body)
 			})
-			s.bodies.put(body.Data())
+			s.bodies.Put(body.Data())
 		})
 	})
 }

@@ -134,9 +134,10 @@ type fifo struct {
 
 // matchChannels returns, for every row, the row of the send it received
 // from, or -1 for a row that is no receive, found no send, or whose send
-// is not earlier in merged order (so the walk always moves back).
-func matchChannels(s *colstore.Store) []int {
-	crossDep := make([]int, s.Len())
+// is not earlier in merged order (so the walk always moves back). The
+// array is a spare: its caller gives it back to SpareInt32s.
+func matchChannels(s *colstore.Store) []int32 {
+	crossDep := SpareInt32s.Make(s.Len())
 	type queue struct {
 		ch  *channel
 		key chanKey
@@ -172,7 +173,7 @@ func matchChannels(s *colstore.Store) []int {
 // value — the sends skipped lost their receive — or, when none does, no
 // send at all, its own having been lost (a salvaged or cut trace). So
 // one lost record costs one pair, not every pair after it.
-func (ch *channel) pair(s *colstore.Store, f fifo, crossDep []int) {
+func (ch *channel) pair(s *colstore.Store, f fifo, crossDep []int32) {
 	if ch.or {
 		ch.pairBits(s, f, crossDep)
 		return
@@ -203,7 +204,7 @@ func (ch *channel) pair(s *colstore.Store, f fifo, crossDep []int) {
 			}
 		}
 		if snd := f.sends[k]; snd < r {
-			crossDep[r] = snd
+			crossDep[r] = int32(snd)
 		}
 		next = k + 1
 	}
@@ -214,7 +215,7 @@ func (ch *channel) pair(s *colstore.Store, f fifo, crossDep []int) {
 // returned is earlier in merged order. The read takes every pending
 // earlier send whose bits it returned, and waited for the latest of them;
 // a send whose bits it did not return stays pending for a later read.
-func (ch *channel) pairBits(s *colstore.Store, f fifo, crossDep []int) {
+func (ch *channel) pairBits(s *colstore.Store, f fifo, crossDep []int32) {
 	var pending []int
 	next := 0
 	for _, r := range f.recvs {
@@ -225,7 +226,7 @@ func (ch *channel) pairBits(s *colstore.Store, f fifo, crossDep []int) {
 		kept := pending[:0]
 		for _, snd := range pending {
 			if argN(s, snd, ch.sendVal)&^v == 0 {
-				crossDep[r] = snd // pending is in merged order: the last is the latest
+				crossDep[r] = int32(snd) // pending is in merged order: the last is the latest
 			} else {
 				kept = append(kept, snd)
 			}
@@ -241,12 +242,13 @@ func ComputeCriticalPath(tr *Trace) *CriticalPath {
 	if s == nil {
 		return ComputeCriticalPathSerial(tr)
 	}
-	prevOnCore := make([]int, s.Len())
+	// Every row is on one core's index, so every entry is written.
+	prevOnCore := SpareInt32s.Make(s.Len())
 	for _, seqs := range tr.coreSeq {
-		prev := -1
+		prev := int32(-1)
 		for _, seq := range seqs {
 			prevOnCore[seq] = prev
-			prev = int(seq)
+			prev = seq
 		}
 	}
 	return walkCriticalPath(tr, prevOnCore, matchChannels(s))
@@ -263,28 +265,32 @@ func ComputeCriticalPathSerial(tr *Trace) *CriticalPath {
 	s := tr.col
 
 	// prevOnCore[i] = index of the previous event on the same core.
-	prevOnCore := make([]int, n)
-	lastOnCore := map[uint8]int{}
+	prevOnCore := SpareInt32s.Make(n)
+	lastOnCore := map[uint8]int32{}
 	for i, c := range s.Core {
 		if j, ok := lastOnCore[c]; ok {
 			prevOnCore[i] = j
 		} else {
 			prevOnCore[i] = -1
 		}
-		lastOnCore[c] = i
+		lastOnCore[c] = int32(i)
 	}
 	return walkCriticalPath(tr, prevOnCore, matchChannels(s))
 }
 
 // walkCriticalPath is the sequential backward walk over the prepared
 // predecessor and dependency indexes, shared by both implementations.
-func walkCriticalPath(tr *Trace, prevOnCore, crossDep []int) *CriticalPath {
+// It gives both indexes back to SpareInt32s. The segments come out
+// latest first, into a spare, and are copied out in chronological order
+// at their exact length.
+func walkCriticalPath(tr *Trace, prevOnCore, crossDep []int32) *CriticalPath {
 	s := tr.col
 	cp := &CriticalPath{CoreTicks: map[uint8]uint64{}}
+	segs := spareSegments.Get(0)
 	cur := s.Len() - 1
 	for cur >= 0 {
-		prev := prevOnCore[cur]
-		cross := crossDep[cur]
+		prev := int(prevOnCore[cur])
+		cross := int(crossDep[cur])
 		// The binding predecessor is the later of the two.
 		next := prev
 		isCross := false
@@ -299,7 +305,7 @@ func walkCriticalPath(tr *Trace, prevOnCore, crossDep []int) *CriticalPath {
 			start = s.Global[0]
 		}
 		if g := s.Global[cur]; g > start {
-			cp.Segments = append(cp.Segments, PathSegment{
+			segs = append(segs, PathSegment{
 				Core: s.Core[cur], Run: int(s.Run[cur]), Start: start, End: g,
 				Via: s.ID[cur], Cross: isCross,
 			})
@@ -307,10 +313,15 @@ func walkCriticalPath(tr *Trace, prevOnCore, crossDep []int) *CriticalPath {
 		}
 		cur = next
 	}
-	// Reverse into chronological order.
-	for i, j := 0, len(cp.Segments)-1; i < j; i, j = i+1, j-1 {
-		cp.Segments[i], cp.Segments[j] = cp.Segments[j], cp.Segments[i]
+	SpareInt32s.Put(prevOnCore)
+	SpareInt32s.Put(crossDep)
+	if len(segs) > 0 {
+		cp.Segments = make([]PathSegment, len(segs))
+		for i, seg := range segs {
+			cp.Segments[len(segs)-1-i] = seg
+		}
 	}
+	spareSegments.Put(segs)
 	for _, t := range cp.CoreTicks {
 		cp.Total += t
 	}

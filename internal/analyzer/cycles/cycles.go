@@ -227,13 +227,17 @@ func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
 	// and the occurrence positions (indexes into seqs) per eligible ID as
 	// one arena: count per ID, prefix-sum the counts into offsets, fill. A
 	// row's bit is one-hot, so the fill pass reads the ID back out of it.
-	sc := scratch{seqs: seqs, global: make([]uint64, len(seqs)), bit: make([]uint64, len(seqs))}
+	// The four arrays are spares, holding garbage until written: every
+	// row's bit is written, 0 for an ineligible ID, and every array goes
+	// back when the run is done.
+	sc := scratch{seqs: seqs, global: analyzer.SpareUint64s.Make(len(seqs)), bit: analyzer.SpareUint64s.Make(len(seqs))}
 	var off [65]int32 // ID i's positions are occ[off[i]:off[i+1]]
 	for j, seq := range seqs {
 		sc.global[j] = s.Global[seq]
 		id := s.ID[seq]
-		if b := idBit(id); b != 0 {
-			sc.bit[j] = b
+		b := idBit(id)
+		sc.bit[j] = b
+		if b != 0 {
 			sc.all |= b
 			off[id+1]++
 		}
@@ -244,7 +248,7 @@ func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
 		most = max(most, off[id+1])
 		off[id+1] += off[id]
 	}
-	occ := make([]int32, off[64])
+	occ := analyzer.SpareInt32s.Make(int(off[64]))
 	next := off
 	for j, b := range sc.bit {
 		if b != 0 {
@@ -253,7 +257,13 @@ func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
 			next[id]++
 		}
 	}
-	sc.sigs = make([]uint64, most+1)
+	sc.sigs = analyzer.SpareUint64s.Make(int(most + 1))
+	defer func() {
+		analyzer.SpareUint64s.Put(sc.global)
+		analyzer.SpareUint64s.Put(sc.bit)
+		analyzer.SpareUint64s.Put(sc.sigs)
+		analyzer.SpareInt32s.Put(occ)
+	}()
 
 	// Score the anchors in descending order of their bound, and stop at
 	// the first whose bound cannot reach the acceptance threshold or beat

@@ -81,18 +81,20 @@ func SuggestGapThreshold(tr *Trace) uint64 {
 	for _, seqs := range tr.runSeq {
 		n += len(seqs)
 	}
-	dists := make([]uint64, 0, n)
+	dists := SpareUint64s.Make(n)[:0]
 	s := tr.col
 	for _, seqs := range tr.runSeq {
 		for i := 1; i < len(seqs); i++ {
 			dists = append(dists, s.Global[seqs[i]]-s.Global[seqs[i-1]])
 		}
 	}
-	if len(dists) == 0 {
-		return 10
+	threshold := uint64(10)
+	if len(dists) > 0 {
+		slices.Sort(dists)
+		threshold = max(dists[len(dists)/2]*20, 10)
 	}
-	slices.Sort(dists)
-	return max(dists[len(dists)/2]*20, 10)
+	SpareUint64s.Put(dists)
+	return threshold
 }
 
 // WriteGapsFound renders a computed gap report: the gaps FindGaps

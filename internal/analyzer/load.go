@@ -389,7 +389,11 @@ func fromFile(ctx context.Context, f *traceio.File, workers int, lim Limits) (*T
 		argWords += r.argWords
 	}
 	b := colstore.NewBuilder(total, argWords)
-	if err := mergeStreams(ctx, b, streams); err != nil {
+	err := mergeStreams(ctx, b, streams)
+	for i := range streams {
+		spareUint32s.Put(streams[i].offs)
+	}
+	if err != nil {
 		return nil, err
 	}
 	tr.finish(b.Done())
@@ -422,7 +426,10 @@ func frameChunk(ctx context.Context, f *traceio.File, i int, lim Limits, decoded
 	if decodePanicHook != nil {
 		decodePanicHook(i)
 	}
-	offs, n, err := traceio.FrameRecords(ctx, c.Core, c.Data, nil, 0, lim)
+	// The offsets go into a spare that holds the chunk's record count, if
+	// one is free, and back to spareUint32s after the merge.
+	est, _ := event.ScanChunk(c.Data)
+	offs, n, err := traceio.FrameRecords(ctx, c.Core, c.Data, spareUint32s.Get(est), 0, lim)
 	if err != nil {
 		return chunkResult{err: err}
 	}
@@ -542,8 +549,9 @@ const mergeCtxStride = 1 << 14
 // moves its rank past every live one, so it loses every match — even to a
 // record stamped at the top tick. This is where each framed record is
 // decoded, once, straight from its encoded bytes into its final column
-// row (the transient per-chunk offset slices die here). The merge polls
-// ctx every mergeCtxStride events and aborts with ctx.Err().
+// row; the batch load gives the per-chunk offsets back to their list
+// after it. The merge polls ctx every mergeCtxStride events and aborts
+// with ctx.Err().
 func mergeStreams(ctx context.Context, b *colstore.Builder, streams []chunkStream) error {
 	k := len(streams)
 	if k == 0 {
