@@ -35,10 +35,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestServerBodyListBounds: a server's body list keeps at most one
-// buffer per admission slot and bodyPoolBytes in all. The list's own
-// rules are internal/spare's tests.
-func TestServerBodyListBounds(t *testing.T) {
+// TestBodyPoolBounds: a server's body list keeps at most one buffer
+// per admission slot and bodyPoolBytes in all, and drops a buffer over
+// that byte bound without touching what it keeps. The list's own rules
+// are internal/spare's tests.
+func TestBodyPoolBounds(t *testing.T) {
 	s := newServer(defaultConfig(), quietLogger())
 	slots := defaultConfig().maxConcurrent
 	for i := 0; i <= slots; i++ {
@@ -54,6 +55,11 @@ func TestServerBodyListBounds(t *testing.T) {
 	}
 	if total > bodyPoolBytes || total < bodyPoolBytes-2<<20 {
 		t.Fatalf("free list keeps %d bytes, want at most bodyPoolBytes %d and near it", total, bodyPoolBytes)
+	}
+	before := fmt.Sprint(s.bodies.Caps())
+	s.bodies.Put(make([]byte, 0, bodyPoolBytes+1))
+	if after := fmt.Sprint(s.bodies.Caps()); after != before {
+		t.Fatalf("a buffer over bodyPoolBytes changed the free list from %s to %s", before, after)
 	}
 }
 
