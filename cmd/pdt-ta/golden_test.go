@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/core"
 	"github.com/celltrace/pdt/internal/core/event"
 	"github.com/celltrace/pdt/internal/harness"
+	"github.com/celltrace/pdt/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden CLI output files")
@@ -147,4 +151,60 @@ func TestGoldenDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "diff.json.golden", js.Bytes())
+}
+
+// goldenTaskfarmTrace runs taskfarm at its small size: its farmer runs
+// on a spawned PPE thread, so the interval views draw two PPE lanes.
+func goldenTaskfarmTrace(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tf.pdt")
+	cfg := core.DefaultTraceConfig()
+	_, err := harness.Run(harness.Spec{
+		Workload:  "taskfarm",
+		Params:    workloads.Small("taskfarm"),
+		Trace:     &cfg,
+		TracePath: path,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestGoldenIntervalViews pins the views drawn from the state intervals:
+// `timeline` at two widths, `intervals` and `bw` byte for byte, and
+// `svg` and `html` — hundreds of kilobytes each — by size and SHA-256 in
+// one table, views.sha256.golden.
+func TestGoldenIntervalViews(t *testing.T) {
+	traces := []struct{ name, path string }{
+		{"julia", goldenWorkloadTrace(t, event.GroupAll)},
+		{"taskfarm", goldenTaskfarmTrace(t)},
+	}
+	var digests bytes.Buffer
+	for _, tc := range traces {
+		for _, c := range []struct {
+			golden string
+			args   []string
+		}{
+			{"timeline", []string{"timeline"}},
+			{"timeline37", []string{"timeline", "-width", "37"}},
+			{"intervals", []string{"intervals"}},
+			{"bw", []string{"bw"}},
+			{"", []string{"svg"}},
+			{"", []string{"svg", "-px", "333"}},
+			{"", []string{"html"}},
+		} {
+			var out bytes.Buffer
+			if err := run(append(c.args, tc.path), &out); err != nil {
+				t.Fatalf("%s %v: %v", tc.name, c.args, err)
+			}
+			if c.golden != "" {
+				checkGolden(t, "views."+tc.name+"."+c.golden+".golden", out.Bytes())
+				continue
+			}
+			fmt.Fprintf(&digests, "%s %s %d %x\n",
+				tc.name, strings.Join(c.args, " "), out.Len(), sha256.Sum256(out.Bytes()))
+		}
+	}
+	checkGolden(t, "views.sha256.golden", digests.Bytes())
 }
