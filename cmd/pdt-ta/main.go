@@ -127,7 +127,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pdt-ta "+cmd, flag.ContinueOnError)
 	width := fs.Int("width", 100, "timeline width in characters (timeline)")
 	pxWidth := fs.Int("px", 900, "timeline width in pixels (svg)")
-	svgOut := fs.String("o", "", "output path (svg; empty = stdout)")
+	outPath := fs.String("o", "", "output path (svg, html; empty = stdout)")
 	maxEvents := fs.Int("n", 0, "events: max events to print (0 = all); bw: bucket count (0 = 20); gaps, critpath: max rows (0 = the kind's default)")
 	gapTicks := fs.Int("min", 0, "minimum gap ticks (gaps; 0 = auto threshold)")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text (every analysis kind, and diff)")
@@ -221,11 +221,11 @@ func run(args []string, out io.Writer) error {
 		if err := analyzer.WriteHTML(tr, analyzer.Summarize(tr), &buf); err != nil {
 			return err
 		}
-		if *svgOut == "" {
+		if *outPath == "" {
 			_, err := out.Write(buf.Bytes())
 			return err
 		}
-		return os.WriteFile(*svgOut, buf.Bytes(), 0o644)
+		return os.WriteFile(*outPath, buf.Bytes(), 0o644)
 	case "slack":
 		fmt.Fprintf(out, "%-4s %-4s %8s %14s %14s %14s\n",
 			"run", "core", "waits", "mean slack", "max slack", "mean wait")
@@ -267,11 +267,11 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, analyzer.Timeline(tr, *width))
 	case "svg":
 		svg := analyzer.SVGTimeline(tr, *pxWidth)
-		if *svgOut == "" {
+		if *outPath == "" {
 			fmt.Fprint(out, svg)
 			return nil
 		}
-		return os.WriteFile(*svgOut, []byte(svg), 0o644)
+		return os.WriteFile(*outPath, []byte(svg), 0o644)
 	case "csv":
 		return analyzer.WriteCSV(tr, out)
 	case "validate":

@@ -196,30 +196,12 @@ func RunIntervals(tr *Trace, run int) []Interval {
 	return out
 }
 
-// Intervals reconstructs state intervals for every SPE run in the trace.
-// Each run's reconstruction is independent (RunIntervals only reads that
-// run's event view), so the per-run scans execute concurrently on a
-// bounded pool and are concatenated in run order — the exact output of
-// IntervalsSerial.
+// Intervals reconstructs state intervals for every SPE run in the trace,
+// in run order.
 func Intervals(tr *Trace) []Interval {
-	n := len(tr.Meta.Anchors)
-	if n < 2 || !tr.parallelWorthwhile() {
-		return IntervalsSerial(tr)
-	}
-	parts := make([][]Interval, n)
-	runParallel(0, n, func(run int) {
-		parts[run] = RunIntervals(tr, run)
-	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Interval, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
+	var out []Interval
+	for run := range tr.Meta.Anchors {
+		out = append(out, RunIntervals(tr, run)...)
 	}
 	return out
 }
@@ -231,7 +213,8 @@ type StateTicks [int(numStates)]uint64
 // Intervals and PPEIntervals reconstruct, indexed by core, without
 // building either list: the run machine and the PPE lane walk emit
 // straight into the sums. With parallel set the runs fold on the pool
-// when Intervals would shard them; without it they fold in a plain loop.
+// on a trace large enough to pay for it (parallelWorthwhile); without it
+// they fold in a plain loop.
 // The sums are integers, so the two agree exactly.
 func CoreStateTicks(tr *Trace, parallel bool) *[256]StateTicks {
 	runs := make([]StateTicks, len(tr.Meta.Anchors))
@@ -260,15 +243,6 @@ func CoreStateTicks(tr *Trace, parallel bool) *[256]StateTicks {
 
 // add is an emitFunc that sums the interval into its state.
 func (t *StateTicks) add(state State, start, end uint64) { t[state] += end - start }
-
-// IntervalsSerial is the sequential reference for Intervals.
-func IntervalsSerial(tr *Trace) []Interval {
-	var out []Interval
-	for run := range tr.Meta.Anchors {
-		out = append(out, RunIntervals(tr, run)...)
-	}
-	return out
-}
 
 // ppeStallState holds the state each PPE Enter event opens.
 var ppeStallState = stallTable(map[event.ID]State{

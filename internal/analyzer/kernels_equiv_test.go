@@ -2,10 +2,9 @@ package analyzer_test
 
 // Equivalence suite for the analysis kernels that have a reference
 // implementation: for every registered workload, ComputeCriticalPath
-// (predecessors read off the per-core index) and the sharded Intervals
-// must return results deeply equal to their serial references — same
-// values, same order. Run under -race this also proves the Intervals
-// shards touch disjoint state.
+// (predecessors read off the per-core index) must return results deeply
+// equal to its serial reference — same values, same order — and
+// CoreStateTicks the sums of the intervals it folds without building.
 
 import (
 	"bytes"
@@ -41,9 +40,6 @@ func TestParallelKernelsMatchSerialAllWorkloads(t *testing.T) {
 			if want, got := analyzer.ComputeCriticalPathSerial(tr), analyzer.ComputeCriticalPath(tr); !reflect.DeepEqual(want, got) {
 				t.Errorf("ComputeCriticalPath differs from serial:\nserial   %+v\nparallel %+v", want, got)
 			}
-			if want, got := analyzer.IntervalsSerial(tr), analyzer.Intervals(tr); !reflect.DeepEqual(want, got) {
-				t.Errorf("Intervals differs from serial: %d vs %d intervals", len(want), len(got))
-			}
 		})
 	}
 }
@@ -58,7 +54,7 @@ func TestCoreStateTicksSumIntervals(t *testing.T) {
 	check := func(label string, tr *analyzer.Trace) {
 		t.Helper()
 		var want [256]analyzer.StateTicks
-		for _, list := range [][]analyzer.Interval{analyzer.IntervalsSerial(tr), analyzer.PPEIntervals(tr)} {
+		for _, list := range [][]analyzer.Interval{analyzer.Intervals(tr), analyzer.PPEIntervals(tr)} {
 			for _, iv := range list {
 				want[iv.Core][iv.State] += iv.Dur()
 			}

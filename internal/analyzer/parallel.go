@@ -64,7 +64,7 @@ func runParallel(workers, n int, task func(i int)) {
 func RunParallel(workers, n int, task func(i int)) { runParallel(workers, n, task) }
 
 // parallelThreshold is the event count below which the sharded kernels
-// (Intervals, diff.Diff) run their serial variants instead of fanning
+// (CoreStateTicks, diff.Diff) run their serial variants instead of fanning
 // out: at ~16k events pool startup and shard merging
 // cost more than the whole serial scan, while at ~10x that the parallel
 // variants win 1.8-3.9x (docs/MODEL.md, "Which kernels still shard").

@@ -118,29 +118,12 @@ func ParallelismSeries(tr *Trace, n int) []ParallelismPoint {
 	}
 	span := end - start
 	busy := make([]uint64, n)
-	for _, iv := range Intervals(tr) {
-		if iv.State != StateCompute {
-			continue
-		}
-		b0 := int((iv.Start - start) * uint64(n) / span)
-		b1 := int((iv.End - start) * uint64(n) / span)
-		if b1 >= n {
-			b1 = n - 1
-		}
-		for bk := b0; bk <= b1; bk++ {
-			lo := start + uint64(bk)*span/uint64(n)
-			hi := start + uint64(bk+1)*span/uint64(n)
-			s, e := iv.Start, iv.End
-			if s < lo {
-				s = lo
+	for run := range tr.Meta.Anchors {
+		WalkRun(tr, run, func(state State, s, e uint64) {
+			if state == StateCompute {
+				clipBuckets(start, span, n, s, e, func(bk int, ticks uint64) { busy[bk] += ticks })
 			}
-			if e > hi {
-				e = hi
-			}
-			if e > s {
-				busy[bk] += e - s
-			}
-		}
+		})
 	}
 	out := make([]ParallelismPoint, n)
 	for i := range out {

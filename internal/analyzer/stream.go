@@ -7,11 +7,12 @@ import (
 	"hash/crc32"
 	"io"
 	"maps"
+	"math"
 	"sync"
-	"unsafe"
 
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
 	"github.com/celltrace/pdt/internal/core/traceio"
+	"github.com/celltrace/pdt/internal/spare"
 )
 
 // DefaultStreamWindowBytes is the working-memory budget a StreamLoader
@@ -123,15 +124,15 @@ type StreamLoader struct {
 
 	// Pending framed-but-unmerged chunk pieces for the current window, the
 	// builder every window merges into, and the emptied buffers of pieces
-	// already merged, which later pieces take instead of allocating, with
-	// what they cost together (spareSize; at most a window).
-	pending    []chunkStream
-	pendRecs   int
-	pendArgs   int
-	pendStrs   []stringDef
-	b          colstore.Builder
-	spare      []chunkStream
-	spareBytes int64
+	// already merged, which later pieces take instead of allocating: two
+	// lists that keep at most a window between them.
+	pending   []chunkStream
+	pendRecs  int
+	pendArgs  int
+	pendStrs  []stringDef
+	b         colstore.Builder
+	spareData *spare.List[byte]
+	spareOffs *spare.List[uint32]
 
 	decoded int64 // records framed so far, checked against budget
 	budget  int64
@@ -159,13 +160,16 @@ func NewStreamLoader(opts StreamOptions) *StreamLoader {
 	if window <= 0 {
 		window = DefaultStreamWindowBytes
 	}
+	spares := spare.NewBudget(window)
 	l := &StreamLoader{
-		opts:    opts,
-		ctx:     ctx,
-		window:  window,
-		scan:    traceio.Scanner{Lim: opts.Limits},
-		budget:  recordBudget(opts.Limits),
-		strings: map[uint64]string{},
+		opts:      opts,
+		ctx:       ctx,
+		window:    window,
+		scan:      traceio.Scanner{Lim: opts.Limits},
+		spareData: spare.New[byte](spareCount, spares),
+		spareOffs: spare.New[uint32](spareCount, spares),
+		budget:    recordBudget(opts.Limits),
+		strings:   map[uint64]string{},
 	}
 	if opts.Validate {
 		l.val = &validateAcc{}
@@ -188,13 +192,8 @@ func (l *StreamLoader) fail(err error) error {
 // follow, so a loader kept after its end keeps none of them.
 func (l *StreamLoader) release() {
 	l.b = colstore.Builder{}
-	l.pending, l.spare, l.spareBytes, l.cur = nil, nil, 0, streamChunk{}
+	l.pending, l.spareData, l.spareOffs, l.cur = nil, nil, nil, streamChunk{}
 }
-
-// recycleHook, when non-nil, sees every piece's buffers as they return
-// to the spares. Tests use it to poison them; it is never set in
-// production code.
-var recycleHook func(chunkStream)
 
 // Write consumes the next bytes of the trace stream. p is always fully
 // consumed unless a terminal error (corrupt framing, admission cap,
@@ -348,13 +347,21 @@ func (l *StreamLoader) framePiece(data []byte) error {
 	// whole record.
 	step := max(int(l.window/8), 256)
 	for len(data) > 0 {
-		if c.data == nil && len(l.spare) > 0 {
-			// A new piece takes the buffers of one already merged.
-			last := len(l.spare) - 1
-			s := l.spare[last]
-			l.spare[last] = chunkStream{}
-			l.spare, l.spareBytes = l.spare[:last], l.spareBytes-spareSize(s)
-			c.data, c.offs = s.data, s.offs
+		if c.data == nil {
+			// A new piece takes the buffers of one already merged: for
+			// its bytes the smallest that holds the rest of its chunk, up
+			// to half a window, for its offsets the smallest that holds
+			// the fewest records those bytes can carry (a record is at
+			// most 255 bytes), or else the smallest kept. The declared
+			// length only chooses among buffers kept; nothing is
+			// allocated from it.
+			want := min(len(data)+c.remaining, int(l.window/2))
+			if c.data = l.spareData.Get(want); c.data == nil {
+				c.data = l.spareData.Get(0)
+			}
+			if c.offs = l.spareOffs.Get(want / math.MaxUint8); c.offs == nil {
+				c.offs = l.spareOffs.Get(0)
+			}
 		}
 		piece := data[:min(len(data), step)]
 		from := len(c.offs)
@@ -468,33 +475,13 @@ func (l *StreamLoader) flushWindow() error {
 	return nil
 }
 
-// recycle empties a piece whose records are merged, or were never
-// framed, and keeps its buffers as a spare — unless the spares already
-// hold a window's worth, in which case the collector takes them. A new
-// piece takes a spare whatever its size, so without that cap pieces of
-// uneven sizes could leave one more large spare behind every window, and
-// what the loader keeps would grow with the trace instead of its window.
-// The larger of the two newest spares stays on top: the next piece is
-// most often the rest of a chunk cut mid-way, as large as a piece gets.
+// recycle offers the buffers of a piece whose records are merged, or
+// were never framed, back to the spares. The lists keep at most a window
+// between them, so what the loader keeps is bounded by its window, not
+// by the trace.
 func (l *StreamLoader) recycle(p chunkStream) {
-	if recycleHook != nil {
-		recycleHook(p)
-	}
-	size := spareSize(p)
-	if l.spareBytes+size > l.window {
-		return
-	}
-	l.spare = append(l.spare, chunkStream{data: p.data[:0], offs: p.offs[:0]})
-	l.spareBytes += size
-	if n := len(l.spare); n > 1 && spareSize(l.spare[n-2]) > size {
-		l.spare[n-2], l.spare[n-1] = l.spare[n-1], l.spare[n-2]
-	}
-}
-
-// spareSize is what keeping p as a spare costs: its buffers' capacity and
-// its own entry in the spares.
-func spareSize(p chunkStream) int64 {
-	return int64(cap(p.data)) + 4*int64(cap(p.offs)) + int64(unsafe.Sizeof(p))
+	l.spareData.Put(p.data)
+	l.spareOffs.Put(p.offs)
 }
 
 // Events reports how many records have been decoded so far; it is safe

@@ -149,10 +149,9 @@ func assertStreamMatchesBatch(t *testing.T, want *batchResults, got *analyzer.St
 // TestStreamMatchesBatchAllWorkloads is the headline equivalence suite:
 // all workloads, a window small enough to force many segment folds, and
 // an odd write size so records split across Write boundaries constantly.
-// This test and the next three poison every piece buffer as it returns
-// for reuse, so none may be read once its window has merged.
+// Every piece buffer is poisoned as it returns for reuse (TestMain), so
+// none may be read once its window has merged.
 func TestStreamMatchesBatchAllWorkloads(t *testing.T) {
-	analyzer.PoisonRecycled(t)
 	for _, name := range workloads.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -171,7 +170,6 @@ func TestStreamMatchesBatchAllWorkloads(t *testing.T) {
 // slicings, including byte-at-a-time, and several window budgets —
 // the result must never depend on how the bytes arrive.
 func TestStreamWriteSlicings(t *testing.T) {
-	analyzer.PoisonRecycled(t)
 	data := traceWorkload(t, "synthetic")
 	want := loadBatch(t, data)
 	for _, tc := range []struct {
@@ -202,7 +200,6 @@ func TestStreamWriteSlicings(t *testing.T) {
 // records in the wrong order (one window size does not show it: most
 // boundaries are harmless).
 func TestStreamMidChunkCuts(t *testing.T) {
-	analyzer.PoisonRecycled(t)
 	data := traceWorkload(t, "synthetic")
 	want := loadBatch(t, data)
 	for window := int64(300); window < 12000; window += 97 {
@@ -226,7 +223,6 @@ func TestStreamMidChunkCuts(t *testing.T) {
 // one window and in 16 KiB windows, which fold several times over but cut
 // none of these chunks, so the drop stays exact.
 func TestStreamTruncationMatchesBatch(t *testing.T) {
-	analyzer.PoisonRecycled(t)
 	data := traceWorkload(t, "matmul")
 	for _, frac := range []int{30, 55, 80, 95, 99} {
 		cut := len(data) * frac / 100
