@@ -1,6 +1,6 @@
-// Package pdt_test holds the benchmark harness: one testing.B benchmark
-// per evaluation table/figure (see DESIGN.md section 3), each delegating
-// to the shared experiment implementations in internal/harness so that
+// Package pdt_test holds the benchmark harness: one sub-benchmark per
+// evaluation table/figure (see DESIGN.md section 3), each running the
+// shared experiment implementations in internal/harness so that
 // `go test -bench` and `pdt-bench` produce the same rows. Under -short
 // the experiments run with shrunken problem sizes.
 //
@@ -11,7 +11,6 @@ package pdt_test
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -25,75 +24,21 @@ import (
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	e, ok := harness.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
+// BenchmarkExperiments regenerates each evaluation table and figure
+// (DESIGN.md section 3), one sub-benchmark per experiment:
+// BenchmarkExperiments/E<n>.
+func BenchmarkExperiments(b *testing.B) {
 	quick := testing.Short()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, quick); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
+	for _, e := range harness.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(quick); err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkE1EventInventory regenerates Table 1 (PDT event inventory).
-func BenchmarkE1EventInventory(b *testing.B) { benchExperiment(b, "E1") }
-
-// BenchmarkE2EventCost regenerates Table 2 (per-event tracing cost).
-func BenchmarkE2EventCost(b *testing.B) { benchExperiment(b, "E2") }
-
-// BenchmarkE3TracingOverhead regenerates Table 3 (application slowdown
-// under cumulative tracing configurations).
-func BenchmarkE3TracingOverhead(b *testing.B) { benchExperiment(b, "E3") }
-
-// BenchmarkE4BufferSweep regenerates Figure 4 (overhead vs trace-buffer
-// size, single vs double buffered flushing).
-func BenchmarkE4BufferSweep(b *testing.B) { benchExperiment(b, "E4") }
-
-// BenchmarkE5LoadBalance regenerates Figure 5 (per-SPE busy time, static
-// vs dynamic Julia partitioning).
-func BenchmarkE5LoadBalance(b *testing.B) { benchExperiment(b, "E5") }
-
-// BenchmarkE6DoubleBuffer regenerates Figure 6 (DMA stall breakdown,
-// single vs double buffered matmul).
-func BenchmarkE6DoubleBuffer(b *testing.B) { benchExperiment(b, "E6") }
-
-// BenchmarkE7Pipeline regenerates Figure 7 (per-stage wait breakdown
-// around a slow pipeline stage).
-func BenchmarkE7Pipeline(b *testing.B) { benchExperiment(b, "E7") }
-
-// BenchmarkE8TraceVolume regenerates Table 4 (trace size and record
-// rates per workload).
-func BenchmarkE8TraceVolume(b *testing.B) { benchExperiment(b, "E8") }
-
-// BenchmarkE9EventRate regenerates Figure 8 (overhead vs event rate).
-func BenchmarkE9EventRate(b *testing.B) { benchExperiment(b, "E9") }
-
-// BenchmarkE10AnalyzerThroughput regenerates Table 5 (TA decode+analyze
-// throughput).
-func BenchmarkE10AnalyzerThroughput(b *testing.B) { benchExperiment(b, "E10") }
-
-// BenchmarkE11BandwidthAblation regenerates Table 6 (machine-model
-// ablation: STREAM bandwidth vs SPEs/memory/EIB parameters).
-func BenchmarkE11BandwidthAblation(b *testing.B) { benchExperiment(b, "E11") }
-
-// BenchmarkE12BarrierAblation regenerates Table 7 (barrier mechanism
-// ablation: atomic vs signal-fabric barriers).
-func BenchmarkE12BarrierAblation(b *testing.B) { benchExperiment(b, "E12") }
-
-// BenchmarkE13Scaling regenerates Figure 9 (speedup vs SPE count).
-func BenchmarkE13Scaling(b *testing.B) { benchExperiment(b, "E13") }
-
-// BenchmarkE14OverheadDiff regenerates Table 8 (overhead attribution by
-// trace differencing across instrumentation levels).
-func BenchmarkE14OverheadDiff(b *testing.B) { benchExperiment(b, "E14") }
-
-// BenchmarkE15CycleVariance regenerates Table 9 (per-cycle variance across
-// the iterative workloads).
-func BenchmarkE15CycleVariance(b *testing.B) { benchExperiment(b, "E15") }
 
 // ---- micro-benchmarks of the hot paths backing the tables ----
 

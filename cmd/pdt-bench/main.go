@@ -5,7 +5,6 @@
 // Usage:
 //
 //	pdt-bench -experiment all
-//	pdt-bench -experiment all -parallel
 //	pdt-bench -experiment E6
 //	pdt-bench -experiment E3 -quick
 package main
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"github.com/celltrace/pdt/internal/harness"
 )
@@ -31,7 +29,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pdt-bench", flag.ContinueOnError)
 	exp := fs.String("experiment", "all", "experiment id (E1..E15) or 'all'")
 	quick := fs.Bool("quick", false, "shrink problem sizes for a fast smoke run")
-	parallel := fs.Bool("parallel", false, "regenerate independent experiment tables concurrently (one worker per host core); output stays in experiment order")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -52,9 +49,5 @@ func run(args []string, out io.Writer) error {
 		}
 		todo = []harness.Experiment{e}
 	}
-	workers := 1
-	if *parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return harness.RunExperiments(out, todo, *quick, workers)
+	return harness.RunExperiments(out, todo, *quick)
 }

@@ -38,22 +38,6 @@ func TestSingleExperimentQuick(t *testing.T) {
 	}
 }
 
-// TestParallelFlagMatchesSerial compares -parallel output against the
-// serial run for the same experiment selection.
-func TestParallelFlagMatchesSerial(t *testing.T) {
-	var serial, parallel bytes.Buffer
-	if err := run([]string{"-experiment", "E1", "-quick"}, &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-experiment", "E1", "-quick", "-parallel"}, &parallel); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != parallel.String() {
-		t.Fatalf("-parallel output differs:\nserial:\n%s\nparallel:\n%s",
-			serial.String(), parallel.String())
-	}
-}
-
 func TestQuickUseCaseExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-experiment", "E5", "-quick"}, &out); err != nil {

@@ -47,7 +47,7 @@
 //
 // The flags size the daemon to its host (body, decode, cache and upload
 // limits; admission) and place it in a deployment (-addr, -state-dir,
-// -peers, -self, -drain, -chaos). The job manager's and the peer
+// -peers, -self, -drain). The job manager's and the peer
 // client's retry policies are internal/jobs' and internal/cluster's
 // defaults, not flags.
 //
@@ -170,7 +170,6 @@ func flags(cfg *config) *flag.FlagSet {
 	fs.IntVar(&cfg.cacheEntries, "cache-entries", cfg.cacheEntries, "max cached traces (0 = unbounded when the cache is enabled)")
 	fs.StringVar(&cfg.stateDir, "state-dir", cfg.stateDir, "directory for the disk cache tier and job journal (empty = memory-only, jobs run synchronously)")
 	fs.Int64Var(&cfg.diskCacheBytes, "disk-cache-bytes", cfg.diskCacheBytes, "disk cache tier budget in bytes (0 = unbounded)")
-	fs.StringVar(&cfg.chaosSpec, "chaos", cfg.chaosSpec, "fault-injection plan for the durable tier and peer transport (e.g. diskfull:3,netdrop:b:2) — test harness only")
 	fs.StringVar(&cfg.peersSpec, "peers", cfg.peersSpec, "comma-separated name=URL replica list enabling cluster mode (e.g. a=http://h1:8329,b=http://h2:8329)")
 	fs.StringVar(&cfg.selfName, "self", cfg.selfName, "this replica's name in -peers")
 	fs.IntVar(&cfg.maxUploads, "max-uploads", cfg.maxUploads, "concurrent chunked-upload sessions (429 beyond)")

@@ -57,8 +57,8 @@ type config struct {
 	// default.
 	jobs jobs.Config
 	// chaosSpec is a faults.ParseService plan injected into the disk
-	// tier, the journal, the job phase hooks, and the peer transport
-	// (test harness only).
+	// tier, the journal, the job phase hooks, and the peer transport.
+	// No flag sets it; the chaos tests arm it in process.
 	chaosSpec string
 	// peersSpec/selfName enable cluster mode: a comma-separated
 	// name=URL replica list and this replica's name in it. Empty =
@@ -113,7 +113,7 @@ type server struct {
 	// nil without -state-dir (the job API then runs synchronously).
 	jobs    *jobs.Manager
 	journal *jobs.Journal
-	// chaos is the parsed fault-injection plan; nil without -chaos.
+	// chaos is the parsed fault-injection plan; nil without chaosSpec.
 	chaos *faults.ServicePlan
 	// cluster is the consistent-hash ring client; nil without -peers.
 	// clusterFallbacks counts requests computed locally because the

@@ -226,31 +226,5 @@ func LoadConfigFile(path string) (Config, error) {
 	return ParseConfigXML(f)
 }
 
-// MarshalXML renders the configuration back to its XML form.
-func (c Config) MarshalConfigXML() ([]byte, error) {
-	var x xmlConfig
-	x.Buffer.SPE = c.SPEBufferSize
-	x.Buffer.DoubleBuffered = c.DoubleBuffered
-	x.Buffer.FlushTagA = c.FlushTagA
-	x.Buffer.FlushTagB = c.FlushTagB
-	x.Buffer.MainPerSPE = c.MainBufferPerSPE
-	x.Buffer.Wrap = c.WrapMain
-	x.Cost.SPEEvent = c.SPEEventCost
-	x.Cost.PPEEvent = c.PPEEventCost
-	for _, g := range event.Groups() {
-		x.Groups = append(x.Groups, struct {
-			Name    string `xml:"name,attr"`
-			Enabled bool   `xml:"enabled,attr"`
-		}{Name: g.String(), Enabled: c.Groups&g != 0})
-	}
-	for id, on := range c.EventOverride {
-		x.Events = append(x.Events, struct {
-			Name    string `xml:"name,attr"`
-			Enabled bool   `xml:"enabled,attr"`
-		}{Name: id.String(), Enabled: on})
-	}
-	return xml.MarshalIndent(&x, "", "  ")
-}
-
 // GroupsString names the enabled groups for metadata.
 func (c *Config) GroupsString() string { return c.Groups.String() }

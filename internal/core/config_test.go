@@ -122,29 +122,6 @@ func TestParseConfigXMLErrors(t *testing.T) {
 	}
 }
 
-func TestConfigXMLRoundTrip(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	cfg.Groups = event.GroupMFC | event.GroupSync
-	cfg.EventOverride = map[event.ID]bool{event.SPEMFCPut: false}
-	data, err := cfg.MarshalConfigXML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseConfigXML(strings.NewReader(string(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Groups != cfg.Groups {
-		t.Fatalf("groups = %v, want %v", back.Groups, cfg.Groups)
-	}
-	if back.EventOn(event.SPEMFCPut) {
-		t.Fatal("override lost in round trip")
-	}
-	if back.SPEBufferSize != cfg.SPEBufferSize || back.DoubleBuffered != cfg.DoubleBuffered {
-		t.Fatal("buffer params lost")
-	}
-}
-
 func TestLoadConfigFileMissing(t *testing.T) {
 	if _, err := LoadConfigFile("/nonexistent/pdt.xml"); err == nil {
 		t.Fatal("missing file accepted")

@@ -30,7 +30,7 @@ package faults
 //	                       the rule applies when this process's own name
 //	                       is on one side and the callee on the other
 //
-// Example: -chaos 'diskfull:4096:*,slowdisk:5,netlat:b:20,partition:a|b+c'
+// Example: diskfull:4096:*,slowdisk:5,netlat:b:20,partition:a|b+c
 //
 // Unlike Plan, a ServicePlan is consulted from concurrent request and
 // worker goroutines, so its consumption state is mutex-guarded.

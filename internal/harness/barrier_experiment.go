@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-
 	"github.com/celltrace/pdt/internal/cell"
 	"github.com/celltrace/pdt/internal/cellsync"
 )
@@ -13,7 +10,7 @@ import (
 // (sndsig collect/release through the EIB) — across party counts.
 // Expected shape: the signal barrier is several times faster and scales
 // more gently with parties, mirroring measured Cell barrier studies.
-func runE12(w io.Writer, quick bool) error {
+func runE12(quick bool) ([]*Table, error) {
 	rounds := 50
 	parties := []int{2, 4, 8}
 	if quick {
@@ -49,18 +46,17 @@ func runE12(w io.Writer, quick bool) error {
 		}
 		return m.Now() / uint64(rounds), nil
 	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "parties\tatomic cycles/round\tsignal cycles/round\tsignal speedup")
+	t := newTable("parties\tatomic cycles/round\tsignal cycles/round\tsignal speedup", "%d\t%d\t%d\t%.2fx")
 	for _, n := range parties {
 		a, err := measure(n, false)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s, err := measure(n, true)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%.2fx\n", n, a, s, float64(a)/float64(s))
+		t.add(n, a, s, float64(a)/float64(s))
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }

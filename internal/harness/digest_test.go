@@ -23,7 +23,7 @@ import (
 	"github.com/celltrace/pdt/internal/workloads"
 )
 
-var updateTraceGolden = flag.Bool("update", false, "rewrite testdata/traces.golden")
+var update = flag.Bool("update", false, "rewrite the golden files in testdata")
 
 const traceGoldenPath = "testdata/traces.golden"
 
@@ -59,7 +59,7 @@ func TestWorkloadTraceDigests(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s %d %x\n", r.name, res.Cycles, sha256.Sum256(res.TraceBytes))
 	}
-	if *updateTraceGolden {
+	if *update {
 		if err := os.WriteFile(traceGoldenPath, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

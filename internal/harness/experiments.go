@@ -3,8 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"text/tabwriter"
+	"strings"
 	"time"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -18,9 +17,9 @@ import (
 type Experiment struct {
 	ID    string
 	Title string
-	// Run prints the table/series to w. quick shrinks problem sizes for
-	// smoke tests; full sizes reproduce the recorded results.
-	Run func(w io.Writer, quick bool) error
+	// Run regenerates the experiment's tables. quick shrinks problem
+	// sizes for smoke tests; full sizes reproduce the recorded results.
+	Run func(quick bool) ([]*Table, error)
 }
 
 // Experiments lists every experiment in order.
@@ -54,6 +53,22 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// workload names one workload and its parameters.
+type workload struct {
+	name   string
+	params map[string]string
+}
+
+// traced runs wl under the default trace configuration, adjusted by set
+// when set is non-nil.
+func traced(wl workload, set func(*core.Config)) (*Result, error) {
+	cfg := core.DefaultTraceConfig()
+	if set != nil {
+		set(&cfg)
+	}
+	return Run(Spec{Workload: wl.name, Params: wl.params, Trace: &cfg})
+}
+
 // cyclesToMs converts simulated cycles to milliseconds at the nominal
 // 3.2 GHz clock.
 func cyclesToMs(c uint64) float64 { return float64(c) / float64(core.NominalClockHz) * 1e3 }
@@ -61,87 +76,62 @@ func cyclesToMs(c uint64) float64 { return float64(c) / float64(core.NominalCloc
 // cyclesToNs converts simulated cycles to nanoseconds.
 func cyclesToNs(c float64) float64 { return c / float64(core.NominalClockHz) * 1e9 }
 
-func newTab(w io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// perMs is n per simulated millisecond of a run of the given cycles.
+func perMs(n, cycles uint64) float64 {
+	ms := cyclesToMs(cycles)
+	if ms == 0 {
+		return 0
+	}
+	return float64(n) / ms
 }
 
 // ---------------------------------------------------------------- E1 ----
 
-func runE1(w io.Writer, quick bool) error {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "event\tgroup\tkind\targs\trecord bytes")
+func runE1(quick bool) ([]*Table, error) {
+	t := newTable("event\tgroup\tkind\targs\trecord bytes", "%s\t%s\t%s\t%s\t%d")
 	kinds := map[event.Kind]string{event.KindPoint: "point", event.KindEnter: "enter", event.KindExit: "exit"}
 	for _, info := range event.All() {
 		r := event.Record{ID: info.ID, Args: make([]uint64, len(info.Args))}
-		args := ""
-		for i, a := range info.Args {
-			if i > 0 {
-				args += ","
-			}
-			args += a
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\n", info.Name, info.Group, kinds[info.Kind], args, r.EncodedSize())
+		t.add(info.Name, info.Group, kinds[info.Kind], strings.Join(info.Args, ","), r.EncodedSize())
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }
 
 // ---------------------------------------------------------------- E2 ----
 
 // runE2 measures the effective cost of tracing one occurrence of each
 // operation class: the same SPE loop runs untraced and fully traced, and
-// the cycle delta is divided by the iteration count.
-func runE2(w io.Writer, quick bool) error {
+// the cycle delta is divided by the iteration count. A second table
+// lists the configured model costs of the API-call classes for reference.
+func runE2(quick bool) ([]*Table, error) {
 	iters := 2000
 	if quick {
 		iters = 200
 	}
-	type op struct {
-		name    string
-		params  map[string]string
-		records int // trace records per iteration on the SPE
+	// The synthetic workload emits exactly one user event per iteration.
+	wl := workload{"synthetic", map[string]string{"events": fmt.Sprint(iters), "gap": "500"}}
+	base, err := Run(Spec{Workload: wl.name, Params: wl.params})
+	if err != nil {
+		return nil, err
 	}
-	// The synthetic workload emits exactly one user event per iteration;
-	// the other classes are exercised through mini-workload params.
-	ops := []op{
-		{"user event", map[string]string{"events": fmt.Sprint(iters), "gap": "500"}, 1},
+	res, err := traced(wl, nil)
+	if err != nil {
+		return nil, err
 	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "operation\trecords/op\tcycles/op untraced\tcycles/op traced\tdelta cycles\tdelta ns")
-	for _, o := range ops {
-		base, err := Run(Spec{Workload: "synthetic", Params: o.params})
-		if err != nil {
-			return err
-		}
-		cfg := core.DefaultTraceConfig()
-		traced, err := Run(Spec{Workload: "synthetic", Params: o.params, Trace: &cfg})
-		if err != nil {
-			return err
-		}
-		perIterBase := float64(base.Cycles) / float64(iters)
-		perIterTraced := float64(traced.Cycles) / float64(iters)
-		delta := perIterTraced - perIterBase
-		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%.0f\t%.1f\n",
-			o.name, o.records, perIterBase, perIterTraced, delta, cyclesToNs(delta))
-	}
-	// API-call classes, measured with dedicated mini programs.
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return runE2APIOps(w)
-}
+	perIterBase := float64(base.Cycles) / float64(iters)
+	perIterTraced := float64(res.Cycles) / float64(iters)
+	delta := perIterTraced - perIterBase
+	ops := newTable("operation\trecords/op\tcycles/op untraced\tcycles/op traced\tdelta cycles\tdelta ns",
+		"%s\t%d\t%.0f\t%.0f\t%.0f\t%.1f")
+	ops.add("user event", 1, perIterBase, perIterTraced, delta, cyclesToNs(delta))
 
-// runE2APIOps times individual instrumented API calls via the matmul/
-// histogram communication paths and prints the configured model costs for
-// reference.
-func runE2APIOps(w io.Writer) error {
 	cfg := core.DefaultTraceConfig()
-	tw := newTab(w)
-	fmt.Fprintln(tw, "\nconfigured instrumentation cost\tcycles\tns")
-	fmt.Fprintf(tw, "SPE event record\t%d\t%.1f\n", cfg.SPEEventCost, cyclesToNs(float64(cfg.SPEEventCost)))
-	fmt.Fprintf(tw, "PPE event record\t%d\t%.1f\n", cfg.PPEEventCost, cyclesToNs(float64(cfg.PPEEventCost)))
-	fmt.Fprintf(tw, "records per DMA get+wait\t3\t%.1f\n", cyclesToNs(float64(3*cfg.SPEEventCost)))
-	fmt.Fprintf(tw, "records per mailbox write+read pair\t4\t%.1f\n", cyclesToNs(float64(2*cfg.SPEEventCost+2*cfg.PPEEventCost)))
-	return tw.Flush()
+	costs := newTable("configured instrumentation cost\tcycles\tns", "%s\t%d\t%.1f")
+	costs.add("SPE event record", cfg.SPEEventCost, cyclesToNs(float64(cfg.SPEEventCost)))
+	costs.add("PPE event record", cfg.PPEEventCost, cyclesToNs(float64(cfg.PPEEventCost)))
+	costs.add("records per DMA get+wait", 3, cyclesToNs(float64(3*cfg.SPEEventCost)))
+	costs.add("records per mailbox write+read pair", 4, cyclesToNs(float64(2*cfg.SPEEventCost+2*cfg.PPEEventCost)))
+	return []*Table{ops, costs}, nil
 }
 
 // ---------------------------------------------------------------- E3 ----
@@ -164,23 +154,14 @@ func traceLevels() []struct {
 }
 
 // e3Workloads returns the benchmark set and sizes of the overhead table.
-func e3Workloads(quick bool) []struct {
-	Name   string
-	Params map[string]string
-} {
+func e3Workloads(quick bool) []workload {
 	if quick {
-		return []struct {
-			Name   string
-			Params map[string]string
-		}{
+		return []workload{
 			{"matmul", map[string]string{"n": "128", "t": "32"}},
 			{"julia", map[string]string{"w": "128", "h": "64", "maxiter": "64"}},
 		}
 	}
-	return []struct {
-		Name   string
-		Params map[string]string
-	}{
+	return []workload{
 		{"matmul", map[string]string{"n": "256", "t": "64"}},
 		{"fft", map[string]string{"n": "1024", "batches": "48"}},
 		{"pipeline", map[string]string{"blocks": "48", "blockbytes": "4096"}},
@@ -189,128 +170,110 @@ func e3Workloads(quick bool) []struct {
 	}
 }
 
-func runE3(w io.Writer, quick bool) error {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "workload\tconfig\tcycles\toverhead %\trecords\trecords/ms")
+func runE3(quick bool) ([]*Table, error) {
+	t := newTable("workload\tconfig\tcycles\toverhead %\trecords\trecords/ms", "%s\t%s\t%d\t%.2f\t%d\t%.0f")
 	for _, wl := range e3Workloads(quick) {
-		base, err := Run(Spec{Workload: wl.Name, Params: wl.Params})
+		base, err := Run(Spec{Workload: wl.name, Params: wl.params})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprintf(tw, "%s\tuntraced\t%d\t0.0\t0\t0\n", wl.Name, base.Cycles)
+		t.addf("%s\t%s\t%d\t0.0\t0\t0", wl.name, "untraced", base.Cycles)
 		for _, lvl := range traceLevels() {
-			cfg := core.DefaultTraceConfig()
-			cfg.Groups = lvl.Groups
-			res, err := Run(Spec{Workload: wl.Name, Params: wl.Params, Trace: &cfg})
+			res, err := traced(wl, func(c *core.Config) { c.Groups = lvl.Groups })
 			if err != nil {
-				return err
+				return nil, err
 			}
 			recs := res.Stats.SPERecords + res.Stats.PPERecords
-			ms := cyclesToMs(res.Cycles)
-			rate := 0.0
-			if ms > 0 {
-				rate = float64(recs) / ms
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%.2f\t%d\t%.0f\n",
-				wl.Name, lvl.Name, res.Cycles, Overhead(base.Cycles, res.Cycles), recs, rate)
+			t.add(wl.name, lvl.Name, res.Cycles, Overhead(base.Cycles, res.Cycles), recs, perMs(recs, res.Cycles))
 		}
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }
 
 // ---------------------------------------------------------------- E4 ----
 
-func runE4(w io.Writer, quick bool) error {
+func runE4(quick bool) ([]*Table, error) {
 	events, gap := 20000, 300
 	sizes := []int{1024, 2048, 4096, 8192, 16384, 32768}
 	if quick {
 		events = 2000
 		sizes = []int{1024, 4096, 16384}
 	}
-	params := map[string]string{"events": fmt.Sprint(events), "gap": fmt.Sprint(gap)}
-	base, err := Run(Spec{Workload: "synthetic", Params: params})
+	wl := workload{"synthetic", map[string]string{"events": fmt.Sprint(events), "gap": fmt.Sprint(gap)}}
+	base, err := Run(Spec{Workload: wl.name, Params: wl.params})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "buffer KiB\tmode\toverhead %\tflushes\tflush cycles\tdropped")
+	t := newTable("buffer KiB\tmode\toverhead %\tflushes\tflush cycles\tdropped", "%d\t%s\t%.2f\t%d\t%d\t%d")
 	for _, size := range sizes {
 		for _, double := range []bool{false, true} {
-			cfg := core.DefaultTraceConfig()
-			cfg.SPEBufferSize = size
-			cfg.DoubleBuffered = double
-			res, err := Run(Spec{Workload: "synthetic", Params: params, Trace: &cfg})
+			res, err := traced(wl, func(c *core.Config) {
+				c.SPEBufferSize = size
+				c.DoubleBuffered = double
+			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			mode := "single"
 			if double {
 				mode = "double"
 			}
-			fmt.Fprintf(tw, "%d\t%s\t%.2f\t%d\t%d\t%d\n",
-				size/1024, mode, Overhead(base.Cycles, res.Cycles),
+			t.add(size/1024, mode, Overhead(base.Cycles, res.Cycles),
 				res.Stats.Flushes, res.Stats.FlushCycles, res.Stats.Dropped)
 		}
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }
 
 // ---------------------------------------------------------------- E5 ----
 
-func runE5(w io.Writer, quick bool) error {
+func runE5(quick bool) ([]*Table, error) {
 	params := map[string]string{"w": "512", "h": "256", "maxiter": "200"}
 	if quick {
 		params = map[string]string{"w": "128", "h": "64", "maxiter": "64"}
 	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "mode\tSPE\tbusy ticks\tsync-wait ticks\tutil %")
+	t := newTable("mode\tSPE\tbusy ticks\tsync-wait ticks\tutil %", "%s\t%d\t%d\t%d\t%.1f")
 	var wall [2]uint64
 	for i, mode := range []string{"static", "dynamic"} {
 		p := map[string]string{"mode": mode}
 		for k, v := range params {
 			p[k] = v
 		}
-		cfg := core.DefaultTraceConfig()
-		res, err := Run(Spec{Workload: "julia", Params: p, Trace: &cfg})
+		res, err := traced(workload{"julia", p}, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		wall[i] = res.Cycles
 		s := analyzer.Summarize(res.Trace)
 		for _, r := range s.Runs {
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.1f\n",
-				mode, r.Core, r.Busy(), r.StateTicks[analyzer.StateStallSync], 100*r.Utilization())
+			t.add(mode, r.Core, r.Busy(), r.StateTicks[analyzer.StateStallSync], 100*r.Utilization())
 		}
-		fmt.Fprintf(tw, "%s\tall\timbalance %.3f\twall %d cycles\t\n", mode, s.LoadImbalance, res.Cycles)
+		t.addf("%s\t%s\timbalance %.3f\twall %d cycles\t", mode, "all", s.LoadImbalance, res.Cycles)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "dynamic speedup over static: %.2fx\n", float64(wall[0])/float64(wall[1]))
-	return nil
+	t.notes = append(t.notes, fmt.Sprintf("dynamic speedup over static: %.2fx", float64(wall[0])/float64(wall[1])))
+	return []*Table{t}, nil
 }
 
 // ---------------------------------------------------------------- E6 ----
 
-func runE6(w io.Writer, quick bool) error {
+func runE6(quick bool) ([]*Table, error) {
 	n := "256"
 	tiles := []string{"16", "32", "64"} // compute:DMA ratio grows with T
 	if quick {
 		n = "128"
 		tiles = []string{"32"}
 	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "tile\tbuffers\twall cycles\tcompute ticks\tdma-wait ticks\tdma-wait %\tspeedup")
-	for _, t := range tiles {
-		var wall [3]uint64
-		rows := make([]string, 0, 2)
+	t := newTable("tile\tbuffers\twall cycles\tcompute ticks\tdma-wait ticks\tdma-wait %\tspeedup",
+		"%s\t%s\t%d\t%d\t%d\t%.1f\t%.2fx")
+	for _, tile := range tiles {
+		var single uint64
 		for _, buffers := range []string{"1", "2"} {
-			p := map[string]string{"n": n, "t": t, "buffers": buffers}
-			cfg := core.DefaultTraceConfig()
-			cfg.Groups = event.GroupLifecycle | event.GroupMFC // low-perturbation tracing
-			res, err := Run(Spec{Workload: "matmul", Params: p, Trace: &cfg})
+			wl := workload{"matmul", map[string]string{"n": n, "t": tile, "buffers": buffers}}
+			res, err := traced(wl, func(c *core.Config) {
+				c.Groups = event.GroupLifecycle | event.GroupMFC // low-perturbation tracing
+			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			s := analyzer.Summarize(res.Trace)
 			compute := s.TotalState(analyzer.StateCompute)
@@ -319,145 +282,111 @@ func runE6(w io.Writer, quick bool) error {
 			if compute+dma > 0 {
 				frac = 100 * float64(dma) / float64(compute+dma)
 			}
-			rows = append(rows, fmt.Sprintf("%s\t%s\t%d\t%d\t%d\t%.1f",
-				t, buffers, res.Cycles, compute, dma, frac))
 			if buffers == "1" {
-				wall[1] = res.Cycles
-			} else {
-				wall[2] = res.Cycles
+				single = res.Cycles
+				t.addf("%s\t%s\t%d\t%d\t%d\t%.1f\t", tile, buffers, res.Cycles, compute, dma, frac)
+				continue
 			}
+			t.add(tile, buffers, res.Cycles, compute, dma, frac, float64(single)/float64(res.Cycles))
 		}
-		speedup := float64(wall[1]) / float64(wall[2])
-		fmt.Fprintf(tw, "%s\t\n", rows[0])
-		fmt.Fprintf(tw, "%s\t%.2fx\n", rows[1], speedup)
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }
 
 // ---------------------------------------------------------------- E7 ----
 
-func runE7(w io.Writer, quick bool) error {
+func runE7(quick bool) ([]*Table, error) {
 	params := map[string]string{"blocks": "48", "blockbytes": "4096", "slowstage": "3", "slowfactor": "12"}
 	if quick {
 		params = map[string]string{"blocks": "16", "blockbytes": "1024", "slowstage": "2", "slowfactor": "8", "stages": "4"}
 	}
-	cfg := core.DefaultTraceConfig()
-	res, err := Run(Spec{Workload: "pipeline", Params: params, Trace: &cfg})
+	res, err := traced(workload{"pipeline", params}, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s := analyzer.Summarize(res.Trace)
-	tw := newTab(w)
-	fmt.Fprintln(tw, "stage\tbusy ticks\tsync-wait ticks\tmbox-wait ticks\tdma-wait ticks\tutil %")
+	t := newTable("stage\tbusy ticks\tsync-wait ticks\tmbox-wait ticks\tdma-wait ticks\tutil %", "%d\t%d\t%d\t%d\t%d\t%.1f")
 	for _, r := range s.Runs {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%.1f\n",
-			r.Core, r.Busy(), r.StateTicks[analyzer.StateStallSync],
+		t.add(r.Core, r.Busy(), r.StateTicks[analyzer.StateStallSync],
 			r.StateTicks[analyzer.StateStallMbox], r.StateTicks[analyzer.StateStallDMA],
 			100*r.Utilization())
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }
 
 // ---------------------------------------------------------------- E8 ----
 
-func runE8(w io.Writer, quick bool) error {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "workload\trecords\ttrace bytes\tbytes/record\trecords/ms\tflush bytes")
+func runE8(quick bool) ([]*Table, error) {
+	t := newTable("workload\trecords\ttrace bytes\tbytes/record\trecords/ms\tflush bytes", "%s\t%d\t%d\t%.1f\t%.0f\t%d")
 	for _, wl := range e3Workloads(quick) {
-		cfg := core.DefaultTraceConfig()
-		res, err := Run(Spec{Workload: wl.Name, Params: wl.Params, Trace: &cfg})
+		res, err := traced(wl, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		recs := res.Stats.SPERecords + res.Stats.PPERecords
-		ms := cyclesToMs(res.Cycles)
-		rate := 0.0
-		if ms > 0 {
-			rate = float64(recs) / ms
-		}
 		bpr := 0.0
 		if recs > 0 {
 			bpr = float64(len(res.TraceBytes)) / float64(recs)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f\t%.0f\t%d\n",
-			wl.Name, recs, len(res.TraceBytes), bpr, rate, res.Stats.FlushBytes)
+		t.add(wl.name, recs, len(res.TraceBytes), bpr, perMs(recs, res.Cycles), res.Stats.FlushBytes)
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }
 
 // ---------------------------------------------------------------- E9 ----
 
-func runE9(w io.Writer, quick bool) error {
+func runE9(quick bool) ([]*Table, error) {
 	gaps := []int{100, 300, 1000, 3000, 10000, 30000}
 	events := 10000
 	if quick {
 		gaps = []int{300, 3000, 30000}
 		events = 1000
 	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "gap cycles\tevents/ms (sim)\toverhead %\tflush cycles")
+	t := newTable("gap cycles\tevents/ms (sim)\toverhead %\tflush cycles", "%d\t%.0f\t%.2f\t%d")
 	for _, gap := range gaps {
-		params := map[string]string{"events": fmt.Sprint(events), "gap": fmt.Sprint(gap)}
-		base, err := Run(Spec{Workload: "synthetic", Params: params})
+		wl := workload{"synthetic", map[string]string{"events": fmt.Sprint(events), "gap": fmt.Sprint(gap)}}
+		base, err := Run(Spec{Workload: wl.name, Params: wl.params})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cfg := core.DefaultTraceConfig()
-		res, err := Run(Spec{Workload: "synthetic", Params: params, Trace: &cfg})
+		res, err := traced(wl, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		recs := res.Stats.SPERecords
-		ms := cyclesToMs(res.Cycles)
-		rate := 0.0
-		if ms > 0 {
-			rate = float64(recs) / ms
-		}
-		fmt.Fprintf(tw, "%d\t%.0f\t%.2f\t%d\n",
-			gap, rate, Overhead(base.Cycles, res.Cycles), res.Stats.FlushCycles)
+		t.add(gap, perMs(res.Stats.SPERecords, res.Cycles), Overhead(base.Cycles, res.Cycles), res.Stats.FlushCycles)
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }
 
 // --------------------------------------------------------------- E10 ----
 
-func runE10(w io.Writer, quick bool) error {
+func runE10(quick bool) ([]*Table, error) {
 	events := 50000
 	if quick {
 		events = 5000
 	}
-	cfg := core.DefaultTraceConfig()
-	res, err := Run(Spec{
-		Workload: "synthetic",
-		Params:   map[string]string{"events": fmt.Sprint(events), "gap": "200"},
-		Trace:    &cfg,
-	})
+	res, err := traced(workload{"synthetic", map[string]string{"events": fmt.Sprint(events), "gap": "200"}}, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	recs := res.Stats.SPERecords + res.Stats.PPERecords
 
 	start := time.Now()
 	tr, err := analyzer.Load(bytes.NewReader(res.TraceBytes))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	loadDur := time.Since(start)
 	start = time.Now()
 	analyzer.Validate(tr)
-	s := analyzer.Summarize(tr)
+	analyzer.Summarize(tr)
 	analyzeDur := time.Since(start)
 
-	tw := newTab(w)
-	fmt.Fprintln(tw, "phase\trecords\thost time\trecords/s")
-	fmt.Fprintf(tw, "load+merge\t%d\t%v\t%.0f\n", recs, loadDur, float64(recs)/loadDur.Seconds())
-	fmt.Fprintf(tw, "validate+summarize\t%d\t%v\t%.0f\n", recs, analyzeDur, float64(recs)/analyzeDur.Seconds())
-	fmt.Fprintf(tw, "trace size\t%d bytes\t%.1f B/record\t\n", len(res.TraceBytes), float64(len(res.TraceBytes))/float64(recs))
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	_ = s
-	return nil
+	t := newTable("phase\trecords\thost time\trecords/s", "%s\t%d\t%v\t%.0f")
+	t.add("load+merge", recs, loadDur, float64(recs)/loadDur.Seconds())
+	t.add("validate+summarize", recs, analyzeDur, float64(recs)/analyzeDur.Seconds())
+	t.addf("%s\t%d bytes\t%.1f B/record\t", "trace size", len(res.TraceBytes), float64(len(res.TraceBytes))/float64(recs))
+	return []*Table{t}, nil
 }
 
 // --------------------------------------------------------------- E11 ----
@@ -467,7 +396,7 @@ func runE10(w io.Writer, quick bool) error {
 // shape: bandwidth scales with SPEs until the memory interface saturates;
 // halving MemBytesPerCycle halves the plateau; EIB rings only matter when
 // they are scarcer than concurrent transfers.
-func runE11(w io.Writer, quick bool) error {
+func runE11(quick bool) ([]*Table, error) {
 	elements := 1 << 19
 	if quick {
 		elements = 1 << 16
@@ -486,8 +415,7 @@ func runE11(w io.Writer, quick bool) error {
 		spes = []int{1, 8}
 		variants = variants[:2]
 	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "machine\tSPEs\tcycles\tGB/s")
+	t := newTable("machine\tSPEs\tcycles\tGB/s", "%s\t%d\t%d\t%.1f")
 	for _, v := range variants {
 		for _, n := range spes {
 			res, err := Run(Spec{
@@ -497,12 +425,12 @@ func runE11(w io.Writer, quick bool) error {
 				MachineMut: v.mut,
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			bytes := float64(elements) * 12
 			seconds := float64(res.Cycles) / float64(core.NominalClockHz)
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f\n", v.name, n, res.Cycles, bytes/seconds/1e9)
+			t.add(v.name, n, res.Cycles, bytes/seconds/1e9)
 		}
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/core"
@@ -109,41 +108,5 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("E99"); ok {
 		t.Fatal("ByID(E99) succeeded")
-	}
-}
-
-// Run every experiment in quick mode and sanity-check the output shape.
-func TestAllExperimentsQuick(t *testing.T) {
-	want := map[string][]string{
-		"E1":  {"SPE_MFC_GET", "record bytes"},
-		"E2":  {"delta ns", "user event"},
-		"E3":  {"untraced", "all", "overhead"},
-		"E4":  {"single", "double", "flushes"},
-		"E5":  {"static", "dynamic", "imbalance"},
-		"E6":  {"dma-wait", "speedup"},
-		"E7":  {"stage", "sync-wait"},
-		"E8":  {"bytes/record", "records/ms"},
-		"E9":  {"gap cycles", "overhead"},
-		"E10": {"records/s", "load+merge"},
-		"E11": {"GB/s", "baseline"},
-		"E12": {"parties", "signal speedup"},
-		"E13": {"speedup", "julia"},
-		"E14": {"critpath Δ", "baseline:"},
-		"E15": {"wall CV%", "pipeline", "stream", "steady%"},
-	}
-	for _, e := range Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf, true); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			out := buf.String()
-			for _, needle := range want[e.ID] {
-				if !strings.Contains(out, needle) {
-					t.Fatalf("%s output missing %q:\n%s", e.ID, needle, out)
-				}
-			}
-		})
 	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/diff"
@@ -12,24 +11,15 @@ import (
 // e14Workloads is the benchmark set for the differencing experiment:
 // three workloads with distinct communication profiles (DMA-bound tiles,
 // dynamically balanced compute, mailbox-driven stages).
-func e14Workloads(quick bool) []struct {
-	Name   string
-	Params map[string]string
-} {
+func e14Workloads(quick bool) []workload {
 	if quick {
-		return []struct {
-			Name   string
-			Params map[string]string
-		}{
+		return []workload{
 			{"matmul", map[string]string{"n": "128", "t": "32"}},
 			{"julia", map[string]string{"w": "128", "h": "64", "maxiter": "64", "mode": "dynamic"}},
 			{"pipeline", map[string]string{"blocks": "16", "blockbytes": "1024"}},
 		}
 	}
-	return []struct {
-		Name   string
-		Params map[string]string
-	}{
+	return []workload{
 		{"matmul", map[string]string{"n": "256", "t": "64"}},
 		{"julia", map[string]string{"w": "512", "h": "256", "maxiter": "200", "mode": "dynamic"}},
 		{"pipeline", map[string]string{"blocks": "48", "blockbytes": "4096"}},
@@ -50,43 +40,42 @@ const e14BufferSize = 2048
 // flushes, per-record instrumentation cost, and an unattributed residual
 // (perturbation the two models don't explain); critpath shows how much of
 // the delta lands on the critical path.
-func runE14(w io.Writer, quick bool) error {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "workload\tconfig\trecords Δ\twall Δ\tflush attr\trecord attr\tticks/record\tresidual\tcritpath Δ")
+func runE14(quick bool) ([]*Table, error) {
+	t := newTable("workload\tconfig\trecords Δ\twall Δ\tflush attr\trecord attr\tticks/record\tresidual\tcritpath Δ",
+		"%s\t%s\t%+d\t%+d\t%+d\t%+d\t%s\t%+d\t%+d")
 	for _, wl := range e14Workloads(quick) {
 		var base *analyzer.Trace
 		for i, lvl := range traceLevels() {
-			cfg := core.DefaultTraceConfig()
-			cfg.Groups = lvl.Groups
-			cfg.SPEBufferSize = e14BufferSize
-			cfg.DoubleBuffered = false
-			res, err := Run(Spec{Workload: wl.Name, Params: wl.Params, Trace: &cfg})
+			res, err := traced(wl, func(c *core.Config) {
+				c.Groups = lvl.Groups
+				c.SPEBufferSize = e14BufferSize
+				c.DoubleBuffered = false
+			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			tr := res.Trace
 			if i == 0 {
 				base = tr
-				fmt.Fprintf(tw, "%s\t%s\t(baseline: %d records, %d ticks)\t\t\t\t\t\t\n",
-					wl.Name, lvl.Name, tr.NumEvents(), wallTicks(tr))
+				t.addf("%s\t%s\t(baseline: %d records, %d ticks)\t\t\t\t\t\t",
+					wl.name, lvl.Name, tr.NumEvents(), wallTicks(tr))
 				continue
 			}
 			rep, err := diff.Diff(base, tr, diff.Options{})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			o := rep.Overhead
 			perRec := ""
 			if o.RecordDelta != 0 && o.RecordAttributed != 0 {
 				perRec = fmt.Sprintf("%.2f", o.PerRecordTicks)
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%+d\t%+d\t%+d\t%+d\t%s\t%+d\t%+d\n",
-				wl.Name, lvl.Name, rep.RecordDelta(), o.WallDeltaTicks,
+			t.add(wl.name, lvl.Name, rep.RecordDelta(), o.WallDeltaTicks,
 				o.FlushAttributed, o.RecordAttributed, perRec, o.ResidualTicks,
 				rep.CritPath.Delta())
 		}
 	}
-	return tw.Flush()
+	return []*Table{t}, nil
 }
 
 // wallTicks is the span of one trace in ticks.
