@@ -1,7 +1,7 @@
 package main
 
 // Service-level chaos tests: the daemon is killed (in-process, via the
-// chaos plan's killphase seam) at every job phase, restarted over the
+// chaos plan's kill rule) at every job phase, restarted over the
 // same state directory, and must converge — exactly one completion per
 // job, byte-identical to an uninterrupted run. Plus the durable tier's
 // happy paths: async round-trip, warm restart from disk, and graceful
@@ -10,7 +10,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -225,7 +224,8 @@ func TestJobSubmitWaitsForAdmission(t *testing.T) {
 func TestJobDiskFullDegradesToSync(t *testing.T) {
 	trace := smallTrace(t)
 	s, ts := durableServer(t, t.TempDir(), func(c *config) {
-		c.chaosSpec = "diskfull:0:*" // every disk-tier write fails
+		// every disk-tier write fails
+		c.chaos = &faults.ServicePlan{DiskFulls: []faults.DiskFullRule{{After: 0, Count: faults.EveryTime}}}
 	})
 	resp, got := post(t, ts.URL+"/v1/jobs?kind=summary", trace)
 	if resp.StatusCode != http.StatusOK {
@@ -400,7 +400,7 @@ func TestJobResultRecomputeWaitsForAdmission(t *testing.T) {
 }
 
 // TestChaosKillEveryPhase is the headline chaos drill: a daemon armed
-// with killphase:PHASE dies mid-job at each phase in turn; a clean
+// with a kill rule at PHASE dies mid-job at each phase in turn; a clean
 // daemon over the same state directory must replay the journal and
 // converge — job done, exactly one done record, exactly one webhook,
 // and the result byte-identical to an uninterrupted run's.
@@ -414,7 +414,7 @@ func TestChaosKillEveryPhase(t *testing.T) {
 		t.Fatalf("baseline: %d", resp.StatusCode)
 	}
 
-	for _, phase := range []string{"accept", "start", "render", "done", "webhook"} {
+	for _, phase := range jobs.Phases {
 		t.Run(phase, func(t *testing.T) {
 			dir := t.TempDir()
 			var hooks atomic.Int32
@@ -425,7 +425,7 @@ func TestChaosKillEveryPhase(t *testing.T) {
 			defer hook.Close()
 
 			s1, ts1 := durableServer(t, dir, func(c *config) {
-				c.chaosSpec = "killphase:" + phase
+				c.chaos = &faults.ServicePlan{Kills: []faults.KillRule{{Phase: phase, Nth: 1}}}
 			})
 			resp, jb := submitJob(t, ts1, "gaps", trace, "&webhook="+hook.URL)
 			// A kill at accept happens before the 202 can be written; any
@@ -534,7 +534,7 @@ func TestChaosTornJournalWrite(t *testing.T) {
 	// Faulted writes, in order: #1 the trace image spill, #2 the accept
 	// record, #3 the start record — which is the one that tears.
 	s1, ts1 := durableServer(t, dir, func(c *config) {
-		c.chaosSpec = "torn:3"
+		c.chaos = &faults.ServicePlan{Torns: []faults.TornRule{{Nth: 3, Keep: -1}}}
 	})
 	resp, _ := submitJob(t, ts1, "summary", trace, "")
 	if resp.StatusCode != http.StatusAccepted {
@@ -602,15 +602,6 @@ func TestJobResultRecomputesAfterMemoryLoss(t *testing.T) {
 	}
 	if dst := s2.cache.Disk().Stats(); dst.Corrupt == 0 {
 		t.Fatalf("corruption not detected: %+v", dst)
-	}
-}
-
-// TestChaosPhaseListsAgree: the phases the chaos grammar accepts must
-// match the manager's — a drifted list would silently skip kill points.
-func TestChaosPhaseListsAgree(t *testing.T) {
-	want := fmt.Sprint([]string{jobs.PhaseAccept, jobs.PhaseStart, jobs.PhaseRender, jobs.PhaseDone, jobs.PhaseWebhook})
-	if got := fmt.Sprint(faults.JobPhases); got != want {
-		t.Fatalf("faults.JobPhases drifted from the jobs package: %s vs %s", got, want)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/celltrace/pdt/internal/analyzer/cache"
 	"github.com/celltrace/pdt/internal/cluster"
@@ -27,8 +26,9 @@ import (
 )
 
 // parsePeers parses "a=http://h1:8329,b=http://h2:8329" into a name→URL
-// map. Names are the spelling the fault grammar's netdrop/partition
-// directives and the ring use; URLs must carry a scheme.
+// map. Names are the spelling the ring and a chaos plan's network rules
+// (faults.NetDropRule, faults.PartitionRule) use; URLs must carry a
+// scheme.
 func parsePeers(spec string) (map[string]string, error) {
 	peers := map[string]string{}
 	for _, part := range strings.Split(spec, ",") {
@@ -54,8 +54,7 @@ func parsePeers(spec string) (map[string]string, error) {
 	return peers, nil
 }
 
-// setupCluster builds the ring client from -peers/-self. Call after the
-// chaos plan is parsed (the fault transport needs it) and before the
+// setupCluster builds the ring client from -peers/-self. Call before the
 // server starts handling requests.
 func (s *server) setupCluster() error {
 	if s.cfg.peersSpec == "" {
@@ -75,8 +74,8 @@ func (s *server) setupCluster() error {
 		return err
 	}
 	var transport http.RoundTripper = http.DefaultTransport
-	if s.chaos != nil {
-		transport = &netFaultTransport{self: s.cfg.selfName, plan: s.chaos, next: transport}
+	if s.cfg.chaos != nil {
+		transport = &netFaultTransport{self: s.cfg.selfName, plan: s.cfg.chaos, next: transport}
 	}
 	pc := s.cfg.peer
 	pc.Self, pc.Peers, pc.Transport = s.cfg.selfName, peers, transport
@@ -89,11 +88,11 @@ func (s *server) setupCluster() error {
 	return nil
 }
 
-// netFaultTransport injects the chaos plan's network directives into
-// outgoing peer calls: netlat delays first, then netdrop/partition turn
-// the call into a transport error — which is exactly what a real broken
-// link looks like to the cluster client, so retries, breakers, and the
-// degraded path are exercised end to end.
+// netFaultTransport injects the chaos plan's network rules into
+// outgoing peer calls: a drop or a partition turns the call into a
+// transport error — which is exactly what a real broken link looks like
+// to the cluster client, so retries, breakers, and the degraded path are
+// exercised end to end.
 type netFaultTransport struct {
 	self string
 	plan *faults.ServicePlan
@@ -102,17 +101,7 @@ type netFaultTransport struct {
 
 func (t *netFaultTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	peer := cluster.TargetPeer(r)
-	delay, drop := t.plan.NetFault(t.self, peer)
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-r.Context().Done():
-			return nil, r.Context().Err()
-		}
-	}
-	if drop {
+	if t.plan.NetFault(t.self, peer) {
 		return nil, fmt.Errorf("%w (%s -> %s)", faults.ErrNetDrop, t.self, peer)
 	}
 	return t.next.RoundTrip(r)

@@ -31,13 +31,12 @@ import (
 func chaosRing(t *testing.T, n int, mut func(i int, cfg *config)) ([]*server, []string, []*faults.ServicePlan) {
 	t.Helper()
 	plans := make([]*faults.ServicePlan, n)
-	servers, urls, _ := ringServersHook(t, n, mut, func(i int, s *server) {
-		p, err := faults.ParseService("")
-		if err != nil {
-			t.Fatal(err)
+	servers, urls := ringServers(t, n, func(i int, cfg *config) {
+		plans[i] = &faults.ServicePlan{}
+		cfg.chaos = plans[i]
+		if mut != nil {
+			mut(i, cfg)
 		}
-		plans[i] = p
-		s.chaos = p
 	})
 	return servers, urls, plans
 }
@@ -213,10 +212,10 @@ func TestChaosClusterPartitionMidRequest(t *testing.T) {
 // in flight on the survivors.
 func TestChaosClusterReplicaCrashMidRequest(t *testing.T) {
 	traces, golden := chaosTraces(t)
-	servers, urls, tss := ringServersHook(t, 3, func(i int, cfg *config) {
+	servers, urls, tss := ringServersTS(t, 3, func(i int, cfg *config) {
 		cfg.peer.Attempts = 1
 		cfg.peer.BreakerThreshold = 2
-	}, nil)
+	})
 	victim := ownerOf(t, servers, traces[0])
 
 	var wg sync.WaitGroup

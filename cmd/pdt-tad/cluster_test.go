@@ -15,6 +15,7 @@ import (
 
 	"github.com/celltrace/pdt/internal/analyzer/cache"
 	"github.com/celltrace/pdt/internal/cluster"
+	"github.com/celltrace/pdt/internal/faults"
 )
 
 // ringServers starts n in-process replicas wired into one ring. Every
@@ -24,15 +25,13 @@ import (
 // replica names "a", "b", "c", ...
 func ringServers(t *testing.T, n int, mut func(i int, cfg *config)) ([]*server, []string) {
 	t.Helper()
-	servers, urls, _ := ringServersHook(t, n, mut, nil)
+	servers, urls, _ := ringServersTS(t, n, mut)
 	return servers, urls
 }
 
-// ringServersHook is ringServers with a seam between newServer and
-// setupState — the chaos suite uses it to arm a runtime-mutable fault
-// plan before the peer transport is built — and with the HTTP servers
-// returned so a test can crash one mid-flight.
-func ringServersHook(t *testing.T, n int, mut func(i int, cfg *config), postNew func(i int, s *server)) ([]*server, []string, []*httptest.Server) {
+// ringServersTS is ringServers with the HTTP servers returned, so a test
+// can crash one mid-flight.
+func ringServersTS(t *testing.T, n int, mut func(i int, cfg *config)) ([]*server, []string, []*httptest.Server) {
 	t.Helper()
 	names := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -66,9 +65,6 @@ func ringServersHook(t *testing.T, n int, mut func(i int, cfg *config), postNew 
 			mut(i, &cfg)
 		}
 		s := newServer(cfg, quietLogger())
-		if postNew != nil {
-			postNew(i, s)
-		}
 		if err := s.setupState(); err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +239,7 @@ func TestClusterDegradedNeverErrors(t *testing.T) {
 	// Every peer call from every replica drops: whatever replica we hit,
 	// its view of the owner is a dead link.
 	servers, urls := ringServers(t, 2, func(i int, cfg *config) {
-		cfg.chaosSpec = "netdrop:*:*"
+		cfg.chaos = &faults.ServicePlan{NetDrops: []faults.NetDropRule{{Peer: "*", Count: faults.EveryTime}}}
 	})
 	owner := ownerOf(t, servers, trace)
 	other := 1 - owner
@@ -266,7 +262,7 @@ func TestClusterDegradedNeverErrors(t *testing.T) {
 func TestClusterStatsAndReadyzSurfaceBreakerState(t *testing.T) {
 	trace := smallTrace(t)
 	servers, urls := ringServers(t, 2, func(i int, cfg *config) {
-		cfg.chaosSpec = "netdrop:*:*"
+		cfg.chaos = &faults.ServicePlan{NetDrops: []faults.NetDropRule{{Peer: "*", Count: faults.EveryTime}}}
 		cfg.peer.BreakerThreshold = 2
 		cfg.peer.Attempts = 2
 	})

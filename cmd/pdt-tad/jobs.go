@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"github.com/celltrace/pdt/internal/analyzer/cache"
-	"github.com/celltrace/pdt/internal/faults"
 	"github.com/celltrace/pdt/internal/jobs"
 )
 
@@ -30,14 +29,6 @@ import (
 // replay — interrupted jobs restart here). A no-op when stateDir is
 // empty. Call once, before the server starts handling requests.
 func (s *server) setupState() error {
-	if s.cfg.chaosSpec != "" {
-		plan, err := faults.ParseService(s.cfg.chaosSpec)
-		if err != nil {
-			return err
-		}
-		s.chaos = plan
-		s.log.Warn("chaos plan armed", "plan", plan.String())
-	}
 	if err := s.setupCluster(); err != nil {
 		return err
 	}
@@ -50,7 +41,7 @@ func (s *server) setupState() error {
 	if err := os.MkdirAll(s.cfg.stateDir, 0o755); err != nil {
 		return fmt.Errorf("state dir: %w", err)
 	}
-	tier, err := cache.OpenDiskTier(filepath.Join(s.cfg.stateDir, "objects"), s.cfg.diskCacheBytes, s.disturber())
+	tier, err := cache.OpenDiskTier(filepath.Join(s.cfg.stateDir, "objects"), s.cfg.diskCacheBytes, s.cfg.chaos)
 	if err != nil {
 		return err
 	}
@@ -59,7 +50,7 @@ func (s *server) setupState() error {
 		s.log.Info("disk tier rehydrated", "objects", st.Rehydrated, "bytes", st.Bytes)
 	}
 
-	j, recs, st, err := jobs.OpenJournal(filepath.Join(s.cfg.stateDir, "jobs.journal"), s.disturber())
+	j, recs, st, err := jobs.OpenJournal(filepath.Join(s.cfg.stateDir, "jobs.journal"), s.cfg.chaos)
 	if err != nil {
 		return err
 	}
@@ -126,18 +117,14 @@ func (s *server) closeState() {
 	}
 }
 
-// disturber exposes the chaos plan to the disk tier and journal; nil
-// when no plan is armed.
-func (s *server) disturber() *faults.ServicePlan { return s.chaos }
-
-// phaseHook translates the chaos plan's killphase directives into the
-// job manager's crash seam.
+// phaseHook translates the chaos plan's kill rules into the job
+// manager's crash seam.
 func (s *server) phaseHook() func(id, phase string) error {
-	if s.chaos == nil {
+	if s.cfg.chaos == nil {
 		return nil
 	}
 	return func(id, phase string) error {
-		if s.chaos.Kill(phase) {
+		if s.cfg.chaos.Kill(phase) {
 			s.log.Error("chaos: simulated kill", "job", id, "phase", phase)
 			return fmt.Errorf("chaos kill at %s", phase)
 		}

@@ -56,10 +56,10 @@ type config struct {
 	// setupState adds the hooks. A zero field takes internal/jobs'
 	// default.
 	jobs jobs.Config
-	// chaosSpec is a faults.ParseService plan injected into the disk
-	// tier, the journal, the job phase hooks, and the peer transport.
+	// chaos is the fault plan injected into the disk tier, the journal,
+	// the job phase hooks and the peer transport; nil injects nothing.
 	// No flag sets it; the chaos tests arm it in process.
-	chaosSpec string
+	chaos *faults.ServicePlan
 	// peersSpec/selfName enable cluster mode: a comma-separated
 	// name=URL replica list and this replica's name in it. Empty =
 	// single-node.
@@ -113,8 +113,6 @@ type server struct {
 	// nil without -state-dir (the job API then runs synchronously).
 	jobs    *jobs.Manager
 	journal *jobs.Journal
-	// chaos is the parsed fault-injection plan; nil without chaosSpec.
-	chaos *faults.ServicePlan
 	// cluster is the consistent-hash ring client; nil without -peers.
 	// clusterFallbacks counts requests computed locally because the
 	// key's owner replica was unreachable.

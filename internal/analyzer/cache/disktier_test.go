@@ -247,10 +247,7 @@ func TestDiskTierLRUEvictionAndPinning(t *testing.T) {
 }
 
 func TestDiskTierDiskFullDegradesAndRecovers(t *testing.T) {
-	plan, err := faults.ParseService("diskfull:0:1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &faults.ServicePlan{DiskFulls: []faults.DiskFullRule{{After: 0, Count: 1}}}
 	d, err := OpenDiskTier(t.TempDir(), 0, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -283,10 +280,7 @@ func TestDiskTierDiskFullDegradesAndRecovers(t *testing.T) {
 // next Open sweeps the debris.
 func TestDiskTierTornWriteInvisible(t *testing.T) {
 	dir := t.TempDir()
-	plan, err := faults.ParseService("torn:1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &faults.ServicePlan{Torns: []faults.TornRule{{Nth: 1, Keep: -1}}}
 	d, err := OpenDiskTier(dir, 0, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -329,10 +323,7 @@ func TestDiskTierTornWriteInvisible(t *testing.T) {
 }
 
 func TestDiskTierSlowDisk(t *testing.T) {
-	plan, err := faults.ParseService("slowdisk:20")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &faults.ServicePlan{SlowDisk: 20 * time.Millisecond}
 	d, err := OpenDiskTier(t.TempDir(), 0, plan)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,9 @@ package kinds_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"github.com/celltrace/pdt/internal/analyzer"
@@ -100,6 +102,77 @@ func TestVersionsAnalyseAlike(t *testing.T) {
 			t.Errorf("%s: doctor differs:\n v1 %s\n v2 %s", name, a, b)
 		}
 	}
+}
+
+// TestTimestampShiftIsInvisible: the kinds read time differences, and
+// the absolute stamps only where a report names one. Every workload's
+// rows, re-encoded as they are and with every Global 2^20 ticks later,
+// must give every kind's JSON alike once the shift is taken off the
+// fields that carry a point in time.
+func TestTimestampShiftIsInvisible(t *testing.T) {
+	const shift = 1 << 20
+	for _, name := range workloads.Names() {
+		tr, err := analyzer.Load(bytes.NewReader(traceImage(t, name, workloads.Small(name))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := tr.Columns()
+		rows := make([]tracetest.Row, col.Len())
+		for i := range rows {
+			rows[i] = tracetest.Row{Rec: tr.Record(i), Global: col.Global[i], Run: int(col.Run[i])}
+		}
+		want := kindsJSON(t, tracetest.Encode(t, tr.Meta, rows, 0))
+		for i := range rows {
+			rows[i].Global += shift
+		}
+		got := kindsJSON(t, tracetest.Encode(t, tr.Meta, rows, 0))
+		for _, k := range kinds.All {
+			if !bytes.Equal(unshift(t, got[k.Name], shift), unshift(t, want[k.Name], 0)) {
+				t.Errorf("%s: %s differs once the shift is taken off", name, k.Name)
+			}
+		}
+	}
+}
+
+// unshift re-renders a JSON report with shift subtracted from every
+// field that holds a point on the timeline.
+func unshift(t *testing.T, report []byte, shift uint64) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(report))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(v any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for key, f := range v {
+				switch key {
+				case "startTick", "endTick", "start", "end", "steadyStart", "steadyEnd":
+					num, _ := f.(json.Number)
+					n, err := strconv.ParseUint(string(num), 10, 64)
+					if err != nil {
+						t.Fatalf("%s = %v is not a tick", key, f)
+					}
+					v[key] = n - shift
+				default:
+					walk(f)
+				}
+			}
+		case []any:
+			for _, e := range v {
+				walk(e)
+			}
+		}
+	}
+	walk(v)
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // streamedJSON loads img through StreamLoader in the given window, in

@@ -1,13 +1,20 @@
-// Package faults implements deterministic, seed-driven fault injection
-// for the simulated tracer stack: killing a run at an arbitrary cycle,
-// stalling or failing trace-flush DMAs, and corrupting or truncating the
-// serialized trace bytes. A Plan is parsed from a compact spec string
-// (the pdt-run -faults flag) and consulted by the machine and the tracing
-// runtime while the simulation runs; because the simulation kernel is
-// cooperatively scheduled, consumption order — and therefore the whole
-// faulty execution — is reproducible for a given spec.
+// Package faults implements deterministic fault injection at two levels.
 //
-// Spec grammar: comma-separated directives, fields separated by colons.
+// Plan disturbs the simulated tracer stack: killing a run at an
+// arbitrary cycle, stalling or failing trace-flush DMAs, and corrupting
+// or truncating the serialized trace bytes. A Plan is parsed from a
+// compact spec string (the pdt-run -faults flag) and consulted by the
+// machine and the tracing runtime while the simulation runs; because the
+// simulation kernel is cooperatively scheduled, consumption order — and
+// therefore the whole faulty execution — is reproducible for a given
+// spec.
+//
+// ServicePlan (service.go) disturbs the analysis daemon: its disk tier,
+// job journal, job phases and peer calls. No flag sets one; the chaos
+// tests build it as a struct literal of rules.
+//
+// Plan's spec grammar: comma-separated directives, fields separated by
+// colons.
 //
 //	seed:N                       RNG seed for rand offsets (default 1)
 //	kill:CYCLE                   stop the whole machine at CYCLE
@@ -349,49 +356,4 @@ func (p *Plan) MangleTrace(data []byte) ([]byte, []string) {
 		notes = append(notes, fmt.Sprintf("truncated %d bytes off the tail", cut))
 	}
 	return out, notes
-}
-
-// String renders the plan back to a canonical spec (consumption state is
-// not represented).
-func (p *Plan) String() string {
-	if p == nil {
-		return ""
-	}
-	var parts []string
-	if p.Seed != 1 {
-		parts = append(parts, fmt.Sprintf("seed:%d", p.Seed))
-	}
-	if p.HasKill {
-		parts = append(parts, fmt.Sprintf("kill:%d", p.KillAt))
-	}
-	spe := func(s int) string {
-		if s == AnySPE {
-			return "*"
-		}
-		return strconv.Itoa(s)
-	}
-	for _, r := range p.Stalls {
-		parts = append(parts, fmt.Sprintf("stall:%s:%d:%d:%d", spe(r.SPE), r.After, r.Extra, r.Count))
-	}
-	for _, r := range p.Fails {
-		parts = append(parts, fmt.Sprintf("failflush:%s:%d:%d", spe(r.SPE), r.After, r.Count))
-	}
-	for _, r := range p.Corrupts {
-		off := "rand"
-		if !r.RandomOff {
-			off = strconv.Itoa(r.Offset)
-		}
-		xor := "rand"
-		if !r.RandomXOR {
-			xor = fmt.Sprintf("%#02x", r.XOR)
-		}
-		parts = append(parts, fmt.Sprintf("corrupt:%s:%s", off, xor))
-	}
-	switch {
-	case p.TruncateBytes < 0:
-		parts = append(parts, "truncate:rand")
-	case p.TruncateBytes > 0:
-		parts = append(parts, fmt.Sprintf("truncate:%d", p.TruncateBytes))
-	}
-	return strings.Join(parts, ",")
 }

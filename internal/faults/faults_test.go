@@ -46,18 +46,27 @@ func TestParseEmptyAndErrors(t *testing.T) {
 	}
 }
 
+// TestStringRoundTrip: a spec of every directive kind parses to the
+// plan it spells, field by field.
 func TestStringRoundTrip(t *testing.T) {
-	spec := "seed:7,kill:250000,stall:0:5000:4000:2,failflush:*:0:3,corrupt:100:0x5a,truncate:rand"
-	p, err := Parse(spec)
+	p, err := Parse("seed:7,kill:250000,stall:0:5000:4000:2,failflush:*:0:3,corrupt:100:0x5a,truncate:rand")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Parse(p.String())
-	if err != nil {
-		t.Fatalf("canonical %q does not re-parse: %v", p.String(), err)
+	if p.Seed != 7 || !p.HasKill || p.KillAt != 250000 {
+		t.Fatalf("seed/kill = %d, %v, %d", p.Seed, p.HasKill, p.KillAt)
 	}
-	if p2.String() != p.String() {
-		t.Fatalf("round trip: %q vs %q", p.String(), p2.String())
+	if len(p.Stalls) != 1 || p.Stalls[0] != (StallRule{SPE: 0, After: 5000, Extra: 4000, Count: 2}) {
+		t.Fatalf("stalls = %+v", p.Stalls)
+	}
+	if len(p.Fails) != 1 || p.Fails[0] != (FailRule{SPE: AnySPE, After: 0, Count: 3}) {
+		t.Fatalf("fails = %+v", p.Fails)
+	}
+	if len(p.Corrupts) != 1 || p.Corrupts[0] != (CorruptRule{Offset: 100, XOR: 0x5A}) {
+		t.Fatalf("corrupts = %+v", p.Corrupts)
+	}
+	if p.TruncateBytes != -1 {
+		t.Fatalf("truncate = %d, want -1 (rand)", p.TruncateBytes)
 	}
 }
 

@@ -7,80 +7,21 @@ import (
 	"time"
 )
 
-func TestParseServiceRoundTrip(t *testing.T) {
-	specs := []string{
-		"diskfull:4096:1",
-		"diskfull:0:*",
-		"slowdisk:5",
-		"torn:3",
-		"torn:3:7",
-		"killphase:render:1",
-		"killphase:done:2",
-		"netdrop:b:1",
-		"netdrop:*:*",
-		"netlat:b:20",
-		"partition:a|b+c",
-		"diskfull:4096:2,slowdisk:5,torn:1:0,killphase:accept:1,netdrop:b:3,netlat:*:5,partition:a+b|c",
-	}
-	for _, spec := range specs {
-		p, err := ParseService(spec)
-		if err != nil {
-			t.Fatalf("ParseService(%q): %v", spec, err)
-		}
-		if got := p.String(); got != spec {
-			t.Errorf("ParseService(%q).String() = %q", spec, got)
-		}
-	}
-}
-
-func TestParseServiceRejects(t *testing.T) {
-	for _, spec := range []string{
-		"diskfull",             // missing threshold
-		"diskfull:x",           // non-numeric
-		"slowdisk:5:5",         // too many args
-		"torn:0",               // 1-based index
-		"killphase:nonesuch",   // unknown phase
-		"killphase:render:0",   // 1-based occurrence
-		"stall:0:0:10",         // sim directive, wrong plan type
-		"diskfull:1,torn:zero", // error position in multi-spec
-		"netdrop",              // missing peer
-		"netdrop::2",           // empty peer
-		"netdrop:b:0",          // zero count
-		"netlat:b",             // missing delay
-		"netlat:b:fast",        // non-numeric delay
-		"partition:a",          // one side only
-		"partition:a|b|c",      // three sides
-		"partition:|b",         // empty side
-	} {
-		if _, err := ParseService(spec); err == nil {
-			t.Errorf("ParseService(%q) accepted", spec)
-		}
-	}
-}
-
+// TestServicePlanEmptyAndNil: a nil plan and a zero plan inject nothing.
 func TestServicePlanEmptyAndNil(t *testing.T) {
-	var nilPlan *ServicePlan
-	if !nilPlan.Empty() {
-		t.Error("nil plan not Empty")
-	}
-	nilPlan.BeforeIO() // must not panic
-	if keep, err := nilPlan.WriteFault(10); keep != 10 || err != nil {
-		t.Errorf("nil WriteFault = %d, %v", keep, err)
-	}
-	if nilPlan.Kill("render") {
-		t.Error("nil plan kills")
-	}
-	p, err := ParseService("")
-	if err != nil || !p.Empty() {
-		t.Fatalf("empty spec: %v, Empty=%v", err, p.Empty())
+	for i, p := range []*ServicePlan{nil, {}} {
+		p.BeforeIO() // must not panic
+		if keep, err := p.WriteFault(10); keep != 10 || err != nil {
+			t.Errorf("plan %d: WriteFault = %d, %v", i, keep, err)
+		}
+		if p.Kill("render") {
+			t.Errorf("plan %d kills", i)
+		}
 	}
 }
 
 func TestDiskFullConsumption(t *testing.T) {
-	p, err := ParseService("diskfull:100:2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &ServicePlan{DiskFulls: []DiskFullRule{{After: 100, Count: 2}}}
 	// Below the threshold: writes sail through and accumulate.
 	for i := 0; i < 4; i++ {
 		if keep, err := p.WriteFault(25); keep != 25 || err != nil {
@@ -99,22 +40,16 @@ func TestDiskFullConsumption(t *testing.T) {
 }
 
 func TestDiskFullForever(t *testing.T) {
-	p, err := ParseService("diskfull:0:*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &ServicePlan{DiskFulls: []DiskFullRule{{After: 0, Count: EveryTime}}}
 	for i := 0; i < 10; i++ {
 		if _, err := p.WriteFault(1); !errors.Is(err, ErrDiskFull) {
-			t.Fatalf("write %d survived a diskfull:0:*", i)
+			t.Fatalf("write %d survived a disk full from byte 0", i)
 		}
 	}
 }
 
 func TestTornWrite(t *testing.T) {
-	p, err := ParseService("torn:2:3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &ServicePlan{Torns: []TornRule{{Nth: 2, Keep: 3}}}
 	if keep, err := p.WriteFault(10); keep != 10 || err != nil {
 		t.Fatalf("write 1: keep=%d err=%v", keep, err)
 	}
@@ -129,20 +64,14 @@ func TestTornWrite(t *testing.T) {
 }
 
 func TestTornWriteDefaultKeepIsHalf(t *testing.T) {
-	p, err := ParseService("torn:1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &ServicePlan{Torns: []TornRule{{Nth: 1, Keep: -1}}}
 	if keep, err := p.WriteFault(9); !errors.Is(err, ErrTornWrite) || keep != 4 {
 		t.Fatalf("keep=%d err=%v, want 4 (half of 9), ErrTornWrite", keep, err)
 	}
 }
 
 func TestKillPhaseNth(t *testing.T) {
-	p, err := ParseService("killphase:render:2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &ServicePlan{Kills: []KillRule{{Phase: "render", Nth: 2}}}
 	if p.Kill("accept") || p.Kill("done") {
 		t.Error("killed at a non-matching phase")
 	}
@@ -158,10 +87,7 @@ func TestKillPhaseNth(t *testing.T) {
 }
 
 func TestSlowDiskDelays(t *testing.T) {
-	p, err := ParseService("slowdisk:30")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &ServicePlan{SlowDisk: 30 * time.Millisecond}
 	start := time.Now()
 	p.BeforeIO()
 	if d := time.Since(start); d < 20*time.Millisecond {
@@ -170,52 +96,30 @@ func TestSlowDiskDelays(t *testing.T) {
 }
 
 func TestNetDropConsumption(t *testing.T) {
-	p, err := ParseService("netdrop:b:2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &ServicePlan{NetDrops: []NetDropRule{{Peer: "b", Count: 2}}}
 	// Calls to other peers are untouched.
-	if _, drop := p.NetFault("a", "c"); drop {
+	if p.NetFault("a", "c") {
 		t.Fatal("dropped a call to an unmatched peer")
 	}
 	for i := 0; i < 2; i++ {
-		if _, drop := p.NetFault("a", "b"); !drop {
+		if !p.NetFault("a", "b") {
 			t.Fatalf("call %d to b survived the drop budget", i)
 		}
 	}
-	if _, drop := p.NetFault("a", "b"); drop {
-		t.Fatal("netdrop fired past its budget")
+	if p.NetFault("a", "b") {
+		t.Fatal("drop rule fired past its budget")
 	}
 
-	p, err = ParseService("netdrop:*:*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p = &ServicePlan{NetDrops: []NetDropRule{{Peer: "*", Count: EveryTime}}}
 	for _, peer := range []string{"b", "c", "b"} {
-		if _, drop := p.NetFault("a", peer); !drop {
-			t.Fatalf("netdrop:*:* let a call to %s through", peer)
+		if !p.NetFault("a", peer) {
+			t.Fatalf("a drop of every call to any peer let a call to %s through", peer)
 		}
-	}
-}
-
-func TestNetLatAccumulates(t *testing.T) {
-	p, err := ParseService("netlat:b:20,netlat:*:5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, drop := p.NetFault("a", "b"); drop || d != 25*time.Millisecond {
-		t.Fatalf("latency to b: %v drop=%v, want 25ms", d, drop)
-	}
-	if d, drop := p.NetFault("a", "c"); drop || d != 5*time.Millisecond {
-		t.Fatalf("latency to c: %v drop=%v, want 5ms", d, drop)
 	}
 }
 
 func TestPartitionSeparatesBothDirections(t *testing.T) {
-	p, err := ParseService("partition:a|b+c")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &ServicePlan{Partitions: []PartitionRule{{A: []string{"a"}, B: []string{"b", "c"}}}}
 	for _, c := range []struct {
 		self, peer string
 		want       bool
@@ -228,49 +132,46 @@ func TestPartitionSeparatesBothDirections(t *testing.T) {
 		{"a", "a", false},
 		{"d", "a", false}, // outsider
 	} {
-		if _, drop := p.NetFault(c.self, c.peer); drop != c.want {
+		if drop := p.NetFault(c.self, c.peer); drop != c.want {
 			t.Errorf("NetFault(%s, %s) drop = %v, want %v", c.self, c.peer, drop, c.want)
 		}
 	}
 }
 
 func TestPartitionArmAndHealAtRuntime(t *testing.T) {
-	p, err := ParseService("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, drop := p.NetFault("a", "b"); drop {
+	p := &ServicePlan{}
+	if p.NetFault("a", "b") {
 		t.Fatal("empty plan drops")
 	}
 	p.Partition([]string{"a"}, []string{"b"})
-	if _, drop := p.NetFault("a", "b"); !drop {
+	if !p.NetFault("a", "b") {
 		t.Fatal("armed partition did not drop")
 	}
 	p.Heal()
-	if _, drop := p.NetFault("a", "b"); drop {
+	if p.NetFault("a", "b") {
 		t.Fatal("healed partition still drops")
 	}
 	// Heal lifts partitions only; drop budgets survive.
-	p2, _ := ParseService("netdrop:b:1")
+	p2 := &ServicePlan{NetDrops: []NetDropRule{{Peer: "b", Count: 1}}}
 	p2.Heal()
-	if _, drop := p2.NetFault("a", "b"); !drop {
-		t.Fatal("Heal consumed an unrelated netdrop budget")
+	if !p2.NetFault("a", "b") {
+		t.Fatal("Heal consumed an unrelated drop budget")
 	}
 }
 
 func TestNetFaultNilSafe(t *testing.T) {
 	var nilPlan *ServicePlan
-	if d, drop := nilPlan.NetFault("a", "b"); d != 0 || drop {
-		t.Fatalf("nil NetFault = %v, %v", d, drop)
+	if nilPlan.NetFault("a", "b") {
+		t.Fatal("nil plan drops")
 	}
 }
 
 // TestServicePlanConcurrent hammers one plan from many goroutines: the
 // counters must stay consistent (exactly Count failures) under -race.
 func TestServicePlanConcurrent(t *testing.T) {
-	p, err := ParseService("diskfull:0:64,torn:100:1")
-	if err != nil {
-		t.Fatal(err)
+	p := &ServicePlan{
+		DiskFulls: []DiskFullRule{{After: 0, Count: 64}},
+		Torns:     []TornRule{{Nth: 100, Keep: 1}},
 	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -294,7 +195,7 @@ func TestServicePlanConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	if fails != 64 {
-		t.Errorf("diskfull fired %d times, want exactly 64", fails)
+		t.Errorf("disk full fired %d times, want exactly 64", fails)
 	}
 	if torn != 1 {
 		t.Errorf("torn fired %d times, want exactly 1", torn)

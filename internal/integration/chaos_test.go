@@ -1,7 +1,7 @@
 package integration
 
-// Disk-fault sweep over the durable tier: every service-level fault the
-// chaos grammar can inject (disk-full, slow-disk, torn-write) plus
+// Disk-fault sweep over the durable tier: every service-level disk fault
+// a chaos plan can inject (disk-full, slow-disk, torn-write) plus
 // on-disk corruption is driven through the full cache + job stack, and
 // in every case the caller-visible result must be correct bytes — the
 // faults may cost performance or durability, never answers.
@@ -38,7 +38,9 @@ func chaosTrace(t *testing.T, events int) []byte {
 }
 
 // TestChaosDiskFaultSweep: for each injected fault plan, every analysis
-// kind must still return bytes identical to a fault-free run.
+// kind must still return bytes identical to a fault-free run; a plan
+// that fails writes must have failed at least one, and a slow disk must
+// slow a read.
 func TestChaosDiskFaultSweep(t *testing.T) {
 	data := chaosTrace(t, 2000)
 	ctx := context.Background()
@@ -54,21 +56,28 @@ func TestChaosDiskFaultSweep(t *testing.T) {
 		baseline[kind] = b
 	}
 
-	plans := []string{
-		"diskfull:0:*", // every tier write fails
-		"diskfull:2",   // tier fills after two writes, then recovers
-		"torn:1", "torn:3:1",
-		"slowdisk:1",
-		"diskfull:1,slowdisk:1", // compound
+	// Each case's name spells its plan compactly (rule:args), so a -run
+	// filter can pick one.
+	plans := []struct {
+		spec  string
+		plan  *faults.ServicePlan
+		fails bool // the tier must count a failed write
+	}{
+		// every tier write fails
+		{"diskfull:0:*", &faults.ServicePlan{DiskFulls: []faults.DiskFullRule{{After: 0, Count: faults.EveryTime}}}, true},
+		// one write fails once two bytes are on disk, then the tier recovers
+		{"diskfull:2", &faults.ServicePlan{DiskFulls: []faults.DiskFullRule{{After: 2, Count: 1}}}, true},
+		{"torn:1", &faults.ServicePlan{Torns: []faults.TornRule{{Nth: 1, Keep: -1}}}, true},
+		{"torn:3:1", &faults.ServicePlan{Torns: []faults.TornRule{{Nth: 3, Keep: 1}}}, true},
+		{"slowdisk:1", &faults.ServicePlan{SlowDisk: time.Millisecond}, false},
+		// compound
+		{"diskfull:1,slowdisk:1", &faults.ServicePlan{DiskFulls: []faults.DiskFullRule{{After: 1, Count: 1}}, SlowDisk: time.Millisecond}, true},
 	}
-	for _, spec := range plans {
+	for _, tc := range plans {
+		spec := tc.spec
 		t.Run(spec, func(t *testing.T) {
-			plan, err := faults.ParseService(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
 			dir := t.TempDir()
-			tier, err := cache.OpenDiskTier(dir, 0, plan)
+			tier, err := cache.OpenDiskTier(dir, 0, tc.plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,6 +92,16 @@ func TestChaosDiskFaultSweep(t *testing.T) {
 					if !bytes.Equal(b, baseline[kind]) {
 						t.Fatalf("round %d %s under %q: wrong bytes", round, kind, spec)
 					}
+				}
+			}
+			if st := tier.Stats(); tc.fails && st.Errors == 0 {
+				t.Fatalf("plan %q never failed a write: %+v", spec, st)
+			}
+			if slow := tc.plan.SlowDisk; slow > 0 {
+				start := time.Now()
+				_, ok := tier.Get(cache.KeyOf(data), cache.KindTrace)
+				if took := time.Since(start); !ok || took < slow {
+					t.Fatalf("plan %q: reading the trace back took %v (found %v), want at least %v", spec, took, ok, slow)
 				}
 			}
 			// Whatever did land on disk must serve a clean reopen
@@ -193,7 +212,7 @@ func TestChaosJobKillMatrixConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, phase := range faults.JobPhases {
+	for _, phase := range jobs.Phases {
 		if phase == jobs.PhaseWebhook {
 			continue // no webhook in this matrix; the HTTP-level test covers it
 		}
@@ -209,10 +228,7 @@ func TestChaosJobKillMatrixConverges(t *testing.T) {
 			if err := tier.Put(key, cache.KindTrace, data); err != nil {
 				t.Fatal(err)
 			}
-			plan, err := faults.ParseService("killphase:" + phase)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan := &faults.ServicePlan{Kills: []faults.KillRule{{Phase: phase, Nth: 1}}}
 			mkConfig := func(kill bool) jobs.Config {
 				cfg := jobs.Config{
 					Workers:     1,

@@ -99,10 +99,7 @@ func TestJournalTornTail(t *testing.T) {
 // yields every intact record.
 func TestJournalInjectedTorn(t *testing.T) {
 	path := journalPath(t)
-	plan, err := faults.ParseService("torn:2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &faults.ServicePlan{Torns: []faults.TornRule{{Nth: 2, Keep: -1}}}
 	j, _, _, err := OpenJournal(path, plan)
 	if err != nil {
 		t.Fatal(err)

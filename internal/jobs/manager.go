@@ -15,8 +15,8 @@ import (
 	"time"
 )
 
-// Job phases, in lifecycle order. The chaos plan's killphase directive
-// names these; PhaseHook fires at each boundary.
+// Job phases, in lifecycle order. A chaos plan's faults.KillRule names
+// one of these; PhaseHook fires at each boundary.
 const (
 	PhaseAccept  = "accept"  // accept record journaled, before the 202 returns
 	PhaseStart   = "start"   // start record journaled, before the analysis runs
@@ -24,6 +24,9 @@ const (
 	PhaseDone    = "done"    // done record journaled, before the webhook
 	PhaseWebhook = "webhook" // before the webhook callback is attempted
 )
+
+// Phases lists the job phases in lifecycle order.
+var Phases = []string{PhaseAccept, PhaseStart, PhaseRender, PhaseDone, PhaseWebhook}
 
 // Job statuses.
 const (
@@ -108,7 +111,7 @@ type Config struct {
 	// PhaseHook, when non-nil, fires at every phase boundary. A non-nil
 	// error simulates a process kill at that instant: the manager stops
 	// dead — no further journal writes, no further processing. The
-	// daemon wires the chaos plan's killphase here; tests wire
+	// daemon wires the chaos plan's kill rules here; tests wire
 	// assertions.
 	PhaseHook func(id, phase string) error
 	Log       *slog.Logger

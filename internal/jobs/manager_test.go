@@ -282,7 +282,7 @@ func TestChaosCrashReplayEveryPhase(t *testing.T) {
 	baseline, _ := control.exec(context.Background(), "summary", img)
 	wantCRC := crc32.ChecksumIEEE(baseline)
 
-	for _, phase := range []string{PhaseAccept, PhaseStart, PhaseRender, PhaseDone, PhaseWebhook} {
+	for _, phase := range Phases {
 		t.Run(phase, func(t *testing.T) {
 			env := newEnv()
 			env.put("k1", img)
@@ -438,10 +438,7 @@ func TestSubmitTornJournalCrashes(t *testing.T) {
 	env := newEnv()
 	env.put("k1", []byte("trace-image"))
 	path := journalPath(t)
-	plan, err := faults.ParseService("torn:1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &faults.ServicePlan{Torns: []faults.TornRule{{Nth: 1, Keep: -1}}}
 	j, recs, st, err := OpenJournal(path, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -469,10 +466,7 @@ func TestSubmitJournalErrorTolerated(t *testing.T) {
 	env := newEnv()
 	env.put("k1", []byte("trace-image"))
 	path := journalPath(t)
-	plan, err := faults.ParseService("diskfull:0:*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &faults.ServicePlan{DiskFulls: []faults.DiskFullRule{{After: 0, Count: faults.EveryTime}}}
 	j, recs, st, err := OpenJournal(path, plan)
 	if err != nil {
 		t.Fatal(err)
